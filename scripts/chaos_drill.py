@@ -29,10 +29,6 @@ def main() -> int:
     parser.add_argument("--rounds", type=int, default=3)
     parser.add_argument("--ops-per-round", type=int, default=6)
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--index-format", type=int, choices=(3, 4),
-                        default=4,
-                        help="on-disk format the server recovers from "
-                             "(4 = mmap container, 3 = legacy text)")
     parser.add_argument("--out", default="chaos-report.json")
     args = parser.parse_args()
 
@@ -40,7 +36,6 @@ def main() -> int:
         rounds=args.rounds,
         ops_per_round=args.ops_per_round,
         seed=args.seed,
-        index_format=args.index_format,
     )
     with open(args.out, "w", encoding="utf-8") as handle:
         json.dump(report.to_dict(), handle, indent=2, sort_keys=True)

@@ -4,7 +4,7 @@
 CI's ``shard-smoke`` job runs this against the community-structured
 ``synt-100k`` dataset: plan the shards, build them with a process pool
 (``--workers 4``), persist the sharded layout, reload it through
-:func:`repro.core.sharding.load_any_index` (manifest verification and
+:func:`repro.core.persistence.load_index` (manifest verification and
 WAL-tail replay included), and push a mixed 50-query workload through
 the scatter-gather evaluator — plain top-k, budget-starved resilient
 queries (the degraded path), and forced-layer queries.
@@ -38,11 +38,8 @@ import tempfile
 import time
 
 from repro.core.cost import CostParams
-from repro.core.sharding import (
-    ShardedEvaluator,
-    build_sharded,
-    load_any_index,
-)
+from repro.core.persistence import load_index
+from repro.core.sharding import ShardedEvaluator, build_sharded
 from repro.datasets.synthetic import synthetic_dataset
 from repro.obs.runtime import instrumented
 from repro.search.banks import BackwardKeywordSearch
@@ -106,7 +103,7 @@ def main() -> int:
     )
 
     started = time.perf_counter()
-    reloaded = load_any_index(index_dir, ontology)
+    reloaded = load_index(index_dir, ontology)
     reload_seconds = time.perf_counter() - started
     if reloaded.state_digest() != sharded.state_digest():
         print("FAIL: reloaded digest differs from the built index",

@@ -31,13 +31,10 @@ Suite (full mode)
   ``ShardedEvaluator`` over a 4-shard synt-1k; every probe answer is
   byte-checked against the monolithic evaluator before timing.
 * ``persist.save.*`` / ``persist.load.cold.*`` — round-trip the query
-  index through both on-disk formats: v3 text files and the v4 mmap
-  container.  Cold loads include full manifest verification (every
-  section hashed), so the numbers are what a process restart actually
-  pays.  ``persist.load.v3_vs_v4.speedup`` and the v4 load's
-  resident-set delta are recorded as evidence, not gated (the speedup
-  floor is an acceptance criterion checked at bless time; RSS is
-  machine-bound).
+  index through the v4 mmap container.  Cold loads include full
+  manifest verification (every section hashed), so the numbers are
+  what a process restart actually pays.  The load's resident-set delta
+  is recorded as evidence, not gated (RSS is machine-bound).
 * ``serve.coldstart`` — restart-to-first-answer: load the v4 index from
   disk, bind a boosted searcher, and answer the first probe query.  Its
   answer count is exact-gated.
@@ -785,12 +782,11 @@ def run_suite(
             on_elapsed / off_elapsed, 4
         )
 
-    # --- persistence: v3 text files vs the v4 mmap container -------------
+    # --- persistence: the v4 mmap container -------------------------------
     # Cold loads go through the full path a restart pays: manifest
-    # verification (every binary section re-hashed), then format-specific
-    # materialization — JSON/TSV parsing for v3, mmap + memoryview views
-    # for v4.  Saves are timed too so the container format can't buy its
-    # load speed with a pathological write path.
+    # verification (every binary section re-hashed), then mmap +
+    # memoryview views.  Saves are timed too so the container format
+    # can't buy its load speed with a pathological write path.
     import os
     import tempfile
 
@@ -799,21 +795,12 @@ def run_suite(
     qontology = corpus[0][2] if quick else ontology
     persist_repeats = min(2, repeats)
     with tempfile.TemporaryDirectory(prefix="bench-persist-") as tmp:
-        v3_dir = os.path.join(tmp, "idx-v3")
         v4_dir = os.path.join(tmp, "idx-v4")
         elapsed, _ = _best_of(
-            lambda: save_index(qindex, v3_dir, format=3), persist_repeats
-        )
-        metrics["persist.save.v3.seconds"] = elapsed
-        elapsed, _ = _best_of(
-            lambda: save_index(qindex, v4_dir, format=4), persist_repeats
+            lambda: save_index(qindex, v4_dir), persist_repeats
         )
         metrics["persist.save.v4.seconds"] = elapsed
 
-        elapsed, _ = _best_of(
-            lambda: load_index(v3_dir, qontology), persist_repeats
-        )
-        metrics["persist.load.cold.v3.seconds"] = elapsed
         rss_before = current_rss_kib()
         elapsed, _ = _best_of(
             lambda: load_index(v4_dir, qontology), persist_repeats
@@ -823,10 +810,6 @@ def run_suite(
         if rss_before is not None and rss_after is not None:
             metrics["persist.load.cold.v4.rss_delta_kib"] = (
                 rss_after - rss_before
-            )
-        if elapsed > 0:
-            metrics["persist.load.v3_vs_v4.speedup"] = round(
-                metrics["persist.load.cold.v3.seconds"] / elapsed, 2
             )
 
         # Restart-to-first-answer: what a freshly exec'd server pays

@@ -26,8 +26,8 @@ expose the matching direction explicitly:
 Algorithm
 ---------
 Worklist-driven signature refinement.  The classical Kanellakis–Smolka
-loop (kept as :func:`_reference_bisimulation` for differential testing)
-re-signatures **all** ``n`` vertices every round and pays a full
+loop (kept as :func:`repro.verify.auditor.reference_bisimulation` for
+differential testing) re-signatures **all** ``n`` vertices every round and pays a full
 confirmation round to detect stability; stable regions of the graph are
 re-hashed again and again, which dominates construction cost at scale
 (cf. Luo et al., *I/O-efficient localized bisimulation partition
@@ -242,58 +242,6 @@ def maximal_bisimulation(
         metrics.inc("refine.vertices_moved", vertices_moved)
         metrics.gauge("refine.blocks", len(members))
     return _canonicalize(block, n, len(members))
-
-
-def _reference_bisimulation(
-    graph: Graph,
-    direction: BisimDirection = BisimDirection.SUCCESSORS,
-    initial_blocks: Sequence[int] | None = None,
-) -> List[int]:
-    """The naive Kanellakis–Smolka loop, kept as the differential oracle.
-
-    Re-signatures every vertex each round with frozenset signatures; the
-    property tests assert :func:`maximal_bisimulation` matches it
-    byte-for-byte on randomized graphs.  The live block count is threaded
-    through the loop rather than recomputed with ``len(set(block))`` per
-    round.
-    """
-    n = graph.num_vertices
-    if n == 0:
-        return []
-
-    if initial_blocks is None:
-        block = list(graph.labels)
-    else:
-        if len(initial_blocks) != n:
-            raise ValueError("initial_blocks must cover every vertex")
-        combined: Dict[Tuple[int, int], int] = {}
-        block = []
-        for v in range(n):
-            key = (initial_blocks[v], graph.labels[v])
-            block_id = combined.setdefault(key, len(combined))
-            block.append(block_id)
-
-    use_out = direction in (BisimDirection.SUCCESSORS, BisimDirection.BOTH)
-    use_in = direction in (BisimDirection.PREDECESSORS, BisimDirection.BOTH)
-
-    num_blocks = len(set(block))
-    while True:
-        signatures: Dict[Tuple, int] = {}
-        new_block = [0] * n
-        for v in range(n):
-            succ_sig = frozenset(
-                block[w] for w in graph.out_neighbors(v)
-            ) if use_out else frozenset()
-            pred_sig = frozenset(
-                block[w] for w in graph.in_neighbors(v)
-            ) if use_in else frozenset()
-            key = (block[v], succ_sig, pred_sig)
-            new_block[v] = signatures.setdefault(key, len(signatures))
-        block = new_block
-        if len(signatures) == num_blocks:
-            break
-        num_blocks = len(signatures)
-    return _canonicalize(block, n)
 
 
 def _canonicalize(

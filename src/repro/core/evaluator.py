@@ -851,32 +851,19 @@ class HierarchicalEvaluator:
             instead of raising); otherwise :meth:`evaluate`.
         return_exceptions:
             When set, a query raising :class:`QueryError` contributes the
-            exception object instead of aborting the whole batch.
+            exception object instead of aborting the whole batch; any
+            other exception still propagates.
+
+        Shared verbatim with :class:`~repro.core.sharding.ShardedEvaluator`.
         """
-        self._sync_caches()
-        if layer is not None:
-            warm_layers = [layer]
-        else:
-            start = 0 if self.cost_model.allow_layer_zero else 1
-            warm_layers = list(range(start, self.index.num_layers + 1))
-        for m in warm_layers:
-            self.searcher_for_layer(m)
-            self.index.layer_graph(m).csr()
-        # Root verification always lands on the data graph.
-        self.index.base_graph.csr()
+        self._warm(layer)
+
+        call = self.evaluate_resilient if resilient else self.evaluate
 
         def run(query: KeywordQuery) -> object:
             budget = budget_factory() if budget_factory is not None else None
             try:
-                if resilient:
-                    return self.evaluate_resilient(
-                        query,
-                        budget=budget,
-                        layer=layer,
-                        k=k,
-                        max_generalized=max_generalized,
-                    )
-                return self.evaluate(
+                return call(
                     query,
                     layer=layer,
                     k=k,
@@ -892,6 +879,21 @@ class HierarchicalEvaluator:
             return [run(query) for query in queries]
         with ThreadPoolExecutor(max_workers=workers) as pool:
             return list(pool.map(run, queries))
+
+    def _warm(self, layer: Optional[int]) -> None:
+        """Bind searchers and CSR views for ``layer`` (``None``: every
+        layer the cost model may route to) before a batch runs."""
+        self._sync_caches()
+        if layer is not None:
+            warm_layers = [layer]
+        else:
+            start = 0 if self.cost_model.allow_layer_zero else 1
+            warm_layers = list(range(start, self.index.num_layers + 1))
+        for m in warm_layers:
+            self.searcher_for_layer(m)
+            self.index.layer_graph(m).csr()
+        # Root verification always lands on the data graph.
+        self.index.base_graph.csr()
 
     @staticmethod
     def _record_budget_gauges(budget: Budget) -> None:

@@ -30,7 +30,7 @@ from __future__ import annotations
 import hashlib
 import threading
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
 from repro.bisim.refinement import BisimDirection, maximal_bisimulation
 from repro.bisim.summary import summarize
@@ -274,6 +274,25 @@ class BiGIndex:
         if not 1 <= m <= len(self.layers):
             raise BigIndexError(f"layer {m} out of range (h={len(self.layers)})")
         return self.layers[m - 1].graph
+
+    def iter_layer_graphs(self) -> Iterator[Graph]:
+        """``G^0 .. G^h``: every graph whose storage this index pins."""
+        yield self.base_graph
+        for layer in self.layers:
+            yield layer.graph
+
+    def layout_summary(self) -> Optional[str]:
+        """How the data graph was split, for ``stats``: one hierarchy
+        over the whole graph has nothing to report."""
+        return None
+
+    def make_evaluator(self, algorithm, **options):
+        """The evaluator answering ``eval_Ont`` over this index — what
+        :func:`repro.core.plugins.boost` wraps.  ``options`` are
+        :class:`~repro.core.evaluator.HierarchicalEvaluator`'s."""
+        from repro.core.evaluator import HierarchicalEvaluator
+
+        return HierarchicalEvaluator(self, algorithm, **options)
 
     def configs_up_to(self, m: int) -> List[Configuration]:
         """``[C^1, ..., C^m]``."""

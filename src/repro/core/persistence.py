@@ -7,36 +7,32 @@ Sec. 5.1).  This module provides that persistence: a built
 :class:`~repro.core.index.BiGIndex` round-trips through a directory, so
 construction cost is paid once per dataset.
 
-Two formats are written:
+One format is read and written — **v4**, where one binary container
+holds every hot payload::
 
-* **v4 (default)** — one binary container holds every hot payload::
+    meta.json                 {"num_layers": h, "direction": ..., "version": 4}
+    manifest.json             {"algorithm": "sha256", "files": ..., "binary": ...}
+    index.v4.bin              sectioned zero-copy container (repro.core.binfmt)
+    layer<i>.config.json      the configuration C^i (small, human-auditable)
 
-      meta.json                 {"num_layers": h, "direction": ..., "version": 4}
-      manifest.json             {"algorithm": "sha256", "files": ..., "binary": ...}
-      index.v4.bin              sectioned zero-copy container (repro.core.binfmt)
-      layer<i>.config.json      the configuration C^i (small, human-auditable)
+The container packs CSR adjacency, per-label keyword postings,
+``parent_of`` vectors and Bisim⁻¹ extent tables as little-endian i32
+sections.  Loading is ``mmap`` + ``memoryview.cast``: no per-element
+parsing, cold starts cost page-table setup instead of a JSON walk, and
+layers larger than RAM page in on demand.  Loaded graphs serve reads
+zero-copy and detach to heap structures on their first mutation
+(:meth:`repro.graph.digraph.Graph._materialize`), so WAL replay and
+the serve runtime's copy-on-write snapshots work unchanged.
 
-  The container packs CSR adjacency, per-label keyword postings,
-  ``parent_of`` vectors and Bisim⁻¹ extent tables as little-endian i32
-  sections.  Loading is ``mmap`` + ``memoryview.cast``: no per-element
-  parsing, cold starts cost page-table setup instead of a JSON walk, and
-  layers larger than RAM page in on demand.  Loaded graphs serve reads
-  zero-copy and detach to heap structures on their first mutation
-  (:meth:`repro.graph.digraph.Graph._materialize`), so WAL replay and
-  the serve runtime's copy-on-write snapshots work unchanged.
+A *sharded* index (:mod:`repro.core.sharding`) is a root directory of
+such directories, one per locale, under a root ``meta.json`` (``"kind":
+"sharded"``), ``shards.json`` and a ``manifest.json`` of the same shape
+whose ``files`` pin each locale's own manifest.  :func:`load_index`
+recognises the root and verifies it through the same code path.
 
-* **v3 (``save_index(..., format=3)``)** — the legacy TSV/JSON layout::
-
-      base.nodes / base.edges   the data graph (repro.graph.io format)
-      base.postings.json        keyword postings: label -> sorted vertex ids
-      layer<i>.nodes / .edges   summary graph of layer i
-      layer<i>.config.json      the configuration C^i
-      layer<i>.parents.txt      parent_of: one supernode id per line
-      layer<i>.postings.json    keyword postings of layer i
-
-  Extents are reconstructed from ``parent_of`` on load.  Version-2
-  directories (no postings files) still load — postings are rebuilt
-  lazily on first use.
+The retired TSV/JSON layouts (versions 2 and 3) are rejected with a
+pointer to ``repro-bigindex build``: every index is a pure function of
+its dataset, so rebuilding replaces up-conversion.
 
 Crash safety and integrity
 --------------------------
@@ -78,8 +74,10 @@ import os
 import shutil
 import tempfile
 from array import array
-from typing import Any, Dict, List
+from contextlib import contextmanager
+from typing import Any, Dict, Iterator
 
+from repro.bisim.refinement import BisimDirection
 from repro.core.binfmt import (
     ExtentTable,
     IntVector,
@@ -90,27 +88,23 @@ from repro.core.config import Configuration
 from repro.core.index import BiGIndex, Layer
 from repro.core.wal import WAL_NAME, recover_wal, replay_wal
 from repro.graph.digraph import FrozenAdjacency, Graph, LabelTable
-from repro.graph.io import load_graph_tsv, save_graph_tsv
 from repro.obs.runtime import OBS
 from repro.ontology.ontology import OntologyGraph
 from repro.utils.errors import (
     BigIndexError,
-    GraphError,
     IndexCorruptedError,
     IndexVersionError,
 )
 
+#: The one on-disk format version read and written (``meta.json``'s
+#: ``version``): the mmap-backed binary container.
 FORMAT_VERSION = 4
 
-#: Format versions this build can read.  Version 2 predates the persisted
-#: keyword postings (rebuilt lazily on load); version 3 is the TSV/JSON
-#: layout; version 4 is the mmap-backed binary container.  Versions 3 and
-#: 4 can both be written (``save_index(..., format=3)`` keeps an index
-#: readable by older builds).
-SUPPORTED_VERSIONS = (2, 3, 4)
-
-#: Format versions :func:`save_index` can write.
-WRITABLE_VERSIONS = (3, 4)
+#: ``meta.json``'s ``kind`` marker distinguishing a sharded root from an
+#: ordinary index directory, and the layout version stored beside it as
+#: ``sharded_version`` (2: the root manifest took the monolithic shape).
+SHARDED_KIND = "sharded"
+SHARDED_FORMAT_VERSION = 2
 
 #: Name of the checksum manifest inside an index directory.
 MANIFEST_NAME = "manifest.json"
@@ -130,13 +124,23 @@ def _sha256_file(path: str) -> str:
     return digest.hexdigest()
 
 
+def write_json(path: str, payload: Any, **dump_kwargs: Any) -> None:
+    """``json.dump`` to ``path``, fsynced before returning."""
+    with open(path, "w", encoding="utf-8") as f:
+        json.dump(payload, f, **dump_kwargs)
+        f.flush()
+        os.fsync(f.fileno())
+
+
 def compute_manifest(directory: str) -> Dict[str, str]:
     """Checksum every regular file in ``directory`` except the manifest.
 
-    Returns ``{filename: sha256-hex}`` sorted by name.  Subdirectories are
-    ignored (an index directory has none).  The v4 container is excluded
-    here — it is blessed per *section* under the manifest's ``"binary"``
-    key so corruption can be reported by section name.
+    Returns ``{filename: sha256-hex}`` sorted by name.  A subdirectory
+    contributes only its own ``<name>/manifest.json`` — that is how a
+    sharded root pins its locales, whose files their own manifests
+    cover.  The v4 container is excluded here — it is blessed per
+    *section* under the manifest's ``"binary"`` key so corruption can be
+    reported by section name.
     """
     checksums: Dict[str, str] = {}
     for name in sorted(os.listdir(directory)):
@@ -147,6 +151,9 @@ def compute_manifest(directory: str) -> Dict[str, str]:
             # container gets its own section-granular manifest block.
             continue
         path = os.path.join(directory, name)
+        if os.path.isdir(path):
+            name = f"{name}/{MANIFEST_NAME}"
+            path = os.path.join(path, MANIFEST_NAME)
         if os.path.isfile(path):
             checksums[name] = _sha256_file(path)
     return checksums
@@ -183,10 +190,7 @@ def write_manifest(directory: str) -> str:
     if os.path.isfile(binary_path):
         manifest["binary"] = {BINARY_NAME: _binary_manifest(binary_path)}
     path = os.path.join(directory, MANIFEST_NAME)
-    with open(path, "w", encoding="utf-8") as f:
-        json.dump(manifest, f, indent=2, sort_keys=True)
-        f.flush()
-        os.fsync(f.fileno())
+    write_json(path, manifest, indent=2, sort_keys=True)
     return path
 
 
@@ -290,97 +294,89 @@ def _verify_binary(
 # ----------------------------------------------------------------------
 # Save
 # ----------------------------------------------------------------------
-def save_index(
-    index: BiGIndex, directory: str, format: int = FORMAT_VERSION
-) -> None:
-    """Atomically write ``index`` (graphs, configs, parent maps).
+@contextmanager
+def staged_directory(directory: str) -> Iterator[str]:
+    """Yield a fresh staging sibling of ``directory``; swap it in on exit.
 
-    The files are staged in a temporary sibling directory, checksummed
-    into ``manifest.json``, and swapped into place by rename — so a crash
-    mid-save never leaves a torn index at ``directory``.  If the swap
-    itself is interrupted the previous index survives at
-    ``<directory>.stale`` (see docs/ROBUSTNESS.md for the runbook).
-
-    ``format`` selects the on-disk layout: 4 (default) writes the binary
-    zero-copy container, 3 the legacy TSV/JSON layout readable by older
-    builds.
+    The caller fills the staging directory (fsyncing what it writes) and
+    blesses it with :func:`write_manifest`; a clean exit renames it into
+    place, so a crash mid-write never leaves a torn index at
+    ``directory``.  Any previous index briefly becomes
+    ``<directory>.stale`` and is removed after the swap — if the swap
+    itself is interrupted it survives there (see docs/ROBUSTNESS.md for
+    the runbook).  On an exception the staging directory is removed and
+    ``directory`` is left as it was.
     """
-    if format not in WRITABLE_VERSIONS:
-        raise BigIndexError(
-            f"cannot write index format version {format!r} "
-            f"(writable versions: {WRITABLE_VERSIONS})"
-        )
     directory = os.path.abspath(directory)
     parent = os.path.dirname(directory)
     os.makedirs(parent, exist_ok=True)
     staging = tempfile.mkdtemp(
         prefix=os.path.basename(directory) + ".tmp-", dir=parent
     )
-    with OBS.tracer.span(
-        "index-save", layers=index.num_layers, format=format
-    ) as save_span:
-        try:
-            _write_index_files(index, staging, format=format)
-            write_manifest(staging)
-            if OBS.enabled:
-                names = os.listdir(staging)
-                OBS.metrics.inc("persist.saves")
-                OBS.metrics.inc("persist.files_written", len(names))
-                OBS.metrics.inc(
-                    "persist.bytes_written",
-                    sum(
-                        os.path.getsize(os.path.join(staging, name))
-                        for name in names
-                    ),
-                )
-                save_span.annotate(files=len(names))
-            stale = directory + ".stale"
-            if os.path.exists(directory):
-                if os.path.exists(stale):
-                    shutil.rmtree(stale)
-                os.rename(directory, stale)
-            os.rename(staging, directory)
+    try:
+        yield staging
+        stale = directory + ".stale"
+        if os.path.exists(directory):
             if os.path.exists(stale):
                 shutil.rmtree(stale)
-        except BaseException:
-            shutil.rmtree(staging, ignore_errors=True)
-            raise
+            os.rename(directory, stale)
+        os.rename(staging, directory)
+        if os.path.exists(stale):
+            shutil.rmtree(stale)
+    except BaseException:
+        shutil.rmtree(staging, ignore_errors=True)
+        raise
 
 
-def _write_index_files(
-    index: BiGIndex, directory: str, format: int = FORMAT_VERSION
-) -> None:
+def save_index(index: BiGIndex, directory: str) -> None:
+    """Atomically write ``index`` (graphs, configs, parent maps).
+
+    The files are staged, checksummed into ``manifest.json`` and swapped
+    into place by :func:`staged_directory`.  A sharded index is written
+    by :func:`repro.core.sharding.build_sharded` instead (one such
+    directory per locale).
+    """
+    if not isinstance(index, BiGIndex):
+        raise BigIndexError(
+            f"save_index writes one hierarchy, not a "
+            f"{type(index).__name__}; a sharded index is persisted by "
+            "build_sharded(directory=...)"
+        )
+    with OBS.tracer.span(
+        "index-save", layers=index.num_layers, format=FORMAT_VERSION
+    ) as save_span, staged_directory(directory) as staging:
+        _write_index_files(index, staging)
+        write_manifest(staging)
+        if OBS.enabled:
+            names = os.listdir(staging)
+            OBS.metrics.inc("persist.saves")
+            OBS.metrics.inc("persist.files_written", len(names))
+            OBS.metrics.inc(
+                "persist.bytes_written",
+                sum(
+                    os.path.getsize(os.path.join(staging, name))
+                    for name in names
+                ),
+            )
+            save_span.annotate(files=len(names))
+
+
+def _write_index_files(index: BiGIndex, directory: str) -> None:
     """Write the index's files (without manifest) into ``directory``."""
     meta = {
-        "version": format,
+        "version": FORMAT_VERSION,
         "num_layers": index.num_layers,
         "direction": index.direction.value,
     }
-    meta_path = os.path.join(directory, "meta.json")
-    with open(meta_path, "w", encoding="utf-8") as f:
-        json.dump(meta, f, indent=2)
-        f.flush()
-        os.fsync(f.fileno())
+    write_json(os.path.join(directory, "meta.json"), meta, indent=2)
     for i, layer in enumerate(index.layers, start=1):
-        config_path = os.path.join(directory, f"layer{i}.config.json")
-        with open(config_path, "w", encoding="utf-8") as f:
-            json.dump(layer.config.mappings, f, indent=2, sort_keys=True)
-            f.flush()
-            os.fsync(f.fileno())
-    if format >= 4:
-        _write_v4_container(index, os.path.join(directory, BINARY_NAME))
-        return
-    save_graph_tsv(index.base_graph, os.path.join(directory, "base"))
-    _write_postings(index.base_graph, os.path.join(directory, "base"))
-    for i, layer in enumerate(index.layers, start=1):
-        prefix = os.path.join(directory, f"layer{i}")
-        save_graph_tsv(layer.graph, prefix)
-        _write_postings(layer.graph, prefix)
-        with open(prefix + ".parents.txt", "w", encoding="utf-8") as f:
-            for supernode in layer.parent_of:
-                f.write(f"{supernode}\n")
-            f.flush()
-            os.fsync(f.fileno())
+        write_json(
+            os.path.join(directory, f"layer{i}.config.json"),
+            layer.config.mappings,
+            indent=2,
+            sort_keys=True,
+        )
+    _write_v4_container(index, os.path.join(directory, BINARY_NAME))
 
 
 def _write_v4_container(index: BiGIndex, path: str) -> None:
@@ -440,64 +436,6 @@ def _write_graph_sections(
     )
 
 
-def _write_postings(graph: Graph, prefix: str) -> None:
-    """Write ``<prefix>.postings.json``: label -> sorted vertex ids.
-
-    Streamed one label at a time: ``json.dump`` over the whole snapshot
-    would materialize every posting list simultaneously, which defeats
-    the point of zero-copy postings when re-saving a huge loaded index.
-    The output is byte-identical to ``json.dump(..., sort_keys=True)``.
-    """
-    label_of = graph.label_table.label_of
-    entries = sorted(
-        (label_of(label_id), posting)
-        for label_id, posting in graph.postings_items_by_id()
-    )
-    with open(prefix + ".postings.json", "w", encoding="utf-8") as f:
-        f.write("{")
-        first = True
-        for label, posting in entries:
-            if not first:
-                f.write(", ")
-            first = False
-            f.write(json.dumps(label))
-            f.write(": ")
-            f.write(json.dumps(list(posting)))
-        f.write("}")
-        f.flush()
-        os.fsync(f.fileno())
-
-
-def _load_postings(graph: Graph, prefix: str) -> None:
-    """Pre-warm ``graph`` from ``<prefix>.postings.json`` (format >= 3).
-
-    The lists are fully validated against the loaded graph's own label
-    index before being trusted, so a tampered postings file surfaces as
-    :class:`IndexCorruptedError` rather than as silently wrong seed hits.
-    """
-    path = prefix + ".postings.json"
-    try:
-        with open(path, "r", encoding="utf-8") as f:
-            postings = json.load(f)
-    except FileNotFoundError as exc:
-        raise IndexCorruptedError(f"index file missing: {path}") from exc
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-        raise IndexCorruptedError(
-            f"unreadable postings file {path}: {exc}"
-        ) from exc
-    if not isinstance(postings, dict) or not all(
-        isinstance(ids, list) and all(isinstance(v, int) for v in ids)
-        for ids in postings.values()
-    ):
-        raise IndexCorruptedError(
-            f"postings file {path} is not a label -> id-list object"
-        )
-    try:
-        graph.preload_postings(postings)
-    except GraphError as exc:
-        raise IndexCorruptedError(f"invalid postings in {path}: {exc}") from exc
-
-
 # ----------------------------------------------------------------------
 # Load
 # ----------------------------------------------------------------------
@@ -505,8 +443,15 @@ def load_index(
     directory: str,
     ontology: OntologyGraph,
     replay_wal_tail: bool = True,
-) -> BiGIndex:
+):
     """Load an index saved by :func:`save_index`, verifying integrity.
+
+    The one entry point for every index directory: a sharded root
+    (written by :func:`repro.core.sharding.build_sharded`) is recognised
+    by its ``meta.json`` and comes back as a
+    :class:`~repro.core.sharding.ShardedIndex` whose locales were each
+    loaded through this same function; anything else loads as a
+    :class:`~repro.core.index.BiGIndex`.
 
     The ontology is not persisted (it is an input shared across indexes);
     pass the same one used at build time.  Configurations are *not*
@@ -514,7 +459,7 @@ def load_index(
     the maintenance semantics of Sec. 3.2 (ontology additions never
     invalidate an index).
 
-    A v4 directory loads zero-copy: graphs, parent maps and extent
+    The directory loads zero-copy: graphs, parent maps and extent
     tables are views over the mmapped container, and answer every read
     exactly like their heap-built twins.  The first mutation (including
     a WAL replay below) detaches the affected graph to heap structures.
@@ -547,7 +492,7 @@ def load_index(
         return index
 
 
-def _load_index_impl(directory: str, ontology: OntologyGraph) -> BiGIndex:
+def _load_index_impl(directory: str, ontology: OntologyGraph):
     meta_path = os.path.join(directory, "meta.json")
     if not os.path.exists(meta_path):
         if os.path.exists(os.path.join(directory, MANIFEST_NAME)):
@@ -568,16 +513,24 @@ def _load_index_impl(directory: str, ontology: OntologyGraph) -> BiGIndex:
         )
     # Version before checksums: an index written by a different format
     # version fails its own way instead of as a checksum mismatch.
-    version = meta.get("version")
-    if version not in SUPPORTED_VERSIONS:
+    sharded = meta.get("kind") == SHARDED_KIND
+    found, expected = (
+        (meta.get("sharded_version"), SHARDED_FORMAT_VERSION)
+        if sharded
+        else (meta.get("version"), FORMAT_VERSION)
+    )
+    if found != expected:
+        what = "sharded layout" if sharded else "index format"
         raise IndexVersionError(
-            f"unsupported index format version: {version!r} "
-            f"(this build reads versions {SUPPORTED_VERSIONS})"
+            f"unsupported {what} version: {found!r} (this build reads "
+            f"version {expected}; no converter is kept — rebuild the "
+            "index from its dataset with `repro-bigindex build`)"
         )
     _verify_manifest(directory)
+    if sharded:
+        from repro.core.sharding import load_locales
 
-    from repro.bisim.refinement import BisimDirection
-
+        return load_locales(directory, ontology)
     try:
         num_layers = int(meta["num_layers"])
         direction = BisimDirection(meta["direction"])
@@ -585,53 +538,7 @@ def _load_index_impl(directory: str, ontology: OntologyGraph) -> BiGIndex:
         raise IndexCorruptedError(
             f"invalid index metadata in {meta_path}: {exc}"
         ) from exc
-
-    if version >= 4:
-        return _load_v4(directory, ontology, num_layers, direction)
-
-    base_prefix = os.path.join(directory, "base")
-    base_graph, base_map = load_graph_tsv(base_prefix)
-    _require_dense(base_map, "base")
-    if version >= 3:
-        _load_postings(base_graph, base_prefix)
-    index = BiGIndex(base_graph, ontology, direction=direction)
-
-    label_table = base_graph.label_table
-    for i in range(1, num_layers + 1):
-        prefix = os.path.join(directory, f"layer{i}")
-        graph, id_map = load_graph_tsv(prefix, label_table=label_table)
-        _require_dense(id_map, f"layer{i}")
-        if version >= 3:
-            _load_postings(graph, prefix)
-        config = _load_config(prefix + ".config.json")
-        parent_of = _load_parents(prefix + ".parents.txt")
-        below = index.layer_graph(i - 1)
-        if len(parent_of) != below.num_vertices:
-            raise IndexCorruptedError(
-                f"layer {i} parent map covers {len(parent_of)} vertices, "
-                f"expected {below.num_vertices}"
-            )
-        extent: List[List[int]] = [[] for _ in range(graph.num_vertices)]
-        for child, supernode in enumerate(parent_of):
-            if not 0 <= supernode < graph.num_vertices:
-                raise IndexCorruptedError(
-                    f"layer {i} parent map references unknown supernode "
-                    f"{supernode}"
-                )
-            extent[supernode].append(child)
-        if any(not members for members in extent):
-            raise IndexCorruptedError(
-                f"layer {i} has an empty supernode extent"
-            )
-        index.layers.append(
-            Layer(
-                config=config,
-                graph=graph,
-                parent_of=parent_of,
-                extent=extent,
-            )
-        )
-    return index
+    return _load_v4(directory, ontology, num_layers, direction)
 
 
 def _load_v4(
@@ -786,35 +693,3 @@ def _load_config(path: str) -> Configuration:
         raise IndexCorruptedError(
             f"unreadable layer config {path}: {exc}"
         ) from exc
-
-
-def _load_parents(path: str) -> List[int]:
-    """Parse a ``layer<i>.parents.txt``; corruption names the exact line."""
-    try:
-        handle = open(path, "r", encoding="utf-8")
-    except FileNotFoundError as exc:
-        raise IndexCorruptedError(f"index file missing: {path}") from exc
-    parent_of: List[int] = []
-    with handle:
-        for lineno, raw in enumerate(handle, start=1):
-            line = raw.strip()
-            if not line:
-                continue
-            try:
-                parent_of.append(int(line))
-            except ValueError as exc:
-                raise IndexCorruptedError(
-                    f"{path}:{lineno}: invalid supernode id {line!r} "
-                    "(expected a non-negative integer)"
-                ) from exc
-    return parent_of
-
-
-def _require_dense(id_map: Dict[int, int], what: str) -> None:
-    """Saved indexes use dense ids; anything else indicates tampering."""
-    for file_id, dense_id in id_map.items():
-        if file_id != dense_id:
-            raise IndexCorruptedError(
-                f"{what} graph ids are not dense (found {file_id} -> "
-                f"{dense_id}); was the index directory edited?"
-            )

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from typing import Callable, List, Optional, Sequence
 
-from repro.core.evaluator import EvalResult, HierarchicalEvaluator
+from repro.core.evaluator import EvalResult
 from repro.core.index import BiGIndex
 from repro.search.banks import BackwardKeywordSearch
 from repro.search.base import Answer, KeywordQuery, KeywordSearchAlgorithm
@@ -53,8 +53,9 @@ class BoostedSearch:
             )
         self.algorithm = algorithm
         self.index = index
-        self.evaluator = HierarchicalEvaluator(
-            index,
+        # The index picks its evaluator: one hierarchy evaluates
+        # directly, a sharded index scatter-gathers over its locales.
+        self.evaluator = index.make_evaluator(
             algorithm,
             beta=beta,
             generation=generation,

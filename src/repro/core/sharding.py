@@ -35,22 +35,23 @@ dropping cross-shard answers.
 
 On disk a sharded index is a directory of ordinary v4 index
 directories (one per locale) under a top-level ``meta.json`` /
-``shards.json`` / ``manifest.json`` (whose ``shards`` section pins each
-locale's own manifest digest) plus one shared ``mutations.wal`` whose
-ops are routed to the owning locale(s) on replay.
+``shards.json`` / ``manifest.json`` (the ordinary manifest shape, whose
+``files`` pin each locale's own manifest) plus one shared
+``mutations.wal`` whose ops are routed to the owning locale(s) on
+replay.  :func:`repro.core.persistence.load_index` loads it.
 """
 
 from __future__ import annotations
 
+import concurrent.futures
 import hashlib
 import json
 import math
 import os
 from array import array
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import (
-    Callable,
     Dict,
     Iterable,
     Iterator,
@@ -64,13 +65,21 @@ from typing import (
 from repro.core.cost import CostParams
 from repro.core.evaluator import (
     DegradationStats,
-    DegradedAttempt,
     DegradedResult,
     EvalResult,
     HierarchicalEvaluator,
     TimeBreakdown,
 )
 from repro.core.index import BiGIndex
+from repro.core.persistence import (
+    SHARDED_FORMAT_VERSION,
+    SHARDED_KIND,
+    load_index,
+    save_index,
+    staged_directory,
+    write_json,
+    write_manifest,
+)
 from repro.graph.digraph import Graph
 from repro.graph.partition import partition_bfs_grow
 from repro.obs.runtime import OBS
@@ -86,7 +95,7 @@ from repro.utils.errors import (
     BudgetExceeded,
     ConfigurationError,
     GraphError,
-    IndexPersistenceError,
+    IndexCorruptedError,
     QueryError,
 )
 from repro.utils.timers import monotonic_now
@@ -97,13 +106,6 @@ ZONE_NAME = "zone"
 #: Top-level metadata files of a sharded index directory.
 SHARDED_META_NAME = "meta.json"
 SHARDED_LAYOUT_NAME = "shards.json"
-SHARDED_MANIFEST_NAME = "manifest.json"
-
-#: ``meta.json``'s ``kind`` marker distinguishing a sharded root from an
-#: ordinary index directory (whose ``meta.json`` carries ``version``).
-SHARDED_KIND = "sharded"
-
-SHARDED_FORMAT_VERSION = 1
 
 
 # ----------------------------------------------------------------------
@@ -134,12 +136,6 @@ class ShardPlan:
     @property
     def num_vertices(self) -> int:
         return len(self.shard_of)
-
-    def locale_names(self) -> List[str]:
-        names = [f"shard-{s}" for s in range(self.num_shards)]
-        if self.zone_vertices:
-            names.append(ZONE_NAME)
-        return names
 
 
 def _ball_around(
@@ -248,8 +244,9 @@ class Locale:
         if not self.local_of:
             self.local_of = {g: l for l, g in enumerate(self.global_ids)}
 
-    def contains(self, v: int) -> bool:
-        return v in self.local_of
+    def cow_clone(self) -> "Locale":
+        """Same vertex maps (immutable), copy-on-write clone of the index."""
+        return replace(self, index=self.index.cow_clone())
 
 
 #: Picklable locale snapshot: (labels, CSR offsets, CSR targets, names).
@@ -305,20 +302,18 @@ def _build_locale_index(
     return BiGIndex.build(graph, ontology, **build_kwargs)
 
 
-def _build_locale_task(task: Tuple) -> Tuple[str, float, List[int]]:
-    """Process-pool task: build one locale and persist it to its dir."""
-    name, payload, ontology, build_kwargs, out_dir, fmt = task
-    from repro.core.persistence import save_index
-
+def _build_locale_task(task: Tuple) -> Tuple[str, float]:
+    """Process-pool task: build one locale and persist it to its dir;
+    returns its name and build seconds."""
+    name, payload, ontology, build_kwargs, out_dir = task
     start = monotonic_now()
-    index = _build_locale_index(payload, ontology, build_kwargs)
-    save_index(index, out_dir, format=fmt)
-    return (name, monotonic_now() - start, index.layer_sizes())
+    save_index(_build_locale_index(payload, ontology, build_kwargs), out_dir)
+    return (name, monotonic_now() - start)
 
 
 def _run_build_tasks(
     tasks: List[Tuple], workers: Optional[int]
-) -> List[Tuple[str, float, List[int]]]:
+) -> List[Tuple[str, float]]:
     """Run locale builds on a process pool, degrading gracefully.
 
     Mirrors :func:`repro.core.parallel.score_candidates`: process pool
@@ -330,20 +325,15 @@ def _run_build_tasks(
         workers = os.cpu_count() or 1
     workers = max(1, min(workers, len(tasks)))
     if workers > 1:
-        try:
-            import concurrent.futures as futures
-
-            with futures.ProcessPoolExecutor(max_workers=workers) as pool:
-                return list(pool.map(_build_locale_task, tasks))
-        except Exception:
-            pass
-        try:
-            import concurrent.futures as futures
-
-            with futures.ThreadPoolExecutor(max_workers=workers) as pool:
-                return list(pool.map(_build_locale_task, tasks))
-        except Exception:
-            pass
+        for kind in ("ProcessPoolExecutor", "ThreadPoolExecutor"):
+            try:
+                # Resolved lazily: importing the process pool itself
+                # fails where multiprocessing is unavailable.
+                executor = getattr(concurrent.futures, kind)
+                with executor(max_workers=workers) as pool:
+                    return list(pool.map(_build_locale_task, tasks))
+            except Exception:
+                pass
     return [_build_locale_task(task) for task in tasks]
 
 
@@ -357,9 +347,10 @@ class ShardedIndex:
     :class:`~repro.core.index.BiGIndex` — ``base_graph`` (the live union
     graph), ``insert_edge`` / ``delete_edge`` / ``remove_ontology_edge``,
     ``epoch``, ``cow_clone``, ``state_digest``, ``num_layers`` /
-    ``layer_sizes`` — so :class:`~repro.serve.lifecycle.EngineRuntime`,
-    the WAL replayer and ``/admin/mutate`` work unchanged.  Mutations
-    route to the owning locale(s):
+    ``layer_sizes``, ``iter_layer_graphs``, ``make_evaluator`` — so
+    :class:`~repro.serve.lifecycle.EngineRuntime`, the WAL replayer,
+    ``/admin/mutate`` and the CLI work unchanged.  Mutations route to
+    the owning locale(s):
 
     * an intra-shard edge updates its shard, plus the zone when both
       endpoints are zone members;
@@ -374,15 +365,14 @@ class ShardedIndex:
     def __init__(
         self,
         plan: ShardPlan,
-        shards: List[Locale],
-        zone: Optional[Locale],
+        locales: Dict[str, Locale],
         ontology: OntologyGraph,
         base_graph: Graph,
         build_kwargs: Optional[Dict[str, object]] = None,
     ) -> None:
         self.plan = plan
-        self.shards = shards
-        self.zone = zone
+        self.shards = [locales[f"shard-{s}"] for s in range(plan.num_shards)]
+        self.zone = locales.get(ZONE_NAME)
         self.ontology = ontology
         self.base_graph = base_graph
         self.build_kwargs = dict(build_kwargs or {})
@@ -420,20 +410,29 @@ class ShardedIndex:
     def iter_layer_graphs(self) -> Iterator[Graph]:
         """Every layer graph of every locale (storage-kind probing)."""
         for locale in self.locales:
-            for m in range(locale.index.num_layers + 1):
-                yield locale.index.layer_graph(m)
+            yield from locale.index.iter_layer_graphs()
 
     def cut_edge_count(self) -> int:
         return len(self._cut_edges)
+
+    def layout_summary(self) -> str:
+        """The ``stats`` line describing how the graph was split."""
+        return (
+            f"shards: {self.num_shards} (+zone), "
+            f"{self.cut_edge_count()} cut edge(s), halo {self.halo_radius}"
+        )
+
+    def make_evaluator(
+        self, algorithm: KeywordSearchAlgorithm, **options
+    ) -> "ShardedEvaluator":
+        """The scatter-gather evaluator :func:`~repro.core.plugins.boost` wraps."""
+        return ShardedEvaluator(self, algorithm, **options)
 
     def total_index_size(self) -> int:
         """Sum of every locale's index size plus the cut table."""
         return sum(
             locale.index.total_index_size() for locale in self.locales
         ) + len(self._cut_edges)
-
-    def shard_of(self, v: int) -> int:
-        return self._shard_of[v]
 
     def state_digest(self) -> str:
         """sha256 over locale digests + the cut table + the assignment."""
@@ -455,27 +454,8 @@ class ShardedIndex:
         """Copy-on-write clone (snapshot isolation for the serve runtime)."""
         clone = ShardedIndex.__new__(ShardedIndex)
         clone.plan = self.plan
-        clone.shards = [
-            Locale(
-                name=s.name,
-                index=s.index.cow_clone(),
-                global_ids=s.global_ids,
-                local_of=s.local_of,
-                build_seconds=s.build_seconds,
-            )
-            for s in self.shards
-        ]
-        clone.zone = (
-            Locale(
-                name=self.zone.name,
-                index=self.zone.index.cow_clone(),
-                global_ids=self.zone.global_ids,
-                local_of=self.zone.local_of,
-                build_seconds=self.zone.build_seconds,
-            )
-            if self.zone is not None
-            else None
-        )
+        clone.shards = [shard.cow_clone() for shard in self.shards]
+        clone.zone = self.zone.cow_clone() if self.zone is not None else None
         clone.ontology = self.ontology
         clone.base_graph = self.base_graph.cow_clone()
         clone.build_kwargs = dict(self.build_kwargs)
@@ -546,10 +526,6 @@ class ShardedIndex:
             locale.index.remove_ontology_edge(subtype, supertype)
         self._maintenance_epoch += 1
 
-    def note_ontology_addition(self) -> None:
-        for locale in self.locales:
-            locale.index.note_ontology_addition()
-
     def _check_vertex(self, v: int) -> None:
         if not 0 <= v < len(self._shard_of):
             raise GraphError(f"vertex {v} not in the sharded index")
@@ -612,7 +588,6 @@ def build_sharded(
     plan: Optional[ShardPlan] = None,
     workers: Optional[int] = 1,
     directory: Optional[str] = None,
-    format: int = 4,
     num_layers: Optional[int] = None,
     theta: float = 1.0,
     max_mappings: Optional[int] = None,
@@ -625,7 +600,8 @@ def build_sharded(
     inline — always through the same task function, so the result is
     identical at any worker count).  With ``directory`` set, locales are
     persisted as ordinary v4 index directories under the sharded layout
-    and the returned index is the loaded (mmap-backed) one; without it
+    — staged and swapped into place like any saved index — and the
+    returned index is the loaded (mmap-backed) one; without it
     everything stays on the heap.
     """
     if plan is None:
@@ -660,68 +636,30 @@ def build_sharded(
                 global_ids=list(members),
                 build_seconds=monotonic_now() - start,
             )
-        return _assemble(plan, locales, ontology, graph, build_kwargs)
+        return ShardedIndex(plan, locales, ontology, graph, build_kwargs)
 
-    staging = directory.rstrip(os.sep) + f".staging-{os.getpid()}"
-    if os.path.exists(staging):
-        import shutil
-
-        shutil.rmtree(staging)
-    os.makedirs(staging)
-    tasks = [
-        (
-            name,
-            payloads[name],
-            ontology,
-            build_kwargs,
-            os.path.join(staging, name),
-            format,
+    with staged_directory(directory) as staging:
+        tasks = [
+            (
+                name,
+                payloads[name],
+                ontology,
+                build_kwargs,
+                os.path.join(staging, name),
+            )
+            for name, _members in member_sets
+        ]
+        timings = dict(_run_build_tasks(tasks, workers))
+        _write_sharded_layout(
+            staging, plan, member_sets, graph, timings, build_kwargs
         )
-        for name, _members in member_sets
-    ]
-    results = _run_build_tasks(tasks, workers)
-    timings = {name: seconds for name, seconds, _sizes in results}
-    _write_sharded_layout(
-        staging, plan, member_sets, graph, timings, build_kwargs
-    )
-    if os.path.exists(directory):
-        import shutil
-
-        shutil.rmtree(directory)
-    os.replace(staging, directory)
-    return load_sharded_index(directory, ontology, base_graph=graph)
-
-
-def _assemble(
-    plan: ShardPlan,
-    locales: Dict[str, Locale],
-    ontology: OntologyGraph,
-    base_graph: Graph,
-    build_kwargs: Dict[str, object],
-) -> ShardedIndex:
-    shards = [locales[f"shard-{s}"] for s in range(plan.num_shards)]
-    zone = locales.get(ZONE_NAME)
-    return ShardedIndex(
-        plan=plan,
-        shards=shards,
-        zone=zone,
-        ontology=ontology,
-        base_graph=base_graph,
-        build_kwargs=build_kwargs,
-    )
+        write_manifest(staging)
+    return load_locales(directory, ontology, base_graph=graph)
 
 
 # ----------------------------------------------------------------------
 # Persistence
 # ----------------------------------------------------------------------
-def _sha256_file(path: str) -> str:
-    hasher = hashlib.sha256()
-    with open(path, "rb") as handle:
-        for chunk in iter(lambda: handle.read(1 << 20), b""):
-            hasher.update(chunk)
-    return hasher.hexdigest()
-
-
 def _write_sharded_layout(
     directory: str,
     plan: ShardPlan,
@@ -734,14 +672,13 @@ def _write_sharded_layout(
         "kind": SHARDED_KIND,
         "sharded_version": SHARDED_FORMAT_VERSION,
         "num_shards": plan.num_shards,
-        "halo_radius": plan.halo_radius,
-        "num_vertices": plan.num_vertices,
     }
-    with open(
-        os.path.join(directory, SHARDED_META_NAME), "w", encoding="utf-8"
-    ) as handle:
-        json.dump(meta, handle, indent=1, sort_keys=True)
-        handle.write("\n")
+    write_json(
+        os.path.join(directory, SHARDED_META_NAME),
+        meta,
+        indent=1,
+        sort_keys=True,
+    )
 
     cost = build_kwargs.get("cost_params")
     layout = {
@@ -767,77 +704,9 @@ def _write_sharded_layout(
             "cost_num_samples": getattr(cost, "num_samples", None),
         },
     }
-    with open(
-        os.path.join(directory, SHARDED_LAYOUT_NAME), "w", encoding="utf-8"
-    ) as handle:
-        json.dump(layout, handle, sort_keys=True)
-        handle.write("\n")
-
-    manifest = {
-        "files": {
-            SHARDED_META_NAME: _sha256_file(
-                os.path.join(directory, SHARDED_META_NAME)
-            ),
-            SHARDED_LAYOUT_NAME: _sha256_file(
-                os.path.join(directory, SHARDED_LAYOUT_NAME)
-            ),
-        },
-        "shards": {
-            name: _sha256_file(
-                os.path.join(directory, name, "manifest.json")
-            )
-            for name, _members in member_sets
-        },
-    }
-    with open(
-        os.path.join(directory, SHARDED_MANIFEST_NAME), "w", encoding="utf-8"
-    ) as handle:
-        json.dump(manifest, handle, indent=1, sort_keys=True)
-        handle.write("\n")
-
-
-def is_sharded_index(directory: str) -> bool:
-    """Whether ``directory`` holds a sharded index layout."""
-    meta_path = os.path.join(directory, SHARDED_META_NAME)
-    try:
-        with open(meta_path, "r", encoding="utf-8") as handle:
-            meta = json.load(handle)
-    except (OSError, json.JSONDecodeError):
-        return False
-    return isinstance(meta, dict) and meta.get("kind") == SHARDED_KIND
-
-
-def _verify_sharded_manifest(directory: str) -> Dict[str, object]:
-    path = os.path.join(directory, SHARDED_MANIFEST_NAME)
-    try:
-        with open(path, "r", encoding="utf-8") as handle:
-            manifest = json.load(handle)
-    except FileNotFoundError:
-        raise IndexPersistenceError(
-            f"sharded index has no manifest: {path}"
-        ) from None
-    except json.JSONDecodeError as exc:
-        raise IndexPersistenceError(f"corrupt sharded manifest: {exc}")
-    for rel, expected in manifest.get("files", {}).items():
-        actual = _sha256_file(os.path.join(directory, rel))
-        if actual != expected:
-            raise IndexPersistenceError(
-                f"sharded manifest mismatch for {rel}: "
-                f"expected {expected}, found {actual}"
-            )
-    for name, expected in manifest.get("shards", {}).items():
-        shard_manifest = os.path.join(directory, name, "manifest.json")
-        if not os.path.exists(shard_manifest):
-            raise IndexPersistenceError(
-                f"sharded manifest lists missing locale {name!r}"
-            )
-        actual = _sha256_file(shard_manifest)
-        if actual != expected:
-            raise IndexPersistenceError(
-                f"sharded manifest mismatch for locale {name!r}: "
-                f"expected {expected}, found {actual}"
-            )
-    return manifest
+    write_json(
+        os.path.join(directory, SHARDED_LAYOUT_NAME), layout, sort_keys=True
+    )
 
 
 def _reconstruct_union(
@@ -854,7 +723,7 @@ def _reconstruct_union(
         for local, g in enumerate(locale.global_ids):
             labels[g] = locale.index.base_graph.label(local)
     if any(label is None for label in labels):
-        raise IndexPersistenceError(
+        raise IndexCorruptedError(
             "sharded layout does not cover every vertex"
         )
     graph = Graph()
@@ -870,29 +739,21 @@ def _reconstruct_union(
     return graph
 
 
-def load_sharded_index(
+def load_locales(
     directory: str,
     ontology: OntologyGraph,
-    replay_wal_tail: bool = True,
     base_graph: Optional[Graph] = None,
 ) -> ShardedIndex:
-    """Load a sharded index: locales, union graph, then the WAL tail.
+    """Assemble the :class:`ShardedIndex` of a verified sharded root.
 
-    Every locale is an ordinary v4/v3 index directory loaded through
-    :func:`repro.core.persistence.load_index` (manifest-verified,
-    mmap-backed for v4); the top-level manifest additionally pins each
-    locale manifest's digest.  WAL ops recovered from the shared
-    ``mutations.wal`` replay through the facade, which routes them to
-    the owning locale(s).
+    The sharded half of :func:`repro.core.persistence.load_index`, which
+    has already checked the layout version and the root manifest (which
+    pins every locale manifest) and replays the shared WAL tail through
+    the facade afterwards.  Every locale is an ordinary index directory
+    loaded through ``load_index`` itself (manifest-verified,
+    mmap-backed).  ``base_graph`` spares :func:`build_sharded` the
+    union-graph reconstruction.
     """
-    from repro.core.persistence import load_index
-    from repro.core.wal import WAL_NAME, recover_wal, replay_wal
-
-    if not is_sharded_index(directory):
-        raise IndexPersistenceError(
-            f"not a sharded index directory: {directory}"
-        )
-    _verify_sharded_manifest(directory)
     with open(
         os.path.join(directory, SHARDED_LAYOUT_NAME), "r", encoding="utf-8"
     ) as handle:
@@ -950,27 +811,7 @@ def load_sharded_index(
         "max_mappings": stored.get("max_mappings"),
         "cost_params": CostParams(**cost_kwargs) if cost_kwargs else None,
     }
-    sharded = _assemble(plan, locales, ontology, base_graph, build_kwargs)
-
-    if replay_wal_tail:
-        wal_path = os.path.join(directory, WAL_NAME)
-        if os.path.exists(wal_path):
-            records, _tail = recover_wal(wal_path)
-            replay_wal(sharded, records)
-    return sharded
-
-
-def load_any_index(
-    directory: str, ontology: OntologyGraph, replay_wal_tail: bool = True
-):
-    """Load ``directory`` as a sharded or monolithic index (auto-detect)."""
-    from repro.core.persistence import load_index
-
-    if is_sharded_index(directory):
-        return load_sharded_index(
-            directory, ontology, replay_wal_tail=replay_wal_tail
-        )
-    return load_index(directory, ontology, replay_wal_tail=replay_wal_tail)
+    return ShardedIndex(plan, locales, ontology, base_graph, build_kwargs)
 
 
 # ----------------------------------------------------------------------
@@ -1007,7 +848,7 @@ class ShardedEvaluator:
         algorithm: KeywordSearchAlgorithm,
         *,
         beta: float = 0.5,
-        generation: Optional[str] = None,
+        generation: str = "root-verify",
         use_spec_order: bool = True,
         verify_mode: str = "exact",
         allow_layer_zero: bool = True,
@@ -1027,8 +868,6 @@ class ShardedEvaluator:
                 f"d_max={d_max}: portal-spanning answers need "
                 f"halo_radius >= 2*d_max = {2 * d_max}"
             )
-        if generation is None:
-            generation = "root-verify"
         self.sharded = sharded
         self.algorithm = algorithm
         self.scatter_workers = max(1, scatter_workers)
@@ -1129,67 +968,107 @@ class ShardedEvaluator:
             canonical.append(best if best is not None else answer)
         return canonical
 
-    def _evaluate_locale(
-        self,
-        locale: Locale,
-        evaluator: HierarchicalEvaluator,
-        query: KeywordQuery,
-        *,
-        layer: Optional[int],
-        k: Optional[int],
-        max_generalized: Optional[int],
-        budget: Optional[Budget],
-        resilient: bool,
-    ):
-        """One locale's evaluation, with forced-layer fallback + timing."""
+    def _evaluate_locale(self, locale: Locale, run, query, layer, **kwargs):
+        """One locale's evaluation — ``run`` is its evaluator's
+        ``evaluate`` or ``evaluate_resilient`` — with forced-layer
+        fallback + timing."""
         start = monotonic_now()
         hint = self._locale_layer(locale, layer)
         try:
-            if resilient:
-                try:
-                    result = evaluator.evaluate_resilient(
-                        query,
-                        budget=budget,
-                        layer=hint,
-                        k=k,
-                        max_generalized=max_generalized,
-                    )
-                except QueryError:
-                    if hint is None:
-                        raise
-                    result = evaluator.evaluate_resilient(
-                        query,
-                        budget=budget,
-                        layer=None,
-                        k=k,
-                        max_generalized=max_generalized,
-                    )
-            else:
-                try:
-                    result = evaluator.evaluate(
-                        query,
-                        layer=hint,
-                        k=k,
-                        max_generalized=max_generalized,
-                        budget=budget,
-                    )
-                except QueryError:
-                    if hint is None:
-                        raise
-                    result = evaluator.evaluate(
-                        query,
-                        layer=None,
-                        k=k,
-                        max_generalized=max_generalized,
-                        budget=budget,
-                    )
-            return result
+            try:
+                return run(query, layer=hint, **kwargs)
+            except QueryError:
+                if hint is None:
+                    raise
+                return run(query, layer=None, **kwargs)
         finally:
             if OBS.enabled:
                 OBS.metrics.observe(
                     f"shard.scatter.{locale.name}.seconds",
                     monotonic_now() - start,
                 )
+
+    def _scatter_gather(
+        self,
+        query: KeywordQuery,
+        layer: Optional[int],
+        k: Optional[int],
+        max_generalized: Optional[int],
+        budget: Optional[Budget],
+        resilient: bool,
+    ):
+        """Fan ``query`` out and merge: the one pipeline behind
+        :meth:`evaluate` and :meth:`evaluate_resilient`.
+
+        Returns ``(merged, locales, outcomes)``: the canonical merged
+        top-k, the locales that were queried and their outcomes, in
+        step (an outcome can be degraded only when ``resilient``).
+
+        Budgeted scatter is sequential.  A resilient run hands locale
+        ``i`` of ``n`` still pending ``budget.sub(1/(n-i))`` — an even
+        split of the *remaining* ledger — and the final locale inherits
+        the whole remainder, so an early locale finishing under budget
+        donates its slack to later ones; a strict run charges every
+        locale to the one ledger and lets :class:`BudgetExceeded`
+        propagate.
+        """
+        self._check_query(query)
+        if k is None:
+            k = getattr(self.algorithm, "k", None)
+        if OBS.enabled:
+            OBS.metrics.inc("shard.queries")
+        active = self._active(query)
+
+        def run(pair: Tuple[Locale, HierarchicalEvaluator], sub):
+            locale, evaluator = pair
+            return self._evaluate_locale(
+                locale,
+                evaluator.evaluate_resilient if resilient else evaluator.evaluate,
+                query,
+                layer,
+                k=k,
+                max_generalized=max_generalized,
+                budget=sub,
+            )
+
+        if budget is None and len(active) > 1 and self.scatter_workers > 1:
+            with ThreadPoolExecutor(
+                max_workers=min(self.scatter_workers, len(active))
+            ) as pool:
+                futures = [pool.submit(run, pair, None) for pair in active]
+                outcomes = [f.result() for f in futures]
+        else:
+            outcomes = []
+            for i, pair in enumerate(active):
+                pending = len(active) - i
+                split = budget is not None and resilient and pending > 1
+                outcomes.append(
+                    run(pair, budget.sub(1.0 / pending) if split else budget)
+                )
+
+        locales = [locale for locale, _evaluator in active]
+        pool_best: Dict[object, Answer] = {}
+        for locale, outcome in zip(locales, outcomes):
+            answers = outcome.answers
+            if outcome.degraded:
+                answers = answers + outcome.unranked
+            self._merge_pool(
+                pool_best, (self._translate(locale, a) for a in answers)
+            )
+        merged = top_k(self._canonicalize(pool_best, query), k)
+        return merged, locales, outcomes
+
+    @staticmethod
+    def _complete(merged: List[Answer], outcomes: List[EvalResult]):
+        """The merged result of a scatter in which no locale degraded."""
+        return EvalResult(
+            answers=merged,
+            layer=max((o.layer for o in outcomes), default=0),
+            breakdown=TimeBreakdown(),
+            num_generalized=sum(o.num_generalized for o in outcomes),
+            num_candidates=sum(o.num_candidates for o in outcomes),
+            num_verified=sum(o.num_verified for o in outcomes),
+        )
 
     # -- the evaluator surface ----------------------------------------
     def evaluate(
@@ -1207,69 +1086,18 @@ class ShardedEvaluator:
         answers, the exception carries *no* proven prefix (use
         :meth:`evaluate_resilient` for sound partial results).
         """
-        self._check_query(query)
-        if k is None:
-            k = getattr(self.algorithm, "k", None)
-        if OBS.enabled:
-            OBS.metrics.inc("shard.queries")
-        active = self._active(query)
-        results: List[EvalResult] = []
-        if budget is None and len(active) > 1 and self.scatter_workers > 1:
-            with ThreadPoolExecutor(
-                max_workers=min(self.scatter_workers, len(active))
-            ) as pool:
-                futures = [
-                    pool.submit(
-                        self._evaluate_locale,
-                        locale,
-                        evaluator,
-                        query,
-                        layer=layer,
-                        k=k,
-                        max_generalized=max_generalized,
-                        budget=None,
-                        resilient=False,
-                    )
-                    for locale, evaluator in active
-                ]
-                results = [f.result() for f in futures]
-        else:
-            for locale, evaluator in active:
-                try:
-                    results.append(
-                        self._evaluate_locale(
-                            locale,
-                            evaluator,
-                            query,
-                            layer=layer,
-                            k=k,
-                            max_generalized=max_generalized,
-                            budget=budget,
-                            resilient=False,
-                        )
-                    )
-                except BudgetExceeded as exc:
-                    # A partial scatter proves nothing globally.
-                    exc.partial = []
-                    exc.lower_bound = None
-                    exc.unproven = []
-                    exc.partial_result = None
-                    raise
-        pool_best: Dict[object, Answer] = {}
-        for (locale, _evaluator), result in zip(active, results):
-            self._merge_pool(
-                pool_best,
-                (self._translate(locale, a) for a in result.answers),
+        try:
+            merged, _locales, outcomes = self._scatter_gather(
+                query, layer, k, max_generalized, budget, resilient=False
             )
-        merged = top_k(self._canonicalize(pool_best, query), k)
-        return EvalResult(
-            answers=merged,
-            layer=max((r.layer for r in results), default=0),
-            breakdown=TimeBreakdown(),
-            num_generalized=sum(r.num_generalized for r in results),
-            num_candidates=sum(r.num_candidates for r in results),
-            num_verified=sum(r.num_verified for r in results),
-        )
+        except BudgetExceeded as exc:
+            # A partial scatter proves nothing globally.
+            exc.partial = []
+            exc.lower_bound = None
+            exc.unproven = []
+            exc.partial_result = None
+            raise
+        return self._complete(merged, outcomes)
 
     def evaluate_resilient(
         self,
@@ -1280,124 +1108,43 @@ class ShardedEvaluator:
         max_generalized: Optional[int] = None,
         retry_coarser: bool = True,
     ):
-        """Scatter-gather that degrades instead of raising on exhaustion.
-
-        Budgeted scatter is sequential: locale ``i`` of ``n`` still
-        pending gets ``budget.sub(1/(n-i))`` — an even split of the
-        *remaining* ledger — and the final locale inherits the whole
-        remainder, so an early locale finishing under budget donates its
-        slack to later ones.
-        """
-        self._check_query(query)
-        if k is None:
-            k = getattr(self.algorithm, "k", None)
-        if OBS.enabled:
-            OBS.metrics.inc("shard.queries")
-        active = self._active(query)
-        outcomes: List[object] = []
-        if budget is None and len(active) > 1 and self.scatter_workers > 1:
-            with ThreadPoolExecutor(
-                max_workers=min(self.scatter_workers, len(active))
-            ) as pool:
-                futures = [
-                    pool.submit(
-                        self._evaluate_locale,
-                        locale,
-                        evaluator,
-                        query,
-                        layer=layer,
-                        k=k,
-                        max_generalized=max_generalized,
-                        budget=None,
-                        resilient=True,
-                    )
-                    for locale, evaluator in active
-                ]
-                outcomes = [f.result() for f in futures]
-        else:
-            for i, (locale, evaluator) in enumerate(active):
-                if budget is None:
-                    sub = None
-                elif i == len(active) - 1:
-                    sub = budget
-                else:
-                    sub = budget.sub(1.0 / (len(active) - i))
-                outcomes.append(
-                    self._evaluate_locale(
-                        locale,
-                        evaluator,
-                        query,
-                        layer=layer,
-                        k=k,
-                        max_generalized=max_generalized,
-                        budget=sub,
-                        resilient=True,
-                    )
-                )
-
+        """Scatter-gather that degrades instead of raising on exhaustion
+        (see :meth:`_scatter_gather` for the sub-budget split)."""
+        merged, locales, outcomes = self._scatter_gather(
+            query, layer, k, max_generalized, budget, resilient=True
+        )
         degraded = [
             (locale, outcome)
-            for (locale, _e), outcome in zip(active, outcomes)
-            if isinstance(outcome, DegradedResult)
+            for locale, outcome in zip(locales, outcomes)
+            if outcome.degraded
         ]
-        pool_best: Dict[object, Answer] = {}
-        for (locale, _evaluator), outcome in zip(active, outcomes):
-            self._merge_pool(
-                pool_best,
-                (self._translate(locale, a) for a in outcome.answers),
-            )
-            if isinstance(outcome, DegradedResult):
-                self._merge_pool(
-                    pool_best,
-                    (self._translate(locale, a) for a in outcome.unranked),
-                )
-        merged = top_k(self._canonicalize(pool_best, query), k)
-        layer_used = max((o.layer for o in outcomes), default=0)
         if not degraded:
-            return EvalResult(
-                answers=merged,
-                layer=layer_used,
-                breakdown=TimeBreakdown(),
-                num_generalized=sum(o.num_generalized for o in outcomes),
-                num_candidates=sum(o.num_candidates for o in outcomes),
-                num_verified=sum(o.num_verified for o in outcomes),
-            )
+            return self._complete(merged, outcomes)
 
         if OBS.enabled:
             OBS.metrics.inc("shard.degraded")
         lower_bound = min(o.lower_bound for _l, o in degraded)
         proven = [a for a in merged if a.score < lower_bound]
         unranked = [a for a in merged if a.score >= lower_bound]
-        attempts: List[DegradedAttempt] = []
-        for locale, outcome in degraded:
-            for attempt in outcome.attempts:
-                attempts.append(
-                    DegradedAttempt(
-                        layer=attempt.layer,
-                        reason=f"{locale.name}: {attempt.reason}",
-                        expansions=attempt.expansions,
-                        num_generalized=attempt.num_generalized,
-                        num_candidates=attempt.num_candidates,
-                        proven=attempt.proven,
-                        unproven=attempt.unproven,
-                    )
-                )
+        attempts = [
+            replace(attempt, reason=f"{locale.name}: {attempt.reason}")
+            for locale, outcome in degraded
+            for attempt in outcome.attempts
+        ]
         stats = None
         if budget is not None:
             stats = DegradationStats(
                 expansions_consumed=budget.expansions,
                 expansions_remaining=budget.remaining_expansions(),
                 time_remaining_seconds=budget.remaining_time(),
-                layers_attempted=sorted(
-                    {a.layer for a in attempts}
-                ),
+                layers_attempted=sorted({a.layer for a in attempts}),
             )
         first = degraded[0][1]
         return DegradedResult(
             answers=proven,
-            layer=layer_used,
+            layer=max(o.layer for o in outcomes),
             reason=(
-                f"{len(degraded)}/{len(active)} locale(s) degraded "
+                f"{len(degraded)}/{len(locales)} locale(s) degraded "
                 f"({degraded[0][0].name}: {first.reason})"
             ),
             lower_bound=lower_bound,
@@ -1407,46 +1154,11 @@ class ShardedEvaluator:
             stats=stats,
         )
 
-    def evaluate_many(
-        self,
-        queries: Sequence[KeywordQuery],
-        *,
-        layer: Optional[int] = None,
-        k: Optional[int] = None,
-        max_generalized: Optional[int] = None,
-        budget_factory: Optional[Callable[[], Optional[Budget]]] = None,
-        workers: Optional[int] = None,
-        resilient: bool = True,
-        return_exceptions: bool = False,
-    ) -> List[object]:
-        """Batched scatter-gather; mirrors the monolithic signature."""
+    def _warm(self, layer: Optional[int]) -> None:
+        """Warm every locale's evaluator (``evaluate_many``'s prologue)."""
+        for locale, evaluator in self._evaluators:
+            evaluator._warm(self._locale_layer(locale, layer))
 
-        def run_one(query: KeywordQuery) -> object:
-            budget = budget_factory() if budget_factory is not None else None
-            try:
-                if resilient:
-                    return self.evaluate_resilient(
-                        query,
-                        budget=budget,
-                        layer=layer,
-                        k=k,
-                        max_generalized=max_generalized,
-                    )
-                return self.evaluate(
-                    query,
-                    layer=layer,
-                    k=k,
-                    max_generalized=max_generalized,
-                    budget=budget,
-                )
-            except Exception as exc:  # noqa: BLE001 - mirrored contract
-                if return_exceptions:
-                    return exc
-                raise
-
-        if workers is not None and workers > 1 and len(queries) > 1:
-            with ThreadPoolExecutor(
-                max_workers=min(workers, len(queries))
-            ) as pool:
-                return list(pool.map(run_one, queries))
-        return [run_one(query) for query in queries]
+    #: Batched serving is the monolithic implementation verbatim: it only
+    #: touches ``_warm`` / ``evaluate`` / ``evaluate_resilient``.
+    evaluate_many = HierarchicalEvaluator.evaluate_many

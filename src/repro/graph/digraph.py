@@ -25,7 +25,6 @@ from typing import (
     Iterable,
     Iterator,
     List,
-    Mapping,
     Optional,
     Sequence,
     Set,
@@ -666,9 +665,8 @@ class Graph:
         """Every label's sorted posting list, as plain JSON-able data.
 
         Builds the complete inverted keyword index (label → sorted vertex
-        ids) regardless of what is cached; persistence ships this with a
-        saved index so a freshly loaded graph answers its first keyword
-        lookup warm.
+        ids) regardless of what is cached.  Persistence ships the same
+        lists by label id (:meth:`postings_items_by_id`).
         """
         return {
             self.label_table.label_of(label_id): list(posting)
@@ -695,36 +693,6 @@ class Graph:
             (label_id, sorted(vertex_set))
             for label_id, vertex_set in sorted(self._label_index.items())
         ]
-
-    def preload_postings(self, postings: Mapping[str, Sequence[int]]) -> None:
-        """Install precomputed posting lists (e.g. from a saved index).
-
-        Every list is validated against the live label index — a posting
-        that disagrees with the graph would make keyword seeding silently
-        wrong, so a mismatch raises :class:`GraphError` instead of being
-        trusted.  Unknown labels are rejected the same way.
-        """
-        staged: Dict[int, Tuple[int, ...]] = {}
-        for label, ids in postings.items():
-            label_id = self.label_table.get_id(label)
-            if label_id is None:
-                raise GraphError(
-                    f"posting list for unknown label {label!r}"
-                )
-            posting = tuple(ids)
-            if self._label_index is None:
-                expected = list(self._frozen.posting(label_id))
-            else:
-                expected = sorted(self._label_index.get(label_id, ()))
-            if list(posting) != expected:
-                raise GraphError(
-                    f"posting list for label {label!r} does not match the "
-                    "graph's label index"
-                )
-            staged[label_id] = posting
-        self._posting_cache.update(staged)
-        if OBS.enabled:
-            OBS.metrics.inc("postings.preload", len(staged))
 
     def drop_caches(self) -> None:
         """Discard the lazily built CSR view and label postings.

@@ -63,9 +63,7 @@ def save_graph_tsv(graph: Graph, path_prefix: str) -> Tuple[str, str]:
     return nodes_path, edges_path
 
 
-def load_graph_tsv(
-    path_prefix: str, label_table: Optional[LabelTable] = None
-) -> Tuple[Graph, Dict[int, int]]:
+def load_graph_tsv(path_prefix: str) -> Tuple[Graph, Dict[int, int]]:
     """Load a graph saved by :func:`save_graph_tsv`.
 
     Returns the graph and a map from file vertex ids to dense graph ids.
@@ -77,7 +75,7 @@ def load_graph_tsv(
     if not os.path.exists(edges_path):
         raise GraphError(f"missing edge file: {edges_path}")
 
-    graph = Graph(label_table)
+    graph = Graph()
     id_map: Dict[int, int] = {}
     with open(nodes_path, "r", encoding="utf-8") as nodes_file:
         for line_no, raw in enumerate(nodes_file, start=1):

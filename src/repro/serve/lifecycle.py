@@ -141,17 +141,10 @@ class Snapshot:
         WAL replay materialized the base graph while the summary layers
         stayed frozen.
 
-        Indexes that span several storage units (a sharded index's
-        locales each mmap their own v4 container) expose
-        ``iter_layer_graphs``; pinning such a snapshot pins every
-        constituent mmap at once."""
-        if hasattr(self.index, "iter_layer_graphs"):
-            graphs = list(self.index.iter_layer_graphs())
-        else:
-            graphs = [
-                self.index.layer_graph(m)
-                for m in range(self.index.num_layers + 1)
-            ]
+        ``iter_layer_graphs`` walks every storage unit of the index (a
+        sharded index's locales each mmap their own v4 container), so
+        pinning a snapshot pins every constituent mmap at once."""
+        graphs = list(self.index.iter_layer_graphs())
         frozen = sum(1 for g in graphs if g.is_mmap_backed)
         if frozen == 0:
             return "heap"

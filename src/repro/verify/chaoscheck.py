@@ -269,15 +269,13 @@ def run_chaos_drill(
     ops_per_round: int = 6,
     seed: int = 0,
     workdir: Optional[str] = None,
-    index_format: int = 4,
 ) -> ChaosReport:
     """Kill ``repro-bigindex serve`` mid-mutation-stream; recovery must
     restore exactly the acked prefix (see the module docstring).
 
-    ``index_format`` picks the on-disk layout the server recovers from
-    (4 = the default mmap container — WAL replay then mutates an
-    mmap-backed graph, exercising copy-on-write detach under crash
-    recovery; 3 = the legacy text files)."""
+    The server recovers from the mmap container, so WAL replay mutates
+    an mmap-backed graph — exercising copy-on-write detach under crash
+    recovery."""
     report = ChaosReport(seed=seed, rounds=rounds)
     rng = random.Random(f"chaos:{seed}")
     own_workdir = workdir is None
@@ -294,7 +292,7 @@ def run_chaos_drill(
             num_layers=_NUM_LAYERS,
             cost_params=CostParams(exact=True),
         )
-        save_index(built, index_dir, format=index_format)
+        save_index(built, index_dir)
         # The oracle loads from the same persisted files the server
         # does, so base-state digests agree byte-for-byte.
         oracle = load_index(index_dir, dataset.ontology)

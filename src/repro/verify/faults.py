@@ -201,11 +201,11 @@ def _storage_drills(
             if os.path.isfile(os.path.join(pristine, name))
         )
 
-        def fresh_copy(tag: str, source: str = pristine) -> str:
+        def fresh_copy(tag: str) -> str:
             target = os.path.join(workdir, tag)
             if os.path.exists(target):
                 shutil.rmtree(target)
-            shutil.copytree(source, target)
+            shutil.copytree(pristine, target)
             return target
 
         # Truncation and a seeded bit flip, per file.
@@ -281,59 +281,20 @@ def _storage_drills(
             expected=IndexCorruptedError, must_mention="unknown supernode",
         )
 
-        # Legacy v3 layout: re-blessed tampering of the text artifacts —
-        # the structural validators must catch the damage themselves.
-        pristine_v3 = os.path.join(workdir, "pristine-v3")
-        save_index(index, pristine_v3, format=3)
-        report.checks += 1
-        try:
-            load_index(pristine_v3, ontology)
-        except Exception as exc:  # noqa: BLE001
-            report.findings.append(
-                FaultFinding(
-                    "storage/pristine",
-                    "save-load-v3",
-                    f"pristine v3 index failed to load: {exc}",
-                )
+        # A foreign format version — a future one or the retired text
+        # layout — must classify as version, not corruption.
+        for version in (99, 3):
+            target = fresh_copy("version")
+            meta_path = os.path.join(target, "meta.json")
+            with open(meta_path, "r", encoding="utf-8") as f:
+                meta = json.load(f)
+            meta["version"] = version
+            with open(meta_path, "w", encoding="utf-8") as f:
+                json.dump(meta, f)
+            _expect_load_failure(
+                report, f"version:{version}", "storage/version", target,
+                ontology, expected=IndexVersionError,
             )
-            return
-
-        target = fresh_copy("parents-noise", source=pristine_v3)
-        parents = os.path.join(target, "layer1.parents.txt")
-        with open(parents, "a", encoding="utf-8") as f:
-            f.write("notanint\n")
-        write_manifest(target)
-        _expect_load_failure(
-            report, "reblessed:parents-noise", "storage/deep-parse",
-            target, ontology,
-            expected=IndexCorruptedError, must_mention="parents.txt:",
-        )
-
-        target = fresh_copy("parents-range", source=pristine_v3)
-        parents = os.path.join(target, "layer1.parents.txt")
-        with open(parents, "r", encoding="utf-8") as f:
-            lines = f.read().splitlines()
-        lines[0] = "999999"
-        with open(parents, "w", encoding="utf-8") as f:
-            f.write("\n".join(lines) + "\n")
-        write_manifest(target)
-        _expect_load_failure(
-            report, "reblessed:parents-range", "storage/deep-parse",
-            target, ontology, expected=IndexCorruptedError,
-        )
-
-        # Foreign format version must classify as version, not corruption.
-        target = fresh_copy("version")
-        meta_path = os.path.join(target, "meta.json")
-        with open(meta_path, "r", encoding="utf-8") as f:
-            meta = json.load(f)
-        meta["version"] = 99
-        with open(meta_path, "w", encoding="utf-8") as f:
-            json.dump(meta, f)
-        _expect_load_failure(
-            report, "version:99", "storage/version", target, ontology,
-            expected=IndexVersionError,
-        )
 
         # Manifest corruption is itself detected.
         target = fresh_copy("manifest")

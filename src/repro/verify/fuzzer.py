@@ -191,6 +191,18 @@ def _eval_outcome(
     )
 
 
+def _fresh_edge(index: BiGIndex) -> Optional[Tuple[int, int]]:
+    """A deterministic absent edge of ``index``'s base graph (the
+    persistence probes' detach mutation)."""
+    graph = index.base_graph
+    n = graph.num_vertices
+    for u in range(min(n, 8)):
+        for v in range(min(n, 8)):
+            if u != v and not graph.has_edge(u, v):
+                return (u, v)
+    return None
+
+
 class _CachedQueryProbe:
     """Cached==uncached assertion interleaved with maintenance ops.
 
@@ -267,16 +279,6 @@ class _PersistRoundtripProbe:
         self.every = max(1, every)
         self._ops_seen = 0
 
-    def _fresh_edge(self) -> Optional[Tuple[int, int]]:
-        """A deterministic absent edge for the detach mutation."""
-        graph = self.index.base_graph
-        n = graph.num_vertices
-        for u in range(min(n, 8)):
-            for v in range(min(n, 8)):
-                if u != v and not graph.has_edge(u, v):
-                    return (u, v)
-        return None
-
     def check(self, context: str) -> List[str]:
         self._ops_seen += 1
         if self._ops_seen % self.every:
@@ -289,7 +291,7 @@ class _PersistRoundtripProbe:
         problems: List[str] = []
         with tempfile.TemporaryDirectory(prefix="fuzz-persist-") as tmp:
             directory = os.path.join(tmp, "idx")
-            save_index(self.index, directory, format=4)
+            save_index(self.index, directory)
             loaded = load_index(directory, self.index.ontology)
         live_digest = self.index.state_digest()
         loaded_digest = loaded.state_digest()
@@ -315,7 +317,7 @@ class _PersistRoundtripProbe:
                         f"Q={list(query.keywords)}): v4 reload outcome "
                         f"{actual!r} != live outcome {expected!r}"
                     )
-        edge = self._fresh_edge()
+        edge = _fresh_edge(self.index)
         if edge is not None:
             # Same mutation on both sides: the reload detaches from its
             # container, the clone stays on the heap; they must agree.

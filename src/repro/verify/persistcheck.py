@@ -1,30 +1,27 @@
-"""Persistence round-trip drill: on-disk formats never change answers.
+"""Persistence round-trip drill: the on-disk format never changes answers.
 
 The v4 mmap container (PR 8) makes the on-disk index a *live* data
 structure — CSR adjacency, postings, extent tables and parent maps are
 served straight out of page-cache-backed ``memoryview``s.  That is only
 admissible if the storage format is invisible to every consumer: a
-reloaded index must be indistinguishable from the heap-built original,
-in any format, through any conversion chain.  This drill enforces that
-contract deterministically on every ``repro-bigindex verify`` run:
+reloaded index must be indistinguishable from the heap-built original.
+This drill enforces that contract deterministically on every
+``repro-bigindex verify`` run:
 
-1. **Round-trip identity per format** — the built index is saved and
-   reloaded as both v3 (text files) and v4 (binary container); each
-   reload must reproduce the original's ``state_digest`` and answer
+1. **Round-trip identity** — the built index is saved and reloaded;
+   the reload must reproduce the original's ``state_digest`` and answer
    every probe query with the exact same outcome (scores, signatures,
    vertices, edges — or the identical error).
-2. **Warm-start contract** — a v4 reload must not rebuild postings on
+2. **Warm-start contract** — the reload must not rebuild postings on
    first use (the ``postings.build`` counter stays at zero) and must
    report itself mmap-backed on every graph.
-3. **Conversion chains** — v4 → v3 → v4 re-saves (the ``persist``
-   subcommand's up-/down-convert paths) preserve the digest end to end.
-4. **Detach identity** — mutating the mmap-backed reload first
+3. **Detach identity** — mutating the mmap-backed reload first
    materializes it on the heap; the drill applies one edge insertion to
    the reload and to a heap clone of the original and requires identical
    digests, so copy-on-write detach provably reconstructs the frozen
    state.
 
-The maintenance fuzzer interleaves the same save → load-v4 → compare
+The maintenance fuzzer interleaves the same save → load → compare
 probe with random op sequences; this is the deterministic, always-on
 leg.  The fault-injection drills (:mod:`repro.verify.faults`) cover the
 negative side: damaged containers must be *rejected*, never misread.
@@ -42,7 +39,7 @@ from repro.core.index import BiGIndex
 from repro.core.persistence import load_index, save_index
 from repro.obs.runtime import instrumented
 from repro.search.base import KeywordQuery, KeywordSearchAlgorithm
-from repro.verify.fuzzer import _eval_outcome
+from repro.verify.fuzzer import _eval_outcome, _fresh_edge
 
 #: Builds a fresh, deterministic index the drill may mutate freely.
 IndexFactory = Callable[[], BiGIndex]
@@ -88,102 +85,66 @@ def run_persistence_drill(
     algorithms: Sequence[KeywordSearchAlgorithm],
     queries: Sequence[KeywordQuery],
 ) -> PersistReport:
-    """Round-trip one index through every format and compare everything."""
+    """Round-trip one index through disk and compare everything."""
     report = PersistReport()
     original = index_factory()
     want_digest = original.state_digest()
     want_outcomes = _query_outcomes(original, algorithms, queries)
 
     with tempfile.TemporaryDirectory(prefix="persistcheck-") as tmp:
-        dirs = {
-            3: os.path.join(tmp, "idx-v3"),
-            4: os.path.join(tmp, "idx-v4"),
-        }
-        loaded = {}
-        for fmt, directory in dirs.items():
-            save_index(original, directory, format=fmt)
-            index = load_index(directory, original.ontology)
-            loaded[fmt] = index
+        directory = os.path.join(tmp, "idx")
+        save_index(original, directory)
+        loaded = load_index(directory, original.ontology)
+        report.checks += 1
+        digest = loaded.state_digest()
+        if digest != want_digest:
+            report.problems.append(
+                f"round trip changed the state digest: "
+                f"{digest} != {want_digest}"
+            )
+        else:
             report.checks += 1
-            digest = index.state_digest()
-            if digest != want_digest:
-                report.problems.append(
-                    f"v{fmt} round trip changed the state digest: "
-                    f"{digest} != {want_digest}"
-                )
-                continue
-            report.checks += 1
-            outcomes = _query_outcomes(index, algorithms, queries)
+            outcomes = _query_outcomes(loaded, algorithms, queries)
             if outcomes != want_outcomes:
                 report.problems.append(
-                    f"v{fmt} round trip changed query outcomes "
+                    f"round trip changed query outcomes "
                     f"({sum(a != b for a, b in zip(outcomes, want_outcomes))}"
                     f" of {len(want_outcomes)} differ)"
                 )
 
-        # Warm-start contract: the v4 reload serves postings straight
+        # Warm-start contract: the reload serves postings straight
         # from the container — first use must not *build* anything.
-        v4 = loaded.get(4)
-        if v4 is not None:
-            report.checks += 1
-            graphs = [
-                v4.layer_graph(m) for m in range(v4.num_layers + 1)
-            ]
-            cold = [g for g in graphs if not g.is_mmap_backed]
-            if cold:
-                report.problems.append(
-                    f"v4 reload left {len(cold)} of {len(graphs)} "
-                    f"graph(s) heap-resident instead of mmap-backed"
-                )
-            report.checks += 1
-            label = v4.base_graph.label(0)
-            with instrumented(trace=False) as inst:
-                v4.base_graph.sorted_vertices_with_label(label)
-            if inst.metrics.counters().get("postings.build"):
-                report.problems.append(
-                    "v4 reload rebuilt postings on first lookup; the "
-                    "container's postings section should serve it warm"
-                )
-
-        # Conversion chains: v4 -> v3 -> v4 must be digest-stable.
-        if v4 is not None and not report.problems:
-            down = os.path.join(tmp, "down-v3")
-            up = os.path.join(tmp, "up-v4")
-            save_index(loaded[4], down, format=3)
-            save_index(load_index(down, original.ontology), up, format=4)
-            chained = load_index(up, original.ontology)
-            report.checks += 1
-            if chained.state_digest() != want_digest:
-                report.problems.append(
-                    f"v4 -> v3 -> v4 conversion chain drifted: "
-                    f"{chained.state_digest()} != {want_digest}"
-                )
+        report.checks += 1
+        graphs = list(loaded.iter_layer_graphs())
+        cold = [g for g in graphs if not g.is_mmap_backed]
+        if cold:
+            report.problems.append(
+                f"reload left {len(cold)} of {len(graphs)} "
+                f"graph(s) heap-resident instead of mmap-backed"
+            )
+        report.checks += 1
+        label = loaded.base_graph.label(0)
+        with instrumented(trace=False) as inst:
+            loaded.base_graph.sorted_vertices_with_label(label)
+        if inst.metrics.counters().get("postings.build"):
+            report.problems.append(
+                "reload rebuilt postings on first lookup; the "
+                "container's postings section should serve it warm"
+            )
 
         # Detach identity: one insertion on the mmap reload (triggering
         # materialization) vs the same insertion on a heap clone.
-        if v4 is not None and not report.problems:
-            edge = _fresh_edge(original)
-            if edge is not None:
-                twin = original.cow_clone()
-                twin.insert_edge(*edge)
-                v4.insert_edge(*edge)
-                report.checks += 1
-                if v4.state_digest() != twin.state_digest():
-                    report.problems.append(
-                        f"inserting edge {edge} after the v4 reload "
-                        f"diverged from the same insertion on a heap "
-                        f"clone ({v4.state_digest()} != "
-                        f"{twin.state_digest()})"
-                    )
+        edge = None if report.problems else _fresh_edge(original)
+        if edge is not None:
+            twin = original.cow_clone()
+            twin.insert_edge(*edge)
+            loaded.insert_edge(*edge)
+            report.checks += 1
+            if loaded.state_digest() != twin.state_digest():
+                report.problems.append(
+                    f"inserting edge {edge} after the reload "
+                    f"diverged from the same insertion on a heap "
+                    f"clone ({loaded.state_digest()} != "
+                    f"{twin.state_digest()})"
+                )
     return report
-
-
-def _fresh_edge(index: BiGIndex):
-    """A deterministic absent edge of ``index``'s base graph."""
-    graph = index.base_graph
-    n = graph.num_vertices
-    for u in range(min(n, 8)):
-        for v in range(min(n, 8)):
-            if u != v and not graph.has_edge(u, v):
-                return (u, v)
-    return None

@@ -9,7 +9,7 @@ and under a top-k cutoff — fuzzes incremental maintenance against
 rebuilds, runs the cache-identity drill (cached == uncached
 evaluation, including across incremental maintenance; see
 :mod:`repro.verify.cachecheck`), and runs the persistence round-trip
-drill (v3/v4 save → load identity, conversion chains, mmap detach; see
+drill (save → load identity, warm start, mmap detach; see
 :mod:`repro.verify.persistcheck`).  ``--quick`` keeps the corpus and
 fuzz budget CI-sized.
 """

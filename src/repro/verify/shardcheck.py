@@ -27,9 +27,8 @@ import random
 from dataclasses import dataclass, field
 from typing import Callable, List, Optional, Sequence, Tuple
 
-from repro.core.evaluator import HierarchicalEvaluator
 from repro.core.index import BiGIndex
-from repro.core.sharding import ShardedEvaluator, ShardedIndex, plan_shards
+from repro.core.sharding import ShardedIndex, plan_shards
 from repro.core.wal import apply_wal_op
 from repro.graph.digraph import Graph
 from repro.search.base import KeywordQuery, KeywordSearchAlgorithm
@@ -136,14 +135,18 @@ def run_shard_drill(
     report = ShardReport()
     sharded = sharded_factory()
     mono = mono_factory()
-    sharded_eval = [
-        (a.name, ShardedEvaluator(sharded, a)) for a in algorithms
-    ]
-    mono_eval = [
-        (a.name, HierarchicalEvaluator(mono, a, allow_layer_zero=True))
-        for a in algorithms
-    ]
-    _compare_all(sharded_eval, mono_eval, queries, report, "initial")
+
+    # Evaluators cache per epoch; fresh ones per stage keep the
+    # comparison about the indexes, not the caches (cachecheck owns that).
+    def evaluators(index):
+        return [
+            (a.name, index.make_evaluator(a, allow_layer_zero=True))
+            for a in algorithms
+        ]
+
+    _compare_all(
+        evaluators(sharded), evaluators(mono), queries, report, "initial"
+    )
 
     rng = random.Random(f"shard-drill:{seed}")
     for round_index in range(mutation_rounds):
@@ -161,17 +164,12 @@ def run_shard_drill(
                 f"[round {round_index}] base graphs diverged after WAL ops"
             )
             break
-        # Evaluators cache per epoch; fresh ones keep the comparison
-        # about the indexes, not the caches (cachecheck owns that).
-        sharded_eval = [
-            (a.name, ShardedEvaluator(sharded, a)) for a in algorithms
-        ]
-        mono_eval = [
-            (a.name, HierarchicalEvaluator(mono, a, allow_layer_zero=True))
-            for a in algorithms
-        ]
         _compare_all(
-            sharded_eval, mono_eval, queries, report, f"round {round_index}"
+            evaluators(sharded),
+            evaluators(mono),
+            queries,
+            report,
+            f"round {round_index}",
         )
     return report
 

@@ -154,49 +154,16 @@ class TestBuildStatsQuery:
         assert "answer(s) in" in captured.out
         assert captured.err == ""
 
-    def test_build_v3_then_persist_upconverts(self, workspace, capsys):
+    def test_persist_to_new_directory(self, workspace, capsys):
         graph_prefix, index_dir = workspace
+        self._generate_and_build(graph_prefix, index_dir)
+        out_dir = index_dir + "-checkpoint"
         assert main(
-            ["dataset", "yago-like", "--out", graph_prefix, "--scale", "0.05"]
-        ) == 0
-        assert main(
-            [
-                "build", graph_prefix,
-                "--index-dir", index_dir,
-                "--layers", "2",
-                "--samples", "10",
-                "--format", "v3",
-                "--ontology-from", "yago-like",
-                "--scale", "0.05",
-            ]
-        ) == 0
-        assert not os.path.exists(os.path.join(index_dir, "index.v4.bin"))
-        assert main(
-            ["persist", index_dir, "--format", "v4",
+            ["persist", index_dir, "--out", out_dir,
              "--ontology-from", "yago-like", "--scale", "0.05"]
         ) == 0
         assert "re-saved" in capsys.readouterr().out
-        assert os.path.exists(os.path.join(index_dir, "index.v4.bin"))
-        assert not os.path.exists(os.path.join(index_dir, "base.nodes"))
-        kw1, kw2 = self._two_keywords(graph_prefix)
-        assert main(
-            [
-                "query", index_dir,
-                "--keywords", kw1, kw2,
-                "--ontology-from", "yago-like",
-                "--scale", "0.05",
-            ]
-        ) == 0
-
-    def test_persist_to_new_directory(self, workspace, capsys):
-        graph_prefix, index_dir = workspace
-        self._generate_and_build(graph_prefix, index_dir)  # v4 default
-        out_dir = index_dir + "-v3"
-        assert main(
-            ["persist", index_dir, "--out", out_dir, "--format", "v3",
-             "--ontology-from", "yago-like", "--scale", "0.05"]
-        ) == 0
-        assert os.path.exists(os.path.join(out_dir, "base.nodes"))
+        assert os.path.exists(os.path.join(out_dir, "index.v4.bin"))
         assert main(
             ["stats", out_dir, "--ontology-from", "yago-like",
              "--scale", "0.05"]

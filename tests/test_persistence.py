@@ -2,13 +2,20 @@
 
 import json
 import os
+import struct
 
 import pytest
 
 from repro.core import persistence
+from repro.core.binfmt import SectionFile, SectionWriter
 from repro.core.cost import CostParams
 from repro.core.index import BiGIndex
-from repro.core.persistence import load_index, save_index, write_manifest
+from repro.core.persistence import (
+    BINARY_NAME,
+    load_index,
+    save_index,
+    write_manifest,
+)
 from repro.core.plugins import boost_bkws
 from repro.search.banks import BackwardKeywordSearch
 from repro.search.base import KeywordQuery
@@ -27,6 +34,33 @@ def built(fig1_graph, fig2_ontology):
     return BiGIndex.build(
         fig1_graph, fig2_ontology, num_layers=2, cost_params=EXACT
     )
+
+
+@pytest.fixture
+def saved(built, tmp_path):
+    directory = str(tmp_path / "idx")
+    save_index(built, directory)
+    return directory
+
+
+def _set_version(directory, version):
+    meta_path = os.path.join(directory, "meta.json")
+    with open(meta_path) as f:
+        meta = json.load(f)
+    meta["version"] = version
+    with open(meta_path, "w") as f:
+        json.dump(meta, f)
+
+
+def _poke_parent(directory, value):
+    """Overwrite layer 1's first parent pointer inside the container."""
+    path = os.path.join(directory, BINARY_NAME)
+    container = SectionFile(path)
+    offset = container.sections["layer1.parent_of"]["offset"]
+    container.close()
+    with open(path, "r+b") as f:
+        f.seek(offset)
+        f.write(struct.pack("<i", value))
 
 
 class TestRoundtrip:
@@ -79,69 +113,66 @@ class TestRoundtrip:
         assert "layer1.config.json" in names
         assert "base.nodes" not in names
 
-    def test_save_v3_creates_legacy_files(self, built, tmp_path):
-        directory = str(tmp_path / "idx")
-        save_index(built, directory, format=3)
-        names = set(os.listdir(directory))
-        assert "meta.json" in names
-        assert "base.nodes" in names and "base.edges" in names
-        assert "layer1.config.json" in names
-        assert "layer1.parents.txt" in names
-        assert "index.v4.bin" not in names
-
 
 class TestLoadErrors:
     def test_missing_directory(self, fig2_ontology, tmp_path):
         with pytest.raises(BigIndexError):
             load_index(str(tmp_path / "nope"), fig2_ontology)
 
-    def test_bad_version(self, built, fig2_ontology, tmp_path):
-        directory = str(tmp_path / "idx")
-        save_index(built, directory)
-        meta_path = os.path.join(directory, "meta.json")
-        meta = json.load(open(meta_path))
-        meta["version"] = 99
-        json.dump(meta, open(meta_path, "w"))
+    def test_bad_version(self, saved, fig2_ontology):
+        _set_version(saved, 99)
         with pytest.raises(BigIndexError):
-            load_index(directory, fig2_ontology)
+            load_index(saved, fig2_ontology)
 
-    def test_truncated_parent_map(self, built, fig2_ontology, tmp_path):
-        directory = str(tmp_path / "idx")
-        save_index(built, directory, format=3)
-        with open(os.path.join(directory, "layer1.parents.txt"), "w") as f:
-            f.write("0\n")
-        with pytest.raises(BigIndexError):
-            load_index(directory, fig2_ontology)
+    @pytest.mark.parametrize("version", [2, 3])
+    def test_retired_version_asks_for_a_rebuild(
+        self, saved, fig2_ontology, version
+    ):
+        # The TSV/JSON layouts are no longer read; no converter is kept.
+        _set_version(saved, version)
+        with pytest.raises(IndexVersionError, match="rebuild") as excinfo:
+            load_index(saved, fig2_ontology)
+        assert f"version: {version}" in str(excinfo.value)
 
-    def test_out_of_range_parent(self, built, fig2_ontology, tmp_path):
-        directory = str(tmp_path / "idx")
-        save_index(built, directory, format=3)
-        path = os.path.join(directory, "layer1.parents.txt")
-        lines = open(path).read().splitlines()
-        lines[0] = "999999"
-        open(path, "w").write("\n".join(lines) + "\n")
+    def test_truncated_parent_map(self, saved, fig2_ontology):
+        # Rewrite the container with layer 1's parent map cut short and
+        # re-bless it: the loader's own cross-check must object.
+        path = os.path.join(saved, BINARY_NAME)
+        container = SectionFile(path)
+        writer = SectionWriter(path + ".new")
+        for name, entry in container.sections.items():
+            if entry["kind"] == "json":
+                writer.add_json(name, container.json(name))
+            elif name == "layer1.parent_of":
+                writer.add_ints(name, list(container.ints(name))[:1])
+            else:
+                writer.add_ints(name, container.ints(name))
+        writer.close()
+        container.close()
+        os.replace(path + ".new", path)
+        write_manifest(saved)
+        with pytest.raises(IndexCorruptedError, match="parent map covers"):
+            load_index(saved, fig2_ontology)
+
+    def test_out_of_range_parent(self, saved, fig2_ontology):
+        _poke_parent(saved, 999999)
         with pytest.raises(BigIndexError):
-            load_index(directory, fig2_ontology)
+            load_index(saved, fig2_ontology)
 
 
 class TestIntegrity:
     """Corruption classification: every failure mode gets the right class."""
 
-    @pytest.fixture
-    def saved(self, built, tmp_path):
-        # v3 layout: these drills edit the per-file text artifacts.  The
-        # v4 container's corruption taxonomy is covered by
-        # tests/test_persistence_v4.py.
-        directory = str(tmp_path / "idx")
-        save_index(built, directory, format=3)
-        return directory
-
     def test_manifest_written_and_covers_every_file(self, saved):
         manifest = json.load(open(os.path.join(saved, "manifest.json")))
+        # The container is blessed per section under "binary" instead.
         names = {
-            name for name in os.listdir(saved) if name != "manifest.json"
+            name
+            for name in os.listdir(saved)
+            if name not in ("manifest.json", BINARY_NAME)
         }
         assert set(manifest["files"]) == names
+        assert set(manifest["binary"]) == {BINARY_NAME}
         assert manifest["algorithm"] == "sha256"
 
     def test_truncated_meta_is_corruption(self, saved, fig2_ontology):
@@ -152,12 +183,12 @@ class TestIntegrity:
             load_index(saved, fig2_ontology)
 
     def test_missing_layer_file_is_corruption(self, saved, fig2_ontology):
-        os.remove(os.path.join(saved, "layer1.parents.txt"))
-        with pytest.raises(IndexCorruptedError):
+        os.remove(os.path.join(saved, BINARY_NAME))
+        with pytest.raises(IndexCorruptedError, match="missing"):
             load_index(saved, fig2_ontology)
 
     def test_checksum_mismatch_is_corruption(self, saved, fig2_ontology):
-        path = os.path.join(saved, "layer1.nodes")
+        path = os.path.join(saved, "layer1.config.json")
         with open(path, "a", encoding="utf-8") as f:
             f.write("\n")
         with pytest.raises(IndexCorruptedError, match="checksum mismatch"):
@@ -166,41 +197,21 @@ class TestIntegrity:
     def test_bad_version_wins_over_checksums(self, saved, fig2_ontology):
         # Editing meta.json also breaks its checksum; the version error
         # must still be the one reported.
-        meta_path = os.path.join(saved, "meta.json")
-        meta = json.load(open(meta_path))
-        meta["version"] = 99
-        json.dump(meta, open(meta_path, "w"))
+        _set_version(saved, 99)
         with pytest.raises(IndexVersionError):
             load_index(saved, fig2_ontology)
 
     def test_out_of_range_parent_reblessed(self, saved, fig2_ontology):
-        path = os.path.join(saved, "layer1.parents.txt")
-        lines = open(path).read().splitlines()
-        lines[0] = "999999"
-        open(path, "w").write("\n".join(lines) + "\n")
+        _poke_parent(saved, -1)
         write_manifest(saved)  # checksum gate passes; validation must catch
-        with pytest.raises(IndexCorruptedError, match="unknown supernode"):
+        with pytest.raises(IndexCorruptedError, match="unknown supernode -1"):
             load_index(saved, fig2_ontology)
-
-    def test_non_integer_parent_line_names_the_line(
-        self, saved, fig2_ontology
-    ):
-        path = os.path.join(saved, "layer1.parents.txt")
-        lines = open(path).read().splitlines()
-        lines[2] = "notanint"
-        open(path, "w").write("\n".join(lines) + "\n")
-        write_manifest(saved)
-        with pytest.raises(
-            IndexCorruptedError, match=r"parents\.txt:3"
-        ) as excinfo:
-            load_index(saved, fig2_ontology)
-        assert "notanint" in str(excinfo.value)
 
     def test_rebless_permits_deliberate_edits(self, saved, fig2_ontology):
         # A harmless edit plus write_manifest must load again.
-        path = os.path.join(saved, "layer1.parents.txt")
+        path = os.path.join(saved, "layer1.config.json")
         with open(path, "a", encoding="utf-8") as f:
-            f.write("\n")  # blank lines are skipped by the parser
+            f.write("\n")  # trailing whitespace is still valid JSON
         write_manifest(saved)
         load_index(saved, fig2_ontology)
 
@@ -217,7 +228,7 @@ class TestAtomicity:
         directory = str(tmp_path / "idx")
         save_index(built, directory)
 
-        def explode(index, staging, **kwargs):
+        def explode(index, staging):
             with open(os.path.join(staging, "meta.json"), "w") as f:
                 f.write("{")  # a torn write, then the crash
             raise OSError("disk full")

@@ -1,5 +1,5 @@
-"""The v4 mmap container: round trips, fallback loading, corruption
-taxonomy, and mutate-after-mmap detach semantics."""
+"""The v4 mmap container: round trips, corruption taxonomy, and
+mutate-after-mmap detach semantics."""
 
 import json
 import os
@@ -86,7 +86,7 @@ class TestRoundtrip:
             posting = loaded.base_graph.sorted_vertices_with_label(label)
         assert 0 in posting
         # Zero-copy postings come straight from the container: reading
-        # them is not a *build* (v4 loads start warm, like v3 preloads).
+        # them is not a *build* (v4 loads start warm).
         assert "postings.build" not in inst.metrics.counters()
 
     def test_adjacency_matches_heap_twin(self, built, saved, fig2_ontology):
@@ -99,55 +99,13 @@ class TestRoundtrip:
             assert a.label(v) == b.label(v)
             assert a.name(v) == b.name(v)
 
-
-class TestFormatFallback:
-    """v2, v3 and v4 directories all load through the same entry point."""
-
-    def test_every_version_loads_to_the_same_digest(
-        self, built, tmp_path, fig2_ontology
-    ):
-        digests = {}
-        for fmt in (3, 4):
-            directory = str(tmp_path / f"idx-v{fmt}")
-            save_index(built, directory, format=fmt)
-            digests[fmt] = load_index(
-                directory, fig2_ontology
-            ).state_digest()
-        # A v2 directory is a v3 directory without postings files.
-        v2_dir = str(tmp_path / "idx-v2")
-        save_index(built, v2_dir, format=3)
-        for name in list(os.listdir(v2_dir)):
-            if name.endswith(".postings.json"):
-                os.remove(os.path.join(v2_dir, name))
-        meta_path = os.path.join(v2_dir, "meta.json")
-        meta = json.load(open(meta_path))
-        meta["version"] = 2
-        json.dump(meta, open(meta_path, "w"))
-        write_manifest(v2_dir)
-        digests[2] = load_index(v2_dir, fig2_ontology).state_digest()
-        assert digests[2] == digests[3] == digests[4]
-        assert digests[4] == built.state_digest()
-
-    def test_conversion_chain_is_digest_stable(
-        self, built, saved, tmp_path, fig2_ontology
-    ):
-        # v4 -> v3 -> v4: the `repro-bigindex persist` up/down paths.
-        down = str(tmp_path / "down-v3")
-        up = str(tmp_path / "up-v4")
-        save_index(load_index(saved, fig2_ontology), down, format=3)
-        save_index(load_index(down, fig2_ontology), up, format=4)
-        assert (
-            load_index(up, fig2_ontology).state_digest()
-            == built.state_digest()
-        )
-
     def test_resave_of_mmap_backed_index_roundtrips(
         self, built, saved, tmp_path, fig2_ontology
     ):
         # Saving a frozen (mmap-backed) index must not require detaching.
         loaded = load_index(saved, fig2_ontology)
         again = str(tmp_path / "again")
-        save_index(loaded, again, format=4)
+        save_index(loaded, again)
         assert loaded.base_graph.is_mmap_backed  # save didn't materialize
         assert (
             load_index(again, fig2_ontology).state_digest()

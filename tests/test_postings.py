@@ -1,16 +1,16 @@
 """Per-graph keyword postings: lazy build, invalidation, persistence."""
 
-import json
 import os
 
 import pytest
 
+from repro.core.binfmt import SectionFile
 from repro.core.cost import CostParams
 from repro.core.index import BiGIndex
-from repro.core.persistence import load_index, save_index, write_manifest
+from repro.core.persistence import BINARY_NAME, load_index, save_index
 from repro.graph.digraph import Graph
 from repro.obs.runtime import instrumented
-from repro.utils.errors import GraphError, IndexCorruptedError
+from repro.utils.errors import IndexCorruptedError
 
 EXACT = CostParams(exact=True)
 
@@ -107,52 +107,33 @@ class TestMutationInvalidation:
         assert g.mutation_epoch == before
 
 
-class TestSnapshotPreload:
-    def test_snapshot_roundtrip(self):
-        g = _tiny_graph()
-        snapshot = g.postings_snapshot()
-        assert snapshot == {"A": [0, 2], "B": [1]}
-        fresh = _tiny_graph()
-        with instrumented(trace=False) as inst:
-            fresh.preload_postings(snapshot)
-            assert fresh.sorted_vertices_with_label("A") == (0, 2)
-            assert fresh.sorted_vertices_with_label("B") == (1,)
-        counters = inst.metrics.counters()
-        assert counters["postings.preload"] == 2
-        assert "postings.build" not in counters  # served warm
-
-    def test_preload_rejects_unknown_label(self):
-        g = _tiny_graph()
-        with pytest.raises(GraphError):
-            g.preload_postings({"Z": [0]})
-
-    def test_preload_rejects_mismatched_posting(self):
-        g = _tiny_graph()
-        with pytest.raises(GraphError):
-            g.preload_postings({"A": [0]})  # missing vertex 2
-        with pytest.raises(GraphError):
-            g.preload_postings({"A": [2, 0]})  # unsorted
-
-
 @pytest.fixture
 def saved(fig1_graph, fig2_ontology, tmp_path):
     index = BiGIndex.build(
         fig1_graph, fig2_ontology, num_layers=2, cost_params=EXACT
     )
     directory = str(tmp_path / "idx")
-    # These tests exercise the legacy v3 postings *files*; v4 packs
-    # postings into the binary container (tests/test_persistence_v4.py).
-    save_index(index, directory, format=3)
+    save_index(index, directory)
     return directory
 
 
-class TestPersistedPostings:
-    def test_save_writes_postings_files(self, saved):
-        names = set(os.listdir(saved))
-        assert "base.postings.json" in names
-        assert "layer1.postings.json" in names
-        assert "layer2.postings.json" in names
+class TestSnapshotPreload:
+    """``postings_snapshot`` and its round trip through a saved index,
+    whose container hands every posting list to the loaded graph."""
 
+    def test_snapshot_roundtrip(self, saved, fig1_graph, fig2_ontology):
+        assert _tiny_graph().postings_snapshot() == {"A": [0, 2], "B": [1]}
+        # The container's posting sections are served as-is (never
+        # re-derived on load), so they must equal the label index.
+        loaded = load_index(saved, fig2_ontology)
+        snapshot = loaded.base_graph.postings_snapshot()
+        assert snapshot == fig1_graph.postings_snapshot()
+        assert sorted(v for ids in snapshot.values() for v in ids) == list(
+            fig1_graph.vertices()
+        )
+
+
+class TestPersistedPostings:
     def test_load_is_warm(self, saved, fig2_ontology):
         loaded = load_index(saved, fig2_ontology)
         label = loaded.base_graph.label(0)
@@ -161,42 +142,18 @@ class TestPersistedPostings:
         assert 0 in posting
         assert "postings.build" not in inst.metrics.counters()
 
-    def test_streamed_postings_match_canonical_json(self, saved):
-        # The v3 writer streams one posting list at a time; the bytes
-        # must stay identical to a whole-document json.dump with
-        # sort_keys=True, so existing files and tooling never notice.
-        path = os.path.join(saved, "base.postings.json")
-        with open(path, "rb") as f:
-            data = f.read()
-        canonical = json.dumps(json.loads(data), sort_keys=True)
-        assert data.decode("utf-8") == canonical
-
     def test_tampered_postings_rejected(self, saved, fig2_ontology):
-        path = os.path.join(saved, "base.postings.json")
-        with open(path, encoding="utf-8") as f:
-            postings = json.load(f)
-        label = next(iter(postings))
-        postings[label] = postings[label] + [9999]
-        with open(path, "w", encoding="utf-8") as f:
-            json.dump(postings, f)
-        write_manifest(saved)  # re-bless so corruption isn't caught earlier
-        with pytest.raises(IndexCorruptedError):
+        # Posting lists are trusted as loaded, so the manifest's
+        # per-section checksum is what stands between a flipped bit and
+        # silently wrong keyword seeding.
+        path = os.path.join(saved, BINARY_NAME)
+        container = SectionFile(path)
+        offset = container.sections["base.post_ids"]["offset"]
+        container.close()
+        with open(path, "r+b") as f:
+            f.seek(offset)
+            byte = f.read(1)[0]
+            f.seek(offset)
+            f.write(bytes([byte ^ 0x01]))
+        with pytest.raises(IndexCorruptedError, match="base.post_ids"):
             load_index(saved, fig2_ontology)
-
-    def test_v2_directory_loads_lazily(self, saved, fig2_ontology):
-        meta_path = os.path.join(saved, "meta.json")
-        with open(meta_path, encoding="utf-8") as f:
-            meta = json.load(f)
-        meta["version"] = 2
-        with open(meta_path, "w", encoding="utf-8") as f:
-            json.dump(meta, f)
-        for name in list(os.listdir(saved)):
-            if name.endswith(".postings.json"):
-                os.remove(os.path.join(saved, name))
-        write_manifest(saved)
-        loaded = load_index(saved, fig2_ontology)
-        label = loaded.base_graph.label(0)
-        with instrumented(trace=False) as inst:
-            posting = loaded.base_graph.sorted_vertices_with_label(label)
-        assert 0 in posting
-        assert inst.metrics.counters()["postings.build"] == 1

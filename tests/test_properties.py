@@ -22,7 +22,6 @@ from hypothesis import given, settings, strategies as st
 from repro.bisim.incremental import IncrementalBisimulation
 from repro.bisim.refinement import (
     BisimDirection,
-    _reference_bisimulation,
     is_bisimulation_partition,
     maximal_bisimulation,
 )
@@ -41,6 +40,7 @@ from repro.graph.traversal import bounded_distance
 from repro.ontology.ontology import OntologyGraph
 from repro.search.banks import BackwardKeywordSearch
 from repro.search.base import KeywordQuery
+from repro.verify.auditor import reference_bisimulation
 
 LABELS = ("A", "B", "C", "D")
 
@@ -104,7 +104,7 @@ class TestBisimulationProperties:
         smallest member vertex — so any divergence, in any direction, is
         a bug in one of them.
         """
-        assert maximal_bisimulation(g, direction) == _reference_bisimulation(
+        assert maximal_bisimulation(g, direction) == reference_bisimulation(
             g, direction
         )
 
@@ -121,7 +121,7 @@ class TestBisimulationProperties:
         )
         assert maximal_bisimulation(
             g, direction, initial_blocks=seeds
-        ) == _reference_bisimulation(g, direction, initial_blocks=seeds)
+        ) == reference_bisimulation(g, direction, initial_blocks=seeds)
 
     @given(graphs())
     @settings(max_examples=40, deadline=None)

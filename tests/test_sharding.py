@@ -7,14 +7,13 @@ import pytest
 
 from repro.core.cost import CostParams
 from repro.core.evaluator import DegradedResult, HierarchicalEvaluator
+from repro.core import persistence
 from repro.core.index import BiGIndex
+from repro.core.persistence import load_index, save_index, write_manifest
 from repro.core.sharding import (
     ShardedEvaluator,
     ShardedIndex,
     build_sharded,
-    is_sharded_index,
-    load_any_index,
-    load_sharded_index,
     plan_shards,
 )
 from repro.core.wal import WAL_NAME, MutationWAL
@@ -36,7 +35,8 @@ from repro.utils.budget import Budget
 from repro.utils.errors import (
     ConfigurationError,
     GraphError,
-    IndexPersistenceError,
+    IndexCorruptedError,
+    IndexVersionError,
     QueryError,
 )
 
@@ -233,6 +233,51 @@ class TestExactness:
             assert [a.signature() for a in result.answers] == [
                 a.signature() for a in solo.answers
             ]
+
+    @pytest.mark.parametrize(
+        "kind, bad",
+        [
+            # A and B both generalize to AB: they collide at layer 1.
+            ("monolithic", ["A", "B"]),
+            # Locales treat a forced layer as a hint, so a sharded index
+            # only rejects keywords that occur nowhere in the graph.
+            ("sharded", ["A", "ZZZ"]),
+        ],
+    )
+    def test_evaluate_many_returns_only_query_errors(
+        self, kind, bad, monkeypatch
+    ):
+        # One batch contract for both evaluators: return_exceptions turns
+        # a bad *query* into a QueryError object in its slot and nothing
+        # else — a failure inside evaluation still aborts the batch.
+        from repro.core.plugins import boost
+
+        g, ontology = small_case(seed=6)
+        graph = g.copy(share_label_table=True)
+        index = (
+            BiGIndex.build(graph, ontology, **BUILD_KW)
+            if kind == "monolithic"
+            else build_sharded(graph, ontology, 2, 4, **BUILD_KW)
+        )
+        evaluator = boost(
+            BackwardKeywordSearch(d_max=2, k=5), index, allow_layer_zero=True
+        ).evaluator
+        assert isinstance(evaluator, ShardedEvaluator) == (kind == "sharded")
+        good = KeywordQuery(["A", "E"])
+        results = evaluator.evaluate_many(
+            [good, KeywordQuery(bad)], layer=1, return_exceptions=True
+        )
+        assert not isinstance(results[0], Exception)
+        assert isinstance(results[1], QueryError)
+        with pytest.raises(QueryError):
+            evaluator.evaluate_many([KeywordQuery(bad)], layer=1)
+
+        def broken(*args, **kwargs):
+            raise RuntimeError("bug inside evaluation")
+
+        monkeypatch.setattr(evaluator, "evaluate_resilient", broken)
+        with pytest.raises(RuntimeError):
+            evaluator.evaluate_many([good], layer=1, return_exceptions=True)
 
     def test_rclique_is_rejected(self):
         g, ontology = small_case()
@@ -439,8 +484,8 @@ class TestPersistence:
             workers=2,
             **BUILD_KW,
         )
-        assert is_sharded_index(directory)
-        loaded = load_sharded_index(directory, ontology)
+        loaded = load_index(directory, ontology)
+        assert isinstance(loaded, ShardedIndex)
         assert loaded.state_digest() == sharded.state_digest()
         algorithm = BackwardKeywordSearch(d_max=2, k=5)
         se = ShardedEvaluator(sharded, algorithm)
@@ -470,10 +515,11 @@ class TestPersistence:
         )
         assert one.state_digest() == four.state_digest()
 
-    def test_manifest_has_per_shard_digests(self, tmp_path):
+    @pytest.fixture
+    def saved(self, tmp_path):
         g, ontology = small_case(seed=16)
         directory = str(tmp_path / "sharded")
-        build_sharded(
+        sharded = build_sharded(
             g.copy(share_label_table=True),
             ontology,
             2,
@@ -481,13 +527,76 @@ class TestPersistence:
             directory=directory,
             **BUILD_KW,
         )
+        return directory, ontology, sharded
+
+    def test_manifest_has_per_shard_digests(self, saved):
+        # The root manifest has the monolithic shape; every locale's own
+        # manifest is one of its checksummed files.
+        directory, _ontology, _sharded = saved
         with open(os.path.join(directory, "manifest.json")) as handle:
             manifest = json.load(handle)
-        assert set(manifest["shards"]) == {
-            name
+        assert set(manifest) == {"algorithm", "files"}
+        assert set(manifest["files"]) == {"meta.json", "shards.json"} | {
+            f"{name}/manifest.json"
             for name in os.listdir(directory)
             if os.path.isdir(os.path.join(directory, name))
         }
+
+    @pytest.mark.parametrize(
+        "victim", ["shards.json", os.path.join("shard-0", "manifest.json")]
+    )
+    def test_missing_layout_file_is_corruption(self, saved, victim):
+        directory, ontology, _sharded = saved
+        os.remove(os.path.join(directory, victim))
+        with pytest.raises(IndexCorruptedError, match="missing"):
+            load_index(directory, ontology)
+
+    def test_tampered_layout_is_corruption(self, saved):
+        directory, ontology, _sharded = saved
+        with open(os.path.join(directory, "shards.json"), "a") as handle:
+            handle.write("\n")
+        with pytest.raises(IndexCorruptedError, match="checksum mismatch"):
+            load_index(directory, ontology)
+        # ... unless the edit was deliberate and the root is re-blessed.
+        write_manifest(directory)
+        load_index(directory, ontology)
+
+    def test_foreign_sharded_version_is_a_version_error(self, saved):
+        # Checked before the checksums, like the monolithic version.
+        directory, ontology, _sharded = saved
+        meta_path = os.path.join(directory, "meta.json")
+        with open(meta_path) as handle:
+            meta = json.load(handle)
+        meta["sharded_version"] = 1
+        with open(meta_path, "w") as handle:
+            json.dump(meta, handle)
+        with pytest.raises(IndexVersionError, match="rebuild"):
+            load_index(directory, ontology)
+
+    def test_failed_swap_keeps_the_previous_index(self, saved, monkeypatch):
+        # The final rename fails: like save_index, the build must leave
+        # the previous index recoverable at <directory>.stale and no
+        # staging residue behind.
+        directory, ontology, sharded = saved
+        g, _ = small_case(seed=3)
+        real_rename = os.rename
+
+        def failing_rename(src, dst):
+            if dst == directory:
+                raise OSError("disk full")
+            real_rename(src, dst)
+
+        monkeypatch.setattr(persistence.os, "rename", failing_rename)
+        with pytest.raises(OSError):
+            build_sharded(
+                g, ontology, 2, 4, directory=directory, **BUILD_KW
+            )
+        monkeypatch.undo()
+        assert sorted(os.listdir(os.path.dirname(directory))) == [
+            "sharded.stale"
+        ]
+        survivor = load_index(directory + ".stale", ontology)
+        assert survivor.state_digest() == sharded.state_digest()
 
     def test_tampered_shard_is_rejected(self, tmp_path):
         g, ontology = small_case(seed=17)
@@ -506,18 +615,16 @@ class TestPersistence:
         manifest["tampered"] = True
         with open(victim, "w") as handle:
             json.dump(manifest, handle)
-        with pytest.raises(IndexPersistenceError, match="mismatch"):
-            load_sharded_index(directory, ontology)
+        with pytest.raises(IndexCorruptedError, match="mismatch"):
+            load_index(directory, ontology)
 
     def test_load_any_index_detects_both_kinds(self, tmp_path):
-        from repro.core.persistence import load_index, save_index
-
         g, ontology = small_case(seed=18)
         mono_dir = str(tmp_path / "mono")
         mono = BiGIndex.build(
             g.copy(share_label_table=True), ontology, **BUILD_KW
         )
-        save_index(mono, mono_dir, format=4)
+        save_index(mono, mono_dir)
         shard_dir = str(tmp_path / "sharded")
         build_sharded(
             g.copy(share_label_table=True),
@@ -527,8 +634,8 @@ class TestPersistence:
             directory=shard_dir,
             **BUILD_KW,
         )
-        assert isinstance(load_any_index(mono_dir, ontology), BiGIndex)
-        assert isinstance(load_any_index(shard_dir, ontology), ShardedIndex)
+        assert isinstance(load_index(mono_dir, ontology), BiGIndex)
+        assert isinstance(load_index(shard_dir, ontology), ShardedIndex)
 
     def test_wal_tail_replays_through_facade(self, tmp_path):
         g, ontology = small_case(seed=19)
@@ -552,7 +659,7 @@ class TestPersistence:
         wal.open()
         wal.commit({"op": "insert", "u": pair[0], "v": pair[1]})
         wal.close()
-        replayed = load_sharded_index(directory, ontology)
+        replayed = load_index(directory, ontology)
         assert replayed.base_graph.has_edge(*pair)
         shard = replayed.shards[0]
         assert shard.index.base_graph.has_edge(
@@ -677,8 +784,8 @@ class TestServeAndCli:
         g, o = small_case(seed=7)
         directory = str(tmp_path / "sharded")
         build_sharded(g, o, 2, halo_radius=6, directory=directory,
-                      format=4, **BUILD_KW)
-        loaded = load_any_index(directory, o)
+                      **BUILD_KW)
+        loaded = load_index(directory, o)
         snapshot = Snapshot(
             index=loaded, evaluator=None, epoch=loaded.epoch, serial=0
         )
@@ -703,7 +810,7 @@ class TestServeAndCli:
         assert code == 0
         out = capsys.readouterr().out
         assert "2 shard(s)" in out and "sharded" in out
-        assert is_sharded_index(index_dir)
+        assert os.path.isdir(os.path.join(index_dir, "shard-0"))
 
         code = main(["stats", index_dir, "--ontology-types", "20"])
         assert code == 0
