@@ -76,6 +76,7 @@ from repro.search.base import (
     GraphSearcher,
     KeywordQuery,
     KeywordSearchAlgorithm,
+    RootedTreeAlgorithm,
     top_k,
 )
 from repro.utils.budget import Budget
@@ -386,7 +387,7 @@ class HierarchicalEvaluator:
         uncacheable.  See :meth:`_evaluate_uncached` for parameters.
         """
         if k is None:
-            k = getattr(self.algorithm, "k", None)
+            k = self.algorithm.k
         bclass = budget_class(budget)
         key: Optional[Tuple] = None
         with self._cache_lock:
@@ -463,7 +464,7 @@ class HierarchicalEvaluator:
         """
         breakdown = TimeBreakdown()
         if k is None:
-            k = getattr(self.algorithm, "k", None)
+            k = self.algorithm.k
 
         with breakdown.phase("layer-selection"), OBS.tracer.span(
             "layer-selection"
@@ -572,9 +573,9 @@ class HierarchicalEvaluator:
                     break
                 if k is not None and len(verified) >= k:
                     kth = sorted(a.score for a in verified.values())[k - 1]
-                    stream_bound = getattr(
-                        searcher, "stream_lower_bound", summary_answer.score
-                    )
+                    stream_bound = searcher.stream_lower_bound
+                    if stream_bound is None:  # sorted stream
+                        stream_bound = summary_answer.score
                     if kth <= stream_bound:
                         break  # Sec. 4.3.4: the rest cannot beat the top-k.
                     if kth <= summary_answer.score:
@@ -582,7 +583,7 @@ class HierarchicalEvaluator:
                 root_verify = (
                     self.generation == "root-verify"
                     and summary_answer.root is not None
-                    and hasattr(self.algorithm, "best_answer_for_root")
+                    and isinstance(self.algorithm, RootedTreeAlgorithm)
                 )
                 with breakdown.phase("specialize"), OBS.tracer.span(
                     "specialize", layer=layer
@@ -657,7 +658,7 @@ class HierarchicalEvaluator:
         if exc.lower_bound is not None:
             bound_candidates.append(float(exc.lower_bound))
         else:
-            stream_bound = getattr(searcher, "stream_lower_bound", None)
+            stream_bound = searcher.stream_lower_bound
             if stream_bound is not None:
                 bound_candidates.append(float(stream_bound))
         if exc.partial:
@@ -999,7 +1000,7 @@ class HierarchicalEvaluator:
         k: Optional[int],
         budget: Optional[Budget] = None,
     ) -> None:
-        root_capable = hasattr(self.algorithm, "best_answer_for_root")
+        root_capable = isinstance(self.algorithm, RootedTreeAlgorithm)
         if (
             self.generation == "root-verify"
             and summary_answer.root is not None
@@ -1033,7 +1034,7 @@ class HierarchicalEvaluator:
         candidates cannot improve the result (Sec. 4.3.4).
         """
         candidate_roots = spec.spec_sets[summary_answer.root]
-        best_for_root = self.algorithm.best_answer_for_root  # type: ignore[attr-defined]
+        best_for_root = self.algorithm.best_answer_for_root
         for root in candidate_roots:
             if root in seen_roots:
                 continue

@@ -16,7 +16,12 @@ from typing import Callable, List, Optional, Sequence
 from repro.core.evaluator import EvalResult
 from repro.core.index import BiGIndex
 from repro.search.banks import BackwardKeywordSearch
-from repro.search.base import Answer, KeywordQuery, KeywordSearchAlgorithm
+from repro.search.base import (
+    Answer,
+    KeywordQuery,
+    KeywordSearchAlgorithm,
+    RootedTreeAlgorithm,
+)
 from repro.search.blinks import Blinks
 from repro.search.rclique import RClique
 from repro.utils.budget import Budget
@@ -48,7 +53,7 @@ class BoostedSearch:
             # root-free semantics (r-clique) enumerate assignments.
             generation = (
                 "root-verify"
-                if hasattr(algorithm, "best_answer_for_root")
+                if isinstance(algorithm, RootedTreeAlgorithm)
                 else "vertex"
             )
         self.algorithm = algorithm

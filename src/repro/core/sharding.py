@@ -82,12 +82,14 @@ from repro.core.persistence import (
 )
 from repro.graph.digraph import Graph
 from repro.graph.partition import partition_bfs_grow
+from repro.graph.traversal import bfs_distances
 from repro.obs.runtime import OBS
 from repro.ontology.ontology import OntologyGraph
 from repro.search.base import (
     Answer,
     KeywordQuery,
     KeywordSearchAlgorithm,
+    RootedTreeAlgorithm,
     top_k,
 )
 from repro.utils.budget import Budget
@@ -142,19 +144,7 @@ def _ball_around(
     graph: Graph, sources: Iterable[int], radius: int
 ) -> Set[int]:
     """Vertices within undirected distance ``radius`` of ``sources``."""
-    members: Set[int] = set(sources)
-    frontier = sorted(members)
-    for _ in range(radius):
-        nxt: List[int] = []
-        for v in frontier:
-            for w in [*graph.out_neighbors(v), *graph.in_neighbors(v)]:
-                if w not in members:
-                    members.add(w)
-                    nxt.append(w)
-        if not nxt:
-            break
-        frontier = nxt
-    return members
+    return set(bfs_distances(graph, sources, max_depth=radius, direction="both"))
 
 
 def plan_shards(
@@ -855,14 +845,14 @@ class ShardedEvaluator:
         cache_size: int = 128,
         scatter_workers: int = 4,
     ) -> None:
-        if not hasattr(algorithm, "best_answer_for_root"):
+        if not isinstance(algorithm, RootedTreeAlgorithm):
             raise ConfigurationError(
                 f"sharded evaluation requires a rooted algorithm "
-                f"(per-root merge); {algorithm.name!r} does not expose "
-                f"best_answer_for_root"
+                f"(per-root merge); {algorithm.name!r} is not a "
+                f"RootedTreeAlgorithm"
             )
-        d_max = getattr(algorithm, "d_max", None)
-        if d_max is not None and sharded.halo_radius < 2 * d_max:
+        d_max = algorithm.d_max
+        if sharded.halo_radius < 2 * d_max:
             raise ConfigurationError(
                 f"halo radius {sharded.halo_radius} is too small for "
                 f"d_max={d_max}: portal-spanning answers need "
@@ -1014,7 +1004,7 @@ class ShardedEvaluator:
         """
         self._check_query(query)
         if k is None:
-            k = getattr(self.algorithm, "k", None)
+            k = self.algorithm.k
         if OBS.enabled:
             OBS.metrics.inc("shard.queries")
         active = self._active(query)

@@ -11,10 +11,7 @@ index).
 from repro.graph.digraph import Graph, LabelTable
 from repro.graph.traversal import (
     bfs_distances,
-    bfs_layers,
-    bidirectional_distance,
     bounded_distance,
-    is_connected_subset,
     reachable_within,
     shortest_path,
 )
@@ -30,10 +27,7 @@ __all__ = [
     "Graph",
     "LabelTable",
     "bfs_distances",
-    "bfs_layers",
-    "bidirectional_distance",
     "bounded_distance",
-    "is_connected_subset",
     "reachable_within",
     "shortest_path",
     "sample_neighborhood",

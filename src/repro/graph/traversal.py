@@ -11,7 +11,7 @@ keyword node?") searches.
 from __future__ import annotations
 
 from collections import deque
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 from repro.graph.digraph import Graph
 from repro.utils.errors import GraphError
@@ -83,25 +83,6 @@ def bfs_distances(
     return dist
 
 
-def bfs_layers(
-    graph: Graph,
-    source: int,
-    max_depth: Optional[int] = None,
-    direction: str = FORWARD,
-) -> List[List[int]]:
-    """BFS grouped by depth: ``result[d]`` lists vertices at distance ``d``."""
-    dist = bfs_distances(graph, [source], max_depth=max_depth, direction=direction)
-    if not dist:
-        return []
-    depth = max(dist.values())
-    layers: List[List[int]] = [[] for _ in range(depth + 1)]
-    for v, d in dist.items():
-        layers[d].append(v)
-    for layer in layers:
-        layer.sort()
-    return layers
-
-
 def reachable_within(
     graph: Graph,
     source: int,
@@ -143,68 +124,6 @@ def bounded_distance(
             dist[w] = d + 1
             queue.append(w)
     return None
-
-
-def bidirectional_distance(
-    graph: Graph,
-    source: int,
-    target: int,
-    max_depth: Optional[int] = None,
-) -> Optional[int]:
-    """Directed shortest distance via simultaneous forward/backward BFS.
-
-    The forward frontier grows from ``source`` along out-edges and the
-    backward frontier from ``target`` along in-edges; they meet in the
-    middle.  This mirrors the bidirectional traversal motivating Example 1.1
-    of the paper and is asymptotically faster than one-sided BFS on
-    small-world graphs.
-    """
-    if source == target:
-        return 0
-    csr = graph.csr()
-    fwd: Dict[int, int] = {source: 0}
-    bwd: Dict[int, int] = {target: 0}
-    fwd_frontier: List[int] = [source]
-    bwd_frontier: List[int] = [target]
-    best: Optional[int] = None
-    while fwd_frontier and bwd_frontier:
-        # Expand the smaller frontier, a standard bidirectional heuristic.
-        expand_forward = len(fwd_frontier) <= len(bwd_frontier)
-        if expand_forward:
-            frontier, dist, other = fwd_frontier, fwd, bwd
-            neighbors = csr.out_neighbors
-        else:
-            frontier, dist, other = bwd_frontier, bwd, fwd
-            neighbors = csr.in_neighbors
-        next_frontier: List[int] = []
-        for v in frontier:
-            d = dist[v]
-            if max_depth is not None and d >= max_depth:
-                continue
-            for w in neighbors(v):
-                if w in dist:
-                    continue
-                dist[w] = d + 1
-                if w in other:
-                    candidate = d + 1 + other[w]
-                    if best is None or candidate < best:
-                        best = candidate
-                next_frontier.append(w)
-        if expand_forward:
-            fwd_frontier = next_frontier
-        else:
-            bwd_frontier = next_frontier
-        if best is not None:
-            # The frontiers have met; any shorter path would already have
-            # been found because BFS expands in distance order.
-            min_pending = min(
-                (fwd[v] for v in fwd_frontier), default=best
-            ) + min((bwd[v] for v in bwd_frontier), default=best)
-            if min_pending >= best:
-                break
-    if best is not None and max_depth is not None and best > max_depth:
-        return None
-    return best
 
 
 def shortest_path(
@@ -292,47 +211,3 @@ def nearest_labeled_forward(
     if remaining:
         return None
     return found
-
-
-def is_connected_subset(
-    graph: Graph, vertex_subset: Sequence[int], direction: str = BOTH
-) -> bool:
-    """Whether ``vertex_subset`` induces a connected subgraph.
-
-    Answer graphs must be connected (Sec. 5.1); verification uses the
-    undirected sense by default.
-    """
-    members = set(vertex_subset)
-    if not members:
-        return True
-    start = next(iter(members))
-    neighbors = _neighbor_fn(graph, direction)
-    seen = {start}
-    queue: deque = deque([start])
-    while queue:
-        v = queue.popleft()
-        for w in neighbors(v):
-            if w in members and w not in seen:
-                seen.add(w)
-                queue.append(w)
-    return seen == members
-
-
-def pairwise_distances_within(
-    graph: Graph,
-    vertex_subset: Sequence[int],
-    max_depth: Optional[int] = None,
-) -> Dict[Tuple[int, int], Optional[int]]:
-    """All-pairs directed distances among a small vertex set.
-
-    r-clique answer verification needs every pairwise distance to be at most
-    ``R`` (Sec. 5.2); ``None`` marks pairs farther than ``max_depth``.
-    """
-    result: Dict[Tuple[int, int], Optional[int]] = {}
-    for u in vertex_subset:
-        dist = bfs_distances(graph, [u], max_depth=max_depth, direction=FORWARD)
-        for v in vertex_subset:
-            if u == v:
-                continue
-            result[(u, v)] = dist.get(v)
-    return result

@@ -27,95 +27,30 @@ when the same code runs on a much smaller summary graph.
 
 from __future__ import annotations
 
-from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional
 
 from repro.graph.digraph import Graph
-from repro.graph.traversal import (
-    bfs_distances,
-    nearest_labeled_forward,
-    shortest_path,
-)
 from repro.search.base import (
     USE_BOUND_K,
     Answer,
+    BackwardFrontier,
     GraphSearcher,
     KeywordQuery,
-    KeywordSearchAlgorithm,
+    RootedTreeAlgorithm,
     top_k,
+    unseen_lower_bound,
 )
-from repro.obs.runtime import OBS, charge_expansions
 from repro.utils.budget import Budget
-from repro.utils.errors import BudgetExceeded, QueryError
-
-
-class _BackwardExpansion:
-    """Backward BFS from one keyword's vertex set, expandable level by level."""
-
-    def __init__(self, graph: Graph, sources: Sequence[int], d_max: int) -> None:
-        self.graph = graph
-        self.d_max = d_max
-        self._in_neighbors = graph.csr().in_neighbors
-        #: settled vertex -> distance to the nearest source.
-        self.dist: Dict[int, int] = {v: 0 for v in sources}
-        #: settled vertex -> the nearest source vertex itself.
-        self.origin: Dict[int, int] = {v: v for v in sources}
-        self._frontier: List[int] = sorted(sources)
-        self.depth = 0
-
-    @property
-    def exhausted(self) -> bool:
-        """Whether the expansion has reached ``d_max`` or run out of frontier."""
-        return not self._frontier or self.depth >= self.d_max
-
-    def expand_level(self, budget: Optional[Budget] = None) -> List[int]:
-        """Advance one BFS level backward; returns the newly settled vertices.
-
-        Origins are canonical: when several frontier vertices reach the
-        same new vertex, the smallest origin wins, so every equal-distance
-        tie resolves to the minimum source vertex id (by induction each
-        frontier vertex already carries its minimal origin).  Cross-mode
-        answer comparison relies on this determinism.
-
-        A budget is charged one unit per frontier vertex *before* the
-        level expands, so exhaustion leaves the settled maps consistent
-        at the previous depth — the basis of the prefix-soundness proof.
-        """
-        if self.exhausted:
-            return []
-        charge_expansions(budget, len(self._frontier))
-        if OBS.enabled:
-            OBS.metrics.inc("search.levels_expanded")
-        reached: Dict[int, int] = {}
-        in_neighbors = self._in_neighbors
-        for v in self._frontier:
-            origin = self.origin[v]
-            for u in in_neighbors(v):
-                if u in self.dist:
-                    continue
-                prev = reached.get(u)
-                if prev is None or origin < prev:
-                    reached[u] = origin
-        next_frontier = sorted(reached)
-        for u in next_frontier:
-            self.dist[u] = self.depth + 1
-            self.origin[u] = reached[u]
-        self._frontier = next_frontier
-        self.depth += 1
-        return next_frontier
-
-    def run_to_completion(self) -> None:
-        """Expand until exhausted (used when all answers are requested)."""
-        while not self.exhausted:
-            self.expand_level()
+from repro.utils.errors import BudgetExceeded
 
 
 class BanksSearcher(GraphSearcher):
     """Backward search bound to one graph (bkws keeps no persistent index)."""
 
-    def __init__(self, graph: Graph, d_max: int, k: Optional[int]) -> None:
+    def __init__(self, graph: Graph, algorithm: "BackwardKeywordSearch") -> None:
         super().__init__(graph)
-        self.d_max = d_max
-        self.k = k
+        self.algorithm = algorithm
+        self.k = algorithm.k
 
     def search(
         self,
@@ -125,89 +60,45 @@ class BanksSearcher(GraphSearcher):
     ) -> List[Answer]:
         """Distinct-root answers ranked by total root-to-keyword distance."""
         k = self._resolve_k(k)
-        expansions: Dict[str, _BackwardExpansion] = {}
+        frontiers: Dict[str, BackwardFrontier] = {}
         for keyword in query:
             sources = self.graph.sorted_vertices_with_label(keyword)
             if not sources:
                 return []
-            expansions[keyword] = _BackwardExpansion(
-                self.graph, sources, self.d_max
+            frontiers[keyword] = BackwardFrontier(
+                self.graph, sources, self.algorithm.d_max
             )
 
         # Expand the smallest visited set first (paper's strategy) until all
-        # expansions are exhausted.  Exhaustive expansion is required for
+        # frontiers are exhausted.  Exhaustive expansion is required for
         # distinct-root completeness; top-k truncation happens at the end
         # (early termination for k answers is exercised by the BiG-index
         # evaluator instead, Sec. 4.3.4).
         active = list(query.keywords)
         try:
             while active:
-                active.sort(key=lambda kw: len(expansions[kw].dist))
+                active.sort(key=lambda kw: len(frontiers[kw].dist))
                 keyword = active[0]
-                expansions[keyword].expand_level(budget)
-                active = [kw for kw in active if not expansions[kw].exhausted]
+                frontiers[keyword].expand_level(budget)
+                active = [kw for kw in active if not frontiers[kw].exhausted]
         except BudgetExceeded as exc:
-            lower_bound = _unseen_lower_bound(expansions)
+            lower_bound = unseen_lower_bound(frontiers.values())
             exc.partial = top_k(
-                self._collect_answers(query, expansions, below=lower_bound),
+                self.algorithm.settled_answers(
+                    self.graph, query.keywords, frontiers, below=lower_bound
+                ),
                 k,
             )
             exc.lower_bound = lower_bound
             raise
 
-        answers = self._collect_answers(query, expansions)
-        return top_k(answers, k)
-
-    def _collect_answers(
-        self,
-        query: KeywordQuery,
-        expansions: Mapping[str, _BackwardExpansion],
-        below: float = float("inf"),
-    ) -> List[Answer]:
-        """Answers among the settled roots with score strictly below ``below``.
-
-        A root settled by every expansion carries exact distances (BFS
-        settles in distance order), so each returned answer's score is
-        exact even when the expansions were interrupted mid-way.
-        """
-        keywords = list(query.keywords)
-        first = expansions[keywords[0]]
-        candidate_roots = set(first.dist)
-        for keyword in keywords[1:]:
-            candidate_roots &= set(expansions[keyword].dist)
-        answers = []
-        for root in candidate_roots:
-            keyword_nodes = {
-                keyword: expansions[keyword].origin[root] for keyword in keywords
-            }
-            score = sum(expansions[keyword].dist[root] for keyword in keywords)
-            if score >= below:
-                continue
-            answers.append(
-                _materialize_tree(self.graph, root, keyword_nodes, score, self.d_max)
-            )
-        return answers
+        return top_k(
+            self.algorithm.settled_answers(self.graph, query.keywords, frontiers),
+            k,
+        )
 
 
-def _unseen_lower_bound(
-    expansions: Mapping[str, _BackwardExpansion],
-) -> float:
-    """Sound lower bound on the score of any root not settled everywhere.
-
-    A root missing from a still-active expansion is at distance at least
-    that expansion's next depth, so its score is at least ``depth + 1``.
-    Exhausted expansions impose no bound: a root missing from one is not
-    an answer at all (beyond ``d_max`` or unreachable).  Conversely every
-    root scoring strictly below the bound is settled by all expansions,
-    which makes the interrupted answer set an exact ranking prefix.
-    """
-    active = [e for e in expansions.values() if not e.exhausted]
-    if not active:
-        return float("inf")
-    return float(min(e.depth + 1 for e in active))
-
-
-class BackwardKeywordSearch(KeywordSearchAlgorithm):
+class BackwardKeywordSearch(RootedTreeAlgorithm):
     """The ``bkws`` algorithm: distinct-root backward keyword search.
 
     Parameters
@@ -222,84 +113,8 @@ class BackwardKeywordSearch(KeywordSearchAlgorithm):
     name = "bkws"
 
     def __init__(self, d_max: int = 3, k: Optional[int] = None) -> None:
-        if d_max < 0:
-            raise QueryError("d_max must be non-negative")
-        self.d_max = d_max
-        self.k = k
+        super().__init__(d_max, k)
 
     def bind(self, graph: Graph) -> BanksSearcher:
         """bkws has no persistent index; binding is O(1)."""
-        return BanksSearcher(graph, self.d_max, self.k)
-
-    def verify(
-        self,
-        graph: Graph,
-        keyword_nodes: Mapping[str, int],
-        query: KeywordQuery,
-        root: Optional[int] = None,
-    ) -> Optional[Answer]:
-        """Check a root + keyword-node assignment on ``graph`` exactly.
-
-        Requires each node to carry its keyword's label and to be within
-        ``d_max`` of the root (directed).  Returns the scored, materialized
-        answer tree or ``None``.
-        """
-        if root is None:
-            return None
-        dist_from_root = bfs_distances(
-            graph, [root], max_depth=self.d_max, direction="forward"
-        )
-        score = 0
-        for keyword in query:
-            node = keyword_nodes.get(keyword)
-            if node is None or graph.label(node) != keyword:
-                return None
-            d = dist_from_root.get(node)
-            if d is None:
-                return None
-            score += d
-        return _materialize_tree(graph, root, dict(keyword_nodes), score, self.d_max)
-
-    def best_answer_for_root(
-        self, graph: Graph, root: int, query: KeywordQuery
-    ) -> Optional[Answer]:
-        """The minimal-score answer rooted at ``root``, or ``None``.
-
-        One forward BFS from the root finds the nearest vertex of each
-        keyword label, stopping as soon as every keyword is found; used by
-        the BiG-index evaluator to verify candidate roots coming out of
-        specialization.
-        """
-        found = nearest_labeled_forward(
-            graph, root, set(query.keywords), self.d_max
-        )
-        if found is None:
-            return None
-        keyword_nodes = {kw: v for kw, (_, v) in found.items()}
-        score = sum(d for (d, _) in found.values())
-        return _materialize_tree(graph, root, keyword_nodes, score, self.d_max)
-
-
-def _materialize_tree(
-    graph: Graph,
-    root: int,
-    keyword_nodes: Dict[str, int],
-    score: float,
-    d_max: int,
-) -> Answer:
-    """Build the answer tree: union of shortest root-to-keyword paths."""
-    vertices: Set[int] = {root}
-    edges: Set[Tuple[int, int]] = set()
-    for node in keyword_nodes.values():
-        path = shortest_path(graph, root, node, max_depth=d_max)
-        if path is None:  # pragma: no cover - callers guarantee reachability
-            continue
-        vertices.update(path)
-        edges.update(zip(path, path[1:]))
-    return Answer.make(
-        keyword_nodes,
-        score=score,
-        root=root,
-        vertices=vertices,
-        edges=edges,
-    )
+        return BanksSearcher(graph, self)

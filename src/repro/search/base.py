@@ -16,21 +16,45 @@ framework is captured by :class:`KeywordSearchAlgorithm`:
 * :meth:`~KeywordSearchAlgorithm.enlarge_ok` is the algorithm-specific part
   of the vertex qualification function (Def. 4.2): a cheap necessary
   condition for adding one more specialized vertex to a partial answer.
+
+bkws, bidirectional and Blinks share one semantics — distinct-root trees
+under ``d_max`` — and differ only in exploration order; what that semantics
+implies is written once here: :class:`BackwardFrontier`,
+:func:`unseen_lower_bound` and :class:`RootedTreeAlgorithm`.
 """
 
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import (
+    Callable,
+    Dict,
+    Iterable,
+    List,
+    Mapping,
+    Optional,
+    Sequence,
+    Set,
+    Tuple,
+)
 
 from repro.graph.digraph import Graph
+from repro.graph.traversal import (
+    bfs_distances,
+    nearest_labeled_forward,
+    shortest_path,
+)
+from repro.obs.runtime import OBS, charge_expansions
 from repro.utils.budget import Budget
 from repro.utils.errors import QueryError
 
 #: Sentinel for ``GraphSearcher.search(k=...)``: use the searcher's own
 #: bound ``self.k``.  Distinct from ``None``, which means "no cutoff".
 USE_BOUND_K: object = object()
+
+#: ``scr``: maps per-keyword root distances to an answer score.
+ScoreFunction = Callable[[Mapping[str, int]], float]
 
 
 @dataclass(frozen=True)
@@ -145,6 +169,15 @@ class GraphSearcher(ABC):
     search's ranking truncated at ``lower_bound``.
     """
 
+    #: The searcher's own top-k bound (``None`` = no cutoff).
+    k: Optional[int] = None
+
+    #: Lower bound on the score of every answer the current / most recent
+    #: ``iter_search`` stream has not yielded yet, for searchers whose
+    #: streams are not score-sorted; ``None`` means the stream is sorted,
+    #: so the last yielded score is the bound.
+    stream_lower_bound: Optional[float] = None
+
     def __init__(self, graph: Graph) -> None:
         self.graph = graph
 
@@ -166,7 +199,7 @@ class GraphSearcher(ABC):
     def _resolve_k(self, k: object) -> Optional[int]:
         """Resolve the ``k`` argument against the searcher's own bound."""
         if k is USE_BOUND_K:
-            return getattr(self, "k", None)
+            return self.k
         return k  # type: ignore[return-value]
 
     def iter_search(self, query: KeywordQuery, budget: Optional[Budget] = None):
@@ -187,6 +220,9 @@ class KeywordSearchAlgorithm(ABC):
 
     #: short name used in benchmark tables ("bkws", "blinks", "r-clique").
     name: str = "abstract"
+
+    #: Default top-k cutoff of the searchers it binds (``None`` = all).
+    k: Optional[int] = None
 
     @abstractmethod
     def bind(self, graph: Graph) -> GraphSearcher:
@@ -230,6 +266,218 @@ class KeywordSearchAlgorithm(ABC):
                 raise QueryError(
                     f"keyword {keyword!r} does not occur in the graph"
                 )
+
+
+def distance_sum(distances: Mapping[str, int]) -> int:
+    """The hop-count ``scr``: the sum of root-to-keyword distances."""
+    return sum(distances.values())
+
+
+class BackwardFrontier:
+    """Backward BFS from one keyword's vertex set, expandable level by level."""
+
+    def __init__(self, graph: Graph, sources: Sequence[int], d_max: int) -> None:
+        self.d_max = d_max
+        self._in_neighbors = graph.csr().in_neighbors
+        #: settled vertex -> distance to the nearest source.
+        self.dist: Dict[int, int] = {v: 0 for v in sources}
+        #: settled vertex -> the nearest source vertex itself.
+        self.origin: Dict[int, int] = {v: v for v in sources}
+        self._frontier: List[int] = sorted(sources)
+        self.depth = 0
+
+    @property
+    def exhausted(self) -> bool:
+        """Whether the expansion has reached ``d_max`` or run out of frontier."""
+        return not self._frontier or self.depth >= self.d_max
+
+    def expand_level(self, budget: Optional[Budget] = None) -> List[int]:
+        """Advance one BFS level backward; returns the newly settled vertices.
+
+        A budget is charged one unit per frontier vertex *before* the
+        level expands, so exhaustion leaves the settled maps consistent
+        at the previous depth — the basis of the prefix-soundness proof.
+        This is the one expansion tap per level: callers layering a
+        cursor or a schedule on top must not charge the level again.
+        """
+        if self.exhausted:
+            return []
+        charge_expansions(budget, len(self._frontier))
+        if OBS.enabled:
+            OBS.metrics.inc("search.levels_expanded")
+        return self._advance()
+
+    def _advance(self) -> List[int]:
+        """Settle the next level.
+
+        Origins are canonical: when several frontier vertices reach the
+        same new vertex, the smallest origin wins, so every equal-distance
+        tie resolves to the minimum source vertex id (by induction each
+        frontier vertex already carries its minimal origin) and the maps
+        are independent of adjacency order.  Cross-mode answer comparison
+        relies on this determinism.
+        """
+        reached: Dict[int, int] = {}
+        in_neighbors = self._in_neighbors
+        for v in self._frontier:
+            origin = self.origin[v]
+            for u in in_neighbors(v):
+                if u in self.dist:
+                    continue
+                prev = reached.get(u)
+                if prev is None or origin < prev:
+                    reached[u] = origin
+        next_frontier = sorted(reached)
+        for u in next_frontier:
+            self.dist[u] = self.depth + 1
+            self.origin[u] = reached[u]
+        self._frontier = next_frontier
+        self.depth += 1
+        return next_frontier
+
+    def run_to_completion(self) -> None:
+        """Expand until exhausted, untapped: a whole distance map is index
+        work (Blinks' keyword maps), not query-time ``search.expansions``."""
+        while not self.exhausted:
+            self._advance()
+
+
+def unseen_lower_bound(frontiers: Iterable[BackwardFrontier]) -> float:
+    """Sound lower bound on the score of any root not settled everywhere.
+
+    A root missing from a still-active frontier is at distance at least
+    that frontier's next depth, so its score is at least ``depth + 1``.
+    Exhausted frontiers impose no bound: a root missing from one is not
+    an answer at all (beyond ``d_max`` or unreachable).  Conversely every
+    root scoring strictly below the bound is settled by all frontiers,
+    which makes the interrupted answer set an exact ranking prefix.
+    """
+    active = [f for f in frontiers if not f.exhausted]
+    if not active:
+        return float("inf")
+    return float(min(f.depth + 1 for f in active))
+
+
+class RootedTreeAlgorithm(KeywordSearchAlgorithm):
+    """Distinct-root tree semantics under ``d_max`` (Sec. 2).
+
+    A match is a subtree rooted at ``r`` whose leaves ``p_i`` carry the
+    query keywords with ``dist(r, p_i) <= d_max``; per root the match
+    minimizing ``scr`` over the per-keyword distances is the answer.
+    Subclasses differ only in how their searchers *explore* (``bind``).
+    Being rooted is what lets the evaluator verify a specialized
+    candidate root with one bounded BFS and lets shards merge per root,
+    so callers test ``isinstance(algorithm, RootedTreeAlgorithm)``.
+    """
+
+    def __init__(
+        self, d_max: int, k: Optional[int], scr: ScoreFunction = distance_sum
+    ) -> None:
+        if d_max < 0:
+            raise QueryError("d_max must be non-negative")
+        self.d_max = d_max
+        self.k = k
+        self.scr = scr
+
+    def verify(
+        self,
+        graph: Graph,
+        keyword_nodes: Mapping[str, int],
+        query: KeywordQuery,
+        root: Optional[int] = None,
+    ) -> Optional[Answer]:
+        """Check a root + keyword-node assignment on ``graph`` exactly.
+
+        Requires each node to carry its keyword's label and to be within
+        ``d_max`` of the root (directed).  Returns the scored, materialized
+        answer tree or ``None``.
+        """
+        if root is None:
+            return None
+        from_root = bfs_distances(
+            graph, [root], max_depth=self.d_max, direction="forward"
+        )
+        targets: Dict[str, int] = {}
+        distances: Dict[str, int] = {}
+        for keyword in query:
+            node = keyword_nodes.get(keyword)
+            if node is None or graph.label(node) != keyword:
+                return None
+            d = from_root.get(node)
+            if d is None:
+                return None
+            targets[keyword] = node
+            distances[keyword] = d
+        return self.answer_tree(graph, root, targets, self.scr(distances))
+
+    def best_answer_for_root(
+        self, graph: Graph, root: int, query: KeywordQuery
+    ) -> Optional[Answer]:
+        """The minimal-score answer rooted at ``root``, or ``None``.
+
+        One forward BFS from the root finds the nearest vertex of each
+        keyword label, stopping as soon as every keyword is found (so
+        verifying a good candidate root touches a small ball); used by
+        the BiG-index evaluator to verify candidate roots coming out of
+        specialization.
+        """
+        found = nearest_labeled_forward(
+            graph, root, set(query.keywords), self.d_max
+        )
+        if found is None:
+            return None
+        keyword_nodes = {kw: v for kw, (_, v) in found.items()}
+        score = self.scr({kw: d for kw, (d, _) in found.items()})
+        return self.answer_tree(graph, root, keyword_nodes, score)
+
+    def settled_answers(
+        self,
+        graph: Graph,
+        keywords: Sequence[str],
+        frontiers: Mapping[str, BackwardFrontier],
+        below: float = float("inf"),
+        skip: Iterable[int] = (),
+    ) -> List[Answer]:
+        """Answers among the settled roots with score strictly below ``below``.
+
+        A root settled by every frontier carries exact distances (BFS
+        settles in distance order), so each returned answer's score is
+        exact even when the frontiers were interrupted mid-way.  Roots in
+        ``skip`` (already answered by the caller) are left out.
+        """
+        candidate_roots = set(frontiers[keywords[0]].dist)
+        for keyword in keywords[1:]:
+            candidate_roots &= set(frontiers[keyword].dist)
+        candidate_roots.difference_update(skip)
+        scr = self.scr
+        answers = []
+        for root in candidate_roots:
+            score = scr({kw: frontiers[kw].dist[root] for kw in keywords})
+            if score >= below:
+                continue
+            keyword_nodes = {kw: frontiers[kw].origin[root] for kw in keywords}
+            answers.append(self.answer_tree(graph, root, keyword_nodes, score))
+        return answers
+
+    def answer_tree(
+        self,
+        graph: Graph,
+        root: int,
+        keyword_nodes: Dict[str, int],
+        score: float,
+    ) -> Answer:
+        """Build the answer tree: union of shortest root-to-keyword paths."""
+        vertices: Set[int] = {root}
+        edges: Set[Tuple[int, int]] = set()
+        for node in keyword_nodes.values():
+            path = shortest_path(graph, root, node, max_depth=self.d_max)
+            if path is None:  # pragma: no cover - callers guarantee reachability
+                continue
+            vertices.update(path)
+            edges.update(zip(path, path[1:]))
+        return Answer.make(
+            keyword_nodes, score=score, root=root, vertices=vertices, edges=edges
+        )
 
 
 def top_k(answers: Sequence[Answer], k: Optional[int]) -> List[Answer]:

@@ -25,30 +25,31 @@ accelerates it the same way it accelerates bkws, without modification.
 from __future__ import annotations
 
 import heapq
-from typing import Dict, List, Mapping, Optional, Set, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 from repro.graph.digraph import Graph
-from repro.graph.traversal import nearest_labeled_forward, shortest_path
 from repro.search.base import (
     USE_BOUND_K,
     Answer,
+    BackwardFrontier,
     GraphSearcher,
     KeywordQuery,
-    KeywordSearchAlgorithm,
+    RootedTreeAlgorithm,
     top_k,
+    unseen_lower_bound,
 )
 from repro.obs.runtime import OBS, charge_expansions
 from repro.utils.budget import Budget
-from repro.utils.errors import BudgetExceeded, QueryError
+from repro.utils.errors import BudgetExceeded
 
 
 class BidirectionalSearcher(GraphSearcher):
     """Bidirectional expansion bound to one graph."""
 
-    def __init__(self, graph: Graph, d_max: int, k: Optional[int]) -> None:
+    def __init__(self, graph: Graph, algorithm: "BidirectionalSearch") -> None:
         super().__init__(graph)
-        self.d_max = d_max
-        self.k = k
+        self.algorithm = algorithm
+        self.k = algorithm.k
 
     def search(
         self,
@@ -58,182 +59,96 @@ class BidirectionalSearcher(GraphSearcher):
     ) -> List[Answer]:
         """Distinct-root answers via prioritized bidirectional expansion."""
         k = self._resolve_k(k)
-        keywords = list(query.keywords)
-        in_neighbors = self.graph.csr().in_neighbors
-        # Backward state per keyword: vertex -> (distance, origin).
-        settled: Dict[str, Dict[int, Tuple[int, int]]] = {}
-        frontiers: Dict[str, List[Tuple[int, int]]] = {}
+        keywords = query.keywords
+        d_max = self.algorithm.d_max
+        frontiers: Dict[str, BackwardFrontier] = {}
         for keyword in keywords:
             sources = self.graph.sorted_vertices_with_label(keyword)
             if not sources:
                 return []
-            settled[keyword] = {v: (0, v) for v in sources}
-            frontiers[keyword] = [(0, v) for v in sources]
+            frontiers[keyword] = BackwardFrontier(self.graph, sources, d_max)
 
         # Priority queue of candidate roots by spreading activation:
         # (-keyword sets reached, accumulated distance, vertex).
         activation: Dict[int, Set[str]] = {}
         candidates: List[Tuple[int, int, int]] = []
-        answers: Dict[int, Answer] = {}
+        #: roots confirmed by a forward probe -> their exact best answer.
+        confirmed: Dict[int, Answer] = {}
 
         def touch(vertex: int, keyword: str) -> None:
             reached = activation.setdefault(vertex, set())
             if keyword in reached:
                 return
             reached.add(keyword)
-            total = sum(
-                settled[kw][vertex][0] for kw in reached
-            )
+            total = sum(frontiers[kw].dist[vertex] for kw in reached)
             heapq.heappush(candidates, (-len(reached), total, vertex))
 
         for keyword in keywords:
-            for vertex in settled[keyword]:
+            for vertex in frontiers[keyword].dist:
                 touch(vertex, keyword)
 
-        emitted: Set[int] = set()
         depth = 0
         try:
-            while depth < self.d_max:
+            while depth < d_max:
                 depth += 1
                 progressed = False
-                # One expansion per frontier vertex about to be
-                # processed; charging up front keeps the settled maps
-                # consistent (complete through depth - 1) on raise.
-                charge_expansions(
-                    budget, sum(len(f) for f in frontiers.values())
-                )
-                if OBS.enabled:
-                    OBS.metrics.inc("search.levels_expanded")
-                # Backward step: grow each keyword frontier one level.  The
-                # nearest-origin choice is canonical (smallest origin wins on
-                # equal distance) so answers match bkws' signature-for-signature.
+                # Backward step: grow each keyword frontier one level (the
+                # shared kernel, so origins match bkws' signature-for-signature).
                 for keyword in keywords:
-                    frontier = frontiers[keyword]
-                    reached: Dict[int, int] = {}
-                    for dist, vertex in frontier:
-                        origin = settled[keyword][vertex][1]
-                        for pred in in_neighbors(vertex):
-                            if pred in settled[keyword]:
-                                continue
-                            prev = reached.get(pred)
-                            if prev is None or origin < prev:
-                                reached[pred] = origin
-                    next_frontier: List[Tuple[int, int]] = []
-                    for pred in sorted(reached):
-                        settled[keyword][pred] = (depth, reached[pred])
-                        next_frontier.append((depth, pred))
+                    for pred in frontiers[keyword].expand_level(budget):
                         touch(pred, keyword)
                         progressed = True
-                    frontiers[keyword] = next_frontier
                 # Forward step: confirm the hottest candidates as roots by a
                 # forward probe bounded by the remaining hop budget.
-                confirmed = 0
-                while candidates and confirmed < 8:
+                hits = 0
+                while candidates and hits < 8:
                     neg_reached, _, vertex = heapq.heappop(candidates)
                     if OBS.enabled:
                         OBS.metrics.inc("search.heap_pops")
-                    if vertex in emitted:
+                    if vertex in confirmed:
                         continue
-                    if -neg_reached < len(keywords) and depth < self.d_max:
+                    if -neg_reached < len(keywords) and depth < d_max:
                         # Not yet reached by every backward frontier; only
                         # probe forward when it looks promising (more than
                         # half the keywords reached).
                         if -neg_reached * 2 <= len(keywords):
                             continue
                     charge_expansions(budget, 1)
-                    answer = self._confirm_root(vertex, query)
+                    answer = self.algorithm.best_answer_for_root(
+                        self.graph, vertex, query
+                    )
                     if answer is not None:
-                        emitted.add(vertex)
-                        answers[vertex] = answer
-                        confirmed += 1
+                        confirmed[vertex] = answer
+                        hits += 1
                         if OBS.enabled:
                             OBS.metrics.inc("search.roots_confirmed")
                 if not progressed and not candidates:
                     break
         except BudgetExceeded as exc:
-            lower_bound = _frontier_bound(frontiers)
-            exc.partial = top_k(
-                self._sound_answers(keywords, settled, answers, lower_bound),
-                k,
+            # Two sources, both exact: roots settled by every backward
+            # frontier (exact BFS distance sums) and roots already
+            # confirmed by a forward probe (the exact minimum for that
+            # root).  Any true answer scoring below the frontier bound
+            # belongs to one of the two, so the filtered set is a ranking
+            # prefix.
+            lower_bound = unseen_lower_bound(frontiers.values())
+            settled = self.algorithm.settled_answers(
+                self.graph, keywords, frontiers, below=lower_bound, skip=confirmed
             )
+            settled += [a for a in confirmed.values() if a.score < lower_bound]
+            exc.partial = top_k(settled, k)
             exc.lower_bound = lower_bound
             raise
 
         # Exhaustive completion: any vertex settled by every backward
-        # expansion is a root (ensures the same answer set as bkws).
-        first = settled[keywords[0]]
-        for vertex in first:
-            if vertex in emitted:
-                continue
-            if all(vertex in settled[kw] for kw in keywords):
-                keyword_nodes = {
-                    kw: settled[kw][vertex][1] for kw in keywords
-                }
-                score = sum(settled[kw][vertex][0] for kw in keywords)
-                answers[vertex] = _materialize_tree(
-                    self.graph, vertex, keyword_nodes, score, self.d_max
-                )
-        return top_k(list(answers.values()), k)
-
-    def _sound_answers(
-        self,
-        keywords: List[str],
-        settled: Dict[str, Dict[int, Tuple[int, int]]],
-        confirmed: Dict[int, Answer],
-        below: float,
-    ) -> List[Answer]:
-        """Exact answers provable at interruption, score strictly below
-        ``below``.
-
-        Two sources, both exact: roots settled by every backward
-        expansion (their distance sums are exact BFS distances), and
-        roots already confirmed by a forward probe
-        (:meth:`_confirm_root` computes the exact minimum for its root).
-        Any true answer scoring below the frontier bound belongs to one
-        of the two, so the filtered set is a ranking prefix.
-        """
-        merged: Dict[int, Answer] = dict(confirmed)
-        for vertex in settled[keywords[0]]:
-            if vertex in merged:
-                continue
-            if all(vertex in settled[kw] for kw in keywords):
-                keyword_nodes = {
-                    kw: settled[kw][vertex][1] for kw in keywords
-                }
-                score = sum(settled[kw][vertex][0] for kw in keywords)
-                merged[vertex] = _materialize_tree(
-                    self.graph, vertex, keyword_nodes, score, self.d_max
-                )
-        return [a for a in merged.values() if a.score < below]
-
-    def _confirm_root(self, vertex: int, query: KeywordQuery) -> Optional[Answer]:
-        found = nearest_labeled_forward(
-            self.graph, vertex, set(query.keywords), self.d_max
+        # frontier is a root (ensures the same answer set as bkws).
+        settled = self.algorithm.settled_answers(
+            self.graph, keywords, frontiers, skip=confirmed
         )
-        if found is None:
-            return None
-        keyword_nodes = {kw: v for kw, (_, v) in found.items()}
-        score = float(sum(d for (d, _) in found.values()))
-        return _materialize_tree(
-            self.graph, vertex, keyword_nodes, score, self.d_max
-        )
+        return top_k(settled + list(confirmed.values()), k)
 
 
-def _frontier_bound(frontiers: Dict[str, List[Tuple[int, int]]]) -> float:
-    """Lower bound on any root not settled by every backward expansion.
-
-    A non-empty frontier at depth ``d`` means that keyword's settled set
-    is complete through ``d``; a root it is missing is at distance at
-    least ``d + 1``.  Empty frontiers impose no bound — that keyword's
-    expansion is complete, so a missing root is not an answer at all.
-    """
-    bounds = [
-        frontier[0][0] + 1 for frontier in frontiers.values() if frontier
-    ]
-    return float(min(bounds)) if bounds else float("inf")
-
-
-class BidirectionalSearch(KeywordSearchAlgorithm):
+class BidirectionalSearch(RootedTreeAlgorithm):
     """Kacholia-style bidirectional keyword search (``bdws``).
 
     Same answer semantics as :class:`~repro.search.banks.BackwardKeywordSearch`
@@ -245,74 +160,8 @@ class BidirectionalSearch(KeywordSearchAlgorithm):
     name = "bdws"
 
     def __init__(self, d_max: int = 3, k: Optional[int] = None) -> None:
-        if d_max < 0:
-            raise QueryError("d_max must be non-negative")
-        self.d_max = d_max
-        self.k = k
+        super().__init__(d_max, k)
 
     def bind(self, graph: Graph) -> BidirectionalSearcher:
         """Bidirectional search keeps no persistent index."""
-        return BidirectionalSearcher(graph, self.d_max, self.k)
-
-    def verify(
-        self,
-        graph: Graph,
-        keyword_nodes: Mapping[str, int],
-        query: KeywordQuery,
-        root: Optional[int] = None,
-    ) -> Optional[Answer]:
-        """Exact check: same contract as bkws' verifier."""
-        if root is None:
-            return None
-        targets = {}
-        for keyword in query:
-            node = keyword_nodes.get(keyword)
-            if node is None or graph.label(node) != keyword:
-                return None
-            targets[keyword] = node
-        found = nearest_labeled_forward(
-            graph, root, set(query.keywords), self.d_max
-        )
-        if found is None:
-            return None
-        # Verify the *given* nodes are reachable (distances via paths).
-        score = 0
-        for keyword, node in targets.items():
-            path = shortest_path(graph, root, node, max_depth=self.d_max)
-            if path is None:
-                return None
-            score += len(path) - 1
-        return _materialize_tree(graph, root, targets, float(score), self.d_max)
-
-    def best_answer_for_root(
-        self, graph: Graph, root: int, query: KeywordQuery
-    ) -> Optional[Answer]:
-        """Minimal answer rooted at ``root`` (enables root-verify boosting)."""
-        found = nearest_labeled_forward(
-            graph, root, set(query.keywords), self.d_max
-        )
-        if found is None:
-            return None
-        keyword_nodes = {kw: v for kw, (_, v) in found.items()}
-        score = float(sum(d for (d, _) in found.values()))
-        return _materialize_tree(graph, root, keyword_nodes, score, self.d_max)
-
-
-def _materialize_tree(
-    graph: Graph,
-    root: int,
-    keyword_nodes: Dict[str, int],
-    score: float,
-    d_max: int,
-) -> Answer:
-    vertices: Set[int] = {root}
-    edges: Set[Tuple[int, int]] = set()
-    for node in keyword_nodes.values():
-        path = shortest_path(graph, root, node, max_depth=d_max)
-        if path is None:  # pragma: no cover
-            continue
-        vertices.update(path)
-        edges.update(zip(path, path[1:]))
-    return Answer.make(
-        keyword_nodes, score=score, root=root, vertices=vertices, edges=edges
-    )
+        return BidirectionalSearcher(graph, self)

@@ -34,36 +34,23 @@ paper's experiments.
 
 from __future__ import annotations
 
-from collections import deque
-from typing import (
-    Callable,
-    Dict,
-    Iterator,
-    List,
-    Mapping,
-    Optional,
-    Sequence,
-    Set,
-    Tuple,
-)
+from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Set, Tuple
 
 from repro.graph.digraph import Graph
 from repro.graph.partition import Partition, partition_bfs_grow
-from repro.graph.traversal import nearest_labeled_forward, shortest_path
 from repro.search.base import (
     USE_BOUND_K,
     Answer,
+    BackwardFrontier,
     GraphSearcher,
     KeywordQuery,
-    KeywordSearchAlgorithm,
+    RootedTreeAlgorithm,
+    ScoreFunction,
     top_k,
 )
 from repro.obs.runtime import OBS, charge_expansions
 from repro.utils.budget import Budget
 from repro.utils.errors import BudgetExceeded, QueryError
-
-#: ``scr``: maps per-keyword root distances to an answer score.
-ScoreFunction = Callable[[Mapping[str, int]], float]
 
 #: Per-keyword reachability: vertex -> (distance, nearest keyword vertex).
 DistanceMap = Dict[int, Tuple[int, int]]
@@ -79,28 +66,14 @@ def _backward_distance_map(
 ) -> DistanceMap:
     """Multi-source backward BFS tracking the nearest source per vertex.
 
-    The nearest source is canonical — on equal distance the smallest
-    origin id wins — so index entries are independent of adjacency order.
+    One shared frontier run to completion, so the nearest source is the
+    kernel's canonical one and index entries are independent of
+    adjacency order.
     """
-    in_neighbors = graph.csr().in_neighbors
-    result: DistanceMap = {v: (0, v) for v in sources}
-    frontier = sorted(sources)
-    depth = 0
-    while frontier and depth < d_max:
-        reached: Dict[int, int] = {}
-        for v in frontier:
-            origin = result[v][1]
-            for u in in_neighbors(v):
-                if u in result:
-                    continue
-                prev = reached.get(u)
-                if prev is None or origin < prev:
-                    reached[u] = origin
-        frontier = sorted(reached)
-        for u in frontier:
-            result[u] = (depth + 1, reached[u])
-        depth += 1
-    return result
+    frontier = BackwardFrontier(graph, sources, d_max)
+    frontier.run_to_completion()
+    origin = frontier.origin
+    return {v: (d, origin[v]) for v, d in frontier.dist.items()}
 
 
 class BlinksSingleLevelIndex:
@@ -246,76 +219,58 @@ class BlinksBiLevelIndex:
         return entry[0] if entry is not None else None
 
 
-class _LazyBackwardCursor:
-    """Level-by-level backward expansion of one keyword's reachable set.
+class _LevelCursor:
+    """One keyword's reachable set, handed out level by level.
 
     With a single-level index the distance map is precomputed and
-    "expansion" is instantaneous; with the bi-level index each level
-    performs real traversal work — the per-query cost the paper measures.
+    "expansion" is instantaneous; with the bi-level index the levels come
+    from a live :class:`BackwardFrontier` and each one performs real
+    traversal work — the per-query cost the paper measures.
     """
 
     def __init__(self, graph: Graph, index, keyword: str, d_max: int) -> None:
-        self.graph = graph
-        self.keyword = keyword
-        self.d_max = d_max
         self.depth = 0
-        precomputed = getattr(index, "kind", None) == "single-level"
-        if precomputed:
-            self.settled: DistanceMap = dict(index.keyword_distances(keyword))
+        if index.kind == "single-level":
+            self._frontier: Optional[BackwardFrontier] = None
+            #: settled vertex -> distance / nearest keyword vertex.
+            self.dist: Dict[int, int] = {}
+            self.origin: Dict[int, int] = {}
             self._levels: Dict[int, List[int]] = {}
-            for v, (d, _) in self.settled.items():
+            for v, (d, o) in index.keyword_distances(keyword).items():
+                self.dist[v] = d
+                self.origin[v] = o
                 self._levels.setdefault(d, []).append(v)
-            self._frontier: List[int] = []
-            self._static = True
+            self._last = max(self._levels, default=-1)
         else:
             sources = graph.sorted_vertices_with_label(keyword)
-            self._in_neighbors = graph.csr().in_neighbors
-            self.settled = {v: (0, v) for v in sources}
+            self._frontier = BackwardFrontier(graph, sources, d_max)
+            self.dist = self._frontier.dist
+            self.origin = self._frontier.origin
             self._levels = {0: list(sources)}
-            self._frontier = list(sources)
-            self._static = False
+            self._last = d_max
 
     @property
     def exhausted(self) -> bool:
-        if self._static:
-            return self.depth > max(self._levels, default=-1)
-        return not self._frontier and self.depth > self.d_max
+        return self.depth > self._last
 
     def take_level(self, budget: Optional[Budget] = None) -> List[int]:
         """Vertices settled at the current depth; advances the cursor.
 
         A budget is charged one unit per vertex in the level *before*
-        any expansion work, so exhaustion leaves the settled map and the
-        stream's lower bound consistent.
+        any expansion work, so exhaustion leaves the settled maps and the
+        stream's lower bound consistent.  A live frontier charges exactly
+        this level (it *is* its frontier) when it grows the next one;
+        only a level with nothing behind it — precomputed, or the final
+        one — is charged here: one tap per level.
         """
-        charge_expansions(budget, len(self._levels.get(self.depth, [])))
-        if OBS.enabled:
-            OBS.metrics.inc("search.levels_expanded")
-        if self._static:
-            level = self._levels.get(self.depth, [])
-            self.depth += 1
-            return level
         level = self._levels.get(self.depth, [])
-        # Expand one step backward to prepare the next level; the nearest
-        # origin is canonical (smallest id on equal distance).
-        if self.depth < self.d_max:
-            reached: Dict[int, int] = {}
-            in_neighbors = self._in_neighbors
-            for v in self._frontier:
-                origin = self.settled[v][1]
-                for u in in_neighbors(v):
-                    if u in self.settled:
-                        continue
-                    prev = reached.get(u)
-                    if prev is None or origin < prev:
-                        reached[u] = origin
-            next_frontier = sorted(reached)
-            for u in next_frontier:
-                self.settled[u] = (self.depth + 1, reached[u])
-            self._frontier = next_frontier
-            self._levels[self.depth + 1] = next_frontier
+        frontier = self._frontier
+        if frontier is not None and not frontier.exhausted:
+            self._levels[self.depth + 1] = frontier.expand_level(budget)
         else:
-            self._frontier = []
+            charge_expansions(budget, len(level))
+            if OBS.enabled:
+                OBS.metrics.inc("search.levels_expanded")
         self.depth += 1
         return level
 
@@ -323,19 +278,11 @@ class _LazyBackwardCursor:
 class BlinksSearcher(GraphSearcher):
     """Blinks bound to one graph with its index built."""
 
-    def __init__(
-        self,
-        graph: Graph,
-        index,
-        d_max: int,
-        k: Optional[int],
-        scr: ScoreFunction,
-    ) -> None:
+    def __init__(self, graph: Graph, index, algorithm: "Blinks") -> None:
         super().__init__(graph)
         self.index = index
-        self.d_max = d_max
-        self.k = k
-        self.scr = scr
+        self.algorithm = algorithm
+        self.k = algorithm.k
 
     def search(
         self,
@@ -369,9 +316,7 @@ class BlinksSearcher(GraphSearcher):
             raise
         return top_k(answers, k)
 
-    #: Lower bound on the score of every answer the current / most recent
-    #: ``iter_search`` stream has not yielded yet.  Consumers use it for
-    #: sound early termination without requiring a fully sorted stream.
+    #: Always set: Blinks' streams are not score-sorted (see iter_search).
     stream_lower_bound: float = 0.0
 
     def iter_search(self, query: KeywordQuery, budget: Optional[Budget] = None):
@@ -385,25 +330,17 @@ class BlinksSearcher(GraphSearcher):
         that cursor's next depth — at least the minimum active depth.
         """
         self.stream_lower_bound = 0.0
-        cursors: Dict[str, _LazyBackwardCursor] = {}
+        algorithm = self.algorithm
+        cursors: Dict[str, _LevelCursor] = {}
         for keyword in query:
-            cursor = _LazyBackwardCursor(self.graph, self.index, keyword, self.d_max)
-            if not cursor.settled:
+            cursor = _LevelCursor(self.graph, self.index, keyword, algorithm.d_max)
+            if not cursor.dist:
                 self.stream_lower_bound = float("inf")
                 return
             cursors[keyword] = cursor
 
-        keywords = list(query.keywords)
+        keywords = query.keywords
         emitted: Set[int] = set()
-
-        def settled_everywhere(v: int) -> Optional[Dict[str, Tuple[int, int]]]:
-            info = {}
-            for kw in keywords:
-                entry = cursors[kw].settled.get(v)
-                if entry is None:
-                    return None
-                info[kw] = entry
-            return info
 
         while True:
             active = [kw for kw in keywords if not cursors[kw].exhausted]
@@ -412,31 +349,31 @@ class BlinksSearcher(GraphSearcher):
             # Round-robin: advance the cursor with the smallest depth
             # (ties by keyword order), the paper's expansion strategy.
             keyword = min(active, key=lambda kw: cursors[kw].depth)
-            cursor = cursors[keyword]
-            for vertex in cursor.take_level(budget):
+            for vertex in cursors[keyword].take_level(budget):
                 if vertex in emitted:
                     continue
-                info = settled_everywhere(vertex)
-                if info is not None:
+                distances: Dict[str, int] = {}
+                for kw in keywords:
+                    d = cursors[kw].dist.get(vertex)
+                    if d is None:
+                        break
+                    distances[kw] = d
+                else:  # settled by every cursor: an answer root
                     emitted.add(vertex)
-                    score = self.scr({kw: d for kw, (d, _) in info.items()})
-                    yield self._materialize(vertex, info, score)
+                    keyword_nodes = {
+                        kw: cursors[kw].origin[vertex] for kw in keywords
+                    }
+                    yield algorithm.answer_tree(
+                        self.graph, vertex, keyword_nodes, algorithm.scr(distances)
+                    )
             active_now = [c for c in cursors.values() if not c.exhausted]
             self.stream_lower_bound = (
                 min(c.depth for c in active_now) if active_now else float("inf")
             )
         self.stream_lower_bound = float("inf")
 
-    def _materialize(
-        self, root: int, info: Mapping[str, Tuple[int, int]], score: float
-    ) -> Answer:
-        keyword_nodes = {kw: origin for kw, (_, origin) in info.items()}
-        return _materialize_tree(
-            self.graph, root, keyword_nodes, score, self.d_max
-        )
 
-
-class Blinks(KeywordSearchAlgorithm):
+class Blinks(RootedTreeAlgorithm):
     """The ``rkws`` algorithm: Blinks ranked keyword search.
 
     Parameters
@@ -467,11 +404,9 @@ class Blinks(KeywordSearchAlgorithm):
     ) -> None:
         if index_kind not in ("bi-level", "single-level"):
             raise QueryError(f"unknown Blinks index kind: {index_kind!r}")
-        self.d_max = d_max
-        self.k = k
+        super().__init__(d_max, k, scr)
         self.index_kind = index_kind
         self.block_size = block_size
-        self.scr = scr
 
     def bind(self, graph: Graph) -> BlinksSearcher:
         """Build the configured index over ``graph`` and return a searcher."""
@@ -479,92 +414,4 @@ class Blinks(KeywordSearchAlgorithm):
             index = BlinksSingleLevelIndex(graph, self.d_max)
         else:
             index = BlinksBiLevelIndex(graph, self.d_max, self.block_size)
-        return BlinksSearcher(graph, index, self.d_max, self.k, self.scr)
-
-    def verify(
-        self,
-        graph: Graph,
-        keyword_nodes: Mapping[str, int],
-        query: KeywordQuery,
-        root: Optional[int] = None,
-    ) -> Optional[Answer]:
-        """Exact-check a root + keyword-node assignment on ``graph``."""
-        if root is None:
-            return None
-        targets = {}
-        for keyword in query:
-            node = keyword_nodes.get(keyword)
-            if node is None or graph.label(node) != keyword:
-                return None
-            targets[keyword] = node
-        found = _forward_distances_until(graph, root, set(targets.values()), self.d_max)
-        distances: Dict[str, int] = {}
-        for keyword, node in targets.items():
-            d = found.get(node)
-            if d is None:
-                return None
-            distances[keyword] = d
-        return _materialize_tree(
-            graph, root, dict(targets), self.scr(distances), self.d_max
-        )
-
-    def best_answer_for_root(
-        self, graph: Graph, root: int, query: KeywordQuery
-    ) -> Optional[Answer]:
-        """Minimal-score answer rooted at ``root`` (used by boost-rkws).
-
-        One forward BFS from the root that stops as soon as every keyword
-        has been seen (or ``d_max`` is reached), so verification of a good
-        candidate root touches a small ball.
-        """
-        found = nearest_labeled_forward(graph, root, set(query.keywords), self.d_max)
-        if found is None:
-            return None
-        distances = {kw: d for kw, (d, _) in found.items()}
-        keyword_nodes = {kw: v for kw, (_, v) in found.items()}
-        return _materialize_tree(
-            graph, root, keyword_nodes, self.scr(distances), self.d_max
-        )
-
-
-def _forward_distances_until(
-    graph: Graph, root: int, targets: Set[int], d_max: int
-) -> Dict[int, int]:
-    """Forward BFS from ``root``, stopping once every target is settled."""
-    out_neighbors = graph.csr().out_neighbors
-    dist: Dict[int, int] = {root: 0}
-    remaining = set(targets) - {root}
-    frontier = [root]
-    depth = 0
-    while frontier and remaining and depth < d_max:
-        next_frontier: List[int] = []
-        for v in frontier:
-            for w in out_neighbors(v):
-                if w not in dist:
-                    dist[w] = depth + 1
-                    remaining.discard(w)
-                    next_frontier.append(w)
-        frontier = next_frontier
-        depth += 1
-    return {t: dist[t] for t in targets if t in dist}
-
-
-def _materialize_tree(
-    graph: Graph,
-    root: int,
-    keyword_nodes: Dict[str, int],
-    score: float,
-    d_max: int,
-) -> Answer:
-    """Answer tree from root-to-keyword shortest paths."""
-    vertices: Set[int] = {root}
-    edges: Set[Tuple[int, int]] = set()
-    for node in keyword_nodes.values():
-        path = shortest_path(graph, root, node, max_depth=d_max)
-        if path is None:  # pragma: no cover - callers guarantee reachability
-            continue
-        vertices.update(path)
-        edges.update(zip(path, path[1:]))
-    return Answer.make(
-        keyword_nodes, score=score, root=root, vertices=vertices, edges=edges
-    )
+        return BlinksSearcher(graph, index, self)

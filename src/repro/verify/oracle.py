@@ -40,6 +40,7 @@ from repro.search.base import (
     Answer,
     KeywordQuery,
     KeywordSearchAlgorithm,
+    RootedTreeAlgorithm,
     top_k,
 )
 from repro.utils.errors import BigIndexError, QueryError
@@ -268,10 +269,10 @@ class DifferentialOracle:
         report = OracleReport()
         direct_all = self.direct_answers(algorithm, query)
         direct = top_k(direct_all, k)
-        rooted = hasattr(algorithm, "best_answer_for_root")
+        rooted = isinstance(algorithm, RootedTreeAlgorithm)
         # An algorithm-internal cutoff truncates both runs just like an
         # explicit k: answer sets may differ on ties, so compare scores.
-        effective_k = k if k is not None else getattr(algorithm, "k", None)
+        effective_k = k if k is not None else algorithm.k
         if layers is None:
             layers = range(1, self.index.num_layers + 1)
         for layer in layers:
@@ -326,7 +327,7 @@ class DifferentialOracle:
         for algorithm in algorithms:
             if generations_for is not None:
                 generations = generations_for(algorithm)
-            elif hasattr(algorithm, "best_answer_for_root"):
+            elif isinstance(algorithm, RootedTreeAlgorithm):
                 generations = ("root-verify", "vertex", "path")
             else:
                 generations = ("vertex",)

@@ -1,13 +1,17 @@
 """Tests for the bidirectional-search plug-in (genericity demonstration)."""
 
+import json
+
 import pytest
 
 from repro.core.cost import CostParams
 from repro.core.index import BiGIndex
 from repro.core.plugins import boost
+from repro.datasets.synthetic import synthetic_dataset
 from repro.search.banks import BackwardKeywordSearch
 from repro.search.base import KeywordQuery
 from repro.search.bidirectional import BidirectionalSearch
+from repro.serve.service import encode_answer
 from repro.utils.errors import QueryError
 
 EXACT = CostParams(exact=True)
@@ -41,6 +45,20 @@ class TestSemantics:
             for a in BidirectionalSearch(d_max=3, k=None).bind(g).search(query)
         }
         assert got == expected
+
+    def test_wire_identical_to_bkws(self):
+        """Forward-probed and frontier-settled roots share bkws' score type,
+        so one ranking never mixes ``"score": 1.0`` with ``"score": 1``."""
+        g, _ = synthetic_dataset("synt-1k", seed=0)
+        frequent = sorted(g.label_histogram().items(), key=lambda kv: (-kv[1], kv[0]))
+        query = KeywordQuery([label for label, _ in frequent[:2]])
+        bkws = BackwardKeywordSearch(d_max=3, k=None).bind(g).search(query)
+        bdws = BidirectionalSearch(d_max=3, k=None).bind(g).search(query)
+        assert len(bdws) > 100
+        assert {type(a.score) for a in bdws} == {type(bkws[0].score)}
+        assert json.dumps([encode_answer(a) for a in bdws]) == json.dumps(
+            [encode_answer(a) for a in bkws]
+        )
 
     def test_missing_keyword_returns_empty(self, random_graph_factory):
         g = random_graph_factory(seed=2)

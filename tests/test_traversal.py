@@ -5,11 +5,7 @@ import pytest
 from repro.graph.digraph import Graph
 from repro.graph.traversal import (
     bfs_distances,
-    bfs_layers,
-    bidirectional_distance,
     bounded_distance,
-    is_connected_subset,
-    pairwise_distances_within,
     reachable_within,
     shortest_path,
 )
@@ -69,16 +65,6 @@ class TestBfsDistances:
         assert bfs_distances(chain, []) == {}
 
 
-class TestBfsLayers:
-    def test_layers_group_by_depth(self, diamond):
-        layers = bfs_layers(diamond, 0)
-        assert layers == [[0], [1, 2], [3]]
-
-    def test_layers_respect_max_depth(self, chain):
-        layers = bfs_layers(chain, 0, max_depth=1)
-        assert layers == [[0], [1]]
-
-
 class TestReachability:
     def test_reachable_within_hops(self, chain):
         assert reachable_within(chain, 0, 2) == {0, 1, 2}
@@ -96,28 +82,6 @@ class TestReachability:
         assert bounded_distance(chain, 4, 0) is None
 
 
-class TestBidirectional:
-    def test_matches_one_sided_bfs(self, diamond):
-        assert bidirectional_distance(diamond, 0, 3) == 2
-
-    def test_self_distance_zero(self, chain):
-        assert bidirectional_distance(chain, 1, 1) == 0
-
-    def test_unreachable_returns_none(self, chain):
-        assert bidirectional_distance(chain, 4, 0) is None
-
-    def test_respects_max_depth(self, chain):
-        assert bidirectional_distance(chain, 0, 4, max_depth=3) is None
-        assert bidirectional_distance(chain, 0, 4, max_depth=4) == 4
-
-    def test_agrees_with_bfs_on_random_graph(self, random_graph_factory):
-        g = random_graph_factory(num_vertices=40, num_edges=120, seed=5)
-        for s in range(0, 40, 7):
-            for t in range(0, 40, 11):
-                expected = bounded_distance(g, s, t)
-                assert bidirectional_distance(g, s, t) == expected
-
-
 class TestShortestPath:
     def test_path_on_chain(self, chain):
         assert shortest_path(chain, 0, 3) == [0, 1, 2, 3]
@@ -133,21 +97,3 @@ class TestShortestPath:
 
     def test_path_respects_max_depth(self, chain):
         assert shortest_path(chain, 0, 4, max_depth=2) is None
-
-
-class TestConnectivityAndPairs:
-    def test_connected_subset(self, diamond):
-        assert is_connected_subset(diamond, [0, 1, 3])
-        assert is_connected_subset(diamond, [])
-
-    def test_disconnected_subset(self, chain):
-        assert not is_connected_subset(chain, [0, 4, 2][:2])
-
-    def test_pairwise_distances(self, diamond):
-        dists = pairwise_distances_within(diamond, [0, 3])
-        assert dists[(0, 3)] == 2
-        assert dists[(3, 0)] is None
-
-    def test_pairwise_respects_bound(self, chain):
-        dists = pairwise_distances_within(chain, [0, 4], max_depth=3)
-        assert dists[(0, 4)] is None
