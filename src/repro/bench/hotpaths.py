@@ -1,110 +1,94 @@
 """Pinned hot-path micro-suite and benchmark-regression gate.
 
-The three hot paths this PR optimized — partition refinement, CSR-backed
-search, and parallel index construction — each get a fixed, seeded
-workload here so their cost can be tracked as a number instead of a
-vibe.  ``repro-bigindex bench`` runs the suite and prints it;
-``repro-bigindex bench --check`` replays it against the committed
-baseline (``BENCH_hotpaths.json``) and exits non-zero when a timing
-regresses beyond the tolerance band, which is how CI catches an
-accidental de-optimization of a path no functional test times.
+``repro-bigindex bench`` runs a fixed, seeded workload over the kernels
+no end-to-end workload isolates; ``bench --check`` replays it against the
+committed baseline (``BENCH_hotpaths.json``) and exits non-zero on a
+regression.  The gate keeps the three kinds of number one run can decide:
 
-Suite (full mode)
------------------
-* ``refine.<graph>`` — ``maximal_bisimulation`` on every graph of the
-  differential-verification corpus plus ``synt-2k``; best of ``repeats``
-  runs.  ``synt-deep-3k`` is the depth-stress case where the worklist
-  algorithm's asymptotic advantage shows.
-* ``search.<algo>`` — the four plugged searchers over the seeded probe
-  queries on ``synt-1k``; best-of-``repeats`` wall-clock without a
-  budget, plus a second budgeted pass recording the exact node-expansion
-  count, which is machine-independent.
-* ``build.synt-1k`` — a 2-layer ``BiGIndex.build``, serial and with a
-  worker pool; best of two runs.
-* ``shard.build.synt-100k`` — the sharded build over the
-  community-structured 100k-vertex dataset: plan once, then build the 4
-  shards + portal zone serially and with 4 worker processes.  Digests
-  must match (worker count can never change the index) and the
-  serial/parallel ratio is gated at ``SHARD_SPEEDUP_FLOOR`` on hosts
-  with >= ``SHARD_SPEEDUP_MIN_CPUS`` cores.
-* ``shard.query.synt-1k`` — scatter-gather top-k through
-  ``ShardedEvaluator`` over a 4-shard synt-1k; every probe answer is
-  byte-checked against the monolithic evaluator before timing.
-* ``persist.save.*`` / ``persist.load.cold.*`` — round-trip the query
-  index through the v4 mmap container.  Cold loads include full
-  manifest verification (every section hashed), so the numbers are
-  what a process restart actually pays.  The load's resident-set delta
-  is recorded as evidence, not gated (RSS is machine-bound).
-* ``serve.coldstart`` — restart-to-first-answer: load the v4 index from
-  disk, bind a boosted searcher, and answer the first probe query.  Its
-  answer count is exact-gated.
-* ``obs.serve.overhead`` — the serve.qps workload twice: once with all
-  request observability off (no access log, no flight recorder, no SLO
-  window) and once fully lit.  The on/off ratio is gated at
-  ``OBS_OVERHEAD_LIMIT`` (2%) against the run's *own* pair, so the gate
-  is machine-independent; answer totals are exact-gated.
-* ``query.cold`` / ``query.warm`` / ``query.batch`` — the full boosted
-  query path (``eval_Ont`` via ``boost-bkws``) over the probe queries on
-  a 2-layer index: cold drops every cache (CSR, postings, ``Gen``/
-  ``Spec`` memos, result cache) and rebinds the searchers per repeat;
-  warm reuses a long-lived evaluator so repeats are served from the
-  query-result cache; batch runs the workload (queries x 4) through
-  ``evaluate_many``.  The answer totals are gated exactly — the caches
-  must never change what a query returns.
+* **exact** work counts (blocks, expansions, answers, layer sizes, cut
+  edges, the ``counters.*`` telemetry blocks), compared for equality;
+* **reference-speed timings** (``*.ref_seconds``) of single-threaded
+  in-process kernels — refinement, the four searchers, batched
+  evaluation, shard planning — at 25% plus an absolute slack;
+* **same-run ratios** — observability on/off over one serve workload,
+  serial/parallel sharded build — which divide two arms of the same run
+  and need no baseline at all.
 
-Cross-machine gating
---------------------
-Wall-clock baselines are machine-bound, so the gate normalizes: each run
-also times a fixed pure-Python calibration kernel, and the comparison
-scales the baseline's timings by the ratio of calibration times before
-applying the tolerance.  A CI runner 2x slower than the machine that
-blessed the baseline therefore gets a 2x allowance — the gate measures
-*the code*, not the hardware.  Deterministic metrics (block counts,
-expansion counts, layer sizes) must match exactly, unscaled.
+Multi-threaded socket wall clocks (``serve.read.*``, the two
+``obs.serve.overhead`` arms, ``shard.query``) and both arms of the
+sharded build (one is multi-process, the other runs for ten-odd seconds,
+which kernel readings at its two ends do not describe) are *recorded*
+under plain ``.seconds`` keys and never compared with a committed
+absolute.  What ``benchmarks/e2e --trace 1`` already measures on the real
+CLI path — persistence, cold start, cold/warm query latency, serve and
+writer throughput, the monolithic build — is not timed here; the passes
+behind their *exact* companions (``query.*.answers``,
+``serve.qps.warm.answers``, ``build.synt-1k.layer_sizes``) still run.
+
+Host speed on a shared guest wanders by tens of percent over seconds, so
+a raw wall clock compared with one from another session measures the
+host.  :func:`reference_seconds` uses the end-to-end benchmark's method
+instead — a frozen allocation-free kernel read beside every timed repeat
+— and :func:`run_suite` pins the process to one CPU, the only place the
+kernel samples the speed the timed code just ran at.  Run it under
+``PYTHONHASHSEED=0`` (CI does) so dict and set layouts repeat.
 """
 
 from __future__ import annotations
 
-import json
+import gc
+import os
 import platform
-import random
+import tempfile
 import threading
 from concurrent.futures import ThreadPoolExecutor
-from typing import Callable, Dict, List, Optional, Tuple
+from contextlib import contextmanager
+from typing import Callable, Dict, FrozenSet, Iterable, Iterator, List
+from typing import NamedTuple, Optional, Tuple
 
 from repro.bisim.refinement import BisimDirection, maximal_bisimulation
 from repro.core.cost import CostParams
+from repro.core.evaluator import HierarchicalEvaluator
 from repro.core.index import BiGIndex
+from repro.core.plugins import boost
+from repro.core.sharding import ShardedEvaluator, build_sharded, plan_shards
 from repro.datasets.synthetic import (
     deep_dataset,
     synthetic_dataset,
     verification_corpus,
 )
-from repro.core.plugins import boost
+from repro.obs.reqlog import RequestLog
 from repro.obs.runtime import instrumented
 from repro.search.banks import BackwardKeywordSearch
-from repro.search.base import KeywordSearchAlgorithm
+from repro.search.base import KeywordQuery, KeywordSearchAlgorithm
 from repro.search.bidirectional import BidirectionalSearch
 from repro.search.blinks import Blinks
 from repro.search.rclique import RClique
 from repro.serve.client import ServeClient
 from repro.serve.lifecycle import EngineRuntime
 from repro.serve.server import serve_in_thread
-from repro.serve.service import QueryService
+from repro.serve.service import QueryService, ServerConfig
 from repro.utils.budget import Budget
 from repro.utils.timers import monotonic_now
 from repro.verify.runner import probe_queries
 
-#: Metric dictionary: flat ``"group.case.metric" -> value``.  Values are
-#: floats (seconds), ints (counts), or lists of ints (layer sizes).
+#: Flat ``"group.case.metric" -> value``: floats (seconds), ints (counts),
+#: int lists (layer sizes) or the ``counters.*`` ``{counter: count}`` dicts.
 Metrics = Dict[str, object]
+
+#: Relative drift a ``.ref_seconds`` entry may show against the baseline.
+REF_TOLERANCE = 0.25
 
 #: Absolute slack added on top of the relative tolerance so sub-millisecond
 #: entries (toy graphs) don't trip the gate on scheduler noise.
 ABS_SLACK_SECONDS = 0.005
 
-#: Keys gated for exact equality (machine-independent determinism).
-EXACT_SUFFIXES = (".blocks", ".expansions", ".layer_sizes", ".answers")
+#: Keys gated for exact equality (machine-independent determinism); the
+#: ``counters.*`` telemetry blocks are exact-gated too.
+EXACT_SUFFIXES = (
+    ".blocks", ".expansions", ".layer_sizes", ".answers", ".cut_edges",
+    ".zone_vertices",
+)
 
 #: Ceiling on ``obs.serve.overhead.ratio`` — serving with full
 #: observability on (access log, slow-query log, flight recorder, SLO
@@ -128,165 +112,219 @@ SHARD_SPEEDUP_FLOOR = 2.0
 #: how parallel the build is, so there the ratio is recorded, not gated.
 SHARD_SPEEDUP_MIN_CPUS = 4
 
-
-def machine_info() -> Dict[str, object]:
-    """Where a measurement was taken (recorded, never compared)."""
-    import os
-
-    return {
-        "platform": platform.platform(),
-        "python": platform.python_version(),
-        "cpus": os.cpu_count(),
-    }
+#: Concurrent ``ServeClient`` connections in every serve pass.
+SERVE_THREADS = 4
 
 
-def peak_rss_kib() -> Optional[int]:
-    """Peak resident set size of this process in KiB (None off-Linux)."""
-    try:
-        import resource
-    except ImportError:  # pragma: no cover - non-Unix
-        return None
-    return int(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
+# ----------------------------------------------------------------------
+# The clock: reference seconds on one pinned CPU
+# ----------------------------------------------------------------------
+#: :func:`kernel`'s lower-decile time on the reference host — the frozen
+#: ``CAL_REF_MS = 0.55`` of ``benchmarks/e2e/calib.py``, in seconds.
+#: Changing it rescales every ``.ref_seconds`` entry; do not re-measure
+#: it per run.
+CAL_REF_SECONDS = 0.55e-3
+
+_KERNEL_DATA = [(i * 2654435761) & 0xFFFFFFFF for i in range(3000)]
+_KERNEL_SLOTS = {i: 0 for i in range(1024)}
 
 
-def current_rss_kib() -> Optional[int]:
-    """Resident set size *right now* in KiB (None off-Linux).
-
-    Unlike :func:`peak_rss_kib` this can go down, so deltas across a
-    single operation are meaningful — e.g. how much resident memory a
-    cold index load actually faults in.
+def kernel() -> int:
+    """Integer hash-mix over a fixed list into a fixed dict: a copy of
+    ``benchmarks/e2e/calib.kernel`` (``benchmarks/`` is not importable
+    from the installed package).  Deliberately *not* repro code — gating
+    repro code against itself would hide uniform slowdowns — and
+    allocation-free, so it neither triggers nor absorbs a collection.
     """
-    import os
-
-    try:
-        with open("/proc/self/statm", "r", encoding="ascii") as handle:
-            pages = int(handle.read().split()[1])
-    except (OSError, ValueError, IndexError):  # pragma: no cover
-        return None
-    return pages * os.sysconf("SC_PAGESIZE") // 1024
+    slots = _KERNEL_SLOTS
+    acc = 0
+    for x in _KERNEL_DATA:
+        acc = ((acc ^ x) * 2246822519) & 0xFFFFFFFF
+        slots[acc & 1023] = acc
+    return acc
 
 
-def calibration_seconds(repeats: int = 3) -> float:
-    """A fixed pure-Python kernel timing interpreter+machine speed.
+def _wall(fn: Callable[[], object]) -> Tuple[float, object]:
+    """(wall-clock seconds, result) of one call."""
+    start = monotonic_now()
+    result = fn()
+    return monotonic_now() - start, result
 
-    Deliberately *not* repro code (gating repro code against itself would
-    hide uniform slowdowns): signature-shaped dict/tuple churn over fixed
-    pseudo-random data, best of ``repeats``.
+
+def _kernel_reading() -> float:
+    """The host's speed right now: best of three back-to-back kernel runs.
+    The first run after timed code finds the kernel's data evicted from
+    the caches and reads up to 1.5x slow; a slow reading makes the repeat
+    beside it look fast, and a minimum over repeats would keep it.
     """
-    rng = random.Random(0)
-    data = [
-        [rng.randrange(200) for _ in range(8)] for _ in range(2000)
+    return min(_wall(kernel)[0] for _ in range(3))
+
+
+class Timing(NamedTuple):
+    """Best repeat of one timed callable."""
+
+    ref: float  #: seconds at reference speed (gated as ``.ref_seconds``)
+    wall: float  #: raw wall-clock seconds (recorded as ``.seconds``)
+    result: object  #: the last call's return value
+
+
+def reference_seconds(fn: Callable[[], object], repeats: int) -> Timing:
+    """Time ``fn`` ``repeats`` times beside the calibration kernel.
+
+    Each repeat's wall clock is divided by the mean of the kernel
+    readings taken immediately before and after it and multiplied by
+    ``CAL_REF_SECONDS``; both timings returned are minima over repeats.
+    """
+    refs: List[float] = []
+    walls: List[float] = []
+    before = _kernel_reading()
+    for _ in range(repeats):
+        wall, result = _wall(fn)
+        after = _kernel_reading()
+        walls.append(wall)
+        refs.append(wall / ((before + after) / 2.0) * CAL_REF_SECONDS)
+        before = after
+    return Timing(min(refs), min(walls), result)
+
+
+def available_cpus() -> FrozenSet[int]:
+    """The CPUs this process may run on (all of them off-Linux)."""
+    if hasattr(os, "sched_getaffinity"):
+        return frozenset(os.sched_getaffinity(0))
+    return frozenset(range(os.cpu_count() or 1))
+
+
+@contextmanager
+def cpu_affinity(cpus: Iterable[int]) -> Iterator[None]:
+    """Run the body on ``cpus`` (child processes inherit them), then
+    restore the caller's affinity; a no-op without ``sched_setaffinity``.
+    """
+    if not hasattr(os, "sched_setaffinity"):
+        yield
+        return
+    original = os.sched_getaffinity(0)
+    os.sched_setaffinity(0, cpus)
+    try:
+        yield
+    finally:
+        os.sched_setaffinity(0, original)
+
+
+# ----------------------------------------------------------------------
+# The shared fixture
+# ----------------------------------------------------------------------
+class Fixture:
+    """What the sections share; nothing else crosses between them."""
+
+    def __init__(self, quick: bool, seed: int) -> None:
+        self.quick = quick
+        self.seed = seed
+        self.cpus = available_cpus()  #: before run_suite pins to one
+        #: The search / query graph: synt-1k (quick: the first toy graph).
+        if quick:
+            _, self.graph, self.ontology = verification_corpus(True, seed)[0]
+            cost_params = CostParams(exact=True)
+        else:
+            self.graph, self.ontology = synthetic_dataset("synt-1k", seed=seed)
+            cost_params = CostParams(num_samples=25)
+        self.queries = probe_queries(self.graph)
+        #: The 2-layer index every query and serve section evaluates on.
+        self.index = BiGIndex.build(
+            self.graph.copy(share_label_table=True),
+            self.ontology,
+            num_layers=2,
+            cost_params=cost_params,
+        )
+        #: Answers one uncached in-process pass over ``queries`` returns —
+        #: the count every cached, batched, served or logged pass must match.
+        self.answers_per_pass = _answers(_boosted(self.index), self.queries)
+
+
+def _boosted(index: BiGIndex):
+    return boost(
+        BackwardKeywordSearch(d_max=3, k=10), index, allow_layer_zero=True
+    )
+
+
+def _serve_evaluator(index: BiGIndex) -> HierarchicalEvaluator:
+    return _boosted(index).evaluator
+
+
+def _answers(boosted, queries: List[KeywordQuery]) -> int:
+    return sum(
+        len(boosted.evaluate_resilient(query).answers) for query in queries
+    )
+
+
+def _expect_answers(what: str, answers: int, expected: int) -> None:
+    """Caches, concurrency and logging must never change the answers."""
+    if answers != expected:
+        raise AssertionError(
+            f"{what} changed the answers: {answers} != {expected}"
+        )
+
+
+# ----------------------------------------------------------------------
+# Sections: each takes (fixture, repeats) and returns its own metrics
+# ----------------------------------------------------------------------
+def section_refine(fixture: Fixture, repeats: int) -> Metrics:
+    """``refine.<graph>`` — ``maximal_bisimulation`` over the verification
+    corpus (plus ``synt-2k`` and ``synt-deep-1k`` in full mode; the
+    ``synt-deep-*`` depth stressors are where the worklist algorithm's
+    asymptotic advantage shows).  The counter block comes from one extra
+    metrics-only pass, so collecting it can never pollute the timing.
+    """
+    seed = fixture.seed
+    cases = [
+        (name, graph)
+        for name, graph, _ in verification_corpus(fixture.quick, seed)
     ]
-    best = None
-    for _ in range(repeats):
-        start = monotonic_now()
-        acc: Dict[Tuple[int, ...], int] = {}
-        for row in data:
-            key = tuple(sorted(set(row)))
-            acc[key] = acc.get(key, 0) + 1
-        elapsed = monotonic_now() - start
-        best = elapsed if best is None else min(best, elapsed)
-    return best
-
-
-def _best_of(fn: Callable[[], object], repeats: int) -> Tuple[float, object]:
-    """(best wall-clock, last result) over ``repeats`` calls."""
-    best = None
-    result: object = None
-    for _ in range(repeats):
-        start = monotonic_now()
-        result = fn()
-        elapsed = monotonic_now() - start
-        best = elapsed if best is None else min(best, elapsed)
-    return best, result
-
-
-def _refine_counters(graph) -> Dict[str, int]:
-    """One metrics-only refinement pass: the telemetry counters.
-
-    Runs outside the timed loop so counter collection can never pollute
-    the wall-clock metric; the counts themselves are deterministic.
-    """
-    with instrumented(trace=False) as inst:
-        maximal_bisimulation(graph, BisimDirection.SUCCESSORS)
-    return inst.metrics.counters()
-
-
-def _search_algorithms(d_max: int = 3, k: int = 10) -> Dict[str, KeywordSearchAlgorithm]:
-    return {
-        "bkws": BackwardKeywordSearch(d_max=d_max, k=k),
-        "bdws": BidirectionalSearch(d_max=d_max, k=k),
-        "blinks": Blinks(d_max=d_max, k=k),
-        "r-clique": RClique(radius=2, k=k),
-    }
-
-
-def run_suite(
-    quick: bool = False,
-    seed: int = 0,
-    workers: int = 4,
-    repeats: int = 3,
-) -> Metrics:
-    """Run the pinned micro-suite and return its flat metric dict.
-
-    ``quick`` restricts to the toy corpus and skips the index build —
-    a smoke-sized subset for tests; its numbers are not comparable to a
-    full-mode baseline (:func:`compare` refuses to mix modes).
-    """
-    metrics: Metrics = {"mode": "quick" if quick else "full"}
-    metrics["calibration.seconds"] = calibration_seconds(repeats)
-
-    # --- refinement over the verification corpus -----------------------
-    for name, graph, _ontology in verification_corpus(quick=quick, seed=seed):
-        elapsed, blocks = _best_of(
+    if not fixture.quick:
+        cases.append(("synt-2k", synthetic_dataset("synt-2k", seed=seed)[0]))
+        cases.append(("synt-deep-1k", deep_dataset("synt-deep-1k", seed=seed)[0]))
+    metrics: Metrics = {}
+    for name, graph in cases:
+        timing = reference_seconds(
             lambda g=graph: maximal_bisimulation(g, BisimDirection.SUCCESSORS),
             repeats,
         )
-        metrics[f"refine.{name}.seconds"] = elapsed
-        metrics[f"refine.{name}.blocks"] = len(set(blocks))
-        metrics[f"counters.refine.{name}"] = _refine_counters(graph)
+        metrics[f"refine.{name}.ref_seconds"] = timing.ref
+        metrics[f"refine.{name}.blocks"] = len(set(timing.result))
+        with instrumented(trace=False) as inst:
+            maximal_bisimulation(graph, BisimDirection.SUCCESSORS)
+        metrics[f"counters.refine.{name}"] = inst.metrics.counters()
+    return metrics
 
-    if not quick:
-        extra = [("synt-2k", synthetic_dataset("synt-2k", seed=seed)[0])]
-        # synt-deep-1k: the smaller depth-stress case (synt-deep-3k is
-        # already in the verification corpus).
-        extra.append(("synt-deep-1k", deep_dataset("synt-deep-1k", seed=seed)[0]))
-        for name, extra_graph in extra:
-            elapsed, blocks = _best_of(
-                lambda g=extra_graph: maximal_bisimulation(
-                    g, BisimDirection.SUCCESSORS
-                ),
-                repeats,
-            )
-            metrics[f"refine.{name}.seconds"] = elapsed
-            metrics[f"refine.{name}.blocks"] = len(set(blocks))
-            metrics[f"counters.refine.{name}"] = _refine_counters(extra_graph)
 
-    # --- seed search: the four plugged algorithms ----------------------
-    if quick:
-        corpus = verification_corpus(quick=True, seed=seed)
-        search_graph = corpus[0][1]
-    else:
-        search_graph, ontology = synthetic_dataset("synt-1k", seed=seed)
-    queries = probe_queries(search_graph)
-    for name, algorithm in _search_algorithms().items():
-        searcher = algorithm.bind(search_graph)
+def section_search(fixture: Fixture, repeats: int) -> Metrics:
+    """``search.<algo>`` — the four plugged searchers over the probe
+    queries, unbudgeted for the timing, then budgeted for the counts."""
+    algorithms: Dict[str, KeywordSearchAlgorithm] = {
+        "bkws": BackwardKeywordSearch(d_max=3, k=10),
+        "bdws": BidirectionalSearch(d_max=3, k=10),
+        "blinks": Blinks(d_max=3, k=10),
+        "r-clique": RClique(radius=2, k=10),
+    }
+    metrics: Metrics = {}
+    for name, algorithm in algorithms.items():
+        searcher = algorithm.bind(fixture.graph)
 
         def run_queries(s=searcher):
-            for query in queries:
+            for query in fixture.queries:
                 s.search(query)
 
-        elapsed, _ = _best_of(run_queries, repeats)
-        metrics[f"search.{name}.seconds"] = elapsed
+        metrics[f"search.{name}.ref_seconds"] = reference_seconds(
+            run_queries, repeats
+        ).ref
         # Second, budgeted pass: exact expansion counts (deterministic
         # across machines; timed separately so charge overhead doesn't
-        # pollute the wall-clock metric).  Running it under metrics-only
+        # pollute the timing).  Running it under metrics-only
         # instrumentation doubles as the accounting cross-check: the
         # telemetry counter and the budget ledger observe the same
         # charge_expansions() increments, so any drift is a bug.
         budget = Budget()
         with instrumented(trace=False) as inst:
-            for query in queries:
+            for query in fixture.queries:
                 searcher.search(query, budget=budget)
         metrics[f"search.{name}.expansions"] = budget.expansions
         counted = inst.metrics.counter("search.expansions")
@@ -296,542 +334,335 @@ def run_suite(
                 f"counted {counted}, budget charged {budget.expansions}"
             )
         metrics[f"counters.search.{name}"] = inst.metrics.counters()
+    return metrics
 
-    # --- full index build ----------------------------------------------
-    if not quick:
-        build_repeats = min(2, repeats)
-        elapsed, index = _best_of(
-            lambda: BiGIndex.build(
-                search_graph.copy(share_label_table=True),
-                ontology,
-                num_layers=2,
-                cost_params=CostParams(num_samples=25),
-            ),
-            build_repeats,
-        )
-        metrics["build.synt-1k.serial.seconds"] = elapsed
-        metrics["build.synt-1k.layer_sizes"] = index.layer_sizes()
 
-        elapsed, parallel_index = _best_of(
-            lambda: BiGIndex.build(
-                search_graph.copy(share_label_table=True),
-                ontology,
-                num_layers=2,
-                cost_params=CostParams(num_samples=25),
-                workers=workers,
-            ),
-            build_repeats,
-        )
-        metrics["build.synt-1k.parallel.seconds"] = elapsed
-        metrics["build.synt-1k.parallel.workers"] = workers
-        if parallel_index.layer_sizes() != index.layer_sizes():
-            raise AssertionError(
-                "parallel build diverged from serial: "
-                f"{parallel_index.layer_sizes()} != {index.layer_sizes()}"
+def section_build(fixture: Fixture, repeats: int) -> Metrics:
+    """``build.synt-1k.layer_sizes`` — what Algorithm 1 built for the
+    fixture (full mode).  Untimed: its clock is ``build.total_s`` on the
+    end-to-end ``build-load`` workload."""
+    if fixture.quick:
+        return {}
+    return {"build.synt-1k.layer_sizes": fixture.index.layer_sizes()}
+
+
+def section_shard(fixture: Fixture, repeats: int) -> Metrics:
+    """``shard.build.synt-100k`` and ``shard.query.synt-1k`` (full mode).
+
+    The headline sharding claim: K per-shard builds in separate
+    processes finish faster than the same K builds run serially.
+    synt-100k is the community-structured locality dataset grown for
+    exactly this measurement (small cut => small portal zone); it is
+    planned once so both arms time pure construction, and both arms
+    build into a directory because that is the path that has a worker
+    pool.  Digest equality between the arms is the determinism gate —
+    worker count must never change the built index; compare() holds the
+    ratio to the CPU-conditional ``SHARD_SPEEDUP_FLOOR``.
+    """
+    if fixture.quick:
+        return {}
+    graph, ontology = synthetic_dataset("synt-100k", seed=fixture.seed)
+    build_kwargs = dict(num_layers=2, cost_params=CostParams(num_samples=25))
+    planning = reference_seconds(
+        lambda: plan_shards(graph, 4, halo_radius=6), repeats
+    )
+    plan = planning.result
+    workers = min(4, len(fixture.cpus))
+    with tempfile.TemporaryDirectory(prefix="bench-shard-") as tmp:
+
+        def build_arm(arm: str, arm_workers: int):
+            return build_sharded(
+                graph.copy(share_label_table=True), ontology, 4,
+                halo_radius=6, plan=plan, workers=arm_workers,
+                directory=os.path.join(tmp, arm), **build_kwargs,
             )
 
-    # --- sharded build: per-shard processes vs serial --------------------
-    # The headline sharding claim: K per-shard builds in separate
-    # processes finish ~K/ (K/cpus) faster than the same K builds run
-    # serially.  synt-100k is the community-structured locality dataset
-    # grown for exactly this measurement (small cut => small portal
-    # zone); it is planned once so both arms time pure construction.
-    # Digest equality between the arms is the determinism gate — worker
-    # count must never change the built index.  The >= 2x speedup floor
-    # is enforced by compare(), but only when the measuring host has
-    # >= SHARD_SPEEDUP_MIN_CPUS cores (a single-CPU box cannot show a
-    # wall-clock win no matter how parallel the build is).
-    if not quick:
-        import os as _shard_os
-
-        from repro.core.sharding import (
-            ShardedEvaluator,
-            build_sharded,
-            plan_shards,
-        )
-
-        shard_graph, shard_ontology = synthetic_dataset(
-            "synt-100k", seed=seed
-        )
-        shard_kwargs = dict(
-            num_layers=2, cost_params=CostParams(num_samples=25)
-        )
-        plan_elapsed, shard_plan = _best_of(
-            lambda: plan_shards(shard_graph, 4, halo_radius=6), 1
-        )
-        metrics["shard.build.synt-100k.plan.seconds"] = plan_elapsed
-        metrics["shard.build.synt-100k.cut_edges"] = len(
-            shard_plan.cut_edges
-        )
-        metrics["shard.build.synt-100k.zone_vertices"] = len(
-            shard_plan.zone_vertices
-        )
-        serial_elapsed, serial_sharded = _best_of(
-            lambda: build_sharded(
-                shard_graph.copy(share_label_table=True),
-                shard_ontology,
-                4,
-                halo_radius=6,
-                plan=shard_plan,
-                workers=1,
-                **shard_kwargs,
-            ),
-            1,
-        )
-        shard_workers = max(workers, 4)
-        par_elapsed, par_sharded = _best_of(
-            lambda: build_sharded(
-                shard_graph.copy(share_label_table=True),
-                shard_ontology,
-                4,
-                halo_radius=6,
-                plan=shard_plan,
-                workers=shard_workers,
-                **shard_kwargs,
-            ),
-            1,
-        )
-        if par_sharded.state_digest() != serial_sharded.state_digest():
+        serial = reference_seconds(lambda: build_arm("serial", 1), 1)
+        # The worker processes inherit the affinity in force when the
+        # pool starts: lift the one-CPU pin for this arm only.
+        with cpu_affinity(fixture.cpus):
+            parallel = reference_seconds(
+                lambda: build_arm("parallel", workers), 1
+            )
+        if parallel.result.state_digest() != serial.result.state_digest():
             raise AssertionError(
                 "sharded build is worker-count dependent: parallel and "
                 "serial digests differ"
             )
-        metrics["shard.build.synt-100k.serial.seconds"] = serial_elapsed
-        metrics["shard.build.synt-100k.parallel.seconds"] = par_elapsed
-        metrics["shard.build.synt-100k.parallel.workers"] = shard_workers
-        metrics["shard.build.synt-100k.layer_sizes"] = (
-            serial_sharded.layer_sizes()
+        layer_sizes = serial.result.layer_sizes()
+
+    # Scatter-gather top-k through ShardedEvaluator over a 4-shard
+    # synt-1k; every answer is byte-checked against the monolithic
+    # hierarchy before timing (the exactness claim the shard drill gates
+    # in verify, re-asserted on the bench corpus).
+    sharded = build_sharded(
+        fixture.graph.copy(share_label_table=True), fixture.ontology, 4,
+        halo_radius=6, workers=1, **build_kwargs,
+    )
+    algorithm = BackwardKeywordSearch(d_max=3, k=10)
+    shard_eval = ShardedEvaluator(sharded, algorithm)
+    mono_eval = HierarchicalEvaluator(
+        fixture.index, algorithm, allow_layer_zero=True
+    )
+    for query in fixture.queries:
+        ours, theirs = (
+            [(a.score, a.signature()) for a in e.evaluate(query).answers]
+            for e in (shard_eval, mono_eval)
         )
-        metrics["shard.build.synt-100k.host_cpus"] = (
-            _shard_os.cpu_count() or 1
-        )
-        if par_elapsed > 0:
-            metrics["shard.build.synt-100k.speedup"] = round(
-                serial_elapsed / par_elapsed, 2
+        if ours != theirs:
+            raise AssertionError(
+                f"scatter-gather diverged from monolithic on "
+                f"{list(query.keywords)}: {ours!r} != {theirs!r}"
             )
+    scatter = reference_seconds(
+        lambda: sum(
+            len(shard_eval.evaluate(query).answers)
+            for query in fixture.queries
+        ),
+        repeats,
+    )
+    return {
+        "shard.build.synt-100k.plan.ref_seconds": planning.ref,
+        "shard.build.synt-100k.cut_edges": len(plan.cut_edges),
+        "shard.build.synt-100k.zone_vertices": len(plan.zone_vertices),
+        "shard.build.synt-100k.serial.seconds": serial.wall,
+        "shard.build.synt-100k.parallel.seconds": parallel.wall,
+        "shard.build.synt-100k.parallel.workers": workers,
+        "shard.build.synt-100k.layer_sizes": layer_sizes,
+        "shard.build.synt-100k.host_cpus": len(fixture.cpus),
+        "shard.build.synt-100k.speedup": round(serial.wall / parallel.wall, 2),
+        "shard.query.synt-1k.seconds": scatter.wall,
+        "shard.query.synt-1k.answers": scatter.result,
+        "shard.query.synt-1k.shards": sharded.num_shards,
+        "shard.query.synt-1k.cut_edges": sharded.cut_edge_count(),
+    }
 
-        # --- scatter-gather query path vs the monolithic evaluator ------
-        # Same probe workload as query.* but through ShardedEvaluator
-        # over a 4-shard synt-1k; every answer is byte-checked against
-        # the monolithic hierarchy (the exactness claim the shard drill
-        # gates in verify, re-asserted on the bench corpus).
-        from repro.core.evaluator import HierarchicalEvaluator
 
-        query_sharded = build_sharded(
-            search_graph.copy(share_label_table=True),
-            ontology,
-            4,
-            halo_radius=6,
-            workers=1,
-            **shard_kwargs,
-        )
-        shard_algorithm = BackwardKeywordSearch(d_max=3, k=10)
-        shard_eval = ShardedEvaluator(query_sharded, shard_algorithm)
-        mono_index = BiGIndex.build(
-            search_graph.copy(share_label_table=True),
-            ontology,
-            **shard_kwargs,
-        )
-        mono_eval = HierarchicalEvaluator(
-            mono_index, shard_algorithm, allow_layer_zero=True
-        )
-        for query in queries:
-            ours = [
-                (a.score, a.signature())
-                for a in shard_eval.evaluate(query).answers
-            ]
-            theirs = [
-                (a.score, a.signature())
-                for a in mono_eval.evaluate(query).answers
-            ]
-            if ours != theirs:
-                raise AssertionError(
-                    f"scatter-gather diverged from monolithic on "
-                    f"{list(query.keywords)}: {ours!r} != {theirs!r}"
-                )
+def section_query(fixture: Fixture, repeats: int) -> Metrics:
+    """``query.cold`` / ``query.warm`` / ``query.batch`` — the boosted
+    query path (``eval_Ont`` via ``boost-bkws``) on the 2-layer index.
 
-        def run_scatter() -> int:
-            return sum(
-                len(shard_eval.evaluate(query).answers)
-                for query in queries
-            )
+    Cold drops every cache (CSR, postings, ``Gen``/``Spec`` memos, result
+    cache) and rebinds the searchers; warm repeats the workload on one
+    evaluator so the second pass is served from the result cache; batch
+    runs the workload (queries x 4) through ``evaluate_many``.  Only the
+    batch is timed (cold and warm latency are ``eval.total_ms`` and
+    ``serve-hot`` ``p50_ms`` end to end); all three totals are exact.
+    """
+    index = fixture.index
 
-        elapsed, scatter_answers = _best_of(run_scatter, repeats)
-        metrics["shard.query.synt-1k.seconds"] = elapsed
-        metrics["shard.query.synt-1k.answers"] = scatter_answers
-        metrics["shard.query.synt-1k.shards"] = query_sharded.num_shards
-        metrics["shard.query.synt-1k.cut_edges"] = (
-            query_sharded.cut_edge_count()
-        )
-
-        # The synt-100k locales are millions of heap objects; if they
-        # stay reachable, every gen-2 GC pass during the serve sections
-        # below traverses them and the reader p99s measure garbage
-        # collection instead of the server.
-        import gc as _shard_gc
-
-        del shard_graph, shard_ontology, shard_plan
-        del serial_sharded, par_sharded
-        del query_sharded, shard_eval, mono_index, mono_eval
-        _shard_gc.collect()
-
-    # --- query serving: cold vs warm vs batched -------------------------
-    if quick:
-        qindex = BiGIndex.build(
-            search_graph.copy(share_label_table=True),
-            corpus[0][2],
-            num_layers=2,
-            cost_params=CostParams(exact=True),
-        )
-    else:
-        qindex = index  # reuse the serial build from the section above
-
-    def _drop_query_caches() -> None:
+    def drop_caches() -> None:
         """Everything lazily derived: CSR views, postings, memos, results."""
-        qindex.drop_caches()
-        qindex.base_graph.drop_caches()
-        for layer in qindex.layers:
+        index.drop_caches()
+        index.base_graph.drop_caches()
+        for layer in index.layers:
             layer.graph.drop_caches()
 
-    def _boosted():
-        return boost(
-            BackwardKeywordSearch(d_max=3, k=10),
-            qindex,
-            allow_layer_zero=True,
-        )
-
-    def run_cold() -> int:
-        _drop_query_caches()
-        boosted = _boosted()
-        return sum(
-            len(boosted.evaluate_resilient(query).answers)
-            for query in queries
-        )
-
-    elapsed, cold_answers = _best_of(run_cold, repeats)
-    metrics["query.cold.seconds"] = elapsed
-    metrics["query.cold.answers"] = cold_answers
-
-    warm_boosted = _boosted()
-
-    def run_warm() -> int:
-        return sum(
-            len(warm_boosted.evaluate_resilient(query).answers)
-            for query in queries
-        )
-
-    populate_answers = run_warm()  # fill the result cache, untimed
-    elapsed, warm_answers = _best_of(run_warm, repeats)
-    for label, answers in (("populate", populate_answers),
-                           ("warm", warm_answers)):
-        if answers != cold_answers:
-            raise AssertionError(
-                f"query caching changed the answers: {label} run returned "
-                f"{answers}, cold returned {cold_answers}"
-            )
-    metrics["query.warm.seconds"] = elapsed
-    metrics["query.warm.answers"] = warm_answers
-    if elapsed > 0:
-        metrics["query.warm_speedup_vs_cold"] = round(
-            metrics["query.cold.seconds"] / elapsed, 2
-        )
-
-    workload = list(queries) * 4
+    drop_caches()
+    cold_answers = _answers(_boosted(index), fixture.queries)
+    warm = _boosted(index)
+    populate_answers = _answers(warm, fixture.queries)  # fills the cache
+    warm_answers = _answers(warm, fixture.queries)
+    workload = list(fixture.queries) * 4
 
     def run_batch() -> int:
-        _drop_query_caches()
-        results = _boosted().evaluate_many(workload)
+        drop_caches()
+        results = _boosted(index).evaluate_many(workload)
         return sum(len(result.answers) for result in results)
 
-    elapsed, batch_answers = _best_of(run_batch, min(2, repeats))
-    if batch_answers != 4 * cold_answers:
-        raise AssertionError(
-            f"batched serving changed the answers: {batch_answers} != "
-            f"4 x {cold_answers}"
-        )
-    metrics["query.batch.seconds"] = elapsed
-    metrics["query.batch.queries"] = len(workload)
-    metrics["query.batch.answers"] = batch_answers
+    batch = reference_seconds(run_batch, repeats)
+    for label, answers, passes in (
+        ("cold", cold_answers, 1),
+        ("populate", populate_answers, 1),
+        ("warm", warm_answers, 1),
+        ("batch", batch.result, 4),
+    ):
+        expected = passes * fixture.answers_per_pass
+        _expect_answers(f"query caching ({label})", answers, expected)
+    return {
+        "query.cold.answers": cold_answers,
+        "query.warm.answers": warm_answers,
+        "query.batch.ref_seconds": batch.ref,
+        "query.batch.queries": len(workload),
+        "query.batch.answers": batch.result,
+    }
 
-    # --- sustained serving throughput over HTTP -------------------------
-    # The full `repro-bigindex serve` path: real sockets, one handler
-    # thread per persistent connection, admission, JSON encode/decode.
-    # An untimed pass warms the snapshot evaluator (searchers, CSR,
-    # result cache); the timed rounds then measure steady-state serving,
-    # the number the ROADMAP's traffic story rides on.  The answer total
-    # is exact-gated: concurrency must never change what a query returns.
-    serve_threads = 4
-    serve_rounds = 2 if quick else 6
 
-    def serve_evaluator(idx: BiGIndex):
-        return boost(
-            BackwardKeywordSearch(d_max=3, k=10), idx, allow_layer_zero=True
-        ).evaluator
+def _client_pass(
+    service: QueryService, queries: List[KeywordQuery], threads: int, rounds: int
+) -> Tuple[float, int, List[float]]:
+    """One closed-loop pass over a live server: (elapsed, answers, latencies).
 
-    service = QueryService(EngineRuntime(qindex, serve_evaluator))
+    The full ``repro-bigindex serve`` path — real sockets, one handler
+    thread per persistent connection, admission, JSON — with ``threads``
+    clients each replaying ``queries`` ``rounds`` times.
+    """
+
+    def worker(_worker_id: int) -> Tuple[int, List[float]]:
+        answers = 0
+        latencies: List[float] = []
+        with ServeClient("127.0.0.1", server.port, max_retries=0) as client:
+            for _ in range(rounds):
+                for query in queries:
+                    start = monotonic_now()
+                    response = client.query(list(query.keywords))
+                    latencies.append(monotonic_now() - start)
+                    if response.status != 200:
+                        raise AssertionError(
+                            f"serve bench got HTTP {response.status}: "
+                            f"{response.payload}"
+                        )
+                    answers += len(response.payload["answers"])
+        return answers, latencies
+
     with serve_in_thread(service) as server:
-        port = server.port
+        start = monotonic_now()
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            results = list(pool.map(worker, range(threads)))
+        elapsed = monotonic_now() - start
+    return (
+        elapsed,
+        sum(answers for answers, _ in results),
+        [sample for _, latencies in results for sample in latencies],
+    )
 
-        def client_pass(rounds: int) -> int:
-            def worker(_worker_id: int) -> int:
-                answers = 0
-                with ServeClient("127.0.0.1", port) as client:
-                    for _ in range(rounds):
-                        for query in queries:
-                            response = client.query(list(query.keywords))
-                            if response.status != 200:
-                                raise AssertionError(
-                                    f"serve bench got HTTP "
-                                    f"{response.status}: {response.payload}"
-                                )
-                            answers += len(response.payload["answers"])
-                return answers
 
-            with ThreadPoolExecutor(max_workers=serve_threads) as pool:
-                return sum(pool.map(worker, range(serve_threads)))
+def _p99(samples: List[float]) -> float:
+    ordered = sorted(samples)
+    return ordered[min(len(ordered) - 1, int(len(ordered) * 0.99))]
 
-        client_pass(1)  # warm the snapshot evaluator, untimed
-        elapsed, served_answers = _best_of(
-            lambda: client_pass(serve_rounds), min(2, repeats)
-        )
-    expected_answers = serve_threads * serve_rounds * cold_answers
-    if served_answers != expected_answers:
-        raise AssertionError(
-            f"concurrent serving changed the answers: {served_answers} != "
-            f"{serve_threads} threads x {serve_rounds} rounds x "
-            f"{cold_answers}"
-        )
-    serve_requests = serve_threads * serve_rounds * len(queries)
-    metrics["serve.qps.warm.seconds"] = elapsed
-    metrics["serve.qps.warm.requests"] = serve_requests
-    metrics["serve.qps.warm.threads"] = serve_threads
-    metrics["serve.qps.warm.answers"] = served_answers
-    if elapsed > 0:
-        metrics["serve.qps.warm.qps"] = round(serve_requests / elapsed, 1)
 
-    # --- non-blocking mutation stream -----------------------------------
-    # Writer throughput through the copy-on-write runtime (clone, apply,
-    # publish — no reader drain), plus reader p99 idle vs under the
-    # stream.  Answer totals are deliberately *not* exact-gated here:
-    # readers pin whichever snapshot is current when they arrive, so the
-    # per-request answers legitimately vary with scheduling.
-    mutate_runtime = EngineRuntime(qindex.cow_clone(), serve_evaluator)
-    mutate_service = QueryService(mutate_runtime)
-    stream_edges = sorted(qindex.base_graph.edges())[: 8 if quick else 24]
-    stream_ops: List[Tuple[str, int, int]] = []
-    for u, v in stream_edges:
-        # Delete-then-reinsert pairs: real maintenance work on every op,
-        # and the final snapshot returns to the baseline state.
-        stream_ops.append(("delete", u, v))
-        stream_ops.append(("insert", u, v))
-    reader_rounds = 2 if quick else 4
+def section_serve(fixture: Fixture, repeats: int) -> Metrics:
+    """``serve.qps.warm.answers`` and ``serve.read.*_p99``.
 
-    def _p99(samples: List[float]) -> float:
-        ordered = sorted(samples)
-        if not ordered:
-            return 0.0
-        return ordered[min(len(ordered) - 1, int(len(ordered) * 0.99))]
+    The first pass exact-gates what concurrent serving returns (its
+    throughput is ``serve-hot``'s ``ops_per_s``).  The reader passes
+    record p99 idle versus under a writer streaming mutations through
+    the copy-on-write runtime, which no end-to-end workload has; their
+    answers are deliberately *not* gated: readers pin whichever snapshot
+    is current when they arrive, so they legitimately vary.
+    """
+    rounds = 2 if fixture.quick else 6
+    service = QueryService(EngineRuntime(fixture.index, _serve_evaluator))
+    _, served_answers, _ = _client_pass(
+        service, fixture.queries, SERVE_THREADS, rounds
+    )
+    _expect_answers(
+        "concurrent serving",
+        served_answers,
+        SERVE_THREADS * rounds * fixture.answers_per_pass,
+    )
 
-    def reader_pass(port: int) -> List[float]:
-        def worker(_worker_id: int) -> List[float]:
-            samples: List[float] = []
-            with ServeClient("127.0.0.1", port, max_retries=0) as client:
-                for _ in range(reader_rounds):
-                    for query in queries:
-                        start = monotonic_now()
-                        response = client.query(list(query.keywords))
-                        samples.append(monotonic_now() - start)
-                        if response.status != 200:
-                            raise AssertionError(
-                                f"mutation-stream bench got HTTP "
-                                f"{response.status}: {response.payload}"
-                            )
-            return samples
-
-        with ThreadPoolExecutor(max_workers=serve_threads) as pool:
-            return [
-                sample
-                for worker_samples in pool.map(
-                    worker, range(serve_threads)
-                )
-                for sample in worker_samples
-            ]
-
-    def apply_stream_op(index: BiGIndex, op: Tuple[str, int, int]) -> None:
-        kind, u, v = op
-        if kind == "delete":
-            index.delete_edge(u, v)
-        else:
-            index.insert_edge(u, v)
-
-    mutate_elapsed = [0.0]
+    runtime = EngineRuntime(fixture.index.cow_clone(), _serve_evaluator)
+    mutate_service = QueryService(runtime)
+    edges = sorted(fixture.index.base_graph.edges())
 
     def writer() -> None:
-        start = monotonic_now()
-        for op in stream_ops:
-            mutate_runtime.mutate(
-                lambda idx, op=op: apply_stream_op(idx, op)
-            )
-        mutate_elapsed[0] = monotonic_now() - start
+        # Delete-then-reinsert pairs: real maintenance work on every op,
+        # and the final snapshot returns to the baseline state.
+        for u, v in edges[: 8 if fixture.quick else 24]:
+            runtime.mutate(lambda index: index.delete_edge(u, v))
+            runtime.mutate(lambda index: index.insert_edge(u, v))
 
-    with serve_in_thread(mutate_service) as server:
-        reader_pass(server.port)  # warm the snapshot evaluator, untimed
-        idle_samples = reader_pass(server.port)
-        writer_thread = threading.Thread(
-            target=writer, name="bench-mutator"
+    def reader_pass() -> List[float]:
+        return _client_pass(
+            mutate_service, fixture.queries, SERVE_THREADS,
+            2 if fixture.quick else 4,
+        )[2]
+
+    reader_pass()  # warm the snapshot evaluator, unrecorded
+    idle = reader_pass()
+    writer_thread = threading.Thread(target=writer, name="bench-mutator")
+    writer_thread.start()
+    under = reader_pass()
+    writer_thread.join()
+    return {
+        "serve.qps.warm.requests": SERVE_THREADS * rounds * len(fixture.queries),
+        "serve.qps.warm.threads": SERVE_THREADS,
+        "serve.qps.warm.answers": served_answers,
+        "serve.read.idle_p99.seconds": _p99(idle),
+        "serve.read.mutate_p99.seconds": _p99(under),
+    }
+
+
+def section_obs(fixture: Fixture, repeats: int) -> Metrics:
+    """``obs.serve.overhead`` — the serve workload with all request
+    observability off (no access log, no flight recorder, no SLO window)
+    and fully lit (structured access log, slow-query mirror, flight
+    recorder, rolling SLO window).
+
+    compare() gates the on/off ratio of the run's *own* pair.  The arms
+    alternate, so each off pass has an on pass ~0.1 s later at the same
+    host speed, and the pair reported is the one with the *median* on-off
+    difference: per-arm minima are reached in different speed states and
+    swung it between -17 and +11 ms on an unchanged tree (true: ~2 ms;
+    one pair is good to +-5 ms, hence 45 of them).
+    """
+    rounds = 1 if fixture.quick else 3
+    pairs = 3 if fixture.quick else 45  # odd, so a median pair exists
+    expected = SERVE_THREADS * rounds * fixture.answers_per_pass
+
+    def timed_pass(service: QueryService) -> float:
+        elapsed, answers, _ = _client_pass(
+            service, fixture.queries, SERVE_THREADS, rounds
         )
-        writer_thread.start()
-        under_samples = reader_pass(server.port)
-        writer_thread.join()
-    metrics["serve.mutate.ops"] = len(stream_ops)
-    metrics["serve.mutate.seconds"] = mutate_elapsed[0]
-    if mutate_elapsed[0] > 0:
-        metrics["serve.mutate.qps"] = round(
-            len(stream_ops) / mutate_elapsed[0], 1
-        )
-    metrics["serve.read.idle_p99.seconds"] = _p99(idle_samples)
-    metrics["serve.read.mutate_p99.seconds"] = _p99(under_samples)
+        _expect_answers("observability", answers, expected)
+        return elapsed
 
-    # --- observability overhead over the serve hot path -----------------
-    # Full-fidelity request observability — structured access log,
-    # slow-query mirror, flight recorder, rolling SLO window — versus
-    # everything off, over the same concurrent HTTP workload as
-    # serve.qps.  The ratio is gated at OBS_OVERHEAD_LIMIT (<= 2%) in
-    # compare(); answers are exact-gated because logging a request must
-    # never change it.
-    import os as _os
-    import tempfile as _tempfile
-
-    from repro.obs.reqlog import RequestLog
-    from repro.serve.service import ServerConfig
-
-    obs_rounds = 1 if quick else 3
-    # The on-vs-off diff the gate inspects is a few milliseconds — the
-    # same order as one bad scheduler draw on a small box — so this
-    # section takes best-of more passes than the rest of the bench.
-    obs_repeats = 2 if quick else 5
-
-    def timed_serve_pass(service_obj: QueryService) -> Tuple[float, int]:
-        with serve_in_thread(service_obj) as server:
-            port = server.port
-
-            def one_pass() -> int:
-                def worker(_worker_id: int) -> int:
-                    answers = 0
-                    with ServeClient("127.0.0.1", port) as client:
-                        for _ in range(obs_rounds):
-                            for query in queries:
-                                response = client.query(
-                                    list(query.keywords)
-                                )
-                                if response.status != 200:
-                                    raise AssertionError(
-                                        f"obs overhead bench got HTTP "
-                                        f"{response.status}: "
-                                        f"{response.payload}"
-                                    )
-                                answers += len(
-                                    response.payload["answers"]
-                                )
-                    return answers
-
-                with ThreadPoolExecutor(
-                    max_workers=serve_threads
-                ) as pool:
-                    return sum(pool.map(worker, range(serve_threads)))
-
-            one_pass()  # warm the snapshot evaluator, untimed
-            return _best_of(one_pass, obs_repeats)
-
-    dark_service = QueryService(
-        EngineRuntime(qindex, serve_evaluator),
+    dark = QueryService(
+        EngineRuntime(fixture.index, _serve_evaluator),
         config=ServerConfig(flight_records=0, slo_window_seconds=0.0),
     )
-    off_elapsed, off_answers = timed_serve_pass(dark_service)
-
-    with _tempfile.TemporaryDirectory(prefix="bench-obs-") as obs_tmp:
-        obs_access = RequestLog(_os.path.join(obs_tmp, "access.jsonl"))
-        obs_slow = RequestLog(
-            _os.path.join(obs_tmp, "access.jsonl.slow")
-        )
-        lit_service = QueryService(
-            EngineRuntime(qindex, serve_evaluator),
+    with tempfile.TemporaryDirectory(prefix="bench-obs-") as tmp:
+        access_log = RequestLog(os.path.join(tmp, "access.jsonl"))
+        slow_log = RequestLog(os.path.join(tmp, "access.jsonl.slow"))
+        lit = QueryService(
+            EngineRuntime(fixture.index, _serve_evaluator),
             config=ServerConfig(slow_query_ms=250.0),
-            access_log=obs_access,
-            slow_log=obs_slow,
+            access_log=access_log,
+            slow_log=slow_log,
         )
-        on_elapsed, on_answers = timed_serve_pass(lit_service)
-        obs_access.close()
-        obs_slow.close()
+        timed_pass(dark)  # warm both snapshot evaluators, untimed
+        timed_pass(lit)
+        timings = [(timed_pass(dark), timed_pass(lit)) for _ in range(pairs)]
+        access_log.close()
+        slow_log.close()
+    off, on = sorted(timings, key=lambda pair: pair[1] - pair[0])[pairs // 2]
+    return {
+        "obs.serve.overhead.off.seconds": off,
+        "obs.serve.overhead.on.seconds": on,
+        "obs.serve.overhead.answers": expected,
+        "obs.serve.overhead.requests": (
+            SERVE_THREADS * rounds * len(fixture.queries)
+        ),
+        "obs.serve.overhead.ratio": round(on / off, 4),
+    }
 
-    obs_expected = serve_threads * obs_rounds * cold_answers
-    for label, got in (("off", off_answers), ("on", on_answers)):
-        if got != obs_expected:
-            raise AssertionError(
-                f"observability ({label}) changed the answers: "
-                f"{got} != {obs_expected}"
-            )
-    metrics["obs.serve.overhead.off.seconds"] = off_elapsed
-    metrics["obs.serve.overhead.on.seconds"] = on_elapsed
-    metrics["obs.serve.overhead.answers"] = on_answers
-    metrics["obs.serve.overhead.requests"] = (
-        serve_threads * obs_rounds * len(queries)
-    )
-    if off_elapsed > 0:
-        metrics["obs.serve.overhead.ratio"] = round(
-            on_elapsed / off_elapsed, 4
-        )
 
-    # --- persistence: the v4 mmap container -------------------------------
-    # Cold loads go through the full path a restart pays: manifest
-    # verification (every binary section re-hashed), then mmap +
-    # memoryview views.  Saves are timed too so the container format
-    # can't buy its load speed with a pathological write path.
-    import os
-    import tempfile
+#: The suite, in run order.  The shard section has returned (and been
+#: collected) before the serve sections run, so reader p99s do not
+#: measure a GC pass over millions of dead synt-100k objects.
+SECTIONS = (
+    section_refine, section_search, section_build, section_shard,
+    section_query, section_serve, section_obs,
+)
 
-    from repro.core.persistence import load_index, save_index
 
-    qontology = corpus[0][2] if quick else ontology
-    persist_repeats = min(2, repeats)
-    with tempfile.TemporaryDirectory(prefix="bench-persist-") as tmp:
-        v4_dir = os.path.join(tmp, "idx-v4")
-        elapsed, _ = _best_of(
-            lambda: save_index(qindex, v4_dir), persist_repeats
-        )
-        metrics["persist.save.v4.seconds"] = elapsed
+def run_suite(quick: bool = False, seed: int = 0, repeats: int = 3) -> Metrics:
+    """Run the pinned micro-suite and return its flat metric dict.
 
-        rss_before = current_rss_kib()
-        elapsed, _ = _best_of(
-            lambda: load_index(v4_dir, qontology), persist_repeats
-        )
-        rss_after = current_rss_kib()
-        metrics["persist.load.cold.v4.seconds"] = elapsed
-        if rss_before is not None and rss_after is not None:
-            metrics["persist.load.cold.v4.rss_delta_kib"] = (
-                rss_after - rss_before
-            )
-
-        # Restart-to-first-answer: what a freshly exec'd server pays
-        # before it can serve its first query from the v4 container.
-        first_query = queries[0]
-
-        def coldstart() -> int:
-            restarted = load_index(v4_dir, qontology)
-            boosted = boost(
-                BackwardKeywordSearch(d_max=3, k=10),
-                restarted,
-                allow_layer_zero=True,
-            )
-            return len(boosted.evaluate_resilient(first_query).answers)
-
-        elapsed, coldstart_answers = _best_of(coldstart, persist_repeats)
-        metrics["serve.coldstart.seconds"] = elapsed
-        metrics["serve.coldstart.answers"] = coldstart_answers
-
-    rss = peak_rss_kib()
-    if rss is not None:
-        metrics["peak_rss_kib"] = rss
+    ``quick`` restricts to the toy corpus and skips the build and shard
+    sections — a smoke-sized subset for tests, not comparable to a
+    full-mode baseline (:func:`compare` refuses to mix modes).  The
+    process is pinned to one CPU for the duration; the caller's affinity
+    is restored on the way out.
+    """
+    metrics: Metrics = {"mode": "quick" if quick else "full"}
+    fixture = Fixture(quick, seed)
+    with cpu_affinity({max(fixture.cpus)}):
+        for section in SECTIONS:
+            metrics.update(section(fixture, repeats))
+            gc.collect()
     return metrics
 
 
@@ -839,60 +670,41 @@ def run_suite(
 # Baseline documents and the regression gate
 # ----------------------------------------------------------------------
 def make_document(
-    metrics: Metrics, before: Optional[Metrics] = None
+    metrics: Metrics, baseline: Optional[Dict[str, object]] = None
 ) -> Dict[str, object]:
-    """The JSON document shape committed as ``BENCH_hotpaths.json``."""
+    """The JSON document committed as ``BENCH_hotpaths.json`` (schema 2:
+    ``.ref_seconds`` gated, ``.seconds`` recorded).  ``before`` and
+    ``speedups`` are the PR-3 evidence — raw wall clocks of the pre- and
+    post-overhaul code from one session — carried forward from
+    ``baseline`` verbatim: nothing divides a raw wall clock from one
+    session by a reference-speed number from another.
+    """
     document: Dict[str, object] = {
-        "schema": 1,
-        "machine": machine_info(),
+        "schema": 2,
+        # Where the measurement was taken: recorded, never compared.
+        "machine": {
+            "platform": platform.platform(),
+            "python": platform.python_version(),
+            "cpus": os.cpu_count(),
+        },
         "current": metrics,
     }
-    if before:
-        document["before"] = before
-        document["speedups"] = derive_speedups(before, metrics)
+    for block in ("before", "speedups"):
+        if baseline and block in baseline:
+            document[block] = baseline[block]
     return document
 
 
-def derive_speedups(before: Metrics, current: Metrics) -> Dict[str, float]:
-    """``before/current`` wall-clock ratios for every shared timing key."""
-    speedups: Dict[str, float] = {}
-    for key, old in before.items():
-        if not key.endswith(".seconds"):
-            continue
-        new = current.get(key)
-        if isinstance(old, (int, float)) and isinstance(new, (int, float)) and new > 0:
-            speedups[key[: -len(".seconds")]] = round(old / new, 2)
-    # The headline parallel-build claim compares against the *serial*
-    # pre-change build — the knob didn't exist before this change.
-    old_serial = before.get("build.synt-1k.serial.seconds")
-    new_parallel = current.get("build.synt-1k.parallel.seconds")
-    if isinstance(old_serial, (int, float)) and isinstance(new_parallel, (int, float)):
-        if new_parallel > 0:
-            speedups["build.synt-1k.parallel-vs-before-serial"] = round(
-                old_serial / new_parallel, 2
-            )
-    return speedups
-
-
-def load_document(path: str) -> Dict[str, object]:
-    with open(path, "r", encoding="utf-8") as handle:
-        return json.load(handle)
-
-
-def compare(
-    current: Metrics,
-    baseline: Metrics,
-    tolerance: float = 0.25,
-) -> List[str]:
+def compare(current: Metrics, baseline: Metrics) -> List[str]:
     """Regressions of ``current`` against ``baseline``, as messages.
 
-    Timing keys fail when ``current > scaled_baseline * (1 + tolerance)
-    + ABS_SLACK_SECONDS`` where ``scaled_baseline`` is the baseline
-    timing multiplied by the machines' calibration ratio.  Deterministic
-    keys (block/expansion counts, layer sizes) fail on any difference.
-    An empty list means the gate passes.
+    Keys are gated by what their name says they are: ``EXACT_SUFFIXES``
+    and ``counters.*`` fail on any difference; ``.ref_seconds`` fails
+    above ``baseline * (1 + REF_TOLERANCE) + ABS_SLACK_SECONDS``; the two
+    same-run ratios are judged on the current run's own pair; plain
+    ``.seconds`` is recorded, never compared.  A gated baseline key
+    missing from the current run fails; an empty list passes.
     """
-    failures: List[str] = []
     if current.get("mode") != baseline.get("mode"):
         return [
             f"mode mismatch: current={current.get('mode')!r} "
@@ -900,96 +712,70 @@ def compare(
             f"are not comparable"
         ]
 
-    base_cal = baseline.get("calibration.seconds")
-    cur_cal = current.get("calibration.seconds")
-    if isinstance(base_cal, (int, float)) and isinstance(cur_cal, (int, float)) \
-            and base_cal > 0:
-        scale = cur_cal / base_cal
-    else:
-        scale = 1.0
-
+    failures: List[str] = []
     for key, base_value in sorted(baseline.items()):
         cur_value = current.get(key)
-        if key.endswith(".seconds") and key != "calibration.seconds":
-            if not isinstance(cur_value, (int, float)):
-                failures.append(f"{key}: missing from current run")
-                continue
-            allowed = base_value * scale * (1.0 + tolerance) + ABS_SLACK_SECONDS
-            if cur_value > allowed:
-                failures.append(
-                    f"{key}: {cur_value:.6f}s exceeds allowance "
-                    f"{allowed:.6f}s (baseline {base_value:.6f}s, "
-                    f"machine scale {scale:.2f}, tolerance "
-                    f"{tolerance:.0%})"
-                )
-        elif key.endswith(EXACT_SUFFIXES):
+        if key.endswith(EXACT_SUFFIXES) or key.startswith("counters."):
             if cur_value != base_value:
                 failures.append(
                     f"{key}: {cur_value!r} != baseline {base_value!r} "
                     f"(deterministic metric; must match exactly)"
                 )
+        elif key.endswith((".ref_seconds", ".ratio", ".speedup")):
+            if not isinstance(cur_value, (int, float)):
+                failures.append(f"{key}: missing from current run")
+            elif key.endswith(".ref_seconds"):
+                allowed = base_value * (1 + REF_TOLERANCE) + ABS_SLACK_SECONDS
+                if cur_value > allowed:
+                    failures.append(
+                        f"{key}: {cur_value:.6f}s exceeds allowance "
+                        f"{allowed:.6f}s (baseline {base_value:.6f}s at "
+                        f"reference speed, tolerance {REF_TOLERANCE:.0%})"
+                    )
 
     # Observability overhead is gated against the current run's own
-    # on/off pair — a ratio is machine-independent, so no calibration
-    # scaling applies.  The absolute slack (flat plus per-request)
-    # absorbs scheduler jitter when both passes are fast enough that 2%
-    # dips below measurement resolution.
+    # on/off pair — a ratio is machine-independent.  The absolute slack
+    # (flat plus per-request) absorbs scheduler jitter when both passes
+    # are fast enough that 2% dips below measurement resolution.
     ratio = current.get("obs.serve.overhead.ratio")
-    on_seconds = current.get("obs.serve.overhead.on.seconds")
-    off_seconds = current.get("obs.serve.overhead.off.seconds")
-    requests = current.get("obs.serve.overhead.requests")
-    obs_slack = ABS_SLACK_SECONDS
-    if isinstance(requests, int):
-        obs_slack = max(obs_slack, requests * OBS_SLACK_PER_REQUEST)
-    if (
-        isinstance(ratio, (int, float))
-        and isinstance(on_seconds, (int, float))
-        and isinstance(off_seconds, (int, float))
-        and ratio > OBS_OVERHEAD_LIMIT
-        and on_seconds - off_seconds > obs_slack
-    ):
-        failures.append(
-            f"obs.serve.overhead.ratio: {ratio:.4f} exceeds "
-            f"{OBS_OVERHEAD_LIMIT:.2f} (observability on "
-            f"{on_seconds:.6f}s vs off {off_seconds:.6f}s, slack "
-            f"{obs_slack:.6f}s; the instrumented serve path may cost "
-            f"at most 2%)"
+    if ratio is not None and ratio > OBS_OVERHEAD_LIMIT:
+        on_seconds = current["obs.serve.overhead.on.seconds"]
+        off_seconds = current["obs.serve.overhead.off.seconds"]
+        obs_slack = max(
+            ABS_SLACK_SECONDS,
+            current["obs.serve.overhead.requests"] * OBS_SLACK_PER_REQUEST,
         )
+        if on_seconds - off_seconds > obs_slack:
+            failures.append(
+                f"obs.serve.overhead.ratio: {ratio:.4f} exceeds "
+                f"{OBS_OVERHEAD_LIMIT:.2f} (observability on "
+                f"{on_seconds:.6f}s vs off {off_seconds:.6f}s, slack "
+                f"{obs_slack:.6f}s; the instrumented serve path may cost "
+                f"at most 2%)"
+            )
 
     # Sharded-build speedup is gated against the current run's own
-    # serial/parallel pair (machine-independent ratio), and only when
-    # the host has enough cores for parallelism to show at all.
-    shard_speedup = current.get("shard.build.synt-100k.speedup")
-    shard_cpus = current.get("shard.build.synt-100k.host_cpus")
-    if (
-        isinstance(shard_speedup, (int, float))
-        and isinstance(shard_cpus, int)
-        and shard_cpus >= SHARD_SPEEDUP_MIN_CPUS
-        and shard_speedup < SHARD_SPEEDUP_FLOOR
-    ):
-        failures.append(
-            f"shard.build.synt-100k.speedup: {shard_speedup:.2f}x is "
-            f"below the {SHARD_SPEEDUP_FLOOR:.1f}x floor on a "
-            f"{shard_cpus}-CPU host (4 per-shard build processes vs "
-            f"serial)"
-        )
+    # serial/parallel pair, and only when the host has enough cores for
+    # parallelism to show at all.
+    speedup = current.get("shard.build.synt-100k.speedup")
+    if speedup is not None and speedup < SHARD_SPEEDUP_FLOOR:
+        cpus = current["shard.build.synt-100k.host_cpus"]
+        if cpus >= SHARD_SPEEDUP_MIN_CPUS:
+            failures.append(
+                f"shard.build.synt-100k.speedup: {speedup:.2f}x is below "
+                f"the {SHARD_SPEEDUP_FLOOR:.1f}x floor on a {cpus}-CPU "
+                f"host (4 per-shard build processes vs serial)"
+            )
     return failures
 
 
-def format_metrics(
-    metrics: Metrics, speedups: Optional[Dict[str, float]] = None
-) -> str:
+def format_metrics(metrics: Metrics) -> str:
     """Human-readable metric table (timings in ms, counts verbatim)."""
     lines: List[str] = []
-    for key in sorted(metrics):
-        value = metrics[key]
-        if key.endswith(".seconds"):
-            line = f"  {key:<40s} {value * 1e3:10.3f} ms"
-            if speedups:
-                ratio = speedups.get(key[: -len(".seconds")])
-                if ratio is not None:
-                    line += f"   ({ratio:.2f}x vs before)"
-            lines.append(line)
+    for key, value in sorted(metrics.items()):
+        if key.endswith("seconds"):
+            unit = "ref-ms" if key.endswith(".ref_seconds") else "ms"
+            lines.append(f"  {key:<44s} {value * 1e3:10.3f} {unit}")
         else:
-            lines.append(f"  {key:<40s} {value!r}")
+            lines.append(f"  {key:<44s} {value!r}")
     return "\n".join(lines)

@@ -412,21 +412,9 @@ class BiGIndex:
         Restores index minimality after incremental updates ("to minimize
         the index size, BiG-index can be recomputed occasionally").
         """
-        current = self.base_graph
-        rebuilt: List[Layer] = []
-        for layer in self.layers:
-            generalized = generalize_graph(current, layer.config)
-            summary = summarize(generalized, direction=self.direction)
-            rebuilt.append(
-                Layer(
-                    config=layer.config,
-                    graph=summary.graph,
-                    parent_of=summary.supernode_of,
-                    extent=summary.extent,
-                )
-            )
-            current = summary.graph
-        self.layers = rebuilt
+        self.layers = self._climb(
+            self.base_graph, [layer.config for layer in self.layers]
+        )
         self.drift = 0
         self._maintenance_epoch += 1
 
@@ -464,25 +452,14 @@ class BiGIndex:
             new_configs.append(Configuration(mappings))
         if first_affected is None:
             return
-        current = (
+        start = (
             self.base_graph
             if first_affected == 0
             else self.layers[first_affected - 1].graph
         )
-        rebuilt = self.layers[:first_affected]
-        for config in new_configs[first_affected:]:
-            generalized = generalize_graph(current, config)
-            summary = summarize(generalized, direction=self.direction)
-            rebuilt.append(
-                Layer(
-                    config=config,
-                    graph=summary.graph,
-                    parent_of=summary.supernode_of,
-                    extent=summary.extent,
-                )
-            )
-            current = summary.graph
-        self.layers = rebuilt
+        self.layers = self.layers[:first_affected] + self._climb(
+            start, new_configs[first_affected:]
+        )
         self._maintenance_epoch += 1
 
     # ------------------------------------------------------------------
@@ -568,47 +545,72 @@ class BiGIndex:
         """Propagate a base-graph change upward, layer by layer.
 
         Each layer's partition is recomputed by refinement seeded from the
-        old partition, so the new partition refines the old one; the seed
-        for layer ``i`` maps every *new* layer-(i-1) vertex to the old
-        supernode of the old vertex enclosing it, which is well defined
-        exactly because of that refinement invariant.
+        old partition, so the new partition refines the old one.
         """
         self.drift += 1
         self._maintenance_epoch += 1
-        current = self.base_graph
-        # new layer-(i-1) vertex -> old layer-(i-1) vertex; identity at base.
+        self.layers = self._climb(
+            self.base_graph,
+            [layer.config for layer in self.layers],
+            seeds=[layer.parent_of for layer in self.layers],
+        )
+
+    def _climb(
+        self,
+        start: Graph,
+        configs: Sequence[Configuration],
+        seeds: Optional[Sequence[Sequence[int]]] = None,
+    ) -> List[Layer]:
+        """The layers above ``start``, one per configuration, to the top:
+        the one place maintenance writes ``generalize -> refine ->
+        summarize -> Layer``.  Without ``seeds`` every layer gets its
+        *maximal* bisimulation.  With them (the ``parent_of`` map of each
+        layer being replaced) layer ``i``'s refinement starts from the
+        old partition: every *new* layer-(i-1) vertex is seeded with the
+        old supernode of the old vertex enclosing it, well defined
+        exactly because each new partition refines the old one.
+        """
+        # Every climb ends at the top layer, which numbers its layers.
+        first = len(self.layers) - len(configs) + 1
+        current = start
+        # new layer-(i-1) vertex -> old layer-(i-1) vertex; identity at start.
         old_of_new: List[int] = list(range(current.num_vertices))
-        rebuilt: List[Layer] = []
-        for position, layer in enumerate(self.layers):
+        climbed: List[Layer] = []
+        for position, config in enumerate(configs):
             if OBS.enabled:
                 OBS.metrics.inc("build.layers_refreshed")
-            with OBS.tracer.span("refresh-layer", layer=position + 1):
-                generalized = generalize_graph(current, layer.config)
-                seed = [
-                    layer.parent_of[old_of_new[v]]
-                    for v in generalized.vertices()
-                ]
-                blocks = maximal_bisimulation(
-                    generalized, direction=self.direction, initial_blocks=seed
-                )
+            with OBS.tracer.span("refresh-layer", layer=first + position):
+                generalized = generalize_graph(current, config)
+                blocks = None
+                if seeds is not None:
+                    old_parent = seeds[position]
+                    blocks = maximal_bisimulation(
+                        generalized,
+                        direction=self.direction,
+                        initial_blocks=[
+                            old_parent[old_of_new[v]]
+                            for v in generalized.vertices()
+                        ],
+                    )
                 summary = summarize(
                     generalized, direction=self.direction, blocks=blocks
                 )
-                rebuilt.append(
+                climbed.append(
                     Layer(
-                        config=layer.config,
+                        config=config,
                         graph=summary.graph,
                         parent_of=summary.supernode_of,
                         extent=summary.extent,
                     )
                 )
-                # Map each new supernode to the old supernode of its members.
-                old_of_new = [
-                    layer.parent_of[old_of_new[members[0]]]
-                    for members in summary.extent
-                ]
+                if seeds is not None:
+                    # Each new supernode -> the old supernode of its members.
+                    old_of_new = [
+                        old_parent[old_of_new[members[0]]]
+                        for members in summary.extent
+                    ]
                 current = summary.graph
-        self.layers = rebuilt
+        return climbed
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         sizes = ", ".join(str(s) for s in self.layer_sizes())

@@ -10,8 +10,9 @@ are independent, so the pass parallelizes cleanly:
   ``concurrent.futures`` process pool via its initializer, so each worker
   rebuilds them a single time and scores many candidates against them.
 * When a process pool cannot be created (restricted sandboxes, platforms
-  without fork/semaphores), scoring degrades to a thread pool and finally
-  to inline execution — same results, no hard dependency on OS features.
+  without fork/semaphores), scoring runs inline — same results, no hard
+  dependency on OS features.  Only pool *construction* falls back: an
+  exception raised by a scoring task reaches the caller.
 
 Scores are bit-identical to the serial path: a single-mapping
 configuration's distortion is exactly ``0.0`` (its ``X_l`` sibling set
@@ -155,74 +156,56 @@ def score_candidates(
 
     ``workers`` <= 1 (or ``None``) scores inline through ``model`` itself
     (benefiting from its memoized ratio cache); larger values fan the
-    candidates out over a process pool, falling back to threads and then
-    to inline scoring when pools are unavailable.
+    candidates out over a process pool, falling back to inline scoring
+    when no pool can be created.
     """
     if OBS.enabled:
         OBS.metrics.inc("build.candidates_scored", len(candidates))
-    if workers is None or workers <= 1 or len(candidates) <= 1:
+    pool = None
+    if workers is not None and workers > 1 and len(candidates) > 1:
+        pool = _scoring_pool(model, workers)
+    if pool is None:
         with OBS.tracer.span(
             "score-candidates", pool="serial", candidates=len(candidates)
         ):
             return _score_serial(model, candidates)
 
-    exact = model.params.exact
-    sample_payloads = (
-        [] if exact else [graph_to_payload(s) for s in model.samples]
-    )
-    graph_payload = graph_to_payload(model.graph) if exact else None
-    init_args = (
-        sample_payloads,
-        model.params.alpha,
-        model.direction.value,
-        exact,
-        graph_payload,
-    )
     chunks = _chunked(candidates, workers * 4)
     if OBS.enabled:
         OBS.metrics.inc("build.parallel_chunks", len(chunks))
+    # A task that raises propagates: re-scoring inline could succeed
+    # and mask a worker-side divergence from the serial mirror.
+    with OBS.tracer.span(
+        "score-candidates",
+        pool="process",
+        workers=workers,
+        candidates=len(candidates),
+    ):
+        with pool:
+            results = list(pool.map(_score_chunk, chunks))
+    return [score for chunk in results for score in chunk]
 
+
+def _scoring_pool(model: CostModel, workers: int):
+    """A process pool whose workers hold ``model``'s scoring graphs, or
+    ``None`` where fork/spawn or semaphores are unavailable."""
+    exact = model.params.exact
+    init_args = (
+        [] if exact else [graph_to_payload(s) for s in model.samples],
+        model.params.alpha,
+        model.direction.value,
+        exact,
+        graph_to_payload(model.graph) if exact else None,
+    )
     try:
+        # Resolved lazily: the import itself fails without multiprocessing.
         import concurrent.futures as futures
 
-        with OBS.tracer.span(
-            "score-candidates",
-            pool="process",
-            workers=workers,
-            candidates=len(candidates),
-        ):
-            with futures.ProcessPoolExecutor(
-                max_workers=workers,
-                initializer=_init_worker,
-                initargs=init_args,
-            ) as pool:
-                results = list(pool.map(_score_chunk, chunks))
-            return [score for chunk in results for score in chunk]
-    except Exception:
-        # Process pools need fork/spawn + semaphores; restricted
-        # environments get the threaded path (identical results).
-        pass
-
-    try:
-        import concurrent.futures as futures
-
-        _init_worker(*init_args)
-        with OBS.tracer.span(
-            "score-candidates",
-            pool="thread",
-            workers=workers,
-            candidates=len(candidates),
-        ):
-            with futures.ThreadPoolExecutor(max_workers=workers) as pool:
-                results = list(pool.map(_score_chunk, chunks))
-            return [score for chunk in results for score in chunk]
-    except Exception:
-        with OBS.tracer.span(
-            "score-candidates", pool="serial", candidates=len(candidates)
-        ):
-            return _score_serial(model, candidates)
-    finally:
-        _STATE.clear()
+        return futures.ProcessPoolExecutor(
+            max_workers=workers, initializer=_init_worker, initargs=init_args
+        )
+    except (ImportError, NotImplementedError, OSError):
+        return None
 
 
 def _score_serial(

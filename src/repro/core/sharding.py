@@ -43,7 +43,6 @@ replay.  :func:`repro.core.persistence.load_index` loads it.
 
 from __future__ import annotations
 
-import concurrent.futures
 import hashlib
 import json
 import math
@@ -284,7 +283,7 @@ def _build_locale_index(
 ) -> BiGIndex:
     """The one code path every build mode funnels through.
 
-    Serial, threaded and process builds all reconstruct the locale from
+    Serial and process builds both reconstruct the locale from
     the same payload and run the same ``BiGIndex.build``, so the result
     is bit-identical no matter how many workers built it.
     """
@@ -304,26 +303,27 @@ def _build_locale_task(task: Tuple) -> Tuple[str, float]:
 def _run_build_tasks(
     tasks: List[Tuple], workers: Optional[int]
 ) -> List[Tuple[str, float]]:
-    """Run locale builds on a process pool, degrading gracefully.
+    """Run locale builds on a process pool (each build is a fresh
+    interpreter with no shared state), or inline where none can be made.
 
-    Mirrors :func:`repro.core.parallel.score_candidates`: process pool
-    first (real parallelism — each locale build is a fresh interpreter
-    with no shared state), thread pool when processes are unavailable,
-    inline as the last resort.  All three call the same task function.
+    Like :func:`repro.core.parallel.score_candidates`, only pool
+    *construction* falls back: a task that raises (disk full in
+    ``save_index``, a build bug) propagates instead of being re-run.
     """
     if workers is None:
         workers = os.cpu_count() or 1
     workers = max(1, min(workers, len(tasks)))
     if workers > 1:
-        for kind in ("ProcessPoolExecutor", "ThreadPoolExecutor"):
-            try:
-                # Resolved lazily: importing the process pool itself
-                # fails where multiprocessing is unavailable.
-                executor = getattr(concurrent.futures, kind)
-                with executor(max_workers=workers) as pool:
-                    return list(pool.map(_build_locale_task, tasks))
-            except Exception:
-                pass
+        try:
+            # Resolved lazily: the import fails without multiprocessing.
+            from concurrent.futures import ProcessPoolExecutor
+
+            pool = ProcessPoolExecutor(max_workers=workers)
+        except (ImportError, NotImplementedError, OSError):
+            pass
+        else:
+            with pool:
+                return list(pool.map(_build_locale_task, tasks))
     return [_build_locale_task(task) for task in tasks]
 
 
@@ -586,13 +586,14 @@ def build_sharded(
     """Plan, build and (optionally) persist a sharded BiG-index.
 
     ``workers`` is *whole-shard* parallelism: each locale's hierarchy is
-    built by one process-pool task (falling back to threads, then
-    inline — always through the same task function, so the result is
-    identical at any worker count).  With ``directory`` set, locales are
+    built by one process-pool task (inline where no pool can be created
+    — always through the same task function, so the result is identical
+    at any worker count).  With ``directory`` set, locales are
     persisted as ordinary v4 index directories under the sharded layout
     — staged and swapped into place like any saved index — and the
     returned index is the loaded (mmap-backed) one; without it
-    everything stays on the heap.
+    everything stays on the heap and is built inline (``workers``
+    applies to the persisted path, whose tasks hand over on disk).
     """
     if plan is None:
         plan = plan_shards(graph, num_shards, halo_radius)

@@ -76,7 +76,10 @@ class ServeHandler(BaseHTTPRequestHandler):
                 "Content-Type", "text/plain; charset=utf-8"
             )
         else:
-            data = json.dumps(payload, sort_keys=True).encode("utf-8")
+            # Strict JSON: a non-finite float reaching the wire is a bug.
+            data = json.dumps(
+                payload, sort_keys=True, allow_nan=False
+            ).encode("utf-8")
             content_type = extra.pop("Content-Type", "application/json")
         self.send_response(status)
         self.send_header("Content-Type", content_type)

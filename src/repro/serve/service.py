@@ -165,7 +165,11 @@ def encode_result(result: object) -> Dict[str, object]:
         payload: Dict[str, object] = {
             "status": "degraded",
             "reason": result.reason,
-            "lower_bound": result.lower_bound,
+            # An infinite bound (every frontier exhausted) means "no
+            # unseen answer exists"; JSON has no Infinity, so it is null.
+            "lower_bound": (
+                None if math.isinf(result.lower_bound) else result.lower_bound
+            ),
             "layer": result.layer,
             "answers": [encode_answer(a) for a in result.answers],
             "unranked": [encode_answer(a) for a in result.unranked],

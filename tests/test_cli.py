@@ -255,6 +255,30 @@ class TestBatchQuery:
         assert len(document["results"]) == 4
         assert all(r["status"] == "ok" for r in document["results"])
 
+    def test_batch_out_is_strict_json_at_zero_elapsed(
+        self, workspace, capsys, monkeypatch
+    ):
+        """A clock that does not advance used to write ``"qps": Infinity``."""
+        import json
+
+        import repro.cli
+
+        index_dir, batch_file = self._setup(workspace, queries=2)
+        out_file = os.path.join(os.path.dirname(batch_file), "strict.json")
+        monkeypatch.setattr(repro.cli, "monotonic_now", lambda: 0.0)
+        assert main(
+            self._batch_args(index_dir, batch_file, "--batch-out", out_file)
+        ) == 0
+        assert "inf q/s" in capsys.readouterr().out
+
+        def reject(token):
+            raise ValueError(f"non-standard JSON constant {token!r}")
+
+        with open(out_file) as f:
+            document = json.loads(f.read(), parse_constant=reject)
+        assert document["qps"] is None
+        assert document["queries"] == 2
+
     def test_batch_rejects_explain(self, workspace, capsys):
         index_dir, batch_file = self._setup(workspace, queries=1)
         code = main(

@@ -6,7 +6,12 @@ import json
 
 import pytest
 
-from repro.bench.hotpaths import ABS_SLACK_SECONDS, calibration_seconds
+from repro.bench.hotpaths import (
+    ABS_SLACK_SECONDS,
+    available_cpus,
+    cpu_affinity,
+    reference_seconds,
+)
 from repro.bisim.refinement import BisimDirection, maximal_bisimulation
 from repro.core.cost import CostParams
 from repro.core.evaluator import DegradationStats
@@ -33,7 +38,6 @@ from repro.search.blinks import Blinks
 from repro.search.rclique import RClique
 from repro.utils.budget import Budget
 from repro.utils.errors import BudgetExceeded
-from repro.utils.timers import monotonic_now
 from repro.verify.runner import probe_queries
 
 
@@ -390,25 +394,21 @@ class TestDisabledOverhead:
     def test_refine_synt_deep_3k_within_bound(self):
         with open("BENCH_hotpaths.json", "r", encoding="utf-8") as handle:
             document = json.load(handle)
-        baseline = document["current"]
-        base_seconds = baseline["refine.synt-deep-3k.seconds"]
-        base_cal = baseline["calibration.seconds"]
-        # Normalize for the machine difference exactly like the bench
-        # gate does, then allow 2% plus the standard absolute slack.
-        scale = calibration_seconds(repeats=3) / base_cal
+        base_seconds = document["current"]["refine.synt-deep-3k.ref_seconds"]
         graph, _ = deep_dataset("synt-deep-3k", seed=0)
         assert OBS.enabled is False  # measuring the disabled fast path
-        best = None
-        for _ in range(5):
-            start = monotonic_now()
-            maximal_bisimulation(graph, BisimDirection.SUCCESSORS)
-            elapsed = monotonic_now() - start
-            best = elapsed if best is None else min(best, elapsed)
-        allowed = base_seconds * scale * 1.02 + ABS_SLACK_SECONDS
+        # Read on the bench gate's own clock (reference seconds on one
+        # pinned CPU), then allow 2% plus the standard absolute slack.
+        with cpu_affinity({max(available_cpus())}):
+            best = reference_seconds(
+                lambda: maximal_bisimulation(graph, BisimDirection.SUCCESSORS),
+                5,
+            ).ref
+        allowed = base_seconds * 1.02 + ABS_SLACK_SECONDS
         assert best <= allowed, (
-            f"disabled-instrumentation refinement took {best:.6f}s, "
-            f"allowed {allowed:.6f}s (baseline {base_seconds:.6f}s, "
-            f"machine scale {scale:.2f})"
+            f"disabled-instrumentation refinement took {best:.6f}s at "
+            f"reference speed, allowed {allowed:.6f}s (baseline "
+            f"{base_seconds:.6f}s)"
         )
 
 

@@ -129,3 +129,49 @@ class TestParallelBuildEquivalence:
         assert [
             layer.config.mappings for layer in parallel.layers
         ] == [layer.config.mappings for layer in serial.layers]
+
+
+def _log_and_fail(task):
+    """Stand-in pool task (module level, so picklable by reference).
+
+    ``task`` carries the call log's path first — directly for a locale
+    build tuple, inside the first candidate pair for a scoring chunk.
+    """
+    head = task[0]
+    log_path = head if isinstance(head, str) else head[0]
+    with open(log_path, "a", encoding="utf-8") as handle:
+        handle.write("call\n")
+    raise RuntimeError("worker-side failure")
+
+
+class TestWorkerErrorsPropagate:
+    """A task that raises runs once and its exception reaches the caller.
+
+    The worker ladders fall back to inline execution only when no pool
+    can be *constructed*; re-running failed tasks on another rung would
+    repeat the work and — for scoring, whose inline path is a different
+    function — could succeed and mask a worker-side divergence.
+    """
+
+    def test_score_candidates(
+        self, labeled_graph, small_ontology, tmp_path, monkeypatch
+    ):
+        import repro.core.parallel as parallel
+
+        log = tmp_path / "calls.log"
+        model = CostModel(labeled_graph, CostParams(num_samples=8, seed=0))
+        candidates = [(str(log), "x"), (str(log), "y")]  # two chunks
+        monkeypatch.setattr(parallel, "_score_chunk", _log_and_fail)
+        with pytest.raises(RuntimeError, match="worker-side failure"):
+            parallel.score_candidates(model, candidates, workers=2)
+        assert 1 <= len(log.read_text().splitlines()) <= len(candidates)
+
+    def test_run_build_tasks(self, tmp_path, monkeypatch):
+        import repro.core.sharding as sharding
+
+        log = tmp_path / "calls.log"
+        tasks = [(str(log), "shard-0"), (str(log), "shard-1")]
+        monkeypatch.setattr(sharding, "_build_locale_task", _log_and_fail)
+        with pytest.raises(RuntimeError, match="worker-side failure"):
+            sharding._run_build_tasks(tasks, workers=2)
+        assert 1 <= len(log.read_text().splitlines()) <= len(tasks)

@@ -317,6 +317,89 @@ class TestBatchContract:
         )
 
 
+def _strict_loads(data: bytes):
+    """``json.loads`` as a strict parser: Infinity / NaN tokens raise."""
+
+    def reject(token):
+        raise ValueError(f"non-standard JSON constant {token!r} on the wire")
+
+    return json.loads(data, parse_constant=reject)
+
+
+class TestStrictJsonWire:
+    """Every response body is strict JSON, the infinite bound included.
+
+    The golden: bdws on synt-1k exhausts every frontier of
+    ``T7_100 T7_103`` within 56 expansions without confirming a root, so
+    its proven bound is infinite — "no unseen answer exists".  That is
+    ``"lower_bound": null`` on the wire, never ``Infinity``.
+    """
+
+    @pytest.fixture(scope="class")
+    def live(self):
+        from repro.core.cost import CostParams
+        from repro.datasets.synthetic import synthetic_dataset
+        from repro.search.bidirectional import BidirectionalSearch
+
+        graph, ontology = synthetic_dataset("synt-1k", seed=0)
+        index = BiGIndex.build(
+            graph, ontology, num_layers=1,
+            cost_params=CostParams(num_samples=5),
+        )
+        service = QueryService(EngineRuntime(
+            index,
+            lambda idx: boost(
+                BidirectionalSearch(d_max=3, k=5), idx, allow_layer_zero=True
+            ).evaluator,
+        ))
+        with serve_in_thread(service) as server:
+            yield server
+
+    def _post(self, server, path, body, headers=None):
+        import http.client
+
+        connection = http.client.HTTPConnection("127.0.0.1", server.port)
+        try:
+            connection.request(
+                "POST", path, json.dumps(body).encode(), headers or {}
+            )
+            response = connection.getresponse()
+            return response.status, _strict_loads(response.read())
+        finally:
+            connection.close()
+
+    def test_infinite_bound_is_null_on_query(self, live):
+        status, payload = self._post(
+            live, "/query", {"keywords": ["T7_100", "T7_103"]},
+            {"X-Budget-Expansions": "56"},
+        )
+        assert status == 429
+        assert payload["status"] == "degraded"
+        assert payload["lower_bound"] is None
+        assert payload["answers"] == [] and payload["unranked"] == []
+
+    def test_finite_bound_stays_a_number(self, live):
+        status, payload = self._post(
+            live, "/query", {"keywords": ["T7_100", "T7_103"]},
+            {"X-Budget-Expansions": "1"},
+        )
+        assert status == 429
+        assert isinstance(payload["lower_bound"], (int, float))
+
+    def test_batch_and_ok_payloads_round_trip(self, live):
+        status, payload = self._post(
+            live, "/batch",
+            {"queries": [["T7_100", "T7_103"], ["T7_100", "T7_101"]]},
+            {"X-Budget-Expansions": "56"},
+        )
+        assert status == 200
+        assert payload["results"][0]["lower_bound"] is None
+        status, payload = self._post(
+            live, "/query", {"keywords": ["T7_100", "T7_103"]}
+        )
+        assert status == 200 and payload["status"] == "ok"
+
+
 class TestIntrospectionEndpoints:
     def test_healthz(self, service):
         status, payload, _ = service.handle("GET", "/healthz", b"", {})
