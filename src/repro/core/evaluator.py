@@ -49,7 +49,6 @@ cheaper layer).  See ``docs/ROBUSTNESS.md`` for the exact guarantees.
 from __future__ import annotations
 
 import threading
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import (
     Callable,
@@ -821,7 +820,6 @@ class HierarchicalEvaluator:
         k: Optional[int] = None,
         max_generalized: Optional[int] = None,
         budget_factory: Optional[Callable[[], Optional[Budget]]] = None,
-        workers: Optional[int] = None,
         resilient: bool = True,
         return_exceptions: bool = False,
     ) -> List[object]:
@@ -842,11 +840,6 @@ class HierarchicalEvaluator:
             Called once per query for a fresh budget (budgets are
             stateful ledgers and must never be shared across queries);
             ``None`` runs unbudgeted.
-        workers:
-            Run queries on a thread pool of this size; ``None``/``1`` is
-            serial.  Only sound with tracing disabled — the OBS tracer
-            assumes one span stack (the CLI enforces this for
-            ``--batch --workers``).
         resilient:
             Use :meth:`evaluate_resilient` (budget exhaustion degrades
             instead of raising); otherwise :meth:`evaluate`.
@@ -876,10 +869,7 @@ class HierarchicalEvaluator:
                     return exc
                 raise
 
-        if workers is None or workers <= 1:
-            return [run(query) for query in queries]
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(run, queries))
+        return [run(query) for query in queries]
 
     def _warm(self, layer: Optional[int]) -> None:
         """Bind searchers and CSR views for ``layer`` (``None``: every

@@ -19,7 +19,6 @@ from typing import List, Optional, Tuple
 
 from repro.core.config import Configuration
 from repro.core.cost import CostModel, CostParams
-from repro.core.parallel import score_candidates
 from repro.graph.digraph import Graph
 from repro.obs.runtime import OBS
 from repro.ontology.ontology import OntologyGraph
@@ -50,7 +49,6 @@ def greedy_configuration(
     max_mappings: Optional[int] = None,
     cost_params: Optional[CostParams] = None,
     cost_model: Optional[CostModel] = None,
-    workers: Optional[int] = None,
 ) -> Configuration:
     """Algorithm 1: a maximal configuration under the cost threshold.
 
@@ -70,12 +68,6 @@ def greedy_configuration(
     cost_params / cost_model:
         Cost-model configuration, or a prebuilt model (which lets callers
         reuse one sample set across layers/benchmarks).
-    workers:
-        Fan the initial candidate-scoring pass out over this many worker
-        processes (:mod:`repro.core.parallel`); ``None``/1 scores inline.
-        The subsequent extension loop is inherently sequential (each
-        acceptance changes the configuration being extended) and always
-        runs in-process.
 
     Returns
     -------
@@ -87,10 +79,14 @@ def greedy_configuration(
     if not candidates:
         return config
 
-    # Priority queue keyed by the estimated single-mapping cost.  The
-    # scores are identical floats whether computed inline or by workers.
-    scores = score_candidates(model, candidates, workers=workers)
+    # Priority queue keyed by the estimated single-mapping cost.
+    with OBS.tracer.span("score-candidates", candidates=len(candidates)):
+        scores = [
+            model.cost(Configuration({source: target}))
+            for source, target in candidates
+        ]
     if OBS.enabled:
+        OBS.metrics.inc("build.candidates_scored", len(candidates))
         for score in scores:
             OBS.metrics.observe("build.candidate_cost", score)
     queue: List[Tuple[float, str, str]] = [

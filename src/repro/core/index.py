@@ -138,7 +138,6 @@ class BiGIndex:
         cost_params: Optional[CostParams] = None,
         direction: BisimDirection = BisimDirection.SUCCESSORS,
         stop_ratio: float = 0.98,
-        workers: Optional[int] = None,
     ) -> "BiGIndex":
         """Construct a BiG-index bottom-up.
 
@@ -161,11 +160,6 @@ class BiGIndex:
         stop_ratio:
             Stop when a new layer's size exceeds this fraction of the layer
             below (compression has saturated).
-        workers:
-            Score each layer's candidate generalizations on this many
-            worker processes (threads when process pools are unavailable);
-            ``None``/1 builds serially.  Results are identical either way
-            — only the wall clock changes.
         """
         index = cls(graph, ontology, direction=direction)
         start_total = monotonic_now()
@@ -182,7 +176,6 @@ class BiGIndex:
                         theta=theta,
                         max_mappings=max_mappings,
                         cost_params=cost_params,
-                        workers=workers,
                     )
                 with OBS.tracer.span("generalize"):
                     generalized = generalize_graph(current, config)

@@ -141,7 +141,6 @@ class BoostedSearch:
         k: Optional[int] = None,
         max_generalized: Optional[int] = None,
         budget_factory: Optional[Callable[[], Optional[Budget]]] = None,
-        workers: Optional[int] = None,
         resilient: bool = True,
         return_exceptions: bool = False,
     ) -> List[object]:
@@ -152,7 +151,6 @@ class BoostedSearch:
             k=k,
             max_generalized=max_generalized,
             budget_factory=budget_factory,
-            workers=workers,
             resilient=resilient,
             return_exceptions=return_exceptions,
         )

@@ -37,8 +37,8 @@ from repro.utils.budget import Budget
 class LRUCache:
     """A bounded least-recently-used mapping with hit/miss telemetry.
 
-    Thread-safe: ``evaluate_many(workers=N)`` serves a shared cache from
-    a thread pool, so get/put/clear take an internal lock.  Entries must
+    Thread-safe: ``serve`` handler threads share one evaluator and so
+    one cache, so get/put/clear take an internal lock.  Entries must
     be treated as immutable by callers — a hit returns the stored object
     itself.
 

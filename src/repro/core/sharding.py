@@ -48,7 +48,6 @@ import json
 import math
 import os
 from array import array
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from typing import (
     Dict,
@@ -306,9 +305,8 @@ def _run_build_tasks(
     """Run locale builds on a process pool (each build is a fresh
     interpreter with no shared state), or inline where none can be made.
 
-    Like :func:`repro.core.parallel.score_candidates`, only pool
-    *construction* falls back: a task that raises (disk full in
-    ``save_index``, a build bug) propagates instead of being re-run.
+    Only pool *construction* falls back: a task that raises (disk full
+    in ``save_index``, a build bug) propagates instead of being re-run.
     """
     if workers is None:
         workers = os.cpu_count() or 1
@@ -454,8 +452,6 @@ class ShardedIndex:
         clone._cut_edges = set(self._cut_edges)
         clone._zone_members = set(self._zone_members)
         clone._maintenance_epoch = self._maintenance_epoch
-        if OBS.enabled:
-            OBS.metrics.inc("cow.sharded.clones")
         return clone
 
     # -- maintenance ---------------------------------------------------
@@ -465,8 +461,6 @@ class ShardedIndex:
         self._check_vertex(v)
         if not self.base_graph.add_edge(u, v):
             return
-        if OBS.enabled:
-            OBS.metrics.inc("shard.mutations.insert")
         if self._shard_of[u] == self._shard_of[v]:
             shard = self.shards[self._shard_of[u]]
             shard.index.insert_edge(shard.local_of[u], shard.local_of[v])
@@ -488,8 +482,6 @@ class ShardedIndex:
         if not self.base_graph.has_edge(u, v):
             raise GraphError(f"edge ({u}, {v}) does not exist")
         self.base_graph.remove_edge(u, v)
-        if OBS.enabled:
-            OBS.metrics.inc("shard.mutations.delete")
         if (u, v) in self._cut_edges:
             self._cut_edges.discard((u, v))
         else:
@@ -562,8 +554,6 @@ class ShardedIndex:
             global_ids=members,
             build_seconds=monotonic_now() - start,
         )
-        if OBS.enabled:
-            OBS.metrics.inc("shard.zone.rebuilds")
 
 
 # ----------------------------------------------------------------------
@@ -588,7 +578,8 @@ def build_sharded(
     ``workers`` is *whole-shard* parallelism: each locale's hierarchy is
     built by one process-pool task (inline where no pool can be created
     — always through the same task function, so the result is identical
-    at any worker count).  With ``directory`` set, locales are
+    at any worker count; ``None`` is one process per CPU, at most one
+    per locale).  With ``directory`` set, locales are
     persisted as ordinary v4 index directories under the sharded layout
     — staged and swapped into place like any saved index — and the
     returned index is the loaded (mmap-backed) one; without it
@@ -817,11 +808,11 @@ class ShardedEvaluator:
 
     Scatter: locales that lack one of the query's keywords cannot host
     an answer containing all of them (answers are locale-connected) and
-    are pruned.  Unbudgeted queries fan out on a thread pool; budgeted
-    queries run locales *sequentially* with :meth:`Budget.sub` children
-    (the ledger is not thread-safe, and sequential scatter keeps the
-    remainder flowing to later locales, mirroring
-    ``evaluate_resilient``'s attempt plan).
+    are pruned.  The rest run *sequentially* on the calling thread (a
+    thread pool lost to this under the GIL — docs/PERFORMANCE.md,
+    "Multicore"); budgeted queries hand each locale a
+    :meth:`Budget.sub` child, which keeps the remainder flowing to
+    later locales, mirroring ``evaluate_resilient``'s attempt plan.
 
     Gather: answers translate to global vertex ids, the best answer per
     root wins (min ``(score, signature)``), and the union re-ranks
@@ -844,7 +835,6 @@ class ShardedEvaluator:
         verify_mode: str = "exact",
         allow_layer_zero: bool = True,
         cache_size: int = 128,
-        scatter_workers: int = 4,
     ) -> None:
         if not isinstance(algorithm, RootedTreeAlgorithm):
             raise ConfigurationError(
@@ -861,7 +851,6 @@ class ShardedEvaluator:
             )
         self.sharded = sharded
         self.algorithm = algorithm
-        self.scatter_workers = max(1, scatter_workers)
         self._evaluators: List[Tuple[Locale, HierarchicalEvaluator]] = [
             (
                 locale,
@@ -995,7 +984,7 @@ class ShardedEvaluator:
         top-k, the locales that were queried and their outcomes, in
         step (an outcome can be degraded only when ``resilient``).
 
-        Budgeted scatter is sequential.  A resilient run hands locale
+        Scatter is sequential.  A budgeted resilient run hands locale
         ``i`` of ``n`` still pending ``budget.sub(1/(n-i))`` — an even
         split of the *remaining* ledger — and the final locale inherits
         the whole remainder, so an early locale finishing under budget
@@ -1006,36 +995,23 @@ class ShardedEvaluator:
         self._check_query(query)
         if k is None:
             k = self.algorithm.k
-        if OBS.enabled:
-            OBS.metrics.inc("shard.queries")
         active = self._active(query)
 
-        def run(pair: Tuple[Locale, HierarchicalEvaluator], sub):
-            locale, evaluator = pair
-            return self._evaluate_locale(
-                locale,
-                evaluator.evaluate_resilient if resilient else evaluator.evaluate,
-                query,
-                layer,
-                k=k,
-                max_generalized=max_generalized,
-                budget=sub,
-            )
-
-        if budget is None and len(active) > 1 and self.scatter_workers > 1:
-            with ThreadPoolExecutor(
-                max_workers=min(self.scatter_workers, len(active))
-            ) as pool:
-                futures = [pool.submit(run, pair, None) for pair in active]
-                outcomes = [f.result() for f in futures]
-        else:
-            outcomes = []
-            for i, pair in enumerate(active):
-                pending = len(active) - i
-                split = budget is not None and resilient and pending > 1
-                outcomes.append(
-                    run(pair, budget.sub(1.0 / pending) if split else budget)
+        outcomes = []
+        for i, (locale, evaluator) in enumerate(active):
+            pending = len(active) - i
+            split = budget is not None and resilient and pending > 1
+            outcomes.append(
+                self._evaluate_locale(
+                    locale,
+                    evaluator.evaluate_resilient if resilient else evaluator.evaluate,
+                    query,
+                    layer,
+                    k=k,
+                    max_generalized=max_generalized,
+                    budget=budget.sub(1.0 / pending) if split else budget,
                 )
+            )
 
         locales = [locale for locale, _evaluator in active]
         pool_best: Dict[object, Answer] = {}
@@ -1112,8 +1088,6 @@ class ShardedEvaluator:
         if not degraded:
             return self._complete(merged, outcomes)
 
-        if OBS.enabled:
-            OBS.metrics.inc("shard.degraded")
         lower_bound = min(o.lower_bound for _l, o in degraded)
         proven = [a for a in merged if a.score < lower_bound]
         unranked = [a for a in merged if a.score >= lower_bound]

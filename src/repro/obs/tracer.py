@@ -132,11 +132,10 @@ class Tracer:
         span.end = self._clock()
         if exc is not None:
             span.attrs.setdefault("error", type(exc).__name__)
-        # Tolerate mispaired exits rather than corrupting the stack.
+        # ``with`` blocks nest, so on the one thread a tracer serves the
+        # closing span is the stack top.
         if self._stack and self._stack[-1] is span:
             self._stack.pop()
-        elif span in self._stack:  # pragma: no cover - defensive
-            self._stack.remove(span)
 
     # -- serialization --------------------------------------------------
     def to_events(

@@ -237,10 +237,15 @@ class TestBatchQuery:
     def test_batch_with_workers_and_json_out(self, workspace, capsys):
         index_dir, batch_file = self._setup(workspace, queries=4)
         out_file = os.path.join(os.path.dirname(batch_file), "results.json")
+        # A batch runs in order on the calling thread; the thread-pool
+        # flag is gone, not ignored.
+        with pytest.raises(SystemExit) as refused:
+            main(self._batch_args(index_dir, batch_file, "--workers", "2"))
+        assert refused.value.code == 2
+        capsys.readouterr()
         assert main(
             self._batch_args(
-                index_dir, batch_file,
-                "--workers", "2", "--batch-out", out_file,
+                index_dir, batch_file, "--batch-out", out_file,
             )
         ) == 0
         assert f"wrote {out_file}" in capsys.readouterr().out
@@ -250,7 +255,7 @@ class TestBatchQuery:
             document = json.load(f)
         assert document["queries"] == 4
         assert document["errors"] == 0
-        assert document["workers"] == 2
+        assert "workers" not in document
         assert document["qps"] > 0
         assert len(document["results"]) == 4
         assert all(r["status"] == "ok" for r in document["results"])

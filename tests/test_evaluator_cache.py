@@ -1,5 +1,7 @@
 """Maintenance-aware result caching in the hierarchical evaluator."""
 
+from concurrent.futures import ThreadPoolExecutor
+
 import pytest
 
 from repro.core.cost import CostParams
@@ -185,19 +187,17 @@ class TestEvaluateMany:
             assert _snapshot(result) == _snapshot(single.evaluate(query))
 
     def test_workers_preserve_order_and_results(self, index):
+        """Threads sharing one evaluator (what ``serve`` handler threads
+        do) get the answers a lone caller gets, in input order."""
+        workload = self.QUERIES * 8
         serial = [
             _snapshot(r)
-            for r in _evaluator(index).evaluate_many(
-                self.QUERIES, resilient=False
-            )
+            for r in _evaluator(index).evaluate_many(workload, resilient=False)
         ]
-        threaded = [
-            _snapshot(r)
-            for r in _evaluator(index).evaluate_many(
-                self.QUERIES, resilient=False, workers=4
-            )
-        ]
-        assert threaded == serial
+        shared = _evaluator(index)
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            threaded = [_snapshot(r) for r in pool.map(shared.evaluate, workload)]
+        assert repr(threaded) == repr(serial)
 
     def test_boosted_search_passthrough(self, index):
         boosted = boost(

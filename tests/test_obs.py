@@ -3,6 +3,8 @@ trace schema, and the CLI --explain / --trace-out surfaces."""
 
 import io
 import json
+import pathlib
+import re
 
 import pytest
 
@@ -565,3 +567,78 @@ class TestCLIExplainAndTrace:
         assert code == 3
         assert "expansion" in captured.err
         assert "layers tried" in captured.err
+
+
+# ----------------------------------------------------------------------
+# Telemetry audit: what src/ emits == what docs/OBSERVABILITY.md lists
+# ----------------------------------------------------------------------
+_REPO = pathlib.Path(__file__).resolve().parents[1]
+_SRC = _REPO / "src" / "repro"
+#: The metric families and span sources audited so far (build, sharding,
+#: copy-on-write); the rest of ROADMAP 4(d) widens these two constants.
+_AUDITED_PREFIXES = ("build.", "shard.", "cow.")
+_BUILD_SPAN_FILES = ("core/index.py", "core/heuristic.py", "core/sharding.py")
+_METRIC_CALL = re.compile(r"metrics\.(?:inc|observe|gauge)\(\s*f?\"([^\"]+)\"")
+_SPAN_CALL = re.compile(r"tracer\.span\(\s*\"([^\"]+)\"")
+
+
+def _emitted(call, paths):
+    """Every name ``call`` matches in the source files ``paths``."""
+    return {
+        name
+        for path in paths
+        for name in call.findall(path.read_text(encoding="utf-8"))
+    }
+
+
+def _placeholder(name):
+    """``shard.scatter.{locale.name}.seconds`` (source f-string) and
+    ``shard.scatter.<locale>.seconds`` (docs) are the same name."""
+    return re.sub(r"\{[^}]*\}|<[^>]*>", "*", name)
+
+
+def _doc_table(heading):
+    """The first two cells of each row of the table under ``heading``
+    in docs/OBSERVABILITY.md."""
+    text = (_REPO / "docs" / "OBSERVABILITY.md").read_text(encoding="utf-8")
+    section = text.split(heading, 1)[1].split("\n#", 1)[0]
+    return [
+        tuple(cell.strip() for cell in line.strip("|").split("|")[:2])
+        for line in section.splitlines()
+        if line.startswith("| `")
+    ]
+
+
+def _names(cell):
+    return re.findall(r"`([^`]+)`", cell)
+
+
+class TestTelemetryAudit:
+    def test_build_shard_cow_metrics_match_the_docs(self):
+        emitted = {
+            _placeholder(name)
+            # bench/ holds bench entry keys, not metrics.
+            for name in _emitted(
+                _METRIC_CALL,
+                (p for p in _SRC.rglob("*.py") if "bench" not in p.parts),
+            )
+            if name.startswith(_AUDITED_PREFIXES)
+        }
+        documented = {
+            _placeholder(prefix.strip("`") + name)
+            for prefix, names in _doc_table("## Metric taxonomy")
+            if prefix.strip("`") in _AUDITED_PREFIXES
+            # Parenthesised prose explains a name; it does not list one.
+            for name in _names(re.sub(r"\([^)]*\)", "", names))
+        }
+        assert emitted == documented
+
+    def test_build_spans_match_the_docs(self):
+        documented = {
+            name
+            for names, _parent in _doc_table("## Span taxonomy")
+            for name in _names(names)
+        }
+        build = _emitted(_SPAN_CALL, (_SRC / rel for rel in _BUILD_SPAN_FILES))
+        assert build <= documented
+        assert documented <= _emitted(_SPAN_CALL, _SRC.rglob("*.py"))

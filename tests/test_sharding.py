@@ -2,6 +2,7 @@
 
 import json
 import os
+import sys
 
 import pytest
 
@@ -25,6 +26,7 @@ from repro.datasets.synthetic import (
     verification_ontology,
 )
 from repro.graph.digraph import Graph
+from repro.obs import Tracer, instrumented
 from repro.ontology.ontology import generate_ontology
 from repro.search.banks import BackwardKeywordSearch
 from repro.search.base import KeywordQuery
@@ -227,12 +229,58 @@ class TestExactness:
         algorithm = BackwardKeywordSearch(d_max=2, k=5)
         se = ShardedEvaluator(sharded, algorithm)
         queries = probe(g, count=4)
-        batched = se.evaluate_many(queries, workers=3)
+        batched = se.evaluate_many(queries)
         for query, result in zip(queries, batched):
             solo = se.evaluate_resilient(query)
             assert [a.signature() for a in result.answers] == [
                 a.signature() for a in solo.answers
             ]
+
+    def test_traced_scatter_has_one_span_stack(self):
+        """The span tree ``query <sharded> --explain`` renders is the
+        same on every run and every span closes on the stack top, however
+        eagerly the interpreter switches threads: scatter runs on the
+        calling thread, so locales cannot interleave pushes onto the
+        tracer's one stack (a scatter thread pool did)."""
+        g, ontology = small_case(seed=6)
+        sharded = build_sharded(
+            g.copy(share_label_table=True), ontology, 4, 4, **BUILD_KW
+        )
+        assert sharded.num_shards == 4
+        algorithm = BackwardKeywordSearch(d_max=2, k=5)
+        queries = probe(g, count=4)
+
+        class CheckedTracer(Tracer):
+            closed_off_top = 0
+
+            def _close(self, span, exc):
+                self.closed_off_top += not (
+                    self._stack and self._stack[-1] is span
+                )
+                super()._close(span, exc)
+
+        def shape(span):
+            return (span.name, [shape(child) for child in span.children])
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            trees = []
+            for _ in range(6):
+                # A fresh evaluator per repeat: a warm result cache would
+                # legitimately replace the phases with one span.
+                se = ShardedEvaluator(sharded, algorithm)
+                tracer = CheckedTracer()
+                with instrumented(tracer=tracer):
+                    for query in queries:
+                        se.evaluate(query)
+                assert tracer.closed_off_top == 0
+                assert tracer._stack == []
+                trees.append([shape(root) for root in tracer.roots])
+        finally:
+            sys.setswitchinterval(interval)
+        assert len(trees[0]) > len(queries)  # several locales answered
+        assert all(tree == trees[0] for tree in trees[1:])
 
     @pytest.mark.parametrize(
         "kind, bad",
@@ -471,6 +519,45 @@ class TestMutation:
         assert sharded.epoch != epoch
 
 
+def test_core_constructs_one_executor():
+    """Whole-locale build processes are the one worker pool that beat its
+    serial arm on this host (docs/PERFORMANCE.md, "Multicore"); another
+    pool under ``repro.core`` has to arrive with its own measurement and
+    an edit here."""
+    import ast
+    import pathlib
+
+    import repro.core
+
+    sites = []
+    for path in sorted(pathlib.Path(repro.core.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        functions = [
+            n for n in ast.walk(tree) if isinstance(n, ast.FunctionDef)
+        ]
+        for call in ast.walk(tree):
+            if not isinstance(call, ast.Call):
+                continue
+            callee = getattr(call.func, "id", getattr(call.func, "attr", ""))
+            if callee.endswith("Executor"):
+                owners = [
+                    f.name for f in functions
+                    if f.lineno <= call.lineno <= f.end_lineno
+                ]
+                sites.append((path.name, owners, callee))
+    assert sites == [
+        ("sharding.py", ["_run_build_tasks"], "ProcessPoolExecutor")
+    ]
+
+
+def _log_and_fail(task):
+    """Stand-in pool task (module level, so picklable by reference);
+    ``task[0]`` is the call log's path."""
+    with open(task[0], "a", encoding="utf-8") as handle:
+        handle.write("call\n")
+    raise RuntimeError("worker-side failure")
+
+
 class TestPersistence:
     def test_round_trip_preserves_digest_and_answers(self, tmp_path):
         g, ontology = small_case(seed=14)
@@ -514,6 +601,20 @@ class TestPersistence:
             **BUILD_KW,
         )
         assert one.state_digest() == four.state_digest()
+
+    def test_failed_build_task_propagates(self, tmp_path, monkeypatch):
+        """A locale build that raises runs once and its exception reaches
+        the caller: ``_run_build_tasks`` falls back to inline execution
+        only when no pool can be *constructed*, never by re-running a
+        failed task (which would repeat the work and could mask it)."""
+        from repro.core import sharding
+
+        log = tmp_path / "calls.log"
+        tasks = [(str(log), "shard-0"), (str(log), "shard-1")]
+        monkeypatch.setattr(sharding, "_build_locale_task", _log_and_fail)
+        with pytest.raises(RuntimeError, match="worker-side failure"):
+            sharding._run_build_tasks(tasks, workers=2)
+        assert 1 <= len(log.read_text().splitlines()) <= len(tasks)
 
     @pytest.fixture
     def saved(self, tmp_path):
@@ -710,6 +811,16 @@ class TestCommunityDataset:
 class TestServeAndCli:
     """The serve stack and CLI treat a sharded index like any other."""
 
+    @staticmethod
+    def _saved_graph(tmp_path):
+        """A small TSV graph for the CLI to build from; its path prefix."""
+        from repro.graph.io import save_graph_tsv
+
+        g, _ = small_case(seed=8)
+        prefix = str(tmp_path / "graph")
+        save_graph_tsv(g, prefix)
+        return prefix
+
     def _service(self, sharded, algorithm=None):
         from repro.serve.service import QueryService, ServerConfig
         from repro.serve.lifecycle import EngineRuntime
@@ -793,11 +904,8 @@ class TestServeAndCli:
 
     def test_cli_build_shards_query_stats_roundtrip(self, tmp_path, capsys):
         from repro.cli import main
-        from repro.graph.io import save_graph_tsv
 
-        g, _ = small_case(seed=8)
-        prefix = str(tmp_path / "graph")
-        save_graph_tsv(g, prefix)
+        prefix = self._saved_graph(tmp_path)
         index_dir = str(tmp_path / "idx")
         # verification_ontology() is not CLI-reachable; generate one that
         # at least exercises the full path (labels A-E won't generalize,
@@ -824,3 +932,40 @@ class TestServeAndCli:
         out = capsys.readouterr().out
         assert code in (0, 3)
         assert "answer(s)" in out
+
+    def test_cli_build_workers_needs_shards(self, tmp_path, capsys):
+        from repro.cli import main
+
+        prefix = self._saved_graph(tmp_path)
+        index_dir = str(tmp_path / "idx")
+        code = main([
+            "build", prefix, "--index-dir", index_dir, "--layers", "1",
+            "--workers", "2", "--ontology-types", "20",
+        ])
+        assert code == 2
+        assert "--shards" in capsys.readouterr().err
+        assert not os.path.exists(index_dir)
+
+    def test_cli_build_shards_leaves_worker_count_to_the_host(
+        self, tmp_path, monkeypatch
+    ):
+        """``build --shards K`` without ``--workers`` hands ``None`` to
+        ``_run_build_tasks`` (one process per CPU, at most one per
+        locale) instead of pinning the build to one process."""
+        from repro.cli import main
+        from repro.core import sharding
+
+        prefix = self._saved_graph(tmp_path)
+        seen = []
+        run = sharding._run_build_tasks
+
+        def spy(tasks, workers):
+            seen.append(workers)
+            return run(tasks, 1)
+
+        monkeypatch.setattr(sharding, "_run_build_tasks", spy)
+        assert main([
+            "build", prefix, "--index-dir", str(tmp_path / "idx"),
+            "--layers", "1", "--shards", "2", "--ontology-types", "20",
+        ]) == 0
+        assert seen == [None]
