@@ -42,7 +42,7 @@ def main() -> int:
     print(report.format())
     if not report.ok:
         print(
-            f"FAIL: {len(report.failures)} durability violation(s); "
+            f"FAIL: {len(report.problems)} durability violation(s); "
             f"reproduce with --seed {args.seed}",
             file=sys.stderr,
         )

@@ -40,7 +40,6 @@ import sys
 import tempfile
 import threading
 import time
-from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
 import repro
@@ -50,83 +49,13 @@ from repro.core.persistence import load_index, save_index
 from repro.core.wal import WAL_NAME, apply_wal_op
 from repro.datasets.knowledge import dataset_registry
 from repro.serve.client import ServeClient
+from repro.verify.drill import Report
 
 #: Dataset the drill serves; small enough to build in well under a
 #: second with exact costs, real enough to have ontology layers.
 _DATASET = "yago-like"
 _SCALE = 0.05
 _NUM_LAYERS = 2
-
-
-@dataclass
-class ChaosEvent:
-    """One kill/restart cycle's outcome (one line of the JSON report)."""
-
-    round: int
-    kill: str  # "sigkill" | "sigkill+torn-tail" | "sigterm"
-    acked_before_kill: int
-    inflight_resolution: str  # "acked" | "lost" | "durable-unacked" | "none"
-    wal_records_after: int
-    digest_matched: bool
-    #: Flight-recorder dump captured from the process just before the
-    #: kill: total ring records, how many were acked state-changing
-    #: mutations, whether that count matched the oracle's ack ledger,
-    #: and the request timeline itself (-1/empty on sigterm rounds,
-    #: where the process exits gracefully instead of being killed).
-    flight_records: int = -1
-    flight_acked_mutations: int = -1
-    flight_matched: bool = True
-    flight_timeline: List[Dict[str, object]] = field(default_factory=list)
-
-    def to_dict(self) -> Dict[str, object]:
-        return dict(self.__dict__)
-
-
-@dataclass
-class ChaosReport:
-    """Outcome of one :func:`run_chaos_drill` campaign."""
-
-    seed: int = 0
-    rounds: int = 0
-    ops_sent: int = 0
-    ops_acked: int = 0
-    kills: int = 0
-    torn_tails: int = 0
-    restarts: int = 0
-    checks: int = 0
-    events: List[ChaosEvent] = field(default_factory=list)
-    failures: List[str] = field(default_factory=list)
-
-    @property
-    def ok(self) -> bool:
-        return not self.failures
-
-    def format(self) -> str:
-        status = "OK" if self.ok else f"{len(self.failures)} failure(s)"
-        lines = [
-            f"chaos: {status} ({self.rounds} round(s), {self.kills} "
-            f"SIGKILL(s), {self.torn_tails} torn tail(s), "
-            f"{self.ops_acked}/{self.ops_sent} op(s) acked, "
-            f"{self.restarts} recovery restart(s), {self.checks} check(s), "
-            f"seed={self.seed})"
-        ]
-        lines.extend("  " + failure for failure in self.failures)
-        return "\n".join(lines)
-
-    def to_dict(self) -> Dict[str, object]:
-        return {
-            "ok": self.ok,
-            "seed": self.seed,
-            "rounds": self.rounds,
-            "ops_sent": self.ops_sent,
-            "ops_acked": self.ops_acked,
-            "kills": self.kills,
-            "torn_tails": self.torn_tails,
-            "restarts": self.restarts,
-            "checks": self.checks,
-            "events": [event.to_dict() for event in self.events],
-            "failures": list(self.failures),
-        }
 
 
 class _ServerProcess:
@@ -269,14 +198,21 @@ def run_chaos_drill(
     ops_per_round: int = 6,
     seed: int = 0,
     workdir: Optional[str] = None,
-) -> ChaosReport:
+) -> Report:
     """Kill ``repro-bigindex serve`` mid-mutation-stream; recovery must
     restore exactly the acked prefix (see the module docstring).
 
     The server recovers from the mmap container, so WAL replay mutates
     an mmap-backed graph — exercising copy-on-write detach under crash
     recovery."""
-    report = ChaosReport(seed=seed, rounds=rounds)
+    report = Report(
+        "chaos",
+        notes=dict(
+            seed=seed, rounds=rounds, ops_sent=0, ops_acked=0, kills=0,
+            torn_tails=0, restarts=0, events=[],
+        ),
+    )
+    notes = report.notes
     rng = random.Random(f"chaos:{seed}")
     own_workdir = workdir is None
     if own_workdir:
@@ -318,15 +254,15 @@ def run_chaos_drill(
             # these is acked before the kill, so recovery MUST keep it.
             for _ in range(kill_at):
                 op = _next_op(rng, oracle)
-                report.ops_sent += 1
+                notes["ops_sent"] += 1
                 response = client.mutate(op["op"], op["u"], op["v"])
                 if response.status != 200:
-                    report.failures.append(
+                    report.problems.append(
                         f"round {round_index}: mutate returned HTTP "
                         f"{response.status}: {response.payload}"
                     )
                     continue
-                report.ops_acked += 1
+                notes["ops_acked"] += 1
                 acked_this_round += 1
                 if apply_wal_op(oracle, op):
                     applied_acked += 1
@@ -344,7 +280,7 @@ def run_chaos_drill(
                 report.checks += 1
                 returncode = server.sigterm()
                 if returncode != 0:
-                    report.failures.append(
+                    report.problems.append(
                         f"round {round_index}: SIGTERM exit code "
                         f"{returncode} (want 0): {server.log_tail()}"
                     )
@@ -353,7 +289,7 @@ def run_chaos_drill(
                     "shut down cleanly" in line
                     for line in server.new_log_lines()
                 ):
-                    report.failures.append(
+                    report.problems.append(
                         f"round {round_index}: no clean-shutdown notice "
                         f"after SIGTERM: {server.log_tail()}"
                     )
@@ -374,7 +310,7 @@ def run_chaos_drill(
                 flight_response = client.flight()
                 if flight_response.status != 200:
                     flight_matched = False
-                    report.failures.append(
+                    report.problems.append(
                         f"round {round_index}: /admin/flight HTTP "
                         f"{flight_response.status} before kill"
                     )
@@ -407,7 +343,7 @@ def run_chaos_drill(
                     )
                     report.checks += 1
                     if not flight_matched:
-                        report.failures.append(
+                        report.problems.append(
                             f"round {round_index}: flight recorder saw "
                             f"{flight_acked_mutations} acked mutation(s) "
                             f"({applied_in_flight} applied), expected "
@@ -416,7 +352,7 @@ def run_chaos_drill(
                             f"{_format_timeline(flight_timeline)}"
                         )
                 inflight_op = _next_op(rng, oracle)
-                report.ops_sent += 1
+                notes["ops_sent"] += 1
                 inflight_response: List[Optional[int]] = [None]
 
                 def send_inflight(op=inflight_op, out=inflight_response):
@@ -431,7 +367,7 @@ def run_chaos_drill(
                 sender.start()
                 time.sleep(rng.random() * 0.01)
                 server.sigkill()
-                report.kills += 1
+                notes["kills"] += 1
                 sender.join(timeout=10.0)
                 client.close()
                 inflight_acked = inflight_response[0] == 200
@@ -439,29 +375,48 @@ def run_chaos_drill(
                 if rng.random() < 0.5:
                     kill_kind = "sigkill+torn-tail"
                     _tear_wal_tail(index_dir, rng)
-                    report.torn_tails += 1
+                    notes["torn_tails"] += 1
+
+            def record_event(
+                inflight_resolution: str, wal_records: int, matched: bool
+            ) -> None:
+                """One kill/restart cycle's outcome: one entry of the
+                report's ``events`` note (and of the JSON artifact)."""
+                notes["events"].append({
+                    "round": round_index,
+                    # "sigkill" | "sigkill+torn-tail" | "sigterm"
+                    "kill": kill_kind,
+                    "acked_before_kill": notes["ops_acked"],
+                    # "acked" | "lost" | "durable-unacked" | "none",
+                    # "unknown" when the restarted server gave no digest
+                    "inflight_resolution": inflight_resolution,
+                    "wal_records_after": wal_records,
+                    "digest_matched": matched,
+                    # Flight-recorder dump captured from the process
+                    # just before the kill: total ring records, how
+                    # many were acked state-changing mutations, whether
+                    # that count matched the oracle's ack ledger, and
+                    # the request timeline itself (-1/empty on sigterm
+                    # rounds, where the process exits gracefully
+                    # instead of being killed).
+                    "flight_records": flight_records_seen,
+                    "flight_acked_mutations": flight_acked_mutations,
+                    "flight_matched": flight_matched,
+                    "flight_timeline": flight_timeline,
+                })
 
             # Restart and compare against the oracle alternatives.
             server.start()
-            report.restarts += 1
+            notes["restarts"] += 1
             with ServeClient.for_url(server.url, timeout=10.0) as probe:
                 digest_response = probe.request("GET", "/admin/digest")
             report.checks += 1
             if digest_response.status != 200:
-                report.failures.append(
+                report.problems.append(
                     f"round {round_index}: /admin/digest HTTP "
                     f"{digest_response.status} after restart"
                 )
-                report.events.append(ChaosEvent(
-                    round=round_index, kill=kill_kind,
-                    acked_before_kill=report.ops_acked,
-                    inflight_resolution="unknown",
-                    wal_records_after=-1, digest_matched=False,
-                    flight_records=flight_records_seen,
-                    flight_acked_mutations=flight_acked_mutations,
-                    flight_matched=flight_matched,
-                    flight_timeline=flight_timeline,
-                ))
+                record_event("unknown", -1, False)
                 continue
             served_digest = digest_response.payload.get("digest")
             wal_records = int(
@@ -490,7 +445,7 @@ def run_chaos_drill(
                         else:
                             # A no-op acks without touching the WAL.
                             inflight_resolution = "acked"
-                            report.ops_acked += 1
+                            notes["ops_acked"] += 1
                     else:
                         inflight_resolution = "lost"
             elif kill_kind.startswith("sigkill"):
@@ -507,7 +462,7 @@ def run_chaos_drill(
                     if inflight_applied:
                         applied_acked += 1
                     if inflight_acked:
-                        report.ops_acked += 1
+                        notes["ops_acked"] += 1
                 else:
                     mismatch = (
                         f"recovered digest {served_digest!r} matches "
@@ -529,12 +484,12 @@ def run_chaos_drill(
                         f" | pre-kill flight: "
                         f"{_format_timeline(flight_timeline)}"
                     )
-                report.failures.append(detail)
+                report.problems.append(detail)
 
             # The WAL must hold exactly the applied, durable ops.
             report.checks += 1
             if matched and wal_records != applied_acked:
-                report.failures.append(
+                report.problems.append(
                     f"round {round_index}: WAL holds {wal_records} "
                     f"record(s), expected {applied_acked}"
                 )
@@ -561,7 +516,7 @@ def run_chaos_drill(
                         str(rec.get("request_id", "?"))
                         for rec in applied_recs[lost_from:]
                     )
-                    report.failures.append(
+                    report.problems.append(
                         f"round {round_index}: recovered WAL holds "
                         f"{wal_records} record(s) but the pre-kill "
                         f"flight timeline acked {expected_durable}; "
@@ -574,24 +529,14 @@ def run_chaos_drill(
                     "truncated a damaged WAL tail" in line
                     for line in server.new_log_lines()
                 ):
-                    report.failures.append(
+                    report.problems.append(
                         f"round {round_index}: torn tail was not "
                         f"reported on restart: {server.log_tail()}"
                     )
-            report.events.append(ChaosEvent(
-                round=round_index, kill=kill_kind,
-                acked_before_kill=report.ops_acked,
-                inflight_resolution=inflight_resolution,
-                wal_records_after=wal_records,
-                digest_matched=matched,
-                flight_records=flight_records_seen,
-                flight_acked_mutations=flight_acked_mutations,
-                flight_matched=flight_matched,
-                flight_timeline=flight_timeline,
-            ))
+            record_event(inflight_resolution, wal_records, matched)
         server.sigterm()
     except Exception as exc:  # noqa: BLE001 - the report is the contract
-        report.failures.append(
+        report.problems.append(
             f"chaos drill aborted: {type(exc).__name__}: {exc}"
         )
     finally:

@@ -41,8 +41,7 @@ import random
 import shutil
 import struct
 import tempfile
-from dataclasses import dataclass, field
-from typing import Callable, List, Optional, Sequence
+from typing import Optional, Sequence
 
 from repro.core.binfmt import SectionFile
 from repro.core.cost import CostParams
@@ -77,6 +76,7 @@ from repro.utils.errors import (
     IndexVersionError,
     WALCorruptedError,
 )
+from repro.verify.drill import Report, probe_queries
 
 #: Distance bound for the budget-sweep probe algorithm.
 _D_MAX = 3
@@ -85,37 +85,9 @@ _D_MAX = 3
 _EXPANSION_CAPS = (1, 4, 16, 64, 256, 4096)
 
 
-@dataclass
-class FaultFinding:
-    """One violated robustness contract."""
-
-    drill: str
-    case: str
-    detail: str
-
-    def format(self) -> str:
-        return f"{self.drill} [{self.case}]: {self.detail}"
-
-
-@dataclass
-class FaultReport:
-    """Outcome of one :func:`run_fault_injection` campaign."""
-
-    quick: bool = True
-    seed: int = 0
-    #: Individual fault scenarios exercised (each one an assertion).
-    checks: int = 0
-    findings: List[FaultFinding] = field(default_factory=list)
-
-    @property
-    def ok(self) -> bool:
-        return not self.findings
-
-    def format(self) -> str:
-        status = "OK" if self.ok else f"{len(self.findings)} finding(s)"
-        lines = [f"faults: {status} ({self.checks} fault scenario(s))"]
-        lines.extend("  " + finding.format() for finding in self.findings)
-        return "\n".join(lines)
+def _fail(report: Report, drill: str, case: str, detail: str) -> None:
+    """File one violated robustness contract."""
+    report.problems.append(f"{drill} [{case}]: {detail}")
 
 
 class _FakeClock:
@@ -135,7 +107,7 @@ class _FakeClock:
 # Storage faults
 # ----------------------------------------------------------------------
 def _expect_load_failure(
-    report: FaultReport,
+    report: Report,
     case: str,
     drill: str,
     directory: str,
@@ -148,32 +120,24 @@ def _expect_load_failure(
         load_index(directory, ontology)
     except expected as exc:
         if must_mention is not None and must_mention not in str(exc):
-            report.findings.append(
-                FaultFinding(
-                    drill,
-                    case,
-                    f"error did not mention {must_mention!r}: {exc}",
-                )
+            _fail(
+                report, drill, case,
+                f"error did not mention {must_mention!r}: {exc}",
             )
     except Exception as exc:  # noqa: BLE001 - classifying is the point
-        report.findings.append(
-            FaultFinding(
-                drill,
-                case,
-                f"expected {expected.__name__}, got "
-                f"{type(exc).__name__}: {exc}",
-            )
+        _fail(
+            report, drill, case,
+            f"expected {expected.__name__}, got "
+            f"{type(exc).__name__}: {exc}",
         )
     else:
-        report.findings.append(
-            FaultFinding(
-                drill, case, "corrupted index loaded without any error"
-            )
+        _fail(
+            report, drill, case, "corrupted index loaded without any error"
         )
 
 
 def _storage_drills(
-    report: FaultReport, index: BiGIndex, ontology, rng: random.Random
+    report: Report, index: BiGIndex, ontology, rng: random.Random
 ) -> None:
     workdir = tempfile.mkdtemp(prefix="bigindex-faults-")
     try:
@@ -186,12 +150,9 @@ def _storage_drills(
         try:
             load_index(pristine, ontology)
         except Exception as exc:  # noqa: BLE001
-            report.findings.append(
-                FaultFinding(
-                    "storage/pristine",
-                    "save-load",
-                    f"pristine index failed to load: {exc}",
-                )
+            _fail(
+                report, "storage/pristine", "save-load",
+                f"pristine index failed to load: {exc}",
             )
             return
 
@@ -314,7 +275,7 @@ def _storage_drills(
 # WAL faults
 # ----------------------------------------------------------------------
 def _wal_drills(
-    report: FaultReport, index: BiGIndex, ontology, rng: random.Random
+    report: Report, index: BiGIndex, ontology, rng: random.Random
 ) -> None:
     """Tear, flip, and de-magic a committed mutation log.
 
@@ -358,20 +319,16 @@ def _wal_drills(
         try:
             loaded = load_index(home, ontology)
         except Exception as exc:  # noqa: BLE001 - classifying is the point
-            report.findings.append(
-                FaultFinding(
-                    "wal/replay", "load",
-                    f"index with a clean WAL failed to load: {exc}",
-                )
+            _fail(
+                report, "wal/replay", "load",
+                f"index with a clean WAL failed to load: {exc}",
             )
         else:
             if loaded.state_digest() != oracle.state_digest():
-                report.findings.append(
-                    FaultFinding(
-                        "wal/replay", "parity",
-                        "replayed state differs from applying the "
-                        "logged ops directly",
-                    )
+                _fail(
+                    report, "wal/replay", "parity",
+                    "replayed state differs from applying the "
+                    "logged ops directly",
                 )
 
         # Idempotence: replaying the same log again must be a no-op.
@@ -380,11 +337,9 @@ def _wal_drills(
             before = loaded.state_digest()
             replay_wal(loaded, read_wal(wal_path).records)
             if loaded.state_digest() != before:
-                report.findings.append(
-                    FaultFinding(
-                        "wal/replay", "idempotence",
-                        "replaying an already-applied log changed state",
-                    )
+                _fail(
+                    report, "wal/replay", "idempotence",
+                    "replaying an already-applied log changed state",
                 )
 
         # Torn tails: every sampled truncation point must scan to a
@@ -407,21 +362,17 @@ def _wal_drills(
             scan = scan_wal_bytes(pristine[:cut])
             kept = [record.op for record in scan.records]
             if kept != full_ops[: len(kept)]:
-                report.findings.append(
-                    FaultFinding(
-                        "wal/torn", f"cut@{cut}",
-                        f"scan of a truncated log is not a prefix: {kept}",
-                    )
+                _fail(
+                    report, "wal/torn", f"cut@{cut}",
+                    f"scan of a truncated log is not a prefix: {kept}",
                 )
             elif cut >= magic and (scan.tail_kind is None) != (
                 cut in record_ends
             ):
-                report.findings.append(
-                    FaultFinding(
-                        "wal/torn", f"cut@{cut}",
-                        f"tail diagnosis {scan.tail_kind!r} does not match "
-                        f"the cut (record boundary: {cut in record_ends})",
-                    )
+                _fail(
+                    report, "wal/torn", f"cut@{cut}",
+                    f"tail diagnosis {scan.tail_kind!r} does not match "
+                    f"the cut (record boundary: {cut in record_ends})",
                 )
 
         # A torn file recovers in place and is appendable afterwards.
@@ -431,22 +382,18 @@ def _wal_drills(
             f.write(pristine[:-3])  # mid-payload tear
         with MutationWAL(torn_path) as torn:
             if torn.recovered_tail is None:
-                report.findings.append(
-                    FaultFinding(
-                        "wal/recover", "diagnose",
-                        "torn tail was not diagnosed on open",
-                    )
+                _fail(
+                    report, "wal/recover", "diagnose",
+                    "torn tail was not diagnosed on open",
                 )
             probe = {"op": "insert", "u": 0, "v": 0}
             torn.commit(probe)
         reread = read_wal(torn_path)  # on_tail="error": must be clean
         if [r.op for r in reread.records] != full_ops[:-1] + [probe]:
-            report.findings.append(
-                FaultFinding(
-                    "wal/recover", "append",
-                    "recovered log did not keep the valid prefix plus "
-                    "the new append",
-                )
+            _fail(
+                report, "wal/recover", "append",
+                "recovered log did not keep the valid prefix plus "
+                "the new append",
             )
 
         # A bit flip past the magic damages the tail, never the prefix.
@@ -458,12 +405,10 @@ def _wal_drills(
         scan = scan_wal_bytes(bytes(flipped))
         kept = [record.op for record in scan.records]
         if scan.tail_kind is None or kept != full_ops[: len(kept)]:
-            report.findings.append(
-                FaultFinding(
-                    "wal/bitflip", f"@{offset}",
-                    f"flip was not classified as tail damage "
-                    f"(kind={scan.tail_kind!r}, kept={len(kept)})",
-                )
+            _fail(
+                report, "wal/bitflip", f"@{offset}",
+                f"flip was not classified as tail damage "
+                f"(kind={scan.tail_kind!r}, kept={len(kept)})",
             )
 
         # A de-magicked log is refused outright — including by load.
@@ -484,12 +429,25 @@ def _wal_drills(
 # Budget faults
 # ----------------------------------------------------------------------
 def _budget_drills(
-    report: FaultReport,
+    report: Report,
     case: str,
     index: BiGIndex,
     graph,
     queries,
 ) -> None:
+    """One ``evaluate_resilient`` sweep over the expansion caps, held to
+    two contracts per run.
+
+    *Prefix soundness*: a degraded result is a ranking prefix of the
+    direct oracle's answers (same scores below ``lower_bound``), a
+    complete one matches it exactly.  *Expansion accounting*:
+    ``charge_expansions`` is the single tap through which searchers and
+    the evaluator both debit the budget and bump the telemetry counter,
+    so after any run — complete, degraded mid-layer, or degraded after
+    retrying the whole ladder — the counter and the budget ledger must
+    agree exactly.  Drift means some path charges one side and not the
+    other.
+    """
     algorithm = BackwardKeywordSearch(d_max=_D_MAX)
     boosted = boost(algorithm, index, allow_layer_zero=True)
     searcher = algorithm.bind(graph)
@@ -497,69 +455,37 @@ def _budget_drills(
         oracle, _ = eval_direct(graph, algorithm, query, searcher=searcher)
         oracle_scores = [a.score for a in top_k(oracle, None)]
         for cap in _EXPANSION_CAPS:
+            where = f"{case} {list(query.keywords)} cap={cap}"
+            budget = Budget(max_expansions=cap)
+            with instrumented(trace=False) as inst:
+                result = boosted.evaluate_resilient(query, budget=budget)
             report.checks += 1
-            result = boosted.evaluate_resilient(
-                query, budget=Budget(max_expansions=cap)
-            )
             got = [a.score for a in result.answers]
             if result.degraded:
                 want = [s for s in oracle_scores if s < result.lower_bound]
                 if got != want:
-                    report.findings.append(
-                        FaultFinding(
-                            "budget/prefix",
-                            f"{case} {list(query.keywords)} cap={cap}",
-                            f"degraded scores {got} != oracle prefix "
-                            f"{want} below {result.lower_bound}",
-                        )
+                    _fail(
+                        report, "budget/prefix", where,
+                        f"degraded scores {got} != oracle prefix "
+                        f"{want} below {result.lower_bound}",
                     )
             elif got != oracle_scores:
-                report.findings.append(
-                    FaultFinding(
-                        "budget/complete",
-                        f"{case} {list(query.keywords)} cap={cap}",
-                        f"complete result scores {got} != oracle "
-                        f"{oracle_scores}",
-                    )
+                _fail(
+                    report, "budget/complete", where,
+                    f"complete result scores {got} != oracle "
+                    f"{oracle_scores}",
                 )
-
-
-def _expansion_parity_drills(
-    report: FaultReport,
-    case: str,
-    index: BiGIndex,
-    queries,
-) -> None:
-    """Expansion accounting must be authoritative on every exit path.
-
-    ``charge_expansions`` is the single tap through which searchers and
-    the evaluator both debit the budget and bump the telemetry counter,
-    so after any ``evaluate_resilient`` run — complete, degraded
-    mid-layer, or degraded after retrying the whole ladder — the counter
-    and the budget ledger must agree exactly.  Drift means some path
-    charges one side and not the other.
-    """
-    algorithm = BackwardKeywordSearch(d_max=_D_MAX)
-    boosted = boost(algorithm, index, allow_layer_zero=True)
-    for query in queries:
-        for cap in _EXPANSION_CAPS:
             report.checks += 1
-            budget = Budget(max_expansions=cap)
-            with instrumented(trace=False) as inst:
-                boosted.evaluate_resilient(query, budget=budget)
             counted = inst.metrics.counter("search.expansions")
             if counted != budget.expansions:
-                report.findings.append(
-                    FaultFinding(
-                        "budget/accounting",
-                        f"{case} {list(query.keywords)} cap={cap}",
-                        f"telemetry counted {counted} expansion(s), "
-                        f"budget charged {budget.expansions}",
-                    )
+                _fail(
+                    report, "budget/accounting", where,
+                    f"telemetry counted {counted} expansion(s), "
+                    f"budget charged {budget.expansions}",
                 )
 
 
-def _clock_and_cancel_drills(report: FaultReport) -> None:
+def _clock_and_cancel_drills(report: Report) -> None:
     # Clock skew: once expired, a backward-jumping clock must not revive
     # the budget, and elapsed() must stay monotone.
     report.checks += 1
@@ -569,28 +495,22 @@ def _clock_and_cancel_drills(report: FaultReport) -> None:
         budget.charge(1)  # clock reads 10.0 -> expired
     except BudgetExceeded as exc:
         if exc.reason != "deadline":
-            report.findings.append(
-                FaultFinding(
-                    "clock/skew", "deadline",
-                    f"expected reason 'deadline', got {exc.reason!r}",
-                )
+            _fail(
+                report, "clock/skew", "deadline",
+                f"expected reason 'deadline', got {exc.reason!r}",
             )
         # Subsequent backward jumps (3.0, 1.0, 0.5) must keep it expired.
         if budget.exhausted_reason() != "deadline" or budget.elapsed() < 10.0:
-            report.findings.append(
-                FaultFinding(
-                    "clock/skew", "stickiness",
-                    "backward clock jump un-expired the budget "
-                    f"(reason={budget.exhausted_reason()!r}, "
-                    f"elapsed={budget.elapsed()})",
-                )
+            _fail(
+                report, "clock/skew", "stickiness",
+                "backward clock jump un-expired the budget "
+                f"(reason={budget.exhausted_reason()!r}, "
+                f"elapsed={budget.elapsed()})",
             )
     else:
-        report.findings.append(
-            FaultFinding(
-                "clock/skew", "deadline",
-                "deadline budget did not trip past its deadline",
-            )
+        _fail(
+            report, "clock/skew", "deadline",
+            "deadline budget did not trip past its deadline",
         )
 
     # Cancellation: a tripped token aborts the next charge.
@@ -603,39 +523,28 @@ def _clock_and_cancel_drills(report: FaultReport) -> None:
         budget.charge(1)
     except BudgetExceeded as exc:
         if exc.reason != "cancelled":
-            report.findings.append(
-                FaultFinding(
-                    "cancel", "reason",
-                    f"expected reason 'cancelled', got {exc.reason!r}",
-                )
+            _fail(
+                report, "cancel", "reason",
+                f"expected reason 'cancelled', got {exc.reason!r}",
             )
     else:
-        report.findings.append(
-            FaultFinding(
-                "cancel", "latch", "cancelled token did not abort the charge"
-            )
+        _fail(
+            report, "cancel", "latch",
+            "cancelled token did not abort the charge",
         )
 
 
 # ----------------------------------------------------------------------
 def run_fault_injection(
-    quick: bool = True,
-    seed: int = 0,
-    num_layers: int = 2,
-    probe_queries: Optional[
-        Callable[..., List]
-    ] = None,
-) -> FaultReport:
+    quick: bool = True, seed: int = 0, num_layers: int = 2
+) -> Report:
     """Run every fault drill over the deterministic corpus.
 
-    Parameters mirror :func:`repro.verify.runner.run_verification`;
-    ``probe_queries`` is injectable for tests (defaults to the runner's).
+    Parameters mirror :func:`repro.verify.runner.run_verification`.
     """
-    if probe_queries is None:
-        from repro.verify.runner import probe_queries as probe_queries_fn
-    else:
-        probe_queries_fn = probe_queries
-    report = FaultReport(quick=quick, seed=seed)
+    report = Report(
+        "faults", unit="fault scenario(s)", notes={"seed": seed}
+    )
     rng = random.Random(seed)
     _clock_and_cancel_drills(report)
     for case_index, (name, graph, ontology) in enumerate(
@@ -651,9 +560,8 @@ def run_fault_injection(
             # Storage drills are O(files x copies); smallest case only.
             _storage_drills(report, index, ontology, rng)
             _wal_drills(report, index, ontology, rng)
-        queries = probe_queries_fn(graph)
+        queries = probe_queries(graph)
         if quick:
             queries = queries[:2]
         _budget_drills(report, name, index, graph, queries)
-        _expansion_parity_drills(report, name, index, queries)
     return report

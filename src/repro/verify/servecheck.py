@@ -1,23 +1,17 @@
-"""Serve drill: concurrent HTTP responses == single-threaded evaluation.
+"""Serve drill: HTTP responses == single-threaded evaluation, per epoch.
 
-Two legs, both asserting the serving stack adds *nothing* to the
-evaluation semantics:
+Three legs assert the serving stack adds *nothing* to the evaluation
+semantics, all through one comparator (:func:`_read_pass`): every
+response is **byte-identical** to the single-threaded in-process
+evaluation *for the epoch the response pinned*.  *Canonical bytes* are
+the JSON payload minus the volatile fields (timings, budget remainders)
+serialized with sorted keys — the strongest equality the wire format
+supports.
 
-* :func:`run_serve_drill` — boot a live server (real sockets, one
-  handler thread per connection), hammer it from N client threads while
-  the main thread applies maintenance mutations through the runtime, and
-  require every response to be **byte-identical** to the single-threaded
-  in-process evaluation *for the epoch the response pinned*.  The
-  expectations are precomputed per epoch by replaying the same mutation
-  schedule on a replica index built from the same deterministic factory.
-* :func:`fuzz_serve` — the maintenance fuzzer's serving face: drive a
-  live server through seed-reproducible mutation/query interleavings via
-  ``/admin/mutate`` and diff every response against an in-process oracle
-  service stepped through the same ops.
-
-Both legs compare *canonical bytes*: the JSON payload minus the volatile
-fields (timings, budget remainders) serialized with sorted keys — the
-strongest equality the wire format supports.
+:func:`run_serve_drill` hammers a live server while mutations land,
+:func:`run_mutation_stream_drill` adds the reader latencies (readers must
+never block on a writer), and :func:`fuzz_serve` is the maintenance
+fuzzer's serving face, mutating through ``/admin/mutate``.
 """
 
 from __future__ import annotations
@@ -26,7 +20,6 @@ import json
 import random
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Sequence, Tuple
 
 from repro.core.index import BiGIndex
@@ -36,9 +29,31 @@ from repro.serve.client import ServeClient
 from repro.serve.lifecycle import EngineRuntime
 from repro.serve.server import serve_in_thread
 from repro.serve.service import QueryService, ServerConfig, canonical_payload
-from repro.verify.fuzzer import Op, _random_op, apply_op
+from repro.verify.drill import (
+    IndexFactory,
+    Op,
+    Probe,
+    Report,
+    apply_op,
+    draw_ops,
+    edge_ops,
+    run_ops,
+)
 
-IndexFactory = Callable[[], BiGIndex]
+AlgorithmFactory = Callable[[], KeywordSearchAlgorithm]
+
+#: Canonical response bytes per (epoch, query keywords).
+Expectations = Dict[Tuple[int, ...], Dict[Tuple[str, ...], bytes]]
+
+#: Reader p99 under mutations may not exceed
+#: ``max(_LATENCY_FACTOR * idle_p99, idle_p99 + _LATENCY_SLACK)``: a
+#: drain-based runtime stalls every in-flight reader for the full
+#: layer-refresh (tens of ms), which the factor catches, while the
+#: absolute slack (seconds) keeps a sub-millisecond idle p99 from
+#: turning scheduler jitter into flakes.
+_LATENCY_FACTOR = 3.0
+_LATENCY_SLACK = 0.05
+_UNIT = "response(s) byte-identical to single-threaded evaluation"
 
 
 def _canonical_bytes(payload: Dict[str, object]) -> bytes:
@@ -47,7 +62,7 @@ def _canonical_bytes(payload: Dict[str, object]) -> bytes:
 
 def _make_service(
     index: BiGIndex,
-    algorithm_factory: Callable[[], KeywordSearchAlgorithm],
+    algorithm_factory: AlgorithmFactory,
     enable_admin: bool = True,
 ) -> QueryService:
     def evaluator_factory(idx: BiGIndex):
@@ -59,174 +74,90 @@ def _make_service(
     )
 
 
-def _query_body(query: KeywordQuery) -> bytes:
-    return json.dumps({"keywords": list(query.keywords)}).encode()
-
-
-@dataclass
-class ServeReport:
-    """Outcome of the serve drill (and/or its fuzz/latency legs)."""
-
-    threads: int = 0
-    requests: int = 0
-    epochs_seen: int = 0
-    fuzz_ops: int = 0
-    #: Reader p99 latency with no writers (mutation-stream leg only).
-    idle_p99: float = 0.0
-    #: Reader p99 latency under the sustained mutation stream.
-    mutate_p99: float = 0.0
-    #: Server-side rolling-window /query p99 from /healthz's slo section
-    #: (idle phase / mutation phase), gated alongside the client-side
-    #: numbers above.
-    slo_idle_p99: float = 0.0
-    slo_mutate_p99: float = 0.0
-    failures: List[str] = field(default_factory=list)
-
-    @property
-    def ok(self) -> bool:
-        return not self.failures
-
-    def format(self) -> str:
-        latency = ""
-        if self.mutate_p99 > 0:
-            latency = (
-                f", reader p99 {self.idle_p99 * 1000:.1f}ms idle / "
-                f"{self.mutate_p99 * 1000:.1f}ms under mutations"
-            )
-        if self.ok:
-            return (
-                f"serve: OK ({self.requests} response(s) across "
-                f"{self.threads} thread(s), {self.epochs_seen} epoch(s), "
-                f"{self.fuzz_ops} fuzz op(s){latency} — all byte-identical "
-                f"to single-threaded evaluation)"
-            )
-        lines = [f"serve: {len(self.failures)} failure(s){latency}"]
-        lines.extend(f"  {f}" for f in self.failures[:10])
-        return "\n".join(lines)
-
-    def merge(self, other: "ServeReport") -> None:
-        self.threads = max(self.threads, other.threads)
-        self.requests += other.requests
-        self.epochs_seen += other.epochs_seen
-        self.fuzz_ops += other.fuzz_ops
-        self.idle_p99 = max(self.idle_p99, other.idle_p99)
-        self.mutate_p99 = max(self.mutate_p99, other.mutate_p99)
-        self.slo_idle_p99 = max(self.slo_idle_p99, other.slo_idle_p99)
-        self.slo_mutate_p99 = max(self.slo_mutate_p99, other.slo_mutate_p99)
-        self.failures.extend(other.failures)
-
-
-def _epoch_expectations(
-    index_factory: IndexFactory,
-    algorithm_factory: Callable[[], KeywordSearchAlgorithm],
-    queries: Sequence[KeywordQuery],
-    ops: Sequence[Op],
-) -> Dict[Tuple[int, ...], Dict[Tuple[str, ...], bytes]]:
+class _EpochOracle(Probe):
     """Single-threaded oracle: canonical response bytes per (epoch, query).
 
-    Replays ``ops`` on a replica index from the same deterministic
-    factory, snapshotting every query's in-process service response after
-    each step.  The live server's epochs must land exactly on these.
+    An in-process service over a replica index from the same
+    deterministic factory.  As a probe its :meth:`check` *records*: run
+    under :func:`run_ops` it snapshots every query's response after each
+    step, and the live server's epochs must land exactly on these.
     """
-    replica = index_factory()
-    oracle = _make_service(replica, algorithm_factory, enable_admin=False)
-    expectations: Dict[Tuple[int, ...], Dict[Tuple[str, ...], bytes]] = {}
 
-    def snap() -> None:
+    def __init__(
+        self,
+        index_factory: IndexFactory,
+        algorithm_factory: AlgorithmFactory,
+        queries: Sequence[KeywordQuery],
+    ) -> None:
+        self.service = _make_service(
+            index_factory(), algorithm_factory, enable_admin=False
+        )
+        self.queries = list(queries)
+        self.expectations: Expectations = {}
+
+    def apply(self, op: Op) -> None:
+        self.service.runtime.mutate(lambda index: apply_op(index, op))
+
+    @property
+    def epoch(self) -> Tuple[int, ...]:
+        return tuple(self.service.runtime.epoch)
+
+    def check(self, context: str) -> None:
         per_query: Dict[Tuple[str, ...], bytes] = {}
-        for query in queries:
-            status, payload, _ = oracle.handle(
-                "POST", "/query", _query_body(query), {}
+        for query in self.queries:
+            body = json.dumps({"keywords": list(query.keywords)}).encode()
+            status, payload, _ = self.service.handle(
+                "POST", "/query", body, {}
             )
             assert status == 200, f"oracle returned {status}: {payload}"
             per_query[query.keywords] = _canonical_bytes(payload)
-        expectations[tuple(oracle.runtime.epoch)] = per_query
-
-    snap()
-    for op in ops:
-        oracle.runtime.mutate(lambda idx, op=op: apply_op(idx, op))
-        snap()
-    return expectations
+        self.expectations[self.epoch] = per_query
 
 
-def run_serve_drill(
-    index_factory: IndexFactory,
-    algorithm_factory: Callable[[], KeywordSearchAlgorithm],
+def _read_pass(
+    client: ServeClient,
     queries: Sequence[KeywordQuery],
-    threads: int = 4,
-    rounds: int = 3,
-    ops: Sequence[Op] = (),
-    seed: int = 0,
-) -> ServeReport:
-    """Hammer a live server and byte-compare every response per epoch.
+    expectations: Expectations,
+    who: str,
+) -> Tuple[List[float], List[str]]:
+    """The one per-epoch comparator: query each of ``queries`` once, time
+    and byte-compare every response.
 
-    ``threads`` client threads each run ``rounds`` passes over the query
-    list against a real HTTP server while the main thread applies ``ops``
-    through the runtime (write lock, epoch bumps).  Every response is
-    matched against the precomputed single-threaded expectation for the
-    epoch it pinned — proving both no torn reads (unknown epoch ⇒
-    mutation observed mid-flight) and no stale-epoch cache hits (byte
-    mismatch within a known epoch).
+    A response must be a 200, must have pinned an epoch the oracle
+    visited (an unknown epoch means a mutation was observed mid-flight —
+    a torn read) and must equal the oracle's canonical bytes for that
+    epoch (a mismatch within a known epoch is a stale cache hit or a
+    mutation published under the wrong epoch).  Returns the per-request
+    latencies and the problems.
     """
-    report = ServeReport(threads=threads)
-    expectations = _epoch_expectations(
-        index_factory, algorithm_factory, queries, ops
-    )
-    report.epochs_seen = len(expectations)
-
-    index = index_factory()
-    service = _make_service(index, algorithm_factory, enable_admin=False)
-    rng = random.Random(seed)
-
-    def worker(worker_id: int, port: int) -> List[str]:
-        problems: List[str] = []
-        order = list(queries)
-        wrng = random.Random(f"{seed}:{worker_id}")
-        with ServeClient("127.0.0.1", port) as client:
-            for _ in range(rounds):
-                wrng.shuffle(order)
-                for query in order:
-                    response = client.query(list(query.keywords))
-                    if response.status != 200:
-                        problems.append(
-                            f"worker {worker_id} Q={list(query.keywords)}: "
-                            f"HTTP {response.status}: {response.payload}"
-                        )
-                        continue
-                    epoch = tuple(response.payload.get("epoch", ()))
-                    per_query = expectations.get(epoch)
-                    if per_query is None:
-                        problems.append(
-                            f"worker {worker_id} Q={list(query.keywords)}: "
-                            f"pinned unknown epoch {epoch} (torn read?)"
-                        )
-                        continue
-                    actual = _canonical_bytes(response.payload)
-                    if actual != per_query[query.keywords]:
-                        problems.append(
-                            f"worker {worker_id} Q={list(query.keywords)} "
-                            f"epoch {epoch}: response differs from "
-                            f"single-threaded evaluation:\n    served: "
-                            f"{actual.decode()}\n    oracle: "
-                            f"{per_query[query.keywords].decode()}"
-                        )
-        return problems
-
-    with serve_in_thread(service) as server:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            futures = [
-                pool.submit(worker, i, server.port) for i in range(threads)
-            ]
-            # Interleave mutations with the in-flight reader traffic; the
-            # jittered pauses vary writer arrival times across runs while
-            # the epoch schedule itself stays deterministic.
-            for op in ops:
-                time.sleep(0.002 * rng.random())
-                service.runtime.mutate(lambda idx, op=op: apply_op(idx, op))
-            for future in futures:
-                report.failures.extend(future.result())
-    report.requests = threads * rounds * len(queries)
-    return report
+    latencies: List[float] = []
+    problems: List[str] = []
+    for query in queries:
+        started = time.perf_counter()
+        response = client.query(list(query.keywords))
+        latencies.append(time.perf_counter() - started)
+        where = f"{who} Q={list(query.keywords)}"
+        if response.status != 200:
+            problems.append(
+                f"{where}: HTTP {response.status}: {response.payload}"
+            )
+            continue
+        epoch = tuple(response.payload.get("epoch", ()))
+        per_query = expectations.get(epoch)
+        if per_query is None:
+            problems.append(
+                f"{where}: pinned unknown epoch {epoch} (torn read?)"
+            )
+            continue
+        actual = _canonical_bytes(response.payload)
+        if actual != per_query[query.keywords]:
+            problems.append(
+                f"{where} epoch {epoch}: response differs from "
+                f"single-threaded evaluation:\n    served: "
+                f"{actual.decode()}\n    oracle: "
+                f"{per_query[query.keywords].decode()}"
+            )
+    return latencies, problems
 
 
 def _p99(samples: Sequence[float]) -> float:
@@ -236,95 +167,132 @@ def _p99(samples: Sequence[float]) -> float:
     return ordered[min(len(ordered) - 1, int(len(ordered) * 0.99))]
 
 
+class _HammerLeg:
+    """A live-server leg: a service over a fresh index, the oracle bytes
+    for every epoch ``ops`` visits, and N reader threads to hammer it."""
+
+    def __init__(
+        self, index_factory, algorithm_factory, queries, threads, rounds,
+        ops, seed,
+    ) -> None:
+        self.report = Report("serve", unit=_UNIT)
+        oracle = _EpochOracle(index_factory, algorithm_factory, queries)
+        run_ops(ops, oracle.apply, [oracle])
+        self.expectations = oracle.expectations
+        self.report.notes["epochs"] = len(self.expectations)
+        self.service = _make_service(
+            index_factory(), algorithm_factory, enable_admin=False
+        )
+        self.queries = list(queries)
+        self.threads, self.rounds, self.seed = threads, rounds, seed
+
+    def mutate(self, op: Op) -> None:
+        self.service.runtime.mutate(lambda index: apply_op(index, op))
+
+    def hammer(self, port: int, write: Callable[[], object]) -> float:
+        """``threads`` readers x ``rounds`` shuffled passes while the
+        calling thread runs ``write``; every response goes through
+        :func:`_read_pass` into the report.  Returns the reader p99.
+        Readers never retry: each latency is exactly one HTTP exchange,
+        and a shed or dropped request surfaces as a problem."""
+
+        def reader(worker_id: int) -> Tuple[List[float], List[str]]:
+            latencies: List[float] = []
+            problems: List[str] = []
+            order = list(self.queries)
+            rng = random.Random(f"{self.seed}:{worker_id}")
+            with ServeClient("127.0.0.1", port, max_retries=0) as client:
+                for _ in range(self.rounds):
+                    rng.shuffle(order)
+                    took, found = _read_pass(
+                        client, order, self.expectations,
+                        f"reader {worker_id}",
+                    )
+                    latencies.extend(took)
+                    problems.extend(found)
+            return latencies, problems
+
+        with ThreadPoolExecutor(max_workers=self.threads) as pool:
+            futures = [pool.submit(reader, i) for i in range(self.threads)]
+            write()
+            results = [future.result() for future in futures]
+        for latencies, problems in results:
+            self.report.checks += len(latencies)
+            self.report.problems.extend(problems)
+        return _p99([x for latencies, _ in results for x in latencies])
+
+
+def run_serve_drill(
+    index_factory: IndexFactory,
+    algorithm_factory: AlgorithmFactory,
+    queries: Sequence[KeywordQuery],
+    threads: int = 4,
+    rounds: int = 3,
+    ops: Sequence[Op] = (),
+    seed: int = 0,
+) -> Report:
+    """Hammer a live server and byte-compare every response per epoch.
+
+    ``threads`` client threads each run ``rounds`` passes over the query
+    list against a real HTTP server while the main thread applies ``ops``
+    through the runtime (copy-on-write clone, epoch bumps); the
+    expectations are precomputed by replaying ``ops`` on a replica.
+    """
+    leg = _HammerLeg(
+        index_factory, algorithm_factory, queries, threads, rounds, ops, seed
+    )
+    rng = random.Random(seed)
+
+    def mutate_after_a_pause(op: Op) -> None:
+        # Interleave mutations with the in-flight reader traffic; the
+        # jittered pauses vary writer arrival times across runs while
+        # the epoch schedule itself stays deterministic.
+        time.sleep(0.002 * rng.random())
+        leg.mutate(op)
+
+    with serve_in_thread(leg.service) as server:
+        leg.hammer(server.port, lambda: run_ops(ops, mutate_after_a_pause))
+    return leg.report
+
+
+def _latency_problem(what: str, idle: float, mutating: float) -> List[str]:
+    """The copy-on-write gate on one (idle, under-mutations) p99 pair."""
+    bound = max(_LATENCY_FACTOR * idle, idle + _LATENCY_SLACK)
+    if mutating <= bound:
+        return []
+    return [
+        f"{what} under mutations {mutating * 1000:.1f}ms exceeds bound "
+        f"{bound * 1000:.1f}ms (idle p99 {idle * 1000:.1f}ms "
+        f"x{_LATENCY_FACTOR:g} + {_LATENCY_SLACK * 1000:.0f}ms slack) — "
+        f"a mutation is blocking readers"
+    ]
+
+
 def run_mutation_stream_drill(
     index_factory: IndexFactory,
-    algorithm_factory: Callable[[], KeywordSearchAlgorithm],
+    algorithm_factory: AlgorithmFactory,
     queries: Sequence[KeywordQuery],
     threads: int = 4,
     rounds: int = 4,
     ops: Sequence[Op] = (),
     seed: int = 0,
-    latency_factor: float = 3.0,
-    latency_slack: float = 0.05,
-) -> ServeReport:
+) -> Report:
     """Readers never block while a writer streams mutations.
 
     The copy-on-write acceptance gate.  Phase one measures reader p99
     against an idle server; phase two repeats the identical workload
     while the main thread streams every op in ``ops`` back-to-back
-    through ``runtime.mutate``.  The drill fails if
-
-    * reader p99 under mutations exceeds
-      ``max(latency_factor * idle_p99, idle_p99 + latency_slack)`` —
-      the old drain-based runtime stalls every in-flight reader for the
-      full layer-refresh (tens of ms), which this bound catches, while
-      the absolute slack keeps a sub-millisecond idle p99 from turning
-      scheduler jitter into flakes; or
-    * any response is not byte-identical to the single-threaded
-      expectation for the epoch it pinned (same oracle as
-      :func:`run_serve_drill`).
+    through ``runtime.mutate`` (each mutate clones copy-on-write and
+    publishes without draining, so reader latency must stay flat).  The
+    drill fails if reader p99 under mutations exceeds the
+    :data:`_LATENCY_FACTOR` / :data:`_LATENCY_SLACK` bound — client-side
+    and again in the server's own rolling SLO window — or any response
+    fails :func:`_read_pass` (same oracle as :func:`run_serve_drill`).
     """
-    report = ServeReport(threads=threads)
-    expectations = _epoch_expectations(
-        index_factory, algorithm_factory, queries, ops
+    leg = _HammerLeg(
+        index_factory, algorithm_factory, queries, threads, rounds, ops, seed
     )
-    report.epochs_seen = len(expectations)
-
-    index = index_factory()
-    service = _make_service(index, algorithm_factory, enable_admin=False)
-
-    def reader(worker_id: int, port: int) -> Tuple[List[float], List[str]]:
-        latencies: List[float] = []
-        problems: List[str] = []
-        order = list(queries)
-        wrng = random.Random(f"{seed}:stream:{worker_id}")
-        with ServeClient("127.0.0.1", port, max_retries=0) as client:
-            for _ in range(rounds):
-                wrng.shuffle(order)
-                for query in order:
-                    started = time.perf_counter()
-                    response = client.query(list(query.keywords))
-                    latencies.append(time.perf_counter() - started)
-                    if response.status != 200:
-                        problems.append(
-                            f"reader {worker_id} Q={list(query.keywords)}: "
-                            f"HTTP {response.status}: {response.payload}"
-                        )
-                        continue
-                    epoch = tuple(response.payload.get("epoch", ()))
-                    per_query = expectations.get(epoch)
-                    if per_query is None:
-                        problems.append(
-                            f"reader {worker_id} Q={list(query.keywords)}: "
-                            f"pinned unknown epoch {epoch} (torn read?)"
-                        )
-                        continue
-                    actual = _canonical_bytes(response.payload)
-                    if actual != per_query[query.keywords]:
-                        problems.append(
-                            f"reader {worker_id} Q={list(query.keywords)} "
-                            f"epoch {epoch}: differs from single-threaded "
-                            f"evaluation"
-                        )
-        return latencies, problems
-
-    def run_phase(port: int) -> List[List[float]]:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            futures = [pool.submit(reader, i, port) for i in range(threads)]
-            if mutating:
-                # Stream the whole schedule back-to-back: each mutate
-                # clones copy-on-write and publishes without draining, so
-                # reader latency must stay flat throughout.
-                for op in ops:
-                    service.runtime.mutate(
-                        lambda idx, op=op: apply_op(idx, op)
-                    )
-            all_latencies = []
-            for future in futures:
-                latencies, problems = future.result()
-                all_latencies.append(latencies)
-                report.failures.extend(problems)
-            return all_latencies
+    report = leg.report
 
     def probe_slo(port: int, phase: str) -> float:
         """The server's own rolling-window /query p99 (from /healthz)."""
@@ -332,144 +300,134 @@ def run_mutation_stream_drill(
             response = probe.healthz()
         slo = response.payload.get("slo")
         if not isinstance(slo, dict) or "/query" not in slo:
-            report.failures.append(
+            report.problems.append(
                 f"{phase}: /healthz has no slo entry for /query "
                 f"(got {sorted(slo) if isinstance(slo, dict) else slo!r})"
             )
             return 0.0
         entry = slo["/query"]
         if not entry.get("count"):
-            report.failures.append(
+            report.problems.append(
                 f"{phase}: slo window for /query is empty after the "
                 f"reader phase"
             )
             return 0.0
         if entry.get("error_rate"):
-            report.failures.append(
+            report.problems.append(
                 f"{phase}: slo error_rate {entry['error_rate']:.3f} for "
                 f"/query (want 0 — no request may fault)"
             )
         return float(entry.get("p99_seconds") or 0.0)
 
-    with serve_in_thread(service) as server:
-        mutating = False
-        idle = [x for lat in run_phase(server.port) for x in lat]
-        report.slo_idle_p99 = probe_slo(server.port, "idle phase")
+    with serve_in_thread(leg.service) as server:
+        idle_p99 = leg.hammer(server.port, lambda: None)
+        slo_idle_p99 = probe_slo(server.port, "idle phase")
         # Reset to the baseline snapshot so phase two replays the same
         # epoch schedule the expectations were computed for.
-        service.runtime.reload(index_factory())
-        mutating = True
-        under = [x for lat in run_phase(server.port) for x in lat]
-        report.slo_mutate_p99 = probe_slo(server.port, "mutation phase")
+        leg.service.runtime.reload(index_factory())
+        mutate_p99 = leg.hammer(server.port, lambda: run_ops(ops, leg.mutate))
+        slo_mutate_p99 = probe_slo(server.port, "mutation phase")
 
-    report.requests = len(idle) + len(under)
-    report.idle_p99 = _p99(idle)
-    report.mutate_p99 = _p99(under)
-    bound = max(
-        latency_factor * report.idle_p99, report.idle_p99 + latency_slack
+    report.notes.update(
+        idle_p99_ms=idle_p99 * 1000,
+        mutate_p99_ms=mutate_p99 * 1000,
+        slo_idle_p99_ms=slo_idle_p99 * 1000,
+        slo_mutate_p99_ms=slo_mutate_p99 * 1000,
     )
-    if report.mutate_p99 > bound:
-        report.failures.append(
-            f"reader p99 under mutations {report.mutate_p99 * 1000:.1f}ms "
-            f"exceeds bound {bound * 1000:.1f}ms (idle p99 "
-            f"{report.idle_p99 * 1000:.1f}ms x{latency_factor:g} + "
-            f"{latency_slack * 1000:.0f}ms slack) — a mutation is blocking "
-            f"readers"
-        )
+    report.problems.extend(
+        _latency_problem("reader p99", idle_p99, mutate_p99)
+    )
     # Same bound, server-side: the rolling SLO gauges must tell the same
     # story the client-side stopwatch does (the window spans both phases,
     # so the mutation-phase probe is an upper bound on recent latency).
-    slo_bound = max(
-        latency_factor * report.slo_idle_p99,
-        report.slo_idle_p99 + latency_slack,
-    )
-    if report.slo_idle_p99 > 0 and report.slo_mutate_p99 > slo_bound:
-        report.failures.append(
-            f"server-side slo /query p99 under mutations "
-            f"{report.slo_mutate_p99 * 1000:.1f}ms exceeds bound "
-            f"{slo_bound * 1000:.1f}ms (idle {report.slo_idle_p99 * 1000:.1f}"
-            f"ms x{latency_factor:g} + {latency_slack * 1000:.0f}ms slack)"
+    if slo_idle_p99 > 0:
+        report.problems.extend(
+            _latency_problem(
+                "server-side slo /query p99", slo_idle_p99, slo_mutate_p99
+            )
         )
     return report
 
 
+class ServedBytesProbe(_EpochOracle):
+    """Served bytes == oracle bytes, with the oracle stepped in lock-step.
+
+    :meth:`apply` carries one edge op to both sides — the live server
+    through ``POST /admin/mutate`` (the full HTTP path), the oracle
+    through its runtime — and both must land on the same epoch;
+    :meth:`check` snapshots the oracle and puts one :func:`_read_pass`
+    through the live server (canonical bytes include the epoch, so the
+    server's maintenance path must track the oracle's exactly).
+    """
+
+    def __init__(
+        self, index_factory, algorithm_factory, queries, client: ServeClient,
+        report: Report, who: str,
+    ) -> None:
+        super().__init__(index_factory, algorithm_factory, queries)
+        self.client, self.report, self.who = client, report, who
+
+    def apply(self, op: Op) -> None:
+        kind, u, v = op
+        response = self.client.mutate(kind, u, v)
+        if response.status != 200:
+            # The oracle is not stepped either, so the sides stay
+            # comparable for the ops that follow.
+            self.report.problems.append(
+                f"{self.who} {op!r}: HTTP {response.status}: "
+                f"{response.payload}"
+            )
+            return
+        super().apply(op)
+        self.report.notes["fuzz_ops"] += 1
+        live_epoch = tuple(response.payload["epoch"])
+        if live_epoch != self.epoch:
+            self.report.problems.append(
+                f"{self.who} {op!r}: live epoch {live_epoch} != oracle "
+                f"{self.epoch}"
+            )
+
+    def check(self, context: str) -> None:
+        super().check(context)
+        latencies, problems = _read_pass(
+            self.client, self.queries, self.expectations,
+            f"{self.who} {context}",
+        )
+        self.report.checks += len(latencies)
+        self.report.problems.extend(problems)
+
+
 def fuzz_serve(
     index_factory: IndexFactory,
-    algorithm_factory: Callable[[], KeywordSearchAlgorithm],
+    algorithm_factory: AlgorithmFactory,
     queries: Sequence[KeywordQuery],
     ops_per_sequence: int = 6,
     sequences: int = 1,
     seed: int = 0,
-) -> ServeReport:
+) -> Report:
     """Drive a live server through mutation/query interleavings.
 
-    Mutations flow through ``POST /admin/mutate`` (the full HTTP path);
-    after every op the same operation is applied to an in-process oracle
-    service and each probe query is diffed live-vs-oracle — canonical
-    bytes, including the epoch, so the server's maintenance path must
-    track the oracle's exactly.
+    Per sequence: a fresh admin-enabled server and :func:`run_ops` over
+    seeded edge ops with a fresh :class:`ServedBytesProbe` diffing every
+    probe query live-vs-oracle before the first op and after each one.
     """
-    report = ServeReport(threads=1)
+    report = Report("serve", unit=_UNIT)
+    report.notes["fuzz_ops"] = 0
     for sequence in range(sequences):
         rng = random.Random(f"serve:{seed}:{sequence}")
         live_index = index_factory()
-        oracle = _make_service(
-            index_factory(), algorithm_factory, enable_admin=False
-        )
         service = _make_service(
             live_index, algorithm_factory, enable_admin=True
         )
-
-        def diff(client: ServeClient, context: str) -> None:
-            for query in queries:
-                response = client.query(list(query.keywords))
-                status, payload, _ = oracle.handle(
-                    "POST", "/query", _query_body(query), {}
-                )
-                report.requests += 1
-                if response.status != status:
-                    report.failures.append(
-                        f"seq {sequence} {context} Q={list(query.keywords)}:"
-                        f" live HTTP {response.status} != oracle {status}"
-                    )
-                    continue
-                live = _canonical_bytes(response.payload)
-                expected = _canonical_bytes(payload)
-                if live != expected:
-                    report.failures.append(
-                        f"seq {sequence} {context} Q={list(query.keywords)}:"
-                        f"\n    served: {live.decode()}"
-                        f"\n    oracle: {expected.decode()}"
-                    )
-
         with serve_in_thread(service) as server:
             with ServeClient("127.0.0.1", server.port) as client:
-                diff(client, "pre")
-                for position in range(1, ops_per_sequence + 1):
-                    op = _random_op(rng, live_index)
-                    if op is None or op[0] == "drop-ontology":
-                        # /admin/mutate speaks edge ops; ontology edits
-                        # stay the in-process fuzzer's concern.
-                        continue
-                    kind, u, v = op
-                    response = client.mutate(kind, u, v)
-                    if response.status != 200:
-                        report.failures.append(
-                            f"seq {sequence} op {position} {op!r}: "
-                            f"HTTP {response.status}: {response.payload}"
-                        )
-                        break
-                    oracle.runtime.mutate(
-                        lambda idx, op=op: apply_op(idx, op)
-                    )
-                    report.fuzz_ops += 1
-                    live_epoch = tuple(response.payload["epoch"])
-                    oracle_epoch = tuple(oracle.runtime.epoch)
-                    if live_epoch != oracle_epoch:
-                        report.failures.append(
-                            f"seq {sequence} op {position} {op!r}: live "
-                            f"epoch {live_epoch} != oracle {oracle_epoch}"
-                        )
-                        break
-                    diff(client, f"after op {position}")
+                probe = ServedBytesProbe(
+                    index_factory, algorithm_factory, queries, client,
+                    report, f"seq {sequence}",
+                )
+                run_ops(
+                    edge_ops(draw_ops(rng, live_index, ops_per_sequence)),
+                    probe.apply,
+                    [probe],
+                )
     return report

@@ -21,28 +21,30 @@ def test_chaos_drill_smoke(tmp_path):
     report = run_chaos_drill(
         rounds=2, ops_per_round=3, seed=0, workdir=str(tmp_path)
     )
-    assert report.ok, "\n".join(report.failures)
-    assert report.rounds == 2
-    assert report.restarts == 2
-    assert report.kills == 1  # every non-final round ends in SIGKILL
+    assert report.ok, report.format()
+    notes = report.notes
+    assert notes["rounds"] == 2
+    assert notes["restarts"] == 2
+    assert notes["kills"] == 1  # every non-final round ends in SIGKILL
     assert report.checks > 0
-    assert report.ops_acked <= report.ops_sent
-    assert len(report.events) == 2
-    for event in report.events:
-        assert event.digest_matched
+    assert notes["ops_acked"] <= notes["ops_sent"]
+    assert len(notes["events"]) == 2
+    for event in notes["events"]:
+        assert event["digest_matched"]
     # The report round-trips through JSON (the CI artifact contract).
     payload = json.loads(json.dumps(report.to_dict()))
     assert payload["seed"] == 0
-    assert payload["failures"] == []
+    assert payload["ok"] is True
+    assert payload["problems"] == []
     assert len(payload["events"]) == 2
 
 
 def test_chaos_report_formats_failures():
-    from repro.verify.chaoscheck import ChaosReport
+    from repro.verify import Report
 
-    report = ChaosReport(seed=7)
-    report.failures.append("round 1: digest mismatch")
+    report = Report("chaos", notes={"seed": 7, "kills": 2, "events": []})
+    report.problems.append("round 1: digest mismatch")
     assert not report.ok
-    text = report.format()
-    assert "digest mismatch" in text
-    assert "seed=7" in text
+    lines = report.format().splitlines()
+    assert lines[0] == "chaos: 1 problem(s) (0 check(s), seed=7, kills=2)"
+    assert lines[1] == "  round 1: digest mismatch"

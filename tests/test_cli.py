@@ -1,6 +1,8 @@
 """End-to-end tests for the command-line interface."""
 
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -349,3 +351,25 @@ class TestVerifyCommand:
         out = capsys.readouterr().out
         assert "faults: OK" in out
         assert "fault scenario(s)" in out
+
+
+def test_query_path_does_not_import_verify():
+    """Cold start: ``build`` / ``query`` / ``stats`` must not pay for the
+    verify harness (all drills, plus ``repro.serve`` and ``http.client``
+    behind them); ``cmd_verify`` imports it on use."""
+    src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
+    )
+    probe = (
+        "import sys, repro.cli; "
+        "loaded = [m for m in ('repro.verify', 'repro.serve', 'http.client')"
+        " if m in sys.modules]; "
+        "assert not loaded, loaded"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True,
+        text=True, timeout=60,
+    )
+    assert result.returncode == 0, result.stderr

@@ -1,7 +1,6 @@
 """Tests for the fault-injection leg of the verification harness."""
 
-from repro.verify import FaultReport, run_fault_injection, run_verification
-from repro.verify.faults import FaultFinding
+from repro.verify import Report, run_fault_injection, run_verification
 
 
 class TestFaultInjection:
@@ -14,20 +13,34 @@ class TestFaultInjection:
         first = run_fault_injection(quick=True, seed=7)
         second = run_fault_injection(quick=True, seed=7)
         assert first.checks == second.checks
-        assert [f.format() for f in first.findings] == [
-            f.format() for f in second.findings
-        ]
+        assert first.problems == second.problems
 
     def test_report_formatting(self):
-        report = FaultReport(checks=3)
-        assert "OK" in report.format()
-        report.findings.append(
-            FaultFinding("storage/bitflip", "case", "loaded anyway")
-        )
+        report = Report("faults", unit="fault scenario(s)", checks=3)
+        assert report.format() == "faults: OK (3 fault scenario(s))"
+        report.problems.append("storage/bitflip [case]: loaded anyway")
         assert not report.ok
-        text = report.format()
-        assert "1 finding(s)" in text
-        assert "storage/bitflip" in text
+        lines = report.format().splitlines()
+        assert lines[0] == "faults: 1 problem(s) (3 fault scenario(s))"
+        assert lines[1] == "  storage/bitflip [case]: loaded anyway"
+
+    def test_report_truncates_and_merges(self):
+        report = Report("serve", notes={"epochs": 3, "p99_ms": 1.0})
+        report.problems.extend(f"problem {i}" for i in range(12))
+        other = Report("serve", checks=4, notes={"epochs": 3, "p99_ms": 2.5})
+        other.problems.append("first line\nsecond line")
+        report.merge(other)
+        assert report.checks == 4
+        assert report.notes == {"epochs": 6, "p99_ms": 2.5}
+        lines = report.format().splitlines()
+        assert lines[0] == (
+            "serve: 13 problem(s) (4 check(s), epochs=6, p99_ms=2.5)"
+        )
+        assert lines[1] == "  problem 0"
+        assert lines[-1] == "  ... and 3 more"
+        assert len(lines) == 12
+        assert report.to_dict()["problems"][-1] == "first line\nsecond line"
+        assert report.to_dict()["epochs"] == 6
 
 
 class TestRunnerIntegration:
@@ -36,7 +49,7 @@ class TestRunnerIntegration:
             quick=True, seed=0, fuzz_sequences=1, ops_per_sequence=2,
             faults=True,
         )
-        assert report.faults is not None
+        assert "faults" in report.drills
         assert report.ok, report.format()
         assert "faults: OK" in report.format()
 
@@ -44,5 +57,5 @@ class TestRunnerIntegration:
         report = run_verification(
             quick=True, seed=0, fuzz_sequences=1, ops_per_sequence=2
         )
-        assert report.faults is None
+        assert "faults" not in report.drills
         assert "faults:" not in report.format()

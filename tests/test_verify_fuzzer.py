@@ -6,8 +6,10 @@ from repro.core.cost import CostParams
 from repro.core.index import BiGIndex
 from repro.search.banks import BackwardKeywordSearch
 from repro.search.base import KeywordQuery
-from repro.verify import fuzz_index, shrink_ops
-from repro.verify.fuzzer import apply_op, check_equivalence, rebuilt_reference
+from repro.core.persistence import load_index
+from repro.verify import fuzz_index, probes, shrink_ops
+from repro.verify.drill import apply_op
+from repro.verify.fuzzer import check_equivalence, rebuilt_reference
 
 EXACT = CostParams(exact=True)
 
@@ -36,8 +38,9 @@ class TestCleanCampaign:
             seed=0,
         )
         assert report.ok, report.format()
-        assert report.sequences_run == 2
-        assert report.ops_applied > 0
+        assert report.notes["sequences"] == 2
+        assert report.notes["ops"] > 0
+        assert report.checks > 0
 
     def test_campaign_is_seed_reproducible(
         self, small_ontology, random_graph_factory
@@ -46,7 +49,7 @@ class TestCleanCampaign:
         first = fuzz_index(factory, sequences=1, ops_per_sequence=4, seed=9)
         second = fuzz_index(factory, sequences=1, ops_per_sequence=4, seed=9)
         assert first.ok and second.ok
-        assert first.ops_applied == second.ops_applied
+        assert first.notes["ops"] == second.notes["ops"]
 
 
 class TestOpSemantics:
@@ -113,7 +116,7 @@ class TestInjectedMaintenanceBug:
             buggy_factory, sequences=3, ops_per_sequence=6, seed=0
         )
         assert not report.ok, "fuzzer missed the forgetful insert_edge bug"
-        for failure in report.failures:
+        for failure in report.problems:
             # The minimal reproducer must be a single unrefreshed insert.
             assert len(failure.shrunk_ops) == 1, failure.format()
             assert failure.shrunk_ops[0][0] == "insert"
@@ -143,3 +146,32 @@ class TestInjectedMaintenanceBug:
         ops = [("delete", du, dv), ("insert", *missing)]
         shrunk = shrink_ops(buggy_factory, ops)
         assert shrunk == [("insert", *missing)]
+
+
+class TestInjectedReloadBug:
+    """Persistence failures shrink like any other: the loop probes the
+    final state of every replay, however short."""
+
+    def test_reload_fault_shrinks_to_the_op_that_introduced_it(
+        self, small_ontology, random_graph_factory, monkeypatch
+    ):
+        factory = make_factory(small_ontology, random_graph_factory)
+        pristine = factory()
+        n = pristine.base_graph.num_vertices
+        cursed = next(
+            (u, v)
+            for u in range(n)
+            for v in range(n)
+            if u != v and not pristine.base_graph.has_edge(u, v)
+        )
+
+        def drops_cursed_edge(directory, ontology):
+            loaded = load_index(directory, ontology)
+            if loaded.base_graph.has_edge(*cursed):
+                loaded.delete_edge(*cursed)
+            return loaded
+
+        monkeypatch.setattr(probes, "load_index", drops_cursed_edge)
+        noise = sorted(pristine.base_graph.edges())[:2]
+        ops = [("insert", *cursed)] + [("delete", u, v) for u, v in noise]
+        assert shrink_ops(factory, ops) == [("insert", *cursed)]
