@@ -8,7 +8,7 @@ Public surface
 --------------
 * graph substrate: :class:`Graph`, traversal and IO helpers.
 * ontology: :class:`OntologyGraph`, :func:`generate_ontology`.
-* bisimulation: :func:`summarize`, :class:`IncrementalBisimulation`.
+* bisimulation: :func:`summarize`, :class:`SummaryGraph`.
 * search algorithms: :class:`BackwardKeywordSearch`, :class:`Blinks`,
   :class:`RClique`.
 * the BiG-index core: :class:`BiGIndex`, :class:`HierarchicalEvaluator`,
@@ -22,7 +22,6 @@ from repro.graph import Graph, LabelTable
 from repro.ontology import OntologyGraph, generate_ontology, TypeAssigner
 from repro.bisim import (
     BisimDirection,
-    IncrementalBisimulation,
     SummaryGraph,
     summarize,
 )
@@ -67,7 +66,6 @@ __all__ = [
     "generate_ontology",
     "TypeAssigner",
     "BisimDirection",
-    "IncrementalBisimulation",
     "SummaryGraph",
     "summarize",
     "Answer",

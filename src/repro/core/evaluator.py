@@ -38,18 +38,23 @@ Resilience
 ----------
 Every step accepts an optional :class:`~repro.utils.budget.Budget`; the
 layer descent charges it per summary answer, per specialization step and
-per verified candidate.  On exhaustion :meth:`evaluate` raises
-:class:`~repro.utils.errors.BudgetExceeded` carrying the *proven prefix*
-of the answer ranking found so far, and :meth:`evaluate_resilient`
-degrades instead of failing: it returns a :class:`DegradedResult`
-envelope (optionally after retrying the remaining budget on a coarser,
-cheaper layer).  See ``docs/ROBUSTNESS.md`` for the exact guarantees.
+per verified candidate.  One primitive,
+:meth:`HierarchicalEvaluator._attempt`, walks the five steps and
+*returns* what it got — complete, or interrupted with the *proven prefix*
+of the answer ranking found so far.  Two thin wrappers read that outcome:
+:meth:`~HierarchicalEvaluator.evaluate` (the result cache; strict) turns
+an interrupted attempt into a plain
+:class:`~repro.utils.errors.BudgetExceeded` carrying the prefix, and
+:meth:`~HierarchicalEvaluator.evaluate_resilient` retries the remaining
+budget on coarser, cheaper layers and returns a :class:`DegradedResult`
+envelope instead of failing.  See ``docs/ROBUSTNESS.md`` for the exact
+guarantees.
 """
 
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import (
     Callable,
     Dict,
@@ -59,6 +64,7 @@ from typing import (
     Sequence,
     Set,
     Tuple,
+    Union,
 )
 
 from repro.core.answer_gen import (
@@ -68,7 +74,7 @@ from repro.core.answer_gen import (
 from repro.core.index import BiGIndex
 from repro.core.path_answer_gen import p_ans_graph_gen
 from repro.core.query_cost import QueryCostModel
-from repro.core.querycache import LRUCache, budget_class
+from repro.core.querycache import LRUCache
 from repro.obs.runtime import OBS, charge_expansions
 from repro.search.base import (
     Answer,
@@ -228,16 +234,13 @@ class HierarchicalEvaluator:
         Query cost model weight (Formula 4).
     generation:
         Answer-generation strategy (see module docstring).
-    use_spec_order:
-        Toggle for the Sec. 4.3.2 specialization-order optimization
-        (``"vertex"`` strategy only; the Exp-5 ablation flips it).
     cache_size:
         Capacity of the per-evaluator query-result LRU (``0`` disables
         caching).  Cached and uncached evaluation are byte-identical —
         entries are keyed by the canonicalized query plus every knob that
         affects the ranking and dropped whenever the index's ``epoch``
         moves; budgeted executions bypass the cache entirely (see
-        :func:`repro.core.querycache.budget_class`).
+        :meth:`evaluate`).
     """
 
     def __init__(
@@ -246,7 +249,6 @@ class HierarchicalEvaluator:
         algorithm: KeywordSearchAlgorithm,
         beta: float = 0.5,
         generation: str = "root-verify",
-        use_spec_order: bool = True,
         verify_mode: str = "exact",
         allow_layer_zero: bool = False,
         cache_size: int = 128,
@@ -261,7 +263,6 @@ class HierarchicalEvaluator:
             index, beta=beta, allow_layer_zero=allow_layer_zero
         )
         self.generation = generation
-        self.use_spec_order = use_spec_order
         #: "exact" re-checks every generated assignment with the
         #: algorithm's own verifier; "trust" accepts assignments that pass
         #: Def. 4.2/4.3 qualification and scores them with the summary
@@ -303,25 +304,6 @@ class HierarchicalEvaluator:
                 self._searchers.clear()
                 if self._result_cache is not None:
                     self._result_cache.clear()
-
-    def _cache_key(
-        self,
-        query: KeywordQuery,
-        layer: Optional[int],
-        k: Optional[int],
-        max_generalized: Optional[int],
-        bclass: str,
-    ) -> Tuple:
-        # Keywords are canonicalized sorted: answer sets are keyword-order
-        # independent (a set semantics the exactness tests pin down).
-        return (
-            tuple(sorted(query.keywords)),
-            layer,
-            k,
-            max_generalized,
-            self.generation,
-            bclass,
-        )
 
     @staticmethod
     def _copy_result(result: EvalResult) -> EvalResult:
@@ -378,61 +360,6 @@ class HierarchicalEvaluator:
     ) -> EvalResult:
         """Run ``eval_Ont(G, Q, f)``, serving repeats from the result cache.
 
-        Unbudgeted evaluations are memoized per canonical (query, layer,
-        k, max_generalized, generation) key; a hit replays the stored
-        ranking byte-for-byte (the ``verify`` cache drill enforces the
-        identity).  Budgeted runs always execute — see
-        :func:`repro.core.querycache.budget_class` for why they are
-        uncacheable.  See :meth:`_evaluate_uncached` for parameters.
-        """
-        if k is None:
-            k = self.algorithm.k
-        bclass = budget_class(budget)
-        key: Optional[Tuple] = None
-        with self._cache_lock:
-            self._sync_caches()
-            epoch = self._epoch
-            if self._result_cache is not None and bclass is not None:
-                key = self._cache_key(query, layer, k, max_generalized, bclass)
-                hit = self._result_cache.get(key)
-                if hit is not None:
-                    if OBS.enabled:
-                        with OBS.tracer.span("result-cache") as span:
-                            span.annotate(
-                                **{
-                                    "query.warm": True,
-                                    "answers": len(hit.answers),
-                                }
-                            )
-                    return self._copy_result(hit)
-        result = self._evaluate_uncached(
-            query,
-            layer=layer,
-            k=k,
-            max_generalized=max_generalized,
-            budget=budget,
-        )
-        if key is not None:
-            with self._cache_lock:
-                # Guarded fill: a result computed under a superseded
-                # epoch must not land in the fresh cache (epoch
-                # components are monotone, so equality proves no
-                # movement since the lookup).
-                self._sync_caches()
-                if self._epoch == epoch:
-                    self._result_cache.put(key, self._copy_result(result))
-        return result
-
-    def _evaluate_uncached(
-        self,
-        query: KeywordQuery,
-        layer: Optional[int] = None,
-        k: Optional[int] = None,
-        max_generalized: Optional[int] = None,
-        budget: Optional[Budget] = None,
-    ) -> EvalResult:
-        """Run ``eval_Ont(G, Q, f)``.
-
         Parameters
         ----------
         query:
@@ -454,12 +381,88 @@ class HierarchicalEvaluator:
             tests) never truncates.
         budget:
             Optional execution budget charged throughout exploration,
-            specialization and generation.  On exhaustion the raised
-            :class:`~repro.utils.errors.BudgetExceeded` carries the
-            proven prefix of the data-graph ranking found so far
-            (``partial``, complete below ``lower_bound``) plus a
-            ``partial_result``/``unproven`` pair for
-            :meth:`evaluate_resilient`.
+            specialization and generation.  This is the *strict* entry
+            point: on exhaustion it raises
+            :class:`~repro.utils.errors.BudgetExceeded` whose ``partial``
+            is the proven prefix of the data-graph ranking found so far,
+            complete below its ``lower_bound``
+            (:meth:`evaluate_resilient` degrades instead).
+
+        Unbudgeted evaluations are memoized per canonical (query, layer,
+        k, max_generalized, generation) key; a hit replays the stored
+        ranking byte-for-byte (the ``verify`` cache drill enforces the
+        identity).  Budgeted runs always execute and are never stored: a
+        :class:`~repro.utils.budget.Budget` is a stateful ledger, so
+        whether a run completes depends on what was already charged, on
+        the wall clock and on an external cancellation token — and a
+        replay would skip the charges the caller's remaining budget is
+        supposed to reflect.
+        """
+        if k is None:
+            k = self.algorithm.k
+        key: Optional[Tuple] = None
+        with self._cache_lock:
+            self._sync_caches()
+            epoch = self._epoch
+            if self._result_cache is not None and budget is None:
+                # Keywords are canonicalized sorted: answer sets are
+                # keyword-order independent (a set semantics the
+                # exactness tests pin down).
+                key = (
+                    tuple(sorted(query.keywords)),
+                    layer,
+                    k,
+                    max_generalized,
+                    self.generation,
+                )
+                hit = self._result_cache.get(key)
+                if hit is not None:
+                    if OBS.enabled:
+                        with OBS.tracer.span("result-cache") as span:
+                            span.annotate(
+                                **{
+                                    "query.warm": True,
+                                    "answers": len(hit.answers),
+                                }
+                            )
+                    return self._copy_result(hit)
+        result = self._attempt(query, layer, k, max_generalized, budget)
+        if result.degraded:
+            raise BudgetExceeded(
+                result.reason,
+                result.attempts[0].expansions,
+                partial=result.answers,
+                lower_bound=result.lower_bound,
+            )
+        if key is not None:
+            with self._cache_lock:
+                # Guarded fill: a result computed under a superseded
+                # epoch must not land in the fresh cache (epoch
+                # components are monotone, so equality proves no
+                # movement since the lookup).
+                self._sync_caches()
+                if self._epoch == epoch:
+                    self._result_cache.put(key, self._copy_result(result))
+        return result
+
+    def _attempt(
+        self,
+        query: KeywordQuery,
+        layer: Optional[int],
+        k: Optional[int],
+        max_generalized: Optional[int],
+        budget: Optional[Budget],
+    ) -> Union[EvalResult, DegradedResult]:
+        """One walk through Algo. 2's five steps — the only one there is.
+
+        :meth:`evaluate` (result cache, strict) and
+        :meth:`evaluate_resilient` (coarser-layer plan) both run this and
+        read what it *returns*: a budget tripping mid-walk is an outcome,
+        not an exception — a one-attempt :class:`DegradedResult` (no
+        ``stats``; ``lower_bound`` as computed) whose ``answers`` are the
+        proven prefix of the data-graph ranking, complete below
+        ``lower_bound``, with the exact answers found at or above the
+        bound in ``unranked``.  Parameters are :meth:`evaluate`'s.
         """
         breakdown = TimeBreakdown()
         if k is None:
@@ -481,161 +484,166 @@ class HierarchicalEvaluator:
                     layer=layer, forced=forced, **self._layer_cost_attrs(query)
                 )
 
-        if layer == 0:
-            # Degenerate case: evaluate directly on the data graph.  The
-            # searcher attaches its own (already data-level) prefix; it is
-            # re-truncated to this call's k before propagating.
-            try:
-                with breakdown.phase("explore"), OBS.tracer.span(
-                    "explore", layer=0
-                ):
-                    answers = self.searcher_for_layer(0).search(
-                        query, budget=budget
-                    )
-            except BudgetExceeded as exc:
-                proven = top_k(exc.partial, k)
-                exc.partial = proven
-                exc.unproven = []
-                exc.partial_result = EvalResult(
-                    answers=proven,
-                    layer=0,
-                    breakdown=breakdown,
-                    num_generalized=len(proven),
-                    num_candidates=len(proven),
-                    num_verified=len(proven),
-                )
-                raise
-            return EvalResult(
-                answers=top_k(answers, k),
-                layer=0,
-                breakdown=breakdown,
-                num_generalized=len(answers),
-                num_candidates=len(answers),
-                num_verified=len(answers),
-            )
-
-        with breakdown.phase("translate"), OBS.tracer.span(
-            "translate", layer=layer
-        ) as translate_span:
-            generalized_keywords = self.index.generalize_query(query, layer)
-            keyword_by_generalized = dict(
-                zip(generalized_keywords, query.keywords)
-            )
-            generalized_query = KeywordQuery(generalized_keywords)
-            if OBS.enabled:
-                translate_span.annotate(
-                    generalized=",".join(generalized_keywords)
-                )
-                OBS.metrics.inc("eval.queries_generalized")
-
-        # Stream summary answers lazily: specialization is interleaved
-        # with enumeration so top-k runs stop as soon as the verified
-        # answers dominate everything unexplored (Sec. 4.3.4 and
-        # boost-dkws's interleaved decomposition, Sec. 5.2).  Streams are
-        # not necessarily score-sorted; searchers that emit out of order
-        # expose a running ``stream_lower_bound`` instead.
-        searcher = self.searcher_for_layer(layer)
-        with breakdown.phase("explore"), OBS.tracer.span(
-            "explore", layer=layer
-        ):
-            summary_stream = searcher.iter_search(
-                generalized_query, budget=budget
-            )
-
         result = EvalResult(answers=[], layer=layer, breakdown=breakdown)
         verified: Dict[Tuple, Answer] = {}
-        seen_roots: Set[int] = set()
+        searcher: Optional[GraphSearcher] = None
         # The summary answer being specialized/generated when a budget
         # trips; its score bounds everything not yet derived from it (and,
         # because streams are consumed in ascending score order, everything
         # still unread from the stream).
         current_summary: Optional[Answer] = None
-
         try:
-            while True:
-                current_summary = None
+            if layer == 0:
+                # Degenerate case: evaluate directly on the data graph, so
+                # every answer the searcher finds is at once generalized
+                # answer, candidate and verified.
+                with breakdown.phase("explore"), OBS.tracer.span(
+                    "explore", layer=0
+                ):
+                    found = self.searcher_for_layer(0).search(
+                        query, budget=budget
+                    )
+                result.num_generalized = result.num_candidates = len(found)
+            else:
+                with breakdown.phase("translate"), OBS.tracer.span(
+                    "translate", layer=layer
+                ) as translate_span:
+                    generalized_keywords = self.index.generalize_query(
+                        query, layer
+                    )
+                    keyword_by_generalized = dict(
+                        zip(generalized_keywords, query.keywords)
+                    )
+                    generalized_query = KeywordQuery(generalized_keywords)
+                    if OBS.enabled:
+                        translate_span.annotate(
+                            generalized=",".join(generalized_keywords)
+                        )
+                        OBS.metrics.inc("eval.queries_generalized")
+
+                # Stream summary answers lazily: specialization is
+                # interleaved with enumeration so top-k runs stop as soon
+                # as the verified answers dominate everything unexplored
+                # (Sec. 4.3.4 and boost-dkws's interleaved decomposition,
+                # Sec. 5.2).  Streams are not necessarily score-sorted;
+                # searchers that emit out of order expose a running
+                # ``stream_lower_bound`` instead.
+                searcher = self.searcher_for_layer(layer)
                 with breakdown.phase("explore"), OBS.tracer.span(
                     "explore", layer=layer
                 ):
-                    summary_answer = next(summary_stream, None)
-                if summary_answer is None:
-                    break
-                current_summary = summary_answer
-                charge_expansions(budget, 1)
-                result.num_generalized += 1
+                    summary_stream = searcher.iter_search(
+                        generalized_query, budget=budget
+                    )
+                seen_roots: Set[int] = set()
+                while True:
+                    current_summary = None
+                    with breakdown.phase("explore"), OBS.tracer.span(
+                        "explore", layer=layer
+                    ):
+                        summary_answer = next(summary_stream, None)
+                    if summary_answer is None:
+                        break
+                    current_summary = summary_answer
+                    charge_expansions(budget, 1)
+                    result.num_generalized += 1
+                    if OBS.enabled:
+                        OBS.metrics.inc("eval.summary_answers")
+                    if (
+                        max_generalized is not None
+                        and result.num_generalized > max_generalized
+                    ):
+                        break
+                    if k is not None and len(verified) >= k:
+                        kth = sorted(a.score for a in verified.values())[k - 1]
+                        stream_bound = searcher.stream_lower_bound
+                        if stream_bound is None:  # sorted stream
+                            stream_bound = summary_answer.score
+                        if kth <= stream_bound:
+                            break  # Sec. 4.3.4: the rest cannot beat the top-k.
+                        if kth <= summary_answer.score:
+                            continue  # cannot improve; keep streaming
+                    root_verify = (
+                        self.generation == "root-verify"
+                        and summary_answer.root is not None
+                        and isinstance(self.algorithm, RootedTreeAlgorithm)
+                    )
+                    with breakdown.phase("specialize"), OBS.tracer.span(
+                        "specialize", layer=layer
+                    ):
+                        spec = self._specialize_answer(
+                            summary_answer,
+                            layer,
+                            query,
+                            keyword_by_generalized,
+                            root_only=root_verify,
+                            budget=budget,
+                        )
+                    if spec is None:
+                        continue
+                    with breakdown.phase("generate"), OBS.tracer.span(
+                        "generate", strategy=self.generation
+                    ):
+                        if root_verify:
+                            self._generate_by_root(
+                                summary_answer, spec, query, verified,
+                                seen_roots, result, k, budget,
+                            )
+                        else:
+                            self._generate_by_assignment(
+                                summary_answer, spec, query, verified,
+                                result, budget,
+                            )
+                found = list(verified.values())
                 if OBS.enabled:
-                    OBS.metrics.inc("eval.summary_answers")
-                if (
-                    max_generalized is not None
-                    and result.num_generalized > max_generalized
-                ):
-                    break
-                if k is not None and len(verified) >= k:
-                    kth = sorted(a.score for a in verified.values())[k - 1]
-                    stream_bound = searcher.stream_lower_bound
-                    if stream_bound is None:  # sorted stream
-                        stream_bound = summary_answer.score
-                    if kth <= stream_bound:
-                        break  # Sec. 4.3.4: the rest cannot beat the top-k.
-                    if kth <= summary_answer.score:
-                        continue  # this answer cannot improve; keep streaming
-                root_verify = (
-                    self.generation == "root-verify"
-                    and summary_answer.root is not None
-                    and isinstance(self.algorithm, RootedTreeAlgorithm)
-                )
-                with breakdown.phase("specialize"), OBS.tracer.span(
-                    "specialize", layer=layer
-                ):
-                    spec = self._specialize_answer(
-                        summary_answer,
-                        layer,
-                        query,
-                        keyword_by_generalized,
-                        root_only=root_verify,
-                        budget=budget,
-                    )
-                if spec is None:
-                    continue
-                with breakdown.phase("generate"), OBS.tracer.span(
-                    "generate", strategy=self.generation
-                ):
-                    self._generate(
-                        summary_answer,
-                        spec,
-                        query,
-                        verified,
-                        seen_roots,
-                        result,
-                        k,
-                        budget,
-                    )
+                    OBS.metrics.inc("eval.candidates", result.num_candidates)
+                    OBS.metrics.inc("eval.verified", len(found))
         except BudgetExceeded as exc:
-            self._attach_partial(
-                exc, searcher, verified, result, current_summary, k
+            if layer == 0:
+                # The searcher attached its own (already data-level)
+                # prefix and bound; re-truncate to this call's k.
+                bound = exc.lower_bound if exc.lower_bound is not None else 0.0
+                proven, unranked = top_k(exc.partial, k), []
+                result.num_generalized = result.num_candidates = len(proven)
+            else:
+                found = list(verified.values())
+                bound = self._proven_bound(exc, searcher, current_summary)
+                proven = top_k([a for a in found if a.score < bound], k)
+                unranked = top_k([a for a in found if a.score >= bound], None)
+            return DegradedResult(
+                answers=proven,
+                layer=layer,
+                reason=exc.reason,
+                lower_bound=bound,
+                unranked=unranked,
+                attempts=[
+                    DegradedAttempt(
+                        layer=layer,
+                        reason=exc.reason,
+                        expansions=exc.expansions,
+                        num_generalized=result.num_generalized,
+                        num_candidates=result.num_candidates,
+                        proven=len(proven),
+                        unproven=len(unranked),
+                    )
+                ],
+                breakdown=breakdown,
             )
-            raise
 
-        result.answers = top_k(list(verified.values()), k)
-        result.num_verified = len(verified)
-        if OBS.enabled:
-            OBS.metrics.inc("eval.candidates", result.num_candidates)
-            OBS.metrics.inc("eval.verified", result.num_verified)
+        result.answers = top_k(found, k)
+        result.num_verified = len(found)
         return result
 
-    def _attach_partial(
-        self,
+    @staticmethod
+    def _proven_bound(
         exc: BudgetExceeded,
         searcher: GraphSearcher,
-        verified: Dict[Tuple, Answer],
-        result: EvalResult,
         current_summary: Optional[Answer],
-        k: Optional[int],
-    ) -> None:
-        """Split the verified answers into a proven prefix and a remainder.
+    ) -> float:
+        """The score below which an interrupted layer-``m`` walk's verified
+        answers are provably the complete ranking.
 
-        The bound below which the verified set is provably complete is the
-        minimum over every source of undiscovered answers:
+        It is the minimum over every source of undiscovered answers:
 
         * ``exc.lower_bound`` / ``exc.partial`` scores — summary-level
           bounds from an interrupted summary search; by Prop. 5.2 summary
@@ -650,8 +658,8 @@ class HierarchicalEvaluator:
 
         Prop. 5.1 (completeness: every true root's image is a summary
         answer root) guarantees these are the *only* sources, so every
-        true data answer scoring strictly below the bound is already in
-        ``verified``.
+        true data answer scoring strictly below the bound is already
+        verified.
         """
         bound_candidates: List[float] = []
         if exc.lower_bound is not None:
@@ -664,19 +672,7 @@ class HierarchicalEvaluator:
             bound_candidates.append(min(a.score for a in exc.partial))
         if current_summary is not None:
             bound_candidates.append(current_summary.score)
-        bound = min(bound_candidates) if bound_candidates else 0.0
-
-        proven = top_k(
-            [a for a in verified.values() if a.score < bound], k
-        )
-        result.answers = proven
-        result.num_verified = len(verified)
-        exc.partial = proven
-        exc.lower_bound = bound
-        exc.unproven = top_k(
-            [a for a in verified.values() if a.score >= bound], None
-        )
-        exc.partial_result = result
+        return min(bound_candidates) if bound_candidates else 0.0
 
     # ------------------------------------------------------------------
     # Graceful degradation
@@ -688,20 +684,19 @@ class HierarchicalEvaluator:
         layer: Optional[int] = None,
         k: Optional[int] = None,
         max_generalized: Optional[int] = None,
-        retry_coarser: bool = True,
     ):
         """``evaluate`` that degrades instead of failing on exhaustion.
 
-        With no budget this is exactly :meth:`evaluate`.  With one, a
-        budget-exceeded evaluation is caught and turned into a
-        :class:`DegradedResult` whose ``answers`` are the proven ranking
-        prefix.  When ``retry_coarser`` is set and the budget still has
-        headroom, coarser layers (cheaper summary graphs, Formula 4's
-        motivation) are retried with half the remaining budget each, and
-        the attempt with the *largest* proven bound wins — every attempt
-        prefixes the same true ranking, so the largest bound is the
-        longest prefix.  The last planned attempt runs on the whole
-        remainder rather than half, so budget is never left unspent.
+        With no budget this is exactly :meth:`evaluate`.  With one, an
+        interrupted attempt becomes a :class:`DegradedResult` whose
+        ``answers`` are the proven ranking prefix.  While the budget
+        still has headroom, coarser layers (cheaper summary graphs,
+        Formula 4's motivation) are retried with half the remaining
+        budget each, and the attempt with the *largest* proven bound wins
+        — every attempt prefixes the same true ranking, so the largest
+        bound is the longest prefix.  The last planned attempt runs on
+        the whole remainder rather than half, so budget is never left
+        unspent.
         """
         self._sync_caches()
         if budget is None:
@@ -712,99 +707,63 @@ class HierarchicalEvaluator:
         first_layer = (
             layer if layer is not None else self.cost_model.optimal_layer(query)
         )
-        plan = [first_layer]
-        if retry_coarser:
-            for m in range(first_layer + 1, self.index.num_layers + 1):
-                if self.index.query_distinct_at(query, m):
-                    plan.append(m)
+        plan = [first_layer] + [
+            m
+            for m in range(first_layer + 1, self.index.num_layers + 1)
+            if self.index.query_distinct_at(query, m)
+        ]
 
         breakdown = TimeBreakdown()
-        attempts: List[DegradedAttempt] = []
-        #: winning attempt so far: (bound, proven count, layer, exception).
-        best: Optional[Tuple[float, int, int, BudgetExceeded]] = None
-        final_reason = "expansions"
+        interrupted: List[DegradedResult] = []
         for position, m in enumerate(plan):
             last = position == len(plan) - 1
-            attempt_budget = budget if last else budget.sub(0.5)
             retry = position > 0
             if retry and OBS.enabled:
                 OBS.metrics.inc("eval.degradation_retries")
             with OBS.tracer.span(
                 "attempt", layer=m, retry=retry
             ) as attempt_span:
-                try:
-                    result = self.evaluate(
-                        query,
-                        layer=m,
-                        k=k,
-                        max_generalized=max_generalized,
-                        budget=attempt_budget,
-                    )
-                except BudgetExceeded as exc:
-                    partial = getattr(exc, "partial_result", None)
-                    if partial is not None:
-                        breakdown.merge(partial.breakdown)
-                    attempts.append(
-                        DegradedAttempt(
-                            layer=m,
-                            reason=exc.reason,
-                            expansions=exc.expansions,
-                            num_generalized=(
-                                partial.num_generalized if partial else 0
-                            ),
-                            num_candidates=(
-                                partial.num_candidates if partial else 0
-                            ),
-                            proven=len(exc.partial),
-                            unproven=len(getattr(exc, "unproven", [])),
-                        )
-                    )
+                result = self._attempt(
+                    query,
+                    m,
+                    k,
+                    max_generalized,
+                    budget if last else budget.sub(0.5),
+                )
+                breakdown.merge(result.breakdown)
+                if not result.degraded:
                     if OBS.enabled:
                         attempt_span.annotate(
-                            outcome=exc.reason,
-                            expansions=exc.expansions,
-                            proven=len(exc.partial),
+                            outcome="complete", answers=len(result.answers)
                         )
-                    final_reason = exc.reason
-                    bound = (
-                        float(exc.lower_bound)
-                        if exc.lower_bound is not None
-                        else 0.0
-                    )
-                    candidate = (bound, len(exc.partial), m, exc)
-                    if best is None or candidate[:2] > best[:2]:
-                        best = candidate
-                    if budget.exhausted_reason() is not None:
-                        break  # the *parent* budget is spent; stop retrying
-                    continue
+                    result.breakdown = breakdown
+                    return result
+                interrupted.append(result)
                 if OBS.enabled:
                     attempt_span.annotate(
-                        outcome="complete", answers=len(result.answers)
+                        outcome=result.reason,
+                        expansions=result.attempts[0].expansions,
+                        proven=len(result.answers),
                     )
-                    self._record_budget_gauges(budget)
-                breakdown.merge(result.breakdown)
-                result.breakdown = breakdown
-                return result
+                if budget.exhausted_reason() is not None:
+                    break  # the *parent* budget is spent; stop retrying
 
-        if best is None:  # pragma: no cover - plan is never empty
-            raise QueryError("no evaluation attempt was made")
-        if OBS.enabled:
-            self._record_budget_gauges(budget)
-        bound, _, best_layer, exc = best
-        rem_exp = budget.remaining_expansions()
-        rem_time = budget.remaining_time()
-        return DegradedResult(
-            answers=list(exc.partial),
-            layer=best_layer,
-            reason=final_reason,
-            lower_bound=bound,
-            unranked=list(getattr(exc, "unproven", [])),
+        # Largest bound wins, then most proven answers, then the earlier
+        # (finer) attempt.  The plan is never empty, so neither is this.
+        best = max(
+            interrupted, key=lambda r: (float(r.lower_bound), len(r.answers))
+        )
+        attempts = [a for r in interrupted for a in r.attempts]
+        return replace(
+            best,
+            reason=interrupted[-1].reason,
+            lower_bound=float(best.lower_bound),
             attempts=attempts,
             breakdown=breakdown,
             stats=DegradationStats(
                 expansions_consumed=budget.expansions,
-                expansions_remaining=rem_exp,
-                time_remaining_seconds=rem_time,
+                expansions_remaining=budget.remaining_expansions(),
+                time_remaining_seconds=budget.remaining_time(),
                 layers_attempted=[a.layer for a in attempts],
             ),
         )
@@ -820,15 +779,14 @@ class HierarchicalEvaluator:
         k: Optional[int] = None,
         max_generalized: Optional[int] = None,
         budget_factory: Optional[Callable[[], Optional[Budget]]] = None,
-        resilient: bool = True,
         return_exceptions: bool = False,
     ) -> List[object]:
         """Evaluate a workload, amortizing warm-up across its queries.
 
         Per-layer searchers, CSR views, keyword postings and the index's
         ``Gen``/``Spec`` memos are built once up front; each query then
-        runs against warm state (and repeated queries hit the result
-        cache).  Results come back in input order.
+        runs :meth:`evaluate_resilient` against warm state (and repeated
+        queries hit the result cache).  Results come back in input order.
 
         Parameters
         ----------
@@ -840,9 +798,6 @@ class HierarchicalEvaluator:
             Called once per query for a fresh budget (budgets are
             stateful ledgers and must never be shared across queries);
             ``None`` runs unbudgeted.
-        resilient:
-            Use :meth:`evaluate_resilient` (budget exhaustion degrades
-            instead of raising); otherwise :meth:`evaluate`.
         return_exceptions:
             When set, a query raising :class:`QueryError` contributes the
             exception object instead of aborting the whole batch; any
@@ -852,12 +807,10 @@ class HierarchicalEvaluator:
         """
         self._warm(layer)
 
-        call = self.evaluate_resilient if resilient else self.evaluate
-
         def run(query: KeywordQuery) -> object:
             budget = budget_factory() if budget_factory is not None else None
             try:
-                return call(
+                return self.evaluate_resilient(
                     query,
                     layer=layer,
                     k=k,
@@ -885,16 +838,6 @@ class HierarchicalEvaluator:
             self.index.layer_graph(m).csr()
         # Root verification always lands on the data graph.
         self.index.base_graph.csr()
-
-    @staticmethod
-    def _record_budget_gauges(budget: Budget) -> None:
-        OBS.metrics.gauge("budget.expansions_consumed", budget.expansions)
-        rem = budget.remaining_expansions()
-        if rem is not None:
-            OBS.metrics.gauge("budget.expansions_remaining", rem)
-        rem_time = budget.remaining_time()
-        if rem_time is not None:
-            OBS.metrics.gauge("budget.time_remaining_seconds", rem_time)
 
     # ------------------------------------------------------------------
     # Step 3: specialization with pruning
@@ -979,32 +922,6 @@ class HierarchicalEvaluator:
     # ------------------------------------------------------------------
     # Step 5: answer generation
     # ------------------------------------------------------------------
-    def _generate(
-        self,
-        summary_answer: Answer,
-        spec: GeneralizedAnswerGraph,
-        query: KeywordQuery,
-        verified: Dict[Tuple, Answer],
-        seen_roots: Set[int],
-        result: EvalResult,
-        k: Optional[int],
-        budget: Optional[Budget] = None,
-    ) -> None:
-        root_capable = isinstance(self.algorithm, RootedTreeAlgorithm)
-        if (
-            self.generation == "root-verify"
-            and summary_answer.root is not None
-            and root_capable
-        ):
-            self._generate_by_root(
-                summary_answer, spec, query, verified, seen_roots, result, k,
-                budget,
-            )
-        else:
-            self._generate_by_assignment(
-                summary_answer, spec, query, verified, result, budget
-            )
-
     def _generate_by_root(
         self,
         summary_answer: Answer,
@@ -1069,10 +986,7 @@ class HierarchicalEvaluator:
             )
         else:
             assignments = ans_graph_gen(
-                self.index.base_graph,
-                spec,
-                qualify=qualify,
-                use_spec_order=self.use_spec_order,
+                self.index.base_graph, spec, qualify=qualify
             )
         for assignment in assignments:
             charge_expansions(budget, 1)

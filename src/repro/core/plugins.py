@@ -43,7 +43,6 @@ class BoostedSearch:
         index: BiGIndex,
         beta: float = 0.5,
         generation: Optional[str] = None,
-        use_spec_order: bool = True,
         verify_mode: str = "exact",
         allow_layer_zero: bool = False,
         cache_size: int = 128,
@@ -64,7 +63,6 @@ class BoostedSearch:
             algorithm,
             beta=beta,
             generation=generation,
-            use_spec_order=use_spec_order,
             verify_mode=verify_mode,
             allow_layer_zero=allow_layer_zero,
             cache_size=cache_size,
@@ -121,7 +119,6 @@ class BoostedSearch:
         layer: Optional[int] = None,
         k: Optional[int] = None,
         max_generalized: Optional[int] = None,
-        retry_coarser: bool = True,
     ):
         """``evaluate`` that returns a ``DegradedResult`` on exhaustion."""
         return self.evaluator.evaluate_resilient(
@@ -130,7 +127,6 @@ class BoostedSearch:
             layer=layer,
             k=k,
             max_generalized=max_generalized,
-            retry_coarser=retry_coarser,
         )
 
     def evaluate_many(
@@ -141,7 +137,6 @@ class BoostedSearch:
         k: Optional[int] = None,
         max_generalized: Optional[int] = None,
         budget_factory: Optional[Callable[[], Optional[Budget]]] = None,
-        resilient: bool = True,
         return_exceptions: bool = False,
     ) -> List[object]:
         """Batched serving; see :meth:`HierarchicalEvaluator.evaluate_many`."""
@@ -151,7 +146,6 @@ class BoostedSearch:
             k=k,
             max_generalized=max_generalized,
             budget_factory=budget_factory,
-            resilient=resilient,
             return_exceptions=return_exceptions,
         )
 
@@ -177,7 +171,6 @@ def boost(
     index: BiGIndex,
     beta: float = 0.5,
     generation: Optional[str] = None,
-    use_spec_order: bool = True,
     verify_mode: str = "exact",
     allow_layer_zero: bool = False,
 ) -> BoostedSearch:
@@ -187,7 +180,6 @@ def boost(
         index,
         beta=beta,
         generation=generation,
-        use_spec_order=use_spec_order,
         verify_mode=verify_mode,
         allow_layer_zero=allow_layer_zero,
     )

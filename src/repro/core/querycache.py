@@ -3,17 +3,12 @@
 PRs 3–4 made index *construction* fast; the remaining cold-start cost at
 query time is derived data recomputed per query — ``Gen^m`` keyword
 translations, ``Spec``/answer-recovery fan-outs, and whole query results
-for repeated workloads.  This module provides the two pieces every such
-cache needs:
-
-* :class:`LRUCache` — a small thread-safe LRU with ``cache.hit`` /
-  ``cache.miss`` telemetry, used for the evaluator's query-result cache
-  and the index's specialization memo.
-* :func:`budget_class` — the canonical "budget class" component of a
-  query-result cache key.  Result caching is only sound when a replayed
-  result is indistinguishable from a recomputed one; budgets make that
-  subtle (see the function docstring), so the class is computed in one
-  place and the cache simply refuses unclassifiable executions.
+for repeated workloads.  This module provides the piece every such
+cache shares: :class:`LRUCache`, a small thread-safe LRU with
+``cache.hit`` / ``cache.miss`` telemetry, used for the evaluator's
+query-result cache and the index's specialization memo.  (Budgeted
+executions never reach the result cache; see
+:meth:`repro.core.evaluator.HierarchicalEvaluator.evaluate` for why.)
 
 Invalidation is **epoch-based**: every :class:`~repro.graph.digraph.Graph`
 carries a ``mutation_epoch`` bumped by its mutators, and
@@ -31,7 +26,6 @@ from collections import OrderedDict
 from typing import Hashable, Optional
 
 from repro.obs.runtime import OBS
-from repro.utils.budget import Budget
 
 
 class LRUCache:
@@ -103,29 +97,3 @@ class LRUCache:
         with self._lock:
             return key in self._data
 
-
-def budget_class(budget: Optional[Budget]) -> Optional[str]:
-    """The budget component of a canonical query-result cache key.
-
-    ``None`` (the return value) means *uncacheable*: the execution's
-    outcome depends on state a replay would not reproduce.
-
-    * No budget → class ``"none"``: evaluation is a pure function of the
-      (index epoch, query, k, mode) key and both storing and serving are
-      sound.
-    * Any budget → uncacheable.  A :class:`~repro.utils.budget.Budget`
-      is a *stateful ledger* shared across calls: whether a run completes
-      depends on the expansions already charged, deadlines depend on the
-      wall clock, and cancellation on an external token.  Serving a
-      cached result would also skip the charges the uncached run makes,
-      silently changing what the caller's remaining budget means.
-      Degraded/partial results are additionally non-prefixes of each
-      other across different remaining budgets, so there is no sound key
-      short of the full ledger state.
-
-    Callers put the class in the cache key and bypass the cache entirely
-    when it is ``None``.
-    """
-    if budget is None:
-        return "none"
-    return None

@@ -831,7 +831,6 @@ class ShardedEvaluator:
         *,
         beta: float = 0.5,
         generation: str = "root-verify",
-        use_spec_order: bool = True,
         verify_mode: str = "exact",
         allow_layer_zero: bool = True,
         cache_size: int = 128,
@@ -859,7 +858,6 @@ class ShardedEvaluator:
                     algorithm,
                     beta=beta,
                     generation=generation,
-                    use_spec_order=use_spec_order,
                     verify_mode=verify_mode,
                     allow_layer_zero=allow_layer_zero,
                     cache_size=cache_size,
@@ -1061,8 +1059,6 @@ class ShardedEvaluator:
             # A partial scatter proves nothing globally.
             exc.partial = []
             exc.lower_bound = None
-            exc.unproven = []
-            exc.partial_result = None
             raise
         return self._complete(merged, outcomes)
 
@@ -1073,7 +1069,6 @@ class ShardedEvaluator:
         layer: Optional[int] = None,
         k: Optional[int] = None,
         max_generalized: Optional[int] = None,
-        retry_coarser: bool = True,
     ):
         """Scatter-gather that degrades instead of raising on exhaustion
         (see :meth:`_scatter_gather` for the sub-budget split)."""

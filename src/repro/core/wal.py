@@ -217,9 +217,10 @@ def recover_wal(path: str) -> Tuple[List[WALRecord], Optional[str]]:
 def apply_wal_op(index: Any, op: Dict[str, Any]) -> bool:
     """Apply one logged op through the incremental maintenance API.
 
-    Mirrors the serve admin contract (and the verify fuzzer's op
-    vocabulary): inapplicable ops — re-inserting a present edge, deleting
-    an absent one — are no-ops, which makes replay idempotent: replaying
+    The one definition of an applicable op — ``POST /admin/mutate``, WAL
+    replay and the verify drills all apply ops through here: inapplicable
+    ops — re-inserting a present edge, deleting an absent one, a
+    self-loop — are no-ops, which makes replay idempotent: replaying
     a log twice, or on top of files that already contain a prefix of it,
     converges to the same state.  Unknown kinds raise :class:`WALError`
     (a log from a future format must not be half-applied).

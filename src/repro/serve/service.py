@@ -43,6 +43,7 @@ from typing import Callable, Dict, List, Mapping, Optional, Tuple, Union
 
 from repro.core.evaluator import DegradedResult, EvalResult
 from repro.core.index import BiGIndex
+from repro.core.wal import apply_wal_op
 from repro.obs.flight import FlightRecorder
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.promtext import render_prometheus
@@ -655,7 +656,6 @@ class QueryService:
                     layer=layer,
                     k=k,
                     budget_factory=budget_factory,
-                    resilient=True,
                     return_exceptions=True,
                 )
                 elapsed = monotonic_now() - started
@@ -816,28 +816,20 @@ class QueryService:
         if u is None or v is None:
             raise BadRequest("mutation needs integer endpoints u and v")
 
-        def apply(index: BiGIndex) -> bool:
-            graph = index.base_graph
-            if op == "insert":
-                if u == v or graph.has_edge(u, v):
-                    return False
-                index.insert_edge(u, v)
-                return True
-            if not graph.has_edge(u, v):
-                return False
-            index.delete_edge(u, v)
-            return True
+        entry = {"op": op, "u": u, "v": v}
 
         def wal_entry(applied: bool) -> Optional[Dict[str, object]]:
             # No-op mutations (duplicate insert, absent delete) publish a
             # snapshot but change nothing — logging them would only slow
             # replay down.
-            if not applied:
-                return None
-            return {"op": op, "u": u, "v": v}
+            return entry if applied else None
 
         try:
-            applied, snapshot = self.runtime.mutate(apply, wal_entry=wal_entry)
+            # apply_wal_op is the one definition of an applicable op: the
+            # admin endpoint, WAL replay and the verify drills share it.
+            applied, snapshot = self.runtime.mutate(
+                lambda index: apply_wal_op(index, entry), wal_entry=wal_entry
+            )
         except (BigIndexError, IndexError) as exc:
             raise BadRequest(f"mutation failed: {exc}")
         self.metrics.inc("serve.mutations")
@@ -849,9 +841,7 @@ class QueryService:
                 # Echo the op so an acked mutation is attributable from
                 # the response alone (the flight recorder and the chaos
                 # drill's timeline diff both key on it).
-                "op": op,
-                "u": u,
-                "v": v,
+                **entry,
                 "epoch": list(snapshot.epoch),
                 "serial": snapshot.serial,
                 "durable": self.runtime.wal is not None,

@@ -2,7 +2,6 @@
 
 import pytest
 
-from repro.bisim.incremental import IncrementalBisimulation
 from repro.bisim.refinement import (
     BisimDirection,
     is_bisimulation_partition,
@@ -182,75 +181,3 @@ class TestPathPreservation:
                 lifted = [s.supernode_of[u] for u in path]
                 for a, b in zip(lifted, lifted[1:]):
                     assert s.graph.has_edge(a, b)
-
-
-class TestIncremental:
-    def test_insert_edge_keeps_validity(self, random_graph_factory):
-        g = random_graph_factory(num_vertices=25, num_edges=50, seed=1)
-        maintainer = IncrementalBisimulation(g)
-        maintainer.insert_edge(0, 5)
-        assert maintainer.is_valid()
-
-    def test_delete_edge_keeps_validity(self, random_graph_factory):
-        g = random_graph_factory(num_vertices=25, num_edges=50, seed=2)
-        maintainer = IncrementalBisimulation(g)
-        u, v = next(iter(g.edges()))
-        maintainer.delete_edge(u, v)
-        assert maintainer.is_valid()
-
-    def test_duplicate_insert_is_noop(self, random_graph_factory):
-        g = random_graph_factory(seed=3)
-        maintainer = IncrementalBisimulation(g)
-        u, v = next(iter(g.edges()))
-        before = list(maintainer.blocks)
-        maintainer.insert_edge(u, v)
-        assert maintainer.blocks == before
-
-    def test_add_vertex_and_relabel(self):
-        g = fan_graph(3)
-        maintainer = IncrementalBisimulation(g)
-        new = maintainer.add_vertex("P")
-        assert maintainer.is_valid()
-        maintainer.relabel_vertex(new, "Q")
-        assert maintainer.is_valid()
-        assert maintainer.graph.label(new) == "Q"
-
-    def test_rebuild_restores_minimality(self):
-        g = fan_graph(6)
-        maintainer = IncrementalBisimulation(g)
-        # Insert then delete the same edge: graph is back to original,
-        # but the partition may have drifted finer.
-        maintainer.insert_edge(2, 1)
-        maintainer.delete_edge(2, 1)
-        assert maintainer.is_valid()
-        maintainer.rebuild()
-        assert maintainer.is_minimal()
-        assert maintainer.drift == 0
-
-    def test_drift_counter(self, random_graph_factory):
-        g = random_graph_factory(seed=4)
-        maintainer = IncrementalBisimulation(g)
-        maintainer.insert_edge(0, 1) if not g.has_edge(0, 1) else maintainer.delete_edge(0, 1)
-        assert maintainer.drift == 1
-
-    def test_summary_reflects_current_partition(self):
-        g = fan_graph(5)
-        maintainer = IncrementalBisimulation(g)
-        s = maintainer.summary()
-        assert s.graph.num_vertices == maintainer.num_blocks
-
-    def test_updates_preserve_validity_over_sequence(self, random_graph_factory):
-        import random as _random
-
-        g = random_graph_factory(num_vertices=20, num_edges=40, seed=5)
-        maintainer = IncrementalBisimulation(g)
-        rng = _random.Random(5)
-        for _ in range(15):
-            u, v = rng.randrange(20), rng.randrange(20)
-            if u == v:
-                continue
-            if g.has_edge(u, v):
-                maintainer.delete_edge(u, v)
-            else:
-                maintainer.insert_edge(u, v)
-            assert maintainer.is_valid()

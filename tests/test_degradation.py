@@ -235,17 +235,6 @@ class TestEvaluatorDegradation:
         layers = [attempt.layer for attempt in retried.attempts]
         assert layers[0] == 0 and layers[1] == 1
 
-    def test_retry_can_be_disabled(self, corpus_case):
-        _, index, labels = corpus_case
-        algorithm = BackwardKeywordSearch(d_max=3)
-        query = KeywordQuery(labels[:2])
-        boosted = boost(algorithm, index, allow_layer_zero=True)
-        result = boosted.evaluate_resilient(
-            query, budget=Budget(max_expansions=5), retry_coarser=False
-        )
-        assert result.degraded
-        assert len(result.attempts) == 1
-
     def test_summary_mentions_reason_and_counts(self, corpus_case):
         _, index, labels = corpus_case
         algorithm = BackwardKeywordSearch(d_max=3)
@@ -258,3 +247,150 @@ class TestEvaluatorDegradation:
         assert "degraded" in text
         assert "expansions" in text
         assert "proven" in text
+
+
+def _coarsest_distinct(index, labels):
+    """``(m, query)``: the coarsest layer at which any label pair stays
+    distinct, and the first such pair.  No layer above ``m`` can evaluate
+    the query, so a resilient plan forced to ``m`` is a single attempt."""
+    for layer in range(index.num_layers, 0, -1):
+        for i in range(len(labels)):
+            for j in range(i + 1, len(labels)):
+                query = KeywordQuery([labels[i], labels[j]])
+                if index.query_distinct_at(query, layer):
+                    return layer, query
+    raise AssertionError("corpus lost its last summary-layer-distinct pair")
+
+
+#: Expansion caps from "trips on the first charge" to "never binds".
+CAP_LADDER = (0, 1, 2, 3, 5, 8, 13, 21, 34, 55, 89, 144, 233, 377, 610, 4096)
+
+
+class TestOneAttemptPipeline:
+    """``evaluate`` (strict) and ``evaluate_resilient`` are two readings of
+    the same attempt: whatever one proves, the other proves."""
+
+    @pytest.mark.parametrize("algorithm", ALGORITHMS, ids=lambda a: a.name)
+    def test_strict_and_resilient_agree_at_the_top_layer(
+        self, corpus_case, algorithm
+    ):
+        """No coarser layer can take the query, so the resilient plan is
+        exactly one attempt — the one strict ``evaluate`` makes."""
+        graph, index, labels = corpus_case
+        top, query = _coarsest_distinct(index, labels)
+        evaluator = boost(algorithm, index, allow_layer_zero=True).evaluator
+        saw_degraded = saw_complete = False
+        for cap in CAP_LADDER:
+            resilient = evaluator.evaluate_resilient(
+                query, budget=Budget(max_expansions=cap), layer=top
+            )
+            try:
+                strict = evaluator.evaluate(
+                    query, layer=top, budget=Budget(max_expansions=cap)
+                )
+            except BudgetExceeded as exc:
+                saw_degraded = True
+                assert resilient.degraded, cap
+                assert [a.layer for a in resilient.attempts] == [top]
+                assert exc.partial == resilient.answers, cap
+                assert exc.lower_bound == resilient.lower_bound, cap
+                assert exc.reason == resilient.reason
+                assert exc.expansions == resilient.attempts[0].expansions
+            else:
+                saw_complete = True
+                assert not resilient.degraded, cap
+                assert strict.answers == resilient.answers, cap
+        assert saw_degraded and saw_complete, algorithm.name
+
+    @pytest.mark.parametrize("algorithm", ALGORITHMS, ids=lambda a: a.name)
+    def test_resilient_is_prefix_sound_at_every_forced_layer(
+        self, corpus_case, algorithm
+    ):
+        graph, index, labels = corpus_case
+        top, query = _coarsest_distinct(index, labels)
+        scores = oracle_scores(graph, algorithm, query)
+        evaluator = boost(algorithm, index, allow_layer_zero=True).evaluator
+        for layer in range(top + 1):
+            for cap in CAP_LADDER:
+                result = evaluator.evaluate_resilient(
+                    query, budget=Budget(max_expansions=cap), layer=layer
+                )
+                if result.degraded:
+                    assert result.attempts[0].layer == layer
+                    assert_prefix(result, scores)
+                else:
+                    assert [a.score for a in result.answers] == scores
+
+    @pytest.mark.parametrize("layer", [0, 1])
+    def test_escaping_exception_carries_only_declared_attributes(
+        self, corpus_case, layer
+    ):
+        _, index, labels = corpus_case
+        _, query = _coarsest_distinct(index, labels)
+        boosted = boost(
+            BackwardKeywordSearch(d_max=3), index, allow_layer_zero=True
+        )
+        with pytest.raises(BudgetExceeded) as excinfo:
+            boosted.evaluate(query, layer=layer, budget=Budget(max_expansions=5))
+        assert vars(excinfo.value).keys() <= {
+            "reason", "expansions", "partial", "lower_bound",
+        }
+
+    def test_layer_zero_and_layer_m_attempts_populate_the_same_fields(
+        self, corpus_case
+    ):
+        """Layer 0 is a branch of the one attempt, not a second handler:
+        an interrupted attempt reports the same instrumentation either way."""
+        _, index, labels = corpus_case
+        top, query = _coarsest_distinct(index, labels)
+        evaluator = boost(
+            BackwardKeywordSearch(d_max=3), index, allow_layer_zero=True
+        ).evaluator
+
+        def first_interrupted_with_answers(layer):
+            for cap in range(1, 400):
+                result = evaluator.evaluate_resilient(
+                    query, budget=Budget(max_expansions=cap), layer=layer
+                )
+                if not result.degraded:
+                    break
+                attempt = result.attempts[0]
+                if attempt.layer == layer and attempt.proven:
+                    return attempt
+            raise AssertionError(f"no cap interrupts layer {layer} mid-ranking")
+
+        for layer in (0, top):
+            attempt = first_interrupted_with_answers(layer)
+            assert attempt.reason == "expansions"
+            assert attempt.num_candidates >= attempt.proven + attempt.unproven
+            # (layer 0 never has an unranked remainder: the searcher's own
+            # prefix is all it hands over.)
+            populated = {name for name, value in vars(attempt).items() if value}
+            assert populated >= {
+                "reason", "expansions", "num_generalized", "num_candidates",
+                "proven",
+            }, layer
+
+    def test_unbudgeted_resilient_goes_through_rebound_evaluate(
+        self, corpus_case
+    ):
+        """The e2e tracer hangs its ``eval`` span by rebinding ``evaluate``
+        on the evaluator *instance*; every unbudgeted entry point (serve's
+        ``/query`` and ``/batch`` defaults) must keep crossing it."""
+        _, index, labels = corpus_case
+        evaluator = boost(
+            BackwardKeywordSearch(d_max=3), index, allow_layer_zero=True
+        ).evaluator
+        inner, calls = evaluator.evaluate, []
+
+        def traced(*args, **kwargs):
+            calls.append(kwargs)
+            return inner(*args, **kwargs)
+
+        evaluator.evaluate = traced
+        query = KeywordQuery(labels[:2])
+        direct = evaluator.evaluate_resilient(query, k=3)
+        (batched,) = evaluator.evaluate_many([query], k=3)
+        assert len(calls) == 2
+        assert all(call["k"] == 3 for call in calls)
+        assert direct.answers == batched.answers == inner(query, k=3).answers

@@ -181,7 +181,7 @@ class TestEvaluateMany:
 
     def test_serial_matches_single_evaluations(self, index):
         evaluator = _evaluator(index)
-        batch = evaluator.evaluate_many(self.QUERIES, resilient=False)
+        batch = evaluator.evaluate_many(self.QUERIES)
         single = _evaluator(index, cache_size=0)
         for query, result in zip(self.QUERIES, batch):
             assert _snapshot(result) == _snapshot(single.evaluate(query))
@@ -192,7 +192,7 @@ class TestEvaluateMany:
         workload = self.QUERIES * 8
         serial = [
             _snapshot(r)
-            for r in _evaluator(index).evaluate_many(workload, resilient=False)
+            for r in _evaluator(index).evaluate_many(workload)
         ]
         shared = _evaluator(index)
         with ThreadPoolExecutor(max_workers=4) as pool:
@@ -217,8 +217,7 @@ class TestEvaluateMany:
             budgets.append(budget)
             return budget
 
-        evaluator.evaluate_many(
-            self.QUERIES, resilient=False, budget_factory=factory
-        )
+        results = evaluator.evaluate_many(self.QUERIES, budget_factory=factory)
+        assert not any(r.degraded for r in results)
         assert len(budgets) == len(self.QUERIES)
         assert len(set(map(id, budgets))) == len(self.QUERIES)

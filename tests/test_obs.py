@@ -574,10 +574,12 @@ class TestCLIExplainAndTrace:
 # ----------------------------------------------------------------------
 _REPO = pathlib.Path(__file__).resolve().parents[1]
 _SRC = _REPO / "src" / "repro"
-#: The metric families and span sources audited so far (build, sharding,
-#: copy-on-write); the rest of ROADMAP 4(d) widens these two constants.
-_AUDITED_PREFIXES = ("build.", "shard.", "cow.")
+#: The audited metric families: build, sharding, copy-on-write, and the
+#: query path (``budget.`` is audited *empty*: its gauges were deleted).
+_BUILD_PREFIXES = ("build.", "shard.", "cow.")
+_QUERY_PREFIXES = ("eval.", "spec.", "search.", "cache.", "budget.")
 _BUILD_SPAN_FILES = ("core/index.py", "core/heuristic.py", "core/sharding.py")
+_QUERY_SPAN_FILES = ("core/evaluator.py",)
 _METRIC_CALL = re.compile(r"metrics\.(?:inc|observe|gauge)\(\s*f?\"([^\"]+)\"")
 _SPAN_CALL = re.compile(r"tracer\.span\(\s*\"([^\"]+)\"")
 
@@ -613,32 +615,54 @@ def _names(cell):
     return re.findall(r"`([^`]+)`", cell)
 
 
+def _metric_audit(prefixes):
+    """``(emitted, documented)`` metric names of the ``prefixes`` families."""
+    emitted = {
+        _placeholder(name)
+        # bench/ holds bench entry keys, not metrics.
+        for name in _emitted(
+            _METRIC_CALL,
+            (p for p in _SRC.rglob("*.py") if "bench" not in p.parts),
+        )
+        if name.startswith(prefixes)
+    }
+    documented = {
+        _placeholder(prefix.strip("`") + name)
+        for prefix, names in _doc_table("## Metric taxonomy")
+        if prefix.strip("`") in prefixes
+        # Parenthesised prose explains a name; it does not list one.
+        for name in _names(re.sub(r"\([^)]*\)", "", names))
+    }
+    return emitted, documented
+
+
+def _documented_spans():
+    return {
+        name
+        for names, _parent in _doc_table("## Span taxonomy")
+        for name in _names(names)
+    }
+
+
 class TestTelemetryAudit:
     def test_build_shard_cow_metrics_match_the_docs(self):
-        emitted = {
-            _placeholder(name)
-            # bench/ holds bench entry keys, not metrics.
-            for name in _emitted(
-                _METRIC_CALL,
-                (p for p in _SRC.rglob("*.py") if "bench" not in p.parts),
-            )
-            if name.startswith(_AUDITED_PREFIXES)
-        }
-        documented = {
-            _placeholder(prefix.strip("`") + name)
-            for prefix, names in _doc_table("## Metric taxonomy")
-            if prefix.strip("`") in _AUDITED_PREFIXES
-            # Parenthesised prose explains a name; it does not list one.
-            for name in _names(re.sub(r"\([^)]*\)", "", names))
-        }
+        emitted, documented = _metric_audit(_BUILD_PREFIXES)
+        assert emitted == documented
+
+    def test_query_path_metrics_match_the_docs(self):
+        emitted, documented = _metric_audit(_QUERY_PREFIXES)
         assert emitted == documented
 
     def test_build_spans_match_the_docs(self):
-        documented = {
-            name
-            for names, _parent in _doc_table("## Span taxonomy")
-            for name in _names(names)
-        }
+        documented = _documented_spans()
         build = _emitted(_SPAN_CALL, (_SRC / rel for rel in _BUILD_SPAN_FILES))
         assert build <= documented
         assert documented <= _emitted(_SPAN_CALL, _SRC.rglob("*.py"))
+
+    def test_evaluator_spans_match_the_docs(self):
+        emitted = _emitted(_SPAN_CALL, (_SRC / rel for rel in _QUERY_SPAN_FILES))
+        assert emitted == {
+            "layer-selection", "translate", "explore", "specialize",
+            "generate", "attempt", "result-cache",
+        }
+        assert emitted <= _documented_spans()

@@ -4,7 +4,7 @@ import threading
 
 import pytest
 
-from repro.core.querycache import LRUCache, budget_class
+from repro.core.querycache import LRUCache
 from repro.obs.runtime import instrumented
 from repro.utils.budget import Budget
 
@@ -88,13 +88,3 @@ class TestLRUCache:
         for t in threads:
             t.join()
         assert len(cache) <= 8
-
-
-class TestBudgetClass:
-    def test_no_budget_is_cacheable(self):
-        assert budget_class(None) == "none"
-
-    def test_any_budget_is_uncacheable(self):
-        assert budget_class(Budget()) is None
-        assert budget_class(Budget(max_expansions=100)) is None
-        assert budget_class(Budget(deadline=60.0)) is None
