@@ -7,7 +7,13 @@ CI's ``shard-smoke`` job runs this against the community-structured
 :func:`repro.core.persistence.load_index` (manifest verification and
 WAL-tail replay included), and push a mixed 50-query workload through
 the scatter-gather evaluator — plain top-k, budget-starved resilient
-queries (the degraded path), and forced-layer queries.
+queries (the degraded path), and forced-layer queries.  It then mutates
+the reloaded (mmap-backed) index with a seeded stream of WAL-shaped ops
+through :func:`repro.core.wal.apply_wal_op` — intra-shard inserts and
+deletes, a cut-edge delete, and a cross-shard insert with an endpoint
+outside the zone, so the zone grows — and requires every probe query's
+scatter-gather score sequence to equal direct evaluation on the mutated
+union graph.
 
 The artifact JSON records the claims the PR rides on:
 
@@ -16,10 +22,12 @@ The artifact JSON records the claims the PR rides on:
 * ``workload`` — qps, per-query mean, degraded/error counts;
 * ``scatter`` — per-shard scatter timing histograms from the
   ``shard.scatter.<name>.seconds`` metrics recorded under
-  :func:`repro.obs.runtime.instrumented`.
+  :func:`repro.obs.runtime.instrumented`;
+* ``mutation`` — op count, zone size before and after, and the number
+  of probe queries checked against direct evaluation.
 
-Any query error (other than the deliberate budget degradations) fails
-the run.
+Any query error (other than the deliberate budget degradations), a zone
+that did not grow, or a mutated-index mismatch fails the run.
 
 Usage:
     PYTHONPATH=src python scripts/shard_smoke.py \
@@ -40,6 +48,7 @@ import time
 from repro.core.cost import CostParams
 from repro.core.persistence import load_index
 from repro.core.sharding import ShardedEvaluator, build_sharded
+from repro.core.wal import apply_wal_op
 from repro.datasets.synthetic import synthetic_dataset
 from repro.obs.runtime import instrumented
 from repro.search.banks import BackwardKeywordSearch
@@ -55,6 +64,81 @@ def probe_pool(graph, count: int = 12):
     pool = [list(pair) for pair in itertools.combinations(labels, 2)]
     pool.extend(list(t) for t in itertools.combinations(labels, 3))
     return pool[:count]
+
+
+#: The mutation stream's op kinds, in order: 12 WAL-shaped ops.
+MUTATION_KINDS = (
+    ["intra-insert", "intra-delete"] * 4
+    + ["cut-delete", "cross-insert", "intra-insert", "intra-delete"]
+)
+
+
+def draw_op(rng, sharded, kind):
+    """One applicable WAL op of ``kind`` against ``sharded``'s state."""
+    union = sharded.base_graph
+    shard_of = {
+        v: s for s, shard in enumerate(sharded.shards)
+        for v in shard.global_ids
+    }
+    if kind in ("intra-delete", "cut-delete"):
+        pool = [
+            (u, v) for u, v in sorted(union.edges())
+            if (shard_of[u] == shard_of[v]) == (kind == "intra-delete")
+        ]
+        u, v = pool[rng.randrange(len(pool))]
+        return {"op": "delete", "u": u, "v": v}
+    zone = sharded.zone.local_of if sharded.zone is not None else {}
+    while True:
+        u = rng.randrange(union.num_vertices)
+        v = rng.randrange(union.num_vertices)
+        if u == v or union.has_edge(u, v):
+            continue
+        if kind == "intra-insert" and shard_of[u] == shard_of[v]:
+            return {"op": "insert", "u": u, "v": v}
+        if (kind == "cross-insert" and shard_of[u] != shard_of[v]
+                and u not in zone):
+            return {"op": "insert", "u": u, "v": v}
+
+
+def mutate_and_check(index, pool, algorithm, seed):
+    """Apply the seeded op stream, then compare every probe query's
+    scatter-gather scores with direct search on the mutated union graph.
+
+    Returns ``(summary, problems)``.
+    """
+    rng = random.Random(f"shard-smoke:{seed}")
+
+    def zone_size():
+        return len(index.zone.global_ids) if index.zone is not None else 0
+
+    zone_before = zone_size()
+    applied = sum(
+        apply_wal_op(index, draw_op(rng, index, kind))
+        for kind in MUTATION_KINDS
+    )
+    problems = []
+    if applied != len(MUTATION_KINDS):
+        problems.append(f"{len(MUTATION_KINDS) - applied} op(s) were no-ops")
+    if zone_size() <= zone_before:
+        problems.append("the cross-shard insert did not grow the zone")
+    evaluator = ShardedEvaluator(index, algorithm)
+    direct = algorithm.bind(index.base_graph)
+    for keywords in pool:
+        query = KeywordQuery(keywords)
+        ours = [a.score for a in evaluator.evaluate(query).answers]
+        theirs = [a.score for a in direct.search(query)]
+        if ours != theirs:
+            problems.append(
+                f"{keywords}: sharded {ours} != direct {theirs}"
+            )
+    summary = {
+        "ops": applied,
+        "zone_vertices_before": zone_before,
+        "zone_vertices_after": zone_size(),
+        "queries_checked": len(pool),
+        "problems": len(problems),
+    }
+    return summary, problems
 
 
 def main() -> int:
@@ -111,9 +195,8 @@ def main() -> int:
         return 1
     print(f"reloaded + verified manifests in {reload_seconds:.2f}s")
 
-    evaluator = ShardedEvaluator(
-        reloaded, BackwardKeywordSearch(d_max=args.halo // 2, k=10)
-    )
+    algorithm = BackwardKeywordSearch(d_max=args.halo // 2, k=10)
+    evaluator = ShardedEvaluator(reloaded, algorithm)
     pool = probe_pool(graph)
     rng = random.Random(args.seed)
     answers = degraded = errors = 0
@@ -149,6 +232,20 @@ def main() -> int:
             if name.startswith("shard.scatter.")
         }
 
+    started = time.perf_counter()
+    mutation, problems = mutate_and_check(
+        reloaded, pool, algorithm, args.seed
+    )
+    mutation["seconds"] = round(time.perf_counter() - started, 3)
+    for problem in problems:
+        print(f"FAIL: mutated index: {problem}", file=sys.stderr)
+    print(
+        f"mutated the reloaded index with {mutation['ops']} op(s): zone "
+        f"{mutation['zone_vertices_before']} -> "
+        f"{mutation['zone_vertices_after']} vertices, "
+        f"{mutation['queries_checked']} probe queries checked"
+    )
+
     total_seconds = sum(latencies)
     summary = {
         "dataset": args.dataset,
@@ -176,6 +273,7 @@ def main() -> int:
             "errors": errors,
         },
         "scatter": scatter,
+        "mutation": mutation,
     }
     with open(args.out, "w", encoding="utf-8") as handle:
         json.dump(summary, handle, indent=2, sort_keys=True)
@@ -183,7 +281,7 @@ def main() -> int:
     print(json.dumps(summary["workload"], indent=2, sort_keys=True))
     print(f"wrote {args.out}")
 
-    if errors:
+    if errors or problems:
         return 1
     if answers == 0:
         print("FAIL: the workload produced no answers", file=sys.stderr)

@@ -102,9 +102,10 @@ FORMAT_VERSION = 4
 
 #: ``meta.json``'s ``kind`` marker distinguishing a sharded root from an
 #: ordinary index directory, and the layout version stored beside it as
-#: ``sharded_version`` (2: the root manifest took the monolithic shape).
+#: ``sharded_version`` (2: the root manifest took the monolithic shape;
+#: 3: ``shards.json`` stores every build parameter and no vertex count).
 SHARDED_KIND = "sharded"
-SHARDED_FORMAT_VERSION = 2
+SHARDED_FORMAT_VERSION = 3
 
 #: Name of the checksum manifest inside an index directory.
 MANIFEST_NAME = "manifest.json"

@@ -23,9 +23,10 @@ search algorithm whose answers have radius ``d_max`` (so diameter
 
 Every locale (shard or zone) is an induced subgraph of ``G``, so locale
 answers are genuine data-graph answers whose scores can only be equal
-or worse than the global optimum for the same root; merging per-root
-minima and re-ranking therefore reproduces the monolithic top-k
-(checked query-for-query by ``repro.verify.shardcheck``).  The same
+or worse than the global optimum for the same root; collecting the
+roots the locales found and materializing each once on the union graph
+therefore reproduces the monolithic top-k (checked query-for-query by
+``repro.verify.shardcheck``).  The same
 subgraph inequality is what makes per-shard budgets prefix-sound: a
 degraded locale's ``lower_bound`` bounds everything it did not emit, so
 the merged prefix below the *minimum* bound over degraded locales is
@@ -43,12 +44,13 @@ replay.  :func:`repro.core.persistence.load_index` loads it.
 
 from __future__ import annotations
 
+import copy
 import hashlib
 import json
 import math
 import os
 from array import array
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from typing import (
     Dict,
     Iterable,
@@ -133,10 +135,6 @@ class ShardPlan:
     #: sorted vertices within ``halo_radius`` (undirected) of a portal.
     zone_vertices: List[int]
 
-    @property
-    def num_vertices(self) -> int:
-        return len(self.shard_of)
-
 
 def _ball_around(
     graph: Graph, sources: Iterable[int], radius: int
@@ -199,9 +197,7 @@ def plan_shards(
         (u, v) for (u, v) in graph.edges() if shard_of[u] != shard_of[v]
     )
     portals = sorted({v for edge in cut for v in edge})
-    zone = (
-        sorted(_ball_around(graph, portals, halo_radius)) if portals else []
-    )
+    zone = sorted(_ball_around(graph, portals, halo_radius))
     return ShardPlan(
         num_shards=actual,
         halo_radius=halo_radius,
@@ -348,26 +344,35 @@ class ShardedIndex:
       shrink the required ball, so the zone is kept as a superset —
       correct, merely non-minimal, exactly like post-maintenance drift
       in the monolithic index).
+
+    The index holds only what it cannot derive: the locales (``shard-0``
+    .. ``shard-K-1`` plus the optional zone), the live cut table and the
+    halo radius.  The shard of a vertex comes from the shards'
+    ``global_ids``, zone membership is the zone's own ``local_of`` and
+    the portals are the cut table's endpoints.
     """
 
     def __init__(
         self,
-        plan: ShardPlan,
         locales: Dict[str, Locale],
+        cut_edges: Iterable[Tuple[int, int]],
+        halo_radius: int,
         ontology: OntologyGraph,
         base_graph: Graph,
         build_kwargs: Optional[Dict[str, object]] = None,
     ) -> None:
-        self.plan = plan
-        self.shards = [locales[f"shard-{s}"] for s in range(plan.num_shards)]
+        self.shards = _shard_locales(locales)
         self.zone = locales.get(ZONE_NAME)
+        self.halo_radius = halo_radius
         self.ontology = ontology
         self.base_graph = base_graph
         self.build_kwargs = dict(build_kwargs or {})
-        self.halo_radius = plan.halo_radius
-        self._shard_of = list(plan.shard_of)
-        self._cut_edges: Set[Tuple[int, int]] = set(plan.cut_edges)
-        self._zone_members: Set[int] = set(plan.zone_vertices)
+        self._cut_edges: Set[Tuple[int, int]] = set(cut_edges)
+        # Vertex -> shard, derived once: the vertex set never changes.
+        self._shard_of = [0] * sum(len(s.global_ids) for s in self.shards)
+        for s, shard in enumerate(self.shards):
+            for v in shard.global_ids:
+                self._shard_of[v] = s
         self._maintenance_epoch = 0
 
     # -- introspection -------------------------------------------------
@@ -439,19 +444,15 @@ class ShardedIndex:
         return hasher.hexdigest()
 
     def cow_clone(self) -> "ShardedIndex":
-        """Copy-on-write clone (snapshot isolation for the serve runtime)."""
-        clone = ShardedIndex.__new__(ShardedIndex)
-        clone.plan = self.plan
+        """Copy-on-write clone (snapshot isolation for the serve runtime):
+        a shallow copy whose mutable parts — locale indexes, union graph,
+        cut table — are cloned; the vertex maps never change and are
+        shared."""
+        clone = copy.copy(self)
         clone.shards = [shard.cow_clone() for shard in self.shards]
         clone.zone = self.zone.cow_clone() if self.zone is not None else None
-        clone.ontology = self.ontology
         clone.base_graph = self.base_graph.cow_clone()
-        clone.build_kwargs = dict(self.build_kwargs)
-        clone.halo_radius = self.halo_radius
-        clone._shard_of = list(self._shard_of)
         clone._cut_edges = set(self._cut_edges)
-        clone._zone_members = set(self._zone_members)
-        clone._maintenance_epoch = self._maintenance_epoch
         return clone
 
     # -- maintenance ---------------------------------------------------
@@ -464,7 +465,8 @@ class ShardedIndex:
         if self._shard_of[u] == self._shard_of[v]:
             shard = self.shards[self._shard_of[u]]
             shard.index.insert_edge(shard.local_of[u], shard.local_of[v])
-            if u in self._zone_members or v in self._zone_members:
+            zone = self.zone
+            if zone is not None and (u in zone.local_of or v in zone.local_of):
                 # The new edge may pull vertices into the portal ball.
                 self._refresh_zone(incremental_edge=(u, v))
         else:
@@ -512,9 +514,6 @@ class ShardedIndex:
         if not 0 <= v < len(self._shard_of):
             raise GraphError(f"vertex {v} not in the sharded index")
 
-    def _current_portals(self) -> List[int]:
-        return sorted({v for edge in self._cut_edges for v in edge})
-
     def _refresh_zone(
         self, incremental_edge: Optional[Tuple[int, int]] = None
     ) -> None:
@@ -526,25 +525,18 @@ class ShardedIndex:
         is rebuilt from scratch over the new member set, the sharded
         analogue of the paper's occasional-recompute maintenance rule.
         """
-        portals = self._current_portals()
-        required: Set[int] = (
-            _ball_around(self.base_graph, portals, self.halo_radius)
-            if portals
-            else set()
-        )
+        portals = {v for edge in self._cut_edges for v in edge}
+        required = _ball_around(self.base_graph, portals, self.halo_radius)
         zone = self.zone
-        if required <= self._zone_members and zone is not None:
+        if zone is not None and required <= zone.local_of.keys():
             if incremental_edge is not None:
                 u, v = incremental_edge
                 if u in zone.local_of and v in zone.local_of:
                     zone.index.insert_edge(zone.local_of[u], zone.local_of[v])
             return
-        if not required:
-            self.zone = None
-            self._zone_members = set()
-            return
-        members = sorted(required | self._zone_members)
-        self._zone_members = set(members)
+        if zone is not None:
+            required.update(zone.local_of)
+        members = sorted(required)
         payload = _locale_payload(self.base_graph, members)
         start = monotonic_now()
         index = _build_locale_index(payload, self.ontology, self.build_kwargs)
@@ -554,6 +546,12 @@ class ShardedIndex:
             global_ids=members,
             build_seconds=monotonic_now() - start,
         )
+
+
+def _shard_locales(locales: Dict[str, Locale]) -> List[Locale]:
+    """The shard locales ``shard-0`` .. ``shard-K-1`` in shard order."""
+    count = len(locales) - (ZONE_NAME in locales)
+    return [locales[f"shard-{s}"] for s in range(count)]
 
 
 # ----------------------------------------------------------------------
@@ -618,7 +616,10 @@ def build_sharded(
                 global_ids=list(members),
                 build_seconds=monotonic_now() - start,
             )
-        return ShardedIndex(plan, locales, ontology, graph, build_kwargs)
+        return ShardedIndex(
+            locales, plan.cut_edges, plan.halo_radius, ontology, graph,
+            build_kwargs,
+        )
 
     with staged_directory(directory) as staging:
         tasks = [
@@ -662,10 +663,9 @@ def _write_sharded_layout(
         sort_keys=True,
     )
 
-    cost = build_kwargs.get("cost_params")
+    cost = build_kwargs["cost_params"]
     layout = {
         "halo_radius": plan.halo_radius,
-        "num_vertices": plan.num_vertices,
         "locales": [
             {
                 "name": name,
@@ -678,12 +678,11 @@ def _write_sharded_layout(
         "names": {
             str(v): graph.names[v] for v in sorted(graph.names)
         },
+        # Every build parameter, so a zone that grows after a reload is
+        # rebuilt exactly as the in-memory index would rebuild it.
         "build_kwargs": {
-            "num_layers": build_kwargs.get("num_layers"),
-            "theta": build_kwargs.get("theta"),
-            "max_mappings": build_kwargs.get("max_mappings"),
-            "cost_exact": bool(getattr(cost, "exact", False)),
-            "cost_num_samples": getattr(cost, "num_samples", None),
+            **build_kwargs,
+            "cost_params": asdict(cost) if cost is not None else None,
         },
     }
     write_json(
@@ -692,18 +691,17 @@ def _write_sharded_layout(
 
 
 def _reconstruct_union(
-    locales: Dict[str, Locale],
-    shard_names: List[str],
+    shards: List[Locale],
     cut_edges: List[Tuple[int, int]],
     names: Dict[int, str],
-    num_vertices: int,
 ) -> Graph:
     """Rebuild the live union graph from shard subgraphs + cut table."""
-    labels: List[Optional[str]] = [None] * num_vertices
-    for shard_name in shard_names:
-        locale = locales[shard_name]
-        for local, g in enumerate(locale.global_ids):
-            labels[g] = locale.index.base_graph.label(local)
+    labels: List[Optional[str]] = [None] * sum(
+        len(shard.global_ids) for shard in shards
+    )
+    for shard in shards:
+        for local, g in enumerate(shard.global_ids):
+            labels[g] = shard.index.base_graph.label(local)
     if any(label is None for label in labels):
         raise IndexCorruptedError(
             "sharded layout does not cover every vertex"
@@ -711,10 +709,9 @@ def _reconstruct_union(
     graph = Graph()
     for v, label in enumerate(labels):
         graph.add_vertex(label, name=names.get(v))
-    for shard_name in shard_names:
-        locale = locales[shard_name]
-        ids = locale.global_ids
-        for lu, lv in locale.index.base_graph.edges():
+    for shard in shards:
+        ids = shard.global_ids
+        for lu, lv in shard.index.base_graph.edges():
             graph.add_edge(ids[lu], ids[lv])
     for u, v in cut_edges:
         graph.add_edge(u, v)
@@ -741,59 +738,28 @@ def load_locales(
     ) as handle:
         layout = json.load(handle)
 
-    locales: Dict[str, Locale] = {}
-    for entry in layout["locales"]:
-        name = entry["name"]
-        index = load_index(os.path.join(directory, name), ontology)
-        locales[name] = Locale(
-            name=name,
-            index=index,
+    locales = {
+        entry["name"]: Locale(
+            name=entry["name"],
+            index=load_index(os.path.join(directory, entry["name"]), ontology),
             global_ids=list(entry["global_ids"]),
             build_seconds=float(entry.get("build_seconds", 0.0)),
         )
-    shard_names = sorted(
-        (name for name in locales if name != ZONE_NAME),
-        key=lambda n: int(n.split("-")[1]),
-    )
-    cut_edges = [tuple(edge) for edge in layout["cut_edges"]]
-    num_vertices = int(layout["num_vertices"])
-    names = {int(v): n for v, n in layout.get("names", {}).items()}
-
-    if base_graph is None:
-        base_graph = _reconstruct_union(
-            locales, shard_names, cut_edges, names, num_vertices
-        )
-
-    shard_of = [0] * num_vertices
-    shard_vertices: List[List[int]] = []
-    for s, shard_name in enumerate(shard_names):
-        members = locales[shard_name].global_ids
-        shard_vertices.append(list(members))
-        for v in members:
-            shard_of[v] = s
-    zone = locales.get(ZONE_NAME)
-    plan = ShardPlan(
-        num_shards=len(shard_names),
-        halo_radius=int(layout["halo_radius"]),
-        shard_of=shard_of,
-        shard_vertices=shard_vertices,
-        cut_edges=sorted(cut_edges),
-        portals=sorted({v for edge in cut_edges for v in edge}),
-        zone_vertices=list(zone.global_ids) if zone is not None else [],
-    )
-    stored = layout.get("build_kwargs", {})
-    cost_kwargs = {}
-    if stored.get("cost_exact"):
-        cost_kwargs["exact"] = True
-    if stored.get("cost_num_samples") is not None:
-        cost_kwargs["num_samples"] = stored["cost_num_samples"]
-    build_kwargs: Dict[str, object] = {
-        "num_layers": stored.get("num_layers"),
-        "theta": stored.get("theta", 1.0),
-        "max_mappings": stored.get("max_mappings"),
-        "cost_params": CostParams(**cost_kwargs) if cost_kwargs else None,
+        for entry in layout["locales"]
     }
-    return ShardedIndex(plan, locales, ontology, base_graph, build_kwargs)
+    cut_edges = [tuple(edge) for edge in layout["cut_edges"]]
+    if base_graph is None:
+        names = {int(v): n for v, n in layout["names"].items()}
+        base_graph = _reconstruct_union(
+            _shard_locales(locales), cut_edges, names
+        )
+    build_kwargs = dict(layout["build_kwargs"])
+    cost = build_kwargs["cost_params"]
+    build_kwargs["cost_params"] = CostParams(**cost) if cost else None
+    return ShardedIndex(
+        locales, cut_edges, layout["halo_radius"], ontology, base_graph,
+        build_kwargs,
+    )
 
 
 # ----------------------------------------------------------------------
@@ -814,14 +780,19 @@ class ShardedEvaluator:
     :meth:`Budget.sub` child, which keeps the remainder flowing to
     later locales, mirroring ``evaluate_resilient``'s attempt plan.
 
-    Gather: answers translate to global vertex ids, the best answer per
-    root wins (min ``(score, signature)``), and the union re-ranks
+    Gather: a locale reports *roots*.  Each distinct root any locale
+    found (in global ids) is materialized once with
+    ``best_answer_for_root`` on the union graph and the union re-ranks
     through :func:`~repro.search.base.top_k`.  Degraded locales merge
     into one :class:`DegradedResult` whose ``lower_bound`` is the
     minimum over the degraded locales' bounds — the prefix-soundness
     cut-off: anything a degraded locale failed to emit scores at or
     above its bound, so the merged ranking is provably complete below
     the minimum.
+
+    The gather is exact only if every locale answer is a genuine
+    data-graph answer, so ``verify_mode="trust"`` (summary-scored
+    answers) is rejected like a non-rooted algorithm or a short halo.
     """
 
     def __init__(
@@ -838,7 +809,7 @@ class ShardedEvaluator:
         if not isinstance(algorithm, RootedTreeAlgorithm):
             raise ConfigurationError(
                 f"sharded evaluation requires a rooted algorithm "
-                f"(per-root merge); {algorithm.name!r} is not a "
+                f"(per-root gather); {algorithm.name!r} is not a "
                 f"RootedTreeAlgorithm"
             )
         d_max = algorithm.d_max
@@ -847,6 +818,11 @@ class ShardedEvaluator:
                 f"halo radius {sharded.halo_radius} is too small for "
                 f"d_max={d_max}: portal-spanning answers need "
                 f"halo_radius >= 2*d_max = {2 * d_max}"
+            )
+        if verify_mode == "trust":
+            raise ConfigurationError(
+                "sharded evaluation is exact: verify_mode='trust' yields "
+                "summary-scored answers the per-root gather cannot merge"
             )
         self.sharded = sharded
         self.algorithm = algorithm
@@ -886,72 +862,16 @@ class ShardedEvaluator:
                 active.append((locale, evaluator))
         return active
 
-    def _locale_layer(
-        self, locale: Locale, layer: Optional[int]
-    ) -> Optional[int]:
-        """Clamp a forced layer to what the locale actually has.
-
-        A forced layer is a per-locale *hint*: locales are built
-        independently, so layer ``m``'s configurations differ between
-        them and a layer that collides (or does not exist) in one
-        locale falls back to that locale's own cost-optimal choice.
-        """
-        if layer is None:
-            return None
-        return min(layer, locale.index.num_layers)
-
-    def _translate(self, locale: Locale, answer: Answer) -> Answer:
-        ids = locale.global_ids
-        return Answer.make(
-            {kw: ids[v] for kw, v in answer.keyword_nodes},
-            score=answer.score,
-            root=ids[answer.root] if answer.root is not None else None,
-            vertices=tuple(ids[v] for v in answer.vertices),
-            edges=tuple((ids[u], ids[v]) for u, v in answer.edges),
-        )
-
-    @staticmethod
-    def _merge_pool(pool: Dict[object, Answer], answers: Iterable[Answer]):
-        for answer in answers:
-            key = answer.root
-            best = pool.get(key)
-            if best is None or (answer.score, answer.signature()) < (
-                best.score,
-                best.signature(),
-            ):
-                pool[key] = answer
-
-    def _canonicalize(self, pool: Dict[object, Answer], query: KeywordQuery):
-        """Re-materialize each merged answer on the union graph.
-
-        A locale reproduces the globally optimal *score* for its roots,
-        but shortest-path trees (and equal-distance keyword nodes) can
-        tie, and the locale's adjacency order may break those ties
-        differently than the full graph's.  The monolithic root-verify
-        pipeline emits ``best_answer_for_root`` over the base graph, so
-        running the merged roots through the same function on the union
-        graph makes the sharded output byte-identical, signatures and
-        trees included.
-        """
-        graph = self.sharded.base_graph
-        canonical: List[Answer] = []
-        for answer in pool.values():
-            best = (
-                self.algorithm.best_answer_for_root(
-                    graph, answer.root, query
-                )
-                if answer.root is not None
-                else None
-            )
-            canonical.append(best if best is not None else answer)
-        return canonical
-
     def _evaluate_locale(self, locale: Locale, run, query, layer, **kwargs):
         """One locale's evaluation — ``run`` is its evaluator's
         ``evaluate`` or ``evaluate_resilient`` — with forced-layer
         fallback + timing."""
         start = monotonic_now()
-        hint = self._locale_layer(locale, layer)
+        # A forced layer is a per-locale *hint*: locales are built
+        # independently, so layer ``m``'s configurations differ between
+        # them and a layer that collides (or does not exist) in one
+        # locale falls back to that locale's own cost-optimal choice.
+        hint = None if layer is None else min(layer, locale.index.num_layers)
         try:
             try:
                 return run(query, layer=hint, **kwargs)
@@ -981,6 +901,17 @@ class ShardedEvaluator:
         Returns ``(merged, locales, outcomes)``: the canonical merged
         top-k, the locales that were queried and their outcomes, in
         step (an outcome can be degraded only when ``resilient``).
+
+        Locales contribute roots only.  A locale answer's score can be
+        worse than its root's global optimum (a shard cannot see the
+        cut edges), and even at equal scores shortest-path trees (and
+        equal-distance keyword nodes) can tie, with the locale's
+        adjacency order breaking those ties differently than the full
+        graph's.  The monolithic root-verify pipeline emits
+        ``best_answer_for_root`` over the base graph, so materializing
+        each gathered root once through the same function on the union
+        graph makes the sharded output byte-identical, signatures and
+        trees included.
 
         Scatter is sequential.  A budgeted resilient run hands locale
         ``i`` of ``n`` still pending ``budget.sub(1/(n-i))`` — an even
@@ -1012,15 +943,20 @@ class ShardedEvaluator:
             )
 
         locales = [locale for locale, _evaluator in active]
-        pool_best: Dict[object, Answer] = {}
+        roots: Set[int] = set()
         for locale, outcome in zip(locales, outcomes):
             answers = outcome.answers
             if outcome.degraded:
                 answers = answers + outcome.unranked
-            self._merge_pool(
-                pool_best, (self._translate(locale, a) for a in answers)
-            )
-        merged = top_k(self._canonicalize(pool_best, query), k)
+            roots.update(locale.global_ids[a.root] for a in answers)
+        graph = self.sharded.base_graph
+        merged = top_k(
+            [
+                self.algorithm.best_answer_for_root(graph, root, query)
+                for root in roots
+            ],
+            k,
+        )
         return merged, locales, outcomes
 
     @staticmethod
@@ -1117,7 +1053,9 @@ class ShardedEvaluator:
     def _warm(self, layer: Optional[int]) -> None:
         """Warm every locale's evaluator (``evaluate_many``'s prologue)."""
         for locale, evaluator in self._evaluators:
-            evaluator._warm(self._locale_layer(locale, layer))
+            evaluator._warm(
+                None if layer is None else min(layer, locale.index.num_layers)
+            )
 
     #: Batched serving is the monolithic implementation verbatim: it only
     #: touches ``_warm`` / ``evaluate`` / ``evaluate_resilient``.

@@ -32,7 +32,7 @@ lifecycle; ``docs/ROBUSTNESS.md`` for durability and crash recovery.
 
 from repro.serve.admission import AdmissionController, ShedError
 from repro.serve.client import ServeClient, ServeResponse
-from repro.serve.lifecycle import EngineRuntime, RWLock, Snapshot
+from repro.serve.lifecycle import EngineRuntime, Snapshot
 from repro.serve.server import (
     QueryServer,
     serve_in_thread,
@@ -46,7 +46,6 @@ __all__ = [
     "EngineRuntime",
     "QueryServer",
     "QueryService",
-    "RWLock",
     "ServeClient",
     "ServeResponse",
     "ServerConfig",

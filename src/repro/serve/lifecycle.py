@@ -55,69 +55,6 @@ EvaluatorFactory = Callable[[BiGIndex], HierarchicalEvaluator]
 WalEntryFactory = Callable[[T], Optional[Dict[str, object]]]
 
 
-class RWLock:
-    """A writer-preferring readers-writer lock.
-
-    Any number of readers may hold the lock together; a writer is
-    exclusive.  Once a writer is *waiting*, new readers queue behind it,
-    so a continuous stream of queries cannot starve mutations.
-
-    The serve runtime itself no longer drains readers through this
-    (mutations go through copy-on-write snapshots), but the lock remains
-    the building block for callers that do need drain semantics, and the
-    concurrency battery pins its fairness properties.
-    """
-
-    def __init__(self) -> None:
-        self._cond = threading.Condition()
-        self._readers = 0
-        self._writer = False
-        self._writers_waiting = 0
-
-    def acquire_read(self) -> None:
-        with self._cond:
-            while self._writer or self._writers_waiting:
-                self._cond.wait()
-            self._readers += 1
-
-    def release_read(self) -> None:
-        with self._cond:
-            self._readers -= 1
-            if self._readers == 0:
-                self._cond.notify_all()
-
-    def acquire_write(self) -> None:
-        with self._cond:
-            self._writers_waiting += 1
-            try:
-                while self._writer or self._readers:
-                    self._cond.wait()
-            finally:
-                self._writers_waiting -= 1
-            self._writer = True
-
-    def release_write(self) -> None:
-        with self._cond:
-            self._writer = False
-            self._cond.notify_all()
-
-    @contextmanager
-    def read(self) -> Iterator[None]:
-        self.acquire_read()
-        try:
-            yield
-        finally:
-            self.release_read()
-
-    @contextmanager
-    def write(self) -> Iterator[None]:
-        self.acquire_write()
-        try:
-            yield
-        finally:
-            self.release_write()
-
-
 @dataclass(frozen=True)
 class Snapshot:
     """One immutable serving generation: (index, evaluator, epoch).

@@ -31,14 +31,6 @@ class QueryError(BigIndexError):
     """Raised for malformed keyword queries (empty, unknown keywords, ...)."""
 
 
-class IndexError_(BigIndexError):
-    """Raised when an index is used before being built or with a foreign graph.
-
-    Named with a trailing underscore to avoid shadowing the builtin
-    :class:`IndexError`.
-    """
-
-
 class IndexPersistenceError(BigIndexError):
     """Base class for failures loading a persisted index directory.
 

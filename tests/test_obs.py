@@ -574,13 +574,21 @@ class TestCLIExplainAndTrace:
 # ----------------------------------------------------------------------
 _REPO = pathlib.Path(__file__).resolve().parents[1]
 _SRC = _REPO / "src" / "repro"
-#: The audited metric families: build, sharding, copy-on-write, and the
-#: query path (``budget.`` is audited *empty*: its gauges were deleted).
+#: The audited metric families: build, sharding, copy-on-write, the
+#: query path (``budget.`` is audited *empty*: its gauges were deleted),
+#: and the core storage / refinement / serve-lifecycle families.
 _BUILD_PREFIXES = ("build.", "shard.", "cow.")
 _QUERY_PREFIXES = ("eval.", "spec.", "search.", "cache.", "budget.")
+_CORE_PREFIXES = (
+    "refine.", "csr.", "persist.", "wal.", "snapshot.", "postings.",
+)
 _BUILD_SPAN_FILES = ("core/index.py", "core/heuristic.py", "core/sharding.py")
 _QUERY_SPAN_FILES = ("core/evaluator.py",)
-_METRIC_CALL = re.compile(r"metrics\.(?:inc|observe|gauge)\(\s*f?\"([^\"]+)\"")
+#: Registry calls, plus ``EngineRuntime._metric_inc`` (the serve
+#: runtime's one-registry wrapper around ``metrics.inc``).
+_METRIC_CALL = re.compile(
+    r"(?:metrics\.(?:inc|observe|gauge)|_metric_inc)\(\s*f?\"([^\"]+)\""
+)
 _SPAN_CALL = re.compile(r"tracer\.span\(\s*\"([^\"]+)\"")
 
 
@@ -651,6 +659,13 @@ class TestTelemetryAudit:
 
     def test_query_path_metrics_match_the_docs(self):
         emitted, documented = _metric_audit(_QUERY_PREFIXES)
+        assert emitted == documented
+
+    def test_core_metrics_match_the_docs(self):
+        emitted, documented = _metric_audit(_CORE_PREFIXES)
+        # Both ride /healthz: snapshot.published is emitted only through
+        # EngineRuntime._metric_inc, so the scan must see that wrapper.
+        assert {"snapshot.published", "persist.mmap.detaches"} <= emitted
         assert emitted == documented
 
     def test_build_spans_match_the_docs(self):

@@ -29,7 +29,7 @@ from repro.search.base import KeywordQuery
 from repro.obs.reqlog import RequestLog, valid_request_id
 from repro.serve.admission import AdmissionController, ShedError
 from repro.serve.client import ServeClient
-from repro.serve.lifecycle import EngineRuntime, RWLock
+from repro.serve.lifecycle import EngineRuntime
 from repro.serve.server import serve_in_thread
 from repro.serve.service import (
     QueryService,
@@ -506,7 +506,7 @@ class TestAdmission:
 
 
 # ----------------------------------------------------------------------
-# Lifecycle: mutation, reload, RW lock
+# Lifecycle: mutation, reload
 # ----------------------------------------------------------------------
 class TestLifecycle:
     def test_mutate_bumps_epoch_and_serial(self, service):
@@ -582,63 +582,6 @@ class TestLifecycle:
         _, after, _ = post(service, "/query", {"keywords": ["A", "B"]})
         assert after["epoch"] != before["epoch"]
         assert after["serial"] == before["serial"] + 1
-
-
-class TestRWLock:
-    def test_readers_share_writers_exclude(self):
-        lock = RWLock()
-        state = {"readers": 0, "max_readers": 0, "writer_during_read": False}
-        barrier = threading.Barrier(3)
-
-        def reader():
-            with lock.read():
-                barrier.wait(timeout=5)  # all three readers inside at once
-                state["readers"] += 1
-
-        threads = [threading.Thread(target=reader) for _ in range(3)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join(timeout=5)
-        assert state["readers"] == 3
-
-    def test_writer_waits_for_readers_and_blocks_new_ones(self):
-        lock = RWLock()
-        order = []
-        reader_in = threading.Event()
-        release_reader = threading.Event()
-
-        def long_reader():
-            with lock.read():
-                reader_in.set()
-                release_reader.wait(timeout=5)
-                order.append("reader-done")
-
-        def writer():
-            with lock.write():
-                order.append("writer")
-
-        def late_reader():
-            with lock.read():
-                order.append("late-reader")
-
-        r = threading.Thread(target=long_reader)
-        r.start()
-        reader_in.wait(timeout=5)
-        w = threading.Thread(target=writer)
-        w.start()
-        # Give the writer time to queue; a reader arriving now must wait
-        # behind it (writer preference).
-        import time as _time
-
-        _time.sleep(0.05)
-        late = threading.Thread(target=late_reader)
-        late.start()
-        _time.sleep(0.05)
-        release_reader.set()
-        for t in (r, w, late):
-            t.join(timeout=5)
-        assert order == ["reader-done", "writer", "late-reader"]
 
 
 # ----------------------------------------------------------------------

@@ -2,6 +2,7 @@
 
 import json
 import os
+import random
 import sys
 
 import pytest
@@ -17,7 +18,7 @@ from repro.core.sharding import (
     build_sharded,
     plan_shards,
 )
-from repro.core.wal import WAL_NAME, MutationWAL
+from repro.core.wal import WAL_NAME, MutationWAL, apply_wal_op
 from repro.datasets.synthetic import (
     ZipfSampler,
     community_dataset,
@@ -26,6 +27,7 @@ from repro.datasets.synthetic import (
     verification_ontology,
 )
 from repro.graph.digraph import Graph
+from repro.graph.traversal import bfs_distances
 from repro.obs import Tracer, instrumented
 from repro.ontology.ontology import generate_ontology
 from repro.search.banks import BackwardKeywordSearch
@@ -343,6 +345,19 @@ class TestExactness:
         with pytest.raises(ConfigurationError, match="halo"):
             ShardedEvaluator(sharded, BackwardKeywordSearch(d_max=2, k=5))
 
+    def test_trust_mode_is_rejected(self):
+        # Trust-mode locales emit summary-scored answers; the per-root
+        # gather would mix them with exact ones.
+        g, ontology = small_case()
+        sharded = build_sharded(
+            g.copy(share_label_table=True), ontology, 2, 4, **BUILD_KW
+        )
+        with pytest.raises(ConfigurationError, match="trust"):
+            ShardedEvaluator(
+                sharded, BackwardKeywordSearch(d_max=2, k=5),
+                verify_mode="trust",
+            )
+
 
 class TestBudgets:
     def test_tiny_budget_degrades_with_lower_bound(self):
@@ -430,7 +445,7 @@ class TestMutation:
         sharded = build_sharded(
             g.copy(share_label_table=True), ontology, 3, 4, **BUILD_KW
         )
-        members = sharded.plan.shard_vertices[0]
+        members = sharded.shards[0].global_ids
         pair = next(
             (u, v)
             for u in members
@@ -447,8 +462,8 @@ class TestMutation:
         sharded = build_sharded(
             g.copy(share_label_table=True), ontology, 3, 4, **BUILD_KW
         )
-        u = sharded.plan.shard_vertices[0][0]
-        v = sharded.plan.shard_vertices[1][0]
+        u = sharded.shards[0].global_ids[0]
+        v = sharded.shards[1].global_ids[0]
         if sharded.base_graph.has_edge(u, v):
             sharded.delete_edge(u, v)
             self.check_equal(sharded, ontology)
@@ -491,7 +506,7 @@ class TestMutation:
         )
         digest = sharded.state_digest()
         clone = sharded.cow_clone()
-        members = clone.plan.shard_vertices[0]
+        members = clone.shards[0].global_ids
         pair = next(
             (u, v)
             for u in members
@@ -508,7 +523,7 @@ class TestMutation:
             g.copy(share_label_table=True), ontology, 2, 4, **BUILD_KW
         )
         epoch = sharded.epoch
-        members = sharded.plan.shard_vertices[0]
+        members = sharded.shards[0].global_ids
         pair = next(
             (u, v)
             for u in members
@@ -738,6 +753,28 @@ class TestPersistence:
         assert isinstance(load_index(mono_dir, ontology), BiGIndex)
         assert isinstance(load_index(shard_dir, ontology), ShardedIndex)
 
+    def test_reload_keeps_every_build_parameter(self, tmp_path):
+        # A zone that grows after a reload is rebuilt with the stored
+        # parameters, so they must round-trip — not just two of them.
+        g, ontology = small_case(seed=20)
+        kwargs = dict(
+            num_layers=2,
+            cost_params=CostParams(
+                num_samples=10, alpha=0.2, sample_radius=1, seed=5
+            ),
+        )
+        heap = build_sharded(
+            g.copy(share_label_table=True), ontology, 3, 4, **kwargs
+        )
+        directory = str(tmp_path / "sharded")
+        build_sharded(
+            g.copy(share_label_table=True), ontology, 3, 4,
+            directory=directory, **kwargs,
+        )
+        reloaded = load_index(directory, ontology)
+        assert reloaded.build_kwargs == heap.build_kwargs
+        assert reloaded.build_kwargs["cost_params"] == kwargs["cost_params"]
+
     def test_wal_tail_replays_through_facade(self, tmp_path):
         g, ontology = small_case(seed=19)
         directory = str(tmp_path / "sharded")
@@ -749,7 +786,7 @@ class TestPersistence:
             directory=directory,
             **BUILD_KW,
         )
-        members = sharded.plan.shard_vertices[0]
+        members = sharded.shards[0].global_ids
         pair = next(
             (u, v)
             for u in members
@@ -766,6 +803,100 @@ class TestPersistence:
         assert shard.index.base_graph.has_edge(
             shard.local_of[pair[0]], shard.local_of[pair[1]]
         )
+
+
+class TestStateInvariants:
+    """A sharded index stores only its locales, the cut table and the
+    halo radius; everything else is derived and must agree with the union
+    graph after every op — including cross-shard inserts that grow the
+    zone and cut-edge deletes that leave it a superset."""
+
+    HALO = 2
+
+    @staticmethod
+    def _case():
+        ontology = generate_ontology(50, avg_fanout=5, height=3, seed=0)
+        g = generate_community_graph(
+            300, 700, ontology, seed=1, community_size=100, bridge_edges=2
+        )
+        return g, ontology
+
+    @staticmethod
+    def _shard_of(sharded):
+        return {
+            v: s
+            for s, shard in enumerate(sharded.shards)
+            for v in shard.global_ids
+        }
+
+    def _check(self, sharded):
+        union = sharded.base_graph
+        edges = set(union.edges())
+        shard_of = self._shard_of(sharded)
+        cut = {(u, v) for u, v in edges if shard_of[u] != shard_of[v]}
+        assert sharded._cut_edges == cut
+        portals = {v for edge in cut for v in edge}
+        ball = bfs_distances(union, portals, sharded.halo_radius, "both")
+        zone = sharded.zone
+        assert set(ball) <= (set(zone.local_of) if zone is not None else set())
+        for locale in sharded.locales:
+            ids = locale.global_ids
+            members = set(ids)
+            assert {
+                (ids[a], ids[b]) for a, b in locale.index.base_graph.edges()
+            } == {(u, v) for u, v in edges if u in members and v in members}
+
+    def _draw(self, rng, sharded, kind):
+        union = sharded.base_graph
+        shard_of = self._shard_of(sharded)
+        if kind in ("intra-delete", "cut-delete"):
+            pool = [
+                (u, v)
+                for u, v in sorted(union.edges())
+                if (shard_of[u] == shard_of[v]) == (kind == "intra-delete")
+            ]
+            u, v = rng.choice(pool)
+            return {"op": "delete", "u": u, "v": v}
+        zone = set(sharded.zone.local_of)
+        while True:
+            u, v = rng.randrange(union.num_vertices), rng.randrange(
+                union.num_vertices
+            )
+            if u == v or union.has_edge(u, v):
+                continue
+            if kind == "intra-insert" and shard_of[u] == shard_of[v]:
+                return {"op": "insert", "u": u, "v": v}
+            if (
+                kind == "cross-insert"
+                and shard_of[u] != shard_of[v]
+                and not (u in zone and v in zone)
+            ):
+                return {"op": "insert", "u": u, "v": v}
+
+    def test_derived_state_tracks_the_union_graph(self):
+        g, ontology = self._case()
+        sharded = build_sharded(g, ontology, 3, self.HALO, **BUILD_KW)
+        self._check(sharded)
+        zone_before = len(sharded.zone.global_ids)
+        assert zone_before < g.num_vertices
+        kinds = [
+            "intra-insert", "intra-delete", "cut-delete", "cross-insert",
+        ] * 3
+        rng = random.Random(25)
+        pinned = digest = None
+        for step, kind in enumerate(kinds):
+            if step == len(kinds) // 2:
+                # Serve convention: readers pin the published index (it
+                # is frozen from here on) and the stream goes on in its
+                # copy-on-write clone.
+                pinned, digest = sharded, sharded.state_digest()
+                sharded = pinned.cow_clone()
+            assert apply_wal_op(sharded, self._draw(rng, sharded, kind))
+            self._check(sharded)
+            if pinned is not None:
+                assert pinned.state_digest() == digest
+        assert len(sharded.zone.global_ids) > zone_before
+        self._check(pinned)
 
 
 class TestCommunityDataset:
