@@ -9,18 +9,22 @@ DESIGN.md calls out the decisions these sweep:
 * **Algorithm 1 budget** (theta, Pi) — the default index uses a large
   threshold so every label generalizes once per layer; tightening the
   budget trades compression for lower semantic distortion.
-* **Verification mode** — the paper's qualification-trusted generation
-  vs exact re-verification.
+* **Answer-generation pipeline** — the paper's (Algorithm 4,
+  qualification-trusted scores, a 60-answer stream cap; what Exp-1
+  reports) vs the library's exact ``eval_Ont`` on the Exp-1 Blinks
+  workloads: uncached time and how many top-k score lists differ from
+  direct evaluation.
 """
 
 import time
 
 import pytest
 
-from repro.bench.harness import compare_on_queries, standard_workload
+from repro.bench.harness import PaperPipeline, compare_on_queries
 from repro.bench.reporting import print_table
 from repro.bisim.refinement import BisimDirection
 from repro.core.cost import CostParams
+from repro.core.evaluator import HierarchicalEvaluator
 from repro.core.index import BiGIndex
 from repro.search.blinks import Blinks
 
@@ -88,33 +92,56 @@ def test_ablation_algorithm1_budget(benchmark, yago):
     assert float(by_key[(1.0, 5)][3]) >= float(by_key[(1.0, "inf")][3])
 
 
-def test_ablation_verify_mode(benchmark, yago, yago_index, yago_queries):
-    """Trust-mode generation vs exact re-verification on the workload."""
-    algorithm = Blinks(d_max=5, k=10, block_size=1000)
+def test_ablation_pipeline(
+    benchmark,
+    yago, yago_index, yago_queries,
+    dbpedia, dbpedia_index, dbpedia_queries,
+    imdb, imdb_index, imdb_queries,
+):
+    """Paper vs library pipeline on the Exp-1 Blinks workloads (layer 1)."""
+    algorithm = Blinks(d_max=5, k=10, index_kind="bi-level", block_size=1000)
+    workloads = (
+        (yago, yago_index, yago_queries),
+        (dbpedia, dbpedia_index, dbpedia_queries),
+        (imdb, imdb_index, imdb_queries),
+    )
+    pipelines = (("paper", PaperPipeline), ("library", HierarchicalEvaluator))
 
     def run_both():
-        results = {}
-        for verify_mode, generation in (
-            ("trust", "path"),
-            ("exact", "root-verify"),
-        ):
-            rows = compare_on_queries(
-                yago,
-                algorithm,
-                yago_index,
-                yago_queries,
-                layer=1,
-                repeats=1,
-                generation=generation,
-                verify_mode=verify_mode,
+        return {
+            (dataset.name, name): compare_on_queries(
+                dataset, algorithm, index, queries, layer=1, repeats=1,
+                pipeline=pipeline,
             )
-            results[verify_mode] = sum(r.boosted_seconds for r in rows)
-        return results
+            for dataset, index, queries in workloads
+            for name, pipeline in pipelines
+        }
 
-    totals = benchmark.pedantic(run_both, rounds=1, iterations=1)
+    results = benchmark.pedantic(run_both, rounds=1, iterations=1)
+    table = []
+    for (dataset, name), rows in results.items():
+        direct = sum(r.direct_seconds for r in rows)
+        boosted = sum(r.boosted_seconds for r in rows)
+        table.append(
+            (
+                dataset,
+                name,
+                f"{direct * 1e3:.1f}",
+                f"{boosted * 1e3:.1f}",
+                f"{100.0 * (direct - boosted) / direct:.1f}%",
+                f"{sum(r.differs for r in rows)}/{len(rows)}",
+                sum(r.short for r in rows),
+            )
+        )
     print_table(
-        "Ablation: verification mode (total boosted workload time)",
-        ["mode", "seconds"],
-        [(mode, f"{seconds:.4f}") for mode, seconds in totals.items()],
+        "Ablation: answer-generation pipeline (Exp-1 Blinks, layer 1, "
+        "uncached)",
+        ["dataset", "pipeline", "direct ms", "BiG ms", "reduction",
+         "top-k differs", "short"],
+        table,
     )
-    assert totals["trust"] > 0 and totals["exact"] > 0
+    for (dataset, name), rows in results.items():
+        assert rows, dataset
+        if name == "library":
+            # eval_Ont == eval: every top-k score list equals direct's.
+            assert not any(r.differs for r in rows), dataset

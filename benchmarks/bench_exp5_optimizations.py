@@ -36,7 +36,7 @@ D_MAX = 5
 def _collect_generation_inputs(dataset, index, queries, limit_per_query=25):
     """Specialized generalized answers for every workload query at layer 1."""
     algorithm = Blinks(d_max=D_MAX, k=None, block_size=1000)
-    evaluator = HierarchicalEvaluator(index, algorithm, generation="vertex")
+    evaluator = HierarchicalEvaluator(index, algorithm)
     inputs = []
     for spec in queries:
         query = spec.query

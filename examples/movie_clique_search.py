@@ -59,9 +59,9 @@ def demonstrate_boosted_cliques() -> None:
     )
     algorithm = RClique(radius=RADIUS, k=5)
     direct_searcher = algorithm.bind(dataset.graph)
-    # Exact configuration: generated cliques are re-verified against the
-    # data graph's neighbor index (cached from the direct binding).
-    boosted = boost(algorithm, index, generation="vertex")
+    # Generated cliques are re-verified against the data graph's neighbor
+    # index (cached from the direct binding).
+    boosted = boost(algorithm, index)
     boosted.warm()
 
     for spec in queries:

@@ -15,25 +15,35 @@ r-clique's neighbor lists) are built *offline* and excluded from query
 times; each query is timed over ``repeats`` runs and averaged ("the
 reported runtimes are the average of 10 runs"); direct evaluation and
 BiG-index evaluation run the *same* algorithm implementation, so measured
-differences isolate the index.
+differences isolate the index.  The BiG-index side runs without a result
+cache, so every repeat evaluates the query.
+
+Pipelines
+---------
+The figures time :class:`PaperPipeline`, the paper's answer generation;
+:class:`~repro.core.evaluator.HierarchicalEvaluator` is the library's exact
+``eval_Ont``.  ``compare_on_queries`` runs either and records whether its
+top-k score list equals the direct run's.
 """
 
 from __future__ import annotations
 
+import itertools
 import os
 import statistics
 import time
 from dataclasses import dataclass, field
-from functools import lru_cache
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
+from repro.core.answer_gen import enlarge_qualifier
 from repro.core.cost import CostParams
-from repro.core.evaluator import EvalResult
+from repro.core.evaluator import HierarchicalEvaluator
 from repro.core.index import BiGIndex
-from repro.core.plugins import BoostedSearch, boost
+from repro.core.path_answer_gen import p_ans_graph_gen
 from repro.datasets.knowledge import Dataset, dbpedia_like, imdb_like, yago_like
 from repro.datasets.workloads import QuerySpec, benchmark_queries
-from repro.search.base import KeywordSearchAlgorithm
+from repro.obs.runtime import charge_expansions
+from repro.search.base import Answer, GraphSearcher, KeywordSearchAlgorithm
 
 #: Dataset scale factor for all benchmarks (env-overridable).  The
 #: default of 1.0 gives ~10k-vertex graphs — small enough for pure Python,
@@ -85,6 +95,68 @@ def build_index(
     return _index_cache[key]
 
 
+class PaperPipeline(HierarchicalEvaluator):
+    """``eval_Ont`` with the paper's answer generation (Sec. 4.3).
+
+    Three choices set it apart from the library evaluator:
+
+    * every summary answer goes through Algorithm 4's path-based
+      enumeration (Sec. 4.3.3), rooted semantics included;
+    * an assignment passing Def. 4.2/4.3 qualification is accepted with
+      the summary answer's score, not re-verified on the data graph (the
+      paper's reading of Prop. 5.3);
+    * at most ``max_generalized`` summary answers are consumed per query,
+      the practical reading of Sec. 4.3.4 ("specialize one a^m at a time
+      ... terminate when the number of answer graphs is k").
+
+    Trusted scores can under-report and the cap can miss answers, so its
+    top-k need not be direct ``eval``'s (EXPERIMENTS.md, divergence 5).
+    """
+
+    def __init__(self, *args, max_generalized: int = 60, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
+        self.rooted = False  # no root verification: Algorithm 4 for all
+        self.max_generalized = max_generalized
+
+    def searcher_for_layer(self, m: int):
+        return _CappedStream(super().searcher_for_layer(m), self.max_generalized)
+
+    def _generate_by_assignment(
+        self, summary_answer, spec, query, verified, result, budget=None
+    ) -> None:
+        """Algorithm 4 enumeration, each assignment trusted."""
+        graph = self.index.base_graph
+        qualify = enlarge_qualifier(self.algorithm, graph, spec, query)
+        for assignment in p_ans_graph_gen(graph, spec, qualify=qualify):
+            charge_expansions(budget, 1)
+            result.num_candidates += 1
+            answer = Answer.make(
+                {kw: assignment[s] for s, kw in spec.keyword_of.items()},
+                score=summary_answer.score,
+                root=assignment.get(summary_answer.root),
+                vertices=assignment.values(),
+                edges=((assignment[u], assignment[v]) for u, v in spec.edges),
+            )
+            existing = verified.get(answer.signature())
+            if existing is None or answer.score < existing.score:
+                verified[answer.signature()] = answer
+
+
+class _CappedStream:
+    """A bound searcher whose summary-answer stream ends after ``cap``."""
+
+    def __init__(self, searcher: GraphSearcher, cap: int) -> None:
+        self._searcher = searcher
+        self._cap = cap
+
+    def iter_search(self, query, budget=None):
+        stream = self._searcher.iter_search(query, budget=budget)
+        return itertools.islice(stream, self._cap)
+
+    def __getattr__(self, name: str):
+        return getattr(self._searcher, name)
+
+
 @dataclass
 class QueryComparison:
     """Direct vs BiG-index timings for one benchmark query."""
@@ -96,8 +168,19 @@ class QueryComparison:
     layer: int
     #: phase -> seconds from the boosted run (explore / specialize / generate).
     phases: Dict[str, float] = field(default_factory=dict)
-    direct_answers: int = 0
-    boosted_answers: int = 0
+    #: ascending answer scores of each run (the top-k when k is set).
+    direct_scores: Tuple[float, ...] = ()
+    boosted_scores: Tuple[float, ...] = ()
+
+    @property
+    def differs(self) -> bool:
+        """The BiG-index run's score list is not the direct run's."""
+        return self.boosted_scores != self.direct_scores
+
+    @property
+    def short(self) -> bool:
+        """The BiG-index run returned fewer answers than the direct run."""
+        return len(self.boosted_scores) < len(self.direct_scores)
 
     @property
     def reduction_percent(self) -> float:
@@ -116,30 +199,31 @@ def compare_on_queries(
     queries: Sequence[QuerySpec],
     layer: Optional[int] = None,
     repeats: int = BENCH_REPEATS,
-    generation: Optional[str] = "path",
-    verify_mode: str = "trust",
-    max_generalized: Optional[int] = 60,
+    pipeline: Callable[..., HierarchicalEvaluator] = PaperPipeline,
     beta: float = 0.5,
     allow_layer_zero: bool = True,
 ) -> List[QueryComparison]:
     """Time every query directly and through BiG-index.
 
-    Defaults follow the paper's pipeline: path-based answer generation
-    (Sec. 4.3.3) with qualification-trusted scores.  Queries whose
-    keywords collide at the requested layer, or that raise for
-    dataset-specific reasons, are skipped (mirroring the paper's practice
-    of reporting only evaluable queries).
+    ``pipeline`` is the BiG-index side: :class:`PaperPipeline` (the
+    paper's, what the figures report) or
+    :class:`~repro.core.evaluator.HierarchicalEvaluator` (the library's).
+    It is built without a result cache: with one, every repeat after the
+    first would time a cache hit.  Queries whose keywords collide at the
+    requested layer are skipped (mirroring the paper's practice of
+    reporting only evaluable queries).
     """
     direct_searcher = algorithm.bind(dataset.graph)  # offline
-    boosted = boost(
-        algorithm,
+    boosted = pipeline(
         index,
+        algorithm,
         beta=beta,
-        generation=generation,
-        verify_mode=verify_mode,
         allow_layer_zero=allow_layer_zero,
+        cache_size=0,
     )
-    boosted.warm()  # offline per-layer index builds
+    for m in range(index.num_layers + 1):  # offline per-layer index builds
+        boosted.searcher_for_layer(m)
+        index.layer_graph(m).csr()
 
     comparisons: List[QueryComparison] = []
     for spec in queries:
@@ -150,20 +234,14 @@ def compare_on_queries(
             continue
         direct_times: List[float] = []
         boosted_times: List[float] = []
-        direct_answers = 0
-        last_result: Optional[EvalResult] = None
         for _ in range(repeats):
             start = time.perf_counter()
             direct = direct_searcher.search(query)
             direct_times.append(time.perf_counter() - start)
-            direct_answers = len(direct)
 
             start = time.perf_counter()
-            last_result = boosted.evaluate(
-                query, layer=layer, max_generalized=max_generalized
-            )
+            last_result = boosted.evaluate(query, layer=layer)
             boosted_times.append(time.perf_counter() - start)
-        assert last_result is not None
         comparisons.append(
             QueryComparison(
                 qid=spec.qid,
@@ -172,8 +250,10 @@ def compare_on_queries(
                 boosted_seconds=statistics.mean(boosted_times),
                 layer=last_result.layer,
                 phases=last_result.breakdown.as_dict(),
-                direct_answers=direct_answers,
-                boosted_answers=len(last_result.answers),
+                direct_scores=tuple(sorted(a.score for a in direct)),
+                boosted_scores=tuple(
+                    sorted(a.score for a in last_result.answers)
+                ),
             )
         )
     return comparisons

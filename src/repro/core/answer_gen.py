@@ -26,6 +26,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Set, Tuple
 
 from repro.graph.digraph import Graph
+from repro.search.base import KeywordQuery, KeywordSearchAlgorithm
 from repro.utils.errors import BigIndexError
 
 #: Optional extra qualification hook: (partial assignment, supernode, vertex)
@@ -77,6 +78,31 @@ def specialization_order(answer: GeneralizedAnswerGraph) -> List[int]:
     Ties break by supernode id so the order is deterministic.
     """
     return sorted(answer.vertices, key=lambda s: (len(answer.spec_sets[s]), s))
+
+
+def enlarge_qualifier(
+    algorithm: KeywordSearchAlgorithm,
+    graph: Graph,
+    answer: GeneralizedAnswerGraph,
+    query: KeywordQuery,
+) -> QualifyHook:
+    """The :data:`QualifyHook` threading ``algorithm.enlarge_ok`` through
+    Def. 4.2: a keyword node's candidate must keep the keyword vertices
+    assigned so far acceptable to the algorithm."""
+    keyword_of = answer.keyword_of
+
+    def qualify(partial: Mapping[int, int], supernode: int, vertex: int) -> bool:
+        keyword = keyword_of.get(supernode)
+        if keyword is None:
+            return True
+        partial_keywords = {
+            keyword_of[s]: v for s, v in partial.items() if s in keyword_of
+        }
+        return algorithm.enlarge_ok(
+            graph, partial_keywords, keyword, vertex, query
+        )
+
+    return qualify
 
 
 def ans_graph_gen(

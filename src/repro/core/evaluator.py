@@ -15,18 +15,24 @@ The evaluator runs the five steps of Fig. 5 / Algo. 2:
    (a generalized answer dies as soon as any keyword node's candidate set
    empties).  Non-keyword vertices specialize without pruning — they are
    kept only for connectivity (Sec. 5.1).
-4. **Answer generation** — turn candidate sets into concrete answers:
+4. **Answer generation** — turn candidate sets into concrete answers, one
+   way per query semantics (the plugged algorithm's type decides):
 
-   * ``"root-verify"`` (default for rooted-tree semantics): the candidate
-     roots are the specializations of each generalized answer's root;
-     every candidate root is verified exactly on the data graph with one
-     bounded BFS (``best_answer_for_root``).  Complete because
-     path-preservation guarantees every true root's image is a summary
-     answer root (Lemma 4.1 / Prop. 5.1).
-   * ``"vertex"``: Algorithm 3 assignment enumeration (Def. 4.2
-     qualification + specialization order), each assignment verified by
-     the algorithm.
-   * ``"path"``: Algorithm 4 path-based enumeration (Def. 4.3).
+   * rooted-tree semantics (a
+     :class:`~repro.search.base.RootedTreeAlgorithm`): root verification.
+     The candidate roots are the specializations of each generalized
+     answer's root; every candidate root is verified exactly on the data
+     graph with one bounded BFS (``best_answer_for_root``).  Complete
+     because path-preservation guarantees every true root's image is a
+     summary answer root (Lemma 4.1 / Prop. 5.1).
+   * root-free semantics (r-clique): Algorithm 3 assignment enumeration
+     (Def. 4.2 qualification + specialization order), each assignment
+     verified exactly by the algorithm.
+
+   Algorithm 4's path-based enumeration with the paper's
+   qualification-trusted summary scores is a different program (it can
+   under-report scores and miss answers); the Exp-1 benchmarks run it as
+   ``repro.bench.harness.PaperPipeline``.
 
 5. **Early termination after the first k answers** (Sec. 4.3.4) —
    generalized answers are processed in ascending summary score; since
@@ -70,9 +76,9 @@ from typing import (
 from repro.core.answer_gen import (
     GeneralizedAnswerGraph,
     ans_graph_gen,
+    enlarge_qualifier,
 )
 from repro.core.index import BiGIndex
-from repro.core.path_answer_gen import p_ans_graph_gen
 from repro.core.query_cost import QueryCostModel
 from repro.core.querycache import LRUCache
 from repro.obs.runtime import OBS, charge_expansions
@@ -87,9 +93,6 @@ from repro.search.base import (
 from repro.utils.budget import Budget
 from repro.utils.errors import BudgetExceeded, QueryError
 from repro.utils.timers import TimeBreakdown
-
-#: Answer-generation strategies.
-GENERATION_STRATEGIES = ("root-verify", "vertex", "path")
 
 
 @dataclass
@@ -232,15 +235,13 @@ class HierarchicalEvaluator:
         The plugged keyword search algorithm ``f``.
     beta:
         Query cost model weight (Formula 4).
-    generation:
-        Answer-generation strategy (see module docstring).
     cache_size:
         Capacity of the per-evaluator query-result LRU (``0`` disables
         caching).  Cached and uncached evaluation are byte-identical —
-        entries are keyed by the canonicalized query plus every knob that
-        affects the ranking and dropped whenever the index's ``epoch``
-        moves; budgeted executions bypass the cache entirely (see
-        :meth:`evaluate`).
+        entries are keyed by the canonicalized query plus every argument
+        that affects the ranking and dropped whenever the index's
+        ``epoch`` moves; budgeted executions bypass the cache entirely
+        (see :meth:`evaluate`).
     """
 
     def __init__(
@@ -248,27 +249,18 @@ class HierarchicalEvaluator:
         index: BiGIndex,
         algorithm: KeywordSearchAlgorithm,
         beta: float = 0.5,
-        generation: str = "root-verify",
-        verify_mode: str = "exact",
         allow_layer_zero: bool = False,
         cache_size: int = 128,
     ) -> None:
-        if generation not in GENERATION_STRATEGIES:
-            raise QueryError(f"unknown generation strategy: {generation!r}")
-        if verify_mode not in ("exact", "trust"):
-            raise QueryError(f"unknown verify mode: {verify_mode!r}")
         self.index = index
         self.algorithm = algorithm
         self.cost_model = QueryCostModel(
             index, beta=beta, allow_layer_zero=allow_layer_zero
         )
-        self.generation = generation
-        #: "exact" re-checks every generated assignment with the
-        #: algorithm's own verifier; "trust" accepts assignments that pass
-        #: Def. 4.2/4.3 qualification and scores them with the summary
-        #: answer's score — the paper's pipeline, justified by its
-        #: path-preservation argument (Prop. 5.3 claims score equality).
-        self.verify_mode = verify_mode
+        #: Answer generation (module docstring, step 4): rooted-tree
+        #: semantics verify candidate roots, root-free ones enumerate
+        #: assignments.
+        self.rooted = isinstance(algorithm, RootedTreeAlgorithm)
         self._searchers: Dict[int, GraphSearcher] = {}
         self._result_cache: Optional[LRUCache] = (
             LRUCache(cache_size, kind="result") if cache_size else None
@@ -355,7 +347,6 @@ class HierarchicalEvaluator:
         query: KeywordQuery,
         layer: Optional[int] = None,
         k: Optional[int] = None,
-        max_generalized: Optional[int] = None,
         budget: Optional[Budget] = None,
     ) -> EvalResult:
         """Run ``eval_Ont(G, Q, f)``, serving repeats from the result cache.
@@ -370,15 +361,6 @@ class HierarchicalEvaluator:
         k:
             Top-k cutoff with early termination; ``None`` uses the
             algorithm's own ``k`` if any, returning all answers otherwise.
-        max_generalized:
-            Optional cap on the number of generalized answers consumed
-            from the summary stream once the top-k is already populated
-            or the stream keeps failing to specialize.  Implements the
-            practical reading of Sec. 4.3.4 ("specialize one a^m at a
-            time ... terminate when the number of answer graphs is k")
-            for workloads where semantic distortion makes parts of the
-            stream unproductive; ``None`` (default, used by the exactness
-            tests) never truncates.
         budget:
             Optional execution budget charged throughout exploration,
             specialization and generation.  This is the *strict* entry
@@ -389,9 +371,9 @@ class HierarchicalEvaluator:
             (:meth:`evaluate_resilient` degrades instead).
 
         Unbudgeted evaluations are memoized per canonical (query, layer,
-        k, max_generalized, generation) key; a hit replays the stored
-        ranking byte-for-byte (the ``verify`` cache drill enforces the
-        identity).  Budgeted runs always execute and are never stored: a
+        k) key; a hit replays the stored ranking byte-for-byte (the
+        ``verify`` cache drill enforces the identity).  Budgeted runs
+        always execute and are never stored: a
         :class:`~repro.utils.budget.Budget` is a stateful ledger, so
         whether a run completes depends on what was already charged, on
         the wall clock and on an external cancellation token — and a
@@ -408,13 +390,7 @@ class HierarchicalEvaluator:
                 # Keywords are canonicalized sorted: answer sets are
                 # keyword-order independent (a set semantics the
                 # exactness tests pin down).
-                key = (
-                    tuple(sorted(query.keywords)),
-                    layer,
-                    k,
-                    max_generalized,
-                    self.generation,
-                )
+                key = (tuple(sorted(query.keywords)), layer, k)
                 hit = self._result_cache.get(key)
                 if hit is not None:
                     if OBS.enabled:
@@ -426,7 +402,7 @@ class HierarchicalEvaluator:
                                 }
                             )
                     return self._copy_result(hit)
-        result = self._attempt(query, layer, k, max_generalized, budget)
+        result = self._attempt(query, layer, k, budget)
         if result.degraded:
             raise BudgetExceeded(
                 result.reason,
@@ -450,7 +426,6 @@ class HierarchicalEvaluator:
         query: KeywordQuery,
         layer: Optional[int],
         k: Optional[int],
-        max_generalized: Optional[int],
         budget: Optional[Budget],
     ) -> Union[EvalResult, DegradedResult]:
         """One walk through Algo. 2's five steps — the only one there is.
@@ -549,11 +524,6 @@ class HierarchicalEvaluator:
                     result.num_generalized += 1
                     if OBS.enabled:
                         OBS.metrics.inc("eval.summary_answers")
-                    if (
-                        max_generalized is not None
-                        and result.num_generalized > max_generalized
-                    ):
-                        break
                     if k is not None and len(verified) >= k:
                         kth = sorted(a.score for a in verified.values())[k - 1]
                         stream_bound = searcher.stream_lower_bound
@@ -564,9 +534,7 @@ class HierarchicalEvaluator:
                         if kth <= summary_answer.score:
                             continue  # cannot improve; keep streaming
                     root_verify = (
-                        self.generation == "root-verify"
-                        and summary_answer.root is not None
-                        and isinstance(self.algorithm, RootedTreeAlgorithm)
+                        self.rooted and summary_answer.root is not None
                     )
                     with breakdown.phase("specialize"), OBS.tracer.span(
                         "specialize", layer=layer
@@ -582,7 +550,8 @@ class HierarchicalEvaluator:
                     if spec is None:
                         continue
                     with breakdown.phase("generate"), OBS.tracer.span(
-                        "generate", strategy=self.generation
+                        "generate",
+                        strategy="root-verify" if root_verify else "assignment",
                     ):
                         if root_verify:
                             self._generate_by_root(
@@ -683,7 +652,6 @@ class HierarchicalEvaluator:
         budget: Optional[Budget] = None,
         layer: Optional[int] = None,
         k: Optional[int] = None,
-        max_generalized: Optional[int] = None,
     ):
         """``evaluate`` that degrades instead of failing on exhaustion.
 
@@ -700,9 +668,7 @@ class HierarchicalEvaluator:
         """
         self._sync_caches()
         if budget is None:
-            return self.evaluate(
-                query, layer=layer, k=k, max_generalized=max_generalized
-            )
+            return self.evaluate(query, layer=layer, k=k)
 
         first_layer = (
             layer if layer is not None else self.cost_model.optimal_layer(query)
@@ -724,11 +690,7 @@ class HierarchicalEvaluator:
                 "attempt", layer=m, retry=retry
             ) as attempt_span:
                 result = self._attempt(
-                    query,
-                    m,
-                    k,
-                    max_generalized,
-                    budget if last else budget.sub(0.5),
+                    query, m, k, budget if last else budget.sub(0.5)
                 )
                 breakdown.merge(result.breakdown)
                 if not result.degraded:
@@ -777,7 +739,6 @@ class HierarchicalEvaluator:
         *,
         layer: Optional[int] = None,
         k: Optional[int] = None,
-        max_generalized: Optional[int] = None,
         budget_factory: Optional[Callable[[], Optional[Budget]]] = None,
         return_exceptions: bool = False,
     ) -> List[object]:
@@ -792,7 +753,7 @@ class HierarchicalEvaluator:
         ----------
         queries:
             The workload, evaluated in order (results align by index).
-        layer / k / max_generalized:
+        layer / k:
             Forwarded to every evaluation.
         budget_factory:
             Called once per query for a fresh budget (budgets are
@@ -811,11 +772,7 @@ class HierarchicalEvaluator:
             budget = budget_factory() if budget_factory is not None else None
             try:
                 return self.evaluate_resilient(
-                    query,
-                    layer=layer,
-                    k=k,
-                    max_generalized=max_generalized,
-                    budget=budget,
+                    query, layer=layer, k=k, budget=budget
                 )
             except QueryError as exc:
                 if return_exceptions:
@@ -965,56 +922,22 @@ class HierarchicalEvaluator:
         result: EvalResult,
         budget: Optional[Budget] = None,
     ) -> None:
-        """Algorithm 3 / 4 enumeration, each assignment exactly verified."""
-
-        def qualify(partial: Mapping[int, int], supernode: int, vertex: int) -> bool:
-            keyword = spec.keyword_of.get(supernode)
-            if keyword is None:
-                return True
-            partial_keywords = {
-                spec.keyword_of[s]: v
-                for s, v in partial.items()
-                if s in spec.keyword_of
-            }
-            return self.algorithm.enlarge_ok(
-                self.index.base_graph, partial_keywords, keyword, vertex, query
-            )
-
-        if self.generation == "path":
-            assignments = p_ans_graph_gen(
-                self.index.base_graph, spec, qualify=qualify
-            )
-        else:
-            assignments = ans_graph_gen(
-                self.index.base_graph, spec, qualify=qualify
-            )
-        for assignment in assignments:
+        """Algorithm 3 enumeration, each assignment exactly verified."""
+        graph = self.index.base_graph
+        qualify = enlarge_qualifier(self.algorithm, graph, spec, query)
+        for assignment in ans_graph_gen(graph, spec, qualify=qualify):
             charge_expansions(budget, 1)
             result.num_candidates += 1
             keyword_nodes = {
                 keyword: assignment[supernode]
                 for supernode, keyword in spec.keyword_of.items()
             }
-            root = (
-                assignment.get(summary_answer.root)
-                if summary_answer.root is not None
-                else None
+            answer = self.algorithm.verify(
+                graph,
+                keyword_nodes,
+                query,
+                root=assignment.get(summary_answer.root),  # root-free: None
             )
-            if self.verify_mode == "trust":
-                answer = Answer.make(
-                    keyword_nodes,
-                    score=summary_answer.score,
-                    root=root,
-                    vertices=assignment.values(),
-                    edges=(
-                        (assignment[u], assignment[v])
-                        for u, v in spec.edges
-                    ),
-                )
-            else:
-                answer = self.algorithm.verify(
-                    self.index.base_graph, keyword_nodes, query, root=root
-                )
             if answer is not None:
                 existing = verified.get(answer.signature())
                 if existing is None or answer.score < existing.score:

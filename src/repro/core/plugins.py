@@ -16,12 +16,7 @@ from typing import Callable, List, Optional, Sequence
 from repro.core.evaluator import EvalResult
 from repro.core.index import BiGIndex
 from repro.search.banks import BackwardKeywordSearch
-from repro.search.base import (
-    Answer,
-    KeywordQuery,
-    KeywordSearchAlgorithm,
-    RootedTreeAlgorithm,
-)
+from repro.search.base import Answer, KeywordQuery, KeywordSearchAlgorithm
 from repro.search.blinks import Blinks
 from repro.search.rclique import RClique
 from repro.utils.budget import Budget
@@ -42,19 +37,9 @@ class BoostedSearch:
         algorithm: KeywordSearchAlgorithm,
         index: BiGIndex,
         beta: float = 0.5,
-        generation: Optional[str] = None,
-        verify_mode: str = "exact",
         allow_layer_zero: bool = False,
         cache_size: int = 128,
     ) -> None:
-        if generation is None:
-            # Rooted-tree semantics benefit from exact root verification;
-            # root-free semantics (r-clique) enumerate assignments.
-            generation = (
-                "root-verify"
-                if isinstance(algorithm, RootedTreeAlgorithm)
-                else "vertex"
-            )
         self.algorithm = algorithm
         self.index = index
         # The index picks its evaluator: one hierarchy evaluates
@@ -62,8 +47,6 @@ class BoostedSearch:
         self.evaluator = index.make_evaluator(
             algorithm,
             beta=beta,
-            generation=generation,
-            verify_mode=verify_mode,
             allow_layer_zero=allow_layer_zero,
             cache_size=cache_size,
         )
@@ -78,24 +61,16 @@ class BoostedSearch:
         query: KeywordQuery,
         layer: Optional[int] = None,
         k: Optional[int] = None,
-        max_generalized: Optional[int] = None,
         budget: Optional[Budget] = None,
     ) -> List[Answer]:
         """Answers via ``eval_Ont`` (drops the instrumentation)."""
-        return self.evaluate(
-            query,
-            layer=layer,
-            k=k,
-            max_generalized=max_generalized,
-            budget=budget,
-        ).answers
+        return self.evaluate(query, layer=layer, k=k, budget=budget).answers
 
     def evaluate(
         self,
         query: KeywordQuery,
         layer: Optional[int] = None,
         k: Optional[int] = None,
-        max_generalized: Optional[int] = None,
         budget: Optional[Budget] = None,
     ) -> EvalResult:
         """Full ``eval_Ont`` run with the timing breakdown (benchmarks).
@@ -104,13 +79,7 @@ class BoostedSearch:
         :class:`~repro.utils.errors.BudgetExceeded` on exhaustion; use
         :meth:`evaluate_resilient` to degrade instead.
         """
-        return self.evaluator.evaluate(
-            query,
-            layer=layer,
-            k=k,
-            max_generalized=max_generalized,
-            budget=budget,
-        )
+        return self.evaluator.evaluate(query, layer=layer, k=k, budget=budget)
 
     def evaluate_resilient(
         self,
@@ -118,15 +87,10 @@ class BoostedSearch:
         budget: Optional[Budget] = None,
         layer: Optional[int] = None,
         k: Optional[int] = None,
-        max_generalized: Optional[int] = None,
     ):
         """``evaluate`` that returns a ``DegradedResult`` on exhaustion."""
         return self.evaluator.evaluate_resilient(
-            query,
-            budget=budget,
-            layer=layer,
-            k=k,
-            max_generalized=max_generalized,
+            query, budget=budget, layer=layer, k=k
         )
 
     def evaluate_many(
@@ -135,7 +99,6 @@ class BoostedSearch:
         *,
         layer: Optional[int] = None,
         k: Optional[int] = None,
-        max_generalized: Optional[int] = None,
         budget_factory: Optional[Callable[[], Optional[Budget]]] = None,
         return_exceptions: bool = False,
     ) -> List[object]:
@@ -144,7 +107,6 @@ class BoostedSearch:
             queries,
             layer=layer,
             k=k,
-            max_generalized=max_generalized,
             budget_factory=budget_factory,
             return_exceptions=return_exceptions,
         )
@@ -170,18 +132,11 @@ def boost(
     algorithm: KeywordSearchAlgorithm,
     index: BiGIndex,
     beta: float = 0.5,
-    generation: Optional[str] = None,
-    verify_mode: str = "exact",
     allow_layer_zero: bool = False,
 ) -> BoostedSearch:
     """Wrap any compatible algorithm with BiG-index acceleration."""
     return BoostedSearch(
-        algorithm,
-        index,
-        beta=beta,
-        generation=generation,
-        verify_mode=verify_mode,
-        allow_layer_zero=allow_layer_zero,
+        algorithm, index, beta=beta, allow_layer_zero=allow_layer_zero
     )
 
 

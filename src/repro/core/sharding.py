@@ -789,10 +789,6 @@ class ShardedEvaluator:
     cut-off: anything a degraded locale failed to emit scores at or
     above its bound, so the merged ranking is provably complete below
     the minimum.
-
-    The gather is exact only if every locale answer is a genuine
-    data-graph answer, so ``verify_mode="trust"`` (summary-scored
-    answers) is rejected like a non-rooted algorithm or a short halo.
     """
 
     def __init__(
@@ -801,8 +797,6 @@ class ShardedEvaluator:
         algorithm: KeywordSearchAlgorithm,
         *,
         beta: float = 0.5,
-        generation: str = "root-verify",
-        verify_mode: str = "exact",
         allow_layer_zero: bool = True,
         cache_size: int = 128,
     ) -> None:
@@ -819,11 +813,6 @@ class ShardedEvaluator:
                 f"d_max={d_max}: portal-spanning answers need "
                 f"halo_radius >= 2*d_max = {2 * d_max}"
             )
-        if verify_mode == "trust":
-            raise ConfigurationError(
-                "sharded evaluation is exact: verify_mode='trust' yields "
-                "summary-scored answers the per-root gather cannot merge"
-            )
         self.sharded = sharded
         self.algorithm = algorithm
         self._evaluators: List[Tuple[Locale, HierarchicalEvaluator]] = [
@@ -833,8 +822,6 @@ class ShardedEvaluator:
                     locale.index,
                     algorithm,
                     beta=beta,
-                    generation=generation,
-                    verify_mode=verify_mode,
                     allow_layer_zero=allow_layer_zero,
                     cache_size=cache_size,
                 ),
@@ -891,7 +878,6 @@ class ShardedEvaluator:
         query: KeywordQuery,
         layer: Optional[int],
         k: Optional[int],
-        max_generalized: Optional[int],
         budget: Optional[Budget],
         resilient: bool,
     ):
@@ -937,7 +923,6 @@ class ShardedEvaluator:
                     query,
                     layer,
                     k=k,
-                    max_generalized=max_generalized,
                     budget=budget.sub(1.0 / pending) if split else budget,
                 )
             )
@@ -977,7 +962,6 @@ class ShardedEvaluator:
         query: KeywordQuery,
         layer: Optional[int] = None,
         k: Optional[int] = None,
-        max_generalized: Optional[int] = None,
         budget: Optional[Budget] = None,
     ) -> EvalResult:
         """Exact scatter-gather ``eval_Ont`` across all locales.
@@ -989,7 +973,7 @@ class ShardedEvaluator:
         """
         try:
             merged, _locales, outcomes = self._scatter_gather(
-                query, layer, k, max_generalized, budget, resilient=False
+                query, layer, k, budget, resilient=False
             )
         except BudgetExceeded as exc:
             # A partial scatter proves nothing globally.
@@ -1004,12 +988,11 @@ class ShardedEvaluator:
         budget: Optional[Budget] = None,
         layer: Optional[int] = None,
         k: Optional[int] = None,
-        max_generalized: Optional[int] = None,
     ):
         """Scatter-gather that degrades instead of raising on exhaustion
         (see :meth:`_scatter_gather` for the sub-budget split)."""
         merged, locales, outcomes = self._scatter_gather(
-            query, layer, k, max_generalized, budget, resilient=True
+            query, layer, k, budget, resilient=True
         )
         degraded = [
             (locale, outcome)

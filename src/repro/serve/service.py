@@ -587,7 +587,6 @@ class QueryService:
             if "k" in data
             else self.config.default_k
         )
-        max_generalized = _parse_optional_int(data, "max_generalized")
         timeout, cap = parse_budget_headers(headers, self.config)
         reserve = self.config.reservation_for(cap)
         with self.admission.admit(reserve):
@@ -600,11 +599,7 @@ class QueryService:
                 )
                 try:
                     result = snapshot.evaluator.evaluate_resilient(
-                        query,
-                        budget=budget,
-                        layer=layer,
-                        k=k,
-                        max_generalized=max_generalized,
+                        query, budget=budget, layer=layer, k=k
                     )
                 except (QueryError, BigIndexError) as exc:
                     raise BadRequest(str(exc))

@@ -7,8 +7,8 @@ systematically:
 
 * :mod:`repro.verify.oracle` — a **differential oracle** that runs every
   plugged algorithm both directly on ``G`` and through
-  :class:`~repro.core.evaluator.HierarchicalEvaluator` at every layer and
-  answer-generation mode, and diffs the results.
+  :class:`~repro.core.evaluator.HierarchicalEvaluator` at every layer, and
+  diffs the results.
 * :mod:`repro.verify.auditor` — a **bisimulation invariant auditor** that
   re-derives each layer's defining equations (partition validity, ``chi`` /
   ``Spec`` round-trips, label and path preservation, size accounting).

@@ -132,23 +132,6 @@ class TestRCliqueEquivalence:
         got = boosted.search(query, layer=1)
         assert [a.score for a in got] == [a.score for a in direct[:4]]
 
-    def test_path_generation_strategy(self, small_ontology, random_graph_factory):
-        graph = random_graph_factory(num_vertices=25, num_edges=60, seed=19)
-        index = BiGIndex.build(
-            graph, small_ontology, num_layers=1, cost_params=EXACT
-        )
-        query = KeywordQuery(["A", "C"])
-        direct = {
-            tuple(sorted(a.keyword_node_map.items()))
-            for a in RClique(radius=2, k=None).bind(graph).search(query)
-        }
-        boosted = boost(RClique(radius=2, k=None), index, generation="path")
-        got = {
-            tuple(sorted(a.keyword_node_map.items()))
-            for a in boosted.search(query, layer=1)
-        }
-        assert got == direct
-
 
 class TestEvaluatorMechanics:
     def test_layer_zero_is_direct(self, small_ontology, random_graph_factory):
@@ -175,17 +158,6 @@ class TestEvaluatorMechanics:
         # A and B both generalize to AB at layer 1.
         with pytest.raises(QueryError):
             evaluator.evaluate(KeywordQuery(["A", "B"]), layer=1)
-
-    def test_invalid_strategy_rejected(self, small_ontology, random_graph_factory):
-        graph, index = build_random_instance(
-            23, small_ontology, random_graph_factory
-        )
-        with pytest.raises(QueryError):
-            HierarchicalEvaluator(
-                index,
-                BackwardKeywordSearch(),
-                generation="telepathy",
-            )
 
     def test_breakdown_phases_recorded(self, small_ontology, random_graph_factory):
         graph, index = build_random_instance(
@@ -270,12 +242,3 @@ class TestPluginFacade:
         boosted.warm()
         for m in range(index.num_layers + 1):
             assert m in boosted.evaluator._searchers
-
-    def test_default_generation_strategies(
-        self, small_ontology, random_graph_factory
-    ):
-        graph, index = build_random_instance(
-            33, small_ontology, random_graph_factory
-        )
-        assert boost_bkws(index).evaluator.generation == "root-verify"
-        assert boost_dkws(index).evaluator.generation == "vertex"

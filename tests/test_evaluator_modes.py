@@ -1,7 +1,9 @@
-"""Tests for evaluator modes: trust verification, layer-0 routing, caps."""
+"""Tests for the paper pipeline (trusted scores, stream cap) and layer-0
+routing."""
 
 import pytest
 
+from repro.bench.harness import PaperPipeline
 from repro.core.cost import CostParams
 from repro.core.index import BiGIndex
 from repro.core.plugins import boost
@@ -9,7 +11,6 @@ from repro.core.query_cost import QueryCostModel
 from repro.search.banks import BackwardKeywordSearch
 from repro.search.base import KeywordQuery
 from repro.search.rclique import RClique
-from repro.utils.errors import QueryError
 
 EXACT = CostParams(exact=True)
 
@@ -25,15 +26,11 @@ def instance(small_ontology, random_graph_factory):
 
 class TestTrustMode:
     def test_trust_answers_are_sound_assignments(self, instance):
-        """Trust-mode answers satisfy Def. 4.2: their edges exist in G^0."""
+        """Trusted answers satisfy Def. 4.2: their edges exist in G^0."""
         graph, index = instance
-        boosted = boost(
-            BackwardKeywordSearch(d_max=3, k=None),
-            index,
-            generation="path",
-            verify_mode="trust",
-        )
-        answers = boosted.search(KeywordQuery(["A", "C"]), layer=1)
+        pipeline = PaperPipeline(index, BackwardKeywordSearch(d_max=3, k=None))
+        answers = pipeline.evaluate(KeywordQuery(["A", "C"]), layer=1).answers
+        assert answers
         for answer in answers:
             for u, v in answer.edges:
                 assert graph.has_edge(u, v)
@@ -43,31 +40,22 @@ class TestTrustMode:
         exact score of the same assignment (Prop. 5.2)."""
         graph, index = instance
         algo = BackwardKeywordSearch(d_max=3, k=None)
-        boosted = boost(algo, index, generation="path", verify_mode="trust")
+        pipeline = PaperPipeline(index, algo)
         query = KeywordQuery(["A", "C"])
-        for answer in boosted.search(query, layer=1):
+        for answer in pipeline.evaluate(query, layer=1).answers:
             exact = algo.verify(
                 graph, answer.keyword_node_map, query, root=answer.root
             )
             if exact is not None:
                 assert answer.score <= exact.score
 
-    def test_invalid_verify_mode_rejected(self, instance):
-        graph, index = instance
-        with pytest.raises(QueryError):
-            boost(
-                BackwardKeywordSearch(d_max=3),
-                index,
-                verify_mode="optimistic",
-            )
-
     def test_trust_clique_scores_contract(self, instance):
         graph, index = instance
         algo = RClique(radius=2, k=None)
         algo.bind(graph)  # cache the data-graph neighbor index
-        boosted = boost(algo, index, generation="vertex", verify_mode="trust")
+        pipeline = PaperPipeline(index, algo)
         query = KeywordQuery(["A", "C"])
-        for answer in boosted.search(query, layer=1):
+        for answer in pipeline.evaluate(query, layer=1).answers:
             exact = algo.verify(graph, answer.keyword_node_map, query)
             if exact is not None:
                 assert answer.score <= exact.score
@@ -103,24 +91,29 @@ class TestLayerZeroRouting:
 class TestStreamCap:
     def test_max_generalized_limits_consumption(self, instance):
         graph, index = instance
-        boosted = boost(BackwardKeywordSearch(d_max=3, k=None), index)
+        algo = BackwardKeywordSearch(d_max=3, k=None)
         query = KeywordQuery(["A", "C"])
-        capped = boosted.evaluate(query, layer=1, max_generalized=2)
-        uncapped = boosted.evaluate(query, layer=1)
-        assert capped.num_generalized <= 3  # cap + the final probe pull
-        assert uncapped.num_generalized >= capped.num_generalized
+        capped = PaperPipeline(index, algo, max_generalized=2)
+        uncapped = PaperPipeline(index, algo, max_generalized=10**6)
+        assert capped.evaluate(query, layer=1).num_generalized == 2
+        assert uncapped.evaluate(query, layer=1).num_generalized > 2
 
     def test_capped_answers_are_subset_of_exact(self, instance):
+        """A capped stream only drops answers: every (assignment, trusted
+        score) it keeps is one the uncapped pipeline reports too."""
         graph, index = instance
         algo = BackwardKeywordSearch(d_max=3, k=None)
-        boosted = boost(algo, index)
         query = KeywordQuery(["A", "C"])
-        direct = {(a.root, a.score) for a in algo.bind(graph).search(query)}
-        capped = {
-            (a.root, a.score)
-            for a in boosted.search(query, layer=1, max_generalized=2)
-        }
-        assert capped <= direct
+
+        def answers(cap):
+            pipeline = PaperPipeline(index, algo, max_generalized=cap)
+            return {
+                (a.signature(), a.score)
+                for a in pipeline.evaluate(query, layer=1).answers
+            }
+
+        capped = answers(20)  # the first cap that keeps an answer here
+        assert capped and capped <= answers(10**6)
 
 
 class TestStreamLowerBound:

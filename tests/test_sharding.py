@@ -345,19 +345,6 @@ class TestExactness:
         with pytest.raises(ConfigurationError, match="halo"):
             ShardedEvaluator(sharded, BackwardKeywordSearch(d_max=2, k=5))
 
-    def test_trust_mode_is_rejected(self):
-        # Trust-mode locales emit summary-scored answers; the per-root
-        # gather would mix them with exact ones.
-        g, ontology = small_case()
-        sharded = build_sharded(
-            g.copy(share_label_table=True), ontology, 2, 4, **BUILD_KW
-        )
-        with pytest.raises(ConfigurationError, match="trust"):
-            ShardedEvaluator(
-                sharded, BackwardKeywordSearch(d_max=2, k=5),
-                verify_mode="trust",
-            )
-
 
 class TestBudgets:
     def test_tiny_budget_degrades_with_lower_bound(self):

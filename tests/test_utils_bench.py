@@ -12,6 +12,8 @@ from repro.bench.harness import (
     standard_workload,
 )
 from repro.bench.reporting import format_table, percent_reduction, print_table
+from repro.core.evaluator import HierarchicalEvaluator
+from repro.obs.runtime import instrumented
 from repro.search.banks import BackwardKeywordSearch
 from repro.utils.errors import (
     BigIndexError,
@@ -130,6 +132,24 @@ class TestHarness:
             assert row.boosted_seconds > 0
             assert row.layer == 1
             assert isinstance(row.reduction_percent, float)
+
+    def test_repeats_evaluate_instead_of_hitting_the_result_cache(self):
+        ds = default_dataset("yago-like", scale=0.05)
+        index = build_index(ds, num_layers=1)
+        queries = standard_workload(ds)[:2]
+        algorithm = BackwardKeywordSearch(d_max=2, k=None)
+        with instrumented(trace=False) as inst:
+            paper = compare_on_queries(
+                ds, algorithm, index, queries, layer=1, repeats=2
+            )
+        assert paper
+        assert inst.metrics.counters().get("cache.hit.result", 0) == 0
+        # The library pipeline is exact: same score lists as direct.
+        library = compare_on_queries(
+            ds, algorithm, index, queries, layer=1, repeats=1,
+            pipeline=HierarchicalEvaluator,
+        )
+        assert library and not any(row.differs for row in library)
 
     def test_query_comparison_reduction(self):
         row = QueryComparison(

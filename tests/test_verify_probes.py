@@ -360,7 +360,7 @@ class TestHarnessFloor:
         assert [case.name for case in report.cases] == [
             "verify-toy-a", "verify-toy-b",
         ]
-        for case, oracle_floor in zip(report.cases, (26, 24)):
+        for case, oracle_floor in zip(report.cases, (14, 12)):
             assert case.audit.checks_run >= 18
             assert case.oracle.checks >= oracle_floor
             fuzz = case.drills["fuzz"]
