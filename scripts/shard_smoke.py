@@ -23,11 +23,13 @@ The artifact JSON records the claims the PR rides on:
 * ``scatter`` — per-shard scatter timing histograms from the
   ``shard.scatter.<name>.seconds`` metrics recorded under
   :func:`repro.obs.runtime.instrumented`;
-* ``mutation`` — op count, zone size before and after, and the number
-  of probe queries checked against direct evaluation.
+* ``mutation`` — op count, seconds per op (``op_seconds``), zone size
+  before and after, and the number of probe queries checked against
+  direct evaluation.
 
 Any query error (other than the deliberate budget degradations), a zone
-that did not grow, or a mutated-index mismatch fails the run.
+that did not grow, a grown zone whose configurations changed (it must
+grow under the ones it had), or a mutated-index mismatch fails the run.
 
 Usage:
     PYTHONPATH=src python scripts/shard_smoke.py \
@@ -111,12 +113,28 @@ def mutate_and_check(index, pool, algorithm, seed):
     def zone_size():
         return len(index.zone.global_ids) if index.zone is not None else 0
 
+    def zone_configs():
+        if index.zone is None:
+            return None
+        return [layer.config for layer in index.zone.index.layers]
+
     zone_before = zone_size()
-    applied = sum(
-        apply_wal_op(index, draw_op(rng, index, kind))
-        for kind in MUTATION_KINDS
-    )
+    applied = 0
+    op_seconds = []
     problems = []
+    for kind in MUTATION_KINDS:
+        op = draw_op(rng, index, kind)
+        zone, configs = index.zone, zone_configs()
+        started = time.perf_counter()
+        applied += apply_wal_op(index, op)
+        op_seconds.append(round(time.perf_counter() - started, 3))
+        # Growth rule: a grown zone keeps the configurations it had.
+        if zone is not None and index.zone is not zone and (
+            zone_configs() != configs
+        ):
+            problems.append(
+                f"{op}: growing the zone changed its configurations"
+            )
     if applied != len(MUTATION_KINDS):
         problems.append(f"{len(MUTATION_KINDS) - applied} op(s) were no-ops")
     if zone_size() <= zone_before:
@@ -133,6 +151,7 @@ def mutate_and_check(index, pool, algorithm, seed):
             )
     summary = {
         "ops": applied,
+        "op_seconds": op_seconds,
         "zone_vertices_before": zone_before,
         "zone_vertices_after": zone_size(),
         "queries_checked": len(pool),

@@ -103,7 +103,8 @@ FORMAT_VERSION = 4
 #: ``meta.json``'s ``kind`` marker distinguishing a sharded root from an
 #: ordinary index directory, and the layout version stored beside it as
 #: ``sharded_version`` (2: the root manifest took the monolithic shape;
-#: 3: ``shards.json`` stores every build parameter and no vertex count).
+#: 3: ``shards.json`` stores no vertex count; the ``names`` and
+#: ``build_kwargs`` keys early version-3 roots carry are ignored).
 SHARDED_KIND = "sharded"
 SHARDED_FORMAT_VERSION = 3
 

@@ -1,10 +1,12 @@
-"""Sharded BiG-index: parallel per-shard build + scatter-gather top-k.
+"""Sharded BiG-index: locales of one index, built in parallel.
 
 The monolithic :class:`~repro.core.index.BiGIndex` keeps one hierarchy
 over the whole data graph; this module splits the graph into ``K``
-vertex-disjoint (hence edge-disjoint) shards, builds one hierarchy per
-shard in a separate *process*, and answers queries by fanning out to
-per-shard evaluators and merging their ranked streams.
+vertex-disjoint (hence edge-disjoint) shards plus a portal zone, builds
+one hierarchy per *locale* in a separate process, and answers queries
+by fanning out to per-locale evaluators and merging the roots they
+find.  A monolithic index is the one-locale case: ``K = 1`` has no cut
+and no zone.
 
 Exactness rests on a *portal zone*.  The shard planner extends the
 Blinks partitioner (:func:`repro.graph.partition.partition_bfs_grow`):
@@ -34,6 +36,11 @@ provably complete and the merged outcome degrades via
 :class:`~repro.core.evaluator.DegradedResult` instead of silently
 dropping cross-shard answers.
 
+Maintenance is Sec. 3.2's, per locale: one router applies an edge
+update to every locale holding the edge, and a zone that must grow is
+re-climbed under its own configurations — Algo. 1 runs only in
+:func:`build_sharded`, so a mapping dropped from them stays dropped.
+
 On disk a sharded index is a directory of ordinary v4 index
 directories (one per locale) under a top-level ``meta.json`` /
 ``shards.json`` / ``manifest.json`` (the ordinary manifest shape, whose
@@ -50,16 +57,9 @@ import json
 import math
 import os
 from array import array
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import dataclass, field, replace
 from typing import (
-    Dict,
-    Iterable,
-    Iterator,
-    List,
-    Optional,
-    Sequence,
-    Set,
-    Tuple,
+    Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 )
 
 from repro.core.cost import CostParams
@@ -86,7 +86,6 @@ from repro.graph.traversal import bfs_distances
 from repro.obs.runtime import OBS
 from repro.ontology.ontology import OntologyGraph
 from repro.search.base import (
-    Answer,
     KeywordQuery,
     KeywordSearchAlgorithm,
     RootedTreeAlgorithm,
@@ -333,23 +332,20 @@ class ShardedIndex:
     ``epoch``, ``cow_clone``, ``state_digest``, ``num_layers`` /
     ``layer_sizes``, ``iter_layer_graphs``, ``make_evaluator`` — so
     :class:`~repro.serve.lifecycle.EngineRuntime`, the WAL replayer,
-    ``/admin/mutate`` and the CLI work unchanged.  Mutations route to
-    the owning locale(s):
-
-    * an intra-shard edge updates its shard, plus the zone when both
-      endpoints are zone members;
-    * a cross-shard edge lives only in the cut table and the zone;
-    * inserts that can move the portal ball re-derive zone membership
-      and rebuild the zone hierarchy when it grew (deletes only ever
-      shrink the required ball, so the zone is kept as a superset —
-      correct, merely non-minimal, exactly like post-maintenance drift
-      in the monolithic index).
+    ``/admin/mutate`` and the CLI work unchanged.  An edge update edits
+    the union graph and the cut table, grows the zone when the edge can
+    widen the portal ball (:meth:`_grow_zone`), and applies the same op
+    to every locale holding the edge (:meth:`_holders`).  Deletes only
+    shrink the required ball, so the zone is kept as a superset —
+    correct, merely non-minimal, like post-maintenance drift in the
+    monolithic index.
 
     The index holds only what it cannot derive: the locales (``shard-0``
     .. ``shard-K-1`` plus the optional zone), the live cut table and the
     halo radius.  The shard of a vertex comes from the shards'
-    ``global_ids``, zone membership is the zone's own ``local_of`` and
-    the portals are the cut table's endpoints.
+    ``global_ids``, zone membership is the zone's own ``local_of``, the
+    portals are the cut table's endpoints and every configuration lives
+    in its locale's hierarchy.
     """
 
     def __init__(
@@ -359,14 +355,12 @@ class ShardedIndex:
         halo_radius: int,
         ontology: OntologyGraph,
         base_graph: Graph,
-        build_kwargs: Optional[Dict[str, object]] = None,
     ) -> None:
         self.shards = _shard_locales(locales)
         self.zone = locales.get(ZONE_NAME)
         self.halo_radius = halo_radius
         self.ontology = ontology
         self.base_graph = base_graph
-        self.build_kwargs = dict(build_kwargs or {})
         self._cut_edges: Set[Tuple[int, int]] = set(cut_edges)
         # Vertex -> shard, derived once: the vertex set never changes.
         self._shard_of = [0] * sum(len(s.global_ids) for s in self.shards)
@@ -457,24 +451,16 @@ class ShardedIndex:
 
     # -- maintenance ---------------------------------------------------
     def insert_edge(self, u: int, v: int) -> None:
-        """Insert a data-graph edge, routing it to the owning locale(s)."""
+        """Insert a data-graph edge into every locale that holds it."""
         self._check_vertex(u)
         self._check_vertex(v)
         if not self.base_graph.add_edge(u, v):
             return
-        if self._shard_of[u] == self._shard_of[v]:
-            shard = self.shards[self._shard_of[u]]
-            shard.index.insert_edge(shard.local_of[u], shard.local_of[v])
-            zone = self.zone
-            if zone is not None and (u in zone.local_of or v in zone.local_of):
-                # The new edge may pull vertices into the portal ball.
-                self._refresh_zone(incremental_edge=(u, v))
-        else:
-            # Cross-shard: the shards stay edge-disjoint; the edge lives
-            # in the cut table and the zone, and both endpoints become
-            # portals (growing the ball around them).
+        if self._shard_of[u] != self._shard_of[v]:
             self._cut_edges.add((u, v))
-            self._refresh_zone(incremental_edge=(u, v))
+        self._grow_zone(u, v)
+        for locale in self._holders(u, v):
+            locale.index.insert_edge(locale.local_of[u], locale.local_of[v])
         self._maintenance_epoch += 1
 
     def delete_edge(self, u: int, v: int) -> None:
@@ -484,24 +470,9 @@ class ShardedIndex:
         if not self.base_graph.has_edge(u, v):
             raise GraphError(f"edge ({u}, {v}) does not exist")
         self.base_graph.remove_edge(u, v)
-        if (u, v) in self._cut_edges:
-            self._cut_edges.discard((u, v))
-        else:
-            shard = self.shards[self._shard_of[u]]
-            shard.index.delete_edge(shard.local_of[u], shard.local_of[v])
-        # Deleting only lengthens portal distances: the required ball
-        # shrinks, so current membership stays a valid superset and the
-        # zone just drops the edge when it held it.
-        zone = self.zone
-        if (
-            zone is not None
-            and u in zone.local_of
-            and v in zone.local_of
-            and zone.index.base_graph.has_edge(
-                zone.local_of[u], zone.local_of[v]
-            )
-        ):
-            zone.index.delete_edge(zone.local_of[u], zone.local_of[v])
+        self._cut_edges.discard((u, v))
+        for locale in self._holders(u, v):
+            locale.index.delete_edge(locale.local_of[u], locale.local_of[v])
         self._maintenance_epoch += 1
 
     def remove_ontology_edge(self, subtype: str, supertype: str) -> None:
@@ -514,36 +485,57 @@ class ShardedIndex:
         if not 0 <= v < len(self._shard_of):
             raise GraphError(f"vertex {v} not in the sharded index")
 
-    def _refresh_zone(
-        self, incremental_edge: Optional[Tuple[int, int]] = None
-    ) -> None:
-        """Re-derive zone membership; rebuild the zone when it grew.
-
-        When membership is unchanged the mutation is applied to the zone
-        hierarchy incrementally (both endpoints inside the zone); when
-        the portal ball grew — or a first cut edge appeared — the zone
-        is rebuilt from scratch over the new member set, the sharded
-        analogue of the paper's occasional-recompute maintenance rule.
-        """
-        portals = {v for edge in self._cut_edges for v in edge}
-        required = _ball_around(self.base_graph, portals, self.halo_radius)
+    def _holders(self, u: int, v: int) -> List[Locale]:
+        """The locales whose induced subgraph holds ``(u, v)``: the
+        owning shard for an intra-shard edge, plus the zone when it has
+        both endpoints."""
+        holders = []
+        if self._shard_of[u] == self._shard_of[v]:
+            holders.append(self.shards[self._shard_of[u]])
         zone = self.zone
-        if zone is not None and required <= zone.local_of.keys():
-            if incremental_edge is not None:
-                u, v = incremental_edge
-                if u in zone.local_of and v in zone.local_of:
-                    zone.index.insert_edge(zone.local_of[u], zone.local_of[v])
+        if zone is not None and u in zone.local_of and v in zone.local_of:
+            holders.append(zone)
+        return holders
+
+    def _grow_zone(self, u: int, v: int) -> None:
+        """Widen the zone to the portal ball after inserting ``(u, v)``.
+
+        Only a cut edge (new portals) or an edge touching the zone can
+        bring a vertex within ``halo_radius`` of a portal.  A grown zone
+        is a new hierarchy over the old members plus the ball whose
+        layers are climbed under the old zone's configurations — what
+        ``rebuild()`` does — so maintenance never re-runs Algo. 1 and a
+        mapping dropped by :meth:`remove_ontology_edge` stays dropped.
+        A first zone (``K >= 2`` built without a cut) takes the
+        configurations of ``u``'s shard.
+        """
+        zone = self.zone
+        touched = zone is not None and (
+            u in zone.local_of or v in zone.local_of
+        )
+        if self._shard_of[u] == self._shard_of[v] and not touched:
             return
+        portals = {w for edge in self._cut_edges for w in edge}
+        members = _ball_around(self.base_graph, portals, self.halo_radius)
         if zone is not None:
-            required.update(zone.local_of)
-        members = sorted(required)
-        payload = _locale_payload(self.base_graph, members)
+            if members <= zone.local_of.keys():
+                return
+            members.update(zone.local_of)
+        template = (zone or self.shards[self._shard_of[u]]).index
+        global_ids = sorted(members)
         start = monotonic_now()
-        index = _build_locale_index(payload, self.ontology, self.build_kwargs)
+        index = BiGIndex(
+            _payload_to_graph(_locale_payload(self.base_graph, global_ids)),
+            self.ontology,
+            direction=template.direction,
+        )
+        # rebuild() climbs the base graph under these layers' configurations.
+        index.layers = template.layers
+        index.rebuild()
         self.zone = Locale(
             name=ZONE_NAME,
             index=index,
-            global_ids=members,
+            global_ids=global_ids,
             build_seconds=monotonic_now() - start,
         )
 
@@ -617,8 +609,7 @@ def build_sharded(
                 build_seconds=monotonic_now() - start,
             )
         return ShardedIndex(
-            locales, plan.cut_edges, plan.halo_radius, ontology, graph,
-            build_kwargs,
+            locales, plan.cut_edges, plan.halo_radius, ontology, graph
         )
 
     with staged_directory(directory) as staging:
@@ -633,9 +624,7 @@ def build_sharded(
             for name, _members in member_sets
         ]
         timings = dict(_run_build_tasks(tasks, workers))
-        _write_sharded_layout(
-            staging, plan, member_sets, graph, timings, build_kwargs
-        )
+        _write_sharded_layout(staging, plan, member_sets, timings)
         write_manifest(staging)
     return load_locales(directory, ontology, base_graph=graph)
 
@@ -647,9 +636,7 @@ def _write_sharded_layout(
     directory: str,
     plan: ShardPlan,
     member_sets: List[Tuple[str, List[int]]],
-    graph: Graph,
     timings: Dict[str, float],
-    build_kwargs: Dict[str, object],
 ) -> None:
     meta = {
         "kind": SHARDED_KIND,
@@ -663,7 +650,6 @@ def _write_sharded_layout(
         sort_keys=True,
     )
 
-    cost = build_kwargs["cost_params"]
     layout = {
         "halo_radius": plan.halo_radius,
         "locales": [
@@ -675,15 +661,6 @@ def _write_sharded_layout(
             for name, members in member_sets
         ],
         "cut_edges": [list(edge) for edge in plan.cut_edges],
-        "names": {
-            str(v): graph.names[v] for v in sorted(graph.names)
-        },
-        # Every build parameter, so a zone that grows after a reload is
-        # rebuilt exactly as the in-memory index would rebuild it.
-        "build_kwargs": {
-            **build_kwargs,
-            "cost_params": asdict(cost) if cost is not None else None,
-        },
     }
     write_json(
         os.path.join(directory, SHARDED_LAYOUT_NAME), layout, sort_keys=True
@@ -691,17 +668,19 @@ def _write_sharded_layout(
 
 
 def _reconstruct_union(
-    shards: List[Locale],
-    cut_edges: List[Tuple[int, int]],
-    names: Dict[int, str],
+    shards: List[Locale], cut_edges: List[Tuple[int, int]]
 ) -> Graph:
-    """Rebuild the live union graph from shard subgraphs + cut table."""
+    """Rebuild the live union graph from the shards' graphs + cut table."""
     labels: List[Optional[str]] = [None] * sum(
         len(shard.global_ids) for shard in shards
     )
+    names: Dict[int, str] = {}
     for shard in shards:
-        for local, g in enumerate(shard.global_ids):
+        ids = shard.global_ids
+        for local, g in enumerate(ids):
             labels[g] = shard.index.base_graph.label(local)
+        for local, name in shard.index.base_graph.names.items():
+            names[ids[local]] = name
     if any(label is None for label in labels):
         raise IndexCorruptedError(
             "sharded layout does not cover every vertex"
@@ -731,7 +710,9 @@ def load_locales(
     the facade afterwards.  Every locale is an ordinary index directory
     loaded through ``load_index`` itself (manifest-verified,
     mmap-backed).  ``base_graph`` spares :func:`build_sharded` the
-    union-graph reconstruction.
+    union-graph reconstruction.  Keys this reader does not use — the
+    ``names`` and ``build_kwargs`` that roots of the same version once
+    carried — are ignored.
     """
     with open(
         os.path.join(directory, SHARDED_LAYOUT_NAME), "r", encoding="utf-8"
@@ -749,16 +730,9 @@ def load_locales(
     }
     cut_edges = [tuple(edge) for edge in layout["cut_edges"]]
     if base_graph is None:
-        names = {int(v): n for v, n in layout["names"].items()}
-        base_graph = _reconstruct_union(
-            _shard_locales(locales), cut_edges, names
-        )
-    build_kwargs = dict(layout["build_kwargs"])
-    cost = build_kwargs["cost_params"]
-    build_kwargs["cost_params"] = CostParams(**cost) if cost else None
+        base_graph = _reconstruct_union(_shard_locales(locales), cut_edges)
     return ShardedIndex(
-        locales, cut_edges, layout["halo_radius"], ontology, base_graph,
-        build_kwargs,
+        locales, cut_edges, layout["halo_radius"], ontology, base_graph
     )
 
 
@@ -770,15 +744,15 @@ class ShardedEvaluator:
 
     Mirrors :class:`~repro.core.evaluator.HierarchicalEvaluator`'s
     ``evaluate`` / ``evaluate_resilient`` / ``evaluate_many`` surface so
-    the serve stack and CLI treat it as a drop-in evaluator.
+    the serve stack and CLI treat it as a drop-in evaluator.  There is
+    one scatter, :meth:`evaluate_resilient`; :meth:`evaluate` reads its
+    outcome strictly.
 
     Scatter: locales that lack one of the query's keywords cannot host
     an answer containing all of them (answers are locale-connected) and
-    are pruned.  The rest run *sequentially* on the calling thread (a
-    thread pool lost to this under the GIL — docs/PERFORMANCE.md,
-    "Multicore"); budgeted queries hand each locale a
-    :meth:`Budget.sub` child, which keeps the remainder flowing to
-    later locales, mirroring ``evaluate_resilient``'s attempt plan.
+    are pruned.  The rest run their own ``evaluate_resilient``
+    *sequentially* on the calling thread (a thread pool lost to this
+    under the GIL — docs/PERFORMANCE.md, "Multicore").
 
     Gather: a locale reports *roots*.  Each distinct root any locale
     found (in global ids) is materialized once with
@@ -849,10 +823,9 @@ class ShardedEvaluator:
                 active.append((locale, evaluator))
         return active
 
-    def _evaluate_locale(self, locale: Locale, run, query, layer, **kwargs):
-        """One locale's evaluation — ``run`` is its evaluator's
-        ``evaluate`` or ``evaluate_resilient`` — with forced-layer
-        fallback + timing."""
+    def _evaluate_locale(self, locale, evaluator, query, layer, k, budget):
+        """One locale's ``evaluate_resilient`` with forced-layer fallback
+        + timing."""
         start = monotonic_now()
         # A forced layer is a per-locale *hint*: locales are built
         # independently, so layer ``m``'s configurations differ between
@@ -861,11 +834,15 @@ class ShardedEvaluator:
         hint = None if layer is None else min(layer, locale.index.num_layers)
         try:
             try:
-                return run(query, layer=hint, **kwargs)
+                return evaluator.evaluate_resilient(
+                    query, budget=budget, layer=hint, k=k
+                )
             except QueryError:
                 if hint is None:
                     raise
-                return run(query, layer=None, **kwargs)
+                return evaluator.evaluate_resilient(
+                    query, budget=budget, layer=None, k=k
+                )
         finally:
             if OBS.enabled:
                 OBS.metrics.observe(
@@ -873,20 +850,44 @@ class ShardedEvaluator:
                     monotonic_now() - start,
                 )
 
-    def _scatter_gather(
+    # -- the evaluator surface ----------------------------------------
+    def evaluate(
         self,
         query: KeywordQuery,
-        layer: Optional[int],
-        k: Optional[int],
-        budget: Optional[Budget],
-        resilient: bool,
-    ):
-        """Fan ``query`` out and merge: the one pipeline behind
-        :meth:`evaluate` and :meth:`evaluate_resilient`.
+        layer: Optional[int] = None,
+        k: Optional[int] = None,
+        budget: Optional[Budget] = None,
+    ) -> EvalResult:
+        """Exact scatter-gather ``eval_Ont``: :meth:`evaluate_resilient`
+        read strictly, as the monolithic ``evaluate`` reads its attempt —
+        a degraded outcome raises :class:`BudgetExceeded` whose
+        ``partial`` is the proven prefix, complete below ``lower_bound``.
+        """
+        result = self.evaluate_resilient(query, budget, layer, k)
+        if result.degraded:
+            raise BudgetExceeded(
+                result.reason,
+                budget.expansions,
+                partial=result.answers,
+                lower_bound=result.lower_bound,
+            )
+        return result
 
-        Returns ``(merged, locales, outcomes)``: the canonical merged
-        top-k, the locales that were queried and their outcomes, in
-        step (an outcome can be degraded only when ``resilient``).
+    def evaluate_resilient(
+        self,
+        query: KeywordQuery,
+        budget: Optional[Budget] = None,
+        layer: Optional[int] = None,
+        k: Optional[int] = None,
+    ):
+        """Fan ``query`` out and merge; degrade instead of raising on
+        exhaustion.  The one scatter.
+
+        Scatter is sequential.  A budgeted run hands locale ``i`` of
+        ``n`` still pending ``budget.sub(1/(n-i))`` — an even split of
+        the *remaining* ledger — and the final locale inherits the whole
+        remainder, so an early locale finishing under budget donates its
+        slack to later ones.
 
         Locales contribute roots only.  A locale answer's score can be
         worse than its root's global optimum (a shard cannot see the
@@ -898,41 +899,29 @@ class ShardedEvaluator:
         each gathered root once through the same function on the union
         graph makes the sharded output byte-identical, signatures and
         trees included.
-
-        Scatter is sequential.  A budgeted resilient run hands locale
-        ``i`` of ``n`` still pending ``budget.sub(1/(n-i))`` — an even
-        split of the *remaining* ledger — and the final locale inherits
-        the whole remainder, so an early locale finishing under budget
-        donates its slack to later ones; a strict run charges every
-        locale to the one ledger and lets :class:`BudgetExceeded`
-        propagate.
         """
         self._check_query(query)
         if k is None:
             k = self.algorithm.k
         active = self._active(query)
-
         outcomes = []
         for i, (locale, evaluator) in enumerate(active):
             pending = len(active) - i
-            split = budget is not None and resilient and pending > 1
+            if budget is not None and pending > 1:
+                part = budget.sub(1.0 / pending)
+            else:
+                part = budget
             outcomes.append(
-                self._evaluate_locale(
-                    locale,
-                    evaluator.evaluate_resilient if resilient else evaluator.evaluate,
-                    query,
-                    layer,
-                    k=k,
-                    budget=budget.sub(1.0 / pending) if split else budget,
-                )
+                self._evaluate_locale(locale, evaluator, query, layer, k, part)
             )
 
-        locales = [locale for locale, _evaluator in active]
         roots: Set[int] = set()
-        for locale, outcome in zip(locales, outcomes):
+        degraded = []
+        for (locale, _evaluator), outcome in zip(active, outcomes):
             answers = outcome.answers
             if outcome.degraded:
                 answers = answers + outcome.unranked
+                degraded.append((locale, outcome))
             roots.update(locale.global_ids[a.root] for a in answers)
         graph = self.sharded.base_graph
         merged = top_k(
@@ -942,95 +931,41 @@ class ShardedEvaluator:
             ],
             k,
         )
-        return merged, locales, outcomes
-
-    @staticmethod
-    def _complete(merged: List[Answer], outcomes: List[EvalResult]):
-        """The merged result of a scatter in which no locale degraded."""
-        return EvalResult(
-            answers=merged,
-            layer=max((o.layer for o in outcomes), default=0),
-            breakdown=TimeBreakdown(),
-            num_generalized=sum(o.num_generalized for o in outcomes),
-            num_candidates=sum(o.num_candidates for o in outcomes),
-            num_verified=sum(o.num_verified for o in outcomes),
-        )
-
-    # -- the evaluator surface ----------------------------------------
-    def evaluate(
-        self,
-        query: KeywordQuery,
-        layer: Optional[int] = None,
-        k: Optional[int] = None,
-        budget: Optional[Budget] = None,
-    ) -> EvalResult:
-        """Exact scatter-gather ``eval_Ont`` across all locales.
-
-        Raises :class:`BudgetExceeded` on exhaustion like the monolithic
-        evaluator; because unscanned locales may hold arbitrarily good
-        answers, the exception carries *no* proven prefix (use
-        :meth:`evaluate_resilient` for sound partial results).
-        """
-        try:
-            merged, _locales, outcomes = self._scatter_gather(
-                query, layer, k, budget, resilient=False
-            )
-        except BudgetExceeded as exc:
-            # A partial scatter proves nothing globally.
-            exc.partial = []
-            exc.lower_bound = None
-            raise
-        return self._complete(merged, outcomes)
-
-    def evaluate_resilient(
-        self,
-        query: KeywordQuery,
-        budget: Optional[Budget] = None,
-        layer: Optional[int] = None,
-        k: Optional[int] = None,
-    ):
-        """Scatter-gather that degrades instead of raising on exhaustion
-        (see :meth:`_scatter_gather` for the sub-budget split)."""
-        merged, locales, outcomes = self._scatter_gather(
-            query, layer, k, budget, resilient=True
-        )
-        degraded = [
-            (locale, outcome)
-            for locale, outcome in zip(locales, outcomes)
-            if outcome.degraded
-        ]
+        coarsest = max((o.layer for o in outcomes), default=0)
         if not degraded:
-            return self._complete(merged, outcomes)
+            return EvalResult(
+                answers=merged,
+                layer=coarsest,
+                breakdown=TimeBreakdown(),
+                num_generalized=sum(o.num_generalized for o in outcomes),
+                num_candidates=sum(o.num_candidates for o in outcomes),
+                num_verified=sum(o.num_verified for o in outcomes),
+            )
 
         lower_bound = min(o.lower_bound for _l, o in degraded)
-        proven = [a for a in merged if a.score < lower_bound]
-        unranked = [a for a in merged if a.score >= lower_bound]
         attempts = [
             replace(attempt, reason=f"{locale.name}: {attempt.reason}")
             for locale, outcome in degraded
             for attempt in outcome.attempts
         ]
-        stats = None
-        if budget is not None:
-            stats = DegradationStats(
+        first_locale, first = degraded[0]
+        return DegradedResult(
+            answers=[a for a in merged if a.score < lower_bound],
+            layer=coarsest,
+            reason=(
+                f"{len(degraded)}/{len(active)} locale(s) degraded "
+                f"({first_locale.name}: {first.reason})"
+            ),
+            lower_bound=lower_bound,
+            unranked=[a for a in merged if a.score >= lower_bound],
+            attempts=attempts,
+            breakdown=TimeBreakdown(),
+            stats=DegradationStats(
                 expansions_consumed=budget.expansions,
                 expansions_remaining=budget.remaining_expansions(),
                 time_remaining_seconds=budget.remaining_time(),
                 layers_attempted=sorted({a.layer for a in attempts}),
-            )
-        first = degraded[0][1]
-        return DegradedResult(
-            answers=proven,
-            layer=max(o.layer for o in outcomes),
-            reason=(
-                f"{len(degraded)}/{len(locales)} locale(s) degraded "
-                f"({degraded[0][0].name}: {first.reason})"
             ),
-            lower_bound=lower_bound,
-            unranked=unranked,
-            attempts=attempts,
-            breakdown=TimeBreakdown(),
-            stats=stats,
         )
 
     def _warm(self, layer: Optional[int]) -> None:

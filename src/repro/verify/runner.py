@@ -237,7 +237,7 @@ def run_verification(
             mono_factory=lambda g=graph, o=ontology: BiGIndex.build(
                 g.copy(share_label_table=True), o, **drill_kwargs
             ),
-            algorithms=algorithms[:2],
+            algorithms=algorithms[:3],
             queries=queries,
             mutation_rounds=2 if quick else 3,
             ops_per_round=3,

@@ -8,13 +8,12 @@ mutations stream in.  :func:`run_shard_drill` checks the claim with a
 :class:`~repro.verify.probes.ShardProbe` over fuzzer ops routed as WAL
 records.
 
-Byte-identity is asserted for the exhaustive-enumeration algorithms
-(bkws, bdws).  Blinks is deliberately not in the drill's default set:
-it confirms only the first ``k`` roots its cursors surface, so among
-equal-scored answers the *monolithic* tie set is already
-enumeration-order dependent and only the score sequence is canonical
-(see ``tests/test_sharding.py`` for the ranking-level check it does
-get).
+Byte-identity is asserted for every rooted algorithm — bkws, bdws and
+Blinks — at ``k=None``, where every root is emitted.  Only a top-k
+cut's tie set is order dependent: Blinks confirms the first ``k`` roots
+its cursors surface, so among equal-scored answers at the cut the
+chosen roots depend on enumeration order and only the score sequence
+is canonical there.
 """
 
 from __future__ import annotations
@@ -47,7 +46,7 @@ def run_shard_drill(
     against the monolithic index, converted to WAL records, and the
     *same records* applied to both sides through :func:`apply_wal_op` —
     on the sharded side that exercises the facade's shard routing
-    (intra-shard updates, cut-table maintenance, zone refresh) exactly
+    (intra-shard updates, cut-table maintenance, zone growth) exactly
     the way WAL replay and ``/admin/mutate`` do.  The probe compares
     before the first op and after every ``ops_per_round`` ops.
     """

@@ -356,7 +356,9 @@ class TestVerifyCommand:
 def test_query_path_does_not_import_verify():
     """Cold start: ``build`` / ``query`` / ``stats`` must not pay for the
     verify harness (all drills, plus ``repro.serve`` and ``http.client``
-    behind them); ``cmd_verify`` imports it on use."""
+    behind them), and every subcommand but ``build --shards`` must not
+    pay for the sharded builder; ``cmd_verify`` / ``cmd_build`` import
+    them on use (a sharded root loads through ``load_index``)."""
     src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
@@ -364,8 +366,8 @@ def test_query_path_does_not_import_verify():
     )
     probe = (
         "import sys, repro.cli; "
-        "loaded = [m for m in ('repro.verify', 'repro.serve', 'http.client')"
-        " if m in sys.modules]; "
+        "loaded = [m for m in ('repro.verify', 'repro.serve', 'http.client',"
+        " 'repro.core.sharding') if m in sys.modules]; "
         "assert not loaded, loaded"
     )
     result = subprocess.run(

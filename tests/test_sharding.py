@@ -1,5 +1,6 @@
 """Sharded BiG-index: planning, building, merging, mutating, persisting."""
 
+import dataclasses
 import json
 import os
 import random
@@ -37,6 +38,7 @@ from repro.search.blinks import Blinks
 from repro.search.rclique import RClique
 from repro.utils.budget import Budget
 from repro.utils.errors import (
+    BudgetExceeded,
     ConfigurationError,
     GraphError,
     IndexCorruptedError,
@@ -147,6 +149,7 @@ class TestPlanning:
 
 
 class TestExactness:
+    @pytest.mark.parametrize("num_shards", [1, 3], ids=["K1", "K3"])
     @pytest.mark.parametrize(
         "algorithm",
         [
@@ -155,11 +158,16 @@ class TestExactness:
         ],
         ids=["bkws", "bdws"],
     )
-    def test_sharded_matches_monolithic(self, algorithm):
+    def test_sharded_matches_monolithic(self, algorithm, num_shards):
+        # A monolithic index is the one-locale case: K = 1 has no cut,
+        # so no zone, and its one shard answers every query.
         g, ontology = small_case(seed=4)
         sharded = build_sharded(
-            g.copy(share_label_table=True), ontology, 3, 4, **BUILD_KW
+            g.copy(share_label_table=True), ontology, num_shards, 4,
+            **BUILD_KW,
         )
+        assert sharded.num_shards == num_shards
+        assert (sharded.zone is None) == (num_shards == 1)
         mono = BiGIndex.build(
             g.copy(share_label_table=True), ontology, **BUILD_KW
         )
@@ -406,6 +414,32 @@ class TestBudgets:
                         answer.signature() in emitted
                         or answer.score >= tight.lower_bound
                     )
+
+    def test_strict_budget_raises_the_resilient_prefix(self):
+        # evaluate reads evaluate_resilient's outcome: the exception
+        # carries the same proven prefix and bound an equal fresh budget
+        # degrades to.
+        g, ontology = small_case(seed=7)
+        sharded = build_sharded(
+            g.copy(share_label_table=True), ontology, 3, 4, **BUILD_KW
+        )
+        se = ShardedEvaluator(sharded, BackwardKeywordSearch(d_max=2, k=5))
+        checked = 0
+        for query in probe(g, count=6):
+            try:
+                degraded = se.evaluate_resilient(
+                    query, budget=Budget(max_expansions=3)
+                )
+            except QueryError:
+                continue
+            if not degraded.degraded:
+                continue
+            with pytest.raises(BudgetExceeded) as caught:
+                se.evaluate(query, budget=Budget(max_expansions=3))
+            assert caught.value.partial == degraded.answers
+            assert caught.value.lower_bound == degraded.lower_bound
+            checked += 1
+        assert checked, "expected at least one degraded query"
 
 
 class TestMutation:
@@ -740,10 +774,11 @@ class TestPersistence:
         assert isinstance(load_index(mono_dir, ontology), BiGIndex)
         assert isinstance(load_index(shard_dir, ontology), ShardedIndex)
 
-    def test_reload_keeps_every_build_parameter(self, tmp_path):
-        # A zone that grows after a reload is rebuilt with the stored
-        # parameters, so they must round-trip — not just two of them.
-        g, ontology = small_case(seed=20)
+    def test_reloaded_zone_grows_like_the_heap_zone(self, tmp_path):
+        # The zone grows under its own configurations, so a reloaded
+        # root — which stores no build parameters — takes a growing
+        # insert exactly like the heap index it was built beside.
+        g, ontology = TestStateInvariants._case()
         kwargs = dict(
             num_layers=2,
             cost_params=CostParams(
@@ -751,16 +786,48 @@ class TestPersistence:
             ),
         )
         heap = build_sharded(
-            g.copy(share_label_table=True), ontology, 3, 4, **kwargs
+            g.copy(share_label_table=True), ontology, 3, 2, **kwargs
         )
         directory = str(tmp_path / "sharded")
         build_sharded(
-            g.copy(share_label_table=True), ontology, 3, 4,
+            g.copy(share_label_table=True), ontology, 3, 2,
             directory=directory, **kwargs,
         )
         reloaded = load_index(directory, ontology)
-        assert reloaded.build_kwargs == heap.build_kwargs
-        assert reloaded.build_kwargs["cost_params"] == kwargs["cost_params"]
+        zone = set(heap.zone.local_of)
+        shard_of = TestStateInvariants._shard_of(heap)
+        u, v = next(
+            (u, v)
+            for u in range(g.num_vertices)
+            for v in range(g.num_vertices)
+            if shard_of[u] != shard_of[v]
+            and u not in zone
+            and not g.has_edge(u, v)
+        )
+        for twin in (heap, reloaded):
+            twin.insert_edge(u, v)
+            assert len(twin.zone.global_ids) > len(zone)
+        assert reloaded.state_digest() == heap.state_digest()
+
+    def test_layout_with_names_and_build_kwargs_loads(self, saved):
+        # Version-3 roots written before the zone grew under its own
+        # configurations carry two more keys; the reader ignores them.
+        directory, ontology, sharded = saved
+        path = os.path.join(directory, "shards.json")
+        with open(path) as handle:
+            layout = json.load(handle)
+        graph = sharded.base_graph
+        layout["names"] = {str(v): graph.names[v] for v in graph.names}
+        layout["build_kwargs"] = {
+            "num_layers": 2, "theta": 1.0, "max_mappings": None,
+            "cost_params": dataclasses.asdict(BUILD_KW["cost_params"]),
+        }
+        with open(path, "w") as handle:
+            json.dump(layout, handle, sort_keys=True)
+        write_manifest(directory)
+        assert load_index(directory, ontology).state_digest() == (
+            sharded.state_digest()
+        )
 
     def test_wal_tail_replays_through_facade(self, tmp_path):
         g, ontology = small_case(seed=19)
@@ -796,7 +863,8 @@ class TestStateInvariants:
     """A sharded index stores only its locales, the cut table and the
     halo radius; everything else is derived and must agree with the union
     graph after every op — including cross-shard inserts that grow the
-    zone and cut-edge deletes that leave it a superset."""
+    zone and cut-edge deletes that leave it a superset.  A grown zone
+    keeps the configurations it had (Algo. 1 runs only at build time)."""
 
     HALO = 2
 
@@ -884,6 +952,61 @@ class TestStateInvariants:
                 assert pinned.state_digest() == digest
         assert len(sharded.zone.global_ids) > zone_before
         self._check(pinned)
+
+    @staticmethod
+    def _configs(locale):
+        return [dict(layer.config.mappings) for layer in locale.index.layers]
+
+    def test_grown_zone_keeps_its_configurations(self):
+        g, ontology = self._case()
+        sharded = build_sharded(g, ontology, 3, self.HALO, **BUILD_KW)
+        dropped = min(sharded.zone.index.layers[0].config.mappings.items())
+        sharded.remove_ontology_edge(*dropped)
+        before = self._configs(sharded.zone)
+        size = len(sharded.zone.global_ids)
+        op = self._draw(random.Random(0), sharded, "cross-insert")
+        assert apply_wal_op(sharded, op)
+        assert len(sharded.zone.global_ids) > size
+        assert self._configs(sharded.zone) == before
+        for locale in sharded.locales:
+            for mappings in self._configs(locale):
+                assert mappings.get(dropped[0]) != dropped[1]
+        self._check(sharded)
+
+    def test_first_cross_insert_creates_the_zone(self):
+        # Two components on two shards: no cut, no zone.  The first
+        # cross-shard insert creates a zone under the configurations of
+        # the source endpoint's shard.
+        rng = random.Random(21)
+        g = Graph()
+        for _ in range(60):
+            g.add_vertex(rng.choice("ABCDE"))
+        for base in (0, 30):
+            added = 0
+            while added < 75:
+                u, v = base + rng.randrange(30), base + rng.randrange(30)
+                if u != v and g.add_edge(u, v):
+                    added += 1
+        ontology = verification_ontology()
+        sharded = build_sharded(
+            g.copy(share_label_table=True), ontology, 2, 4, **BUILD_KW
+        )
+        assert sharded.num_shards == 2 and sharded.zone is None
+        sharded.remove_ontology_edge("A", "AB")
+        u, v = (shard.global_ids[0] for shard in sharded.shards)
+        sharded.insert_edge(u, v)
+        assert sharded.zone is not None
+        assert self._configs(sharded.zone) == self._configs(sharded.shards[0])
+        self._check(sharded)
+        g.add_edge(u, v)
+        algorithm = BackwardKeywordSearch(d_max=2, k=5)
+        se = ShardedEvaluator(sharded, algorithm)
+        he = HierarchicalEvaluator(
+            BiGIndex.build(g, ontology, **BUILD_KW), algorithm,
+            allow_layer_zero=True,
+        )
+        for query in probe(g):
+            assert outcomes(se, query) == outcomes(he, query)
 
 
 class TestCommunityDataset:

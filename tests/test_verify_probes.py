@@ -24,6 +24,7 @@ from repro.core.sharding import build_sharded
 from repro.datasets.synthetic import verification_corpus
 from repro.search.banks import BackwardKeywordSearch
 from repro.search.bidirectional import BidirectionalSearch
+from repro.search.blinks import Blinks
 from repro.verify import (
     fuzz_index,
     probes,
@@ -171,14 +172,15 @@ class TestPersistProbe:
 
 
 class TestShardProbe:
-    def _factories(self, case, sharded_hook=lambda sharded: sharded):
-        graph, ontology, _build, _queries = case
+    def _factories(
+        self, graph, ontology, num_shards=3, sharded_hook=lambda s: s
+    ):
         kwargs = dict(num_layers=2, cost_params=CostParams(num_samples=25))
         return dict(
             sharded_factory=lambda: sharded_hook(
                 build_sharded(
-                    graph.copy(share_label_table=True), ontology, 3,
-                    2 * D_MAX, **kwargs,
+                    graph.copy(share_label_table=True), ontology,
+                    num_shards, 2 * D_MAX, **kwargs,
                 )
             ),
             mono_factory=lambda: BiGIndex.build(
@@ -187,27 +189,40 @@ class TestShardProbe:
             algorithms=[
                 BackwardKeywordSearch(d_max=D_MAX),
                 BidirectionalSearch(d_max=D_MAX),
+                Blinks(d_max=D_MAX),
             ],
         )
 
     def test_clean_run_passes(self, case):
         report = run_shard_drill(
             queries=case[3], mutation_rounds=3, ops_per_round=4, seed=0,
-            **self._factories(case),
+            **self._factories(case[0], case[1]),
         )
         assert report.ok, report.format()
 
     def test_unrouted_cross_shard_insert_is_caught(self, case):
         """A facade that records a cross-shard insert in the cut table
-        but never refreshes the zone loses the answers that cross it."""
+        but never grows the zone loses the answers that cross it.  The
+        case graph plus a relabeled disjoint copy shard without a cut
+        (K = 2), so the first cross-shard insert has to create the zone,
+        and queries mixing both label sets answer only across the cut."""
+        graph, ontology = case[0], case[1]
+        twins = graph.copy(share_label_table=True)
+        offset = graph.num_vertices
+        for v in range(offset):
+            twins.add_vertex(graph.label(v) + "2")
+        for u, v in graph.edges():
+            twins.add_edge(offset + u, offset + v)
 
         def zone_blind(sharded):
-            sharded._refresh_zone = lambda incremental_edge=None: None
+            assert sharded.num_shards == 2 and sharded.zone is None
+            sharded._grow_zone = lambda u, v: None
             return sharded
 
         report = run_shard_drill(
-            queries=case[3], mutation_rounds=3, ops_per_round=4, seed=0,
-            **self._factories(case, sharded_hook=zone_blind),
+            queries=probe_queries(twins), mutation_rounds=3, ops_per_round=4,
+            seed=0,
+            **self._factories(twins, ontology, 2, sharded_hook=zone_blind),
         )
         assert not report.ok
         text = report.format()
@@ -370,7 +385,7 @@ class TestHarnessFloor:
             assert cache.checks >= 48 and cache.notes["hits"] >= 24
             assert case.drills["persist"].checks >= 12
             shard = case.drills["shard"]
-            assert shard.checks >= 24
+            assert shard.checks >= 36
             assert shard.notes["rounds"] >= 2 and shard.notes["ops"] >= 6
         assert report.drills["faults"].checks >= 97
         serve = report.drills["serve"]
