@@ -2,10 +2,6 @@
 
 DESIGN.md calls out the decisions these sweep:
 
-* **Bisimulation direction** — the paper picks successor matching
-  ("backward bisimulation ... seamlessly aligns with the graph traversals
-  of popular keyword search algorithms"); matching on both sides gives a
-  finer, larger index.
 * **Algorithm 1 budget** (theta, Pi) — the default index uses a large
   threshold so every label generalizes once per layer; tightening the
   budget trades compression for lower semantic distortion.
@@ -22,37 +18,10 @@ import pytest
 
 from repro.bench.harness import PaperPipeline, compare_on_queries
 from repro.bench.reporting import print_table
-from repro.bisim.refinement import BisimDirection
 from repro.core.cost import CostParams
 from repro.core.evaluator import HierarchicalEvaluator
 from repro.core.index import BiGIndex
 from repro.search.blinks import Blinks
-
-
-def test_ablation_bisim_direction(benchmark, yago):
-    """Successor vs both-side matching: index size trade-off."""
-
-    def build_both():
-        results = {}
-        for direction in (BisimDirection.SUCCESSORS, BisimDirection.BOTH):
-            index = BiGIndex.build(
-                yago.graph,
-                yago.ontology,
-                num_layers=1,
-                cost_params=CostParams(num_samples=15),
-                direction=direction,
-            )
-            results[direction.value] = index.size_ratio(1)
-        return results
-
-    ratios = benchmark.pedantic(build_both, rounds=1, iterations=1)
-    print_table(
-        "Ablation: bisimulation matching direction (layer-1 size ratio)",
-        ["direction", "size ratio"],
-        [(d, f"{r:.4f}") for d, r in ratios.items()],
-    )
-    # Both-side matching refines the partition -> never smaller.
-    assert ratios["both"] >= ratios["successors"]
 
 
 def test_ablation_algorithm1_budget(benchmark, yago):

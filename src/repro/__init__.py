@@ -20,11 +20,7 @@ See ``examples/quickstart.py`` for an end-to-end walkthrough.
 
 from repro.graph import Graph, LabelTable
 from repro.ontology import OntologyGraph, generate_ontology, TypeAssigner
-from repro.bisim import (
-    BisimDirection,
-    SummaryGraph,
-    summarize,
-)
+from repro.bisim import SummaryGraph, summarize
 from repro.search import (
     Answer,
     BackwardKeywordSearch,
@@ -65,7 +61,6 @@ __all__ = [
     "OntologyGraph",
     "generate_ontology",
     "TypeAssigner",
-    "BisimDirection",
     "SummaryGraph",
     "summarize",
     "Answer",

@@ -200,7 +200,6 @@ def compare_on_queries(
     layer: Optional[int] = None,
     repeats: int = BENCH_REPEATS,
     pipeline: Callable[..., HierarchicalEvaluator] = PaperPipeline,
-    beta: float = 0.5,
     allow_layer_zero: bool = True,
 ) -> List[QueryComparison]:
     """Time every query directly and through BiG-index.
@@ -217,7 +216,6 @@ def compare_on_queries(
     boosted = pipeline(
         index,
         algorithm,
-        beta=beta,
         allow_layer_zero=allow_layer_zero,
         cache_size=0,
     )

@@ -46,7 +46,7 @@ from contextlib import contextmanager
 from typing import Callable, Dict, FrozenSet, Iterable, Iterator, List
 from typing import NamedTuple, Optional, Tuple
 
-from repro.bisim.refinement import BisimDirection, maximal_bisimulation
+from repro.bisim.refinement import maximal_bisimulation
 from repro.core.cost import CostParams
 from repro.core.evaluator import HierarchicalEvaluator
 from repro.core.index import BiGIndex
@@ -285,13 +285,13 @@ def section_refine(fixture: Fixture, repeats: int) -> Metrics:
     metrics: Metrics = {}
     for name, graph in cases:
         timing = reference_seconds(
-            lambda g=graph: maximal_bisimulation(g, BisimDirection.SUCCESSORS),
+            lambda g=graph: maximal_bisimulation(g),
             repeats,
         )
         metrics[f"refine.{name}.ref_seconds"] = timing.ref
         metrics[f"refine.{name}.blocks"] = len(set(timing.result))
         with instrumented(trace=False) as inst:
-            maximal_bisimulation(graph, BisimDirection.SUCCESSORS)
+            maximal_bisimulation(graph)
         metrics[f"counters.refine.{name}"] = inst.metrics.counters()
     return metrics
 

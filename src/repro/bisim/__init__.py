@@ -8,12 +8,11 @@ maintenance re-refines from the old partition
 :meth:`repro.core.index.BiGIndex._climb`.
 """
 
-from repro.bisim.refinement import maximal_bisimulation, BisimDirection
+from repro.bisim.refinement import maximal_bisimulation
 from repro.bisim.summary import SummaryGraph, summarize
 
 __all__ = [
     "maximal_bisimulation",
-    "BisimDirection",
     "SummaryGraph",
     "summarize",
 ]

@@ -15,13 +15,9 @@ Every graph has a unique *maximal* bisimulation, which is an equivalence
 relation.  The paper's running example (the 100 Person vertices of Fig. 1
 collapsing because they share the one Univ. successor) shows the relation
 matches on *successors*; the paper calls the formalism backward bisimulation
-because it preserves the backward traversals keyword search performs.  We
-expose the matching direction explicitly:
-
-* ``BisimDirection.SUCCESSORS`` — vertices are equivalent when their labels
-  agree and their successor blocks agree (the paper's definition; default).
-* ``BisimDirection.PREDECESSORS`` — match on predecessor blocks.
-* ``BisimDirection.BOTH`` — match on both sides (finer partition).
+because it preserves the backward traversals keyword search performs.  That
+is the only rule here: two vertices are equivalent when their labels agree
+and the *sets* of blocks of their successors agree.
 
 Algorithm
 ---------
@@ -35,39 +31,30 @@ construction*, and Rau et al., *Computing k-Bisimulations for Large
 Graphs*).  The worklist variant instead tracks **dirty blocks**: after a
 round splits some blocks, only the vertices with an edge into a *moved*
 vertex can change signature, so only their blocks are re-examined in the
-next round.  Signatures are sorted int tuples built from the graph's CSR
-adjacency snapshot (no per-vertex frozensets), and a block's own id is
-excluded from its members' signatures (it is constant within the block,
-and the worklist never merges blocks).
+next round.  Signatures are sorted deduplicated int tuples of successor
+blocks built from the graph's CSR adjacency snapshot (no per-vertex
+frozensets), and a block's own id is excluded from its members'
+signatures (it is constant within the block, and the worklist never
+merges blocks).
 
 Both implementations converge to the same fixpoint — the coarsest stable
 refinement of the start partition is unique regardless of split order —
 and both renumber blocks canonically (by smallest member vertex), so the
 returned arrays are byte-identical.  The test-suite and the hierarchical
 index rely on that determinism; ``tests/test_properties.py`` checks the
-equivalence on randomized graphs across all three directions.
+equivalence on randomized graphs and seed partitions.
 """
 
 from __future__ import annotations
 
-from enum import Enum
 from typing import Dict, List, Sequence, Tuple
 
 from repro.graph.digraph import Graph
 from repro.obs.runtime import OBS
 
 
-class BisimDirection(str, Enum):
-    """Which neighbor sets the bisimulation matches on."""
-
-    SUCCESSORS = "successors"
-    PREDECESSORS = "predecessors"
-    BOTH = "both"
-
-
 def maximal_bisimulation(
     graph: Graph,
-    direction: BisimDirection = BisimDirection.SUCCESSORS,
     initial_blocks: Sequence[int] | None = None,
 ) -> List[int]:
     """Compute the maximal bisimulation partition of ``graph``.
@@ -76,13 +63,11 @@ def maximal_bisimulation(
     ----------
     graph:
         The graph to partition.
-    direction:
-        Neighbor side(s) on which equivalent vertices must agree.
     initial_blocks:
         Optional starting partition (block id per vertex).  The result is
         the coarsest *stable* refinement of this partition that also refines
-        the label partition.  Used by incremental maintenance; when omitted
-        the label partition is the start, yielding the maximal bisimulation.
+        the label partition.  Used by index maintenance; when omitted the
+        label partition is the start, yielding the maximal bisimulation.
 
     Returns
     -------
@@ -96,9 +81,6 @@ def maximal_bisimulation(
         return []
     if initial_blocks is not None and len(initial_blocks) != n:
         raise ValueError("initial_blocks must cover every vertex")
-
-    use_out = direction in (BisimDirection.SUCCESSORS, BisimDirection.BOTH)
-    use_in = direction in (BisimDirection.PREDECESSORS, BisimDirection.BOTH)
 
     csr = graph.csr()
     # Offsets as plain lists: CPython caches small ints in lists, while
@@ -152,36 +134,12 @@ def maximal_bisimulation(
             mem = members[b]
             if len(mem) == 1:
                 continue  # singletons cannot split
-            # Group members by signature: sorted deduped neighbor-block
-            # tuples (plus the vertex label in the fused first round).
-            # The three direction cases are split into separate loops so
-            # the dominant successor-only path pays for exactly one
-            # signature and no wrapper tuple.
+            # Group members by signature: the sorted deduplicated tuple of
+            # successor blocks (plus the vertex label in the fused first
+            # round).
             groups: Dict[Tuple, List[int]] = {}
             for v in mem:
-                if use_out:
-                    ids = sorted(map(bg, out_tgt[out_off[v] : out_off[v + 1]]))
-                    if ids:
-                        last = ids[0]
-                        sig = [last]
-                        for x in ids:
-                            if x != last:
-                                sig.append(x)
-                                last = x
-                        succ = tuple(sig)
-                    else:
-                        succ = ()
-                    if not use_in:
-                        key = succ if lbls is None else (lbls[v], succ)
-                        got = groups.get(key)
-                        if got is None:
-                            groups[key] = [v]
-                        else:
-                            got.append(v)
-                        continue
-                else:
-                    succ = ()
-                ids = sorted(map(bg, in_tgt[in_off[v] : in_off[v + 1]]))
+                ids = sorted(map(bg, out_tgt[out_off[v] : out_off[v + 1]]))
                 if ids:
                     last = ids[0]
                     sig = [last]
@@ -189,13 +147,11 @@ def maximal_bisimulation(
                         if x != last:
                             sig.append(x)
                             last = x
-                    pred = tuple(sig)
+                    key = tuple(sig)
                 else:
-                    pred = ()
-                if use_out:
-                    key = (succ, pred) if lbls is None else (lbls[v], succ, pred)
-                else:
-                    key = pred if lbls is None else (lbls[v], pred)
+                    key = ()
+                if lbls is not None:
+                    key = (lbls[v], key)
                 got = groups.get(key)
                 if got is None:
                     groups[key] = [v]
@@ -220,18 +176,14 @@ def maximal_bisimulation(
             break
         vertices_moved += len(moved)
         first_round_labels = None
-        # A vertex's signature mentions block[w] for its out-neighbors w
-        # (successor matching) and in-neighbors (predecessor matching);
-        # only vertices with an edge *to* a moved vertex (resp. *from*)
-        # can have changed signature — mark their blocks dirty.  block
-        # ids are mapped at C speed; the set may pick up clean singleton
-        # blocks, which the next round skips for free.
+        # A vertex's signature mentions block[w] for its successors w, so
+        # only the predecessors of a moved vertex can have changed
+        # signature — mark their blocks dirty.  block ids are mapped at C
+        # speed; the set may pick up clean singleton blocks, which the
+        # next round skips for free.
         bg = block.__getitem__
         for w in moved:
-            if use_out:
-                in_dirty.update(map(bg, in_tgt[in_off[w] : in_off[w + 1]]))
-            if use_in:
-                in_dirty.update(map(bg, out_tgt[out_off[w] : out_off[w + 1]]))
+            in_dirty.update(map(bg, in_tgt[in_off[w] : in_off[w + 1]]))
         dirty = list(in_dirty)
 
     if OBS.enabled:
@@ -265,32 +217,21 @@ def _canonicalize(
     return list(map(first_seen.__getitem__, block))
 
 
-def is_bisimulation_partition(
-    graph: Graph,
-    block: Sequence[int],
-    direction: BisimDirection = BisimDirection.SUCCESSORS,
-) -> bool:
+def is_bisimulation_partition(graph: Graph, block: Sequence[int]) -> bool:
     """Check the bisimulation conditions for a candidate partition.
 
-    Used by tests and by incremental maintenance to validate results: a
-    partition is a bisimulation iff same-block vertices share a label and
-    the same *set* of neighbor blocks on the matched side(s).
+    Used by tests and the auditor to validate results: a partition is a
+    bisimulation iff same-block vertices share a label and the same *set*
+    of successor blocks.
     """
     n = graph.num_vertices
     if len(block) != n:
         return False
-    use_out = direction in (BisimDirection.SUCCESSORS, BisimDirection.BOTH)
-    use_in = direction in (BisimDirection.PREDECESSORS, BisimDirection.BOTH)
     csr = graph.csr()
     rep_signature: Dict[int, Tuple] = {}
     for v in range(n):
-        succ = (
-            frozenset(block[w] for w in csr.out_neighbors(v)) if use_out else None
-        )
-        pred = (
-            frozenset(block[w] for w in csr.in_neighbors(v)) if use_in else None
-        )
-        sig = (graph.labels[v], succ, pred)
+        succ = frozenset(block[w] for w in csr.out_neighbors(v))
+        sig = (graph.labels[v], succ)
         existing = rep_signature.get(block[v])
         if existing is None:
             rep_signature[block[v]] = sig

@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Sequence
 
-from repro.bisim.refinement import BisimDirection, maximal_bisimulation
+from repro.bisim.refinement import maximal_bisimulation
 from repro.graph.digraph import Graph
 from repro.utils.errors import GraphError
 
@@ -73,7 +73,6 @@ class SummaryGraph:
 
 def summarize(
     graph: Graph,
-    direction: BisimDirection = BisimDirection.SUCCESSORS,
     blocks: Sequence[int] | None = None,
 ) -> SummaryGraph:
     """Summarize ``graph`` by (maximal) bisimulation.
@@ -82,20 +81,17 @@ def summarize(
     ----------
     graph:
         The graph to summarize.
-    direction:
-        Bisimulation matching direction (see
-        :class:`~repro.bisim.refinement.BisimDirection`).
     blocks:
         Optional precomputed partition (block id per vertex); when omitted
-        the maximal bisimulation is computed.  Supplying blocks lets the
-        incremental maintainer rebuild summaries from its own partition.
+        the maximal bisimulation is computed.  Index maintenance supplies
+        the seeded refinement of the old partition here.
 
     Returns
     -------
     SummaryGraph
     """
     if blocks is None:
-        block_of = maximal_bisimulation(graph, direction=direction)
+        block_of = maximal_bisimulation(graph)
     else:
         if len(blocks) != graph.num_vertices:
             raise GraphError("blocks must assign an id to every vertex")

@@ -20,9 +20,8 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Tuple
 
-from repro.bisim.refinement import BisimDirection
 from repro.bisim.summary import summarize
 from repro.core.config import Configuration
 from repro.core.generalize import generalize_graph
@@ -76,11 +75,9 @@ class CostModel:
         self,
         graph: Graph,
         params: Optional[CostParams] = None,
-        direction: BisimDirection = BisimDirection.SUCCESSORS,
     ) -> None:
         self.graph = graph
         self.params = params or CostParams()
-        self.direction = direction
         self._samples: Optional[List[Graph]] = None
         self._support_cache: Dict[str, float] = {}
         #: (sample index, config projected onto the sample's labels) ->
@@ -134,7 +131,7 @@ class CostModel:
         float.
         """
         if self.params.exact:
-            return compression_ratio(self.graph, config, self.direction)
+            return compression_ratio(self.graph, config)
         samples = self.samples
         if self._sample_labels is None:
             self._sample_labels = [
@@ -150,7 +147,7 @@ class CostModel:
             key = (i, tuple(m for m in items if m[0] in labels_here))
             ratio = cache.get(key)
             if ratio is None:
-                ratio = compression_ratio(sample, config, self.direction)
+                ratio = compression_ratio(sample, config)
                 cache[key] = ratio
             ratios.append(ratio)
         if not ratios:
@@ -167,16 +164,12 @@ class CostModel:
         return alpha * self.compress(config) + (1.0 - alpha) * self.distort(config)
 
 
-def compression_ratio(
-    graph: Graph,
-    config: Configuration,
-    direction: BisimDirection = BisimDirection.SUCCESSORS,
-) -> float:
+def compression_ratio(graph: Graph, config: Configuration) -> float:
     """Exact ``|Bisim(Gen(G, C))| / |G|`` for one graph."""
     if graph.size == 0:
         return 1.0
     generalized = generalize_graph(graph, config)
-    summary = summarize(generalized, direction=direction)
+    summary = summarize(generalized)
     return summary.graph.size / graph.size
 
 

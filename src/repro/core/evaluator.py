@@ -233,8 +233,8 @@ class HierarchicalEvaluator:
         The BiG-index hierarchy.
     algorithm:
         The plugged keyword search algorithm ``f``.
-    beta:
-        Query cost model weight (Formula 4).
+    allow_layer_zero:
+        Let the query cost model route to the data graph itself.
     cache_size:
         Capacity of the per-evaluator query-result LRU (``0`` disables
         caching).  Cached and uncached evaluation are byte-identical —
@@ -248,14 +248,13 @@ class HierarchicalEvaluator:
         self,
         index: BiGIndex,
         algorithm: KeywordSearchAlgorithm,
-        beta: float = 0.5,
         allow_layer_zero: bool = False,
         cache_size: int = 128,
     ) -> None:
         self.index = index
         self.algorithm = algorithm
         self.cost_model = QueryCostModel(
-            index, beta=beta, allow_layer_zero=allow_layer_zero
+            index, allow_layer_zero=allow_layer_zero
         )
         #: Answer generation (module docstring, step 4): rooted-tree
         #: semantics verify candidate roots, root-free ones enumerate

@@ -14,11 +14,12 @@ Maintenance (Sec. 3.2):
 
 * **Data-graph updates** — edge insertions/deletions at layer 0 propagate
   upward layer by layer.  Each layer's partition is recomputed by signature
-  refinement *seeded from the previous partition* (the incremental scheme of
-  :mod:`repro.bisim.incremental`), so the refreshed index stays a valid
-  bisimulation hierarchy; it may drift finer than minimal, and
-  :meth:`BiGIndex.rebuild` restores minimality — matching the paper's
-  "recomputed occasionally to maintain its efficiency".
+  refinement *seeded from the previous partition*
+  (``maximal_bisimulation(initial_blocks=)`` in :meth:`BiGIndex._climb`),
+  so the refreshed index stays a valid bisimulation hierarchy; it may
+  drift finer than minimal, and :meth:`BiGIndex.rebuild` restores
+  minimality — matching the paper's "recomputed occasionally to maintain
+  its efficiency".
 * **Ontology updates** — additions never invalidate the index (existing
   configurations remain label-preserving).  Removing a subtype edge calls
   :meth:`BiGIndex.remove_ontology_edge`, which drops the affected mappings
@@ -32,7 +33,7 @@ import threading
 from dataclasses import dataclass, field
 from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
-from repro.bisim.refinement import BisimDirection, maximal_bisimulation
+from repro.bisim.refinement import maximal_bisimulation
 from repro.bisim.summary import summarize
 from repro.core.config import Configuration
 from repro.core.cost import CostModel, CostParams
@@ -49,6 +50,10 @@ from repro.ontology.ontology import OntologyGraph
 from repro.search.base import KeywordQuery
 from repro.utils.errors import BigIndexError, QueryError
 from repro.utils.timers import monotonic_now
+
+#: :meth:`BiGIndex.build` stops when a layer's size exceeds this fraction
+#: of the layer below (compression has saturated).
+STOP_RATIO = 0.98
 
 
 @dataclass
@@ -101,11 +106,9 @@ class BiGIndex:
         self,
         base_graph: Graph,
         ontology: OntologyGraph,
-        direction: BisimDirection = BisimDirection.SUCCESSORS,
     ) -> None:
         self.base_graph = base_graph
         self.ontology = ontology
-        self.direction = direction
         self.layers: List[Layer] = []
         self.report = ConstructionReport()
         #: updates applied since the last full (re)build.
@@ -136,8 +139,6 @@ class BiGIndex:
         theta: float = 1.0,
         max_mappings: Optional[int] = None,
         cost_params: Optional[CostParams] = None,
-        direction: BisimDirection = BisimDirection.SUCCESSORS,
-        stop_ratio: float = 0.98,
     ) -> "BiGIndex":
         """Construct a BiG-index bottom-up.
 
@@ -155,13 +156,8 @@ class BiGIndex:
             Algorithm 1 parameters (Sec. 3.2).  The paper's default index
             uses large ``theta`` and ``Pi`` so each layer generalizes every
             label one ontology step.
-        direction:
-            Bisimulation matching direction.
-        stop_ratio:
-            Stop when a new layer's size exceeds this fraction of the layer
-            below (compression has saturated).
         """
-        index = cls(graph, ontology, direction=direction)
+        index = cls(graph, ontology)
         start_total = monotonic_now()
         current = graph
         while num_layers is None or len(index.layers) < num_layers:
@@ -180,7 +176,7 @@ class BiGIndex:
                 with OBS.tracer.span("generalize"):
                     generalized = generalize_graph(current, config)
                 with OBS.tracer.span("summarize"):
-                    summary = summarize(generalized, direction=direction)
+                    summary = summarize(generalized)
                 elapsed = monotonic_now() - start
                 ratio = (
                     summary.graph.size / current.size if current.size else 1.0
@@ -191,7 +187,7 @@ class BiGIndex:
                         summary_size=summary.graph.size,
                         ratio=round(ratio, 4),
                     )
-                if not config and ratio > stop_ratio:
+                if not config and ratio > STOP_RATIO:
                     break  # nothing generalized and bisim stopped compressing
                 index.layers.append(
                     Layer(
@@ -207,7 +203,7 @@ class BiGIndex:
                 if OBS.enabled:
                     OBS.metrics.inc("build.layers")
                     OBS.metrics.inc("build.mappings_accepted", len(config))
-                if ratio > stop_ratio and num_layers is None:
+                if ratio > STOP_RATIO and num_layers is None:
                     break  # keep the layer but stop stacking more
                 current = summary.graph
         index.report.total_seconds = monotonic_now() - start_total
@@ -476,7 +472,6 @@ class BiGIndex:
         clone = BiGIndex.__new__(BiGIndex)
         clone.base_graph = self.base_graph.cow_clone()
         clone.ontology = self.ontology
-        clone.direction = self.direction
         clone.layers = list(self.layers)
         clone.report = self.report
         clone.drift = self.drift
@@ -579,15 +574,12 @@ class BiGIndex:
                     old_parent = seeds[position]
                     blocks = maximal_bisimulation(
                         generalized,
-                        direction=self.direction,
                         initial_blocks=[
                             old_parent[old_of_new[v]]
                             for v in generalized.vertices()
                         ],
                     )
-                summary = summarize(
-                    generalized, direction=self.direction, blocks=blocks
-                )
+                summary = summarize(generalized, blocks=blocks)
                 climbed.append(
                     Layer(
                         config=config,

@@ -10,7 +10,7 @@ construction cost is paid once per dataset.
 One format is read and written — **v4**, where one binary container
 holds every hot payload::
 
-    meta.json                 {"num_layers": h, "direction": ..., "version": 4}
+    meta.json                 {"num_layers": h, "version": 4}
     manifest.json             {"algorithm": "sha256", "files": ..., "binary": ...}
     index.v4.bin              sectioned zero-copy container (repro.core.binfmt)
     layer<i>.config.json      the configuration C^i (small, human-auditable)
@@ -75,9 +75,8 @@ import shutil
 import tempfile
 from array import array
 from contextlib import contextmanager
-from typing import Any, Dict, Iterator
+from typing import Any, Dict, Iterator, NoReturn
 
-from repro.bisim.refinement import BisimDirection
 from repro.core.binfmt import (
     ExtentTable,
     IntVector,
@@ -365,11 +364,7 @@ def save_index(index: BiGIndex, directory: str) -> None:
 
 def _write_index_files(index: BiGIndex, directory: str) -> None:
     """Write the index's files (without manifest) into ``directory``."""
-    meta = {
-        "version": FORMAT_VERSION,
-        "num_layers": index.num_layers,
-        "direction": index.direction.value,
-    }
+    meta = {"version": FORMAT_VERSION, "num_layers": index.num_layers}
     write_json(os.path.join(directory, "meta.json"), meta, indent=2)
     for i, layer in enumerate(index.layers, start=1):
         write_json(
@@ -523,10 +518,13 @@ def _load_index_impl(directory: str, ontology: OntologyGraph):
     )
     if found != expected:
         what = "sharded layout" if sharded else "index format"
-        raise IndexVersionError(
-            f"unsupported {what} version: {found!r} (this build reads "
-            f"version {expected}; no converter is kept — rebuild the "
-            "index from its dataset with `repro-bigindex build`)"
+        _reject_format(f"{what} version", found, f"version {expected}")
+    # Older directories record the bisimulation rule as "direction";
+    # successor matching is the only one this build computes.
+    direction = meta.get("direction", "successors")
+    if direction != "successors":
+        _reject_format(
+            "bisimulation direction", direction, "successor matching only"
         )
     _verify_manifest(directory)
     if sharded:
@@ -535,19 +533,25 @@ def _load_index_impl(directory: str, ontology: OntologyGraph):
         return load_locales(directory, ontology)
     try:
         num_layers = int(meta["num_layers"])
-        direction = BisimDirection(meta["direction"])
     except (KeyError, TypeError, ValueError) as exc:
         raise IndexCorruptedError(
             f"invalid index metadata in {meta_path}: {exc}"
         ) from exc
-    return _load_v4(directory, ontology, num_layers, direction)
+    return _load_v4(directory, ontology, num_layers)
+
+
+def _reject_format(what: str, found: Any, reads: str) -> NoReturn:
+    """Raise the "rebuild" :class:`IndexVersionError` for a directory
+    this build cannot read."""
+    raise IndexVersionError(
+        f"unsupported {what}: {found!r} (this build reads {reads}; no "
+        "converter is kept — rebuild the index from its dataset with "
+        "`repro-bigindex build`)"
+    )
 
 
 def _load_v4(
-    directory: str,
-    ontology: OntologyGraph,
-    num_layers: int,
-    direction,
+    directory: str, ontology: OntologyGraph, num_layers: int
 ) -> BiGIndex:
     """Load a v4 directory: mmap the container, wrap views, validate.
 
@@ -566,7 +570,7 @@ def _load_v4(
         )
     label_table = LabelTable(label_strings)
     base_graph = _graph_from_sections(container, "base", label_table)
-    index = BiGIndex(base_graph, ontology, direction=direction)
+    index = BiGIndex(base_graph, ontology)
 
     for i in range(1, num_layers + 1):
         tag = f"layer{i}"

@@ -36,7 +36,6 @@ class BoostedSearch:
         self,
         algorithm: KeywordSearchAlgorithm,
         index: BiGIndex,
-        beta: float = 0.5,
         allow_layer_zero: bool = False,
         cache_size: int = 128,
     ) -> None:
@@ -46,7 +45,6 @@ class BoostedSearch:
         # directly, a sharded index scatter-gathers over its locales.
         self.evaluator = index.make_evaluator(
             algorithm,
-            beta=beta,
             allow_layer_zero=allow_layer_zero,
             cache_size=cache_size,
         )
@@ -131,13 +129,10 @@ class BoostedSearch:
 def boost(
     algorithm: KeywordSearchAlgorithm,
     index: BiGIndex,
-    beta: float = 0.5,
     allow_layer_zero: bool = False,
 ) -> BoostedSearch:
     """Wrap any compatible algorithm with BiG-index acceleration."""
-    return BoostedSearch(
-        algorithm, index, beta=beta, allow_layer_zero=allow_layer_zero
-    )
+    return BoostedSearch(algorithm, index, allow_layer_zero=allow_layer_zero)
 
 
 def boost_bkws(

@@ -527,7 +527,6 @@ class ShardedIndex:
         index = BiGIndex(
             _payload_to_graph(_locale_payload(self.base_graph, global_ids)),
             self.ontology,
-            direction=template.direction,
         )
         # rebuild() climbs the base graph under these layers' configurations.
         index.layers = template.layers
@@ -770,7 +769,6 @@ class ShardedEvaluator:
         sharded: ShardedIndex,
         algorithm: KeywordSearchAlgorithm,
         *,
-        beta: float = 0.5,
         allow_layer_zero: bool = True,
         cache_size: int = 128,
     ) -> None:
@@ -795,7 +793,6 @@ class ShardedEvaluator:
                 HierarchicalEvaluator(
                     locale.index,
                     algorithm,
-                    beta=beta,
                     allow_layer_zero=allow_layer_zero,
                     cache_size=cache_size,
                 ),

@@ -34,7 +34,6 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Sequence, Tuple
 
 from repro.bisim.refinement import (
-    BisimDirection,
     is_bisimulation_partition,
     maximal_bisimulation,
 )
@@ -107,7 +106,7 @@ def audit_index(index: BiGIndex, expect_minimal: bool = False) -> AuditReport:
     for i, layer in enumerate(index.layers, start=1):
         generalized = generalize_graph(lower, layer.config)
         _audit_partition(report, i, lower, layer)
-        _audit_bisimulation(report, i, generalized, layer, index, expect_minimal)
+        _audit_bisimulation(report, i, generalized, layer, expect_minimal)
         _audit_labels(report, i, generalized, layer)
         _audit_paths(report, i, lower, layer)
         lower = layer.graph
@@ -171,14 +170,12 @@ def _audit_partition(report: AuditReport, i: int, lower, layer) -> None:
 
 
 def _audit_bisimulation(
-    report: AuditReport, i: int, generalized, layer, index, expect_minimal: bool
+    report: AuditReport, i: int, generalized, layer, expect_minimal: bool
 ) -> None:
     report.checks_run += 1
     if len(layer.parent_of) != generalized.num_vertices:
         return  # already reported by the partition check
-    if not is_bisimulation_partition(
-        generalized, layer.parent_of, direction=index.direction
-    ):
+    if not is_bisimulation_partition(generalized, layer.parent_of):
         report.add(
             i,
             "bisimulation",
@@ -187,7 +184,7 @@ def _audit_bisimulation(
         )
     if expect_minimal:
         report.checks_run += 1
-        maximal = maximal_bisimulation(generalized, direction=index.direction)
+        maximal = maximal_bisimulation(generalized)
         if list(layer.parent_of) != maximal:
             finer = len(set(layer.parent_of)) - len(set(maximal))
             report.add(
@@ -347,7 +344,6 @@ def _audit_sizes(report: AuditReport, index: BiGIndex) -> None:
 
 def reference_bisimulation(
     graph: Graph,
-    direction: BisimDirection = BisimDirection.SUCCESSORS,
     initial_blocks: Sequence[int] | None = None,
 ) -> List[int]:
     """The naive Kanellakis–Smolka loop, kept as the differential oracle.
@@ -374,21 +370,13 @@ def reference_bisimulation(
             block_id = combined.setdefault(key, len(combined))
             block.append(block_id)
 
-    use_out = direction in (BisimDirection.SUCCESSORS, BisimDirection.BOTH)
-    use_in = direction in (BisimDirection.PREDECESSORS, BisimDirection.BOTH)
-
     num_blocks = len(set(block))
     while True:
         signatures: Dict[Tuple, int] = {}
         new_block = [0] * n
         for v in range(n):
-            succ_sig = frozenset(
-                block[w] for w in graph.out_neighbors(v)
-            ) if use_out else frozenset()
-            pred_sig = frozenset(
-                block[w] for w in graph.in_neighbors(v)
-            ) if use_in else frozenset()
-            key = (block[v], succ_sig, pred_sig)
+            succ_sig = frozenset(block[w] for w in graph.out_neighbors(v))
+            key = (block[v], succ_sig)
             new_block[v] = signatures.setdefault(key, len(signatures))
         block = new_block
         if len(signatures) == num_blocks:

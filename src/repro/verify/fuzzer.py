@@ -53,9 +53,7 @@ def rebuilt_reference(index: BiGIndex) -> BiGIndex:
     Shares the base graph (nothing below mutates it) so base vertex ids are
     directly comparable between the two hierarchies.
     """
-    reference = BiGIndex(
-        index.base_graph, index.ontology, direction=index.direction
-    )
+    reference = BiGIndex(index.base_graph, index.ontology)
     for layer in index.layers:
         reference.layers.append(
             Layer(

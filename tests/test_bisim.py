@@ -3,7 +3,6 @@
 import pytest
 
 from repro.bisim.refinement import (
-    BisimDirection,
     is_bisimulation_partition,
     maximal_bisimulation,
 )
@@ -66,24 +65,6 @@ class TestRefinement:
             g = random_graph_factory(num_vertices=40, num_edges=90, seed=seed)
             blocks = maximal_bisimulation(g)
             assert is_bisimulation_partition(g, blocks)
-
-    def test_predecessor_direction(self):
-        g = Graph()
-        src = g.add_vertex("S")
-        a, b = g.add_vertex("P"), g.add_vertex("P")
-        g.add_edge(src, a)
-        g.add_edge(src, b)
-        blocks = maximal_bisimulation(g, direction=BisimDirection.PREDECESSORS)
-        assert blocks[a] == blocks[b]
-        assert is_bisimulation_partition(
-            g, blocks, direction=BisimDirection.PREDECESSORS
-        )
-
-    def test_both_direction_is_finer(self, random_graph_factory):
-        g = random_graph_factory(num_vertices=40, num_edges=90, seed=3)
-        succ = maximal_bisimulation(g, direction=BisimDirection.SUCCESSORS)
-        both = maximal_bisimulation(g, direction=BisimDirection.BOTH)
-        assert len(set(both)) >= len(set(succ))
 
     def test_initial_blocks_must_cover_graph(self, random_graph_factory):
         g = random_graph_factory(seed=1)

@@ -41,7 +41,7 @@ class TestBuild:
         current = fig1_graph
         for layer in index.layers:
             generalized = generalize_graph(current, layer.config)
-            expected = summarize(generalized, direction=index.direction)
+            expected = summarize(generalized)
             assert expected.graph.num_vertices == layer.graph.num_vertices
             assert expected.graph.num_edges == layer.graph.num_edges
             assert expected.supernode_of == layer.parent_of
@@ -166,9 +166,7 @@ class TestEdgeMaintenance:
         current = base_graph
         for layer in index.layers:
             generalized = generalize_graph(current, layer.config)
-            assert is_bisimulation_partition(
-                generalized, layer.parent_of, direction=index.direction
-            )
+            assert is_bisimulation_partition(generalized, layer.parent_of)
             # extent/parent consistency
             for s, members in enumerate(layer.extent):
                 assert members

@@ -14,7 +14,7 @@ from repro.bench.hotpaths import (
     cpu_affinity,
     reference_seconds,
 )
-from repro.bisim.refinement import BisimDirection, maximal_bisimulation
+from repro.bisim.refinement import maximal_bisimulation
 from repro.core.cost import CostParams
 from repro.core.evaluator import DegradationStats
 from repro.core.index import BiGIndex
@@ -296,9 +296,9 @@ def _canonical_answers(answers):
 class TestResultsIdenticalOnAndOff:
     def test_refinement_blocks(self, toy_case):
         _, graph, _ = toy_case
-        off = maximal_bisimulation(graph, BisimDirection.SUCCESSORS)
+        off = maximal_bisimulation(graph)
         with instrumented():
-            on = maximal_bisimulation(graph, BisimDirection.SUCCESSORS)
+            on = maximal_bisimulation(graph)
         assert on == off
 
     def test_searcher_answers(self, toy_case):
@@ -403,7 +403,7 @@ class TestDisabledOverhead:
         # pinned CPU), then allow 2% plus the standard absolute slack.
         with cpu_affinity({max(available_cpus())}):
             best = reference_seconds(
-                lambda: maximal_bisimulation(graph, BisimDirection.SUCCESSORS),
+                lambda: maximal_bisimulation(graph),
                 5,
             ).ref
         allowed = base_seconds * 1.02 + ABS_SLACK_SECONDS

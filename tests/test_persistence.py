@@ -43,13 +43,13 @@ def saved(built, tmp_path):
     return directory
 
 
-def _set_version(directory, version):
+def _set_meta(directory, **fields):
     meta_path = os.path.join(directory, "meta.json")
     with open(meta_path) as f:
         meta = json.load(f)
-    meta["version"] = version
+    meta.update(fields)
     with open(meta_path, "w") as f:
-        json.dump(meta, f)
+        json.dump(meta, f, indent=2)
 
 
 def _poke_parent(directory, value):
@@ -120,7 +120,7 @@ class TestLoadErrors:
             load_index(str(tmp_path / "nope"), fig2_ontology)
 
     def test_bad_version(self, saved, fig2_ontology):
-        _set_version(saved, 99)
+        _set_meta(saved, version=99)
         with pytest.raises(BigIndexError):
             load_index(saved, fig2_ontology)
 
@@ -129,10 +129,26 @@ class TestLoadErrors:
         self, saved, fig2_ontology, version
     ):
         # The TSV/JSON layouts are no longer read; no converter is kept.
-        _set_version(saved, version)
+        _set_meta(saved, version=version)
         with pytest.raises(IndexVersionError, match="rebuild") as excinfo:
             load_index(saved, fig2_ontology)
         assert f"version: {version}" in str(excinfo.value)
+
+    def test_successor_direction_key_still_loads(
+        self, built, saved, fig2_ontology
+    ):
+        # Older v4 directories record the bisimulation rule; successor
+        # matching is the one this build computes, so they load as is.
+        _set_meta(saved, direction="successors")
+        write_manifest(saved)
+        loaded = load_index(saved, fig2_ontology)
+        assert loaded.state_digest() == built.state_digest()
+
+    def test_other_direction_asks_for_a_rebuild(self, saved, fig2_ontology):
+        _set_meta(saved, direction="both")
+        with pytest.raises(IndexVersionError, match="rebuild") as excinfo:
+            load_index(saved, fig2_ontology)
+        assert "'both'" in str(excinfo.value)
 
     def test_truncated_parent_map(self, saved, fig2_ontology):
         # Rewrite the container with layer 1's parent map cut short and
@@ -197,7 +213,7 @@ class TestIntegrity:
     def test_bad_version_wins_over_checksums(self, saved, fig2_ontology):
         # Editing meta.json also breaks its checksum; the version error
         # must still be the one reported.
-        _set_version(saved, 99)
+        _set_meta(saved, version=99)
         with pytest.raises(IndexVersionError):
             load_index(saved, fig2_ontology)
 

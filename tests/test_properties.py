@@ -3,8 +3,8 @@
 Covered properties:
 
 * maximal bisimulation is a valid, canonical, deterministic partition;
-* the worklist refinement matches the naive reference loop byte-for-byte
-  across all directions, with and without a seed partition;
+* the worklist refinement matches the naive reference loop byte-for-byte,
+  with and without a seed partition;
 * ``Bisim`` is path- and label-preserving (Def. 2.1/2.2);
 * distances contract under summarization (Prop. 5.2);
 * ``Gen``/``Spec`` on labels are mutually consistent;
@@ -21,7 +21,6 @@ import random
 from hypothesis import given, settings, strategies as st
 
 from repro.bisim.refinement import (
-    BisimDirection,
     is_bisimulation_partition,
     maximal_bisimulation,
 )
@@ -94,34 +93,32 @@ class TestBisimulationProperties:
     def test_partition_deterministic(self, g: Graph):
         assert maximal_bisimulation(g) == maximal_bisimulation(g)
 
-    @given(graphs(), st.sampled_from(list(BisimDirection)))
+    @given(graphs())
     @settings(max_examples=60, deadline=None)
-    def test_worklist_matches_reference(self, g: Graph, direction):
+    def test_worklist_matches_reference(self, g: Graph):
         """The worklist refinement is byte-identical to the naive oracle.
 
         The maximal bisimulation is the unique coarsest stable refinement
         of the label partition, and both implementations canonicalize by
-        smallest member vertex — so any divergence, in any direction, is
-        a bug in one of them.
+        smallest member vertex — so any divergence is a bug in one of
+        them.
         """
-        assert maximal_bisimulation(g, direction) == reference_bisimulation(
-            g, direction
-        )
+        assert maximal_bisimulation(g) == reference_bisimulation(g)
 
-    @given(graphs(), st.sampled_from(list(BisimDirection)), st.data())
+    @given(graphs(), st.data())
     @settings(max_examples=60, deadline=None)
     def test_worklist_matches_reference_with_seed_partition(
-        self, g: Graph, direction, data
+        self, g: Graph, data
     ):
         """Equivalence also holds from an arbitrary starting partition
-        (the incremental-maintenance entry point)."""
+        (the maintenance entry point)."""
         n = g.num_vertices
         seeds = data.draw(
             st.lists(st.integers(0, 3), min_size=n, max_size=n)
         )
         assert maximal_bisimulation(
-            g, direction, initial_blocks=seeds
-        ) == reference_bisimulation(g, direction, initial_blocks=seeds)
+            g, initial_blocks=seeds
+        ) == reference_bisimulation(g, initial_blocks=seeds)
 
     @given(graphs())
     @settings(max_examples=40, deadline=None)

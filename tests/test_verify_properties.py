@@ -12,17 +12,10 @@ import random
 import pytest
 
 from repro.bisim.refinement import (
-    BisimDirection,
     is_bisimulation_partition,
     maximal_bisimulation,
 )
 from repro.graph.digraph import Graph
-
-DIRECTIONS = [
-    BisimDirection.SUCCESSORS,
-    BisimDirection.PREDECESSORS,
-    BisimDirection.BOTH,
-]
 
 
 def random_graph(seed, num_vertices=30, num_edges=70, labels="ABCD"):
@@ -46,25 +39,22 @@ def blocks_as_sets(partition):
     return {frozenset(members) for members in groups.values()}
 
 
-@pytest.mark.parametrize("direction", DIRECTIONS)
 @pytest.mark.parametrize("seed", range(5))
 class TestMaximalBisimulationProperties:
-    def test_result_is_valid_partition(self, seed, direction):
+    def test_result_is_valid_partition(self, seed):
         graph = random_graph(seed)
-        partition = maximal_bisimulation(graph, direction=direction)
-        assert is_bisimulation_partition(graph, partition, direction=direction)
+        partition = maximal_bisimulation(graph)
+        assert is_bisimulation_partition(graph, partition)
 
-    def test_idempotent_as_refinement_seed(self, seed, direction):
+    def test_idempotent_as_refinement_seed(self, seed):
         graph = random_graph(seed)
-        partition = maximal_bisimulation(graph, direction=direction)
-        again = maximal_bisimulation(
-            graph, direction=direction, initial_blocks=partition
-        )
+        partition = maximal_bisimulation(graph)
+        again = maximal_bisimulation(graph, initial_blocks=partition)
         assert again == partition
 
-    def test_coarsest_no_two_blocks_can_merge(self, seed, direction):
+    def test_coarsest_no_two_blocks_can_merge(self, seed):
         graph = random_graph(seed)
-        partition = maximal_bisimulation(graph, direction=direction)
+        partition = maximal_bisimulation(graph)
         blocks = sorted(set(partition))
         if len(blocks) < 2:
             pytest.skip("partition collapsed to one block")
@@ -74,11 +64,11 @@ class TestMaximalBisimulationProperties:
         for _ in range(min(10, len(blocks))):
             a, b = rng.sample(blocks, 2)
             merged = [a if block == b else block for block in partition]
-            assert not is_bisimulation_partition(
-                graph, merged, direction=direction
-            ), f"blocks {a} and {b} merged into a valid partition"
+            assert not is_bisimulation_partition(graph, merged), (
+                f"blocks {a} and {b} merged into a valid partition"
+            )
 
-    def test_invariant_under_vertex_permutation(self, seed, direction):
+    def test_invariant_under_vertex_permutation(self, seed):
         graph = random_graph(seed)
         n = graph.num_vertices
         rng = random.Random(seed + 1000)
@@ -93,20 +83,20 @@ class TestMaximalBisimulationProperties:
         for u, v in graph.edges():
             permuted.add_edge(perm[u], perm[v])
 
-        original = maximal_bisimulation(graph, direction=direction)
-        renumbered = maximal_bisimulation(permuted, direction=direction)
+        original = maximal_bisimulation(graph)
+        renumbered = maximal_bisimulation(permuted)
         mapped_back = blocks_as_sets(
             [renumbered[perm[v]] for v in range(n)]
         )
         assert mapped_back == blocks_as_sets(original)
 
-    def test_refines_any_coarser_seed(self, seed, direction):
+    def test_refines_any_coarser_seed(self, seed):
         graph = random_graph(seed)
-        partition = maximal_bisimulation(graph, direction=direction)
+        partition = maximal_bisimulation(graph)
         # Seeding with the all-in-one partition must give the same result
         # as no seed (the default seed is the label partition, coarser).
         seeded = maximal_bisimulation(
-            graph, direction=direction, initial_blocks=[0] * graph.num_vertices
+            graph, initial_blocks=[0] * graph.num_vertices
         )
         assert blocks_as_sets(seeded) == blocks_as_sets(partition)
 
