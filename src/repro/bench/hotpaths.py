@@ -8,8 +8,9 @@ regression.  The gate keeps the three kinds of number one run can decide:
 * **exact** work counts (blocks, expansions, answers, layer sizes, cut
   edges, the ``counters.*`` telemetry blocks), compared for equality;
 * **reference-speed timings** (``*.ref_seconds``) of single-threaded
-  in-process kernels — refinement, the four searchers, batched
-  evaluation, shard planning — at 25% plus an absolute slack;
+  in-process kernels — refinement, the four searchers, edge-write
+  maintenance, batched evaluation, shard planning — at 25% plus an
+  absolute slack;
 * **same-run ratios** — observability on/off over one serve workload,
   serial/parallel sharded build — which divide two arms of the same run
   and need no baseline at all.
@@ -346,6 +347,50 @@ def section_build(fixture: Fixture, repeats: int) -> Metrics:
     return {"build.synt-1k.layer_sizes": fixture.index.layer_sizes()}
 
 
+def section_maintain(fixture: Fixture, repeats: int) -> Metrics:
+    """``maintain.<graph>`` — the write path: 16 ops (8 edges deleted and
+    re-inserted, spread over the edge list) through ``delete_edge`` /
+    ``insert_edge`` on a copy-on-write clone of a 2-layer index, one
+    fresh clone per repeat so every repeat does the same work.  Over
+    verify-toy-a, plus the fixture's synt-1k index in full mode.  The
+    ``counters.maintain.*`` block (``refine.*`` and
+    ``build.layers_refreshed``) pins how much refinement a write does: a
+    slide back to re-running whole layers fails it.
+    """
+    name, graph, ontology = verification_corpus(True, fixture.seed)[0]
+    toy = fixture.index if fixture.quick else BiGIndex.build(
+        graph.copy(share_label_table=True),
+        ontology,
+        num_layers=2,
+        cost_params=CostParams(exact=True),
+    )
+    cases = [(name, toy)]
+    if not fixture.quick:
+        cases.append(("synt-1k", fixture.index))
+    metrics: Metrics = {}
+    for name, index in cases:
+        edges = sorted(index.base_graph.edges())
+        edges = edges[:: max(1, len(edges) // 8)][:8]
+
+        def writes(index=index, edges=edges) -> None:
+            clone = index.cow_clone()
+            for u, v in edges:
+                clone.delete_edge(u, v)
+                clone.insert_edge(u, v)
+
+        metrics[f"maintain.{name}.ref_seconds"] = reference_seconds(
+            writes, repeats
+        ).ref
+        with instrumented(trace=False) as inst:
+            writes()
+        metrics[f"counters.maintain.{name}"] = {
+            key: count
+            for key, count in inst.metrics.counters().items()
+            if key.startswith("refine.") or key == "build.layers_refreshed"
+        }
+    return metrics
+
+
 def section_shard(fixture: Fixture, repeats: int) -> Metrics:
     """``shard.build.synt-100k`` and ``shard.query.synt-1k`` (full mode).
 
@@ -643,8 +688,8 @@ def section_obs(fixture: Fixture, repeats: int) -> Metrics:
 #: collected) before the serve sections run, so reader p99s do not
 #: measure a GC pass over millions of dead synt-100k objects.
 SECTIONS = (
-    section_refine, section_search, section_build, section_shard,
-    section_query, section_serve, section_obs,
+    section_refine, section_search, section_build, section_maintain,
+    section_shard, section_query, section_serve, section_obs,
 )
 
 

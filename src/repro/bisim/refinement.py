@@ -32,10 +32,12 @@ Graphs*).  The worklist variant instead tracks **dirty blocks**: after a
 round splits some blocks, only the vertices with an edge into a *moved*
 vertex can change signature, so only their blocks are re-examined in the
 next round.  Signatures are sorted deduplicated int tuples of successor
-blocks built from the graph's CSR adjacency snapshot (no per-vertex
-frozensets), and a block's own id is excluded from its members'
-signatures (it is constant within the block, and the worklist never
-merges blocks).
+blocks (no per-vertex frozensets).  The worklist itself is
+:func:`refine_blocks`; it reads adjacency through two row lookups, so
+:func:`maximal_bisimulation` runs it over a CSR snapshot of a whole
+graph and index maintenance over the heap rows around one edge update,
+seeded with the only block that update can unsettle (Luo et al.'s
+localized maintenance).
 
 Both implementations converge to the same fixpoint — the coarsest stable
 refinement of the start partition is unique regardless of split order —
@@ -47,7 +49,16 @@ equivalence on randomized graphs and seed partitions.
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence, Tuple
+from typing import (
+    Callable,
+    Dict,
+    Iterable,
+    List,
+    MutableMapping,
+    Sequence,
+    Set,
+    Tuple,
+)
 
 from repro.graph.digraph import Graph
 from repro.obs.runtime import OBS
@@ -103,7 +114,7 @@ def maximal_bisimulation(
         # the label simply rides along as the signature's first component.
         first_round_labels = labels
 
-    # Block bookkeeping: member lists per block id, worklist of dirty ids.
+    # Block bookkeeping: member lists per block id, in ascending vertex order.
     members: Dict[int, List[int]] = {}
     for v in range(n):
         b = block[v]
@@ -113,20 +124,65 @@ def maximal_bisimulation(
         else:
             got.append(v)
 
-    next_id = max(members) + 1
-    dirty = list(members)
-    in_dirty = set(dirty)
+    refine_blocks(
+        block,
+        members,
+        list(members),
+        max(members) + 1,
+        lambda v: out_tgt[out_off[v] : out_off[v + 1]],
+        lambda w: in_tgt[in_off[w] : in_off[w + 1]],
+        first_round_labels,
+    )
+    if OBS.enabled:
+        OBS.metrics.gauge("refine.blocks", len(members))
+    return _canonicalize(block, n, len(members))
+
+
+def refine_blocks(
+    block: List[int],
+    members: MutableMapping[int, Sequence[int]],
+    dirty: Iterable[int],
+    next_id: int,
+    successors: Callable[[int], Sequence[int]],
+    predecessors: Callable[[int], Sequence[int]],
+    first_round_labels: Sequence[int] | None = None,
+) -> Tuple[List[int], int]:
+    """The splitter worklist: refine ``block`` until every block is stable.
+
+    The one split rule every partition in this package goes through —
+    :func:`maximal_bisimulation` runs it over a whole graph, index
+    maintenance (:meth:`repro.core.index.BiGIndex.insert_edge`) over the
+    handful of blocks one edge update can unsettle.  Each round re-signs
+    the members of every ``dirty`` block: the sorted deduplicated tuple
+    of its successors' blocks (plus the vertex label when
+    ``first_round_labels`` is given, fused into the first round only).
+    A block whose members disagree splits; the largest group keeps the
+    id, and every other group takes the next fresh id in order of its
+    smallest member; dirty blocks are processed in ascending id, so the
+    numbering is a function of the input alone.  Only the blocks
+    of predecessors of moved vertices are dirty in the next round, since
+    only their signatures can have changed.
+
+    ``block`` (vertex -> id) and ``members`` (id -> members in ascending
+    order; read with ``[]`` and rebound, never edited in place) are
+    updated in place.  Blocks outside ``dirty`` must be stable; the
+    result is then the coarsest stable refinement of the start partition.
+    Returns the ids of the blocks that split and the next unused id — the
+    fresh blocks are the ids from the ``next_id`` given up to it.
+    """
+    split: List[int] = []
+    dirty = list(dirty)
+    in_dirty: Set[int] = set()
 
     # Telemetry rides in plain local ints (free on the hot path) and is
     # flushed to the metrics registry once, after the fixpoint.
     rounds = 0
-    blocks_split = 0
     vertices_moved = 0
 
     while dirty:
         rounds += 1
         moved: List[int] = []
-        process, dirty = dirty, []
+        process, dirty = sorted(dirty), []
         in_dirty.clear()
         bg = block.__getitem__
         lbls = first_round_labels
@@ -139,7 +195,7 @@ def maximal_bisimulation(
             # round).
             groups: Dict[Tuple, List[int]] = {}
             for v in mem:
-                ids = sorted(map(bg, out_tgt[out_off[v] : out_off[v + 1]]))
+                ids = sorted(map(bg, successors(v)))
                 if ids:
                     last = ids[0]
                     sig = [last]
@@ -160,12 +216,18 @@ def maximal_bisimulation(
             if len(groups) == 1:
                 continue
             # Split: the largest group keeps the old id (fewest moved
-            # vertices => fewest dirty neighbors next round); every other
-            # group gets a fresh id and its members are marked moved.
-            ordered = sorted(groups.values(), key=len, reverse=True)
-            members[b] = ordered[0]
-            blocks_split += 1
-            for group in ordered[1:]:
+            # vertices => fewest dirty neighbors next round; ties go to
+            # the smallest member); every other group gets a fresh id in
+            # order of its smallest member and its members are marked
+            # moved.  Groups come out in smallest-member order because
+            # ``mem`` is ascending.
+            ordered = list(groups.values())
+            keep = max(ordered, key=len)
+            members[b] = keep
+            split.append(b)
+            for group in ordered:
+                if group is keep:
+                    continue
                 fresh = next_id
                 next_id += 1
                 members[fresh] = group
@@ -183,17 +245,16 @@ def maximal_bisimulation(
         # next round skips for free.
         bg = block.__getitem__
         for w in moved:
-            in_dirty.update(map(bg, in_tgt[in_off[w] : in_off[w + 1]]))
+            in_dirty.update(map(bg, predecessors(w)))
         dirty = list(in_dirty)
 
     if OBS.enabled:
         metrics = OBS.metrics
         metrics.inc("refine.calls")
         metrics.inc("refine.rounds", rounds)
-        metrics.inc("refine.blocks_split", blocks_split)
+        metrics.inc("refine.blocks_split", len(split))
         metrics.inc("refine.vertices_moved", vertices_moved)
-        metrics.gauge("refine.blocks", len(members))
-    return _canonicalize(block, n, len(members))
+    return split, next_id
 
 
 def _canonicalize(

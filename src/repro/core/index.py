@@ -12,14 +12,18 @@ efficiently").
 
 Maintenance (Sec. 3.2):
 
-* **Data-graph updates** — edge insertions/deletions at layer 0 propagate
-  upward layer by layer.  Each layer's partition is recomputed by signature
-  refinement *seeded from the previous partition*
-  (``maximal_bisimulation(initial_blocks=)`` in :meth:`BiGIndex._climb`),
-  so the refreshed index stays a valid bisimulation hierarchy; it may
-  drift finer than minimal, and :meth:`BiGIndex.rebuild` restores
-  minimality — matching the paper's "recomputed occasionally to maintain
-  its efficiency".
+* **Data-graph updates** — an edge insertion/deletion at layer 0
+  propagates upward, localized (Luo et al.): after ``(u, v)`` changes
+  only ``u``'s block can become unstable, and above it only the blocks
+  a split or a changed summary edge reaches.  Each layer runs the
+  refinement worklist seeded with those blocks, patches copy-on-write
+  copies of its summary graph and maps, and hands the layer above the
+  split-off supernodes and changed rows (:func:`_patch_layer`); the
+  climb stops at the first layer left unchanged.  The result is the
+  coarsest stable refinement of the old partition, so the index stays a
+  valid bisimulation hierarchy; it may drift finer than minimal, and
+  :meth:`BiGIndex.rebuild` restores minimality — matching the paper's
+  "recomputed occasionally to maintain its efficiency".
 * **Ontology updates** — additions never invalidate the index (existing
   configurations remain label-preserving).  Removing a subtype edge calls
   :meth:`BiGIndex.remove_ontology_edge`, which drops the affected mappings
@@ -30,10 +34,10 @@ from __future__ import annotations
 
 import hashlib
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
-from repro.bisim.refinement import maximal_bisimulation
+from repro.bisim.refinement import maximal_bisimulation, refine_blocks
 from repro.bisim.summary import summarize
 from repro.core.config import Configuration
 from repro.core.cost import CostModel, CostParams
@@ -386,14 +390,14 @@ class BiGIndex:
     # Maintenance
     # ------------------------------------------------------------------
     def insert_edge(self, u: int, v: int) -> None:
-        """Insert a data-graph edge and refresh every layer incrementally."""
+        """Insert a data-graph edge and patch the layers it touches."""
         if self.base_graph.add_edge(u, v):
-            self._refresh_layers()
+            self._maintain(u)
 
     def delete_edge(self, u: int, v: int) -> None:
-        """Delete a data-graph edge and refresh every layer incrementally."""
+        """Delete a data-graph edge and patch the layers it touches."""
         self.base_graph.remove_edge(u, v)
-        self._refresh_layers()
+        self._maintain(u)
 
     def rebuild(self) -> None:
         """Recompute every layer's *maximal* bisimulation (keeps configs).
@@ -459,9 +463,10 @@ class BiGIndex:
 
         The clone shares every immutable or wholesale-replaced structure
         with this index: the ontology, the ``Layer`` objects (maintenance
-        replaces ``self.layers`` with a fresh list, and
-        :meth:`remove_ontology_edge` copies a configuration before
-        shrinking it, so published layers are never edited in place), and
+        replaces ``self.layers`` with a fresh list, an edge write patches
+        copies of the layers it touches, and :meth:`remove_ontology_edge`
+        copies a configuration before shrinking it, so published layers
+        are never edited in place), and
         the base graph's unmutated adjacency rows / posting sets (via
         :meth:`Graph.cow_clone`).  Mutating the clone leaves this index —
         and any reader still pinning it — byte-identical to before.
@@ -529,19 +534,38 @@ class BiGIndex:
     # ------------------------------------------------------------------
     # Internals
     # ------------------------------------------------------------------
-    def _refresh_layers(self) -> None:
-        """Propagate a base-graph change upward, layer by layer.
+    def _maintain(self, u: int) -> None:
+        """Propagate a change of base vertex ``u``'s out-row upward.
 
-        Each layer's partition is recomputed by refinement seeded from the
-        old partition, so the new partition refines the old one.
+        Layer ``i`` receives a batch from the layer below — the vertices
+        whose out-row changed, and the vertices appended by splits, each
+        with the vertex it split from — and :func:`_patch_layer` refines
+        and patches only what that batch can unsettle.  The climb stops
+        at the first layer that hands nothing up (nothing split, no
+        summary edge changed): every layer above it stays the very
+        ``Layer`` object the parent snapshot holds.
         """
         self.drift += 1
         self._maintenance_epoch += 1
-        self.layers = self._climb(
-            self.base_graph,
-            [layer.config for layer in self.layers],
-            seeds=[layer.parent_of for layer in self.layers],
-        )
+        layers = list(self.layers)
+        below = self.base_graph
+        origins: Dict[int, int] = {}
+        changed = [u]
+        for i, layer in enumerate(layers):
+            if not origins and not changed:
+                break
+            with OBS.tracer.span("refresh-layer", layer=i + 1) as span:
+                patched, origins, changed = _patch_layer(
+                    layer, below, origins, changed
+                )
+                if OBS.enabled:
+                    span.annotate(patched=patched is not layer)
+            if patched is not layer:
+                if OBS.enabled:
+                    OBS.metrics.inc("build.layers_refreshed")
+                layers[i] = patched
+                below = patched.graph
+        self.layers = layers
 
     def _climb(
         self,
@@ -550,13 +574,17 @@ class BiGIndex:
         seeds: Optional[Sequence[Sequence[int]]] = None,
     ) -> List[Layer]:
         """The layers above ``start``, one per configuration, to the top:
-        the one place maintenance writes ``generalize -> refine ->
-        summarize -> Layer``.  Without ``seeds`` every layer gets its
-        *maximal* bisimulation.  With them (the ``parent_of`` map of each
-        layer being replaced) layer ``i``'s refinement starts from the
-        old partition: every *new* layer-(i-1) vertex is seeded with the
-        old supernode of the old vertex enclosing it, well defined
-        exactly because each new partition refines the old one.
+        the one place maintenance writes whole layers, ``generalize ->
+        refine -> summarize -> Layer`` (:meth:`rebuild`,
+        :meth:`remove_ontology_edge`).  Without ``seeds`` every layer
+        gets its *maximal* bisimulation.  With them (the ``parent_of``
+        map of each layer being replaced) layer ``i``'s refinement starts
+        from the old partition: every *new* layer-(i-1) vertex is seeded
+        with the old supernode of the old vertex enclosing it, well
+        defined exactly because each new partition refines the old one.
+        That form is no write path: it is the reference the localized
+        one (:meth:`_maintain`) must equal up to block numbering
+        (:class:`repro.verify.probes.MaintenanceProbe`).
         """
         # Every climb ends at the top layer, which numbers its layers.
         first = len(self.layers) - len(configs) + 1
@@ -600,3 +628,119 @@ class BiGIndex:
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         sizes = ", ".join(str(s) for s in self.layer_sizes())
         return f"BiGIndex(h={self.num_layers}, sizes=[{sizes}])"
+
+
+class _Rows(dict):
+    """``refine_blocks``' members over an extent table: a block's row is
+    the table's until the worklist rebinds it, so nothing is copied."""
+
+    def __init__(self, extent: Sequence[Sequence[int]]) -> None:
+        super().__init__()
+        self.extent = extent
+
+    def __missing__(self, block: int) -> Sequence[int]:
+        return self.extent[block]
+
+
+def _seed(
+    layer: Layer, origins: Dict[int, int], changed: Sequence[int]
+) -> Tuple[List[int], List[Sequence[int]], Set[int]]:
+    """The seed partition of :func:`_patch_layer` as copies of
+    ``layer``'s ``parent_of`` / ``extent`` — each appended vertex in its
+    origin's block — and the blocks it may have unsettled: those of the
+    changed and the appended vertices."""
+    parent = list(layer.parent_of)
+    extent = list(layer.extent)
+    dirty = {parent[w] for w in changed}
+    for vertex, origin in origins.items():
+        block = parent[origin]
+        parent.append(block)
+        extent[block] = [*extent[block], vertex]
+        dirty.add(block)
+    return parent, extent, dirty
+
+
+def _patch_layer(
+    layer: Layer,
+    below: Graph,
+    origins: Dict[int, int],
+    changed: Sequence[int],
+) -> Tuple[Layer, Dict[int, int], List[int]]:
+    """One layer of localized maintenance (Luo et al.).
+
+    ``below`` is the already-patched layer under ``layer``; ``changed``
+    are its vertices whose out-row changed, and ``origins`` maps each
+    vertex it appended (ascending) to the old vertex it split from.  The
+    seed partition is the old one, each appended vertex joining the
+    block of its origin.  A block holding neither kind of vertex has the
+    same signatures as before the update, so it is still stable: the
+    worklist is seeded with the other blocks only and reaches the same
+    coarsest stable refinement a whole-layer seeded run would.  Labels
+    need no pass (edge updates never change one, and the seed already
+    refines them).
+
+    The result is patched on copies — the summary graph via
+    :meth:`Graph.cow_clone`, the outer ``parent_of`` / ``extent`` lists —
+    so ``layer`` itself never changes.  Every block is stable afterwards,
+    so a block's summary out-row is the set of blocks its smallest
+    member points into; only the rows of blocks that gained, lost or
+    re-pointed members are recomputed.  Returns the patched layer
+    (``layer`` itself when nothing moved) and the batch for the layer
+    above: the appended supernodes with the blocks they split from, and
+    the old supernodes whose out-row changed.
+    """
+    old_parent = layer.parent_of
+    old_blocks = len(layer.extent)
+    parent, extent, dirty = _seed(layer, origins, changed)
+    successors, predecessors = below.row_lookups()
+    members = _Rows(extent)
+    split, next_id = refine_blocks(
+        parent, members, dirty, old_blocks, successors, predecessors
+    )
+    fresh = range(old_blocks, next_id)
+    for block in split:
+        if block < old_blocks:  # a fresh block may split again
+            extent[block] = members[block]
+    touched = dirty.union(split, fresh)
+    lookup = parent.__getitem__
+    for block in fresh:
+        extent.append(members[block])
+        for w in members[block]:
+            touched.update(map(lookup, predecessors(w)))
+
+    graph = layer.graph
+    edits = []
+    for source in sorted(touched):
+        row = set(map(lookup, successors(extent[source][0])))
+        old = set(graph.out_neighbors(source) if source < old_blocks else ())
+        if row != old:
+            edits.append((source, old, row))
+    if not origins and not fresh and not edits:
+        return layer, {}, []
+
+    origins_up: Dict[int, int] = {}
+    changed_up: List[int] = []
+    if fresh or edits:
+        graph = graph.cow_clone()
+        for block in fresh:
+            first = members[block][0]
+            origin = old_parent[origins.get(first, first)]
+            graph.add_vertex_with_label_id(graph.labels[origin])
+            origins_up[block] = origin
+        for source, old, row in edits:
+            _sync_row(graph, source, old, row)
+            if source < old_blocks:
+                changed_up.append(source)
+    return (
+        replace(layer, graph=graph, parent_of=parent, extent=extent),
+        origins_up,
+        changed_up,
+    )
+
+
+def _sync_row(graph: Graph, source: int, old: Set[int], row: Set[int]) -> None:
+    """Make ``source``'s summary out-row ``row`` (it is ``old`` now)."""
+    for target in sorted(old - row):
+        graph.remove_edge(source, target)
+    for target in sorted(row - old):
+        graph.add_edge(source, target)

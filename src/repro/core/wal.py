@@ -13,10 +13,15 @@ File format
 -----------
 ::
 
-    magic   8 bytes   b"RBIGWAL1"
-    record  repeated  [length u32 BE][crc32 u32 BE][payload: UTF-8 JSON]
+    magic   8 bytes   b"RBIGWAL2"
+    record  repeated  [length u32 BE][crc32 u32 BE][payload]
 
-``crc32`` covers the payload bytes only.  Records are self-delimiting
+    payload  edge op: [b"I" | b"D"][u u32 BE][v u32 BE]   (9 bytes)
+             any other op: UTF-8 JSON object
+
+A format-1 log (magic ``b"RBIGWAL1"``, JSON payloads only) still reads,
+and is appended to in its own encoding.  ``crc32`` covers the payload
+bytes only.  Records are self-delimiting
 and self-checksummed, so the log needs no footer and tolerates a torn
 tail: recovery keeps the longest valid record prefix and classifies the
 damage (see :func:`read_wal`).  The log is deliberately *excluded* from
@@ -55,7 +60,10 @@ from repro.utils.errors import (
 WAL_NAME = "mutations.wal"
 
 #: File magic: identifies a mutation WAL and pins its format version.
-WAL_MAGIC = b"RBIGWAL1"
+WAL_MAGIC = b"RBIGWAL2"
+
+#: Format 1's magic: the same framing with JSON payloads only.
+WAL_MAGIC_V1 = b"RBIGWAL1"
 
 _HEADER = struct.Struct(">II")  # (payload length, crc32 of payload)
 
@@ -88,12 +96,39 @@ class WALScan:
     tail_kind: Optional[str]
 
 
-def encode_record(op: Dict[str, Any]) -> bytes:
-    """Serialize one op as a length-prefixed, checksummed record."""
-    payload = json.dumps(op, sort_keys=True, separators=(",", ":")).encode(
-        "utf-8"
-    )
+#: An edge op's payload: kind byte, then both endpoints.  No JSON value
+#: starts with ``I`` or ``D``, so the two payload kinds cannot collide.
+_EDGE = struct.Struct(">cII")
+_EDGE_KINDS = {"insert": b"I", "delete": b"D"}
+_EDGE_OPS = {kind: op for op, kind in _EDGE_KINDS.items()}
+
+
+def encode_record(op: Dict[str, Any], compact: bool = True) -> bytes:
+    """Serialize one op as a length-prefixed, checksummed record: an
+    edge op as its 9-byte binary payload (unless ``compact`` is off, for
+    appending to a format-1 log), anything else as JSON."""
+    kind = _EDGE_KINDS.get(op.get("op")) if compact else None
+    if kind is not None and op.keys() == {"op", "u", "v"} and all(
+        type(op[end]) is int and 0 <= op[end] < 1 << 32 for end in "uv"
+    ):
+        payload = _EDGE.pack(kind, op["u"], op["v"])
+    else:
+        payload = json.dumps(
+            op, sort_keys=True, separators=(",", ":")
+        ).encode("utf-8")
     return _HEADER.pack(len(payload), zlib.crc32(payload)) + payload
+
+
+def _decode_payload(payload: bytes) -> Optional[Dict[str, Any]]:
+    """The op a record's payload holds, or ``None`` when unparsable."""
+    if len(payload) == _EDGE.size and payload[:1] in _EDGE_OPS:
+        kind, u, v = _EDGE.unpack(payload)
+        return {"op": _EDGE_OPS[kind], "u": u, "v": v}
+    try:
+        op = json.loads(payload.decode("utf-8"))
+    except (json.JSONDecodeError, UnicodeDecodeError):
+        return None
+    return op if isinstance(op, dict) else None
 
 
 def scan_wal_bytes(data: bytes) -> WALScan:
@@ -118,7 +153,7 @@ def scan_wal_bytes(data: bytes) -> WALScan:
             valid_bytes=0,
             tail_kind="truncated-header" if data else None,
         )
-    if data[: len(WAL_MAGIC)] != WAL_MAGIC:
+    if data[: len(WAL_MAGIC)] not in (WAL_MAGIC, WAL_MAGIC_V1):
         raise WALCorruptedError(
             f"not a mutation WAL: bad magic {data[:8]!r}"
         )
@@ -143,12 +178,8 @@ def scan_wal_bytes(data: bytes) -> WALScan:
         if zlib.crc32(payload) != crc:
             tail_kind = "checksum-mismatch"
             break
-        try:
-            op = json.loads(payload.decode("utf-8"))
-        except (json.JSONDecodeError, UnicodeDecodeError):
-            tail_kind = "unparsable-payload"
-            break
-        if not isinstance(op, dict):
+        op = _decode_payload(payload)
+        if op is None:
             tail_kind = "unparsable-payload"
             break
         records.append(WALRecord(serial=len(records) + 1, op=op))
@@ -280,6 +311,8 @@ class MutationWAL:
         self._synced = 0  # serial of the last record known fsynced
         self._sync_leader = False
         self._recovered_tail: Optional[str] = None
+        #: False while appending to a format-1 log (JSON records only).
+        self._compact = True
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -295,6 +328,8 @@ class MutationWAL:
                 raise WALError(f"WAL already open: {self.path}")
             if os.path.exists(self.path):
                 records, self._recovered_tail = recover_wal(self.path)
+                with open(self.path, "rb") as f:
+                    self._compact = f.read(len(WAL_MAGIC)) != WAL_MAGIC_V1
             else:
                 records = []
                 with open(self.path, "wb") as f:
@@ -341,6 +376,7 @@ class MutationWAL:
                 f.flush()
                 os.fsync(f.fileno())
             self._file = open(self.path, "ab")
+            self._compact = True
             self._record_count = 0
             self._appended = 0
             self._synced = 0
@@ -357,9 +393,9 @@ class MutationWAL:
         share fsyncs: the first committer leads, waits up to the group
         window for followers, and one ``fsync`` covers the batch.
         """
-        record = encode_record(op)
         with self._cond:
             self._require_open()
+            record = encode_record(op, self._compact)
             self._file.write(record)
             self._file.flush()
             self._appended += 1

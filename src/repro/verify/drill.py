@@ -236,6 +236,10 @@ class Probe:
         the sequence ("pre", "after op 3") for the problem messages."""
         raise NotImplementedError
 
+    def follow(self, op: Op) -> None:
+        """Carry ``op`` to a side only this probe holds (after ``apply``
+        carried it to the shared ones); most probes hold none."""
+
 
 def run_ops(
     ops: Iterable[Op],
@@ -246,7 +250,8 @@ def run_ops(
 
     The one place an op sequence is executed.  ``ops`` may be a recorded
     list or a lazy :func:`draw_ops` stream; ``apply`` carries one op to
-    every side the probes compare.  Returns the ops applied.  A cadence
+    every side the probes share, and each probe's :meth:`Probe.follow`
+    to the sides it holds alone.  Returns the ops applied.  A cadence
     may thin the middle of the sequence, never the end: the final state
     is always probed, however short the replay — which is what lets
     ddmin reduce a failure to one op.
@@ -263,6 +268,8 @@ def run_ops(
     check_probes()
     for op in ops:
         apply(op)
+        for probe in probes:
+            probe.follow(op)
         applied.append(op)
         check_probes()
     check_probes(final=True)

@@ -60,6 +60,7 @@ from repro.core.wal import (
     WAL_NAME,
     MutationWAL,
     apply_wal_op,
+    encode_record,
     read_wal,
     replay_wal,
     scan_wal_bytes,
@@ -346,16 +347,15 @@ def _wal_drills(
         # clean prefix of the full log, with tail damage classified iff
         # the cut is mid-record.
         magic = len(WAL_MAGIC)
+        pinned = {1, magic - 1, magic, magic + 1, len(pristine) - 1}
+        others = sorted(set(range(len(pristine))) - pinned)
         offsets = sorted(
-            set(rng.sample(range(len(pristine)), min(16, len(pristine))))
-            | {1, magic - 1, magic, magic + 1, len(pristine) - 1}
+            pinned | set(rng.sample(others, min(16, len(others))))
         )
         record_ends = {magic}
         pos = magic
         for op in full_ops:
-            pos += 8 + len(
-                json.dumps(op, sort_keys=True, separators=(",", ":"))
-            )
+            pos += len(encode_record(op))
             record_ends.add(pos)
         for cut in offsets:
             report.checks += 1

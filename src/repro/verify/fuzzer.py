@@ -10,9 +10,11 @@ relation ``incremental(ops) == rebuild(apply(ops))``).
 
 The fuzzer generates seed-reproducible random operation sequences, runs
 each through :func:`~repro.verify.drill.run_ops` — so the ops go through
-the incremental maintenance entry points — and watches with three probes:
+the incremental maintenance entry points — and watches with four probes:
 :class:`RebuildProbe` on the final state (the metamorphic relation
 itself, see :func:`check_equivalence`) and, *interleaved with the ops*,
+:class:`~repro.verify.probes.MaintenanceProbe` (the localized write path
+reaches the hierarchy the whole-layer seeded climb reaches),
 :class:`~repro.verify.probes.CacheProbe` (long-lived caching evaluators
 answer like a fresh uncached one after every single mutation — the
 stale-epoch trap a post-sequence check would miss) and
@@ -44,7 +46,12 @@ from repro.verify.drill import (
     run_ops,
 )
 from repro.verify.oracle import DifferentialOracle
-from repro.verify.probes import CacheProbe, IndexProbe, PersistProbe
+from repro.verify.probes import (
+    CacheProbe,
+    IndexProbe,
+    MaintenanceProbe,
+    PersistProbe,
+)
 
 
 def rebuilt_reference(index: BiGIndex) -> BiGIndex:
@@ -184,7 +191,9 @@ def _run_sequence(
     index = index_factory()
     probes = [
         probe_type(index, algorithms, queries)
-        for probe_type in (CacheProbe, PersistProbe, RebuildProbe)
+        for probe_type in (
+            MaintenanceProbe, CacheProbe, PersistProbe, RebuildProbe
+        )
     ]
     ops = run_ops(ops_for(index), lambda op: apply_op(index, op), probes)
     found = Report("sequence")

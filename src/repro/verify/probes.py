@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import os
 import tempfile
-from typing import Optional, Sequence, Tuple, Type
+from typing import Dict, List, Optional, Sequence, Tuple, Type
 
 from repro.core.evaluator import HierarchicalEvaluator
 from repro.core.index import BiGIndex
@@ -251,6 +251,94 @@ class ShardProbe(IndexProbe):
                     f"[{context}] {algorithm.name} {list(query.keywords)}: "
                     f"sharded={ours!r:.200} monolithic={theirs!r:.200}",
                 )
+
+
+def canonical_hierarchy(index: BiGIndex) -> List[Tuple]:
+    """``index``'s layers up to block numbering, comparable across two
+    indexes over the same base vertex ids: per layer its configuration,
+    the partition of base vertices by ``chi(v, m)`` (each vertex mapped
+    to the smallest base vertex of its supernode) and the summary edges
+    renumbered the same way (-1 for a supernode with no member)."""
+    chi: Sequence[int] = range(index.base_graph.num_vertices)
+    hierarchy: List[Tuple] = []
+    for layer in index.layers:
+        parent = layer.parent_of
+        chi = [parent[c] for c in chi]
+        smallest: Dict[int, int] = {}
+        for v, block in enumerate(chi):
+            smallest.setdefault(block, v)
+        hierarchy.append((
+            sorted(layer.config.mappings.items()),
+            [smallest[block] for block in chi],
+            sorted(
+                (smallest.get(a, -1), smallest.get(b, -1))
+                for a, b in layer.graph.edges()
+            ),
+        ))
+    return hierarchy
+
+
+class _ClimbingIndex(BiGIndex):
+    """An index whose edge writes re-run every layer with the seeded
+    whole-layer climb — the write rule the localized one replaced."""
+
+    def _maintain(self, u: int) -> None:
+        self.layers = self._climb(
+            self.base_graph,
+            [layer.config for layer in self.layers],
+            seeds=[layer.parent_of for layer in self.layers],
+        )
+
+
+class MaintenanceProbe(IndexProbe):
+    """Localized maintenance == the whole-layer seeded climb.
+
+    ``insert_edge`` / ``delete_edge`` refine and patch only the blocks
+    an update can unsettle.  The coarsest stable refinement of the old
+    partition is unique, so re-running every layer with
+    ``BiGIndex._climb(seeds=)`` must reach the same hierarchy up to
+    block numbering.  A twin over its own copy of the base graph
+    receives every op that way; at every check both hierarchies are
+    compared layer by layer through :func:`canonical_hierarchy`.
+    """
+
+    name = "maintain"
+    unit = "localized==climb comparison(s)"
+
+    def __init__(self, index, algorithms=(), queries=()) -> None:
+        super().__init__(index, algorithms, queries)
+        self.twin = _ClimbingIndex(
+            index.base_graph.copy(share_label_table=True), index.ontology
+        )
+        self.twin.layers = list(index.layers)
+
+    def follow(self, op) -> None:
+        apply_op(self.twin, op)
+
+    def check(self, context: str) -> None:
+        ours, climbed = (
+            canonical_hierarchy(side) for side in (self.index, self.twin)
+        )
+        where = f"maintain ({context})"
+        self.report.check(
+            len(ours) == len(climbed),
+            f"{where}: h={len(ours)}, the climb's h={len(climbed)}",
+        )
+        for m, (mine, theirs) in enumerate(zip(ours, climbed), start=1):
+            differ = [
+                part
+                for part, a, b in zip(
+                    ("configuration", "partition", "summary edges"),
+                    mine,
+                    theirs,
+                )
+                if a != b
+            ]
+            self.report.check(
+                not differ,
+                f"{where}: layer {m} {' and '.join(differ)} differ from "
+                "the seeded climb's",
+            )
 
 
 def run_fixed_schedule(

@@ -6,7 +6,8 @@ builds a fresh index, audits the hierarchy invariants (with minimality,
 since the build is from scratch), cross-checks every plugged algorithm
 against direct evaluation with the differential oracle — both exhaustively
 and under a top-k cutoff — fuzzes incremental maintenance against
-rebuilds, and runs the deterministic cache, persistence and shard legs
+rebuilds, and runs the deterministic cache, persistence, maintenance
+and shard legs
 (:mod:`repro.verify.probes`, :mod:`repro.verify.shardcheck`).  Every leg
 past the audit and the oracle is :func:`repro.verify.drill.run_ops` with
 different probes, and every one returns a
@@ -43,7 +44,12 @@ from repro.verify.drill import (
 from repro.verify.faults import run_fault_injection
 from repro.verify.fuzzer import fuzz_index
 from repro.verify.oracle import DifferentialOracle, OracleReport
-from repro.verify.probes import CacheProbe, PersistProbe, run_fixed_schedule
+from repro.verify.probes import (
+    CacheProbe,
+    MaintenanceProbe,
+    PersistProbe,
+    run_fixed_schedule,
+)
 from repro.verify.servecheck import (
     fuzz_serve,
     run_mutation_stream_drill,
@@ -65,8 +71,8 @@ class CaseResult:
     audit: AuditReport
     oracle: OracleReport
     #: The drill legs that ran on this case, by report name and in print
-    #: order: ``fuzz``, ``cache``, ``persist`` (every quick case, the
-    #: smallest full-corpus case only) and ``shard``.
+    #: order: ``fuzz``, ``cache``, ``persist``, ``maintain`` (every quick
+    #: case, the smallest full-corpus case only) and ``shard``.
     drills: Dict[str, Report] = field(default_factory=dict)
     #: Telemetry counters captured while the oracle leg ran (search and
     #: evaluator activity for this case; empty when instrumentation was
@@ -220,6 +226,7 @@ def run_verification(
                 run_fixed_schedule(
                     PersistProbe, build, algorithms[:1], queries[:2]
                 ),
+                run_fixed_schedule(MaintenanceProbe, build, (), ()),
             ]
         # Scatter-gather == monolithic, including under shard-routed WAL
         # mutations.  Sampled cost params keep the double build (sharded

@@ -34,6 +34,16 @@ class TestRunSuite:
                 "search.expansions"
             ] == quick_metrics[f"search.{algo}.expansions"]
 
+    def test_maintain_section_shape(self, quick_metrics):
+        assert quick_metrics["maintain.verify-toy-a.ref_seconds"] >= 0
+        counters = quick_metrics["counters.maintain.verify-toy-a"]
+        # 16 writes on a 2-layer index: at most 32 layers patched.
+        assert 0 < counters["build.layers_refreshed"] <= 32
+        assert set(counters) <= {
+            "build.layers_refreshed", "refine.calls", "refine.rounds",
+            "refine.blocks_split", "refine.vertices_moved",
+        }
+
     def test_quick_mode_skips_build(self, quick_metrics):
         assert not any(k.startswith("build.") for k in quick_metrics)
         assert not any(k.startswith("shard.") for k in quick_metrics)

@@ -161,6 +161,31 @@ class TestEdgeMaintenance:
         got = {(a.root, a.score) for a in boosted.search(query, layer=1)}
         assert direct == got
 
+    def test_write_shares_every_layer_it_does_not_touch(self, index):
+        """The climb stops at the first layer a write leaves unchanged:
+        that layer and every one above stay the parent's own objects,
+        and the parent snapshot never moves."""
+        assert index.num_layers >= 2
+        digest = index.state_digest()
+        graph = index.base_graph
+        stops = set()
+        for u in graph.vertices():
+            for v in graph.vertices():
+                if u == v or graph.has_edge(u, v):
+                    continue
+                clone = index.cow_clone()
+                clone.insert_edge(u, v)
+                shared = [
+                    mine is theirs
+                    for mine, theirs in zip(clone.layers, index.layers)
+                ]
+                stop = shared.index(True) if True in shared else len(shared)
+                assert all(shared[stop:]), (u, v, shared)
+                stops.add(stop)
+        assert index.state_digest() == digest
+        # Some write patches layer 1 alone and hands layer 2 nothing.
+        assert 1 in stops, stops
+
     @staticmethod
     def _assert_hierarchy_valid(index: BiGIndex, base_graph) -> None:
         current = base_graph

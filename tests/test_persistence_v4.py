@@ -3,6 +3,7 @@ mutate-after-mmap detach semantics."""
 
 import json
 import os
+import random
 import shutil
 import struct
 
@@ -33,11 +34,18 @@ def _answers(index):
     }
 
 
-def _absent_edge(graph):
-    for u in graph.vertices():
-        for v in graph.vertices():
-            if u != v and not graph.has_edge(u, v):
-                return (u, v)
+def _absent_edge(graph, rng=None):
+    """The first absent edge, or a random one when ``rng`` is given."""
+    candidates = (
+        (u, v)
+        for u in graph.vertices()
+        for v in graph.vertices()
+        if u != v and not graph.has_edge(u, v)
+    )
+    if rng is not None:
+        return rng.choice(list(candidates))
+    for edge in candidates:
+        return edge
     raise AssertionError("graph is complete")
 
 
@@ -238,12 +246,20 @@ class TestDetach:
     def test_mutation_materializes_and_matches_heap_twin(
         self, built, saved, fig2_ontology
     ):
+        """Eight writes on the reload and on a heap clone: the touched
+        layers detach on first use, and both numberings stay in step."""
         loaded = load_index(saved, fig2_ontology)
         twin = built.cow_clone()
-        edge = _absent_edge(loaded.base_graph)
+        rng = random.Random(8)
         with instrumented(trace=False) as inst:
-            loaded.insert_edge(*edge)
-        twin.insert_edge(*edge)
+            for _ in range(8):
+                graph = twin.base_graph
+                if rng.random() < 0.5:
+                    op = ("insert", *_absent_edge(graph, rng))
+                else:
+                    op = ("delete", *rng.choice(sorted(graph.edges())))
+                for side in (loaded, twin):
+                    getattr(side, f"{op[0]}_edge")(*op[1:])
         assert not loaded.base_graph.is_mmap_backed
         assert inst.metrics.counters().get("persist.mmap.detaches", 0) >= 1
         assert loaded.state_digest() == twin.state_digest()

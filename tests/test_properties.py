@@ -11,7 +11,9 @@ Covered properties:
 * generalization preserves topology and is label-preserving;
 * ``eval == eval_Ont`` for bkws on random graph/ontology pairs (Thm. 4.2);
 * re-refining from the old partition after an edge flip (the Sec. 3.2
-  maintenance rule) keeps a valid partition that refines the old one.
+  maintenance rule) keeps a valid partition that refines the old one;
+* localized maintenance of a multi-layer index equals the whole-layer
+  seeded climb up to block numbering.
 """
 
 from __future__ import annotations
@@ -39,7 +41,9 @@ from repro.graph.traversal import bounded_distance
 from repro.ontology.ontology import OntologyGraph
 from repro.search.banks import BackwardKeywordSearch
 from repro.search.base import KeywordQuery
-from repro.verify.auditor import reference_bisimulation
+from repro.verify.auditor import audit_index, reference_bisimulation
+from repro.verify.drill import apply_op
+from repro.verify.probes import MaintenanceProbe
 
 LABELS = ("A", "B", "C", "D")
 
@@ -78,6 +82,21 @@ def small_ontology() -> OntologyGraph:
     ont.add_subtype("D", "CD")
     ont.add_subtype("AB", "Top")
     ont.add_subtype("CD", "Top")
+    return ont
+
+
+@st.composite
+def ontologies(draw) -> OntologyGraph:
+    """Random three-level ontologies over ``LABELS``: each label under
+    one of two middle types (or none), the middle types under ``Top``."""
+    ont = OntologyGraph()
+    for label in LABELS:
+        middle = draw(st.sampled_from(("M1", "M2", None)))
+        if middle is not None:
+            ont.add_subtype(label, middle)
+    for middle in ("M1", "M2"):
+        if middle in ont:
+            ont.add_subtype(middle, "Top")
     return ont
 
 
@@ -266,3 +285,39 @@ class TestIncrementalProperty:
         fresh = maximal_bisimulation(g)
         assert is_bisimulation_partition(g, fresh)
         assert _refines(blocks, fresh)
+
+    @given(
+        graphs(max_vertices=15, max_edges=25),
+        ontologies(),
+        st.integers(2, 3),
+        st.lists(
+            st.tuples(st.integers(0, 14), st.integers(0, 14)),
+            min_size=1,
+            max_size=8,
+        ),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_localized_maintenance_matches_seeded_climb(
+        self, g: Graph, ontology, num_layers, updates
+    ):
+        """``insert_edge`` / ``delete_edge`` patch only what an update
+        unsettles, on multi-layer indexes; after every update the
+        hierarchy equals the whole-layer seeded climb's up to block
+        numbering, and audits clean."""
+        index = BiGIndex.build(
+            g, ontology, num_layers=num_layers,
+            cost_params=CostParams(exact=True),
+        )
+        probe = MaintenanceProbe(index)
+        n = g.num_vertices
+        for step, (u, v) in enumerate(updates):
+            u, v = u % n, v % n
+            if u == v:
+                continue
+            op = ("delete" if g.has_edge(u, v) else "insert", u, v)
+            apply_op(index, op)
+            probe.follow(op)
+            probe.check(f"after update {step}")
+            assert probe.report.ok, probe.report.problems
+        audit = audit_index(index)
+        assert audit.ok, audit.violations

@@ -1,14 +1,17 @@
 """Metamorphic-fuzzer tests: clean campaigns, op semantics, bug shrinking."""
 
+import random
+
 import pytest
 
+import repro.core.index as index_module
 from repro.core.cost import CostParams
 from repro.core.index import BiGIndex
 from repro.search.banks import BackwardKeywordSearch
 from repro.search.base import KeywordQuery
 from repro.core.persistence import load_index
 from repro.verify import fuzz_index, probes, shrink_ops
-from repro.verify.drill import apply_op
+from repro.verify.drill import apply_op, draw_ops, run_ops
 from repro.verify.fuzzer import check_equivalence, rebuilt_reference
 
 EXACT = CostParams(exact=True)
@@ -146,6 +149,55 @@ class TestInjectedMaintenanceBug:
         ops = [("delete", du, dv), ("insert", *missing)]
         shrunk = shrink_ops(buggy_factory, ops)
         assert shrunk == [("insert", *missing)]
+
+
+class TestInjectedLocalizedMaintenanceBug:
+    """The maintenance probe catches a localized write path that stops
+    short of the seeded whole-layer climb."""
+
+    @pytest.fixture(params=["dirty-set", "stale-edge"])
+    def planted(self, request, monkeypatch):
+        real_seed, real_sync = index_module._seed, index_module._sync_row
+
+        def seed_without_split_offs(layer, origins, changed):
+            # The supernodes split off below join their blocks but leave
+            # those blocks out of the worklist.
+            parent, extent, _ = real_seed(layer, origins, changed)
+            return parent, extent, {parent[w] for w in changed}
+
+        def sync_without_removals(graph, source, old, row):
+            # A summary edge that lost its last supporting edge stays.
+            real_sync(graph, source, set(), row - old)
+
+        if request.param == "dirty-set":
+            monkeypatch.setattr(index_module, "_seed", seed_without_split_offs)
+        else:
+            monkeypatch.setattr(index_module, "_sync_row", sync_without_removals)
+        return request.param
+
+    def test_probe_catches_it(
+        self, planted, small_ontology, random_graph_factory
+    ):
+        caught = []
+        for seed in range(3):
+            index = BiGIndex.build(
+                random_graph_factory(
+                    num_vertices=40, num_edges=40, seed=seed
+                ),
+                small_ontology,
+                num_layers=3,
+                cost_params=EXACT,
+            )
+            probe = probes.MaintenanceProbe(index)
+            rng = random.Random(f"{planted}:{seed}")
+            run_ops(
+                draw_ops(rng, index, 8),
+                lambda op: apply_op(index, op),
+                [probe],
+            )
+            caught.append(not probe.report.ok)
+        assert all(caught), f"maintenance probe missed the {planted} bug"
+        assert "seeded climb" in str(probe.report.problems[0])
 
 
 class TestInjectedReloadBug:

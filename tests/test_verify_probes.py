@@ -380,10 +380,11 @@ class TestHarnessFloor:
             assert case.oracle.checks >= oracle_floor
             fuzz = case.drills["fuzz"]
             assert fuzz.notes["sequences"] >= 2 and fuzz.notes["ops"] >= 10
-            assert fuzz.checks >= 98
+            assert fuzz.checks >= 134
             cache = case.drills["cache"]
             assert cache.checks >= 48 and cache.notes["hits"] >= 24
             assert case.drills["persist"].checks >= 12
+            assert case.drills["maintain"].checks >= 9
             shard = case.drills["shard"]
             assert shard.checks >= 36
             assert shard.notes["rounds"] >= 2 and shard.notes["ops"] >= 6

@@ -31,6 +31,7 @@ from repro.core.persistence import load_index, save_index
 from repro.core.wal import (
     MAX_RECORD_BYTES,
     WAL_MAGIC,
+    WAL_MAGIC_V1,
     WAL_NAME,
     MutationWAL,
     WALRecord,
@@ -57,15 +58,21 @@ SAMPLE_OPS = [
     {"op": "insert", "u": 0, "v": 7},
     {"op": "delete", "u": 3, "v": 1},
     {"op": "drop-ontology", "subtype": "A", "supertype": "AB"},
+    {"op": "insert", "u": 2, "v": 5},
+    {"op": "delete", "u": 4, "v": 0},
 ]
-SAMPLE_LOG = WAL_MAGIC + b"".join(encode_record(op) for op in SAMPLE_OPS)
+# Both payload kinds: the last two edge ops as format-1 JSON records.
+SAMPLE_RECORDS = [
+    encode_record(op, compact=i < 3) for i, op in enumerate(SAMPLE_OPS)
+]
+SAMPLE_LOG = WAL_MAGIC + b"".join(SAMPLE_RECORDS)
 
 
 def _record_boundaries() -> set:
     ends = {len(WAL_MAGIC)}
     pos = len(WAL_MAGIC)
-    for op in SAMPLE_OPS:
-        pos += len(encode_record(op))
+    for record in SAMPLE_RECORDS:
+        pos += len(record)
         ends.add(pos)
     return ends
 
@@ -94,7 +101,7 @@ class TestScan:
     def test_round_trip(self):
         scan = scan_wal_bytes(SAMPLE_LOG)
         assert [r.op for r in scan.records] == SAMPLE_OPS
-        assert [r.serial for r in scan.records] == [1, 2, 3]
+        assert [r.serial for r in scan.records] == [1, 2, 3, 4, 5]
         assert scan.valid_bytes == len(SAMPLE_LOG)
         assert scan.tail_kind is None
 
@@ -155,6 +162,32 @@ class TestScan:
         assert scan_wal_bytes(b"").records == []
 
 
+class TestFormats:
+    def test_edge_ops_take_nine_payload_bytes(self):
+        for op in SAMPLE_OPS[:2]:
+            assert len(encode_record(op)) == 8 + 9
+        # Anything that is not a plain edge op stays JSON.
+        odd = {"op": "insert", "u": 0, "v": 1 << 32}
+        record = encode_record(odd)
+        assert record[8:] == b'{"op":"insert","u":0,"v":4294967296}'
+        assert scan_wal_bytes(WAL_MAGIC + record).records[0].op == odd
+
+    def test_format_1_log_reads_and_appends_in_kind(self, tmp_path):
+        path = str(tmp_path / WAL_NAME)
+        with open(path, "wb") as f:
+            f.write(WAL_MAGIC_V1)
+            f.write(b"".join(encode_record(op, False) for op in SAMPLE_OPS))
+        wal = MutationWAL(path)
+        assert [r.op for r in wal.open()] == SAMPLE_OPS
+        wal.commit({"op": "insert", "u": 1, "v": 2})
+        wal.close()
+        with open(path, "rb") as f:
+            data = f.read()
+        assert data.startswith(WAL_MAGIC_V1)
+        assert data.endswith(b'{"op":"insert","u":1,"v":2}')
+        assert len(read_wal(path).records) == len(SAMPLE_OPS) + 1
+
+
 # ----------------------------------------------------------------------
 # On-disk recovery
 # ----------------------------------------------------------------------
@@ -211,7 +244,7 @@ class TestMutationWAL:
     def test_commit_serials_and_reopen(self, tmp_path):
         path = str(tmp_path / WAL_NAME)
         with MutationWAL(path) as wal:
-            assert [wal.commit(op) for op in SAMPLE_OPS] == [1, 2, 3]
+            assert [wal.commit(op) for op in SAMPLE_OPS[:3]] == [1, 2, 3]
         with MutationWAL(path) as wal:
             assert wal.record_count == 3
             assert wal.commit({"op": "insert", "u": 1, "v": 2}) == 4
