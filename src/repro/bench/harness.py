@@ -137,9 +137,7 @@ class PaperPipeline(HierarchicalEvaluator):
                 vertices=assignment.values(),
                 edges=((assignment[u], assignment[v]) for u, v in spec.edges),
             )
-            existing = verified.get(answer.signature())
-            if existing is None or answer.score < existing.score:
-                verified[answer.signature()] = answer
+            verified.offer(answer)
 
 
 class _CappedStream:

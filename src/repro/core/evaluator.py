@@ -22,9 +22,12 @@ The evaluator runs the five steps of Fig. 5 / Algo. 2:
      :class:`~repro.search.base.RootedTreeAlgorithm`): root verification.
      The candidate roots are the specializations of each generalized
      answer's root; every candidate root is verified exactly on the data
-     graph with one bounded BFS (``best_answer_for_root``).  Complete
+     graph with one bounded BFS (``best_hit_for_root``).  Complete
      because path-preservation guarantees every true root's image is a
-     summary answer root (Lemma 4.1 / Prop. 5.1).
+     summary answer root (Lemma 4.1 / Prop. 5.1).  Summary answers and
+     verified roots stay :class:`~repro.search.base.RootHit` tuples — score,
+     root, keyword nodes — and an answer tree is built only for the
+     top-k that leave the evaluator.
    * root-free semantics (r-clique): Algorithm 3 assignment enumeration
      (Def. 4.2 qualification + specialization order), each assignment
      verified exactly by the algorithm.
@@ -60,6 +63,7 @@ guarantees.
 from __future__ import annotations
 
 import threading
+from bisect import bisect_left, insort
 from dataclasses import dataclass, field, replace
 from typing import (
     Callable,
@@ -88,6 +92,7 @@ from repro.search.base import (
     KeywordQuery,
     KeywordSearchAlgorithm,
     RootedTreeAlgorithm,
+    RootHit,
     top_k,
 )
 from repro.utils.budget import Budget
@@ -218,6 +223,40 @@ class DegradedResult:
         if self.stats is not None:
             parts.append(self.stats.describe())
         return "; ".join(parts)
+
+
+class Verified:
+    """Verified answers by signature — root hits on the root-verify path —
+    with their scores kept sorted, so the k-th best score (Sec. 4.3.4's
+    termination test) is a lookup rather than a sort per check."""
+
+    def __init__(self) -> None:
+        self._by_signature: Dict[Tuple, object] = {}
+        self._scores: List[float] = []
+
+    def __len__(self) -> int:
+        return len(self._by_signature)
+
+    def offer(self, item) -> None:
+        """Keep ``item`` unless its signature is already held at a score
+        at most ``item.score``."""
+        signature = item.signature()
+        existing = self._by_signature.get(signature)
+        if existing is not None:
+            if item.score >= existing.score:
+                return
+            del self._scores[bisect_left(self._scores, existing.score)]
+        self._by_signature[signature] = item
+        insort(self._scores, item.score)
+
+    def kth_score(self, k: Optional[int]) -> Optional[float]:
+        """The k-th best score held; ``None`` while fewer than ``k``."""
+        if k is None or len(self._scores) < k:
+            return None
+        return self._scores[k - 1]
+
+    def values(self) -> List:
+        return list(self._by_signature.values())
 
 
 class HierarchicalEvaluator:
@@ -459,13 +498,13 @@ class HierarchicalEvaluator:
                 )
 
         result = EvalResult(answers=[], layer=layer, breakdown=breakdown)
-        verified: Dict[Tuple, Answer] = {}
+        verified = Verified()
         searcher: Optional[GraphSearcher] = None
         # The summary answer being specialized/generated when a budget
         # trips; its score bounds everything not yet derived from it (and,
         # because streams are consumed in ascending score order, everything
         # still unread from the stream).
-        current_summary: Optional[Answer] = None
+        current_summary: Union[Answer, RootHit, None] = None
         try:
             if layer == 0:
                 # Degenerate case: evaluate directly on the data graph, so
@@ -474,9 +513,11 @@ class HierarchicalEvaluator:
                 with breakdown.phase("explore"), OBS.tracer.span(
                     "explore", layer=0
                 ):
-                    found = self.searcher_for_layer(0).search(
-                        query, budget=budget
-                    )
+                    searcher = self.searcher_for_layer(0)
+                    if self.rooted:
+                        found = searcher.search_hits(query, budget=budget)
+                    else:
+                        found = searcher.search(query, budget=budget)
                 result.num_generalized = result.num_candidates = len(found)
             else:
                 with breakdown.phase("translate"), OBS.tracer.span(
@@ -501,14 +542,18 @@ class HierarchicalEvaluator:
                 # (Sec. 4.3.4 and boost-dkws's interleaved decomposition,
                 # Sec. 5.2).  Streams are not necessarily score-sorted;
                 # searchers that emit out of order expose a running
-                # ``stream_lower_bound`` instead.
+                # ``stream_lower_bound`` instead.  Rooted streams are root
+                # hits: only a summary answer's ``.root`` and ``.score``
+                # are read, so no summary-layer tree is ever built.
                 searcher = self.searcher_for_layer(layer)
                 with breakdown.phase("explore"), OBS.tracer.span(
                     "explore", layer=layer
                 ):
-                    summary_stream = searcher.iter_search(
-                        generalized_query, budget=budget
-                    )
+                    if self.rooted:
+                        stream = searcher.iter_hits
+                    else:
+                        stream = searcher.iter_search
+                    summary_stream = stream(generalized_query, budget=budget)
                 seen_roots: Set[int] = set()
                 while True:
                     current_summary = None
@@ -523,8 +568,8 @@ class HierarchicalEvaluator:
                     result.num_generalized += 1
                     if OBS.enabled:
                         OBS.metrics.inc("eval.summary_answers")
-                    if k is not None and len(verified) >= k:
-                        kth = sorted(a.score for a in verified.values())[k - 1]
+                    kth = verified.kth_score(k)
+                    if kth is not None:
                         stream_bound = searcher.stream_lower_bound
                         if stream_bound is None:  # sorted stream
                             stream_bound = summary_answer.score
@@ -532,9 +577,6 @@ class HierarchicalEvaluator:
                             break  # Sec. 4.3.4: the rest cannot beat the top-k.
                         if kth <= summary_answer.score:
                             continue  # cannot improve; keep streaming
-                    root_verify = (
-                        self.rooted and summary_answer.root is not None
-                    )
                     with breakdown.phase("specialize"), OBS.tracer.span(
                         "specialize", layer=layer
                     ):
@@ -543,16 +585,16 @@ class HierarchicalEvaluator:
                             layer,
                             query,
                             keyword_by_generalized,
-                            root_only=root_verify,
+                            root_only=self.rooted,
                             budget=budget,
                         )
                     if spec is None:
                         continue
                     with breakdown.phase("generate"), OBS.tracer.span(
                         "generate",
-                        strategy="root-verify" if root_verify else "assignment",
+                        strategy="root-verify" if self.rooted else "assignment",
                     ):
-                        if root_verify:
+                        if self.rooted:
                             self._generate_by_root(
                                 summary_answer, spec, query, verified,
                                 seen_roots, result, k, budget,
@@ -562,7 +604,7 @@ class HierarchicalEvaluator:
                                 summary_answer, spec, query, verified,
                                 result, budget,
                             )
-                found = list(verified.values())
+                found = verified.values()
                 if OBS.enabled:
                     OBS.metrics.inc("eval.candidates", result.num_candidates)
                     OBS.metrics.inc("eval.verified", len(found))
@@ -574,16 +616,16 @@ class HierarchicalEvaluator:
                 proven, unranked = top_k(exc.partial, k), []
                 result.num_generalized = result.num_candidates = len(proven)
             else:
-                found = list(verified.values())
+                found = verified.values()
                 bound = self._proven_bound(exc, searcher, current_summary)
                 proven = top_k([a for a in found if a.score < bound], k)
                 unranked = top_k([a for a in found if a.score >= bound], None)
             return DegradedResult(
-                answers=proven,
+                answers=self._trees(proven),
                 layer=layer,
                 reason=exc.reason,
                 lower_bound=bound,
-                unranked=unranked,
+                unranked=self._trees(unranked),
                 attempts=[
                     DegradedAttempt(
                         layer=layer,
@@ -598,15 +640,24 @@ class HierarchicalEvaluator:
                 breakdown=breakdown,
             )
 
-        result.answers = top_k(found, k)
+        result.answers = self._trees(top_k(found, k))
         result.num_verified = len(found)
         return result
+
+    def _trees(self, ranked: List) -> List[Answer]:
+        """The answers that leave the evaluator: rooted runs rank root
+        hits and build a tree only for these (module docstring, step 4)."""
+        if not self.rooted:
+            return ranked
+        tree = self.algorithm.answer_tree
+        graph = self.index.base_graph
+        return [tree(graph, hit) for hit in ranked]
 
     @staticmethod
     def _proven_bound(
         exc: BudgetExceeded,
         searcher: GraphSearcher,
-        current_summary: Optional[Answer],
+        current_summary: Union[Answer, RootHit, None],
     ) -> float:
         """The score below which an interrupted layer-``m`` walk's verified
         answers are provably the complete ranking.
@@ -800,7 +851,7 @@ class HierarchicalEvaluator:
     # ------------------------------------------------------------------
     def _specialize_answer(
         self,
-        summary_answer: Answer,
+        summary_answer: Union[Answer, RootHit],
         layer: int,
         query: KeywordQuery,
         keyword_by_generalized: Mapping[str, str],
@@ -820,13 +871,6 @@ class HierarchicalEvaluator:
         specialization (Sec. 4.3.1) kills the answer (some keyword node
         has no label-qualified specialization).
         """
-        # supernode -> keyword for the isKey vertices of this answer.
-        keyword_of: Dict[int, str] = {}
-        for generalized_kw, supernode in summary_answer.keyword_nodes:
-            keyword_of[supernode] = keyword_by_generalized.get(
-                generalized_kw, generalized_kw
-            )
-
         if root_only:
             root = summary_answer.root
             assert root is not None
@@ -844,6 +888,12 @@ class HierarchicalEvaluator:
                 keyword_of={},
             )
 
+        # supernode -> keyword for the isKey vertices of this answer.
+        keyword_of: Dict[int, str] = {}
+        for generalized_kw, supernode in summary_answer.keyword_nodes:
+            keyword_of[supernode] = keyword_by_generalized.get(
+                generalized_kw, generalized_kw
+            )
         spec_sets: Dict[int, List[int]] = {}
         for supernode in summary_answer.vertices:
             keyword = keyword_of.get(supernode)
@@ -880,10 +930,10 @@ class HierarchicalEvaluator:
     # ------------------------------------------------------------------
     def _generate_by_root(
         self,
-        summary_answer: Answer,
+        summary_answer: RootHit,
         spec: GeneralizedAnswerGraph,
         query: KeywordQuery,
-        verified: Dict[Tuple, Answer],
+        verified: Verified,
         seen_roots: Set[int],
         result: EvalResult,
         k: Optional[int],
@@ -891,33 +941,33 @@ class HierarchicalEvaluator:
     ) -> None:
         """Verify every specialized candidate root with one bounded BFS.
 
-        The summary answer's score lower-bounds the exact score of every
+        The summary hit's score lower-bounds the exact score of every
         root specialized from it (Prop. 5.2), so once the top-k verified
-        scores all fall at or below it, the rest of this answer's
-        candidates cannot improve the result (Sec. 4.3.4).
+        scores all fall at or below it, the rest of this hit's
+        candidates cannot improve the result (Sec. 4.3.4).  Verified
+        roots stay hits; :meth:`_attempt` builds trees for its top-k.
         """
         candidate_roots = spec.spec_sets[summary_answer.root]
-        best_for_root = self.algorithm.best_answer_for_root
+        best_hit_for_root = self.algorithm.best_hit_for_root
         for root in candidate_roots:
             if root in seen_roots:
                 continue
-            if k is not None and len(verified) >= k:
-                kth = sorted(a.score for a in verified.values())[k - 1]
-                if kth <= summary_answer.score:
-                    return
+            kth = verified.kth_score(k)
+            if kth is not None and kth <= summary_answer.score:
+                return
             charge_expansions(budget, 1)
             seen_roots.add(root)
             result.num_candidates += 1
-            answer = best_for_root(self.index.base_graph, root, query)
-            if answer is not None:
-                verified[answer.signature()] = answer
+            hit = best_hit_for_root(self.index.base_graph, root, query)
+            if hit is not None:
+                verified.offer(hit)
 
     def _generate_by_assignment(
         self,
         summary_answer: Answer,
         spec: GeneralizedAnswerGraph,
         query: KeywordQuery,
-        verified: Dict[Tuple, Answer],
+        verified: Verified,
         result: EvalResult,
         budget: Optional[Budget] = None,
     ) -> None:
@@ -938,9 +988,7 @@ class HierarchicalEvaluator:
                 root=assignment.get(summary_answer.root),  # root-free: None
             )
             if answer is not None:
-                existing = verified.get(answer.signature())
-                if existing is None or answer.score < existing.score:
-                    verified[answer.signature()] = answer
+                verified.offer(answer)
 
 
 def eval_direct(

@@ -754,10 +754,11 @@ class ShardedEvaluator:
     under the GIL — docs/PERFORMANCE.md, "Multicore").
 
     Gather: a locale reports *roots*.  Each distinct root any locale
-    found (in global ids) is materialized once with
-    ``best_answer_for_root`` on the union graph and the union re-ranks
-    through :func:`~repro.search.base.top_k`.  Degraded locales merge
-    into one :class:`DegradedResult` whose ``lower_bound`` is the
+    found (in global ids) is verified once with ``best_hit_for_root`` on
+    the union graph, the hits re-rank through
+    :func:`~repro.search.base.top_k`, and only the merged top-k get
+    trees.  Degraded locales merge into one
+    :class:`DegradedResult` whose ``lower_bound`` is the
     minimum over the degraded locales' bounds — the prefix-soundness
     cut-off: anything a degraded locale failed to emit scores at or
     above its bound, so the merged ranking is provably complete below
@@ -891,9 +892,9 @@ class ShardedEvaluator:
         cut edges), and even at equal scores shortest-path trees (and
         equal-distance keyword nodes) can tie, with the locale's
         adjacency order breaking those ties differently than the full
-        graph's.  The monolithic root-verify pipeline emits
-        ``best_answer_for_root`` over the base graph, so materializing
-        each gathered root once through the same function on the union
+        graph's.  The monolithic root-verify pipeline ranks
+        ``best_hit_for_root`` over the base graph and builds trees for its
+        top-k, so doing the same with each gathered root on the union
         graph makes the sharded output byte-identical, signatures and
         trees included.
         """
@@ -921,13 +922,10 @@ class ShardedEvaluator:
                 degraded.append((locale, outcome))
             roots.update(locale.global_ids[a.root] for a in answers)
         graph = self.sharded.base_graph
-        merged = top_k(
-            [
-                self.algorithm.best_answer_for_root(graph, root, query)
-                for root in roots
-            ],
-            k,
-        )
+        hits = [
+            self.algorithm.best_hit_for_root(graph, root, query) for root in roots
+        ]
+        merged = [self.algorithm.answer_tree(graph, h) for h in top_k(hits, k)]
         coarsest = max((o.layer for o in outcomes), default=0)
         if not degraded:
             return EvalResult(

@@ -179,35 +179,43 @@ def nearest_labeled_forward(
     root-verification produce identical answer signatures (the
     differential oracle compares them vertex-for-vertex).
     """
-    found: Dict[str, Tuple[int, int]] = {}
-    remaining = set(keywords)
-    root_label = graph.label(root)
+    # Compare interned label ids, not strings: one array read per vertex.
+    wanted: Dict[int, str] = {}
+    for keyword in keywords:
+        label_id = graph.label_table.get_id(keyword)
+        if label_id is None:
+            return None  # no vertex carries it: unreachable
+        wanted[label_id] = keyword
+    labels = graph.labels
+    csr = graph.csr()
+    out_offsets, out_targets = csr.out_offsets, csr.out_targets
+    found: Dict[int, Tuple[int, int]] = {}
+    remaining = set(wanted)
+    root_label = labels[root]
     if root_label in remaining:
         found[root_label] = (0, root)
         remaining.discard(root_label)
-    dist: Dict[int, int] = {root: 0}
+    seen: Set[int] = {root}
     frontier = [root]
     depth = 0
-    out_neighbors = graph.csr().out_neighbors
     while frontier and remaining and depth < d_max:
+        depth += 1
         next_frontier: List[int] = []
         for v in frontier:
-            for w in out_neighbors(v):
-                if w in dist:
+            for w in out_targets[out_offsets[v] : out_offsets[v + 1]]:
+                if w in seen:
                     continue
-                dist[w] = depth + 1
+                seen.add(w)
                 next_frontier.append(w)
-        # Resolve keyword matches after the whole level is settled so the
-        # choice does not depend on adjacency-list order.
-        for w in next_frontier:
-            label = graph.label(w)
-            if label in remaining:
-                best = found.get(label)
-                if best is None or w < best[1]:
-                    found[label] = (depth + 1, w)
+                # The smallest match of the level wins, so the choice
+                # does not depend on adjacency-list order.
+                label_id = labels[w]
+                if label_id in remaining:
+                    best = found.get(label_id)
+                    if best is None or w < best[1]:
+                        found[label_id] = (depth, w)
         remaining -= found.keys()
         frontier = next_frontier
-        depth += 1
     if remaining:
         return None
-    return found
+    return {wanted[label_id]: match for label_id, match in found.items()}

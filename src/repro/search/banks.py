@@ -32,11 +32,11 @@ from typing import Dict, List, Optional
 from repro.graph.digraph import Graph
 from repro.search.base import (
     USE_BOUND_K,
-    Answer,
     BackwardFrontier,
-    GraphSearcher,
     KeywordQuery,
+    RootedSearcher,
     RootedTreeAlgorithm,
+    RootHit,
     top_k,
     unseen_lower_bound,
 )
@@ -44,21 +44,16 @@ from repro.utils.budget import Budget
 from repro.utils.errors import BudgetExceeded
 
 
-class BanksSearcher(GraphSearcher):
+class BanksSearcher(RootedSearcher):
     """Backward search bound to one graph (bkws keeps no persistent index)."""
 
-    def __init__(self, graph: Graph, algorithm: "BackwardKeywordSearch") -> None:
-        super().__init__(graph)
-        self.algorithm = algorithm
-        self.k = algorithm.k
-
-    def search(
+    def search_hits(
         self,
         query: KeywordQuery,
         budget: Optional[Budget] = None,
         k: object = USE_BOUND_K,
-    ) -> List[Answer]:
-        """Distinct-root answers ranked by total root-to-keyword distance."""
+    ) -> List[RootHit]:
+        """Distinct-root hits ranked by total root-to-keyword distance."""
         k = self._resolve_k(k)
         frontiers: Dict[str, BackwardFrontier] = {}
         for keyword in query:
@@ -77,25 +72,22 @@ class BanksSearcher(GraphSearcher):
         active = list(query.keywords)
         try:
             while active:
-                active.sort(key=lambda kw: len(frontiers[kw].dist))
+                active.sort(key=lambda kw: len(frontiers[kw].settled))
                 keyword = active[0]
                 frontiers[keyword].expand_level(budget)
                 active = [kw for kw in active if not frontiers[kw].exhausted]
         except BudgetExceeded as exc:
             lower_bound = unseen_lower_bound(frontiers.values())
             exc.partial = top_k(
-                self.algorithm.settled_answers(
-                    self.graph, query.keywords, frontiers, below=lower_bound
+                self.algorithm.settled_hits(
+                    query.keywords, frontiers, below=lower_bound
                 ),
                 k,
             )
             exc.lower_bound = lower_bound
             raise
 
-        return top_k(
-            self.algorithm.settled_answers(self.graph, query.keywords, frontiers),
-            k,
-        )
+        return top_k(self.algorithm.settled_hits(query.keywords, frontiers), k)
 
 
 class BackwardKeywordSearch(RootedTreeAlgorithm):

@@ -20,7 +20,11 @@ framework is captured by :class:`KeywordSearchAlgorithm`:
 bkws, bidirectional and Blinks share one semantics — distinct-root trees
 under ``d_max`` — and differ only in exploration order; what that semantics
 implies is written once here: :class:`BackwardFrontier`,
-:func:`unseen_lower_bound` and :class:`RootedTreeAlgorithm`.
+:func:`unseen_lower_bound`, :class:`RootedTreeAlgorithm` and
+:class:`RootedSearcher`.  Reads cost what they return: a rooted search
+ranks :class:`RootHit` tuples and builds an answer tree
+(:meth:`RootedTreeAlgorithm.answer_tree`) only for the hits that leave
+the system.
 """
 
 from __future__ import annotations
@@ -31,8 +35,10 @@ from typing import (
     Callable,
     Dict,
     Iterable,
+    Iterator,
     List,
     Mapping,
+    NamedTuple,
     Optional,
     Sequence,
     Set,
@@ -47,7 +53,7 @@ from repro.graph.traversal import (
 )
 from repro.obs.runtime import OBS, charge_expansions
 from repro.utils.budget import Budget
-from repro.utils.errors import QueryError
+from repro.utils.errors import BudgetExceeded, QueryError
 
 #: Sentinel for ``GraphSearcher.search(k=...)``: use the searcher's own
 #: bound ``self.k``.  Distinct from ``None``, which means "no cutoff".
@@ -154,6 +160,19 @@ class Answer:
         return (self.root, self.keyword_nodes)
 
 
+class RootHit(NamedTuple):
+    """A rooted answer before its tree is built: all that ranks it.
+    ``keyword_nodes`` is sorted by keyword, as in the built :class:`Answer`."""
+
+    score: float
+    root: int
+    keyword_nodes: Tuple[Tuple[str, int], ...]
+
+    def signature(self) -> Tuple:
+        """The materialized answer's :meth:`Answer.signature`."""
+        return (self.root, self.keyword_nodes)
+
+
 class GraphSearcher(ABC):
     """An algorithm bound to one graph (with its per-graph index built).
 
@@ -202,17 +221,16 @@ class GraphSearcher(ABC):
             return self.k
         return k  # type: ignore[return-value]
 
+    @abstractmethod
     def iter_search(self, query: KeywordQuery, budget: Optional[Budget] = None):
         """Lazily yield answers in ascending score, ignoring any top-k cut.
 
         BiG-index's evaluator streams summary-layer answers through this:
         specialization is interleaved with enumeration (Sec. 5.2's
         boost-dkws decomposes the search space until enough *final*
-        answers exist, not enough summary patterns).  The default runs the
-        eager search un-truncated; algorithms with expensive enumeration
-        (r-clique) override it with a true generator.
+        answers exist, not enough summary patterns).  Streams that are
+        not score-sorted (Blinks) expose ``stream_lower_bound``.
         """
-        yield from self.search(query, budget=budget, k=None)
 
 
 class KeywordSearchAlgorithm(ABC):
@@ -274,16 +292,37 @@ def distance_sum(distances: Mapping[str, int]) -> int:
 
 
 class BackwardFrontier:
-    """Backward BFS from one keyword's vertex set, expandable level by level."""
+    """Backward BFS from one keyword's vertex set, expandable level by level.
+
+    ``dist`` and ``origin`` are flat lists over the graph's vertex ids
+    (``-1`` = not settled), allocated per frontier — per query, never per
+    searcher, because one searcher serves concurrent queries.  ``settled``
+    lists the settled vertices in settling order.
+
+    Origins are canonical: among the sources nearest to a vertex, its
+    origin is the smallest.  The frontier is kept in origin order (the
+    sources are sorted and are their own origins; each level is built by
+    scanning the previous one in order, and a vertex takes the origin of
+    the first frontier vertex that reaches it), so the first reach of a
+    vertex *is* its minimum origin.  The maps are therefore independent
+    of adjacency order; cross-mode answer comparison relies on this.
+    """
 
     def __init__(self, graph: Graph, sources: Sequence[int], d_max: int) -> None:
         self.d_max = d_max
-        self._in_neighbors = graph.csr().in_neighbors
-        #: settled vertex -> distance to the nearest source.
-        self.dist: Dict[int, int] = {v: 0 for v in sources}
-        #: settled vertex -> the nearest source vertex itself.
-        self.origin: Dict[int, int] = {v: v for v in sources}
-        self._frontier: List[int] = sorted(sources)
+        csr = graph.csr()
+        self._in_offsets = csr.in_offsets
+        self._in_targets = csr.in_targets
+        #: vertex -> distance to the nearest source, ``-1`` if unsettled.
+        self.dist: List[int] = [-1] * csr.num_vertices
+        #: vertex -> the nearest source vertex itself, ``-1`` if unsettled.
+        self.origin: List[int] = [-1] * csr.num_vertices
+        for v in sources:
+            self.dist[v] = 0
+            self.origin[v] = v
+        #: settled vertices, level by level.
+        self.settled: List[int] = sorted(sources)
+        self._frontier: List[int] = list(self.settled)
         self.depth = 0
 
     @property
@@ -292,7 +331,8 @@ class BackwardFrontier:
         return not self._frontier or self.depth >= self.d_max
 
     def expand_level(self, budget: Optional[Budget] = None) -> List[int]:
-        """Advance one BFS level backward; returns the newly settled vertices.
+        """Advance one BFS level backward; returns the newly settled
+        vertices in ascending id (Blinks' emission order rests on it).
 
         A budget is charged one unit per frontier vertex *before* the
         level expands, so exhaustion leaves the settled maps consistent
@@ -305,35 +345,26 @@ class BackwardFrontier:
         charge_expansions(budget, len(self._frontier))
         if OBS.enabled:
             OBS.metrics.inc("search.levels_expanded")
-        return self._advance()
+        return sorted(self._advance())
 
     def _advance(self) -> List[int]:
-        """Settle the next level.
-
-        Origins are canonical: when several frontier vertices reach the
-        same new vertex, the smallest origin wins, so every equal-distance
-        tie resolves to the minimum source vertex id (by induction each
-        frontier vertex already carries its minimal origin) and the maps
-        are independent of adjacency order.  Cross-mode answer comparison
-        relies on this determinism.
-        """
-        reached: Dict[int, int] = {}
-        in_neighbors = self._in_neighbors
+        """Settle the next level; returns it in origin order."""
+        dist, origin = self.dist, self.origin
+        offsets, targets = self._in_offsets, self._in_targets
+        depth = self.depth + 1
+        level: List[int] = []
+        append = level.append
         for v in self._frontier:
-            origin = self.origin[v]
-            for u in in_neighbors(v):
-                if u in self.dist:
-                    continue
-                prev = reached.get(u)
-                if prev is None or origin < prev:
-                    reached[u] = origin
-        next_frontier = sorted(reached)
-        for u in next_frontier:
-            self.dist[u] = self.depth + 1
-            self.origin[u] = reached[u]
-        self._frontier = next_frontier
-        self.depth += 1
-        return next_frontier
+            v_origin = origin[v]
+            for u in targets[offsets[v] : offsets[v + 1]]:
+                if dist[u] < 0:
+                    dist[u] = depth
+                    origin[u] = v_origin
+                    append(u)
+        self.settled += level
+        self._frontier = level
+        self.depth = depth
+        return level
 
     def run_to_completion(self) -> None:
         """Expand until exhausted, untapped: a whole distance map is index
@@ -397,7 +428,6 @@ class RootedTreeAlgorithm(KeywordSearchAlgorithm):
         from_root = bfs_distances(
             graph, [root], max_depth=self.d_max, direction="forward"
         )
-        targets: Dict[str, int] = {}
         distances: Dict[str, int] = {}
         for keyword in query:
             node = keyword_nodes.get(keyword)
@@ -406,86 +436,147 @@ class RootedTreeAlgorithm(KeywordSearchAlgorithm):
             d = from_root.get(node)
             if d is None:
                 return None
-            targets[keyword] = node
             distances[keyword] = d
-        return self.answer_tree(graph, root, targets, self.scr(distances))
+        nodes = tuple(sorted((kw, keyword_nodes[kw]) for kw in query))
+        return self.answer_tree(graph, RootHit(self.scr(distances), root, nodes))
 
-    def best_answer_for_root(
+    def best_hit_for_root(
         self, graph: Graph, root: int, query: KeywordQuery
-    ) -> Optional[Answer]:
-        """The minimal-score answer rooted at ``root``, or ``None``.
+    ) -> Optional[RootHit]:
+        """The minimal-score hit rooted at ``root``, or ``None``.
 
         One forward BFS from the root finds the nearest vertex of each
         keyword label, stopping as soon as every keyword is found (so
         verifying a good candidate root touches a small ball); used by
         the BiG-index evaluator to verify candidate roots coming out of
-        specialization.
+        specialization, and by the sharded gather.
         """
         found = nearest_labeled_forward(
             graph, root, set(query.keywords), self.d_max
         )
         if found is None:
             return None
-        keyword_nodes = {kw: v for kw, (_, v) in found.items()}
         score = self.scr({kw: d for kw, (d, _) in found.items()})
-        return self.answer_tree(graph, root, keyword_nodes, score)
+        return RootHit(
+            score, root, tuple(sorted((kw, v) for kw, (_, v) in found.items()))
+        )
 
-    def settled_answers(
+    def settled_hits(
         self,
-        graph: Graph,
         keywords: Sequence[str],
         frontiers: Mapping[str, BackwardFrontier],
         below: float = float("inf"),
         skip: Iterable[int] = (),
-    ) -> List[Answer]:
-        """Answers among the settled roots with score strictly below ``below``.
+    ) -> List[RootHit]:
+        """Hits among the settled roots with score strictly below ``below``.
 
         A root settled by every frontier carries exact distances (BFS
-        settles in distance order), so each returned answer's score is
-        exact even when the frontiers were interrupted mid-way.  Roots in
-        ``skip`` (already answered by the caller) are left out.
+        settles in distance order), so each returned hit's score is
+        exact even when the frontiers were interrupted mid-way.  The
+        smallest frontier's ``settled`` list is scanned against the
+        others' arrays.  Roots in ``skip`` (already answered by the
+        caller) are left out.
         """
-        candidate_roots = set(frontiers[keywords[0]].dist)
-        for keyword in keywords[1:]:
-            candidate_roots &= set(frontiers[keyword].dist)
-        candidate_roots.difference_update(skip)
+        ordered = sorted(keywords)
+        dists = [frontiers[kw].dist for kw in ordered]
+        origins = [frontiers[kw].origin for kw in ordered]
+        smallest = min(
+            (frontiers[kw] for kw in ordered), key=lambda f: len(f.settled)
+        )
+        skip = set(skip)
         scr = self.scr
-        answers = []
-        for root in candidate_roots:
-            score = scr({kw: frontiers[kw].dist[root] for kw in keywords})
-            if score >= below:
+        hits = []
+        for root in smallest.settled:
+            distances = [d[root] for d in dists]
+            if -1 in distances or root in skip:
                 continue
-            keyword_nodes = {kw: frontiers[kw].origin[root] for kw in keywords}
-            answers.append(self.answer_tree(graph, root, keyword_nodes, score))
-        return answers
+            score = scr(dict(zip(ordered, distances)))
+            if score < below:
+                nodes = tuple(zip(ordered, [o[root] for o in origins]))
+                hits.append(RootHit(score, root, nodes))
+        return hits
 
-    def answer_tree(
-        self,
-        graph: Graph,
-        root: int,
-        keyword_nodes: Dict[str, int],
-        score: float,
-    ) -> Answer:
-        """Build the answer tree: union of shortest root-to-keyword paths."""
+    def answer_tree(self, graph: Graph, hit: RootHit) -> Answer:
+        """Build the hit's answer tree: the union of shortest
+        root-to-keyword paths.  Rooted searches call it only for the hits
+        that leave the system (``search.trees_materialized`` counts it)."""
+        if OBS.enabled:
+            OBS.metrics.inc("search.trees_materialized")
+        root = hit.root
         vertices: Set[int] = {root}
         edges: Set[Tuple[int, int]] = set()
-        for node in keyword_nodes.values():
+        for _, node in hit.keyword_nodes:
             path = shortest_path(graph, root, node, max_depth=self.d_max)
             if path is None:  # pragma: no cover - callers guarantee reachability
                 continue
             vertices.update(path)
             edges.update(zip(path, path[1:]))
         return Answer.make(
-            keyword_nodes, score=score, root=root, vertices=vertices, edges=edges
+            dict(hit.keyword_nodes),
+            score=hit.score,
+            root=root,
+            vertices=vertices,
+            edges=edges,
         )
 
 
-def top_k(answers: Sequence[Answer], k: Optional[int]) -> List[Answer]:
-    """Deterministically sort answers and truncate to ``k``.
+class RootedSearcher(GraphSearcher):
+    """A searcher of a :class:`RootedTreeAlgorithm`: one enumeration body,
+    :meth:`search_hits` (plus :meth:`iter_hits` for a true generator);
+    :meth:`search` / :meth:`iter_search` build trees for the hits they
+    return.  The evaluator and the sharded gather read hits directly."""
+
+    def __init__(self, graph: Graph, algorithm: RootedTreeAlgorithm) -> None:
+        super().__init__(graph)
+        self.algorithm = algorithm
+        self.k = algorithm.k
+
+    @abstractmethod
+    def search_hits(
+        self,
+        query: KeywordQuery,
+        budget: Optional[Budget] = None,
+        k: object = USE_BOUND_K,
+    ) -> List[RootHit]:
+        """:meth:`search` as hits (a budget trip's ``partial`` too)."""
+
+    def iter_hits(
+        self, query: KeywordQuery, budget: Optional[Budget] = None
+    ) -> Iterator[RootHit]:
+        """:meth:`iter_search` as hits."""
+        yield from self.search_hits(query, budget=budget, k=None)
+
+    def search(
+        self,
+        query: KeywordQuery,
+        budget: Optional[Budget] = None,
+        k: object = USE_BOUND_K,
+    ) -> List[Answer]:
+        return list(self._trees(self.search_hits, query, budget, k=k))
+
+    def iter_search(self, query: KeywordQuery, budget: Optional[Budget] = None):
+        return self._trees(self.iter_hits, query, budget)
+
+    def _trees(self, hits, *args, **kwargs) -> Iterator[Answer]:
+        """Trees of ``hits(*args, **kwargs)``, built as they are consumed
+        (a budget trip's ``partial`` too)."""
+        tree = self.algorithm.answer_tree
+        try:
+            for hit in hits(*args, **kwargs):
+                yield tree(self.graph, hit)
+        except BudgetExceeded as exc:
+            exc.partial = [tree(self.graph, hit) for hit in exc.partial]
+            raise
+
+
+def top_k(answers: Sequence, k: Optional[int]) -> List:
+    """Deterministically sort answers (or root hits) and truncate to ``k``.
 
     Sorting is by (score, root, keyword nodes) so ties break identically
     across direct and BiG-index evaluation, which Prop. 5.3's
-    ranking-preservation tests rely on.
+    ranking-preservation tests rely on.  A hit and its materialized
+    answer share score and signature, so ranking hits and building
+    trees for the top ``k`` equals ranking the trees.
     """
     ordered = sorted(answers, key=lambda a: (a.score, a.signature()))
     if k is None:

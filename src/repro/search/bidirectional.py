@@ -30,11 +30,11 @@ from typing import Dict, List, Optional, Set, Tuple
 from repro.graph.digraph import Graph
 from repro.search.base import (
     USE_BOUND_K,
-    Answer,
     BackwardFrontier,
-    GraphSearcher,
     KeywordQuery,
+    RootedSearcher,
     RootedTreeAlgorithm,
+    RootHit,
     top_k,
     unseen_lower_bound,
 )
@@ -43,21 +43,16 @@ from repro.utils.budget import Budget
 from repro.utils.errors import BudgetExceeded
 
 
-class BidirectionalSearcher(GraphSearcher):
+class BidirectionalSearcher(RootedSearcher):
     """Bidirectional expansion bound to one graph."""
 
-    def __init__(self, graph: Graph, algorithm: "BidirectionalSearch") -> None:
-        super().__init__(graph)
-        self.algorithm = algorithm
-        self.k = algorithm.k
-
-    def search(
+    def search_hits(
         self,
         query: KeywordQuery,
         budget: Optional[Budget] = None,
         k: object = USE_BOUND_K,
-    ) -> List[Answer]:
-        """Distinct-root answers via prioritized bidirectional expansion."""
+    ) -> List[RootHit]:
+        """Distinct-root hits via prioritized bidirectional expansion."""
         k = self._resolve_k(k)
         keywords = query.keywords
         d_max = self.algorithm.d_max
@@ -72,8 +67,8 @@ class BidirectionalSearcher(GraphSearcher):
         # (-keyword sets reached, accumulated distance, vertex).
         activation: Dict[int, Set[str]] = {}
         candidates: List[Tuple[int, int, int]] = []
-        #: roots confirmed by a forward probe -> their exact best answer.
-        confirmed: Dict[int, Answer] = {}
+        #: roots confirmed by a forward probe -> their exact best hit.
+        confirmed: Dict[int, RootHit] = {}
 
         def touch(vertex: int, keyword: str) -> None:
             reached = activation.setdefault(vertex, set())
@@ -84,7 +79,7 @@ class BidirectionalSearcher(GraphSearcher):
             heapq.heappush(candidates, (-len(reached), total, vertex))
 
         for keyword in keywords:
-            for vertex in frontiers[keyword].dist:
+            for vertex in frontiers[keyword].settled:
                 touch(vertex, keyword)
 
         depth = 0
@@ -114,11 +109,11 @@ class BidirectionalSearcher(GraphSearcher):
                         if -neg_reached * 2 <= len(keywords):
                             continue
                     charge_expansions(budget, 1)
-                    answer = self.algorithm.best_answer_for_root(
+                    hit = self.algorithm.best_hit_for_root(
                         self.graph, vertex, query
                     )
-                    if answer is not None:
-                        confirmed[vertex] = answer
+                    if hit is not None:
+                        confirmed[vertex] = hit
                         hits += 1
                         if OBS.enabled:
                             OBS.metrics.inc("search.roots_confirmed")
@@ -132,19 +127,17 @@ class BidirectionalSearcher(GraphSearcher):
             # belongs to one of the two, so the filtered set is a ranking
             # prefix.
             lower_bound = unseen_lower_bound(frontiers.values())
-            settled = self.algorithm.settled_answers(
-                self.graph, keywords, frontiers, below=lower_bound, skip=confirmed
+            settled = self.algorithm.settled_hits(
+                keywords, frontiers, below=lower_bound, skip=confirmed
             )
-            settled += [a for a in confirmed.values() if a.score < lower_bound]
+            settled += [h for h in confirmed.values() if h.score < lower_bound]
             exc.partial = top_k(settled, k)
             exc.lower_bound = lower_bound
             raise
 
         # Exhaustive completion: any vertex settled by every backward
         # frontier is a root (ensures the same answer set as bkws).
-        settled = self.algorithm.settled_answers(
-            self.graph, keywords, frontiers, skip=confirmed
-        )
+        settled = self.algorithm.settled_hits(keywords, frontiers, skip=confirmed)
         return top_k(settled + list(confirmed.values()), k)
 
 

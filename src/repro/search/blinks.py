@@ -34,17 +34,19 @@ paper's experiments.
 
 from __future__ import annotations
 
+import threading
+from bisect import insort
 from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Set, Tuple
 
 from repro.graph.digraph import Graph
 from repro.graph.partition import Partition, partition_bfs_grow
 from repro.search.base import (
     USE_BOUND_K,
-    Answer,
     BackwardFrontier,
-    GraphSearcher,
     KeywordQuery,
+    RootedSearcher,
     RootedTreeAlgorithm,
+    RootHit,
     ScoreFunction,
     top_k,
 )
@@ -72,8 +74,8 @@ def _backward_distance_map(
     """
     frontier = BackwardFrontier(graph, sources, d_max)
     frontier.run_to_completion()
-    origin = frontier.origin
-    return {v: (d, origin[v]) for v, d in frontier.dist.items()}
+    dist, origin = frontier.dist, frontier.origin
+    return {v: (dist[v], origin[v]) for v in frontier.settled}
 
 
 class BlinksSingleLevelIndex:
@@ -197,12 +199,7 @@ class BlinksBiLevelIndex:
         sources = self.graph.sorted_vertices_with_label(label)
         return _backward_distance_map(self.graph, sources, self.d_max)
 
-    def keyword_cursor(self, label: str) -> Iterator[Tuple[int, int]]:
-        """(distance, vertex) pairs for ``label`` in ascending distance."""
-        entries = sorted(
-            (dist, v) for v, (dist, _) in self.keyword_distances(label).items()
-        )
-        return iter(entries)
+    keyword_cursor = BlinksSingleLevelIndex.keyword_cursor
 
     def distance(self, vertex: int, label: str) -> Optional[int]:
         """Exact ``dist(vertex, label)``; prefers the local map's entry.
@@ -225,16 +222,18 @@ class _LevelCursor:
     With a single-level index the distance map is precomputed and
     "expansion" is instantaneous; with the bi-level index the levels come
     from a live :class:`BackwardFrontier` and each one performs real
-    traversal work — the per-query cost the paper measures.
+    traversal work — the per-query cost the paper measures.  Either way
+    ``dist`` / ``origin`` are the frontier's per-query arrays (``-1`` =
+    not reached).
     """
 
     def __init__(self, graph: Graph, index, keyword: str, d_max: int) -> None:
         self.depth = 0
         if index.kind == "single-level":
             self._frontier: Optional[BackwardFrontier] = None
-            #: settled vertex -> distance / nearest keyword vertex.
-            self.dist: Dict[int, int] = {}
-            self.origin: Dict[int, int] = {}
+            #: vertex -> distance / nearest keyword vertex (-1: unreached).
+            self.dist: List[int] = [-1] * graph.num_vertices
+            self.origin: List[int] = [-1] * graph.num_vertices
             self._levels: Dict[int, List[int]] = {}
             for v, (d, o) in index.keyword_distances(keyword).items():
                 self.dist[v] = d
@@ -247,7 +246,7 @@ class _LevelCursor:
             self.dist = self._frontier.dist
             self.origin = self._frontier.origin
             self._levels = {0: list(sources)}
-            self._last = d_max
+            self._last = d_max if sources else -1
 
     @property
     def exhausted(self) -> bool:
@@ -275,71 +274,77 @@ class _LevelCursor:
         return level
 
 
-class BlinksSearcher(GraphSearcher):
+class BlinksSearcher(RootedSearcher):
     """Blinks bound to one graph with its index built."""
 
     def __init__(self, graph: Graph, index, algorithm: "Blinks") -> None:
-        super().__init__(graph)
+        super().__init__(graph, algorithm)
         self.index = index
-        self.algorithm = algorithm
-        self.k = algorithm.k
+        self._stream = threading.local()
 
-    def search(
+    def search_hits(
         self,
         query: KeywordQuery,
         budget: Optional[Budget] = None,
         k: object = USE_BOUND_K,
-    ) -> List[Answer]:
+    ) -> List[RootHit]:
         """Distinct-root top-k via round-robin backward expansion.
 
-        Collects discovered answers and stops once the k-th best score is
+        Collects discovered hits and stops once the k-th best score is
         at most the stream's lower bound — every undiscovered root must
         then score worse.
         """
         k = self._resolve_k(k)
-        answers: List[Answer] = []
+        hits: List[RootHit] = []
+        scores: List[float] = []
         try:
-            for answer in self.iter_search(query, budget=budget):
-                answers.append(answer)
-                if k is not None and len(answers) >= k:
-                    kth = sorted(a.score for a in answers)[k - 1]
-                    if kth <= self.stream_lower_bound:
-                        break
+            for hit in self.iter_hits(query, budget=budget):
+                hits.append(hit)
+                if k is None:
+                    continue
+                insort(scores, hit.score)
+                if len(scores) >= k and scores[k - 1] <= self.stream_lower_bound:
+                    break
         except BudgetExceeded as exc:
             # Unseen roots score at least the stream bound, so the
-            # emitted answers strictly below it are a ranking prefix.
+            # emitted hits strictly below it are a ranking prefix.
             lower_bound = self.stream_lower_bound
-            exc.partial = top_k(
-                [a for a in answers if a.score < lower_bound], k
-            )
+            exc.partial = top_k([h for h in hits if h.score < lower_bound], k)
             exc.lower_bound = lower_bound
             raise
-        return top_k(answers, k)
+        return top_k(hits, k)
 
-    #: Always set: Blinks' streams are not score-sorted (see iter_search).
-    stream_lower_bound: float = 0.0
+    @property
+    def stream_lower_bound(self) -> float:
+        """The bound of this thread's stream (see :meth:`iter_hits`): one
+        searcher serves concurrent queries, one stream per thread."""
+        return getattr(self._stream, "lower_bound", 0.0)
 
-    def iter_search(self, query: KeywordQuery, budget: Optional[Budget] = None):
-        """Lazily yield distinct-root answers as they are discovered.
+    def iter_hits(self, query: KeywordQuery, budget: Optional[Budget] = None):
+        """Lazily yield distinct-root hits as they are discovered.
 
         Yields are *not* globally score-sorted (sorting would force full
         expansion before the first emission); instead
         :attr:`stream_lower_bound` always holds a sound lower bound on
-        every unseen answer's score: a root not yet yielded is missing
+        every unseen hit's score: a root not yet yielded is missing
         from at least one cursor's settled set, so its score is at least
         that cursor's next depth — at least the minimum active depth.
         """
-        self.stream_lower_bound = 0.0
+        stream = self._stream
+        stream.lower_bound = 0.0
         algorithm = self.algorithm
         cursors: Dict[str, _LevelCursor] = {}
         for keyword in query:
             cursor = _LevelCursor(self.graph, self.index, keyword, algorithm.d_max)
-            if not cursor.dist:
-                self.stream_lower_bound = float("inf")
+            if cursor.exhausted:
+                stream.lower_bound = float("inf")
                 return
             cursors[keyword] = cursor
 
         keywords = query.keywords
+        ordered = sorted(keywords)
+        dists = [cursors[kw].dist for kw in ordered]
+        origins = [cursors[kw].origin for kw in ordered]
         emitted: Set[int] = set()
 
         while True:
@@ -352,25 +357,21 @@ class BlinksSearcher(GraphSearcher):
             for vertex in cursors[keyword].take_level(budget):
                 if vertex in emitted:
                     continue
-                distances: Dict[str, int] = {}
-                for kw in keywords:
-                    d = cursors[kw].dist.get(vertex)
-                    if d is None:
-                        break
-                    distances[kw] = d
-                else:  # settled by every cursor: an answer root
-                    emitted.add(vertex)
-                    keyword_nodes = {
-                        kw: cursors[kw].origin[vertex] for kw in keywords
-                    }
-                    yield algorithm.answer_tree(
-                        self.graph, vertex, keyword_nodes, algorithm.scr(distances)
-                    )
+                distances = [d[vertex] for d in dists]
+                if -1 in distances:
+                    continue
+                # settled by every cursor: an answer root
+                emitted.add(vertex)
+                yield RootHit(
+                    algorithm.scr(dict(zip(ordered, distances))),
+                    vertex,
+                    tuple(zip(ordered, [o[vertex] for o in origins])),
+                )
             active_now = [c for c in cursors.values() if not c.exhausted]
-            self.stream_lower_bound = (
+            stream.lower_bound = (
                 min(c.depth for c in active_now) if active_now else float("inf")
             )
-        self.stream_lower_bound = float("inf")
+        stream.lower_bound = float("inf")
 
 
 class Blinks(RootedTreeAlgorithm):

@@ -128,14 +128,14 @@ class TestBestAnswerForRoot:
         query = KeywordQuery(["A", "B"])
         answers = {a.root: a.score for a in algo.bind(g).search(query)}
         for root, score in answers.items():
-            best = algo.best_answer_for_root(g, root, query)
+            best = algo.best_hit_for_root(g, root, query)
             assert best is not None
             assert best.score == score
 
     def test_invalid_root_returns_none(self, tiny_graph):
         algo = BackwardKeywordSearch(d_max=2)
         assert (
-            algo.best_answer_for_root(tiny_graph, 4, KeywordQuery(["K2"]))
+            algo.best_hit_for_root(tiny_graph, 4, KeywordQuery(["K2"]))
             is None
         )
 

@@ -84,7 +84,7 @@ class TestVerify:
         algo = BidirectionalSearch(d_max=3, k=None)
         query = KeywordQuery(["A", "B"])
         for answer in algo.bind(g).search(query)[:5]:
-            best = algo.best_answer_for_root(g, answer.root, query)
+            best = algo.best_hit_for_root(g, answer.root, query)
             assert best is not None and best.score == answer.score
             verified = algo.verify(
                 g, answer.keyword_node_map, query, root=answer.root

@@ -183,7 +183,7 @@ class TestBlinksVerify:
         blinks = Blinks(d_max=3, k=None)
         answers = {a.root: a.score for a in blinks.bind(g).search(query)}
         for root, score in list(answers.items())[:5]:
-            best = blinks.best_answer_for_root(g, root, query)
+            best = blinks.best_hit_for_root(g, root, query)
             assert best is not None and best.score == score
 
     def test_distance_sum_score(self):

@@ -24,15 +24,21 @@ barrier tests schedule the historical interleavings deterministically,
 from __future__ import annotations
 
 import random
+import sys
 import threading
 from concurrent.futures import ThreadPoolExecutor
 
+import pytest
+
+from repro.core.evaluator import HierarchicalEvaluator
 from repro.core.index import BiGIndex
 from repro.core.plugins import boost
 from repro.core.querycache import LRUCache
 from repro.obs.metrics import MetricsRegistry
 from repro.search.banks import BackwardKeywordSearch
 from repro.search.base import KeywordQuery
+from repro.search.bidirectional import BidirectionalSearch
+from repro.search.blinks import Blinks
 from repro.serve.lifecycle import EngineRuntime
 
 
@@ -418,6 +424,48 @@ class TestMemoThreading:
 # ----------------------------------------------------------------------
 class TestEvaluatorThreading:
     QUERIES = (("A", "B"), ("C", "D"), ("A", "C"), ("B", "D"))
+
+    @pytest.mark.parametrize(
+        "algorithm",
+        [
+            BackwardKeywordSearch(d_max=3, k=10),
+            BidirectionalSearch(d_max=3, k=10),
+            Blinks(d_max=3, k=10, block_size=12),
+        ],
+        ids=lambda a: a.name,
+    )
+    def test_uncached_pool_matches_sequential(
+        self, algorithm, random_graph_factory, small_ontology
+    ):
+        """Four threads share one evaluator (and so its per-layer
+        searchers) with the result cache off, as serve handlers do on a
+        snapshot: every query's frontier scratch is its own."""
+        index = build_index(random_graph_factory, small_ontology, seed=23)
+        evaluator = HierarchicalEvaluator(
+            index, algorithm, allow_layer_zero=True, cache_size=0
+        )
+        pool = [
+            (q, layer, k)
+            for q in self.QUERIES + (("A", "C", "E"), ("E",))
+            for layer in (None, 0, 1)
+            for k in (None, 5)
+            if layer != 1 or index.query_distinct_at(KeywordQuery(q), layer)
+        ]
+
+        def run(entry):
+            q, layer, k = entry
+            return evaluator.evaluate(KeywordQuery(q), layer=layer, k=k).answers
+
+        expected = [run(entry) for entry in pool]
+        # Switch threads often so streams interleave mid-level.
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with ThreadPoolExecutor(max_workers=4) as executor:
+                got = list(executor.map(run, pool * 4))
+        finally:
+            sys.setswitchinterval(interval)
+        assert got == expected * 4
 
     def test_result_cache_hammer_matches_oracle(
         self, random_graph_factory, small_ontology

@@ -14,9 +14,11 @@ from repro.core.evaluator import HierarchicalEvaluator, eval_direct
 from repro.core.index import BiGIndex
 from repro.core.plugins import boost, boost_bkws, boost_dkws, boost_rkws
 from repro.search.banks import BackwardKeywordSearch
-from repro.search.base import KeywordQuery
+from repro.search.base import KeywordQuery, RootedTreeAlgorithm
+from repro.search.bidirectional import BidirectionalSearch
 from repro.search.blinks import Blinks
 from repro.search.rclique import RClique
+from repro.utils.budget import Budget
 from repro.utils.errors import QueryError
 
 EXACT = CostParams(exact=True)
@@ -242,3 +244,72 @@ class TestPluginFacade:
         boosted.warm()
         for m in range(index.num_layers + 1):
             assert m in boosted.evaluator._searchers
+
+
+class TestLazyMaterialization:
+    """Rooted evaluation ranks root hits and builds a tree only for an
+    answer that leaves the evaluator."""
+
+    ALGORITHMS = [
+        BackwardKeywordSearch(d_max=3, k=None),
+        BidirectionalSearch(d_max=3, k=None),
+        Blinks(d_max=3, k=None, block_size=12),
+    ]
+    #: (keywords, layer): A and C collide at layer 2 of the toy ontology.
+    CASES = [(("A", "C"), 0), (("A", "C"), 1), (("A",), 2)]
+
+    @staticmethod
+    def count_trees(monkeypatch):
+        built = []
+        build = RootedTreeAlgorithm.answer_tree
+
+        def counting(self, graph, hit):
+            built.append(hit.root)
+            return build(self, graph, hit)
+
+        monkeypatch.setattr(RootedTreeAlgorithm, "answer_tree", counting)
+        return built
+
+    @pytest.mark.parametrize("algo", ALGORITHMS, ids=lambda a: a.name)
+    @pytest.mark.parametrize("keywords,layer", CASES)
+    def test_complete_result_builds_only_its_answers(
+        self, algo, keywords, layer, small_ontology, random_graph_factory,
+        monkeypatch,
+    ):
+        _graph, index = build_random_instance(
+            41, small_ontology, random_graph_factory
+        )
+        query = KeywordQuery(keywords)
+        full = HierarchicalEvaluator(index, algo, cache_size=0).evaluate(
+            query, layer=layer
+        )
+        assert len(full.answers) > 10
+        built = self.count_trees(monkeypatch)
+        evaluator = HierarchicalEvaluator(index, algo, cache_size=0)
+        result = evaluator.evaluate(query, layer=layer, k=10)
+        assert result.answers == full.answers[:10]
+        assert len(built) <= len(result.answers)
+
+    @pytest.mark.parametrize("algo", ALGORITHMS, ids=lambda a: a.name)
+    @pytest.mark.parametrize("keywords,layer", CASES)
+    @pytest.mark.parametrize("cap", [20, 200])
+    def test_degraded_result_builds_only_what_it_reports(
+        self, algo, keywords, layer, cap, small_ontology, random_graph_factory,
+        monkeypatch,
+    ):
+        _graph, index = build_random_instance(
+            41, small_ontology, random_graph_factory
+        )
+        built = self.count_trees(monkeypatch)
+        evaluator = HierarchicalEvaluator(index, algo, cache_size=0)
+        result = evaluator.evaluate_resilient(
+            KeywordQuery(keywords), budget=Budget(max_expansions=cap),
+            layer=layer, k=10,
+        )
+        if result.degraded:
+            # Every attempt builds its proven prefix and its unranked rest.
+            reported = sum(a.proven + a.unproven for a in result.attempts)
+            assert len(built) <= reported
+            assert len(result.answers) + len(result.unranked) <= reported
+        else:
+            assert len(built) <= len(result.answers)

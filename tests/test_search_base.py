@@ -1,14 +1,20 @@
 """Unit tests for the shared search interfaces."""
 
+import itertools
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.graph.digraph import Graph
+from repro.graph.traversal import bfs_distances
+from repro.obs.runtime import instrumented
 from repro.search.banks import BackwardKeywordSearch
 from repro.search.base import (
     Answer,
     BackwardFrontier,
     KeywordQuery,
     RootedTreeAlgorithm,
+    RootHit,
     top_k,
     unseen_lower_bound,
 )
@@ -97,11 +103,18 @@ class TestBackwardFrontier:
             g.add_edge(u, v)
         g.add_edge(3, 2)
         frontier = BackwardFrontier(g, [1, 0], d_max=2)
+        assert frontier.settled == [0, 1]
+        assert frontier.dist == [0, 0, -1, -1]
+        assert frontier.origin == [0, 1, -1, -1]
         assert frontier.expand_level() == [2]
         assert (frontier.dist[2], frontier.origin[2]) == (1, 0)
         assert frontier.expand_level() == [3]
         assert (frontier.dist[3], frontier.origin[3]) == (2, 0)
         assert frontier.exhausted and frontier.expand_level() == []
+        assert frontier.settled == [0, 1, 2, 3]
+        other = BackwardFrontier(g, [0, 1], d_max=2)
+        other.run_to_completion()
+        assert (other.dist, other.origin) == (frontier.dist, frontier.origin)
 
     def test_budget_trip_leaves_previous_level(self):
         g = Graph()
@@ -113,12 +126,64 @@ class TestBackwardFrontier:
         frontier = BackwardFrontier(g, [3], d_max=3)
         budget = Budget(max_expansions=2)
         assert frontier.expand_level(budget) == [0, 1, 2]  # charges 1
-        before = (dict(frontier.dist), dict(frontier.origin), frontier.depth)
+        before = (
+            list(frontier.dist),
+            list(frontier.origin),
+            list(frontier.settled),
+            frontier.depth,
+        )
         with pytest.raises(BudgetExceeded):
             frontier.expand_level(budget)  # charging 3 more trips first
-        assert (frontier.dist, frontier.origin, frontier.depth) == before
+        assert (
+            frontier.dist, frontier.origin, frontier.settled, frontier.depth
+        ) == before
         assert not frontier.exhausted
         assert unseen_lower_bound([frontier]) == 2.0
+
+
+@st.composite
+def frontier_instances(draw):
+    """A random digraph, a nonempty source set and a hop bound."""
+    n = draw(st.integers(min_value=1, max_value=24))
+    vertex = st.integers(min_value=0, max_value=n - 1)
+    edges = draw(st.lists(st.tuples(vertex, vertex), max_size=3 * n))
+    sources = draw(st.lists(vertex, min_size=1, max_size=n, unique=True))
+    d_max = draw(st.integers(min_value=0, max_value=4))
+    return n, edges, sources, d_max
+
+
+class TestFrontierArrays:
+    @settings(max_examples=200, deadline=None)
+    @given(frontier_instances())
+    def test_arrays_match_reference_bfs(self, instance):
+        """``dist`` is the backward BFS distance to the nearest source and
+        ``origin`` the smallest source at that distance; every level comes
+        back in ascending vertex id."""
+        n, edges, sources, d_max = instance
+        g = Graph()
+        for _ in range(n):
+            g.add_vertex("x")
+        for u, v in edges:
+            if u != v:
+                g.add_edge(u, v)
+        frontier = BackwardFrontier(g, sources, d_max)
+        while not frontier.exhausted:
+            level = frontier.expand_level()
+            assert level == sorted(level)
+        nearest = bfs_distances(g, sources, max_depth=d_max, direction="backward")
+        per_source = {
+            s: bfs_distances(g, [s], max_depth=d_max, direction="backward")
+            for s in sources
+        }
+        for v in range(n):
+            if v not in nearest:
+                assert (frontier.dist[v], frontier.origin[v]) == (-1, -1)
+                continue
+            d = nearest[v]
+            origin = min(s for s in sources if per_source[s].get(v) == d)
+            assert (frontier.dist[v], frontier.origin[v]) == (d, origin)
+        assert sorted(frontier.settled) == sorted(nearest)
+        assert len(frontier.settled) == len(nearest)
 
 
 ROOTED = [
@@ -147,3 +212,68 @@ class TestRootedTreeAlgorithm:
             assert verified.score == a.score
             assert type(verified.score) is type(a.score)
             assert verified.signature() == a.signature()
+
+
+def count_trees(monkeypatch):
+    """Record every answer tree built from here on (its root)."""
+    built = []
+    build = RootedTreeAlgorithm.answer_tree
+
+    def counting(self, graph, hit):
+        built.append(hit.root)
+        return build(self, graph, hit)
+
+    monkeypatch.setattr(RootedTreeAlgorithm, "answer_tree", counting)
+    return built
+
+
+class TestLazyTrees:
+    @pytest.mark.parametrize("algo", ROOTED, ids=lambda a: a.name)
+    def test_search_builds_trees_only_for_its_top_k(
+        self, algo, random_graph_factory, monkeypatch
+    ):
+        g = random_graph_factory(num_vertices=80, num_edges=220, seed=3)
+        query = KeywordQuery(["A", "B"])
+        searcher = algo.bind(g)
+        full = searcher.search(query, k=None)
+        assert len(full) > 10
+        built = count_trees(monkeypatch)
+        top = searcher.search(query, k=10)
+        assert top == full[:10]
+        assert len(built) <= 10
+        with instrumented(trace=False) as inst:
+            searcher.search(query, k=10)
+        assert inst.metrics.counter("search.trees_materialized") == 10
+
+    @pytest.mark.parametrize("algo", ROOTED, ids=lambda a: a.name)
+    def test_hits_rank_like_their_trees(self, algo, random_graph_factory):
+        g = random_graph_factory(num_vertices=80, num_edges=220, seed=4)
+        query = KeywordQuery(["A", "C", "E"])
+        searcher = algo.bind(g)
+        hits = searcher.search_hits(query, k=None)
+        answers = searcher.search(query, k=None)
+        assert all(isinstance(h, RootHit) for h in hits)
+        assert [(h.score, h.signature()) for h in hits] == [
+            (a.score, a.signature()) for a in answers
+        ]
+        assert top_k(hits, None) == hits
+
+    @pytest.mark.parametrize("algo", ROOTED, ids=lambda a: a.name)
+    def test_interleaved_streams_match_sequential(
+        self, algo, random_graph_factory
+    ):
+        """Per-query scratch: two live streams on one searcher do not
+        disturb each other."""
+        g = random_graph_factory(num_vertices=80, num_edges=220, seed=5)
+        searcher = algo.bind(g)
+        q1, q2 = KeywordQuery(["A", "B"]), KeywordQuery(["C", "D", "E"])
+        expected = [list(searcher.iter_search(q1)), list(searcher.iter_search(q2))]
+        got = [[], []]
+        for pair in itertools.zip_longest(
+            searcher.iter_search(q1), searcher.iter_search(q2)
+        ):
+            for i, answer in enumerate(pair):
+                if answer is not None:
+                    got[i].append(answer)
+        assert got == expected
+        assert all(expected)

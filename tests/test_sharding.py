@@ -204,7 +204,7 @@ class TestExactness:
                 a.score for a in theirs.answers
             ]
             for answer in ours.answers:
-                best = algorithm.best_answer_for_root(g, answer.root, query)
+                best = algorithm.best_hit_for_root(g, answer.root, query)
                 assert best is not None
                 assert answer.score == best.score
 
