@@ -230,12 +230,14 @@ class Fixture:
             cost_params = CostParams(num_samples=25)
         self.queries = probe_queries(self.graph)
         #: The 2-layer index every query and serve section evaluates on.
-        self.index = BiGIndex.build(
-            self.graph.copy(share_label_table=True),
-            self.ontology,
-            num_layers=2,
-            cost_params=cost_params,
-        )
+        with instrumented(trace=False) as inst:
+            self.index = BiGIndex.build(
+                self.graph.copy(share_label_table=True),
+                self.ontology,
+                num_layers=2,
+                cost_params=cost_params,
+            )
+        self.build_counters = inst.metrics.counters()
         #: Answers one uncached in-process pass over ``queries`` returns —
         #: the count every cached, batched, served or logged pass must match.
         self.answers_per_pass = _answers(_boosted(self.index), self.queries)
@@ -340,11 +342,17 @@ def section_search(fixture: Fixture, repeats: int) -> Metrics:
 
 def section_build(fixture: Fixture, repeats: int) -> Metrics:
     """``build.synt-1k.layer_sizes`` — what Algorithm 1 built for the
-    fixture (full mode).  Untimed: its clock is ``build.total_s`` on the
-    end-to-end ``build-load`` workload."""
+    fixture (full mode) — and ``counters.build.synt-1k``, the candidates,
+    layers and refinement calls that took.  Untimed: its clock is
+    ``build.total_s`` on the end-to-end ``build-load`` workload."""
     if fixture.quick:
         return {}
-    return {"build.synt-1k.layer_sizes": fixture.index.layer_sizes()}
+    counters = fixture.build_counters
+    kept = ("build.candidates_scored", "build.layers", "refine.calls")
+    return {
+        "build.synt-1k.layer_sizes": fixture.index.layer_sizes(),
+        "counters.build.synt-1k": {key: counters[key] for key in kept},
+    }
 
 
 def section_maintain(fixture: Fixture, repeats: int) -> Metrics:

@@ -67,6 +67,7 @@ from repro.obs.runtime import OBS
 def maximal_bisimulation(
     graph: Graph,
     initial_blocks: Sequence[int] | None = None,
+    labels: Sequence[int] | None = None,
 ) -> List[int]:
     """Compute the maximal bisimulation partition of ``graph``.
 
@@ -79,6 +80,10 @@ def maximal_bisimulation(
         the coarsest *stable* refinement of this partition that also refines
         the label partition.  Used by index maintenance; when omitted the
         label partition is the start, yielding the maximal bisimulation.
+    labels:
+        Optional label id per vertex, read instead of ``graph.labels``
+        (the cost model passes ``Gen(C)``'s labels here instead of
+        building the relabelled copy).
 
     Returns
     -------
@@ -100,7 +105,8 @@ def maximal_bisimulation(
     out_off, out_tgt = csr.out_offsets.tolist(), csr.out_targets
     in_off, in_tgt = csr.in_offsets.tolist(), csr.in_targets
 
-    labels = graph.labels
+    if labels is None:
+        labels = graph.labels
     if initial_blocks is None:
         block: List[int] = list(labels)
         # The start partition *is* the label partition: folding the label

@@ -7,7 +7,11 @@
   the whole graph, so the model estimates it on ``n`` sampled r-hop
   node-induced subgraphs (Sec. 3.2 "Graph sampling"); the estimation-of-
   proportion formula sizes the sample (``n = 400`` at ``E = 5%``,
-  ``z = 1.96``).
+  ``z = 1.96``).  A partition depends only on which vertices share a
+  label, never on label names (cf. Rau et al.), so the ratio is counted
+  on ``Gen(C)``'s label-id array — no relabelled copy, no summary graph,
+  no label interned — and memoized per sample under the label groups
+  ``Gen(C)`` merges there.
 * **distort** — the support-weighted semantic distortion.  For a mapping
   ``l_i -> l'_i``, ``distort(l_i) = 1 - 1/|X_{l_i}|`` where ``X_{l_i}``
   counts the configuration's labels generalized to the same supertype;
@@ -19,12 +23,13 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import Counter
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
-from repro.bisim.summary import summarize
+from repro.bisim.refinement import maximal_bisimulation
 from repro.core.config import Configuration
-from repro.core.generalize import generalize_graph
+from repro.core.generalize import generalized_label_ids
 from repro.graph.digraph import Graph
 from repro.graph.sampling import sample_neighborhoods
 from repro.utils.errors import ConfigurationError
@@ -80,10 +85,10 @@ class CostModel:
         self.params = params or CostParams()
         self._samples: Optional[List[Graph]] = None
         self._support_cache: Dict[str, float] = {}
-        #: (sample index, config projected onto the sample's labels) ->
+        #: (sample index, the label groups Gen(C) merges on the sample) ->
         #: that sample's compression ratio.
-        self._ratio_cache: Dict[Tuple[int, Tuple[Tuple[str, str], ...]], float] = {}
-        self._sample_labels: Optional[List[frozenset]] = None
+        self._ratio_cache: Dict[Tuple[int, Tuple[int, ...]], float] = {}
+        self._sample_labels: Optional[List[List[int]]] = None
 
     # ------------------------------------------------------------------
     @property
@@ -119,32 +124,33 @@ class CostModel:
     def compress(self, config: Configuration) -> float:
         """Estimated (or exact) compression ratio ``|chi(G, C)| / |G|``.
 
-        Per-sample ratios are memoized keyed by the configuration's
-        *projection* onto the sample's label set: a mapping whose source
-        label is absent from a sample is a no-op for that sample's
-        generalization, so any two configurations with the same projection
-        produce bit-identical ratios.  Algorithm 1 evaluates hundreds of
-        near-identical configurations (every single-mapping candidate,
-        then each cumulative extension), and most samples are blind to
-        most mappings — the cache collapses that to one summarization per
-        distinct (sample, projection) pair without changing a single
-        float.
+        Per-sample ratios are memoized keyed by the groups of the sample's
+        labels that ``Gen(C)`` merges: the ratio depends only on which
+        vertices share a generalized label, so a mapping whose source is
+        absent from a sample, or which merely renames a label, leaves the
+        key — and the ratio — as under the empty configuration.  Algorithm
+        1 evaluates hundreds of near-identical configurations (every
+        single-mapping candidate, then each cumulative extension), and
+        most samples see few merges; the cache collapses that to one
+        refinement per distinct (sample, merge) pair without changing a
+        single float.
         """
         if self.params.exact:
             return compression_ratio(self.graph, config)
         samples = self.samples
         if self._sample_labels is None:
             self._sample_labels = [
-                frozenset(sample.distinct_labels()) for sample in samples
+                sorted(sample.distinct_label_ids()) for sample in samples
             ]
-        items = sorted(config.mappings.items())
+        gen = generalized_label_ids(self.graph.label_table, config)
         cache = self._ratio_cache
         ratios: List[float] = []
         for i, sample in enumerate(samples):
             if sample.size <= 0:
                 continue
-            labels_here = self._sample_labels[i]
-            key = (i, tuple(m for m in items if m[0] in labels_here))
+            rep: Dict[int, int] = {}  # image -> smallest label with it
+            labels = self._sample_labels[i]
+            key = (i, tuple(rep.setdefault(gen.get(x, x), x) for x in labels))
             ratio = cache.get(key)
             if ratio is None:
                 ratio = compression_ratio(sample, config)
@@ -165,12 +171,16 @@ class CostModel:
 
 
 def compression_ratio(graph: Graph, config: Configuration) -> float:
-    """Exact ``|Bisim(Gen(G, C))| / |G|`` for one graph."""
+    """Exact ``|Bisim(Gen(G, C))| / |G|`` for one graph: blocks plus
+    distinct block edges (self-loops included, as in the summary graph)
+    of ``Gen(C)``'s label-id array, without building either graph."""
     if graph.size == 0:
         return 1.0
-    generalized = generalize_graph(graph, config)
-    summary = summarize(generalized)
-    return summary.graph.size / graph.size
+    gen = generalized_label_ids(graph.label_table, config)
+    labels = [gen.get(label, label) for label in graph.labels]
+    block = maximal_bisimulation(graph, labels=labels)
+    edges = {(block[u], block[w]) for u, w in graph.edges()}
+    return (max(block) + 1 + len(edges)) / graph.size
 
 
 def label_distortion(config: Configuration, label: str) -> float:
@@ -196,11 +206,14 @@ def distortion(graph: Graph, config: Configuration, support=None) -> float:
         def support(label: str) -> float:  # type: ignore[misc]
             return graph.label_support(label) / n if n else 0.0
 
+    # |X_l| per target, counted once instead of once per mapped label.
+    mappings = config.mappings
+    fan_in = Counter(mappings.values())
     weighted = 0.0
     support_sum = 0.0
     for label in domain:
         sup = support(label)
-        weighted += label_distortion(config, label) * sup
+        weighted += (1.0 - 1.0 / fan_in[mappings[label]]) * sup
         support_sum += sup
     if support_sum == 0.0:
         # None of the mapped labels occurs in the graph: the generalization

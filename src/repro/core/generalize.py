@@ -12,7 +12,7 @@ from __future__ import annotations
 from typing import Dict, Iterable, List, Sequence, Set
 
 from repro.core.config import Configuration
-from repro.graph.digraph import Graph
+from repro.graph.digraph import Graph, LabelTable
 from repro.search.base import KeywordQuery
 
 
@@ -23,18 +23,40 @@ def generalize_graph(graph: Graph, config: Configuration) -> Graph:
     comparable across BiG-index layers.
     """
     result = graph.copy(share_label_table=True)
-    if not config:
-        return result
-    # Pre-intern targets once; rewrite via the inverted label index so the
-    # pass is proportional to the affected vertices, not |V| * |C|.
-    for source, target in config:
-        source_id = result.label_table.get_id(source)
-        if source_id is None:
-            continue
-        target_id = result.label_table.intern(target)
-        for v in list(result.vertices_with_label_id(source_id)):
+    remap = generalized_label_ids(result.label_table, config, intern=True)
+    # Collect every move before applying one, so a vertex is rewritten
+    # from its original label only; the inverted label index keeps the
+    # pass proportional to the affected vertices, not |V| * |C|.
+    moves = [(result.vertices_with_label_id(s), t) for s, t in remap.items()]
+    for vertices, target_id in moves:
+        for v in vertices:
             result.relabel_vertex_by_id(v, target_id)
     return result
+
+
+def generalized_label_ids(
+    table: LabelTable, config: Configuration, intern: bool = False
+) -> Dict[int, int]:
+    """``Gen(C)`` over label ids: ``{source id: target id}``.
+
+    Only sources the table knows appear, and mappings never chain.  A
+    target the table lacks is interned when ``intern``; otherwise it gets
+    a local id past ``len(table)``, leaving the shared table alone.
+    """
+    remap: Dict[int, int] = {}
+    local: Dict[str, int] = {}
+    for source, target in config:
+        source_id = table.get_id(source)
+        if source_id is None:
+            continue
+        target_id = table.get_id(target)
+        if target_id is None:
+            if intern:
+                target_id = table.intern(target)
+            else:
+                target_id = local.setdefault(target, len(table) + len(local))
+        remap[source_id] = target_id
+    return remap
 
 
 def generalize_label(label: str, configs: Sequence[Configuration]) -> str:

@@ -110,6 +110,17 @@ class TestGeneralizeGraph:
         result = generalize_graph(fig1_graph, config)
         assert result.label_histogram() == fig1_graph.label_histogram()
 
+    def test_chained_mappings_apply_once(self):
+        """``{a -> b, b -> c}`` rewrites each vertex from its original label."""
+        g = Graph()
+        g.add_vertex("a")
+        g.add_vertex("b")
+        config = Configuration({"a": "b", "b": "c"})
+        result = generalize_graph(g, config)
+        assert [result.label(v) for v in result.vertices()] == ["b", "c"]
+        for v in g.vertices():
+            assert result.label(v) == generalize_label(g.label(v), [config])
+
 
 class TestLabelChains:
     def test_generalize_label_threads_configs(self):

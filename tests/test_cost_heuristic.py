@@ -1,7 +1,11 @@
 """Unit tests for the index cost model (Formula 3) and Algorithm 1."""
 
-import pytest
+import heapq
 
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from repro.bisim.summary import summarize
 from repro.core.config import Configuration
 from repro.core.cost import (
     CostModel,
@@ -10,9 +14,98 @@ from repro.core.cost import (
     distortion,
     label_distortion,
 )
+from repro.core.generalize import generalize_graph
 from repro.core.heuristic import candidate_generalizations, greedy_configuration
+from repro.core.index import BiGIndex
+from repro.datasets.knowledge import yago_like
 from repro.graph.digraph import Graph
+from repro.ontology.ontology import OntologyGraph
 from repro.utils.errors import ConfigurationError
+
+#: Graph labels; ``AB`` is also a supertype in :func:`_ontology`, so
+#: generalizing ``A`` or ``B`` can collide with a label already present.
+LABELS = ("A", "B", "C", "AB")
+#: Mapping targets: graph labels (collisions) plus labels the table lacks.
+TARGETS = LABELS + ("X", "Y")
+
+
+@st.composite
+def labelled_graphs(draw, max_vertices: int = 18, max_edges: int = 40) -> Graph:
+    """Random labelled digraphs, self-loops included."""
+    n = draw(st.integers(min_value=1, max_value=max_vertices))
+    g = Graph()
+    for label in draw(st.lists(st.sampled_from(LABELS), min_size=n, max_size=n)):
+        g.add_vertex(label)
+    for u, v in draw(
+        st.lists(
+            st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
+            max_size=max_edges,
+        )
+    ):
+        g.add_edge(u, v)
+    return g
+
+
+configs = st.dictionaries(
+    st.sampled_from(LABELS), st.sampled_from(TARGETS), max_size=4
+).map(Configuration)
+
+
+def _oracle_ratio(graph: Graph, config: Configuration) -> float:
+    """``|Bisim(Gen(G, C))| / |G|`` by building both graphs."""
+    if graph.size == 0:
+        return 1.0
+    return summarize(generalize_graph(graph, config)).graph.size / graph.size
+
+
+def _oracle_distortion(graph: Graph, config: Configuration) -> float:
+    """Formula 3's distort term, one ``label_distortion`` per label."""
+    domain = sorted(config.domain)
+    sups = [graph.label_support(l) / graph.num_vertices for l in domain]
+    if not domain or sum(sups) == 0.0:
+        return 0.0
+    weighted = sum(label_distortion(config, l) * s for l, s in zip(domain, sups))
+    return weighted / (len(domain) * sum(sups))
+
+
+def _ontology() -> OntologyGraph:
+    ont = OntologyGraph()
+    for sub, sup in (
+        ("A", "AB"), ("B", "AB"), ("C", "AB"), ("C", "X"), ("AB", "Y")
+    ):
+        ont.add_subtype(sub, sup)
+    return ont
+
+
+def _reference_greedy(graph, ontology, params, theta):
+    """Algorithm 1 scoring every configuration with the oracle formulas."""
+    samples = CostModel(graph, params).samples
+
+    def cost(config):
+        if params.exact:
+            compress = _oracle_ratio(graph, config)
+        else:
+            ratios = [_oracle_ratio(s, config) for s in samples if s.size > 0]
+            compress = sum(ratios) / len(ratios) if ratios else 1.0
+        return params.alpha * compress + (
+            1 - params.alpha
+        ) * _oracle_distortion(graph, config)
+
+    queue = [
+        (cost(Configuration({src: tgt})), src, tgt)
+        for src, tgt in candidate_generalizations(graph, ontology)
+    ]
+    heapq.heapify(queue)
+    config = Configuration.empty()
+    while queue:
+        _, src, tgt = heapq.heappop(queue)
+        if src in config:
+            continue
+        extended = config.merged_with(src, tgt)
+        if cost(extended) > theta:
+            break
+        config = extended
+    return config
 
 
 class TestDistortion:
@@ -84,6 +177,19 @@ class TestCompression:
     def test_empty_graph_ratio_is_one(self):
         assert compression_ratio(Graph(), Configuration.empty()) == 1.0
 
+    def test_self_loops_count_as_summary_edges(self):
+        g = Graph()
+        a, b = g.add_vertex("a"), g.add_vertex("b")
+        g.add_edge(a, a)
+        g.add_edge(b, b)
+        # Gen merges a and b into one block with a self-loop: 1 + 1 over 4.
+        assert compression_ratio(g, Configuration({"a": "b"})) == 2 / 4
+
+    @given(labelled_graphs(), configs)
+    @settings(max_examples=150, deadline=None)
+    def test_counted_ratio_equals_built_summary(self, g, config):
+        assert compression_ratio(g, config) == _oracle_ratio(g, config)
+
 
 class TestCostModel:
     def test_params_validation(self):
@@ -110,6 +216,44 @@ class TestCostModel:
     def test_samples_are_cached(self, fig1_graph):
         model = CostModel(fig1_graph, CostParams(num_samples=5))
         assert model.samples is model.samples
+
+    def test_scoring_leaves_label_table_alone(self, fig1_graph):
+        size = len(fig1_graph.label_table)
+        for params in (CostParams(exact=True), CostParams(num_samples=10)):
+            model = CostModel(fig1_graph, params)
+            model.cost(Configuration({"Student": "Scholar", "Startup": "Firm"}))
+            assert len(fig1_graph.label_table) == size
+
+    def test_greedy_leaves_label_table_alone(self, fig1_graph, fig2_ontology):
+        size = len(fig1_graph.label_table)
+        config = greedy_configuration(
+            fig1_graph, fig2_ontology, cost_params=CostParams(num_samples=10)
+        )
+        assert config and len(fig1_graph.label_table) == size
+
+    def test_built_index_table_holds_only_carried_labels(self):
+        # Algorithm 1 rejects some candidate targets on this graph; none of
+        # them may linger in the shared table.
+        dataset = yago_like(scale=0.02)
+        index = BiGIndex.build(
+            dataset.graph, dataset.ontology, num_layers=3,
+            cost_params=CostParams(num_samples=10),
+        )
+        carried = set(dataset.graph.distinct_labels())
+        for layer in index.layers:
+            carried |= layer.graph.distinct_labels()
+        assert set(dataset.graph.label_table) == carried
+
+    @given(
+        labelled_graphs(max_vertices=30, max_edges=60),
+        st.lists(configs, min_size=1, max_size=8),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_merge_keyed_cache_matches_fresh_models(self, g, sequence):
+        params = CostParams(num_samples=8, sample_radius=1, seed=3)
+        shared = CostModel(g, params)
+        for config in sequence:
+            assert shared.cost(config) == CostModel(g, params).cost(config)
 
     def test_support_cached_and_correct(self, fig1_graph):
         model = CostModel(fig1_graph)
@@ -178,6 +322,18 @@ class TestGreedyConfiguration:
         assert not greedy_configuration(
             Graph(), fig2_ontology, cost_params=CostParams(exact=True)
         )
+
+    @given(
+        labelled_graphs(max_vertices=14, max_edges=30),
+        st.booleans(),
+        st.sampled_from((0.3, 0.6, 1.0)),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_matches_reference_greedy_on_oracle_scores(self, g, exact, theta):
+        params = CostParams(exact=exact, num_samples=6, sample_radius=1)
+        ontology = _ontology()
+        config = greedy_configuration(g, ontology, theta=theta, cost_params=params)
+        assert config == _reference_greedy(g, ontology, params, theta)
 
     def test_reuses_supplied_cost_model(self, fig1_graph, fig2_ontology):
         model = CostModel(fig1_graph, CostParams(exact=True))
