@@ -18,78 +18,37 @@ Public surface
 See ``examples/quickstart.py`` for an end-to-end walkthrough.
 """
 
-from repro.graph import Graph, LabelTable
-from repro.ontology import OntologyGraph, generate_ontology, TypeAssigner
-from repro.bisim import SummaryGraph, summarize
-from repro.search import (
-    Answer,
-    BackwardKeywordSearch,
-    BidirectionalSearch,
-    Blinks,
-    KeywordQuery,
-    RClique,
-)
-from repro.core import (
-    BiGIndex,
-    Configuration,
-    CostModel,
-    CostParams,
-    EvalResult,
-    HierarchicalEvaluator,
-    QueryCostModel,
-    boost,
-    greedy_configuration,
-    load_index,
-    optimal_query_layer,
-    save_index,
-)
-from repro.core.plugins import BoostedSearch, boost_bkws, boost_dkws, boost_rkws
-from repro.core.evaluator import DegradedResult
-from repro.utils import (
-    Budget,
-    BudgetExceeded,
-    CancellationToken,
-    IndexCorruptedError,
-    IndexVersionError,
-)
+from repro.utils.exports import lazy_exports
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "Graph",
-    "LabelTable",
-    "OntologyGraph",
-    "generate_ontology",
-    "TypeAssigner",
-    "SummaryGraph",
-    "summarize",
-    "Answer",
-    "BackwardKeywordSearch",
-    "BidirectionalSearch",
-    "Blinks",
-    "KeywordQuery",
-    "RClique",
-    "load_index",
-    "save_index",
-    "BiGIndex",
-    "Configuration",
-    "CostModel",
-    "CostParams",
-    "EvalResult",
-    "HierarchicalEvaluator",
-    "QueryCostModel",
-    "boost",
-    "BoostedSearch",
-    "boost_bkws",
-    "boost_dkws",
-    "boost_rkws",
-    "greedy_configuration",
-    "optimal_query_layer",
-    "Budget",
-    "BudgetExceeded",
-    "CancellationToken",
-    "DegradedResult",
-    "IndexCorruptedError",
-    "IndexVersionError",
-    "__version__",
-]
+# Each name is imported from its defining module on first use, so
+# ``import repro.<anything>`` costs only that module and what it imports.
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.graph.digraph": ("Graph", "LabelTable"),
+    "repro.ontology.ontology": ("OntologyGraph", "generate_ontology"),
+    "repro.ontology.typing": ("TypeAssigner",),
+    "repro.bisim.summary": ("SummaryGraph", "summarize"),
+    "repro.search.base": ("Answer", "KeywordQuery"),
+    "repro.search.banks": ("BackwardKeywordSearch",),
+    "repro.search.bidirectional": ("BidirectionalSearch",),
+    "repro.search.blinks": ("Blinks",),
+    "repro.search.rclique": ("RClique",),
+    "repro.core.persistence": ("load_index", "save_index"),
+    "repro.core.index": ("BiGIndex",),
+    "repro.core.config": ("Configuration",),
+    "repro.core.cost": ("CostModel", "CostParams"),
+    "repro.core.evaluator": (
+        "DegradedResult", "EvalResult", "HierarchicalEvaluator",
+    ),
+    "repro.core.query_cost": ("QueryCostModel", "optimal_query_layer"),
+    "repro.core.plugins": (
+        "boost", "BoostedSearch", "boost_bkws", "boost_dkws", "boost_rkws",
+    ),
+    "repro.core.heuristic": ("greedy_configuration",),
+    "repro.utils.budget": ("Budget", "CancellationToken"),
+    "repro.utils.errors": (
+        "BudgetExceeded", "IndexCorruptedError", "IndexVersionError",
+    ),
+})
+__all__.append("__version__")

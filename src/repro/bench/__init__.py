@@ -5,23 +5,3 @@ Each experiment of the paper's Sec. 6 maps to one file under
 files share — dataset/index fixtures, direct-vs-boosted comparisons, and
 paper-style table printing — live here so benchmark code stays declarative.
 """
-
-from repro.bench.harness import (
-    BENCH_SCALE,
-    QueryComparison,
-    build_index,
-    compare_on_queries,
-    default_dataset,
-)
-from repro.bench.reporting import format_table, percent_reduction, print_table
-
-__all__ = [
-    "BENCH_SCALE",
-    "QueryComparison",
-    "build_index",
-    "compare_on_queries",
-    "default_dataset",
-    "format_table",
-    "percent_reduction",
-    "print_table",
-]

@@ -7,12 +7,3 @@ maintenance re-refines from the old partition through the same worklist
 (:func:`~repro.bisim.refinement.refine_blocks`), seeded with the blocks
 an edge update can unsettle (:meth:`repro.core.index.BiGIndex.insert_edge`).
 """
-
-from repro.bisim.refinement import maximal_bisimulation
-from repro.bisim.summary import SummaryGraph, summarize
-
-__all__ = [
-    "maximal_bisimulation",
-    "SummaryGraph",
-    "summarize",
-]

@@ -60,12 +60,6 @@ class SummaryGraph:
         except IndexError:
             raise GraphError(f"unknown base vertex: {base_vertex}") from None
 
-    @property
-    def compression_ratio_vertices(self) -> float:
-        """``|V'| / |V|``."""
-        base = len(self.supernode_of)
-        return self.graph.num_vertices / base if base else 1.0
-
     def size_ratio(self, base_graph: Graph) -> float:
         """``|Bisim(G)| / |G|`` with ``|G| = |V| + |E|`` (Tab. 3's metric)."""
         return self.graph.size / base_graph.size if base_graph.size else 1.0

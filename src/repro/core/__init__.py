@@ -16,33 +16,3 @@
   processor ``eval_Ont``.
 * :mod:`repro.core.plugins` — boost-bkws / boost-dkws / boost-rkws.
 """
-
-from repro.core.config import Configuration
-from repro.core.generalize import generalize_graph, generalize_label, specialize_label
-from repro.core.cost import CostModel, CostParams
-from repro.core.heuristic import greedy_configuration
-from repro.core.index import BiGIndex, Layer
-from repro.core.query_cost import QueryCostModel, optimal_query_layer
-from repro.core.evaluator import HierarchicalEvaluator, EvalResult
-from repro.core.persistence import load_index, save_index
-from repro.core.plugins import boost, BoostedSearch
-
-__all__ = [
-    "Configuration",
-    "generalize_graph",
-    "generalize_label",
-    "specialize_label",
-    "CostModel",
-    "CostParams",
-    "greedy_configuration",
-    "BiGIndex",
-    "Layer",
-    "QueryCostModel",
-    "optimal_query_layer",
-    "HierarchicalEvaluator",
-    "EvalResult",
-    "load_index",
-    "save_index",
-    "boost",
-    "BoostedSearch",
-]

@@ -183,17 +183,11 @@ def compression_ratio(graph: Graph, config: Configuration) -> float:
     return (max(block) + 1 + len(edges)) / graph.size
 
 
-def label_distortion(config: Configuration, label: str) -> float:
-    """``distort(l) = 1 - 1/|X_l|`` for one mapped label (Sec. 3.2)."""
-    if label not in config:
-        return 0.0
-    siblings = config.sources_of(config.target_of(label))
-    return 1.0 - 1.0 / len(siblings)
-
-
 def distortion(graph: Graph, config: Configuration, support=None) -> float:
     """Support-weighted distortion of a configuration on a graph.
 
+    Each mapped label ``l`` contributes ``distort(l) = 1 - 1/|X_l|``
+    (Sec. 3.2), ``X_l`` being the labels mapped to ``l``'s target.
     ``support`` may be a callable ``label -> sup(label)``; defaults to
     computing supports from ``graph`` directly.
     """

@@ -85,7 +85,6 @@ from repro.core.binfmt import (
 )
 from repro.core.config import Configuration
 from repro.core.index import BiGIndex, Layer
-from repro.core.wal import WAL_NAME, recover_wal, replay_wal
 from repro.graph.digraph import FrozenAdjacency, Graph, LabelTable
 from repro.obs.runtime import OBS
 from repro.ontology.ontology import OntologyGraph
@@ -112,6 +111,10 @@ MANIFEST_NAME = "manifest.json"
 
 #: Name of the v4 binary container inside an index directory.
 BINARY_NAME = "index.v4.bin"
+
+#: Name of the mutation log (:mod:`repro.core.wal`) inside an index
+#: directory; loading imports the WAL module only when this file exists.
+WAL_NAME = "mutations.wal"
 
 
 # ----------------------------------------------------------------------
@@ -480,6 +483,8 @@ def load_index(
         if replay_wal_tail:
             wal_path = os.path.join(directory, WAL_NAME)
             if os.path.exists(wal_path):
+                from repro.core.wal import recover_wal, replay_wal
+
                 records, _tail = recover_wal(wal_path)
                 replayed = len(records)
                 replay_wal(index, records)

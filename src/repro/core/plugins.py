@@ -17,8 +17,6 @@ from repro.core.evaluator import EvalResult
 from repro.core.index import BiGIndex
 from repro.search.banks import BackwardKeywordSearch
 from repro.search.base import Answer, KeywordQuery, KeywordSearchAlgorithm
-from repro.search.blinks import Blinks
-from repro.search.rclique import RClique
 from repro.utils.budget import Budget
 
 
@@ -151,6 +149,8 @@ def boost_rkws(
     **kwargs,
 ) -> BoostedSearch:
     """Sec. 5.3's ``boost-rkws``: Blinks ranked search on BiG-index."""
+    from repro.search.blinks import Blinks
+
     algorithm = Blinks(
         d_max=d_max, k=k, index_kind=index_kind, block_size=block_size
     )
@@ -164,4 +164,6 @@ def boost_dkws(
     **kwargs,
 ) -> BoostedSearch:
     """Sec. 5.2's ``boost-dkws``: r-clique search on BiG-index."""
+    from repro.search.rclique import RClique
+
     return boost(RClique(radius=radius, k=k), index, **kwargs)

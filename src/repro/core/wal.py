@@ -56,9 +56,6 @@ from repro.utils.errors import (
     WALTornTailError,
 )
 
-#: Name of the mutation log inside an index directory.
-WAL_NAME = "mutations.wal"
-
 #: File magic: identifies a mutation WAL and pins its format version.
 WAL_MAGIC = b"RBIGWAL2"
 

@@ -9,30 +9,17 @@ at a configurable scale (see DESIGN.md's substitution table).  Users with
 the real dumps can load them through :mod:`repro.graph.io` instead.
 """
 
-from repro.datasets.synthetic import (
-    generate_synthetic_graph,
-    synthetic_dataset,
-    SYNTHETIC_SCALES,
-)
-from repro.datasets.knowledge import (
-    Dataset,
-    dbpedia_like,
-    imdb_like,
-    yago_like,
-    dataset_registry,
-)
-from repro.datasets.workloads import QuerySpec, benchmark_queries, generate_queries
+from repro.utils.exports import lazy_exports
 
-__all__ = [
-    "generate_synthetic_graph",
-    "synthetic_dataset",
-    "SYNTHETIC_SCALES",
-    "Dataset",
-    "yago_like",
-    "dbpedia_like",
-    "imdb_like",
-    "dataset_registry",
-    "QuerySpec",
-    "benchmark_queries",
-    "generate_queries",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.datasets.synthetic": (
+        "generate_synthetic_graph", "synthetic_dataset", "SYNTHETIC_SCALES",
+    ),
+    "repro.datasets.knowledge": (
+        "Dataset", "yago_like", "dbpedia_like", "imdb_like",
+        "dataset_ontology", "dataset_registry",
+    ),
+    "repro.datasets.workloads": (
+        "QuerySpec", "benchmark_queries", "generate_queries",
+    ),
+})

@@ -34,18 +34,25 @@ imdb-like      ~3.6        yago-like's  moderate compression (~0.4), dense
                                         neighborhoods that blow up
                                         r-clique's neighbor list
 =============  ==========  ===========  =================================
+
+The "ontology" column is one taxonomy: every dataset draws the same
+yago-like ontology, sized by ``scale`` and drawn before any graph RNG
+runs.  :func:`dataset_ontology` returns it without generating the graph,
+which is all ``repro-bigindex build|query|stats|persist|serve
+--ontology-from`` needs.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.graph.digraph import Graph
 from repro.ontology.ontology import OntologyGraph, generate_ontology
 from repro.ontology.typing import TypeAssigner
-from repro.utils.errors import GraphError
+from repro.utils.errors import BigIndexError, GraphError
 
 
 @dataclass
@@ -206,17 +213,36 @@ def generate_knowledge_graph(
     return graph
 
 
-def _yago_ontology(seed: int, num_types: int) -> OntologyGraph:
-    """The shared 'YAGO taxonomy' stand-in (avg fan-out 5, height 7)."""
+#: The datasets :func:`dataset_registry` and :func:`dataset_ontology` name.
+DATASET_NAMES = ("yago-like", "dbpedia-like", "imdb-like")
+
+
+def dataset_ontology(name: str, scale: float = 1.0) -> OntologyGraph:
+    """The ontology of the named dataset at ``scale``, without its graph.
+
+    All three datasets share the 'YAGO taxonomy' stand-in (avg fan-out 5,
+    height 7), sized by ``scale`` alone, so a caller that needs only the
+    ontology (``repro-bigindex query --ontology-from``) skips generating
+    the graph.
+    """
+    if name not in DATASET_NAMES:
+        raise BigIndexError(
+            f"unknown dataset {name!r}; choose from {sorted(DATASET_NAMES)}"
+        )
     return generate_ontology(
-        num_types, avg_fanout=5, height=7, seed=seed, label_prefix="Y"
+        max(80, int(800 * scale)), avg_fanout=5, height=7, seed=0,
+        label_prefix="Y",
     )
 
 
 def yago_like(scale: float = 1.0, seed: int = 0) -> Dataset:
-    """YAGO3 stand-in: |V| = 10,000 * scale, |E|/|V| ~ 2.0, fully typed."""
+    """YAGO3 stand-in: |V| = 10,000 * scale, |E|/|V| ~ 2.0, fully typed.
+
+    ``seed`` drives the graph only; like every dataset here, the ontology
+    depends on ``scale`` alone (:func:`dataset_ontology`).
+    """
     num_vertices = max(100, int(10_000 * scale))
-    ontology = _yago_ontology(seed, num_types=max(80, int(800 * scale)))
+    ontology = dataset_ontology("yago-like", scale)
     graph = generate_knowledge_graph(
         num_vertices,
         ontology,
@@ -245,7 +271,7 @@ def dbpedia_like(scale: float = 1.0, seed: int = 1) -> Dataset:
     noise yield the weaker compression DBpedia shows in Tab. 3 (~0.6).
     """
     num_vertices = max(100, int(12_000 * scale))
-    ontology = _yago_ontology(seed=0, num_types=max(80, int(800 * scale)))
+    ontology = dataset_ontology("dbpedia-like", scale)
     graph = generate_knowledge_graph(
         num_vertices,
         ontology,
@@ -282,7 +308,7 @@ def imdb_like(scale: float = 1.0, seed: int = 2) -> Dataset:
     between YAGO's and DBpedia's, matching Tab. 3's 36.7%.
     """
     num_vertices = max(100, int(8_000 * scale))
-    ontology = _yago_ontology(seed=0, num_types=max(80, int(800 * scale)))
+    ontology = dataset_ontology("imdb-like", scale)
     graph = generate_knowledge_graph(
         num_vertices,
         ontology,
@@ -304,9 +330,10 @@ def imdb_like(scale: float = 1.0, seed: int = 2) -> Dataset:
 def dataset_registry(
     scale: float = 1.0,
 ) -> Dict[str, Callable[[], Dataset]]:
-    """Lazy constructors for the three real-dataset stand-ins."""
+    """Lazy constructors for the three real-dataset stand-ins, keyed by
+    :data:`DATASET_NAMES`."""
+    constructors = (yago_like, dbpedia_like, imdb_like)
     return {
-        "yago-like": lambda: yago_like(scale=scale),
-        "dbpedia-like": lambda: dbpedia_like(scale=scale),
-        "imdb-like": lambda: imdb_like(scale=scale),
+        name: partial(make, scale=scale)
+        for name, make in zip(DATASET_NAMES, constructors)
     }

@@ -62,13 +62,6 @@ class LabelTable:
         self._to_label.append(label)
         return new_id
 
-    def id_of(self, label: str) -> int:
-        """Return the id of a known label, raising for unknown ones."""
-        try:
-            return self._to_id[label]
-        except KeyError:
-            raise GraphError(f"unknown label: {label!r}") from None
-
     def get_id(self, label: str) -> Optional[int]:
         """Return the id of ``label`` or ``None`` if it was never interned."""
         return self._to_id.get(label)
@@ -888,19 +881,3 @@ class Graph:
             f"|Sigma|={len(self.distinct_label_ids())})"
         )
 
-
-def validate_same_topology(left: Graph, right: Graph) -> bool:
-    """Return whether two graphs share vertex count and edge set.
-
-    Generalization (Sec. 3.1) must only rewrite labels; this check is used
-    in tests to assert the topology is untouched.
-    """
-    if left.num_vertices != right.num_vertices:
-        return False
-
-    def edge_set(graph: Graph) -> Set[Tuple[int, int]]:
-        if graph._edge_set is None:  # noqa: SLF001 - mmap-backed graph
-            return set(graph.edges())
-        return graph._edge_set  # noqa: SLF001 - deliberate
-
-    return edge_set(left) == edge_set(right)

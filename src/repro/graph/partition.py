@@ -46,10 +46,6 @@ class Partition:
         except IndexError:
             raise GraphError(f"unknown block id: {block_id}") from None
 
-    def is_portal(self, v: int) -> bool:
-        """Whether ``v`` touches an inter-block edge."""
-        return v in self.portals
-
     def cut_edges(self, graph: Graph) -> List[Tuple[int, int]]:
         """All edges whose endpoints live in different blocks.
 

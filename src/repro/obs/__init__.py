@@ -5,36 +5,17 @@ build path.  See docs/OBSERVABILITY.md for the span taxonomy and metric
 name reference.
 """
 
-from repro.obs.flight import FlightRecorder
-from repro.obs.metrics import NULL_METRICS, MetricsRegistry, NullMetrics
-from repro.obs.promtext import parse_prometheus, render_prometheus
-from repro.obs.reqlog import RequestLog, SloWindow, mint_request_id
-from repro.obs.runtime import OBS, Instrumentation, charge_expansions, instrumented
-from repro.obs.tracer import (
-    NULL_TRACER,
-    NullTracer,
-    Span,
-    Tracer,
-    write_trace,
-)
+from repro.utils.exports import lazy_exports
 
-__all__ = [
-    "OBS",
-    "Instrumentation",
-    "instrumented",
-    "charge_expansions",
-    "MetricsRegistry",
-    "NullMetrics",
-    "NULL_METRICS",
-    "Tracer",
-    "NullTracer",
-    "Span",
-    "NULL_TRACER",
-    "write_trace",
-    "FlightRecorder",
-    "RequestLog",
-    "SloWindow",
-    "mint_request_id",
-    "render_prometheus",
-    "parse_prometheus",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.obs.flight": ("FlightRecorder",),
+    "repro.obs.metrics": ("MetricsRegistry", "NullMetrics", "NULL_METRICS"),
+    "repro.obs.promtext": ("render_prometheus", "parse_prometheus"),
+    "repro.obs.reqlog": ("RequestLog", "SloWindow", "mint_request_id"),
+    "repro.obs.runtime": (
+        "OBS", "Instrumentation", "instrumented", "charge_expansions",
+    ),
+    "repro.obs.tracer": (
+        "Tracer", "NullTracer", "Span", "NULL_TRACER", "write_trace",
+    ),
+})

@@ -6,8 +6,3 @@ is a direct supertype of ``l`` (SubClassOf / SubTypeOf).  BiG-index uses it
 to pick label generalizations; the typing helper assigns ontology types to
 untyped entities the way the paper handles DBpedia (Sec. 6.1.2).
 """
-
-from repro.ontology.ontology import OntologyGraph, generate_ontology
-from repro.ontology.typing import TypeAssigner
-
-__all__ = ["OntologyGraph", "generate_ontology", "TypeAssigner"]

@@ -103,11 +103,6 @@ class OntologyGraph:
         self._check(label)
         return list(self._subtypes[label])
 
-    def has_supertype(self, label: str) -> bool:
-        """Whether ``label`` has at least one direct supertype."""
-        self._check(label)
-        return bool(self._supertypes[label])
-
     def ancestors(self, label: str) -> Set[str]:
         """All transitive supertypes of ``label`` (excluding itself)."""
         self._check(label)
@@ -119,19 +114,6 @@ class OntologyGraph:
                 continue
             seen.add(t)
             queue.extend(self._supertypes[t])
-        return seen
-
-    def descendants(self, label: str) -> Set[str]:
-        """All transitive subtypes of ``label`` (excluding itself)."""
-        self._check(label)
-        seen: Set[str] = set()
-        queue: deque = deque(self._subtypes[label])
-        while queue:
-            t = queue.popleft()
-            if t in seen:
-                continue
-            seen.add(t)
-            queue.extend(self._subtypes[t])
         return seen
 
     def is_supertype(self, candidate: str, label: str) -> bool:
@@ -167,37 +149,6 @@ class OntologyGraph:
             parents = self._supertypes[label]
             memo[label] = 0 if not parents else 1 + max(memo[p] for p in parents)
         return max(memo.values(), default=0)
-
-    def depth_of(self, label: str) -> int:
-        """Shortest distance (in edges) from ``label`` up to any root."""
-        self._check(label)
-        depth = 0
-        frontier = {label}
-        seen = set(frontier)
-        while frontier:
-            if any(not self._supertypes[t] for t in frontier):
-                return depth
-            next_frontier: Set[str] = set()
-            for t in frontier:
-                for parent in self._supertypes[t]:
-                    if parent not in seen:
-                        seen.add(parent)
-                        next_frontier.add(parent)
-            frontier = next_frontier
-            depth += 1
-        raise OntologyError(f"no root reachable from {label!r}")  # pragma: no cover
-
-    def topmost_type(self, label: str) -> str:
-        """An arbitrary-but-deterministic root above ``label``.
-
-        Used by the typing fallback: entities that cannot be matched to a
-        specific type are assigned the topmost type (Sec. 6.1.2).
-        """
-        self._check(label)
-        current = label
-        while self._supertypes[current]:
-            current = min(self._supertypes[current])
-        return current
 
     def validate(self) -> None:
         """Raise :class:`OntologyError` if the ontology contains a cycle."""

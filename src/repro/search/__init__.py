@@ -13,28 +13,3 @@ Implements the three algorithm families the paper plugs into BiG-index:
 Each exposes the :class:`~repro.search.base.KeywordSearchAlgorithm`
 interface so BiG-index can evaluate it on any layer of the hierarchy.
 """
-
-from repro.search.base import (
-    Answer,
-    GraphSearcher,
-    KeywordQuery,
-    KeywordSearchAlgorithm,
-)
-from repro.search.banks import BackwardKeywordSearch
-from repro.search.bidirectional import BidirectionalSearch
-from repro.search.blinks import Blinks, BlinksBiLevelIndex, BlinksSingleLevelIndex
-from repro.search.rclique import RClique, NeighborIndex
-
-__all__ = [
-    "Answer",
-    "GraphSearcher",
-    "KeywordQuery",
-    "KeywordSearchAlgorithm",
-    "BackwardKeywordSearch",
-    "BidirectionalSearch",
-    "Blinks",
-    "BlinksBiLevelIndex",
-    "BlinksSingleLevelIndex",
-    "RClique",
-    "NeighborIndex",
-]

@@ -145,11 +145,6 @@ class Answer:
             score=score,
         )
 
-    @property
-    def keyword_node_map(self) -> Dict[str, int]:
-        """The keyword->vertex assignment as a dict."""
-        return dict(self.keyword_nodes)
-
     def signature(self) -> Tuple:
         """Canonical identity ignoring path vertices: (root, keyword nodes).
 
@@ -276,14 +271,6 @@ class KeywordSearchAlgorithm(ABC):
         accepts everything; algorithms override with distance checks.
         """
         return True
-
-    def check_query(self, graph: Graph, query: KeywordQuery) -> None:
-        """Raise :class:`QueryError` when a keyword matches no vertex."""
-        for keyword in query:
-            if not graph.vertices_with_label(keyword):
-                raise QueryError(
-                    f"keyword {keyword!r} does not occur in the graph"
-                )
 
 
 def distance_sum(distances: Mapping[str, int]) -> int:

@@ -176,11 +176,6 @@ class BlinksBiLevelIndex:
         return dist
 
     @property
-    def num_portals(self) -> int:
-        """Number of portal vertices in the partition."""
-        return len(self.partition.portals)
-
-    @property
     def num_entries(self) -> int:
         """Stored (vertex, keyword) pairs across the block-local maps."""
         return sum(

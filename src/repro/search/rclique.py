@@ -120,11 +120,6 @@ class NeighborIndex:
             return 0
         return self.neighbor_lists[u].get(v)
 
-    def average_neighborhood(self) -> float:
-        """The paper's ``m``: average vertices within ``R`` hops."""
-        n = self.graph.num_vertices
-        return self.num_entries / n if n else 0.0
-
 
 @dataclass(frozen=True)
 class _SearchSpace:

@@ -30,28 +30,14 @@ See ``docs/SERVING.md`` for the wire contract and the snapshot
 lifecycle; ``docs/ROBUSTNESS.md`` for durability and crash recovery.
 """
 
-from repro.serve.admission import AdmissionController, ShedError
-from repro.serve.client import ServeClient, ServeResponse
-from repro.serve.lifecycle import EngineRuntime, Snapshot
-from repro.serve.server import (
-    QueryServer,
-    serve_in_thread,
-    shutdown_gracefully,
-    start_server,
-)
-from repro.serve.service import QueryService, ServerConfig
+from repro.utils.exports import lazy_exports
 
-__all__ = [
-    "AdmissionController",
-    "EngineRuntime",
-    "QueryServer",
-    "QueryService",
-    "ServeClient",
-    "ServeResponse",
-    "ServerConfig",
-    "ShedError",
-    "Snapshot",
-    "serve_in_thread",
-    "shutdown_gracefully",
-    "start_server",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.serve.admission": ("AdmissionController", "ShedError"),
+    "repro.serve.client": ("ServeClient", "ServeResponse"),
+    "repro.serve.lifecycle": ("EngineRuntime", "Snapshot"),
+    "repro.serve.server": (
+        "QueryServer", "serve_in_thread", "shutdown_gracefully", "start_server",
+    ),
+    "repro.serve.service": ("QueryService", "ServerConfig"),
+})

@@ -1,31 +1,1 @@
 """Shared utilities: errors, execution budgets, and timers."""
-
-from repro.utils.budget import Budget, CancellationToken
-from repro.utils.errors import (
-    BigIndexError,
-    BudgetExceeded,
-    GraphError,
-    IndexCorruptedError,
-    IndexPersistenceError,
-    IndexVersionError,
-    OntologyError,
-    ConfigurationError,
-    QueryError,
-)
-from repro.utils.timers import Stopwatch, TimeBreakdown
-
-__all__ = [
-    "BigIndexError",
-    "Budget",
-    "BudgetExceeded",
-    "CancellationToken",
-    "GraphError",
-    "IndexCorruptedError",
-    "IndexPersistenceError",
-    "IndexVersionError",
-    "OntologyError",
-    "ConfigurationError",
-    "QueryError",
-    "Stopwatch",
-    "TimeBreakdown",
-]

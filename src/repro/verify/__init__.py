@@ -27,25 +27,13 @@ systematically:
 verify`` CLI subcommand that CI runs on every push.
 """
 
-from repro.verify.auditor import AuditReport, Violation, audit_index
-from repro.verify.drill import Report
-from repro.verify.faults import run_fault_injection
-from repro.verify.fuzzer import FuzzFailure, fuzz_index, shrink_ops
-from repro.verify.oracle import DifferentialOracle, Divergence, OracleReport
-from repro.verify.runner import VerifyReport, run_verification
+from repro.utils.exports import lazy_exports
 
-__all__ = [
-    "AuditReport",
-    "DifferentialOracle",
-    "Divergence",
-    "FuzzFailure",
-    "OracleReport",
-    "Report",
-    "VerifyReport",
-    "Violation",
-    "audit_index",
-    "fuzz_index",
-    "run_fault_injection",
-    "run_verification",
-    "shrink_ops",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.verify.auditor": ("AuditReport", "Violation", "audit_index"),
+    "repro.verify.drill": ("Report",),
+    "repro.verify.faults": ("run_fault_injection",),
+    "repro.verify.fuzzer": ("FuzzFailure", "fuzz_index", "shrink_ops"),
+    "repro.verify.oracle": ("DifferentialOracle", "Divergence", "OracleReport"),
+    "repro.verify.runner": ("VerifyReport", "run_verification"),
+})

@@ -45,8 +45,8 @@ from typing import Dict, List, Optional
 import repro
 from repro.core.cost import CostParams
 from repro.core.index import BiGIndex
-from repro.core.persistence import load_index, save_index
-from repro.core.wal import WAL_NAME, apply_wal_op
+from repro.core.persistence import WAL_NAME, load_index, save_index
+from repro.core.wal import apply_wal_op
 from repro.datasets.knowledge import dataset_registry
 from repro.serve.client import ServeClient
 from repro.verify.drill import Report

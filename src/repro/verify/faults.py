@@ -50,6 +50,7 @@ from repro.core.index import BiGIndex
 from repro.core.persistence import (
     BINARY_NAME,
     MANIFEST_NAME,
+    WAL_NAME,
     load_index,
     save_index,
     write_manifest,
@@ -57,7 +58,6 @@ from repro.core.persistence import (
 from repro.core.plugins import boost
 from repro.core.wal import (
     WAL_MAGIC,
-    WAL_NAME,
     MutationWAL,
     apply_wal_op,
     encode_record,

@@ -138,8 +138,3 @@ class TestBestAnswerForRoot:
             algo.best_hit_for_root(tiny_graph, 4, KeywordQuery(["K2"]))
             is None
         )
-
-    def test_check_query_raises_for_unknown_keyword(self, tiny_graph):
-        algo = BackwardKeywordSearch(d_max=2)
-        with pytest.raises(QueryError):
-            algo.check_query(tiny_graph, KeywordQuery(["missing"]))

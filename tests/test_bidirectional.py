@@ -87,7 +87,7 @@ class TestVerify:
             best = algo.best_hit_for_root(g, answer.root, query)
             assert best is not None and best.score == answer.score
             verified = algo.verify(
-                g, answer.keyword_node_map, query, root=answer.root
+                g, dict(answer.keyword_nodes), query, root=answer.root
             )
             assert verified is not None
 

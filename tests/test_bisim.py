@@ -126,7 +126,6 @@ class TestSummary:
         g = fan_graph(10)
         s = summarize(g)
         assert s.size_ratio(g) == pytest.approx(s.graph.size / g.size)
-        assert s.compression_ratio_vertices == pytest.approx(3 / 12)
 
     def test_explicit_blocks(self, random_graph_factory):
         g = random_graph_factory(num_vertices=10, num_edges=15, seed=9)

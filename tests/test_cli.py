@@ -353,25 +353,66 @@ class TestVerifyCommand:
         assert "fault scenario(s)" in out
 
 
-def test_query_path_does_not_import_verify():
-    """Cold start: ``build`` / ``query`` / ``stats`` must not pay for the
-    verify harness (all drills, plus ``repro.serve`` and ``http.client``
-    behind them), and every subcommand but ``build --shards`` must not
-    pay for the sharded builder; ``cmd_verify`` / ``cmd_build`` import
-    them on use (a sharded root loads through ``load_index``)."""
+#: Modules no build / query --algorithm bkws / stats process may load:
+#: other subcommands' code (verify, serve, sharding, bench), the other
+#: searchers, the WAL (the index has none), the serve-side telemetry and
+#: the dataset generators the CLI's ``--ontology-from`` does not run.
+COLD_PATH_EXCLUDED = (
+    "repro.verify", "repro.serve", "http.client", "repro.core.sharding",
+    "repro.bench", "repro.search.blinks", "repro.search.rclique",
+    "repro.core.wal", "repro.obs.promtext", "repro.obs.reqlog",
+    "repro.obs.flight", "repro.datasets.synthetic",
+    "repro.datasets.workloads",
+)
+
+
+def _modules_after(*commands):
+    """``sys.modules`` of a fresh interpreter after ``main(command)`` for
+    each command (each must exit 0)."""
     src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
     )
     probe = (
-        "import sys, repro.cli; "
-        "loaded = [m for m in ('repro.verify', 'repro.serve', 'http.client',"
-        " 'repro.core.sharding') if m in sys.modules]; "
-        "assert not loaded, loaded"
+        "import json, sys\n"
+        "from repro.cli import main\n"
+        "for command in json.loads(sys.argv[1]):\n"
+        "    assert main(command) == 0, command\n"
+        "print(json.dumps(sorted(sys.modules)))\n"
     )
+    import json
+
     result = subprocess.run(
-        [sys.executable, "-c", probe], env=env, capture_output=True,
-        text=True, timeout=60,
+        [sys.executable, "-c", probe, json.dumps(commands)], env=env,
+        capture_output=True, text=True, timeout=120,
     )
     assert result.returncode == 0, result.stderr
+    return set(json.loads(result.stdout.splitlines()[-1]))
+
+
+def test_each_subcommand_imports_only_what_it_runs(workspace):
+    """Cold start: a ``build`` / ``query`` / ``stats`` process pays only
+    for its own code path (``cli.py`` imports per subcommand, package
+    ``__init__``s import nothing, ``--ontology-from`` skips the graph)."""
+    graph_prefix, index_dir = workspace
+    common = ["--ontology-from", "yago-like", "--scale", "0.05"]
+    assert main(["dataset", "yago-like", "--out", graph_prefix,
+                 "--scale", "0.05"]) == 0
+    from repro.graph.io import load_graph_tsv
+
+    histogram = load_graph_tsv(graph_prefix)[0].label_histogram()
+    keywords = sorted(histogram, key=lambda l: (-histogram[l], l))[:2]
+    query = ["query", index_dir, "--keywords", *keywords, *common]
+    loaded = _modules_after(
+        ["build", graph_prefix, "--index-dir", index_dir, "--layers", "2",
+         "--samples", "10", *common],
+        [*query, "--algorithm", "bkws"],
+        ["stats", index_dir, *common],
+    )
+    assert "repro.search.banks" in loaded
+    assert not loaded.intersection(COLD_PATH_EXCLUDED)
+    # Positive control: the chosen searcher is what gets imported.
+    loaded = _modules_after([*query, "--algorithm", "blinks"])
+    assert "repro.search.blinks" in loaded
+    assert "repro.search.rclique" not in loaded

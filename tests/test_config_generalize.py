@@ -9,7 +9,7 @@ from repro.core.generalize import (
     generalize_query,
     specialize_label,
 )
-from repro.graph.digraph import Graph, validate_same_topology
+from repro.graph.digraph import Graph
 from repro.search.base import KeywordQuery
 from repro.utils.errors import ConfigurationError
 
@@ -83,7 +83,8 @@ class TestGeneralizeGraph:
             {"Student": "Person", "UC Berkeley": "Univ."}, ontology=fig2_ontology
         )
         result = generalize_graph(fig1_graph, config)
-        assert validate_same_topology(fig1_graph, result)
+        assert result.num_vertices == fig1_graph.num_vertices
+        assert set(result.edges()) == set(fig1_graph.edges())
         assert result.vertices_with_label("Student") == set()
         assert len(result.vertices_with_label("Person")) == 10
 
@@ -94,7 +95,8 @@ class TestGeneralizeGraph:
 
     def test_empty_config_is_copy(self, fig1_graph):
         result = generalize_graph(fig1_graph, Configuration.empty())
-        assert validate_same_topology(fig1_graph, result)
+        assert result.num_vertices == fig1_graph.num_vertices
+        assert set(result.edges()) == set(fig1_graph.edges())
         assert result.label_histogram() == fig1_graph.label_histogram()
 
     def test_label_preserving_property(self, fig1_graph):

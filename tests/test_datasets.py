@@ -3,6 +3,8 @@
 import pytest
 
 from repro.datasets.knowledge import (
+    DATASET_NAMES,
+    dataset_ontology,
     dataset_registry,
     dbpedia_like,
     generate_knowledge_graph,
@@ -25,7 +27,7 @@ from repro.datasets.workloads import (
     generate_queries,
 )
 from repro.ontology.ontology import generate_ontology
-from repro.utils.errors import GraphError, QueryError
+from repro.utils.errors import BigIndexError, GraphError, QueryError
 
 
 class TestSyntheticGraphs:
@@ -195,6 +197,26 @@ class TestKnowledgeGraphs:
         assert set(registry) == {"yago-like", "dbpedia-like", "imdb-like"}
         ds = registry["yago-like"]()
         assert ds.graph.num_vertices == 500
+
+    @pytest.mark.parametrize("scale", [0.05, 0.2, 0.5, 1.0])
+    @pytest.mark.parametrize("name", DATASET_NAMES)
+    def test_dataset_ontology_matches_registry(self, name, scale):
+        """``--ontology-from`` reads the ontology without the graph; it
+        must be the very ontology the dataset was generated with."""
+        def edges(ontology):
+            return [
+                (t, ontology.direct_supertypes(t))
+                for t in sorted(ontology.types())
+            ]
+
+        ontology = dataset_ontology(name, scale)
+        expected = dataset_registry(scale=scale)[name]().ontology
+        assert ontology.types() == expected.types()
+        assert edges(ontology) == edges(expected)
+
+    def test_dataset_ontology_unknown_name(self):
+        with pytest.raises(BigIndexError, match="unknown dataset 'nope'"):
+            dataset_ontology("nope", 0.05)
 
 
 class TestWorkloads:

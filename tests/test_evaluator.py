@@ -112,15 +112,9 @@ class TestRCliqueEquivalence:
         )
         algo = RClique(radius=2, k=None)
         query = KeywordQuery(["A", "C"])
-        direct = {
-            tuple(sorted(a.keyword_node_map.items()))
-            for a in algo.bind(graph).search(query)
-        }
+        direct = {a.keyword_nodes for a in algo.bind(graph).search(query)}
         boosted = boost_dkws(index, radius=2, k=None)
-        got = {
-            tuple(sorted(a.keyword_node_map.items()))
-            for a in boosted.search(query, layer=1)
-        }
+        got = {a.keyword_nodes for a in boosted.search(query, layer=1)}
         assert got == direct
 
     def test_top_k_scores_match(self, small_ontology, random_graph_factory):

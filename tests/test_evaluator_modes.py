@@ -44,7 +44,7 @@ class TestTrustMode:
         query = KeywordQuery(["A", "C"])
         for answer in pipeline.evaluate(query, layer=1).answers:
             exact = algo.verify(
-                graph, answer.keyword_node_map, query, root=answer.root
+                graph, dict(answer.keyword_nodes), query, root=answer.root
             )
             if exact is not None:
                 assert answer.score <= exact.score
@@ -56,7 +56,7 @@ class TestTrustMode:
         pipeline = PaperPipeline(index, algo)
         query = KeywordQuery(["A", "C"])
         for answer in pipeline.evaluate(query, layer=1).answers:
-            exact = algo.verify(graph, answer.keyword_node_map, query)
+            exact = algo.verify(graph, dict(answer.keyword_nodes), query)
             if exact is not None:
                 assert answer.score <= exact.score
 

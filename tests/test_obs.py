@@ -446,11 +446,11 @@ def _summary_keywords(graph_prefix, index_dir):
     import itertools
 
     from repro.core.persistence import load_index
-    from repro.datasets.knowledge import dataset_registry
+    from repro.datasets.knowledge import dataset_ontology
     from repro.graph.io import load_graph_tsv
     from repro.utils.errors import QueryError
 
-    ontology = dataset_registry(scale=0.05)["yago-like"]().ontology
+    ontology = dataset_ontology("yago-like", 0.05)
     graph, _ = load_graph_tsv(graph_prefix)
     index = load_index(index_dir, ontology)
     histogram = graph.label_histogram()

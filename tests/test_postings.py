@@ -63,7 +63,7 @@ class TestMutationInvalidation:
 
     def test_add_vertex_with_label_id(self):
         g = _tiny_graph()
-        label_id = g.label_table.id_of("B")
+        label_id = g.label_table.get_id("B")
         g.sorted_vertices_with_label("B")
         before = g.mutation_epoch
         v = g.add_vertex_with_label_id(label_id)
@@ -92,7 +92,7 @@ class TestMutationInvalidation:
         g = _tiny_graph()
         g.sorted_vertices_with_label("A")
         g.sorted_vertices_with_label("B")
-        b_id = g.label_table.id_of("B")
+        b_id = g.label_table.get_id("B")
         before = g.mutation_epoch
         g.relabel_vertex_by_id(0, b_id)
         assert g.mutation_epoch == before + 1
@@ -101,7 +101,7 @@ class TestMutationInvalidation:
 
     def test_relabel_to_same_label_is_not_a_mutation(self):
         g = _tiny_graph()
-        a_id = g.label_table.id_of("A")
+        a_id = g.label_table.get_id("A")
         before = g.mutation_epoch
         g.relabel_vertex_by_id(0, a_id)
         assert g.mutation_epoch == before

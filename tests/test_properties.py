@@ -36,7 +36,7 @@ from repro.core.generalize import (
 )
 from repro.core.index import BiGIndex
 from repro.core.plugins import boost_bkws
-from repro.graph.digraph import Graph, validate_same_topology
+from repro.graph.digraph import Graph
 from repro.graph.traversal import bounded_distance
 from repro.ontology.ontology import OntologyGraph
 from repro.search.banks import BackwardKeywordSearch
@@ -195,7 +195,8 @@ class TestGeneralizationProperties:
     def test_gen_preserves_topology(self, g: Graph):
         config = Configuration({"A": "AB", "B": "AB"})
         result = generalize_graph(g, config)
-        assert validate_same_topology(g, result)
+        assert result.num_vertices == g.num_vertices
+        assert set(result.edges()) == set(g.edges())
 
     @given(graphs())
     @settings(max_examples=40, deadline=None)

@@ -46,19 +46,13 @@ class TestNeighborIndex:
         with pytest.raises(NeighborIndexTooLarge):
             NeighborIndex(g, radius=4, max_entries=10)
 
-    def test_average_neighborhood(self, triangle_graph):
-        index = NeighborIndex(triangle_graph, radius=2)
-        assert index.average_neighborhood() == pytest.approx(
-            index.num_entries / 3
-        )
-
 
 class TestSearchSemantics:
     def test_simple_clique_found(self, triangle_graph):
         rc = RClique(radius=2, k=None)
         answers = rc.bind(triangle_graph).search(KeywordQuery(["K1", "K2"]))
         assert len(answers) == 1
-        assert answers[0].keyword_node_map == {"K1": 0, "K2": 2}
+        assert dict(answers[0].keyword_nodes) == {"K1": 0, "K2": 2}
         assert answers[0].score == 2.0
 
     def test_radius_too_small_yields_nothing(self, triangle_graph):
@@ -76,10 +70,7 @@ class TestSearchSemantics:
         query = KeywordQuery(["A", "B"])
         rc = RClique(radius=radius, k=None)
         searcher = rc.bind(g)
-        got = {
-            tuple(sorted(a.keyword_node_map.items()))
-            for a in searcher.search(query)
-        }
+        got = {a.keyword_nodes for a in searcher.search(query)}
         # Brute force over the keyword product.
         expected = set()
         for u in g.vertices_with_label("A"):
@@ -94,7 +85,7 @@ class TestSearchSemantics:
         rc = RClique(radius=2, k=5)
         searcher = rc.bind(g)
         for answer in searcher.search(KeywordQuery(["A", "B", "C"])):
-            nodes = list(answer.keyword_node_map.values())
+            nodes = [v for _, v in answer.keyword_nodes]
             total = sum(
                 searcher.index.distance(a, b)
                 for a, b in itertools.combinations(nodes, 2)

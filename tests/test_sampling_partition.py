@@ -76,8 +76,8 @@ class TestPartition:
         g = random_graph_factory(num_vertices=50, num_edges=120, seed=4)
         part = partition_bfs_grow(g, target_block_size=10)
         for u, v in part.cut_edges(g):
-            assert part.is_portal(u)
-            assert part.is_portal(v)
+            assert u in part.portals
+            assert v in part.portals
 
     def test_single_block_when_target_large(self, random_graph_factory):
         g = random_graph_factory(num_vertices=20, num_edges=60, seed=5)

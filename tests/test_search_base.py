@@ -53,7 +53,7 @@ class TestAnswer:
         answer = Answer.make({"k": 3}, score=1.0, root=5, vertices=[7, 3])
         assert answer.vertices == (3, 5, 7)
         assert answer.keyword_nodes == (("k", 3),)
-        assert answer.keyword_node_map == {"k": 3}
+        assert dict(answer.keyword_nodes) == {"k": 3}
 
     def test_signature_ignores_path_vertices(self):
         a = Answer.make({"k": 3}, score=1.0, root=5, vertices=[7])
@@ -207,7 +207,7 @@ class TestRootedTreeAlgorithm:
         answers = algo.bind(g).search(query)
         assert answers
         for a in answers:
-            verified = algo.verify(g, a.keyword_node_map, query, root=a.root)
+            verified = algo.verify(g, dict(a.keyword_nodes), query, root=a.root)
             assert verified is not None
             assert verified.score == a.score
             assert type(verified.score) is type(a.score)

@@ -12,14 +12,19 @@ from repro.core.cost import CostParams
 from repro.core.evaluator import DegradedResult, HierarchicalEvaluator
 from repro.core import persistence
 from repro.core.index import BiGIndex
-from repro.core.persistence import load_index, save_index, write_manifest
+from repro.core.persistence import (
+    WAL_NAME,
+    load_index,
+    save_index,
+    write_manifest,
+)
 from repro.core.sharding import (
     ShardedEvaluator,
     ShardedIndex,
     build_sharded,
     plan_shards,
 )
-from repro.core.wal import WAL_NAME, MutationWAL, apply_wal_op
+from repro.core.wal import MutationWAL, apply_wal_op
 from repro.datasets.synthetic import (
     ZipfSampler,
     community_dataset,

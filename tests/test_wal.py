@@ -27,12 +27,11 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from repro.core.index import BiGIndex
-from repro.core.persistence import load_index, save_index
+from repro.core.persistence import WAL_NAME, load_index, save_index
 from repro.core.wal import (
     MAX_RECORD_BYTES,
     WAL_MAGIC,
     WAL_MAGIC_V1,
-    WAL_NAME,
     MutationWAL,
     WALRecord,
     apply_wal_op,
