@@ -88,6 +88,7 @@ from repro.core.querycache import LRUCache
 from repro.obs.runtime import OBS, charge_expansions
 from repro.search.base import (
     Answer,
+    BackwardFrontier,
     GraphSearcher,
     KeywordQuery,
     KeywordSearchAlgorithm,
@@ -555,6 +556,7 @@ class HierarchicalEvaluator:
                         stream = searcher.iter_search
                     summary_stream = stream(generalized_query, budget=budget)
                 seen_roots: Set[int] = set()
+                reach: Optional[List[List[int]]] = None
                 while True:
                     current_summary = None
                     with breakdown.phase("explore"), OBS.tracer.span(
@@ -595,9 +597,11 @@ class HierarchicalEvaluator:
                         strategy="root-verify" if self.rooted else "assignment",
                     ):
                         if self.rooted:
+                            if reach is None and layer >= 2:
+                                reach = self._layer1_reach(query, budget)
                             self._generate_by_root(
                                 summary_answer, spec, query, verified,
-                                seen_roots, result, k, budget,
+                                seen_roots, result, k, budget, reach,
                             )
                         else:
                             self._generate_by_assignment(
@@ -938,17 +942,21 @@ class HierarchicalEvaluator:
         result: EvalResult,
         k: Optional[int],
         budget: Optional[Budget] = None,
+        reach: Optional[List[List[int]]] = None,
     ) -> None:
         """Verify every specialized candidate root with one bounded BFS.
 
         The summary hit's score lower-bounds the exact score of every
         root specialized from it (Prop. 5.2), so once the top-k verified
         scores all fall at or below it, the rest of this hit's
-        candidates cannot improve the result (Sec. 4.3.4).  Verified
-        roots stay hits; :meth:`_attempt` builds trees for its top-k.
+        candidates cannot improve the result (Sec. 4.3.4).  A candidate
+        the ``reach`` sweeps (:meth:`_layer1_reach`) rule out still
+        counts, but skips the BFS.  Verified roots stay hits;
+        :meth:`_attempt` builds trees for its top-k.
         """
         candidate_roots = spec.spec_sets[summary_answer.root]
         best_hit_for_root = self.algorithm.best_hit_for_root
+        block_of = self.index.layers[0].parent_of
         for root in candidate_roots:
             if root in seen_roots:
                 continue
@@ -958,9 +966,30 @@ class HierarchicalEvaluator:
             charge_expansions(budget, 1)
             seen_roots.add(root)
             result.num_candidates += 1
+            if reach and -1 in [dist[block_of[root]] for dist in reach]:
+                if OBS.enabled:
+                    OBS.metrics.inc("eval.candidates_bounded")
+                continue
             hit = best_hit_for_root(self.index.base_graph, root, query)
             if hit is not None:
                 verified.offer(hit)
+
+    def _layer1_reach(
+        self, query: KeywordQuery, budget: Optional[Budget]
+    ) -> List[List[int]]:
+        """The ``dist`` arrays of one charged backward sweep per keyword of
+        ``Gen^1(Q)`` on ``G^1`` to ``d_max``.  Path preservation makes
+        ``dist_G1(chi(r), Gen^1(q)) <= dist_G0(r, V_q)``, so a root whose
+        block some sweep leaves unsettled has no answer (DESIGN.md)."""
+        graph = self.index.layer_graph(1)
+        reach = []
+        for label in self.index.generalize_query(query, 1):
+            sources = graph.sorted_vertices_with_label(label)
+            sweep = BackwardFrontier(graph, sources, self.algorithm.d_max)
+            while not sweep.exhausted:
+                sweep.expand_level(budget)
+            reach.append(sweep.dist)
+        return reach
 
     def _generate_by_assignment(
         self,

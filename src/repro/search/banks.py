@@ -27,7 +27,7 @@ when the same code runs on a much smaller summary graph.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, Iterator, List, Optional
 
 from repro.graph.digraph import Graph
 from repro.search.base import (
@@ -37,7 +37,6 @@ from repro.search.base import (
     RootedSearcher,
     RootedTreeAlgorithm,
     RootHit,
-    top_k,
     unseen_lower_bound,
 )
 from repro.utils.budget import Budget
@@ -54,12 +53,23 @@ class BanksSearcher(RootedSearcher):
         k: object = USE_BOUND_K,
     ) -> List[RootHit]:
         """Distinct-root hits ranked by total root-to-keyword distance."""
-        k = self._resolve_k(k)
+        return list(self._ranked_hits(query, budget, self._resolve_k(k)))
+
+    def iter_hits(
+        self, query: KeywordQuery, budget: Optional[Budget] = None
+    ) -> Iterator[RootHit]:
+        """Every hit in rank order, each built only when it is read."""
+        return self._ranked_hits(query, budget, None)
+
+    def _ranked_hits(
+        self, query: KeywordQuery, budget: Optional[Budget], k: Optional[int]
+    ) -> Iterator[RootHit]:
+        """The one expansion body: the top-``k`` hits, built as read."""
         frontiers: Dict[str, BackwardFrontier] = {}
         for keyword in query:
             sources = self.graph.sorted_vertices_with_label(keyword)
             if not sources:
-                return []
+                return
             frontiers[keyword] = BackwardFrontier(
                 self.graph, sources, self.algorithm.d_max
             )
@@ -69,7 +79,9 @@ class BanksSearcher(RootedSearcher):
         # distinct-root completeness; top-k truncation happens at the end
         # (early termination for k answers is exercised by the BiG-index
         # evaluator instead, Sec. 4.3.4).
-        active = list(query.keywords)
+        keywords = query.keywords
+        scored_roots = self.algorithm.scored_roots
+        active = list(keywords)
         try:
             while active:
                 active.sort(key=lambda kw: len(frontiers[kw].settled))
@@ -78,16 +90,13 @@ class BanksSearcher(RootedSearcher):
                 active = [kw for kw in active if not frontiers[kw].exhausted]
         except BudgetExceeded as exc:
             lower_bound = unseen_lower_bound(frontiers.values())
-            exc.partial = top_k(
-                self.algorithm.settled_hits(
-                    query.keywords, frontiers, below=lower_bound
-                ),
-                k,
-            )
+            ranked = scored_roots(keywords, frontiers, below=lower_bound)[:k]
+            exc.partial = list(self.algorithm.hits(keywords, frontiers, ranked))
             exc.lower_bound = lower_bound
             raise
 
-        return top_k(self.algorithm.settled_hits(query.keywords, frontiers), k)
+        ranked = scored_roots(keywords, frontiers)[:k]
+        yield from self.algorithm.hits(keywords, frontiers, ranked)
 
 
 class BackwardKeywordSearch(RootedTreeAlgorithm):

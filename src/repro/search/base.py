@@ -31,6 +31,7 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
+from itertools import compress
 from typing import (
     Callable,
     Dict,
@@ -448,6 +449,54 @@ class RootedTreeAlgorithm(KeywordSearchAlgorithm):
             score, root, tuple(sorted((kw, v) for kw, (_, v) in found.items()))
         )
 
+    def scored_roots(
+        self,
+        keywords: Sequence[str],
+        frontiers: Mapping[str, BackwardFrontier],
+        below: float = float("inf"),
+        skip: Iterable[int] = (),
+    ) -> List[Tuple[float, int]]:
+        """Ascending ``(score, root)`` pairs of the settled roots scoring
+        strictly below ``below``.
+
+        A root settled by every frontier carries exact distances (BFS
+        settles in distance order), so each score is exact even when the
+        frontiers were interrupted mid-way.  The smallest frontier's
+        ``settled`` list is read against the others' arrays column by
+        column; roots in ``skip`` (already answered by the caller) are
+        left out.  A root has exactly one hit, so this order is
+        :func:`top_k`'s order of the hits :meth:`hits` builds from it.
+        """
+        ordered = sorted(keywords)
+        columns = [frontiers[kw] for kw in ordered]
+        roots = min(columns, key=lambda f: len(f.settled)).settled
+        if skip:
+            skip = set(skip)
+            roots = [root for root in roots if root not in skip]
+        rows = list(zip(*[list(map(f.dist.__getitem__, roots)) for f in columns]))
+        settled = list(map((-1).__lt__, map(min, rows)))  # no -1 in the row
+        rows = list(compress(rows, settled))
+        if self.scr is distance_sum:
+            scores = map(sum, rows)
+        else:
+            scores = (self.scr(dict(zip(ordered, row))) for row in rows)
+        roots = compress(roots, settled)
+        return sorted(pair for pair in zip(scores, roots) if pair[0] < below)
+
+    @staticmethod
+    def hits(
+        keywords: Sequence[str],
+        frontiers: Mapping[str, BackwardFrontier],
+        ranked: Iterable[Tuple[float, int]],
+    ) -> Iterator[RootHit]:
+        """The hits of ``ranked`` :meth:`scored_roots` pairs, each built
+        from the frontiers' ``origin`` arrays only when it is read."""
+        ordered = sorted(keywords)
+        origins = [frontiers[kw].origin for kw in ordered]
+        for score, root in ranked:
+            nodes = tuple(zip(ordered, [o[root] for o in origins]))
+            yield RootHit(score, root, nodes)
+
     def settled_hits(
         self,
         keywords: Sequence[str],
@@ -455,33 +504,9 @@ class RootedTreeAlgorithm(KeywordSearchAlgorithm):
         below: float = float("inf"),
         skip: Iterable[int] = (),
     ) -> List[RootHit]:
-        """Hits among the settled roots with score strictly below ``below``.
-
-        A root settled by every frontier carries exact distances (BFS
-        settles in distance order), so each returned hit's score is
-        exact even when the frontiers were interrupted mid-way.  The
-        smallest frontier's ``settled`` list is scanned against the
-        others' arrays.  Roots in ``skip`` (already answered by the
-        caller) are left out.
-        """
-        ordered = sorted(keywords)
-        dists = [frontiers[kw].dist for kw in ordered]
-        origins = [frontiers[kw].origin for kw in ordered]
-        smallest = min(
-            (frontiers[kw] for kw in ordered), key=lambda f: len(f.settled)
-        )
-        skip = set(skip)
-        scr = self.scr
-        hits = []
-        for root in smallest.settled:
-            distances = [d[root] for d in dists]
-            if -1 in distances or root in skip:
-                continue
-            score = scr(dict(zip(ordered, distances)))
-            if score < below:
-                nodes = tuple(zip(ordered, [o[root] for o in origins]))
-                hits.append(RootHit(score, root, nodes))
-        return hits
+        """:meth:`scored_roots` as hits, in the same order."""
+        ranked = self.scored_roots(keywords, frontiers, below, skip)
+        return list(self.hits(keywords, frontiers, ranked))
 
     def answer_tree(self, graph: Graph, hit: RootHit) -> Answer:
         """Build the hit's answer tree: the union of shortest

@@ -15,8 +15,7 @@ highest-resolution monotonic clock CPython offers.
 from __future__ import annotations
 
 import time
-from contextlib import contextmanager
-from typing import Dict, Iterator
+from typing import Dict
 
 #: The repo-wide monotonic clock: seconds as a float, arbitrary epoch,
 #: never goes backwards.  Do not mix with ``time.time()`` in timing code.
@@ -49,6 +48,23 @@ class Stopwatch:
         self.elapsed = 0.0
 
 
+class _Phase:
+    """:meth:`TimeBreakdown.phase`: two clock reads and no generator frame
+    (phases wrap per-hit work); a body that raises is timed too."""
+
+    __slots__ = ("_totals", "_name", "_start")
+
+    def __init__(self, totals: Dict[str, float], name: str) -> None:
+        self._totals, self._name = totals, name
+
+    def __enter__(self) -> None:
+        self._start = monotonic_now()
+
+    def __exit__(self, *exc_info: object) -> None:
+        totals, name = self._totals, self._name
+        totals[name] = totals.get(name, 0.0) + (monotonic_now() - self._start)
+
+
 class TimeBreakdown:
     """Accumulates wall-clock time under named phases.
 
@@ -64,16 +80,9 @@ class TimeBreakdown:
     def __init__(self) -> None:
         self.totals: Dict[str, float] = {}
 
-    @contextmanager
-    def phase(self, name: str) -> Iterator[None]:
+    def phase(self, name: str) -> _Phase:
         """Context manager timing one phase; time accumulates across uses."""
-        start = monotonic_now()
-        try:
-            yield
-        finally:
-            self.totals[name] = self.totals.get(name, 0.0) + (
-                monotonic_now() - start
-            )
+        return _Phase(self.totals, name)
 
     def add(self, name: str, seconds: float) -> None:
         """Add ``seconds`` to phase ``name`` directly."""

@@ -441,8 +441,9 @@ def built_workspace(tmp_path_factory):
     return graph_prefix, index_dir
 
 
-def _summary_keywords(graph_prefix, index_dir):
-    """A keyword pair that stays collision-free on layer 1."""
+def _summary_keywords(graph_prefix, index_dir, layer=1):
+    """A keyword pair that answers on ``layer`` (so it stays
+    collision-free there)."""
     import itertools
 
     from repro.core.persistence import load_index
@@ -461,13 +462,13 @@ def _summary_keywords(graph_prefix, index_dir):
     for pair in itertools.combinations(labels, 2):
         try:
             result = boosted.evaluate_resilient(
-                KeywordQuery(pair), layer=1
+                KeywordQuery(pair), layer=layer
             )
         except QueryError:
             continue
         if result.answers and not result.degraded:
             return list(pair)
-    pytest.skip("no collision-free layer-1 keyword pair in the dataset")
+    pytest.skip(f"no keyword pair answering on layer {layer} in the dataset")
 
 
 class TestCLIExplainAndTrace:
@@ -526,6 +527,27 @@ class TestCLIExplainAndTrace:
         assert len(distinct_phases(events)) >= 4
         assert schema_main([str(trace_path), "--min-phases", "4"]) == 0
         capsys.readouterr()
+
+    def test_layer2_explain_counts_bounded_candidates(
+        self, built_workspace, capsys
+    ):
+        """At layer 2 root verification runs behind the layer-1 reach
+        bound; --explain reports the roots it rejected without a BFS."""
+        from repro.cli import main
+
+        graph_prefix, index_dir = built_workspace
+        keywords = _summary_keywords(graph_prefix, index_dir, layer=2)
+        args = self._query_args(index_dir, keywords, "--explain")
+        args[args.index("--layer") + 1] = "2"
+        assert main(args) == 0
+        out = capsys.readouterr().out
+        counters = dict(
+            line.split(" = ")
+            for line in out.splitlines()
+            if line.startswith("  eval.")
+        )
+        bounded = int(counters["  eval.candidates_bounded"])
+        assert 0 < bounded <= int(counters["  eval.candidates"])
 
     def test_answers_unchanged_by_observation(
         self, built_workspace, capsys
