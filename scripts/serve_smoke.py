@@ -4,12 +4,18 @@
 CI's ``serve-smoke`` job boots the server against a persisted index and
 pushes a mixed workload through it with this script: single queries,
 batches, deliberately budget-starved queries (exercising the 429
-degraded path), and introspection reads, over persistent keep-alive
-connections.  The run **fails on any 5xx** and writes a throughput
-summary JSON for the artifact upload.
+degraded path), and introspection reads, spread over
+``CLIENT_THREADS`` client threads, each on its own persistent keep-alive
+connection — so the server runs that many handler threads.  The run
+**fails on any 5xx** and writes a throughput summary JSON for the
+artifact upload.
 
 Observability checks ride along:
 
+* ``serve.requests`` scraped from ``GET /metrics`` before and after the
+  workload must differ by exactly the HTTP exchanges made in between:
+  the server's per-thread counter shards, summed across its handler
+  threads, lose nothing.
 * ``--prom-out FILE`` scrapes ``GET /metrics`` with ``Accept:
   text/plain`` after the workload, validates the body with the strict
   Prometheus parser (:func:`repro.obs.promtext.parse_prometheus`),
@@ -35,11 +41,107 @@ import itertools
 import json
 import random
 import sys
+import threading
 import time
 
 from repro.obs.promtext import parse_prometheus
 from repro.obs.schema import validate_access_record
 from repro.serve.client import ServeClient
+
+
+#: Client threads, each on its own keep-alive connection (and so on its
+#: own server handler thread).
+CLIENT_THREADS = 4
+
+
+def draw_op(rng: random.Random, queries: list) -> tuple:
+    """One workload request: ``(kind, keywords-or-batch)``."""
+    keywords = list(queries[rng.randrange(len(queries))])
+    roll = rng.random()
+    if roll < 0.55:
+        return "query", keywords
+    if roll < 0.75:
+        return "batch", [
+            list(queries[rng.randrange(len(queries))]) for _ in range(3)
+        ]
+    if roll < 0.9:
+        # Budget-starved: exercises the degraded/429 contract.
+        return "starved", keywords
+    if roll < 0.95:
+        return "healthz", None
+    return "metrics", None
+
+
+class Tally:
+    """What one client thread saw."""
+
+    def __init__(self) -> None:
+        self.statuses = collections.Counter()
+        self.answers = 0
+        self.degraded = 0
+        self.exchanges = 0
+        # request_id -> status of every degraded (429) or faulted (5xx)
+        # response, for the access-log attribution check.
+        self.unattributed = {}
+        self.error = None
+
+
+def drive(url: str, ops: list, tally: Tally) -> None:
+    """Send ``ops`` over one keep-alive connection, recording into
+    ``tally`` (an exception is recorded, not raised)."""
+    try:
+        with ServeClient.for_url(url) as client:
+            for kind, what in ops:
+                if kind == "query":
+                    response = client.query(what)
+                elif kind == "batch":
+                    response = client.batch(what)
+                elif kind == "starved":
+                    response = client.query(what, expansion_budget=1)
+                elif kind == "healthz":
+                    response = client.healthz()
+                else:
+                    response = client.metrics()
+                tally.statuses[response.status] += 1
+                tally.exchanges += response.attempts
+                if response.degraded:
+                    tally.degraded += 1
+                if response.status == 429 or response.status >= 500:
+                    tally.unattributed[response.request_id] = response.status
+                payload = response.payload
+                if isinstance(payload, dict):
+                    tally.answers += len(payload.get("answers") or ())
+                    for entry in payload.get("results") or ():
+                        tally.answers += len(entry.get("answers") or ())
+    except Exception as exc:  # reported by main()
+        tally.error = exc
+
+
+def served_requests(client: ServeClient) -> int:
+    """``serve.requests`` as ``GET /metrics`` reports it (the scrape
+    counts itself only after answering)."""
+    payload = client.metrics().payload
+    if not isinstance(payload, dict):
+        return -1
+    return payload.get("counters", {}).get("serve.requests", 0)
+
+
+def check_request_count(client: ServeClient, before: int, sent: int) -> int:
+    """``serve.requests`` must have grown by every exchange made since
+    the ``before`` scrape (that scrape included)."""
+    counted = served_requests(client) - before
+    if counted != sent:
+        print(
+            f"FAIL: serve.requests grew by {counted}, but the clients made "
+            f"{sent} exchange(s), {CLIENT_THREADS} connection(s) in parallel",
+            file=sys.stderr,
+        )
+        return 1
+    print(
+        f"metrics: serve.requests grew by {counted}, matching the {sent} "
+        f"exchange(s) ({CLIENT_THREADS} client threads)"
+    )
+    return 0
 
 
 def check_prometheus(client: ServeClient, prom_out: str) -> int:
@@ -169,51 +271,41 @@ def main() -> int:
         print("need at least two keywords", file=sys.stderr)
         return 2
     rng = random.Random(args.seed)
-    statuses = collections.Counter()
-    answers = 0
-    degraded = 0
-    retries = 0
-    # request_id -> status of every degraded (429) or faulted (5xx)
-    # response, for the access-log attribution check.
-    unattributed = {}
+    ops = [draw_op(rng, queries) for _ in range(args.requests)]
+    tallies = [Tally() for _ in range(CLIENT_THREADS)]
     started = time.perf_counter()
     with ServeClient.for_url(args.url) as client:
+        before = served_requests(client)
         health = client.healthz()
-        statuses[health.status] += 1
         if not health.ok:
             print(f"healthz answered {health.status}", file=sys.stderr)
             return 1
-        for i in range(args.requests):
-            keywords = list(queries[rng.randrange(len(queries))])
-            roll = rng.random()
-            if roll < 0.55:
-                response = client.query(keywords)
-            elif roll < 0.75:
-                batch = [
-                    list(queries[rng.randrange(len(queries))])
-                    for _ in range(3)
-                ]
-                response = client.batch(batch)
-            elif roll < 0.9:
-                # Budget-starved: exercises the degraded/429 contract.
-                response = client.query(keywords, expansion_budget=1)
-            elif roll < 0.95:
-                response = client.healthz()
-            else:
-                response = client.metrics()
-            statuses[response.status] += 1
-            retries += response.attempts - 1
-            if response.degraded:
-                degraded += 1
-            if response.status == 429 or response.status >= 500:
-                unattributed[response.request_id] = response.status
-            payload = response.payload
-            if isinstance(payload, dict):
-                answers += len(payload.get("answers") or ())
-                for entry in payload.get("results") or ():
-                    answers += len(entry.get("answers") or ())
+        threads = [
+            threading.Thread(
+                target=drive,
+                args=(args.url, ops[i::CLIENT_THREADS], tallies[i]),
+                name=f"smoke-client-{i}",
+            )
+            for i in range(CLIENT_THREADS)
+        ]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
         elapsed = time.perf_counter() - started
+        for tally in tallies:
+            if tally.error is not None:
+                print(f"FAIL: client thread raised {tally.error!r}",
+                      file=sys.stderr)
+                return 1
 
+        statuses = collections.Counter({health.status: 1})
+        unattributed = {}
+        for tally in tallies:
+            statuses.update(tally.statuses)
+            unattributed.update(tally.unattributed)
+        sent = health.attempts + sum(t.exchanges for t in tallies)
+        count_rc = check_request_count(client, before, 1 + sent)
         prom_rc = (
             check_prometheus(client, args.prom_out)
             if args.prom_out else 0
@@ -227,9 +319,10 @@ def main() -> int:
         "seconds": round(elapsed, 4),
         "qps": round(total / elapsed, 1) if elapsed else None,
         "statuses": {str(code): count for code, count in sorted(statuses.items())},
-        "answers": answers,
-        "degraded": degraded,
-        "retries": retries,
+        "answers": sum(t.answers for t in tallies),
+        "degraded": sum(t.degraded for t in tallies),
+        "retries": sent - total,
+        "client_threads": CLIENT_THREADS,
         "faults": faults,
     }
     with open(args.out, "w", encoding="utf-8") as handle:
@@ -254,7 +347,7 @@ def main() -> int:
     if statuses.get(200, 0) == 0:
         print("FAIL: no successful responses", file=sys.stderr)
         return 1
-    return prom_rc or access_rc
+    return count_rc or prom_rc or access_rc
 
 
 if __name__ == "__main__":

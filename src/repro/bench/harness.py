@@ -219,7 +219,7 @@ def compare_on_queries(
     )
     for m in range(index.num_layers + 1):  # offline per-layer index builds
         boosted.searcher_for_layer(m)
-        index.layer_graph(m).csr()
+        index.layer_graph(m).rows()[1]
 
     comparisons: List[QueryComparison] = []
     for spec in queries:

@@ -98,12 +98,7 @@ def maximal_bisimulation(
     if initial_blocks is not None and len(initial_blocks) != n:
         raise ValueError("initial_blocks must cover every vertex")
 
-    csr = graph.csr()
-    # Offsets as plain lists: CPython caches small ints in lists, while
-    # ``array('i').__getitem__`` boxes a fresh int every access, and the
-    # offsets are read twice per vertex per round.
-    out_off, out_tgt = csr.out_offsets.tolist(), csr.out_targets
-    in_off, in_tgt = csr.in_offsets.tolist(), csr.in_targets
+    successors, predecessors = graph.rows()
 
     if labels is None:
         labels = graph.labels
@@ -135,8 +130,8 @@ def maximal_bisimulation(
         members,
         list(members),
         max(members) + 1,
-        lambda v: out_tgt[out_off[v] : out_off[v + 1]],
-        lambda w: in_tgt[in_off[w] : in_off[w + 1]],
+        successors.__getitem__,
+        predecessors.__getitem__,
         first_round_labels,
     )
     if OBS.enabled:
@@ -294,10 +289,10 @@ def is_bisimulation_partition(graph: Graph, block: Sequence[int]) -> bool:
     n = graph.num_vertices
     if len(block) != n:
         return False
-    csr = graph.csr()
+    successors = graph.rows()[0]
     rep_signature: Dict[int, Tuple] = {}
     for v in range(n):
-        succ = frozenset(block[w] for w in csr.out_neighbors(v))
+        succ = frozenset(block[w] for w in successors[v])
         sig = (graph.labels[v], succ)
         existing = rep_signature.get(block[v])
         if existing is None:

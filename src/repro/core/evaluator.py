@@ -114,6 +114,8 @@ class EvalResult:
     num_candidates: int = 0
     #: candidates that survived exact verification.
     num_verified: int = 0
+    #: candidate roots the layer-1 reach bound rejected without a BFS.
+    num_bounded: int = 0
 
     #: Complete results are never degraded; lets callers branch on
     #: ``result.degraded`` without isinstance checks.
@@ -568,8 +570,6 @@ class HierarchicalEvaluator:
                     current_summary = summary_answer
                     charge_expansions(budget, 1)
                     result.num_generalized += 1
-                    if OBS.enabled:
-                        OBS.metrics.inc("eval.summary_answers")
                     kth = verified.kth_score(k)
                     if kth is not None:
                         stream_bound = searcher.stream_lower_bound
@@ -643,6 +643,16 @@ class HierarchicalEvaluator:
                 ],
                 breakdown=breakdown,
             )
+        finally:
+            # Per-candidate telemetry, flushed once per attempt on every
+            # exit path (OBSERVABILITY.md rule 3).
+            if OBS.enabled and layer:
+                if result.num_generalized:
+                    OBS.metrics.inc("eval.summary_answers",
+                                    result.num_generalized)
+                if result.num_bounded:
+                    OBS.metrics.inc("eval.candidates_bounded",
+                                    result.num_bounded)
 
         result.answers = self._trees(top_k(found, k))
         result.num_verified = len(found)
@@ -836,8 +846,9 @@ class HierarchicalEvaluator:
         return [run(query) for query in queries]
 
     def _warm(self, layer: Optional[int]) -> None:
-        """Bind searchers and CSR views for ``layer`` (``None``: every
-        layer the cost model may route to) before a batch runs."""
+        """Bind searchers and build the adjacency rows they walk for
+        ``layer`` (``None``: every layer the cost model may route to)
+        before a batch runs."""
         self._sync_caches()
         if layer is not None:
             warm_layers = [layer]
@@ -846,9 +857,9 @@ class HierarchicalEvaluator:
             warm_layers = list(range(start, self.index.num_layers + 1))
         for m in warm_layers:
             self.searcher_for_layer(m)
-            self.index.layer_graph(m).csr()
-        # Root verification always lands on the data graph.
-        self.index.base_graph.csr()
+            self.index.layer_graph(m).rows()[1]  # backward searches
+        # Root verification always lands on the data graph, forward.
+        self.index.base_graph.rows()[0]
 
     # ------------------------------------------------------------------
     # Step 3: specialization with pruning
@@ -966,10 +977,11 @@ class HierarchicalEvaluator:
             charge_expansions(budget, 1)
             seen_roots.add(root)
             result.num_candidates += 1
-            if reach and -1 in [dist[block_of[root]] for dist in reach]:
-                if OBS.enabled:
-                    OBS.metrics.inc("eval.candidates_bounded")
-                continue
+            if reach:
+                block = block_of[root]
+                if -1 in [dist[block] for dist in reach]:
+                    result.num_bounded += 1
+                    continue
             hit = best_hit_for_root(self.index.base_graph, root, query)
             if hit is not None:
                 verified.offer(hit)

@@ -692,10 +692,11 @@ def _patch_layer(
     old_parent = layer.parent_of
     old_blocks = len(layer.extent)
     parent, extent, dirty = _seed(layer, origins, changed)
-    successors, predecessors = below.row_lookups()
+    successors, predecessors = below.rows()
     members = _Rows(extent)
     split, next_id = refine_blocks(
-        parent, members, dirty, old_blocks, successors, predecessors
+        parent, members, dirty, old_blocks,
+        successors.__getitem__, predecessors.__getitem__,
     )
     fresh = range(old_blocks, next_id)
     for block in split:
@@ -706,12 +707,12 @@ def _patch_layer(
     for block in fresh:
         extent.append(members[block])
         for w in members[block]:
-            touched.update(map(lookup, predecessors(w)))
+            touched.update(map(lookup, predecessors[w]))
 
     graph = layer.graph
     edits = []
     for source in sorted(touched):
-        row = set(map(lookup, successors(extent[source][0])))
+        row = set(map(lookup, successors[extent[source][0]]))
         old = set(graph.out_neighbors(source) if source < old_blocks else ())
         if row != old:
             edits.append((source, old, row))

@@ -113,15 +113,16 @@ class BoostedSearch:
         The paper builds the plugged algorithm's index (e.g. r-clique's
         neighbor list) "on the m-th layer" before measuring queries; call
         this to keep that cost out of timed runs.  Warms every layer when
-        ``layer`` is ``None``, and pre-builds each layer graph's CSR view
-        so the first query pays no adjacency-packing cost either.
+        ``layer`` is ``None``, and pre-builds each layer graph's backward
+        adjacency rows so the first query pays no row-building cost
+        either.
         """
         layers = (
             range(self.index.num_layers + 1) if layer is None else [layer]
         )
         for m in layers:
             self.evaluator.searcher_for_layer(m)
-            self.index.layer_graph(m).csr()
+            self.index.layer_graph(m).rows()[1]
 
 
 def boost(

@@ -22,7 +22,6 @@ from __future__ import annotations
 from array import array
 from itertools import accumulate, chain
 from typing import (
-    Callable,
     Dict,
     Iterable,
     Iterator,
@@ -86,14 +85,14 @@ class LabelTable:
 class CSRView:
     """A frozen compressed-sparse-row snapshot of a graph's adjacency.
 
-    The traversal and refinement hot paths iterate neighbor lists millions
-    of times; list-of-lists adjacency pays a pointer chase and a bounds
-    check per ``out_neighbors`` call.  A CSR view packs both directions
-    into four ``array('i')`` buffers so the inner loops become two offset
-    lookups and one contiguous slice:
+    The storage and packing format: both directions as four int buffers,
 
     ``out_targets[out_offsets[v]:out_offsets[v + 1]]`` — successors of ``v``
     ``in_targets[in_offsets[v]:in_offsets[v + 1]]``  — predecessors of ``v``
+
+    persisted by the v4 format and served by an mmap-loaded graph
+    (:class:`FrozenAdjacency`).  Traversals read :meth:`Graph.rows`
+    instead: slicing a buffer boxes a fresh int per neighbour.
 
     Views are immutable snapshots owned by :meth:`Graph.csr`: the graph
     builds one lazily and drops it on any topology mutation, so holding a
@@ -163,6 +162,12 @@ class FrozenAdjacency:
     ``_in`` / ``_edge_set`` / ``_label_index``; the first mutation
     materializes heap structures and drops it (see
     :meth:`Graph._materialize`).
+
+    Indexed by direction (``0`` out, ``1`` in) it is :meth:`Graph.rows`:
+    one tuple per vertex in CSR order over one int per vertex id shared
+    by both directions, built on first use (assigned only once finished,
+    so racing builds are benign) — ``48 + 8 * degree`` bytes per
+    non-empty row on 64-bit CPython.
     """
 
     __slots__ = (
@@ -176,6 +181,8 @@ class FrozenAdjacency:
         "post_ids",
         "owner",
         "_post_row",
+        "_rows",
+        "_ids",
     )
 
     def __init__(
@@ -199,6 +206,21 @@ class FrozenAdjacency:
         self.post_ids = post_ids
         self.owner = owner
         self._post_row: Optional[Dict[int, int]] = None
+        self._rows: List[Optional[List[Tuple[int, ...]]]] = [None, None]
+        self._ids: Optional[List[int]] = None
+
+    def __getitem__(self, direction: int) -> List[Tuple[int, ...]]:
+        rows = self._rows[direction]  # IndexError ends iteration
+        if rows is None:
+            ids = self._ids
+            if ids is None:
+                ids = self._ids = list(range(self.num_vertices))
+            targets = (self.out_targets, self.in_targets)[direction]
+            flat = tuple(map(ids.__getitem__, targets))
+            bounds = (self.out_offsets, self.in_offsets)[direction].tolist()
+            rows = [flat[a:b] for a, b in zip(bounds, bounds[1:])]
+            self._rows[direction] = rows
+        return rows
 
     def make_csr(self) -> CSRView:
         return CSRView.from_arrays(
@@ -351,18 +373,8 @@ class Graph:
         """
         if self._out is not None:
             return
-        csr = self.csr()
-        n = csr.num_vertices
-        out_targets, out_offsets = csr.out_targets, csr.out_offsets
-        in_targets, in_offsets = csr.in_targets, csr.in_offsets
-        self._out = [
-            list(out_targets[out_offsets[v] : out_offsets[v + 1]])
-            for v in range(n)
-        ]
-        self._in = [
-            list(in_targets[in_offsets[v] : in_offsets[v + 1]])
-            for v in range(n)
-        ]
+        n = self.num_vertices
+        self._out, self._in = (list(map(list, rows)) for rows in self._frozen)
         self._edge_set = {
             (u, v) for u in range(n) for v in self._out[u]
         }
@@ -559,28 +571,25 @@ class Graph:
     def out_neighbors(self, v: int) -> Sequence[int]:
         """Successors of ``v`` (owned by the graph; do not mutate)."""
         self._check_vertex(v)
-        if self._out is None:
-            return self.csr().out_neighbors(v)
-        return self._out[v]
+        return self.rows()[0][v]
 
     def in_neighbors(self, v: int) -> Sequence[int]:
         """Predecessors of ``v`` (owned by the graph; do not mutate)."""
         self._check_vertex(v)
-        if self._in is None:
-            return self.csr().in_neighbors(v)
-        return self._in[v]
+        return self.rows()[1][v]
 
-    def row_lookups(
-        self,
-    ) -> Tuple[Callable[[int], Sequence[int]], Callable[[int], Sequence[int]]]:
-        """``(successors, predecessors)`` without bounds checks, for hot
-        loops that touch a few rows: the live heap rows (do not mutate;
-        valid until the next mutation), or CSR slices on an mmap-backed
-        graph — no CSR is packed for a heap graph."""
+    def rows(self) -> Sequence[Sequence[Sequence[int]]]:
+        """``(successors, predecessors)``, each indexable by vertex id, in
+        CSR (= insertion) order: the one traversal format.
+
+        A heap graph returns its live adjacency lists (do not mutate;
+        valid until its next mutation).  An mmap-backed graph returns its
+        :class:`FrozenAdjacency`, shared by its copy-on-write clones,
+        which builds a direction on first index.  Neither packs a CSR.
+        """
         if self._out is None:
-            csr = self.csr()
-            return csr.out_neighbors, csr.in_neighbors
-        return self._out.__getitem__, self._in.__getitem__
+            return self._frozen
+        return self._out, self._in
 
     def out_degree(self, v: int) -> int:
         """Number of out-edges of ``v``."""
@@ -617,9 +626,10 @@ class Graph:
     def csr(self) -> CSRView:
         """The current CSR adjacency snapshot, built lazily.
 
-        The view is rebuilt (O(|V| + |E|)) on first access after any
-        topology mutation; between mutations repeated calls return the
-        same frozen object, so hot loops can hoist its arrays into locals.
+        The packing format persistence writes (traversals read
+        :meth:`rows`).  The view is rebuilt (O(|V| + |E|)) on first
+        access after any topology mutation; between mutations repeated
+        calls return the same frozen object.
         """
         view = self._csr
         if view is None:
@@ -632,8 +642,6 @@ class Graph:
             self._csr = view
             if OBS.enabled:
                 OBS.metrics.inc("csr.builds")
-        elif OBS.enabled:
-            OBS.metrics.inc("csr.hits")
         return view
 
     def sorted_vertices_with_label_id(self, label_id: int) -> Tuple[int, ...]:
@@ -763,12 +771,12 @@ class Graph:
         clone = Graph(table)
         clone.labels = list(self.labels)
         if self._out is None:
-            # mmap-backed: build the heap copy from the CSR buffers
-            # without detaching this graph (it stays zero-copy).
-            csr = self.csr()
-            n = csr.num_vertices
-            clone._out = [list(csr.out_neighbors(v)) for v in range(n)]
-            clone._in = [list(csr.in_neighbors(v)) for v in range(n)]
+            # mmap-backed: build the heap copy from the rows without
+            # detaching this graph (it stays mmap-backed).
+            n = self.num_vertices
+            clone._out, clone._in = (
+                list(map(list, rows)) for rows in self._frozen
+            )
             clone._edge_set = {
                 (u, v) for u in range(n) for v in clone._out[u]
             }
@@ -855,12 +863,9 @@ class Graph:
             self._check_vertex(v)
             mapping[v] = sub.add_vertex_with_label_id(self.labels[v])
         member = set(ordered)
-        successors = (
-            self.csr().out_neighbors if self._out is None
-            else self._out.__getitem__
-        )
+        successors = self.rows()[0]
         for v in ordered:
-            for w in successors(v):
+            for w in successors[v]:
                 if w in member:
                     sub.add_edge(mapping[v], mapping[w])
         return sub, mapping

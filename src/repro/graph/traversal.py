@@ -23,18 +23,16 @@ BOTH = "both"
 
 
 def _neighbor_fn(graph: Graph, direction: str):
-    # Traversals read the frozen CSR snapshot: contiguous int arrays beat
-    # per-vertex adjacency lists, and ``graph.csr()`` rebuilds lazily after
-    # any mutation, so a traversal started later always sees fresh edges.
-    csr = graph.csr()
+    # Index only the direction walked: an mmap-loaded graph builds each
+    # direction's rows on first use.
+    rows = graph.rows()
     if direction == FORWARD:
-        return csr.out_neighbors
+        return rows[0].__getitem__
     if direction == BACKWARD:
-        return csr.in_neighbors
+        return rows[1].__getitem__
     if direction == BOTH:
-        # Splat instead of `+`: neighbor slices are memoryviews on an
-        # mmap-loaded graph, and memoryview has no concatenation.
-        return lambda v: [*csr.out_neighbors(v), *csr.in_neighbors(v)]
+        successors, predecessors = rows
+        return lambda v: [*successors[v], *predecessors[v]]
     raise GraphError(f"unknown traversal direction: {direction!r}")
 
 
@@ -187,8 +185,7 @@ def nearest_labeled_forward(
             return None  # no vertex carries it: unreachable
         wanted[label_id] = keyword
     labels = graph.labels
-    csr = graph.csr()
-    out_offsets, out_targets = csr.out_offsets, csr.out_targets
+    successors = graph.rows()[0]
     found: Dict[int, Tuple[int, int]] = {}
     remaining = set(wanted)
     root_label = labels[root]
@@ -202,7 +199,7 @@ def nearest_labeled_forward(
         depth += 1
         next_frontier: List[int] = []
         for v in frontier:
-            for w in out_targets[out_offsets[v] : out_offsets[v + 1]]:
+            for w in successors[v]:
                 if w in seen:
                     continue
                 seen.add(w)

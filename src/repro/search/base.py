@@ -298,13 +298,11 @@ class BackwardFrontier:
 
     def __init__(self, graph: Graph, sources: Sequence[int], d_max: int) -> None:
         self.d_max = d_max
-        csr = graph.csr()
-        self._in_offsets = csr.in_offsets
-        self._in_targets = csr.in_targets
+        self._predecessors = graph.rows()[1]
         #: vertex -> distance to the nearest source, ``-1`` if unsettled.
-        self.dist: List[int] = [-1] * csr.num_vertices
+        self.dist: List[int] = [-1] * graph.num_vertices
         #: vertex -> the nearest source vertex itself, ``-1`` if unsettled.
-        self.origin: List[int] = [-1] * csr.num_vertices
+        self.origin: List[int] = [-1] * graph.num_vertices
         for v in sources:
             self.dist[v] = 0
             self.origin[v] = v
@@ -320,7 +318,8 @@ class BackwardFrontier:
 
     def expand_level(self, budget: Optional[Budget] = None) -> List[int]:
         """Advance one BFS level backward; returns the newly settled
-        vertices in ascending id (Blinks' emission order rests on it).
+        vertices in settling (origin) order, not sorted — callers that
+        rely on ascending ids sort it themselves.
 
         A budget is charged one unit per frontier vertex *before* the
         level expands, so exhaustion leaves the settled maps consistent
@@ -333,18 +332,18 @@ class BackwardFrontier:
         charge_expansions(budget, len(self._frontier))
         if OBS.enabled:
             OBS.metrics.inc("search.levels_expanded")
-        return sorted(self._advance())
+        return self._advance()
 
     def _advance(self) -> List[int]:
         """Settle the next level; returns it in origin order."""
         dist, origin = self.dist, self.origin
-        offsets, targets = self._in_offsets, self._in_targets
+        predecessors = self._predecessors
         depth = self.depth + 1
         level: List[int] = []
         append = level.append
         for v in self._frontier:
             v_origin = origin[v]
-            for u in targets[offsets[v] : offsets[v + 1]]:
+            for u in predecessors[v]:
                 if dist[u] < 0:
                     dist[u] = depth
                     origin[u] = v_origin

@@ -89,6 +89,8 @@ class BidirectionalSearcher(RootedSearcher):
                 progressed = False
                 # Backward step: grow each keyword frontier one level (the
                 # shared kernel, so origins match bkws' signature-for-signature).
+                # Level order is immaterial: candidates are keyed by
+                # (reached, total, vertex) and popped only after the step.
                 for keyword in keywords:
                     for pred in frontiers[keyword].expand_level(budget):
                         touch(pred, keyword)

@@ -160,14 +160,14 @@ class BlinksBiLevelIndex:
     def _intra_block_backward_bfs(
         self, sources: Set[int], members: Set[int]
     ) -> Dict[int, int]:
-        in_neighbors = self.graph.csr().in_neighbors
+        predecessors = self.graph.rows()[1]
         dist = {v: 0 for v in sources}
         frontier = sorted(sources)
         depth = 0
         while frontier and depth < self.d_max:
             next_frontier = []
             for v in frontier:
-                for u in in_neighbors(v):
+                for u in predecessors[v]:
                     if u in members and u not in dist:
                         dist[u] = depth + 1
                         next_frontier.append(u)
@@ -260,7 +260,8 @@ class _LevelCursor:
         level = self._levels.get(self.depth, [])
         frontier = self._frontier
         if frontier is not None and not frontier.exhausted:
-            self._levels[self.depth + 1] = frontier.expand_level(budget)
+            settled = frontier.expand_level(budget)
+            self._levels[self.depth + 1] = sorted(settled)
         else:
             charge_expansions(budget, len(level))
             if OBS.enabled:

@@ -6,6 +6,8 @@ import random
 
 import pytest
 
+from repro.core.binfmt import SectionFile, SectionWriter
+from repro.core.persistence import _graph_from_sections, _write_graph_sections
 from repro.graph.digraph import Graph
 from repro.ontology.ontology import OntologyGraph
 
@@ -114,3 +116,19 @@ def small_ontology() -> OntologyGraph:
     ont.add_subtype("CD", "Top")
     ont.add_subtype("EF", "Top")
     return ont
+
+
+@pytest.fixture(scope="session")
+def frozen_twin(tmp_path_factory):
+    """Factory: a heap graph's v4 container round trip — an mmap-backed
+    twin sharing its label table (session-scoped, so property tests may
+    use it)."""
+
+    def make(graph: Graph) -> Graph:
+        path = str(tmp_path_factory.mktemp("v4") / "graph.bin")
+        writer = SectionWriter(path)
+        _write_graph_sections(writer, "g", graph)
+        writer.close()
+        return _graph_from_sections(SectionFile(path), "g", graph.label_table)
+
+    return make

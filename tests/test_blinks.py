@@ -9,6 +9,7 @@ from repro.search.blinks import (
     Blinks,
     BlinksBiLevelIndex,
     BlinksSingleLevelIndex,
+    _LevelCursor,
     distance_sum_score,
 )
 from repro.utils.errors import QueryError
@@ -80,6 +81,24 @@ class TestBiLevelIndex:
             assert sorted(single.keyword_cursor(label)) == sorted(
                 bi.keyword_cursor(label)
             )
+
+    def test_level_cursor_hands_out_each_depth_ascending(
+        self, random_graph_factory
+    ):
+        """A live cursor's ``take_level`` is the current depth's vertices
+        in ascending id (the emission order rests on it), not the next
+        level it just expanded."""
+        g = random_graph_factory(num_vertices=40, num_edges=100, seed=29)
+        bi = BlinksBiLevelIndex(g, d_max=3, block_size=8)
+        for label in sorted(g.distinct_labels()):
+            reach = bi.keyword_distances(label)
+            cursor = _LevelCursor(g, bi, label, 3)
+            depth = 0
+            while not cursor.exhausted:
+                assert cursor.take_level() == sorted(
+                    v for v, (d, _) in reach.items() if d == depth
+                )
+                depth += 1
 
     def test_portals_counted(self, random_graph_factory):
         g = random_graph_factory(num_vertices=40, num_edges=100, seed=26)

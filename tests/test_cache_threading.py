@@ -230,18 +230,99 @@ class TestMetricsThreading:
         counts = list(buckets.values())
         assert counts == sorted(counts)
 
+    def test_exited_recorders_are_summed_exactly(self):
+        """Recording threads that exit before the read lose nothing, in
+        every reader: counters, histograms, snapshot and merge."""
+        metrics = MetricsRegistry()
+
+        def worker(worker_id):
+            for step in range(1000):
+                metrics.inc("n")
+                metrics.inc(f"t.{worker_id}", 2)
+                if step % 10 == 0:
+                    metrics.observe("h", worker_id * 0.001)
+
+        run_threads(8, worker)
+        expected = {"n": 8000, **{f"t.{i}": 2000 for i in range(8)}}
+        assert metrics.counters() == dict(sorted(expected.items()))
+        hist = metrics.histograms()["h"]
+        assert hist["count"] == 800
+        assert abs(hist["sum"] - 100 * sum(i * 0.001 for i in range(8))) < 1e-9
+        snapshot = metrics.snapshot()
+        assert snapshot["counters"] == metrics.counters()
+        assert snapshot["histograms"]["h"]["count"] == 800
+        parent = MetricsRegistry()
+        parent.merge(metrics)
+        parent.merge(metrics)
+        assert parent.counter("n") == 16000
+        assert parent.histograms()["h"]["count"] == 1600
+
+    def test_shards_of_exited_threads_are_folded(self):
+        """A thread per connection must not grow the shard list: after
+        1 000 short-lived recorders only live threads keep a shard."""
+        metrics = MetricsRegistry()
+        for _ in range(20):
+            run_threads(50, lambda _: metrics.inc("n"))
+            assert len(metrics._shards) <= 50  # no read yet: folded on entry
+        metrics.inc("n")  # this thread stays alive
+        alive = [shard.thread for shard in metrics._shards]
+        assert alive == [threading.current_thread()]
+        assert metrics.counter("n") == 1001
+
+    def test_counter_reads_are_monotone_under_recording(self):
+        """Reads racing lock-free recorders never go backwards and never
+        see a torn histogram (count without its bucket)."""
+        metrics = MetricsRegistry()
+        done = threading.Event()
+
+        def recorder(_):
+            for _ in range(20000):
+                metrics.inc("n")
+                metrics.observe("h", 0.001)
+
+        def reader():
+            seen = []
+            while not done.is_set():
+                seen.append(metrics.counter("n"))
+                hist = metrics.histograms().get("h")
+                if hist is not None:
+                    assert hist["count"] == hist["buckets"]["+Inf"]
+            return seen
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with ThreadPoolExecutor(max_workers=1) as pool:
+                reads = pool.submit(reader)
+                run_threads(4, recorder)
+                done.set()
+                seen = reads.result(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert len(seen) > 1 and seen == sorted(seen)
+        assert metrics.counter("n") == 80000
+        assert metrics.histograms()["h"]["count"] == 80000
+
 
 # ----------------------------------------------------------------------
 # Graph posting lists
 # ----------------------------------------------------------------------
 class TestPostingsThreading:
-    def test_concurrent_lazy_builds_agree(self, random_graph_factory):
-        """Cold posting lists built from 8 threads all come out identical."""
+    def test_concurrent_lazy_builds_agree(
+        self, random_graph_factory, frozen_twin
+    ):
+        """Cold posting lists and the first ``rows()`` of an mmap-backed
+        graph, built from 8 threads at once, all come out identical."""
         graph = random_graph_factory(seed=7)
+        frozen = frozen_twin(graph)
         labels = sorted(graph.label_histogram())
         results = [None] * 8
+        rows = [None] * 8
+        start = threading.Barrier(8)
 
         def worker(worker_id):
+            start.wait()
+            rows[worker_id] = [list(table) for table in frozen.rows()]
             results[worker_id] = {
                 label: graph.sorted_vertices_with_label(label)
                 for label in labels
@@ -253,6 +334,10 @@ class TestPostingsThreading:
         snapshot = graph.postings_snapshot()
         for label in labels:
             assert list(results[0][label]) == snapshot[label]
+        # Whichever racing build was kept, every thread read the heap rows.
+        heap = [[tuple(row) for row in table] for table in graph.rows()]
+        assert all(r == heap for r in rows)
+        assert [list(table) for table in frozen.rows()] == heap
 
     def test_snapshot_hammer_with_csr_rebuilds(self, random_graph_factory):
         graph = random_graph_factory(seed=8)

@@ -158,7 +158,8 @@ class TestFrontierArrays:
     def test_arrays_match_reference_bfs(self, instance):
         """``dist`` is the backward BFS distance to the nearest source and
         ``origin`` the smallest source at that distance; every level comes
-        back in ascending vertex id."""
+        back in settling order: exactly the vertices at the new depth, in
+        ascending origin."""
         n, edges, sources, d_max = instance
         g = Graph()
         for _ in range(n):
@@ -169,7 +170,12 @@ class TestFrontierArrays:
         frontier = BackwardFrontier(g, sources, d_max)
         while not frontier.exhausted:
             level = frontier.expand_level()
-            assert level == sorted(level)
+            depth = frontier.depth
+            assert sorted(level) == [
+                v for v in range(n) if frontier.dist[v] == depth
+            ]
+            origins = [frontier.origin[v] for v in level]
+            assert origins == sorted(origins)
         nearest = bfs_distances(g, sources, max_depth=d_max, direction="backward")
         per_source = {
             s: bfs_distances(g, [s], max_depth=d_max, direction="backward")
