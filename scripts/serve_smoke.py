@@ -16,6 +16,10 @@ Observability checks ride along:
   workload must differ by exactly the HTTP exchanges made in between:
   the server's per-thread counter shards, summed across its handler
   threads, lose nothing.
+* ``cache.hit.frontier`` must be positive after the workload: the
+  served index is loaded from disk, so its frozen graphs memoize keyword
+  frontiers, and queries sharing a keyword hit the memo (budgeted ones
+  too, unless a starved cap cannot afford the hits).
 * ``--prom-out FILE`` scrapes ``GET /metrics`` with ``Accept:
   text/plain`` after the workload, validates the body with the strict
   Prometheus parser (:func:`repro.obs.promtext.parse_prometheus`),
@@ -117,19 +121,19 @@ def drive(url: str, ops: list, tally: Tally) -> None:
         tally.error = exc
 
 
-def served_requests(client: ServeClient) -> int:
-    """``serve.requests`` as ``GET /metrics`` reports it (the scrape
-    counts itself only after answering)."""
+def scraped(client: ServeClient, counter: str) -> int:
+    """``counter`` as ``GET /metrics`` reports it (the scrape counts
+    itself in ``serve.requests`` only after answering)."""
     payload = client.metrics().payload
     if not isinstance(payload, dict):
         return -1
-    return payload.get("counters", {}).get("serve.requests", 0)
+    return payload.get("counters", {}).get(counter, 0)
 
 
 def check_request_count(client: ServeClient, before: int, sent: int) -> int:
     """``serve.requests`` must have grown by every exchange made since
     the ``before`` scrape (that scrape included)."""
-    counted = served_requests(client) - before
+    counted = scraped(client, "serve.requests") - before
     if counted != sent:
         print(
             f"FAIL: serve.requests grew by {counted}, but the clients made "
@@ -141,6 +145,21 @@ def check_request_count(client: ServeClient, before: int, sent: int) -> int:
         f"metrics: serve.requests grew by {counted}, matching the {sent} "
         f"exchange(s) ({CLIENT_THREADS} client threads)"
     )
+    return 0
+
+
+def check_frontier_memo(client: ServeClient) -> int:
+    """A served index is loaded from disk, so its graphs are frozen and
+    queries sharing a keyword must hit the frontier memo."""
+    hits = scraped(client, "cache.hit.frontier")
+    if hits <= 0:
+        print(
+            f"FAIL: cache.hit.frontier is {hits} after the workload; the "
+            "loaded index's frontier memo never served a keyword frontier",
+            file=sys.stderr,
+        )
+        return 1
+    print(f"metrics: cache.hit.frontier = {hits}")
     return 0
 
 
@@ -275,7 +294,7 @@ def main() -> int:
     tallies = [Tally() for _ in range(CLIENT_THREADS)]
     started = time.perf_counter()
     with ServeClient.for_url(args.url) as client:
-        before = served_requests(client)
+        before = scraped(client, "serve.requests")
         health = client.healthz()
         if not health.ok:
             print(f"healthz answered {health.status}", file=sys.stderr)
@@ -306,6 +325,7 @@ def main() -> int:
             unattributed.update(tally.unattributed)
         sent = health.attempts + sum(t.exchanges for t in tallies)
         count_rc = check_request_count(client, before, 1 + sent)
+        memo_rc = check_frontier_memo(client)
         prom_rc = (
             check_prometheus(client, args.prom_out)
             if args.prom_out else 0
@@ -347,7 +367,7 @@ def main() -> int:
     if statuses.get(200, 0) == 0:
         print("FAIL: no successful responses", file=sys.stderr)
         return 1
-    return count_rc or prom_rc or access_rc
+    return count_rc or memo_rc or prom_rc or access_rc
 
 
 if __name__ == "__main__":

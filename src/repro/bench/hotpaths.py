@@ -51,7 +51,7 @@ from repro.bisim.refinement import maximal_bisimulation
 from repro.core.cost import CostParams
 from repro.core.evaluator import HierarchicalEvaluator
 from repro.core.index import BiGIndex
-from repro.core.plugins import boost
+from repro.core.plugins import BoostedSearch
 from repro.core.sharding import ShardedEvaluator, build_sharded, plan_shards
 from repro.datasets.synthetic import (
     deep_dataset,
@@ -243,9 +243,10 @@ class Fixture:
         self.answers_per_pass = _answers(_boosted(self.index), self.queries)
 
 
-def _boosted(index: BiGIndex):
-    return boost(
-        BackwardKeywordSearch(d_max=3, k=10), index, allow_layer_zero=True
+def _boosted(index: BiGIndex, cache_size: int = 128) -> BoostedSearch:
+    bkws = BackwardKeywordSearch(d_max=3, k=10)
+    return BoostedSearch(
+        bkws, index, allow_layer_zero=True, cache_size=cache_size
     )
 
 
@@ -590,10 +591,10 @@ def section_serve(fixture: Fixture, repeats: int) -> Metrics:
 
     The first pass exact-gates what concurrent serving returns (its
     throughput is ``serve-hot``'s ``ops_per_s``).  The reader passes
-    record p99 idle versus under a writer streaming mutations through
-    the copy-on-write runtime, which no end-to-end workload has; their
-    answers are deliberately *not* gated: readers pin whichever snapshot
-    is current when they arrive, so they legitimately vary.
+    record p99 idle (cached and uncached) versus under a writer streaming
+    mutations through the copy-on-write runtime, which no end-to-end
+    workload has; their answers are deliberately *not* gated: readers pin
+    whichever snapshot is current when they arrive, so they vary.
     """
     rounds = 2 if fixture.quick else 6
     service = QueryService(EngineRuntime(fixture.index, _serve_evaluator))
@@ -617,14 +618,17 @@ def section_serve(fixture: Fixture, repeats: int) -> Metrics:
             runtime.mutate(lambda index: index.delete_edge(u, v))
             runtime.mutate(lambda index: index.insert_edge(u, v))
 
-    def reader_pass() -> List[float]:
+    def reader_pass(service: QueryService = mutate_service) -> List[float]:
         return _client_pass(
-            mutate_service, fixture.queries, SERVE_THREADS,
+            service, fixture.queries, SERVE_THREADS,
             2 if fixture.quick else 4,
         )[2]
 
     reader_pass()  # warm the snapshot evaluator, unrecorded
-    idle = reader_pass()
+    idle = reader_pass()  # result-cache hits; the uncached pass runs eval_Ont
+    idle_uncached = reader_pass(QueryService(EngineRuntime(
+        fixture.index, lambda index: _boosted(index, cache_size=0).evaluator
+    )))
     writer_thread = threading.Thread(target=writer, name="bench-mutator")
     writer_thread.start()
     under = reader_pass()
@@ -634,6 +638,7 @@ def section_serve(fixture: Fixture, repeats: int) -> Metrics:
         "serve.qps.warm.threads": SERVE_THREADS,
         "serve.qps.warm.answers": served_answers,
         "serve.read.idle_p99.seconds": _p99(idle),
+        "serve.read.idle_uncached_p99.seconds": _p99(idle_uncached),
         "serve.read.mutate_p99.seconds": _p99(under),
     }
 

@@ -558,7 +558,7 @@ class HierarchicalEvaluator:
                         stream = searcher.iter_search
                     summary_stream = stream(generalized_query, budget=budget)
                 seen_roots: Set[int] = set()
-                reach: Optional[List[List[int]]] = None
+                reach: Optional[List[Sequence[int]]] = None
                 while True:
                     current_summary = None
                     with breakdown.phase("explore"), OBS.tracer.span(
@@ -953,7 +953,7 @@ class HierarchicalEvaluator:
         result: EvalResult,
         k: Optional[int],
         budget: Optional[Budget] = None,
-        reach: Optional[List[List[int]]] = None,
+        reach: Optional[List[Sequence[int]]] = None,
     ) -> None:
         """Verify every specialized candidate root with one bounded BFS.
 
@@ -988,20 +988,21 @@ class HierarchicalEvaluator:
 
     def _layer1_reach(
         self, query: KeywordQuery, budget: Optional[Budget]
-    ) -> List[List[int]]:
+    ) -> List[Sequence[int]]:
         """The ``dist`` arrays of one charged backward sweep per keyword of
         ``Gen^1(Q)`` on ``G^1`` to ``d_max``.  Path preservation makes
         ``dist_G1(chi(r), Gen^1(q)) <= dist_G0(r, V_q)``, so a root whose
         block some sweep leaves unsettled has no answer (DESIGN.md)."""
-        graph = self.index.layer_graph(1)
-        reach = []
-        for label in self.index.generalize_query(query, 1):
-            sources = graph.sorted_vertices_with_label(label)
-            sweep = BackwardFrontier(graph, sources, self.algorithm.d_max)
+        labels = self.index.generalize_query(query, 1)
+        sweeps = BackwardFrontier.recall(
+            self.index.layer_graph(1), labels, self.algorithm.d_max, budget
+        )
+        for sweep in sweeps:
+            sweep.replay(budget)
             while not sweep.exhausted:
                 sweep.expand_level(budget)
-            reach.append(sweep.dist)
-        return reach
+            sweep.remember()
+        return [sweep.dist for sweep in sweeps]
 
     def _generate_by_assignment(
         self,

@@ -32,6 +32,7 @@ from typing import (
     Tuple,
 )
 
+from repro.core.querycache import LRUCache
 from repro.obs.runtime import OBS
 from repro.utils.errors import GraphError
 
@@ -183,6 +184,7 @@ class FrozenAdjacency:
         "_post_row",
         "_rows",
         "_ids",
+        "frontiers",
     )
 
     def __init__(
@@ -208,6 +210,7 @@ class FrozenAdjacency:
         self._post_row: Optional[Dict[int, int]] = None
         self._rows: List[Optional[List[Tuple[int, ...]]]] = [None, None]
         self._ids: Optional[List[int]] = None
+        self.frontiers = LRUCache(64, kind="frontier")  # frontier_memo()
 
     def __getitem__(self, direction: int) -> List[Tuple[int, ...]]:
         rows = self._rows[direction]  # IndexError ends iteration
@@ -590,6 +593,12 @@ class Graph:
         if self._out is None:
             return self._frozen
         return self._out, self._in
+
+    def frontier_memo(self) -> Optional[LRUCache]:
+        """An mmap-backed graph's keyword-frontier memo, shared by its
+        unwritten clones; ``None`` on the heap (see ``BackwardFrontier``)."""
+        frozen = self._frozen
+        return None if frozen is None else frozen.frontiers
 
     def out_degree(self, v: int) -> int:
         """Number of out-edges of ``v``."""

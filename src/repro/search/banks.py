@@ -65,24 +65,25 @@ class BanksSearcher(RootedSearcher):
         self, query: KeywordQuery, budget: Optional[Budget], k: Optional[int]
     ) -> Iterator[RootHit]:
         """The one expansion body: the top-``k`` hits, built as read."""
-        frontiers: Dict[str, BackwardFrontier] = {}
-        for keyword in query:
-            sources = self.graph.sorted_vertices_with_label(keyword)
-            if not sources:
-                return
-            frontiers[keyword] = BackwardFrontier(
-                self.graph, sources, self.algorithm.d_max
-            )
+        graph, d_max = self.graph, self.algorithm.d_max
+        if not all(map(graph.sorted_vertices_with_label, query)):
+            return
+        keywords = query.keywords
+        # A memo hit arrives exhausted, so the loop below skips it.
+        frontiers: Dict[str, BackwardFrontier] = dict(zip(
+            keywords, BackwardFrontier.recall(graph, keywords, d_max, budget)
+        ))
 
         # Expand the smallest visited set first (paper's strategy) until all
         # frontiers are exhausted.  Exhaustive expansion is required for
         # distinct-root completeness; top-k truncation happens at the end
         # (early termination for k answers is exercised by the BiG-index
         # evaluator instead, Sec. 4.3.4).
-        keywords = query.keywords
         scored_roots = self.algorithm.scored_roots
         active = list(keywords)
         try:
+            for frontier in frontiers.values():
+                frontier.replay(budget)
             while active:
                 active.sort(key=lambda kw: len(frontiers[kw].settled))
                 keyword = active[0]
@@ -95,6 +96,8 @@ class BanksSearcher(RootedSearcher):
             exc.lower_bound = lower_bound
             raise
 
+        for frontier in frontiers.values():
+            frontier.remember()
         ranked = scored_roots(keywords, frontiers)[:k]
         yield from self.algorithm.hits(keywords, frontiers, ranked)
 

@@ -30,6 +30,7 @@ the system.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
+from array import array
 from dataclasses import dataclass
 from itertools import compress
 from typing import (
@@ -296,6 +297,9 @@ class BackwardFrontier:
     of adjacency order; cross-mode answer comparison relies on this.
     """
 
+    _memo = _key = None  #: where :meth:`remember` stores a fresh recall
+    _cost = 0  #: expansions a memo hit replays (a fresh frontier: none)
+
     def __init__(self, graph: Graph, sources: Sequence[int], d_max: int) -> None:
         self.d_max = d_max
         self._predecessors = graph.rows()[1]
@@ -310,6 +314,51 @@ class BackwardFrontier:
         self.settled: List[int] = sorted(sources)
         self._frontier: List[int] = list(self.settled)
         self.depth = 0
+
+    @classmethod
+    def recall(
+        cls, graph: Graph, labels: Sequence[str], d_max: int,
+        budget: Optional[Budget],
+    ) -> List["BackwardFrontier"]:
+        """One frontier per label: a hit of an mmap-backed graph's memo,
+        keyed ``(label id, d_max)`` and already exhausted, or a fresh one
+        that :meth:`remember` stores.  Hits are used under an expansion
+        cap only if every label hits and the cap affords their recorded
+        cost: then no cap trips where fresh expansion would not."""
+        memo = graph.frontier_memo()
+        keys = [(graph.label_table.get_id(label), d_max) for label in labels]
+        hits = [None if memo is None else memo.get(key) for key in keys]
+        if budget is not None and not budget.affords(
+            sum(hit._cost for hit in hits) if all(hits) else float("inf")
+        ):
+            hits = [None] * len(keys)
+        frontiers = []
+        for label, key, hit in zip(labels, keys, hits):
+            if hit is None:
+                hit = cls(graph, graph.sorted_vertices_with_label(label), d_max)
+                hit._memo, hit._key = memo, key
+            frontiers.append(hit)
+        return frontiers
+
+    def replay(self, budget: Optional[Budget]) -> None:
+        """Charge a memo hit's recorded expansions and levels; a fresh
+        frontier has none.  Callers replay where a charge may raise."""
+        charge_expansions(budget, self._cost)
+        if self._cost and OBS.enabled:
+            OBS.metrics.inc("search.levels_expanded", self.depth)
+
+    def remember(self) -> None:
+        """Store a recalled, exhausted frontier as int8/int32 arrays with
+        its cost: one charge per vertex of every level but the last."""
+        if self._memo is None:
+            return
+        entry = BackwardFrontier.__new__(BackwardFrontier)
+        entry.d_max, entry.depth, entry._frontier = self.d_max, self.depth, ()
+        entry.dist = array("b" if self.d_max < 128 else "i", self.dist)
+        entry.origin = array("i", self.origin)
+        entry.settled = array("i", self.settled)
+        entry._cost = len(self.settled) - len(self._frontier)
+        self._memo.put(self._key, entry)
 
     @property
     def exhausted(self) -> bool:

@@ -119,6 +119,14 @@ class Budget:
             return None
         return max(0, self.max_expansions - self.expansions)
 
+    def affords(self, expansions: float) -> bool:
+        """Whether charging ``expansions`` more trips no expansion cap,
+        this budget's or a parent's (``inf``: an unknown amount)."""
+        left = self.remaining_expansions()
+        return (left is None or expansions < left) and (
+            self._parent is None or self._parent.affords(expansions)
+        )
+
     # ------------------------------------------------------------------
     def exhausted_reason(self) -> Optional[str]:
         """The tripped limit's reason, or ``None``.  Expiry is sticky."""

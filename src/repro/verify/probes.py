@@ -132,14 +132,16 @@ class PersistProbe(IndexProbe):
 
     1. **Round-trip identity** — the reload reproduces the live index's
        :meth:`~repro.core.index.BiGIndex.state_digest` and answers every
-       probe query with the exact same outcome.
+       probe query with the exact same outcome, frontier memo cold and
+       warm (a memo that missed cold must hit warm).
     2. **Warm-start contract** — the reload reports itself mmap-backed
        on every graph and does not rebuild postings on first use (the
        ``postings.build`` counter stays at zero).
     3. **Detach identity** — mutating the mmap-backed reload first
        materializes it on the heap; one edge insertion on the reload and
        on a copy-on-write clone of the live index must land in the same
-       digest, so detach provably reconstructs the frozen state.
+       digest and outcomes, with no memo left on a detached graph, so
+       detach provably reconstructs the frozen state.
     """
 
     #: A round trip costs a save and a load; every other op (and always
@@ -147,6 +149,27 @@ class PersistProbe(IndexProbe):
     cadence = 2
     name = "persist"
     unit = "round-trip check(s)"
+
+    def _agree(self, where: str, loaded: BiGIndex, reference) -> None:
+        """``loaded`` answers like ``reference``, memo cold then warm; a
+        frontier memo that missed must hit by the warm run."""
+        for algorithm in self.algorithms:
+            mine, theirs = (HierarchicalEvaluator(side, algorithm, cache_size=0)
+                            for side in (loaded, reference))
+            for query in self.queries:
+                at = f"{where}, {algorithm.name}, Q={list(query.keywords)}"
+                expected = outcome(theirs, query)
+                with instrumented(trace=False) as inst:
+                    runs = [outcome(mine, query), outcome(mine, query)]
+                for run, actual in zip(("cold", "warm"), runs):
+                    self.report.check(actual == expected, f"{at}, memo {run}"
+                                      f"): {actual!r} != expected {expected!r}")
+                counters = inst.metrics.counters()
+                self.report.check(
+                    "cache.miss.frontier" not in counters
+                    or "cache.hit.frontier" in counters,
+                    f"{at}): frontier memo never hit on the warm run",
+                )
 
     def check(self, context: str) -> None:
         report, where = self.report, f"persist ({context}"
@@ -162,19 +185,7 @@ class PersistProbe(IndexProbe):
                 f"{where}): round trip changed the state digest: "
                 f"{reloaded} != live {live}",
             ):
-                for algorithm in self.algorithms:
-                    sides = [
-                        HierarchicalEvaluator(side, algorithm, cache_size=0)
-                        for side in (loaded, self.index)
-                    ]
-                    for query in self.queries:
-                        actual, expected = (outcome(e, query) for e in sides)
-                        report.check(
-                            actual == expected,
-                            f"{where}, {algorithm.name}, "
-                            f"Q={list(query.keywords)}): reload outcome "
-                            f"{actual!r} != live outcome {expected!r}",
-                        )
+                self._agree(where, loaded, self.index)
 
             # Warm-start contract: the reload serves postings straight
             # from the container — first use must not *build* anything.
@@ -208,6 +219,11 @@ class PersistProbe(IndexProbe):
                 f"from the same insertion on a heap clone "
                 f"({loaded.state_digest()} != {twin.state_digest()})",
             )
+            kept = [g for g in loaded.iter_layer_graphs()
+                    if not g.is_mmap_backed and g.frontier_memo() is not None]
+            report.check(not kept, f"{where}): detached graph(s) kept their "
+                         f"frontier memo after inserting edge {edge}")
+            self._agree(f"{where}, after inserting {edge}", loaded, twin)
 
 
 class ShardProbe(IndexProbe):

@@ -52,6 +52,13 @@ class TestExpansionCap:
             budget.check()
         assert budget.expansions == 0
 
+    def test_affords_exactly_what_trips_no_cap(self):
+        budget = Budget(max_expansions=5)
+        budget.charge(2)
+        assert budget.affords(2) and not budget.affords(3)
+        assert not budget.affords(float("inf"))
+        assert Budget(deadline=60).affords(float("inf"))
+
     def test_is_a_bigindex_error(self):
         assert issubclass(BudgetExceeded, BigIndexError)
 
@@ -130,6 +137,12 @@ class TestSubBudgets:
         with pytest.raises(BudgetExceeded) as excinfo:
             child.charge(1)
         assert excinfo.value.reason == "expansions"
+
+    def test_child_affords_only_what_the_parent_does(self):
+        parent = Budget(max_expansions=10)
+        child = parent.sub(1.0)
+        parent.expansions = 8  # e.g. spent by a sibling attempt
+        assert child.affords(1) and not child.affords(2)
 
     def test_child_always_gets_some_allowance(self):
         parent = Budget(max_expansions=1)

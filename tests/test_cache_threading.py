@@ -339,6 +339,30 @@ class TestPostingsThreading:
         assert all(r == heap for r in rows)
         assert [list(table) for table in frozen.rows()] == heap
 
+    def test_concurrent_first_frontier_lookups_agree(
+        self, random_graph_factory, frozen_twin
+    ):
+        """8 threads make the first frontier-memo lookup of one label on
+        an mmap-backed graph at once: every racing miss expands, stores
+        one entry, and all of them rank like the heap graph."""
+        graph = random_graph_factory(seed=9)
+        frozen = frozen_twin(graph)
+        label = max(graph.label_histogram().items(), key=lambda kv: kv[1])[0]
+        query = KeywordQuery([label])
+        searcher = BackwardKeywordSearch(d_max=3).bind(frozen)
+        results = [None] * 8
+        start = threading.Barrier(8)
+
+        def worker(worker_id):
+            start.wait()
+            results[worker_id] = searcher.search(query)
+
+        run_threads(8, worker)
+        expected = BackwardKeywordSearch(d_max=3).bind(graph).search(query)
+        assert all(r == expected for r in results)
+        assert len(frozen.frontier_memo()) == 1
+        assert searcher.search(query) == expected  # served by the entry
+
     def test_snapshot_hammer_with_csr_rebuilds(self, random_graph_factory):
         graph = random_graph_factory(seed=8)
 

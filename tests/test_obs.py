@@ -612,6 +612,7 @@ _METRIC_CALL = re.compile(
     r"(?:metrics\.(?:inc|observe|gauge)|_metric_inc)\(\s*f?\"([^\"]+)\""
 )
 _SPAN_CALL = re.compile(r"tracer\.span\(\s*\"([^\"]+)\"")
+_CACHE_KIND = re.compile(r"LRUCache\([^)]*kind=\"([^\"]+)\"")
 
 
 def _emitted(call, paths):
@@ -682,6 +683,17 @@ class TestTelemetryAudit:
     def test_query_path_metrics_match_the_docs(self):
         emitted, documented = _metric_audit(_QUERY_PREFIXES)
         assert emitted == documented
+
+    def test_cache_kinds_match_the_docs(self):
+        """``cache.hit.<kind>`` / ``miss.<kind>``: the ``kind`` of every
+        ``LRUCache`` in src/ is listed, and every listed kind exists."""
+        emitted = _emitted(_CACHE_KIND, _SRC.rglob("*.py"))
+        (row,) = [
+            names for prefix, names in _doc_table("## Metric taxonomy")
+            if prefix == "`cache.`"
+        ]
+        documented = set(_names(re.search(r"∈ ([^)]*)\)", row).group(1)))
+        assert emitted == documented == {"result", "spec", "frontier"}
 
     def test_core_metrics_match_the_docs(self):
         emitted, documented = _metric_audit(_CORE_PREFIXES)

@@ -22,6 +22,7 @@ from repro.core.persistence import load_index
 from repro.core.querycache import LRUCache
 from repro.core.sharding import build_sharded
 from repro.datasets.synthetic import verification_corpus
+from repro.graph.digraph import Graph
 from repro.search.banks import BackwardKeywordSearch
 from repro.search.bidirectional import BidirectionalSearch
 from repro.search.blinks import Blinks
@@ -79,6 +80,18 @@ def dead_result_cache(monkeypatch):
             real_put(self, key, value)
 
     monkeypatch.setattr(LRUCache, "put", put_unless_result)
+
+
+@pytest.fixture
+def dead_frontier_memo(monkeypatch):
+    """Plant: a frontier memo that never stores, so it never hits."""
+    real_put = LRUCache.put
+
+    def put_unless_frontier(self, key, value):
+        if self.kind != "frontier":
+            real_put(self, key, value)
+
+    monkeypatch.setattr(LRUCache, "put", put_unless_frontier)
 
 
 @pytest.fixture
@@ -150,6 +163,32 @@ class TestPersistProbe:
         text = report.format()
         assert text.startswith("persist:")
         assert "mmap-backed" in text
+
+    def test_dead_frontier_memo_is_caught(self, case, dead_frontier_memo):
+        _graph, _ontology, build, queries = case
+        report = run_persistence_drill(
+            build, [BackwardKeywordSearch(d_max=D_MAX)], queries[:2]
+        )
+        assert not report.ok
+        assert "frontier memo never hit" in report.format()
+
+    def test_memo_kept_across_detach_is_caught(self, case, monkeypatch):
+        """Plant: a detach that keeps the frozen payload, and with it the
+        memo of frontiers expanded on the pre-write adjacency."""
+        _graph, _ontology, build, queries = case
+        real_materialize = Graph._materialize
+
+        def keeps_payload(graph):
+            frozen = graph._frozen
+            real_materialize(graph)
+            graph._frozen = frozen
+
+        monkeypatch.setattr(Graph, "_materialize", keeps_payload)
+        report = run_persistence_drill(
+            build, [BackwardKeywordSearch(d_max=D_MAX)], queries[:2]
+        )
+        assert not report.ok
+        assert "kept their frontier memo" in report.format()
 
     def test_edge_dropped_by_reload_is_caught(self, case, monkeypatch):
         _graph, _ontology, build, queries = case
@@ -380,10 +419,10 @@ class TestHarnessFloor:
             assert case.oracle.checks >= oracle_floor
             fuzz = case.drills["fuzz"]
             assert fuzz.notes["sequences"] >= 2 and fuzz.notes["ops"] >= 10
-            assert fuzz.checks >= 134
+            assert fuzz.checks >= 222
             cache = case.drills["cache"]
             assert cache.checks >= 48 and cache.notes["hits"] >= 24
-            assert case.drills["persist"].checks >= 12
+            assert case.drills["persist"].checks >= 34
             assert case.drills["maintain"].checks >= 9
             shard = case.drills["shard"]
             assert shard.checks >= 36
