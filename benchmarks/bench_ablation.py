@@ -68,7 +68,7 @@ def test_ablation_pipeline(
     imdb, imdb_index, imdb_queries,
 ):
     """Paper vs library pipeline on the Exp-1 Blinks workloads (layer 1)."""
-    algorithm = Blinks(d_max=5, k=10, index_kind="bi-level", block_size=1000)
+    algorithm = Blinks(d_max=5, k=10)
     workloads = (
         (yago, yago_index, yago_queries),
         (dbpedia, dbpedia_index, dbpedia_queries),

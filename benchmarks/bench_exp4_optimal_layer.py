@@ -26,7 +26,7 @@ TOP_K = 10
 
 def _per_layer_times(dataset, index, queries):
     """Boosted total per query per layer (None entries = keyword collision)."""
-    algorithm = Blinks(d_max=D_MAX, k=TOP_K, block_size=1000)
+    algorithm = Blinks(d_max=D_MAX, k=TOP_K)
     times = {}
     for layer in range(0, index.num_layers + 1):
         rows = compare_on_queries(

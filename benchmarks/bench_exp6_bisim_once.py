@@ -25,7 +25,7 @@ TOP_K = 10
 
 
 def test_exp6_bisim_once_vs_adaptive(benchmark, yago, yago_index, yago_queries):
-    algorithm = Blinks(d_max=D_MAX, k=TOP_K, block_size=1000)
+    algorithm = Blinks(d_max=D_MAX, k=TOP_K)
 
     def run_both():
         # Fan et al. style: a single compress-once layer, always used.

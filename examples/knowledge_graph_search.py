@@ -52,7 +52,7 @@ def main() -> None:
         ontology=dataset.ontology,
     )
 
-    algorithm = Blinks(d_max=5, k=10, block_size=1000)
+    algorithm = Blinks(d_max=5, k=10)
     direct_searcher = algorithm.bind(dataset.graph)
     # Candidate roots from the summary answers are re-verified on the data
     # graph (slower than the paper pipeline the benchmarks time, but the

@@ -10,12 +10,12 @@ environment variable to grow them (e.g. ``REPRO_BENCH_SCALE=1.0`` for the
 
 Methodology
 -----------
-Mirrors Sec. 6: per-graph algorithm indexes (Blinks' bi-level index,
-r-clique's neighbor lists) are built *offline* and excluded from query
-times; each query is timed over ``repeats`` runs and averaged ("the
-reported runtimes are the average of 10 runs"); direct evaluation and
-BiG-index evaluation run the *same* algorithm implementation, so measured
-differences isolate the index.  The BiG-index side runs without a result
+Mirrors Sec. 6: per-graph algorithm indexes (r-clique's neighbor lists)
+are built *offline* and excluded from query times; each query is timed
+over ``repeats`` runs and averaged ("the reported runtimes are the
+average of 10 runs"); direct evaluation and BiG-index evaluation run the
+*same* algorithm implementation, so measured differences isolate the
+index.  The BiG-index side runs without a result
 cache, so every repeat evaluates the query.
 
 Pipelines

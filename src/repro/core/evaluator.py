@@ -341,13 +341,8 @@ class HierarchicalEvaluator:
     @staticmethod
     def _copy_result(result: EvalResult) -> EvalResult:
         """A caller-mutable copy of a cached result (answers are frozen)."""
-        return EvalResult(
-            answers=list(result.answers),
-            layer=result.layer,
-            breakdown=TimeBreakdown(),
-            num_generalized=result.num_generalized,
-            num_candidates=result.num_candidates,
-            num_verified=result.num_verified,
+        return replace(
+            result, answers=list(result.answers), breakdown=TimeBreakdown()
         )
 
     # ------------------------------------------------------------------

@@ -85,7 +85,7 @@ from repro.core.binfmt import (
 )
 from repro.core.config import Configuration
 from repro.core.index import BiGIndex, Layer
-from repro.graph.digraph import FrozenAdjacency, Graph, LabelTable
+from repro.graph.digraph import FrozenAdjacency, Graph, LabelTable, _pack_csr
 from repro.obs.runtime import OBS
 from repro.ontology.ontology import OntologyGraph
 from repro.utils.errors import (
@@ -409,13 +409,22 @@ def _write_v4_container(index: BiGIndex, path: str) -> None:
 def _write_graph_sections(
     writer: SectionWriter, tag: str, graph: Graph
 ) -> None:
-    """Write one graph's sections (labels, CSR, postings, names)."""
+    """Write one graph's sections (labels, CSR, postings, names).
+
+    A heap graph's rows are packed here; an mmap-backed graph writes its
+    own loaded buffers (zero-copy, and it stays mmap-backed).
+    """
     writer.add_ints(f"{tag}.labels", graph.labels)
-    csr = graph.csr()
-    writer.add_ints(f"{tag}.out_offsets", csr.out_offsets)
-    writer.add_ints(f"{tag}.out_targets", csr.out_targets)
-    writer.add_ints(f"{tag}.in_offsets", csr.in_offsets)
-    writer.add_ints(f"{tag}.in_targets", csr.in_targets)
+    rows = graph.rows()
+    if isinstance(rows, FrozenAdjacency):
+        out_csr = rows.out_offsets, rows.out_targets
+        in_csr = rows.in_offsets, rows.in_targets
+    else:
+        out_csr, in_csr = map(_pack_csr, rows)
+    writer.add_ints(f"{tag}.out_offsets", out_csr[0])
+    writer.add_ints(f"{tag}.out_targets", out_csr[1])
+    writer.add_ints(f"{tag}.in_offsets", in_csr[0])
+    writer.add_ints(f"{tag}.in_targets", in_csr[1])
     items = graph.postings_items_by_id()
     post_labels = array("i")
     post_offsets = array("i", [0])

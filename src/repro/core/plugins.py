@@ -142,20 +142,12 @@ def boost_bkws(
 
 
 def boost_rkws(
-    index: BiGIndex,
-    d_max: int = 5,
-    k: Optional[int] = None,
-    index_kind: str = "bi-level",
-    block_size: int = 1000,
-    **kwargs,
+    index: BiGIndex, d_max: int = 5, k: Optional[int] = None, **kwargs
 ) -> BoostedSearch:
     """Sec. 5.3's ``boost-rkws``: Blinks ranked search on BiG-index."""
     from repro.search.blinks import Blinks
 
-    algorithm = Blinks(
-        d_max=d_max, k=k, index_kind=index_kind, block_size=block_size
-    )
-    return boost(algorithm, index, **kwargs)
+    return boost(Blinks(d_max=d_max, k=k), index, **kwargs)
 
 
 def boost_dkws(

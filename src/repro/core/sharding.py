@@ -9,7 +9,7 @@ find.  A monolithic index is the one-locale case: ``K = 1`` has no cut
 and no zone.
 
 Exactness rests on a *portal zone*.  The shard planner extends the
-Blinks partitioner (:func:`repro.graph.partition.partition_bfs_grow`):
+BFS-grow partitioner (:func:`repro.graph.partition.partition_bfs_grow`):
 edges crossing shards are collected into a cut table, their endpoints
 are *portals*, and the **zone** is the subgraph induced on every vertex
 within undirected distance ``halo_radius`` of a portal.  For a rooted

@@ -83,76 +83,6 @@ class LabelTable:
         return iter(self._to_label)
 
 
-class CSRView:
-    """A frozen compressed-sparse-row snapshot of a graph's adjacency.
-
-    The storage and packing format: both directions as four int buffers,
-
-    ``out_targets[out_offsets[v]:out_offsets[v + 1]]`` — successors of ``v``
-    ``in_targets[in_offsets[v]:in_offsets[v + 1]]``  — predecessors of ``v``
-
-    persisted by the v4 format and served by an mmap-loaded graph
-    (:class:`FrozenAdjacency`).  Traversals read :meth:`Graph.rows`
-    instead: slicing a buffer boxes a fresh int per neighbour.
-
-    Views are immutable snapshots owned by :meth:`Graph.csr`: the graph
-    builds one lazily and drops it on any topology mutation, so holding a
-    view across mutations never observes stale adjacency — re-fetch via
-    ``graph.csr()`` after mutating.
-    """
-
-    __slots__ = (
-        "num_vertices",
-        "out_offsets",
-        "out_targets",
-        "in_offsets",
-        "in_targets",
-    )
-
-    def __init__(self, out_adj: List[List[int]], in_adj: List[List[int]]) -> None:
-        self.num_vertices = len(out_adj)
-        self.out_offsets, self.out_targets = _pack_csr(out_adj)
-        self.in_offsets, self.in_targets = _pack_csr(in_adj)
-
-    def out_neighbors(self, v: int) -> Sequence[int]:
-        """Successors of ``v`` as a contiguous slice (do not mutate)."""
-        return self.out_targets[self.out_offsets[v] : self.out_offsets[v + 1]]
-
-    def in_neighbors(self, v: int) -> Sequence[int]:
-        """Predecessors of ``v`` as a contiguous slice (do not mutate)."""
-        return self.in_targets[self.in_offsets[v] : self.in_offsets[v + 1]]
-
-    def out_degree(self, v: int) -> int:
-        return self.out_offsets[v + 1] - self.out_offsets[v]
-
-    def in_degree(self, v: int) -> int:
-        return self.in_offsets[v + 1] - self.in_offsets[v]
-
-    @classmethod
-    def from_arrays(
-        cls,
-        num_vertices: int,
-        out_offsets: Sequence[int],
-        out_targets: Sequence[int],
-        in_offsets: Sequence[int],
-        in_targets: Sequence[int],
-    ) -> "CSRView":
-        """Wrap pre-packed offset/target buffers without re-packing.
-
-        The zero-copy load path (index format v4) hands in ``memoryview``
-        slices over an mmap; heap callers may pass ``array('i')``.  The
-        buffers must already satisfy the CSR invariants — this is a
-        trusted constructor, validation happens in the persistence layer.
-        """
-        view = cls.__new__(cls)
-        view.num_vertices = num_vertices
-        view.out_offsets = out_offsets
-        view.out_targets = out_targets
-        view.in_offsets = in_offsets
-        view.in_targets = in_targets
-        return view
-
-
 class FrozenAdjacency:
     """The retained zero-copy payload of an mmap-loaded graph.
 
@@ -225,15 +155,6 @@ class FrozenAdjacency:
             self._rows[direction] = rows
         return rows
 
-    def make_csr(self) -> CSRView:
-        return CSRView.from_arrays(
-            self.num_vertices,
-            self.out_offsets,
-            self.out_targets,
-            self.in_offsets,
-            self.in_targets,
-        )
-
     def _row_of(self, label_id: int) -> Optional[int]:
         if self._post_row is None:
             self._post_row = {
@@ -255,11 +176,12 @@ class FrozenAdjacency:
         return self.post_labels
 
 
-def _pack_csr(adjacency: List[List[int]]) -> Tuple[array, array]:
-    """Pack a list-of-lists adjacency into (offsets, targets) int arrays.
+def _pack_csr(adjacency: Sequence[Sequence[int]]) -> Tuple[array, array]:
+    """Pack one direction's rows into the (offsets, targets) int arrays
+    of the compressed-sparse-row storage format the v4 writer stores.
 
-    Runs at C speed (no per-element Python loop): a served read after a
-    write packs the CSR of every graph the write touched.
+    ``targets[offsets[v]:offsets[v + 1]]`` is row ``v``.  Runs at C speed
+    (no per-element Python loop); a save packs every heap graph it writes.
     """
     offsets = array("i", [0])
     offsets.fromlist(list(accumulate(map(len, adjacency))))
@@ -304,8 +226,7 @@ class Graph:
         #: outside the graph (evaluator result caches, BiG-index memos)
         #: key their validity on it; see ``repro.core.querycache``.
         self.mutation_epoch: int = 0
-        # Lazily built caches, dropped on mutation (see csr()).
-        self._csr: Optional[CSRView] = None
+        # Lazily built label postings, dropped on mutation.
         self._posting_cache: Dict[int, Tuple[int, ...]] = {}
         # Copy-on-write bookkeeping (see cow_clone()).  ``None`` means the
         # graph owns every row/set outright and mutators work in place;
@@ -347,7 +268,6 @@ class Graph:
         graph.label_table = label_table
         graph.names = dict(names) if names else {}
         graph.mutation_epoch = 0
-        graph._csr = None
         graph._posting_cache = {}
         graph._cow_out = None
         graph._cow_in = None
@@ -390,7 +310,6 @@ class Graph:
         self._cow_in = None
         self._cow_labels = None
         self._frozen = None
-        self._csr = None
         if OBS.enabled:
             OBS.metrics.inc("persist.mmap.detaches")
 
@@ -407,7 +326,6 @@ class Graph:
         self._in.append([])
         self._own_label_set(label_id).add(vid)
         self.mutation_epoch += 1
-        self._drop_csr()
         self._posting_cache.pop(label_id, None)
         if name is not None:
             self.names[vid] = name
@@ -424,7 +342,6 @@ class Graph:
         self._in.append([])
         self._own_label_set(label_id).add(vid)
         self.mutation_epoch += 1
-        self._drop_csr()
         self._posting_cache.pop(label_id, None)
         return vid
 
@@ -444,7 +361,6 @@ class Graph:
         self._own_in_row(v).append(u)
         self._num_edges += 1
         self.mutation_epoch += 1
-        self._drop_csr()
         return True
 
     def remove_edge(self, u: int, v: int) -> None:
@@ -457,7 +373,6 @@ class Graph:
         self._own_in_row(v).remove(u)
         self._num_edges -= 1
         self.mutation_epoch += 1
-        self._drop_csr()
 
     def _own_out_row(self, v: int) -> List[int]:
         """Out-adjacency row of ``v``, privately owned before mutation.
@@ -492,17 +407,6 @@ class Graph:
             self._label_index[label_id] = vertex_set
             self._cow_labels.add(label_id)
         return vertex_set
-
-    def _drop_csr(self) -> None:
-        """Invalidate the CSR snapshot after a topology mutation.
-
-        Counts as an invalidation only when a snapshot actually existed —
-        appending vertices to a never-snapshotted graph is not churn.
-        """
-        if self._csr is not None:
-            self._csr = None
-            if OBS.enabled:
-                OBS.metrics.inc("csr.invalidations")
 
     def relabel_vertex(self, v: int, new_label: str) -> None:
         """Change the label of ``v``, keeping the inverted index consistent."""
@@ -551,8 +455,8 @@ class Graph:
     def edges(self) -> Iterator[Tuple[int, int]]:
         """Iterate over all edges as ``(u, v)`` pairs."""
         if self._out is None:
-            csr = self.csr()
-            offsets, targets = csr.out_offsets, csr.out_targets
+            frozen = self._frozen
+            offsets, targets = frozen.out_offsets, frozen.out_targets
             for u in range(self.num_vertices):
                 for k in range(offsets[u], offsets[u + 1]):
                     yield (u, targets[k])
@@ -568,7 +472,10 @@ class Graph:
                 0 <= u < self.num_vertices and 0 <= v < self.num_vertices
             ):
                 return False
-            return v in self.csr().out_neighbors(u)
+            frozen = self._frozen
+            return v in frozen.out_targets[
+                frozen.out_offsets[u] : frozen.out_offsets[u + 1]
+            ]
         return (u, v) in self._edge_set
 
     def out_neighbors(self, v: int) -> Sequence[int]:
@@ -604,14 +511,16 @@ class Graph:
         """Number of out-edges of ``v``."""
         self._check_vertex(v)
         if self._out is None:
-            return self.csr().out_degree(v)
+            offsets = self._frozen.out_offsets
+            return offsets[v + 1] - offsets[v]
         return len(self._out[v])
 
     def in_degree(self, v: int) -> int:
         """Number of in-edges of ``v``."""
         self._check_vertex(v)
         if self._in is None:
-            return self.csr().in_degree(v)
+            offsets = self._frozen.in_offsets
+            return offsets[v + 1] - offsets[v]
         return len(self._in[v])
 
     def degree(self, v: int) -> int:
@@ -631,27 +540,6 @@ class Graph:
     def name(self, v: int) -> str:
         """Human-readable name of ``v`` (falls back to its label)."""
         return self.names.get(v, self.label(v))
-
-    def csr(self) -> CSRView:
-        """The current CSR adjacency snapshot, built lazily.
-
-        The packing format persistence writes (traversals read
-        :meth:`rows`).  The view is rebuilt (O(|V| + |E|)) on first
-        access after any topology mutation; between mutations repeated
-        calls return the same frozen object.
-        """
-        view = self._csr
-        if view is None:
-            if self._out is None:
-                # mmap-backed: the CSR is the loaded buffers themselves —
-                # resurrecting after drop_caches() costs five slot writes.
-                view = self._frozen.make_csr()
-            else:
-                view = CSRView(self._out, self._in)
-            self._csr = view
-            if OBS.enabled:
-                OBS.metrics.inc("csr.builds")
-        return view
 
     def sorted_vertices_with_label_id(self, label_id: int) -> Tuple[int, ...]:
         """Sorted vertices carrying ``label_id``, cached (do not mutate).
@@ -715,12 +603,11 @@ class Graph:
         ]
 
     def drop_caches(self) -> None:
-        """Discard the lazily built CSR view and label postings.
+        """Discard the lazily built label postings.
 
         Used by the cold-query benchmark and tests to return the graph to
-        its just-constructed state; the structures rebuild on demand.
+        its just-constructed state; postings rebuild on demand.
         """
-        self._csr = None
         self._posting_cache.clear()
 
     def vertices_with_label(self, label: str) -> Set[int]:
@@ -812,9 +699,9 @@ class Graph:
         set, label-index dict, labels, names) whose *contents* — the
         per-vertex rows and per-label posting sets — stay shared with this
         graph until the clone's first write to each (see
-        :meth:`_own_out_row` and friends).  The CSR view and posting-tuple
-        cache are immutable snapshots, so they are shared outright and the
-        clone's own mutators invalidate only the clone's references.
+        :meth:`_own_out_row` and friends).  The posting-tuple cache holds
+        immutable snapshots, so it is copied shallowly and the clone's own
+        mutators invalidate only the clone's entries.
 
         The parent must be treated as frozen for the clone's lifetime (the
         serve runtime guarantees this: a published snapshot is never
@@ -850,7 +737,6 @@ class Graph:
         clone.label_table = self.label_table
         clone.names = dict(self.names)
         clone.mutation_epoch = self.mutation_epoch
-        clone._csr = self._csr
         clone._posting_cache = dict(self._posting_cache)
         if OBS.enabled:
             OBS.metrics.inc("cow.graph.clones")

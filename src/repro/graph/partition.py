@@ -1,23 +1,22 @@
-"""Balanced graph partitioning (METIS substitute).
+"""Balanced graph partitioning (METIS substitute) for the shard planner.
 
-The Blinks bi-level index (Sec. 5.3 / 6.2) partitions the data graph into
-blocks of roughly constant size (the paper uses METIS with average block
-size 1000) and stores intra-block distance indexes plus *portal* vertices —
-vertices incident to an edge that crosses blocks.
-
-METIS is a native library we neither ship nor need at reproduction scale, so
-this module implements a deterministic BFS-grow partitioner: repeatedly seed
-an unassigned vertex and grow a block breadth-first (ignoring direction)
-until the block reaches the target size.  Blocks are therefore connected in
-the undirected sense whenever the graph region is, which is the property the
-bi-level index actually relies on; edge-cut quality only shifts constants.
+:func:`repro.core.sharding.plan_shards` cuts the data graph into blocks of
+roughly constant size and packs them onto shards; the cut edges between
+shards then define the portal zone.  The paper's Blinks baseline uses
+METIS for its bi-level blocks (average size 1000); METIS is a native
+library we neither ship nor need at reproduction scale, so this module
+implements a deterministic BFS-grow partitioner: repeatedly seed an
+unassigned vertex and grow a block breadth-first (ignoring direction)
+until the block reaches the target size.  Blocks are therefore connected
+in the undirected sense whenever the graph region is, which keeps most
+edges inside a shard; edge-cut quality only shifts the zone's size.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
-from typing import Dict, List, Set, Tuple
+from dataclasses import dataclass
+from typing import List
 
 from repro.graph.digraph import Graph
 from repro.utils.errors import GraphError
@@ -31,33 +30,11 @@ class Partition:
     block_of: List[int]
     #: vertex lists per block.
     blocks: List[List[int]]
-    #: portal vertices: endpoints of edges crossing block boundaries.
-    portals: Set[int] = field(default_factory=set)
 
     @property
     def num_blocks(self) -> int:
         """Number of blocks in the partition."""
         return len(self.blocks)
-
-    def block_members(self, block_id: int) -> List[int]:
-        """The vertices of one block."""
-        try:
-            return self.blocks[block_id]
-        except IndexError:
-            raise GraphError(f"unknown block id: {block_id}") from None
-
-    def cut_edges(self, graph: Graph) -> List[Tuple[int, int]]:
-        """All edges whose endpoints live in different blocks.
-
-        Sorted by ``(src, dst)`` so the ordering is deterministic no
-        matter how the graph stores adjacency — shard planning and the
-        sharded manifest digests both key off this list.
-        """
-        return sorted(
-            (u, v)
-            for (u, v) in graph.edges()
-            if self.block_of[u] != self.block_of[v]
-        )
 
 
 def partition_bfs_grow(graph: Graph, target_block_size: int) -> Partition:
@@ -78,7 +55,7 @@ def partition_bfs_grow(graph: Graph, target_block_size: int) -> Partition:
     Returns
     -------
     Partition
-        Blocks, vertex->block map, and the derived portal set.
+        Blocks and the vertex->block map.
     """
     if target_block_size <= 0:
         raise GraphError("target_block_size must be positive")
@@ -104,9 +81,4 @@ def partition_bfs_grow(graph: Graph, target_block_size: int) -> Partition:
             leftover = queue.popleft()
             block_of[leftover] = -1
         blocks.append(members)
-    portals: Set[int] = set()
-    for u, v in graph.edges():
-        if block_of[u] != block_of[v]:
-            portals.add(u)
-            portals.add(v)
-    return Partition(block_of=block_of, blocks=blocks, portals=portals)
+    return Partition(block_of=block_of, blocks=blocks)

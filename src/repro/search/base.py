@@ -6,7 +6,7 @@ path-preserving.  The contract an algorithm must satisfy to plug into the
 framework is captured by :class:`KeywordSearchAlgorithm`:
 
 * :meth:`~KeywordSearchAlgorithm.bind` builds whatever per-graph index the
-  algorithm needs (Blinks' bi-level index, r-clique's neighbor lists) and
+  algorithm needs (r-clique's neighbor lists; none for the rooted ones) and
   returns a :class:`GraphSearcher` that answers queries on *that* graph.
   Because summary graphs are "yet another set of graphs" (Sec. 1), the same
   ``bind`` works on any layer of the BiG-index hierarchy.
@@ -401,12 +401,6 @@ class BackwardFrontier:
         self._frontier = level
         self.depth = depth
         return level
-
-    def run_to_completion(self) -> None:
-        """Expand until exhausted, untapped: a whole distance map is index
-        work (Blinks' keyword maps), not query-time ``search.expansions``."""
-        while not self.exhausted:
-            self._advance()
 
 
 def unseen_lower_bound(frontiers: Iterable[BackwardFrontier]) -> float:

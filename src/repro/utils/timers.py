@@ -22,32 +22,6 @@ from typing import Dict
 monotonic_now = time.perf_counter
 
 
-class Stopwatch:
-    """A simple restartable stopwatch measuring wall-clock seconds."""
-
-    def __init__(self) -> None:
-        self._start: float | None = None
-        self.elapsed: float = 0.0
-
-    def start(self) -> "Stopwatch":
-        """Start (or restart) timing from now."""
-        self._start = monotonic_now()
-        return self
-
-    def stop(self) -> float:
-        """Stop timing and add the interval to :attr:`elapsed`."""
-        if self._start is None:
-            raise RuntimeError("Stopwatch.stop() called before start()")
-        self.elapsed += monotonic_now() - self._start
-        self._start = None
-        return self.elapsed
-
-    def reset(self) -> None:
-        """Zero the accumulated time and clear any running interval."""
-        self._start = None
-        self.elapsed = 0.0
-
-
 class _Phase:
     """:meth:`TimeBreakdown.phase`: two clock reads and no generator frame
     (phases wrap per-hit work); a body that raises is timed too."""

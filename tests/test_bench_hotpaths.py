@@ -96,7 +96,7 @@ class TestRegressionGate:
         "refine.x.ref_seconds": 0.100,
         "refine.x.blocks": 42,
         "search.y.expansions": 500,
-        "counters.search.y": {"search.expansions": 500, "csr.hits": 7},
+        "counters.search.y": {"search.expansions": 500, "search.heap_pops": 7},
         "serve.read.idle_p99.seconds": 0.005,
     }
 
@@ -140,7 +140,9 @@ class TestRegressionGate:
 
     def test_counter_block_must_match_exactly(self):
         current = dict(self.BASE)
-        current["counters.search.y"] = {"search.expansions": 500, "csr.hits": 8}
+        current["counters.search.y"] = {
+            "search.expansions": 500, "search.heap_pops": 8,
+        }
         failures = compare(current, self.BASE)
         assert len(failures) == 1 and "counters.search.y" in failures[0]
 

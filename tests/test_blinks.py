@@ -1,86 +1,78 @@
-"""Unit tests for Blinks (rkws) and its single-/bi-level indexes."""
+"""Unit tests for Blinks (rkws): per-query keyword-node lists, search,
+and agreement across storage modes."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.graph.digraph import Graph
+from repro.graph.traversal import bfs_distances, bounded_distance
 from repro.search.banks import BackwardKeywordSearch
 from repro.search.base import KeywordQuery
-from repro.search.blinks import (
-    Blinks,
-    BlinksBiLevelIndex,
-    BlinksSingleLevelIndex,
-    _LevelCursor,
-    distance_sum_score,
-)
-from repro.utils.errors import QueryError
+from repro.search.blinks import Blinks, _LevelCursor, distance_sum_score
+from tests.test_rows import LABELS, labelled_graphs
+
+
+def drain(cursor):
+    """Every level of ``cursor``, in the order it hands them out."""
+    levels = []
+    while not cursor.exhausted:
+        levels.append(cursor.take_level())
+    return levels
 
 
 class TestSingleLevelIndex:
+    """What Blinks' single-level index stores — each label's keyword-node
+    list in ascending distance and the node-keyword distance map — is
+    computed per query by a keyword's level cursor."""
+
     def test_keyword_cursors_sorted_by_distance(self, random_graph_factory):
         g = random_graph_factory(seed=21)
-        index = BlinksSingleLevelIndex(g, d_max=3)
         for label in sorted(g.distinct_labels()):
-            dists = [d for d, _ in index.keyword_cursor(label)]
+            cursor = _LevelCursor(g, label, 3)
+            dists = [cursor.dist[v] for level in drain(cursor) for v in level]
             assert dists == sorted(dists)
 
     def test_distances_match_bfs(self, random_graph_factory):
-        from repro.graph.traversal import bfs_distances
-
         g = random_graph_factory(num_vertices=30, num_edges=70, seed=22)
-        index = BlinksSingleLevelIndex(g, d_max=3)
         for label in g.distinct_labels():
             expected = bfs_distances(
                 g, g.vertices_with_label(label), max_depth=3, direction="backward"
             )
-            for v, d in expected.items():
-                assert index.distance(v, label) == d
+            cursor = _LevelCursor(g, label, 3)
+            drain(cursor)
+            for v in g.vertices():
+                assert cursor.dist[v] == expected.get(v, -1)
 
     def test_origin_tracking(self, random_graph_factory):
         """The distance map's origin is a keyword vertex at that distance."""
-        from repro.graph.traversal import bounded_distance
-
         g = random_graph_factory(num_vertices=30, num_edges=70, seed=22)
-        index = BlinksSingleLevelIndex(g, d_max=3)
         for label in sorted(g.distinct_labels()):
-            for v, (d, origin) in index.keyword_distances(label).items():
-                assert g.label(origin) == label
-                assert bounded_distance(g, v, origin, max_depth=3) == d
+            cursor = _LevelCursor(g, label, 3)
+            for level in drain(cursor):
+                for v in level:
+                    origin = cursor.origin[v]
+                    assert g.label(origin) == label
+                    assert bounded_distance(g, v, origin, max_depth=3) == (
+                        cursor.dist[v]
+                    )
 
     def test_distance_beyond_dmax_is_none(self):
         g = Graph()
-        vs = [g.add_vertex("chain") for _ in range(5)]
+        for _ in range(5):
+            g.add_vertex("chain")
         g.relabel_vertex(4, "target")
         for i in range(4):
             g.add_edge(i, i + 1)
-        index = BlinksSingleLevelIndex(g, d_max=2)
-        assert index.distance(0, "target") is None
-        assert index.distance(2, "target") == 2
-
-    def test_num_entries(self, random_graph_factory):
-        g = random_graph_factory(seed=23)
-        index = BlinksSingleLevelIndex(g, d_max=2)
-        assert index.num_entries == sum(
-            len(index.keyword_distances(l)) for l in g.distinct_labels()
-        )
+        cursor = _LevelCursor(g, "target", 2)
+        assert drain(cursor) == [[4], [3], [2]]
+        assert cursor.dist[0] == -1
+        assert cursor.dist[2] == 2
 
 
 class TestBiLevelIndex:
-    def test_agrees_with_single_level(self, random_graph_factory):
-        g = random_graph_factory(num_vertices=40, num_edges=100, seed=24)
-        single = BlinksSingleLevelIndex(g, d_max=3)
-        bi = BlinksBiLevelIndex(g, d_max=3, block_size=8)
-        for label in sorted(g.distinct_labels()):
-            for v in g.vertices():
-                assert bi.distance(v, label) == single.distance(v, label)
-
-    def test_cursors_agree_with_single_level(self, random_graph_factory):
-        g = random_graph_factory(num_vertices=40, num_edges=100, seed=25)
-        single = BlinksSingleLevelIndex(g, d_max=3)
-        bi = BlinksBiLevelIndex(g, d_max=3, block_size=8)
-        for label in sorted(g.distinct_labels()):
-            assert sorted(single.keyword_cursor(label)) == sorted(
-                bi.keyword_cursor(label)
-            )
+    """The bi-level search: each keyword's levels come from a live
+    backward expansion, paid per query."""
 
     def test_level_cursor_hands_out_each_depth_ascending(
         self, random_graph_factory
@@ -89,44 +81,44 @@ class TestBiLevelIndex:
         in ascending id (the emission order rests on it), not the next
         level it just expanded."""
         g = random_graph_factory(num_vertices=40, num_edges=100, seed=29)
-        bi = BlinksBiLevelIndex(g, d_max=3, block_size=8)
         for label in sorted(g.distinct_labels()):
-            reach = bi.keyword_distances(label)
-            cursor = _LevelCursor(g, bi, label, 3)
+            reach = bfs_distances(
+                g, g.vertices_with_label(label), max_depth=3, direction="backward"
+            )
+            cursor = _LevelCursor(g, label, 3)
             depth = 0
             while not cursor.exhausted:
                 assert cursor.take_level() == sorted(
-                    v for v, (d, _) in reach.items() if d == depth
+                    v for v, d in reach.items() if d == depth
                 )
                 depth += 1
 
-    def test_portals_counted(self, random_graph_factory):
-        g = random_graph_factory(num_vertices=40, num_edges=100, seed=26)
-        bi = BlinksBiLevelIndex(g, d_max=3, block_size=8)
-        assert bi.partition.portals  # several blocks -> crossings exist
 
-    def test_local_maps_are_intra_block(self, random_graph_factory):
-        g = random_graph_factory(num_vertices=40, num_edges=100, seed=27)
-        bi = BlinksBiLevelIndex(g, d_max=3, block_size=8)
-        for block_id, local in enumerate(bi.local_keyword_maps):
-            members = set(bi.partition.block_members(block_id))
-            assert set(local) == members
+class TestBlinksOnLoadedGraphs:
+    """Blinks answers identically on a v4-loaded graph, its copy-on-write
+    clone and its heap twin, and ranks the same roots as bkws."""
 
-    def test_bi_level_stores_only_local_maps(self, random_graph_factory):
-        """Querying must not grow the persistent structures."""
-        g = random_graph_factory(seed=28)
-        bi = BlinksBiLevelIndex(g, d_max=3, block_size=8)
-        before = bi.num_entries
-        list(bi.keyword_cursor("A"))
-        bi.keyword_distances("B")
-        assert bi.num_entries == before
-
-    def test_bi_level_smaller_than_single_level(self, random_graph_factory):
-        """The memory trade-off that motivates the bi-level index."""
-        g = random_graph_factory(num_vertices=60, num_edges=160, seed=28)
-        single = BlinksSingleLevelIndex(g, d_max=4)
-        bi = BlinksBiLevelIndex(g, d_max=4, block_size=10)
-        assert bi.num_entries < single.num_entries
+    @settings(max_examples=60, deadline=None)
+    @given(
+        labelled_graphs(),
+        st.lists(st.sampled_from(LABELS), min_size=1, max_size=3, unique=True),
+        st.integers(0, 3),
+    )
+    def test_loaded_clone_and_heap_twin_agree(
+        self, frozen_twin, g, keywords, d_max
+    ):
+        frozen = frozen_twin(g)
+        clone = frozen.cow_clone()
+        query = KeywordQuery(keywords)
+        blinks = Blinks(d_max=d_max, k=None)
+        heap = blinks.bind(g).search(query)
+        for graph in (frozen, clone):
+            assert repr(blinks.bind(graph).search(query)) == repr(heap)
+        assert frozen.is_mmap_backed and clone.is_mmap_backed
+        bkws = BackwardKeywordSearch(d_max=d_max, k=None).bind(frozen)
+        assert {(a.score, a.root) for a in heap} == {
+            (a.score, a.root) for a in bkws.search(query)
+        }
 
 
 class TestBlinksSearch:
@@ -136,10 +128,9 @@ class TestBlinksSearch:
         query = KeywordQuery(["A", "B"])
         bkws = BackwardKeywordSearch(d_max=3, k=None)
         expected = {(a.root, a.score) for a in bkws.bind(g).search(query)}
-        for kind in ("single-level", "bi-level"):
-            blinks = Blinks(d_max=3, k=None, index_kind=kind, block_size=10)
-            got = {(a.root, a.score) for a in blinks.bind(g).search(query)}
-            assert got == expected, kind
+        blinks = Blinks(d_max=3, k=None)
+        got = {(a.root, a.score) for a in blinks.bind(g).search(query)}
+        assert got == expected
 
     def test_top_k_early_termination_correct(self, random_graph_factory):
         g = random_graph_factory(num_vertices=50, num_edges=130, seed=30)
@@ -162,8 +153,11 @@ class TestBlinksSearch:
             assert answer.score <= 3
 
     def test_invalid_index_kind_rejected(self):
-        with pytest.raises(QueryError):
-            Blinks(index_kind="tri-level")
+        """No index is built, so the index knobs are gone: passing one
+        fails loudly instead of being silently ignored."""
+        for knob in ({"index_kind": "bi-level"}, {"block_size": 1000}):
+            with pytest.raises(TypeError):
+                Blinks(d_max=3, **knob)
 
     def test_iter_search_ignores_k(self, random_graph_factory):
         g = random_graph_factory(num_vertices=40, num_edges=110, seed=33)

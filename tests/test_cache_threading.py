@@ -370,7 +370,7 @@ class TestPostingsThreading:
             for _ in range(50):
                 snapshot = graph.postings_snapshot()
                 assert snapshot
-                graph.csr()  # concurrent lazy CSR builds are fine too
+                assert graph.rows()  # concurrent adjacency reads too
 
         run_threads(6, worker)
 
@@ -539,7 +539,7 @@ class TestEvaluatorThreading:
         [
             BackwardKeywordSearch(d_max=3, k=10),
             BidirectionalSearch(d_max=3, k=10),
-            Blinks(d_max=3, k=10, block_size=12),
+            Blinks(d_max=3, k=10),
         ],
         ids=lambda a: a.name,
     )

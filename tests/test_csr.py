@@ -1,58 +1,80 @@
-"""CSR adjacency view and label-posting cache: correctness + invalidation.
+"""The packed CSR storage format, adjacency reads and the label-posting
+cache: correctness + invalidation.
 
-The CSR view and the sorted label postings are *caches* over the mutable
-adjacency lists; every mutation (add_vertex, add_edge, remove_edge,
-relabel) must drop them so no reader ever sees stale topology.  These
-tests pin both halves: the packed arrays agree with the list adjacency,
-and traversals issued after a mutation see the post-mutation graph.
+The v4 writer packs each direction's rows into (offsets, targets) int
+arrays, and an mmap-loaded graph answers reads from exactly those
+buffers.  The sorted label postings are a *cache* over the mutable label
+index; every mutation (add_vertex, add_edge, remove_edge, relabel) must
+leave no reader with stale topology.  These tests pin both halves: the
+packed arrays agree with the rows, and traversals issued after a
+mutation see the post-mutation graph.
 """
 
 import pytest
 
-from repro.graph.digraph import Graph
+from repro.graph.digraph import Graph, _pack_csr
 from repro.graph.traversal import bfs_distances, reachable_within
 
 
 def _assert_csr_matches_adjacency(g: Graph) -> None:
-    csr = g.csr()
+    """The packed rows (what the v4 writer stores) slice back to the
+    graph's neighbours and degrees."""
+    (out_offsets, out_targets), (in_offsets, in_targets) = map(
+        _pack_csr, g.rows()
+    )
     for v in range(g.num_vertices):
-        assert list(csr.out_neighbors(v)) == list(g.out_neighbors(v))
-        assert list(csr.in_neighbors(v)) == list(g.in_neighbors(v))
-        assert csr.out_degree(v) == g.out_degree(v)
-        assert csr.in_degree(v) == g.in_degree(v)
+        out_row = out_targets[out_offsets[v] : out_offsets[v + 1]]
+        in_row = in_targets[in_offsets[v] : in_offsets[v + 1]]
+        assert list(out_row) == list(g.out_neighbors(v))
+        assert list(in_row) == list(g.in_neighbors(v))
+        assert len(out_row) == g.out_degree(v)
+        assert len(in_row) == g.in_degree(v)
 
 
 class TestCSRView:
-    def test_matches_adjacency_on_random_graph(self, random_graph_factory):
+    def test_matches_adjacency_on_random_graph(
+        self, random_graph_factory, frozen_twin
+    ):
         g = random_graph_factory(num_vertices=80, num_edges=300, seed=3)
         _assert_csr_matches_adjacency(g)
+        # A loaded graph reads its degrees and edges off the buffers.
+        frozen = frozen_twin(g)
+        _assert_csr_matches_adjacency(frozen)
+        assert list(frozen.edges()) == list(g.edges())
+        assert all(frozen.has_edge(u, v) for u, v in g.edges())
+        assert not frozen.has_edge(0, g.num_vertices)
+        assert frozen.is_mmap_backed
 
     def test_empty_graph(self):
-        g = Graph()
-        csr = g.csr()
-        assert len(csr.out_offsets) == 1
-        assert len(csr.in_offsets) == 1
+        offsets, targets = _pack_csr(Graph().rows()[0])
+        assert list(offsets) == [0]
+        assert len(targets) == 0
 
     def test_isolated_vertices(self):
         g = Graph()
         for _ in range(4):
             g.add_vertex("A")
-        csr = g.csr()
-        for v in range(4):
-            assert list(csr.out_neighbors(v)) == []
-            assert list(csr.in_neighbors(v)) == []
+        for offsets, targets in map(_pack_csr, g.rows()):
+            assert list(offsets) == [0] * 5
+            assert len(targets) == 0
 
-    def test_view_is_cached_until_mutation(self):
+    def test_view_is_cached_until_mutation(self, frozen_twin):
+        """A loaded graph's rows are one object until its first write,
+        which detaches it to heap rows that include the write."""
         g = Graph()
         a, b = g.add_vertex("A"), g.add_vertex("B")
         g.add_edge(a, b)
-        assert g.csr() is g.csr()
+        frozen = frozen_twin(g)
+        rows = frozen.rows()
+        assert frozen.rows() is rows
+        frozen.add_edge(b, a)
+        assert frozen.rows() is not rows
+        assert list(frozen.rows()[0][b]) == [a]
 
     def test_offsets_cover_all_edges(self, random_graph_factory):
         g = random_graph_factory(num_vertices=50, num_edges=200, seed=9)
-        csr = g.csr()
-        assert csr.out_offsets[-1] == g.num_edges == len(csr.out_targets)
-        assert csr.in_offsets[-1] == g.num_edges == len(csr.in_targets)
+        for offsets, targets in map(_pack_csr, g.rows()):
+            assert offsets[-1] == g.num_edges == len(targets)
 
 
 class TestCSRInvalidation:
@@ -78,22 +100,25 @@ class TestCSRInvalidation:
     def test_add_vertex_after_traversal(self):
         g = Graph()
         a = g.add_vertex("A")
-        g.csr()  # materialize
+        assert reachable_within(g, a, 2) == {a}
         b = g.add_vertex("B")
-        csr = g.csr()
-        assert list(csr.out_neighbors(b)) == []
+        assert list(g.out_neighbors(b)) == []
         g.add_edge(a, b)
         assert reachable_within(g, a, 2) == {a, b}
 
-    def test_stale_view_not_reused_after_mutation(self):
+    def test_stale_view_not_reused_after_mutation(self, frozen_twin):
         g = Graph()
         a, b = g.add_vertex("A"), g.add_vertex("B")
         g.add_edge(a, b)
-        before = g.csr()
-        g.remove_edge(a, b)
-        after = g.csr()
+        frozen = frozen_twin(g)
+        before = frozen.rows()
+        assert frozen.out_degree(a) == 1
+        frozen.remove_edge(a, b)
+        after = frozen.rows()
         assert after is not before
-        assert list(after.out_neighbors(a)) == []
+        assert list(after[0][a]) == []
+        assert frozen.out_degree(a) == 0 and not frozen.has_edge(a, b)
+        assert list(before[0][a]) == [b]  # the loaded buffers never move
 
 
 class TestLabelPostings:
@@ -131,7 +156,7 @@ class TestLabelPostings:
 
 
 class TestSearchersSeeFreshTopology:
-    """End-to-end: searchers route through the CSR, so a mutation between
+    """End-to-end: searchers read the live rows, so a mutation between
     two searches must change the second search's results."""
 
     @pytest.mark.parametrize("algo_name", ["bkws", "bdws", "blinks", "r-clique"])
@@ -157,8 +182,7 @@ class TestSearchersSeeFreshTopology:
         if algo_name == "r-clique":
             # r-clique's neighbor index is an offline structure built at
             # bind time and cached per graph (the paper's O(mn) neighbor
-            # list); a fresh algorithm's bind must pick the new edge up
-            # through a fresh CSR.
+            # list); a fresh algorithm's bind must pick the new edge up.
             searcher = RClique(radius=3, k=5).bind(g)
         answers = searcher.search(KeywordQuery(["A", "B"]))
         assert answers, f"{algo_name} missed the newly inserted edge"

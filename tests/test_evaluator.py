@@ -77,12 +77,11 @@ class TestBkwsEquivalence:
 
 
 class TestBlinksEquivalence:
-    @pytest.mark.parametrize("kind", ["single-level", "bi-level"])
-    def test_matches_direct(self, kind, small_ontology, random_graph_factory):
+    def test_matches_direct(self, small_ontology, random_graph_factory):
         graph, index = build_random_instance(
             11, small_ontology, random_graph_factory
         )
-        algo = Blinks(d_max=3, k=None, index_kind=kind, block_size=12)
+        algo = Blinks(d_max=3, k=None)
         query = KeywordQuery(["A", "D"])
         direct = {(a.root, a.score) for a in algo.bind(graph).search(query)}
         boosted = boost(algo, index)
@@ -247,7 +246,7 @@ class TestLazyMaterialization:
     ALGORITHMS = [
         BackwardKeywordSearch(d_max=3, k=None),
         BidirectionalSearch(d_max=3, k=None),
-        Blinks(d_max=3, k=None, block_size=12),
+        Blinks(d_max=3, k=None),
     ]
     #: (keywords, layer): A and C collide at layer 2 of the toy ontology.
     CASES = [(("A", "C"), 0), (("A", "C"), 1), (("A",), 2)]

@@ -8,7 +8,9 @@ from repro.core.cost import CostParams
 from repro.core.index import BiGIndex
 from repro.core.evaluator import HierarchicalEvaluator
 from repro.core.plugins import BoostedSearch, boost
+from repro.graph.digraph import Graph
 from repro.obs.runtime import instrumented
+from repro.ontology.ontology import OntologyGraph
 from repro.search.banks import BackwardKeywordSearch
 from repro.search.base import KeywordQuery
 from repro.utils.budget import Budget
@@ -56,6 +58,38 @@ class TestResultCache:
         counters = inst.metrics.counters()
         assert counters["cache.miss.result"] == 1
         assert counters["cache.hit.result"] == 1
+
+    def test_hit_reports_the_miss_counts(self):
+        """A hit carries every count of the miss it copies, including
+        the roots the layer-1 reach bound rejected: at layer 2, ``A``
+        and ``C`` generalize to one label, so the supernode rooting the
+        summary answer specializes to an ``E`` vertex that reaches a
+        ``C`` but no ``A`` (bounded) and one that reaches both."""
+        ontology = OntologyGraph()
+        for label in "ABCE":
+            ontology.add_subtype(label, label + "1")
+            top = "X" if label in "AC" else label + "2"
+            ontology.add_subtype(label + "1", top)
+        graph = Graph()
+        a, c, b, r1, r2 = (graph.add_vertex(label) for label in "ACBEE")
+        for u, v in ((r1, a), (r1, b), (r2, c), (r2, b)):
+            graph.add_edge(u, v)
+        evaluator = _evaluator(
+            BiGIndex.build(graph, ontology, num_layers=2, cost_params=EXACT)
+        )
+        query = KeywordQuery(["A", "B"])
+
+        def counts(result):
+            return (result.num_generalized, result.num_candidates,
+                    result.num_verified, result.num_bounded)
+
+        with instrumented(trace=False) as inst:
+            miss = evaluator.evaluate(query, layer=2)
+            hit = evaluator.evaluate(query, layer=2)
+        assert inst.metrics.counter("cache.hit.result") == 1
+        assert counts(miss) == (1, 2, 1, 1)
+        assert counts(hit) == counts(miss)
+        assert hit.answers == miss.answers
 
     def test_cache_size_zero_disables(self, index):
         evaluator = _evaluator(index, cache_size=0)

@@ -122,7 +122,7 @@ class TestStreamLowerBound:
         from repro.search.blinks import Blinks
 
         graph, _ = instance
-        searcher = Blinks(d_max=3, k=None, block_size=10).bind(graph)
+        searcher = Blinks(d_max=3, k=None).bind(graph)
         query = KeywordQuery(["A", "C"])
         stream = searcher.iter_search(query)
         observed = []
@@ -140,6 +140,6 @@ class TestStreamLowerBound:
 
         graph, _ = instance
         query = KeywordQuery(["A", "C"])
-        full = Blinks(d_max=3, k=None, block_size=10).bind(graph).search(query)
-        top3 = Blinks(d_max=3, k=3, block_size=10).bind(graph).search(query)
+        full = Blinks(d_max=3, k=None).bind(graph).search(query)
+        top3 = Blinks(d_max=3, k=3).bind(graph).search(query)
         assert [a.score for a in top3] == [a.score for a in full[:3]]

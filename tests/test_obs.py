@@ -602,7 +602,7 @@ _SRC = _REPO / "src" / "repro"
 _BUILD_PREFIXES = ("build.", "shard.", "cow.")
 _QUERY_PREFIXES = ("eval.", "spec.", "search.", "cache.", "budget.")
 _CORE_PREFIXES = (
-    "refine.", "csr.", "persist.", "wal.", "snapshot.", "postings.",
+    "refine.", "persist.", "wal.", "snapshot.", "postings.",
 )
 _BUILD_SPAN_FILES = ("core/index.py", "core/heuristic.py", "core/sharding.py")
 _QUERY_SPAN_FILES = ("core/evaluator.py",)

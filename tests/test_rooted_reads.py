@@ -160,7 +160,8 @@ class TestBulkScoring:
                     for kw in keywords
                 }
                 for frontier in frontiers.values():
-                    frontier.run_to_completion()
+                    while not frontier.exhausted:
+                        frontier.expand_level()
                 assert everything == top_k(
                     oracle_settled_hits(
                         algorithm, keywords, frontiers, float("inf"), ()

@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.bisim.refinement import maximal_bisimulation
-from repro.graph.digraph import Graph
+from repro.graph.digraph import FrozenAdjacency, Graph, _pack_csr
 from repro.graph.traversal import (
     bfs_distances,
     nearest_labeled_forward,
@@ -38,10 +38,19 @@ def labelled_graphs(draw) -> Graph:
 
 
 def csr_rows(graph: Graph):
-    csr = graph.csr()
-    return (
-        [tuple(csr.out_neighbors(v)) for v in graph.vertices()],
-        [tuple(csr.in_neighbors(v)) for v in graph.vertices()],
+    """Row ``v`` as the v4 format stores it: ``v``'s slice of the packed
+    CSR buffers (an mmap-loaded graph's own; a heap graph's packed)."""
+    rows = graph.rows()
+    if isinstance(rows, FrozenAdjacency):
+        packed = [
+            (rows.out_offsets, rows.out_targets),
+            (rows.in_offsets, rows.in_targets),
+        ]
+    else:
+        packed = list(map(_pack_csr, rows))
+    return tuple(
+        [tuple(targets[offsets[v] : offsets[v + 1]]) for v in graph.vertices()]
+        for offsets, targets in packed
     )
 
 

@@ -72,20 +72,13 @@ class TestPartition:
         part = partition_bfs_grow(g, target_block_size=10)
         assert all(len(block) <= 10 for block in part.blocks)
 
-    def test_portals_are_cut_endpoints(self, random_graph_factory):
-        g = random_graph_factory(num_vertices=50, num_edges=120, seed=4)
-        part = partition_bfs_grow(g, target_block_size=10)
-        for u, v in part.cut_edges(g):
-            assert u in part.portals
-            assert v in part.portals
-
     def test_single_block_when_target_large(self, random_graph_factory):
         g = random_graph_factory(num_vertices=20, num_edges=60, seed=5)
         part = partition_bfs_grow(g, target_block_size=1000)
         # Connected random graph collapses to one block; at worst a few.
         assert part.num_blocks <= 3
         if part.num_blocks == 1:
-            assert not part.portals
+            assert part.block_of == [0] * 20
 
     def test_deterministic(self, random_graph_factory):
         g = random_graph_factory(seed=6)
@@ -98,34 +91,7 @@ class TestPartition:
         with pytest.raises(GraphError):
             partition_bfs_grow(g, 0)
 
-    def test_unknown_block_raises(self, random_graph_factory):
-        g = random_graph_factory(seed=6)
-        part = partition_bfs_grow(g, 7)
-        with pytest.raises(GraphError):
-            part.block_members(part.num_blocks + 5)
-
     def test_empty_graph(self):
         part = partition_bfs_grow(Graph(), 5)
         assert part.num_blocks == 0
-        assert part.portals == set()
-
-    def test_cut_edges_sorted_and_portals_are_exact_endpoints(
-        self, random_graph_factory
-    ):
-        # Property: for any seeded graph and block size, the portal set
-        # is *exactly* the endpoints of the cut edges — nothing more
-        # (no interior vertex leaks in) and nothing less (every cut
-        # endpoint is a portal) — and the cut list is sorted.
-        for seed in range(8):
-            g = random_graph_factory(
-                num_vertices=40 + 5 * seed, num_edges=110, seed=seed
-            )
-            part = partition_bfs_grow(g, target_block_size=9 + seed)
-            cut = part.cut_edges(g)
-            assert cut == sorted(cut)
-            assert set(cut) == {
-                (u, v)
-                for (u, v) in g.edges()
-                if part.block_of[u] != part.block_of[v]
-            }
-            assert part.portals == {v for edge in cut for v in edge}
+        assert part.block_of == []

@@ -113,7 +113,8 @@ class TestBackwardFrontier:
         assert frontier.exhausted and frontier.expand_level() == []
         assert frontier.settled == [0, 1, 2, 3]
         other = BackwardFrontier(g, [0, 1], d_max=2)
-        other.run_to_completion()
+        while not other.exhausted:
+            other.expand_level()
         assert (other.dist, other.origin) == (frontier.dist, frontier.origin)
 
     def test_budget_trip_leaves_previous_level(self):
@@ -195,7 +196,7 @@ class TestFrontierArrays:
 ROOTED = [
     BackwardKeywordSearch(d_max=3, k=None),
     BidirectionalSearch(d_max=3, k=None),
-    Blinks(d_max=3, k=None, block_size=12),
+    Blinks(d_max=3, k=None),
 ]
 
 

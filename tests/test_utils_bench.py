@@ -22,7 +22,7 @@ from repro.utils.errors import (
     OntologyError,
     QueryError,
 )
-from repro.utils.timers import Stopwatch, TimeBreakdown
+from repro.utils.timers import TimeBreakdown
 
 
 class TestErrors:
@@ -30,27 +30,6 @@ class TestErrors:
         for cls in (GraphError, OntologyError, ConfigurationError, QueryError):
             assert issubclass(cls, BigIndexError)
         assert issubclass(BigIndexError, Exception)
-
-
-class TestStopwatch:
-    def test_accumulates(self):
-        sw = Stopwatch().start()
-        time.sleep(0.01)
-        first = sw.stop()
-        assert first > 0
-        sw.start()
-        time.sleep(0.01)
-        assert sw.stop() > first
-
-    def test_stop_without_start_raises(self):
-        with pytest.raises(RuntimeError):
-            Stopwatch().stop()
-
-    def test_reset(self):
-        sw = Stopwatch().start()
-        sw.stop()
-        sw.reset()
-        assert sw.elapsed == 0.0
 
 
 class TestTimeBreakdown:
