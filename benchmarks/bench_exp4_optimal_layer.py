@@ -38,11 +38,25 @@ def _per_layer_times(dataset, index, queries):
     return times
 
 
+def _min_per_layer_times(dataset, index, queries, sweeps=3):
+    """Each (query, layer) time as the minimum over ``sweeps`` full
+    sweeps: the best layer is picked among ms-scale times, and a single
+    sweep's scheduling noise decides it."""
+    runs = [_per_layer_times(dataset, index, queries) for _ in range(sweeps)]
+    return {
+        qid: {
+            m: None if t is None else min(run[qid][m] for run in runs)
+            for m, t in per_layer.items()
+        }
+        for qid, per_layer in runs[0].items()
+    }
+
+
 def test_fig19_per_layer_times_and_prediction(
     benchmark, yago, yago_index, yago_queries
 ):
     times = benchmark.pedantic(
-        lambda: _per_layer_times(yago, yago_index, yago_queries),
+        lambda: _min_per_layer_times(yago, yago_index, yago_queries),
         rounds=1,
         iterations=1,
     )

@@ -218,8 +218,7 @@ def compare_on_queries(
         cache_size=0,
     )
     for m in range(index.num_layers + 1):  # offline per-layer index builds
-        boosted.searcher_for_layer(m)
-        index.layer_graph(m).rows()[1]
+        boosted.warm(m)
 
     comparisons: List[QueryComparison] = []
     for spec in queries:

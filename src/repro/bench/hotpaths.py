@@ -496,9 +496,9 @@ def section_query(fixture: Fixture, repeats: int) -> Metrics:
     """``query.cold`` / ``query.warm`` / ``query.batch`` — the boosted
     query path (``eval_Ont`` via ``boost-bkws``) on the 2-layer index.
 
-    Cold drops every cache (CSR, postings, ``Gen``/``Spec`` memos, result
-    cache) and rebinds the searchers; warm repeats the workload on one
-    evaluator so the second pass is served from the result cache; batch
+    Cold drops every cache (postings, ``Gen``/``Spec`` memos) and runs on
+    a new evaluator (an empty result cache); warm repeats the workload on
+    one evaluator so the second pass is served from the result cache; batch
     runs the workload (queries x 4) through ``evaluate_many``.  Only the
     batch is timed (cold and warm latency are ``eval.total_ms`` and
     ``serve-hot`` ``p50_ms`` end to end); all three totals are exact.
@@ -506,7 +506,7 @@ def section_query(fixture: Fixture, repeats: int) -> Metrics:
     index = fixture.index
 
     def drop_caches() -> None:
-        """Everything lazily derived: CSR views, postings, memos, results."""
+        """Everything lazily derived: postings and memos."""
         index.drop_caches()
         index.base_graph.drop_caches()
         for layer in index.layers:

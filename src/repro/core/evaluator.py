@@ -265,9 +265,11 @@ class Verified:
 class HierarchicalEvaluator:
     """``eval_Ont`` for one (index, algorithm) pair.
 
-    Per-layer searchers (the algorithm's own indexes over summary graphs)
-    are cached across queries, mirroring the paper's setup where the
-    BiG-index layers and the plugged algorithm's indexes are built offline.
+    Each attempt binds the algorithm to the layer graph it reads
+    (:meth:`searcher_for_layer`); a searcher lives for one attempt.  The
+    only bind that builds anything, r-clique's neighbor list, is cached
+    per graph state by the algorithm itself, which is where the paper's
+    offline per-layer index lives (:meth:`warm` builds it up front).
 
     Parameters
     ----------
@@ -302,41 +304,32 @@ class HierarchicalEvaluator:
         #: semantics verify candidate roots, root-free ones enumerate
         #: assignments.
         self.rooted = isinstance(algorithm, RootedTreeAlgorithm)
-        self._searchers: Dict[int, GraphSearcher] = {}
         self._result_cache: Optional[LRUCache] = (
             LRUCache(cache_size, kind="result") if cache_size else None
         )
-        #: index epoch the caches were filled under; ``None`` = never synced.
+        #: index epoch the result cache holds; ``None`` = never synced.
         self._epoch: Optional[Tuple[int, int]] = None
-        # Orders epoch sync against searcher binds and result-cache fills
-        # under concurrent readers (the serve handlers share one evaluator
-        # per snapshot): without it a reader could re-install a searcher
-        # or cached result computed under an epoch another thread just
-        # invalidated.  Reentrant: searcher_for_layer is reached from
-        # locked sections of evaluate.
-        self._cache_lock = threading.RLock()
+        # Orders epoch sync against result-cache fills under concurrent
+        # readers (the serve handlers share one evaluator per snapshot):
+        # without it a reader could install a result computed under an
+        # epoch another thread just invalidated.
+        self._cache_lock = threading.Lock()
 
     # ------------------------------------------------------------------
     # Maintenance-aware caching
     # ------------------------------------------------------------------
     def _sync_caches(self) -> None:
-        """Drop searchers and cached results if the index has moved.
-
-        Per-layer searchers hold algorithm indexes over the summary
-        graphs; maintenance replaces those graphs wholesale, so a stale
-        searcher would silently answer against the pre-update index.
-        Checking the epoch on every entry point keeps long-lived
-        evaluators correct across :meth:`BiGIndex.insert_edge` & co.
-        """
-        with self._cache_lock:
-            epoch = self.index.epoch
-            if self._epoch != epoch:
-                if self._epoch is not None and OBS.enabled:
-                    OBS.metrics.inc("cache.invalidations")
-                self._epoch = epoch
-                self._searchers.clear()
-                if self._result_cache is not None:
-                    self._result_cache.clear()
+        """Drop cached results if the index has moved; the caller holds
+        ``_cache_lock``.  Checking the epoch on every cache access keeps
+        long-lived evaluators correct across
+        :meth:`BiGIndex.insert_edge` & co."""
+        epoch = self.index.epoch
+        if self._epoch != epoch:
+            if self._epoch is not None and OBS.enabled:
+                OBS.metrics.inc("cache.invalidations")
+            self._epoch = epoch
+            if self._result_cache is not None:
+                self._result_cache.clear()
 
     @staticmethod
     def _copy_result(result: EvalResult) -> EvalResult:
@@ -363,20 +356,8 @@ class HierarchicalEvaluator:
         return attrs
 
     def searcher_for_layer(self, m: int) -> GraphSearcher:
-        """The algorithm bound to ``G^m`` (cached across queries).
-
-        The lock is held across bind-and-install so a concurrent epoch
-        invalidation cannot interleave between them — a searcher present
-        in the dict is always one bound under the current ``_epoch``.
-        Binds serialize, but each (layer, epoch) binds at most once.
-        """
-        with self._cache_lock:
-            self._sync_caches()
-            searcher = self._searchers.get(m)
-            if searcher is None:
-                searcher = self.algorithm.bind(self.index.layer_graph(m))
-                self._searchers[m] = searcher
-            return searcher
+        """The algorithm bound to ``G^m`` as it is now, for one attempt."""
+        return self.algorithm.bind(self.index.layer_graph(m))
 
     def evaluate(
         self,
@@ -449,11 +430,10 @@ class HierarchicalEvaluator:
         if key is not None:
             with self._cache_lock:
                 # Guarded fill: a result computed under a superseded
-                # epoch must not land in the fresh cache (epoch
-                # components are monotone, so equality proves no
-                # movement since the lookup).
-                self._sync_caches()
-                if self._epoch == epoch:
+                # epoch must not land in the cache (epoch components are
+                # monotone, so equality proves no movement since the
+                # lookup synced the cache).
+                if self.index.epoch == epoch:
                     self._result_cache.put(key, self._copy_result(result))
         return result
 
@@ -577,14 +557,23 @@ class HierarchicalEvaluator:
                     with breakdown.phase("specialize"), OBS.tracer.span(
                         "specialize", layer=layer
                     ):
-                        spec = self._specialize_answer(
-                            summary_answer,
-                            layer,
-                            query,
-                            keyword_by_generalized,
-                            root_only=self.rooted,
-                            budget=budget,
-                        )
+                        if self.rooted:
+                            # Only the root specializes, unpruned: the
+                            # keyword matches are re-derived on G^0.
+                            charge_expansions(budget, 1)
+                            spec = sorted(self.index.spec_to_base(
+                                summary_answer.root, layer
+                            ))
+                            if OBS.enabled:
+                                OBS.metrics.inc("spec.lookups")
+                                OBS.metrics.observe(
+                                    "spec.candidates_per_lookup", len(spec)
+                                )
+                        else:
+                            spec = self._specialize_answer(
+                                summary_answer, layer, query,
+                                keyword_by_generalized, budget=budget,
+                            )
                     if spec is None:
                         continue
                     with breakdown.phase("generate"), OBS.tracer.span(
@@ -725,7 +714,6 @@ class HierarchicalEvaluator:
         the whole remainder rather than half, so budget is never left
         unspent.
         """
-        self._sync_caches()
         if budget is None:
             return self.evaluate(query, layer=layer, k=k)
 
@@ -803,9 +791,8 @@ class HierarchicalEvaluator:
     ) -> List[object]:
         """Evaluate a workload, amortizing warm-up across its queries.
 
-        Per-layer searchers, CSR views, keyword postings and the index's
-        ``Gen``/``Spec`` memos are built once up front; each query then
-        runs :meth:`evaluate_resilient` against warm state (and repeated
+        :meth:`warm` runs once up front; each query then runs
+        :meth:`evaluate_resilient` against warm state (and repeated
         queries hit the result cache).  Results come back in input order.
 
         Parameters
@@ -825,7 +812,7 @@ class HierarchicalEvaluator:
 
         Shared verbatim with :class:`~repro.core.sharding.ShardedEvaluator`.
         """
-        self._warm(layer)
+        self.warm(layer)
 
         def run(query: KeywordQuery) -> object:
             budget = budget_factory() if budget_factory is not None else None
@@ -840,11 +827,11 @@ class HierarchicalEvaluator:
 
         return [run(query) for query in queries]
 
-    def _warm(self, layer: Optional[int]) -> None:
-        """Bind searchers and build the adjacency rows they walk for
-        ``layer`` (``None``: every layer the cost model may route to)
-        before a batch runs."""
-        self._sync_caches()
+    def warm(self, layer: Optional[int] = None) -> None:
+        """Bind the algorithm (building r-clique's neighbor list) and build
+        the adjacency rows it walks for ``layer`` (``None``: every layer
+        the cost model may route to), keeping that offline work out of
+        the queries that follow."""
         if layer is not None:
             warm_layers = [layer]
         else:
@@ -865,39 +852,16 @@ class HierarchicalEvaluator:
         layer: int,
         query: KeywordQuery,
         keyword_by_generalized: Mapping[str, str],
-        root_only: bool = False,
         budget: Optional[Budget] = None,
     ) -> Optional[GeneralizedAnswerGraph]:
         """Walk one generalized answer's vertex sets down to layer 0.
 
-        With ``root_only`` (the root-verify strategy) only the answer root
-        is specialized, without pruning: root verification re-derives the
-        keyword matches exactly on the data graph, so the summary answer's
-        particular keyword supernodes — which a distinct-root search picks
-        as the *nearest* generalized matches — must not constrain it.
-
-        Otherwise every answer vertex specializes, keyword nodes pruned by
-        Prop. 4.1, and the method returns ``None`` when early keyword
-        specialization (Sec. 4.3.1) kills the answer (some keyword node
-        has no label-qualified specialization).
+        Every answer vertex specializes, keyword nodes pruned by Prop. 4.1,
+        and the method returns ``None`` when early keyword specialization
+        (Sec. 4.3.1) kills the answer (some keyword node has no
+        label-qualified specialization).  Root verification specializes
+        the root alone, in :meth:`_attempt`.
         """
-        if root_only:
-            root = summary_answer.root
-            assert root is not None
-            charge_expansions(budget, 1)
-            spec_set = sorted(self.index.spec_to_base(root, layer))
-            if OBS.enabled:
-                OBS.metrics.inc("spec.lookups")
-                OBS.metrics.observe(
-                    "spec.candidates_per_lookup", len(spec_set)
-                )
-            return GeneralizedAnswerGraph(
-                vertices=(root,),
-                edges=(),
-                spec_sets={root: spec_set},
-                keyword_of={},
-            )
-
         # supernode -> keyword for the isKey vertices of this answer.
         keyword_of: Dict[int, str] = {}
         for generalized_kw, supernode in summary_answer.keyword_nodes:
@@ -941,7 +905,7 @@ class HierarchicalEvaluator:
     def _generate_by_root(
         self,
         summary_answer: RootHit,
-        spec: GeneralizedAnswerGraph,
+        candidate_roots: List[int],
         query: KeywordQuery,
         verified: Verified,
         seen_roots: Set[int],
@@ -950,7 +914,8 @@ class HierarchicalEvaluator:
         budget: Optional[Budget] = None,
         reach: Optional[List[Sequence[int]]] = None,
     ) -> None:
-        """Verify every specialized candidate root with one bounded BFS.
+        """Verify every candidate root (the summary root's sorted
+        specializations) with one bounded BFS.
 
         The summary hit's score lower-bounds the exact score of every
         root specialized from it (Prop. 5.2), so once the top-k verified
@@ -960,7 +925,6 @@ class HierarchicalEvaluator:
         counts, but skips the BFS.  Verified roots stay hits;
         :meth:`_attempt` builds trees for its top-k.
         """
-        candidate_roots = spec.spec_sets[summary_answer.root]
         best_hit_for_root = self.algorithm.best_hit_for_root
         block_of = self.index.layers[0].parent_of
         for root in candidate_roots:

@@ -112,17 +112,15 @@ class BoostedSearch:
 
         The paper builds the plugged algorithm's index (e.g. r-clique's
         neighbor list) "on the m-th layer" before measuring queries; call
-        this to keep that cost out of timed runs.  Warms every layer when
-        ``layer`` is ``None``, and pre-builds each layer graph's backward
-        adjacency rows so the first query pays no row-building cost
-        either.
+        this to keep that cost out of timed runs.  Warms every layer,
+        the data graph included, when ``layer`` is ``None``
+        (:meth:`HierarchicalEvaluator.warm` per layer).
         """
         layers = (
             range(self.index.num_layers + 1) if layer is None else [layer]
         )
         for m in layers:
-            self.evaluator.searcher_for_layer(m)
-            self.index.layer_graph(m).rows()[1]
+            self.evaluator.warm(m)
 
 
 def boost(

@@ -935,6 +935,7 @@ class ShardedEvaluator:
                 num_generalized=sum(o.num_generalized for o in outcomes),
                 num_candidates=sum(o.num_candidates for o in outcomes),
                 num_verified=sum(o.num_verified for o in outcomes),
+                num_bounded=sum(o.num_bounded for o in outcomes),
             )
 
         lower_bound = min(o.lower_bound for _l, o in degraded)
@@ -963,13 +964,13 @@ class ShardedEvaluator:
             ),
         )
 
-    def _warm(self, layer: Optional[int]) -> None:
+    def warm(self, layer: Optional[int] = None) -> None:
         """Warm every locale's evaluator (``evaluate_many``'s prologue)."""
         for locale, evaluator in self._evaluators:
-            evaluator._warm(
+            evaluator.warm(
                 None if layer is None else min(layer, locale.index.num_layers)
             )
 
     #: Batched serving is the monolithic implementation verbatim: it only
-    #: touches ``_warm`` / ``evaluate`` / ``evaluate_resilient``.
+    #: touches ``warm`` / ``evaluate`` / ``evaluate_resilient``.
     evaluate_many = HierarchicalEvaluator.evaluate_many

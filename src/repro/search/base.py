@@ -285,7 +285,7 @@ class BackwardFrontier:
 
     ``dist`` and ``origin`` are flat lists over the graph's vertex ids
     (``-1`` = not settled), allocated per frontier — per query, never per
-    searcher, because one searcher serves concurrent queries.  ``settled``
+    searcher, so a bound searcher can serve concurrent queries.  ``settled``
     lists the settled vertices in settling order.
 
     Origins are canonical: among the sources nearest to a vertex, its

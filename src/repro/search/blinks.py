@@ -26,7 +26,6 @@ paper's experiments.
 
 from __future__ import annotations
 
-import threading
 from bisect import insort
 from typing import Dict, List, Mapping, Optional, Set
 
@@ -98,9 +97,9 @@ class _LevelCursor:
 class BlinksSearcher(RootedSearcher):
     """Blinks bound to one graph (nothing is precomputed)."""
 
-    def __init__(self, graph: Graph, algorithm: "Blinks") -> None:
-        super().__init__(graph, algorithm)
-        self._stream = threading.local()
+    #: The bound of the current / most recent stream (see :meth:`iter_hits`);
+    #: a searcher runs one stream at a time (the evaluator binds per attempt).
+    stream_lower_bound: float = 0.0
 
     def search_hits(
         self,
@@ -134,12 +133,6 @@ class BlinksSearcher(RootedSearcher):
             raise
         return top_k(hits, k)
 
-    @property
-    def stream_lower_bound(self) -> float:
-        """The bound of this thread's stream (see :meth:`iter_hits`): one
-        searcher serves concurrent queries, one stream per thread."""
-        return getattr(self._stream, "lower_bound", 0.0)
-
     def iter_hits(self, query: KeywordQuery, budget: Optional[Budget] = None):
         """Lazily yield distinct-root hits as they are discovered.
 
@@ -150,14 +143,13 @@ class BlinksSearcher(RootedSearcher):
         from at least one cursor's settled set, so its score is at least
         that cursor's next depth — at least the minimum active depth.
         """
-        stream = self._stream
-        stream.lower_bound = 0.0
+        self.stream_lower_bound = 0.0
         algorithm = self.algorithm
         cursors: Dict[str, _LevelCursor] = {}
         for keyword in query:
             cursor = _LevelCursor(self.graph, keyword, algorithm.d_max)
             if cursor.exhausted:
-                stream.lower_bound = float("inf")
+                self.stream_lower_bound = float("inf")
                 return
             cursors[keyword] = cursor
 
@@ -188,10 +180,10 @@ class BlinksSearcher(RootedSearcher):
                     tuple(zip(ordered, [o[vertex] for o in origins])),
                 )
             active_now = [c for c in cursors.values() if not c.exhausted]
-            stream.lower_bound = (
+            self.stream_lower_bound = (
                 min(c.depth for c in active_now) if active_now else float("inf")
             )
-        stream.lower_bound = float("inf")
+        self.stream_lower_bound = float("inf")
 
 
 class Blinks(RootedTreeAlgorithm):

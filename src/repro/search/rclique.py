@@ -43,6 +43,7 @@ from __future__ import annotations
 
 import heapq
 import itertools
+import threading
 import weakref
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, List, Mapping, Optional, Sequence, Set, Tuple
@@ -338,26 +339,32 @@ class RClique(KeywordSearchAlgorithm):
         # where the neighbor list is the algorithm's persistent index).
         # Keyed by weak reference: an ``id()``-keyed dict would hand the
         # distances of a garbage-collected graph to whatever new graph
-        # the allocator places at the same address.
-        self._index_cache: "weakref.WeakKeyDictionary[Graph, NeighborIndex]" = (
+        # the allocator places at the same address.  Each entry carries
+        # the graph's ``mutation_epoch`` it was built at, so an in-place
+        # write retires it.
+        self._index_cache: "weakref.WeakKeyDictionary[Graph, tuple]" = (
             weakref.WeakKeyDictionary()
         )
+        # Concurrent binds of one graph state build its index once.
+        self._index_lock = threading.Lock()
 
     def _index_for(self, graph: Graph) -> Optional[NeighborIndex]:
-        """The cached neighbor index for ``graph``, if it was bound."""
-        return self._index_cache.get(graph)
+        """The neighbor index bound for ``graph`` as it is now, if any."""
+        epoch, index = self._index_cache.get(graph, (None, None))
+        return index if epoch == graph.mutation_epoch else None
 
     def bind(self, graph: Graph) -> RCliqueSearcher:
         """Build the neighbor index (may raise NeighborIndexTooLarge)."""
-        index = self._index_cache.get(graph)
-        if index is None:
-            index = NeighborIndex(
-                graph,
-                self.radius,
-                direction=self.direction,
-                max_entries=self.max_index_entries,
-            )
-            self._index_cache[graph] = index
+        with self._index_lock:
+            index = self._index_for(graph)
+            if index is None:
+                index = NeighborIndex(
+                    graph,
+                    self.radius,
+                    direction=self.direction,
+                    max_entries=self.max_index_entries,
+                )
+                self._index_cache[graph] = (graph.mutation_epoch, index)
         return RCliqueSearcher(graph, index, self.radius, self.k)
 
     def verify(
@@ -374,24 +381,14 @@ class RClique(KeywordSearchAlgorithm):
             if node is None or graph.label(node) != keyword:
                 return None
             nodes.append(node)
-        cached = self._index_for(graph)
         total = 0
-        if cached is not None:
-            for a, b in itertools.combinations(nodes, 2):
-                d = cached.distance(a, b)
-                if d is None or d > self.radius:
+        for idx, a in enumerate(nodes):
+            dist = self._within_radius(graph, a)
+            for b in nodes[idx + 1 :]:
+                d = dist.get(b) if a != b else 0
+                if d is None:
                     return None
                 total += d
-        else:
-            for idx, a in enumerate(nodes):
-                dist = bfs_distances(
-                    graph, [a], max_depth=self.radius, direction=self.direction
-                )
-                for b in nodes[idx + 1 :]:
-                    d = dist.get(b) if a != b else 0
-                    if d is None:
-                        return None
-                    total += d
         return Answer.make(dict(keyword_nodes), score=float(total), root=None)
 
     def enlarge_ok(
@@ -402,23 +399,20 @@ class RClique(KeywordSearchAlgorithm):
         vertex: int,
         query: KeywordQuery,
     ) -> bool:
-        """Prune candidates that already violate a pairwise bound.
-
-        Checks the new vertex against every vertex already in the partial
-        assignment with a bounded BFS.
-        """
+        """Prune candidates that already violate a pairwise bound: the new
+        vertex must be within ``radius`` of every vertex already in the
+        partial assignment."""
         if not partial:
             return True
-        cached = self._index_for(graph)
-        if cached is not None:
-            for other in partial.values():
-                if other != vertex and cached.distance(vertex, other) is None:
-                    return False
-            return True
-        dist = bfs_distances(
-            graph, [vertex], max_depth=self.radius, direction=self.direction
+        dist = self._within_radius(graph, vertex)
+        return all(other == vertex or other in dist for other in partial.values())
+
+    def _within_radius(self, graph: Graph, v: int) -> Mapping[int, int]:
+        """Hop distances from ``v`` up to ``radius``: ``graph``'s bound
+        neighbor list, else one bounded BFS."""
+        index = self._index_for(graph)
+        if index is not None:
+            return index.neighbor_lists[v]
+        return bfs_distances(
+            graph, [v], max_depth=self.radius, direction=self.direction
         )
-        for other in partial.values():
-            if other != vertex and other not in dist:
-                return False
-        return True

@@ -2,8 +2,8 @@
 
 The shared :class:`~repro.core.evaluator.HierarchicalEvaluator` caches
 are epoch-keyed, but epochs alone cannot make *in-place* index mutation
-safe under concurrency: a reader halfway through a query holds searchers
-and CSR views over the live graph, and a concurrent
+safe under concurrency: a reader halfway through a query holds a searcher
+and adjacency rows over the live graph, and a concurrent
 :meth:`~repro.core.index.BiGIndex.insert_edge` would mutate them under
 its feet.  The runtime therefore never mutates a published index:
 

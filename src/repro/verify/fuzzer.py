@@ -189,11 +189,14 @@ def _run_sequence(
     the fresh index into the op stream (a lazy draw, or a recorded
     list).  Returns the ops applied and the probes' merged findings."""
     index = index_factory()
+    # Shared objects: a per-algorithm cache is the cache probe's to
+    # check on the fixed schedule, where each side builds its own.
+    shared = [lambda algorithm=algorithm: algorithm for algorithm in algorithms]
     probes = [
-        probe_type(index, algorithms, queries)
-        for probe_type in (
-            MaintenanceProbe, CacheProbe, PersistProbe, RebuildProbe
-        )
+        MaintenanceProbe(index, algorithms, queries),
+        CacheProbe(index, shared, queries),
+        PersistProbe(index, algorithms, queries),
+        RebuildProbe(index, algorithms, queries),
     ]
     ops = run_ops(ops_for(index), lambda op: apply_op(index, op), probes)
     found = Report("sequence")

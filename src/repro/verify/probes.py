@@ -57,13 +57,15 @@ class CacheProbe(IndexProbe):
     admissible if they are *invisible*, before and after maintenance.
 
     Holds one *long-lived* caching evaluator per algorithm — result cache
-    populated, searchers bound — across the whole op sequence, the way a
-    query server would.  At every check each probe query runs on it
-    twice and both outcomes must equal a fresh evaluator's with caching
-    disabled on the *current* index state, so a stale epoch (the cache
-    serving pre-mutation answers) is caught at the op that caused it.
-    The second run is required to be an actual result-cache hit (the
-    ``cache.hit.result`` counter), so a silently dead cache fails too.
+    and the algorithm's own per-graph indexes populated — across the
+    whole op sequence, the way a query server would.  At every check
+    each probe query runs on it twice and both outcomes must equal an
+    uncached evaluator's on the *current* index state, so a stale epoch
+    is caught at the op that caused it.  ``algorithms`` are zero-argument
+    factories: the uncached side builds its own algorithm per check.
+    Both sides may route to layer 0, as ``serve`` does.  The second run
+    must be an actual result-cache hit (the ``cache.hit.result``
+    counter), so a silently dead cache fails too.
     """
 
     name = "cache"
@@ -74,16 +76,21 @@ class CacheProbe(IndexProbe):
         #: Result-cache hits that were served and verified identical.
         self.report.notes["hits"] = 0
         self._cached = [
-            HierarchicalEvaluator(index, algorithm, cache_size=64)
-            for algorithm in self.algorithms
+            HierarchicalEvaluator(
+                index, make(), allow_layer_zero=True, cache_size=64
+            )
+            for make in self.algorithms
         ]
 
     def check(self, context: str) -> None:
         report = self.report
-        for algorithm, cached in zip(self.algorithms, self._cached):
-            fresh = HierarchicalEvaluator(self.index, algorithm, cache_size=0)
+        for make, cached in zip(self.algorithms, self._cached):
+            fresh = HierarchicalEvaluator(
+                self.index, make(), allow_layer_zero=True, cache_size=0
+            )
             for query in self.queries:
-                where = f"{algorithm.name} Q={list(query.keywords)} ({context}"
+                where = (f"{cached.algorithm.name} Q={list(query.keywords)} "
+                         f"({context}")
                 expected = outcome(fresh, query)
                 with instrumented(trace=False) as inst:
                     runs = [(label, outcome(cached, query))

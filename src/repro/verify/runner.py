@@ -189,17 +189,21 @@ def run_verification(
         if case_index == 0:
             # Smallest corpus case: the serve drill reuses its factory.
             serve_factory, serve_queries = build, queries[:2]
-        algorithms = [
-            BackwardKeywordSearch(d_max=_D_MAX),
-            BidirectionalSearch(d_max=_D_MAX),
-            Blinks(d_max=_D_MAX),
+        # Zero-argument factories: the cache leg builds each side its own
+        # algorithm, so a per-algorithm cache (r-clique's neighbor list)
+        # cannot hide behind a shared object.
+        factories = [
+            lambda: BackwardKeywordSearch(d_max=_D_MAX),
+            lambda: BidirectionalSearch(d_max=_D_MAX),
+            lambda: Blinks(d_max=_D_MAX),
         ]
         if case_index == 0:
             # Exhaustive in keyword combinations — smallest case only.
             # k=None: r-clique's top-k is approximate (each Lawler
             # subspace's best answer is the greedy 2-approximation), so
             # only its full enumeration has an exact expected answer.
-            algorithms.append(RClique(radius=_RCLIQUE_RADIUS, k=None))
+            factories.append(lambda: RClique(radius=_RCLIQUE_RADIUS, k=None))
+        algorithms = [make() for make in factories]
         oracle = DifferentialOracle(index)
         # Metrics-only instrumentation: the counters ride along on the
         # case report without perturbing the differential comparison.
@@ -222,7 +226,9 @@ def run_verification(
                     ops_per_sequence=ops_per_sequence,
                     seed=seed,
                 ),
-                run_fixed_schedule(CacheProbe, build, algorithms[:2], queries),
+                run_fixed_schedule(
+                    CacheProbe, build, factories[:2] + factories[3:], queries
+                ),
                 run_fixed_schedule(
                     PersistProbe, build, algorithms[:1], queries[:2]
                 ),

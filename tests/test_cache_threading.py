@@ -39,6 +39,7 @@ from repro.search.banks import BackwardKeywordSearch
 from repro.search.base import KeywordQuery
 from repro.search.bidirectional import BidirectionalSearch
 from repro.search.blinks import Blinks
+from repro.search.rclique import RClique
 from repro.serve.lifecycle import EngineRuntime
 
 
@@ -531,6 +532,47 @@ class TestMemoThreading:
 # ----------------------------------------------------------------------
 # HierarchicalEvaluator result cache
 # ----------------------------------------------------------------------
+class TestNeighborIndexThreading:
+    """r-clique's neighbor list, the one per-graph index a bind builds,
+    is cached by the algorithm per graph state."""
+
+    def test_concurrent_binds_build_one_index(self, random_graph_factory):
+        graph = random_graph_factory(seed=5)
+        algorithm = RClique(radius=2, k=None)
+        barrier = threading.Barrier(8)
+        indexes = [None] * 8
+
+        def bind(i):
+            barrier.wait()
+            indexes[i] = algorithm.bind(graph).index
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            run_threads(8, bind)
+        finally:
+            sys.setswitchinterval(interval)
+        assert all(index is indexes[0] for index in indexes)
+
+    def test_in_place_write_rebuilds_the_index(self, random_graph_factory):
+        graph = random_graph_factory(seed=5)
+        algorithm = RClique(radius=2, k=None)
+        before = algorithm.bind(graph).index
+        u, v = next(
+            (u, v)
+            for u in graph.vertices()
+            for v in graph.vertices()
+            if u != v and not graph.has_edge(u, v)
+            and before.distance(u, v) is None
+        )
+        graph.add_edge(u, v)
+        after = algorithm.bind(graph).index
+        assert after is not before
+        assert after.distance(u, v) == 1
+        fresh = RClique(radius=2, k=None).bind(graph).index
+        assert after.neighbor_lists == fresh.neighbor_lists
+
+
 class TestEvaluatorThreading:
     QUERIES = (("A", "B"), ("C", "D"), ("A", "C"), ("B", "D"))
 
@@ -546,9 +588,9 @@ class TestEvaluatorThreading:
     def test_uncached_pool_matches_sequential(
         self, algorithm, random_graph_factory, small_ontology
     ):
-        """Four threads share one evaluator (and so its per-layer
-        searchers) with the result cache off, as serve handlers do on a
-        snapshot: every query's frontier scratch is its own."""
+        """Four threads share one evaluator with the result cache off, as
+        serve handlers do on a snapshot: every attempt binds its own
+        searcher, and every query's frontier scratch is its own."""
         index = build_index(random_graph_factory, small_ontology, seed=23)
         evaluator = HierarchicalEvaluator(
             index, algorithm, allow_layer_zero=True, cache_size=0

@@ -12,6 +12,7 @@ import pytest
 from repro.core.cost import CostParams
 from repro.core.evaluator import HierarchicalEvaluator, eval_direct
 from repro.core.index import BiGIndex
+from repro.core.persistence import load_index, save_index
 from repro.core.plugins import boost, boost_bkws, boost_dkws, boost_rkws
 from repro.search.banks import BackwardKeywordSearch
 from repro.search.base import KeywordQuery, RootedTreeAlgorithm
@@ -164,14 +165,6 @@ class TestEvaluatorMechanics:
         assert "specialize" in result.breakdown.totals
         assert result.total_seconds > 0
 
-    def test_searchers_cached_per_layer(self, small_ontology, random_graph_factory):
-        graph, index = build_random_instance(
-            27, small_ontology, random_graph_factory
-        )
-        evaluator = HierarchicalEvaluator(index, Blinks(d_max=3, k=None))
-        first = evaluator.searcher_for_layer(1)
-        assert evaluator.searcher_for_layer(1) is first
-
     def test_early_termination_counts(self, small_ontology, random_graph_factory):
         """With k=1 far fewer generalized answers are consumed."""
         graph, index = build_random_instance(
@@ -229,14 +222,23 @@ class TestPluginFacade:
         assert boost_rkws(index).name == "boost-blinks"
         assert boost_dkws(index).name == "boost-r-clique"
 
-    def test_warm_builds_layer_searchers(self, small_ontology, random_graph_factory):
+    def test_warm_builds_layer_searchers(
+        self, small_ontology, random_graph_factory, tmp_path
+    ):
+        """``warm`` builds, for every layer the data graph included,
+        what a bind and a search read: r-clique's neighbor list (cached
+        by the algorithm) and the backward adjacency rows."""
         graph, index = build_random_instance(
             33, small_ontology, random_graph_factory
         )
-        boosted = boost_bkws(index, d_max=3)
+        save_index(index, tmp_path / "idx")
+        loaded = load_index(tmp_path / "idx", small_ontology)
+        boosted = boost_dkws(loaded, radius=2)
         boosted.warm()
-        for m in range(index.num_layers + 1):
-            assert m in boosted.evaluator._searchers
+        for m in range(loaded.num_layers + 1):
+            layer_graph = loaded.layer_graph(m)
+            assert boosted.algorithm._index_for(layer_graph) is not None
+            assert layer_graph._frozen._rows[1] is not None
 
 
 class TestLazyMaterialization:

@@ -189,13 +189,6 @@ class TestInvalidation:
 
 
 class TestSearcherReuse:
-    def test_searcher_cached_across_evaluations(self, index):
-        evaluator = _evaluator(index)
-        result = evaluator.evaluate(QUERY)
-        searcher = evaluator.searcher_for_layer(result.layer)
-        evaluator.evaluate(KeywordQuery(["Ivy League", "New York"]))
-        assert evaluator.searcher_for_layer(result.layer) is searcher
-
     def test_searchers_dropped_after_maintenance(self, index):
         evaluator = _evaluator(index)
         result = evaluator.evaluate(QUERY)

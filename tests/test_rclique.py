@@ -1,9 +1,14 @@
 """Unit tests for r-clique (dkws) and its neighbor index."""
 
 import itertools
+import random
 
 import pytest
 
+from repro.core.cost import CostParams
+from repro.core.evaluator import HierarchicalEvaluator
+from repro.core.index import BiGIndex
+from repro.datasets.synthetic import verification_corpus
 from repro.graph.digraph import Graph
 from repro.search.base import KeywordQuery
 from repro.search.rclique import (
@@ -12,6 +17,7 @@ from repro.search.rclique import (
     RClique,
 )
 from repro.utils.errors import QueryError
+from repro.verify.drill import probe_queries
 
 
 @pytest.fixture
@@ -146,3 +152,45 @@ class TestVerifyAndQualify:
         assert rc.enlarge_ok(
             triangle_graph, {"K1": 0}, "K2", 2, KeywordQuery(["K1", "K2"])
         )
+
+
+class TestInPlaceWrites:
+    """The neighbor index is the algorithm's per-graph cache; an in-place
+    write to the graph must retire it, or ``bind`` and ``verify`` answer
+    from the pre-write distances."""
+
+    def test_reused_evaluator_matches_a_fresh_bind_after_writes(self):
+        _name, graph, ontology = verification_corpus(quick=True, seed=0)[0]
+        index = BiGIndex.build(
+            graph.copy(share_label_table=True),
+            ontology,
+            num_layers=2,
+            cost_params=CostParams(exact=True),
+        )
+        queries = probe_queries(graph)
+        reused = HierarchicalEvaluator(
+            index, RClique(radius=2, k=None), allow_layer_zero=True
+        )
+        rng = random.Random(0)
+        n = index.base_graph.num_vertices
+        compared = 0
+        for step in range(24):
+            u, v = rng.randrange(n), rng.randrange(n)
+            if step % 3 == 2 and index.base_graph.num_edges:
+                u, v = sorted(index.base_graph.edges())[step]
+                index.delete_edge(u, v)
+            elif u != v:
+                index.insert_edge(u, v)
+            fresh = HierarchicalEvaluator(
+                index, RClique(radius=2, k=None), allow_layer_zero=True,
+                cache_size=0,
+            )
+            for query in queries:
+                for layer in (0, 1):
+                    if layer and not index.query_distinct_at(query, layer):
+                        continue
+                    got = reused.evaluate(query, layer=layer).answers
+                    want = fresh.evaluate(query, layer=layer).answers
+                    assert got == want, (step, layer, query.keywords)
+                    compared += 1
+        assert compared >= 24 * 2

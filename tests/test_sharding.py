@@ -25,6 +25,7 @@ from repro.core.sharding import (
     plan_shards,
 )
 from repro.core.wal import MutationWAL, apply_wal_op
+from repro.datasets.knowledge import yago_like
 from repro.datasets.synthetic import (
     ZipfSampler,
     community_dataset,
@@ -32,6 +33,7 @@ from repro.datasets.synthetic import (
     synthetic_dataset,
     verification_ontology,
 )
+from repro.datasets.workloads import generate_queries
 from repro.graph.digraph import Graph
 from repro.graph.traversal import bfs_distances
 from repro.obs import Tracer, instrumented
@@ -212,6 +214,38 @@ class TestExactness:
                 best = algorithm.best_hit_for_root(g, answer.root, query)
                 assert best is not None
                 assert answer.score == best.score
+
+    def test_gather_sums_every_locale_count(self):
+        """The merged result reports the locales' counts, ``num_bounded``
+        (candidates the layer-1 reach bound rejects) included."""
+        dataset = yago_like(scale=0.05)
+        g = dataset.graph
+        sharded = build_sharded(
+            g.copy(share_label_table=True), dataset.ontology, 2, 6,
+            num_layers=3, cost_params=CostParams(num_samples=10),
+        )
+        se = ShardedEvaluator(sharded, BackwardKeywordSearch(d_max=3, k=None))
+        locale_outcomes = []
+        evaluate_locale = se._evaluate_locale
+
+        def spy(*args):
+            locale_outcomes.append(evaluate_locale(*args))
+            return locale_outcomes[-1]
+
+        se._evaluate_locale = spy
+        bounded = 0
+        for spec in generate_queries(g, [2, 2, 3, 3], seed=0, min_support=3):
+            locale_outcomes.clear()
+            result = se.evaluate(spec.query, layer=2)
+            for count in (
+                "num_generalized", "num_candidates", "num_verified",
+                "num_bounded",
+            ):
+                assert getattr(result, count) == sum(
+                    getattr(o, count) for o in locale_outcomes
+                ), count
+            bounded += result.num_bounded
+        assert bounded > 0
 
     def test_missing_keyword_matches_monolithic_error(self):
         g, ontology = small_case()

@@ -2,7 +2,6 @@
 
 import pytest
 
-from repro.core.answer_gen import GeneralizedAnswerGraph
 from repro.core.cost import CostParams
 from repro.core.evaluator import HierarchicalEvaluator
 from repro.core.index import BiGIndex
@@ -91,7 +90,8 @@ class TestOracleClean:
 
 
 class _OverPruningEvaluator(HierarchicalEvaluator):
-    """Deliberately buggy: silently prunes every second candidate answer.
+    """Deliberately buggy: silently prunes every second summary answer's
+    candidate roots.
 
     Models a pruning bug in Sec. 4.3 specialization (a candidate summary
     answer wrongly discarded) — exactly the failure class the oracle
@@ -103,24 +103,13 @@ class _OverPruningEvaluator(HierarchicalEvaluator):
         super().__init__(*args, **kwargs)
         self._spec_calls = 0
 
-    def _specialize_answer(self, *args, **kwargs):
+    def _generate_by_root(self, summary_answer, candidate_roots, *args):
         self._spec_calls += 1
         if self._spec_calls % 2 == 0:
-            return None  # the injected bug: candidate dropped as "pruned"
-        spec = super()._specialize_answer(*args, **kwargs)
-        if spec is None:
-            return None
+            return  # the injected bug: candidate dropped as "pruned"
         # Also over-truncate multi-member specialization sets, the other
         # flavour of the same bug class (harmless on singleton extents).
-        return GeneralizedAnswerGraph(
-            vertices=spec.vertices,
-            edges=spec.edges,
-            spec_sets={
-                supernode: members[:1]
-                for supernode, members in spec.spec_sets.items()
-            },
-            keyword_of=spec.keyword_of,
-        )
+        super()._generate_by_root(summary_answer, candidate_roots[:1], *args)
 
 
 class TestInjectedBug:

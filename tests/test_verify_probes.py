@@ -26,6 +26,7 @@ from repro.graph.digraph import Graph
 from repro.search.banks import BackwardKeywordSearch
 from repro.search.bidirectional import BidirectionalSearch
 from repro.search.blinks import Blinks
+from repro.search.rclique import RClique
 from repro.verify import (
     fuzz_index,
     probes,
@@ -108,7 +109,7 @@ class TestCacheProbe:
     def test_clean_run_passes(self, case):
         _graph, _ontology, build, queries = case
         report = run_cache_drill(
-            build, [BackwardKeywordSearch(d_max=D_MAX)], queries
+            build, [lambda: BackwardKeywordSearch(d_max=D_MAX)], queries
         )
         assert report.ok, report.format()
 
@@ -126,17 +127,34 @@ class TestCacheProbe:
             HierarchicalEvaluator, "_sync_caches", never_invalidates
         )
         report = run_cache_drill(
-            build, [BackwardKeywordSearch(d_max=D_MAX)], queries
+            build, [lambda: BackwardKeywordSearch(d_max=D_MAX)], queries
         )
         assert not report.ok
         text = report.format()
         assert text.startswith("cache:")
         assert "delete_edge" in text or "after op 1" in text
 
+    def test_stale_algorithm_index_is_caught(self, case, monkeypatch):
+        """An r-clique neighbor list that outlives an in-place write
+        answers layer-0 reads and layer-m verification from pre-write
+        distances; the uncached side's own algorithm does not."""
+        _graph, _ontology, build, queries = case
+
+        def ignores_epoch(self, graph):
+            entry = self._index_cache.get(graph)
+            return None if entry is None else entry[1]
+
+        monkeypatch.setattr(RClique, "_index_for", ignores_epoch)
+        report = run_cache_drill(
+            build, [lambda: RClique(radius=2, k=None)], queries
+        )
+        assert not report.ok
+        assert "r-clique" in report.format()
+
     def test_dead_result_cache_is_caught(self, case, dead_result_cache):
         _graph, _ontology, build, queries = case
         report = run_cache_drill(
-            build, [BackwardKeywordSearch(d_max=D_MAX)], queries
+            build, [lambda: BackwardKeywordSearch(d_max=D_MAX)], queries
         )
         assert not report.ok
         text = report.format()
@@ -414,14 +432,17 @@ class TestHarnessFloor:
         assert [case.name for case in report.cases] == [
             "verify-toy-a", "verify-toy-b",
         ]
-        for case, oracle_floor in zip(report.cases, (14, 12)):
+        for case, oracle_floor, cache_floor in zip(
+            report.cases, (14, 12), (72, 48)
+        ):
             assert case.audit.checks_run >= 18
             assert case.oracle.checks >= oracle_floor
             fuzz = case.drills["fuzz"]
             assert fuzz.notes["sequences"] >= 2 and fuzz.notes["ops"] >= 10
             assert fuzz.checks >= 222
             cache = case.drills["cache"]
-            assert cache.checks >= 48 and cache.notes["hits"] >= 24
+            assert cache.checks >= cache_floor
+            assert cache.notes["hits"] >= cache_floor // 2
             assert case.drills["persist"].checks >= 34
             assert case.drills["maintain"].checks >= 9
             shard = case.drills["shard"]
