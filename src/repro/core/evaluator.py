@@ -22,12 +22,13 @@ The evaluator runs the five steps of Fig. 5 / Algo. 2:
      :class:`~repro.search.base.RootedTreeAlgorithm`): root verification.
      The candidate roots are the specializations of each generalized
      answer's root; every candidate root is verified exactly on the data
-     graph with one bounded BFS (``best_hit_for_root``).  Complete
-     because path-preservation guarantees every true root's image is a
-     summary answer root (Lemma 4.1 / Prop. 5.1).  Summary answers and
-     verified roots stay :class:`~repro.search.base.RootHit` tuples — score,
-     root, keyword nodes — and an answer tree is built only for the
-     top-k that leave the evaluator.
+     graph (``best_hit_for_root``: a read of the root's profile, memoized
+     per frozen graph, or one bounded BFS on the heap).  Complete because
+     path-preservation guarantees every true root's image is a summary
+     answer root (Lemma 4.1 / Prop. 5.1).  Summary answers are batches of
+     (score, root) pairs, verified roots stay
+     :class:`~repro.search.base.RootHit` tuples, and an answer tree is
+     built only for the top-k that leave the evaluator.
    * root-free semantics (r-clique): Algorithm 3 assignment enumeration
      (Def. 4.2 qualification + specialization order), each assignment
      verified exactly by the algorithm.
@@ -64,10 +65,13 @@ from __future__ import annotations
 
 import threading
 from bisect import bisect_left, insort
+from contextlib import nullcontext
 from dataclasses import dataclass, field, replace
+from itertools import repeat
 from typing import (
     Callable,
     Dict,
+    Iterable,
     List,
     Mapping,
     Optional,
@@ -93,12 +97,16 @@ from repro.search.base import (
     KeywordQuery,
     KeywordSearchAlgorithm,
     RootedTreeAlgorithm,
-    RootHit,
     top_k,
 )
 from repro.utils.budget import Budget
 from repro.utils.errors import BudgetExceeded, QueryError
 from repro.utils.timers import TimeBreakdown
+
+
+def _timed(breakdown: TimeBreakdown, phase: str, **attrs) -> object:
+    """Time ``phase`` in ``breakdown`` and trace it as a span."""
+    return breakdown.phase(phase, OBS.tracer.span(phase, **attrs))
 
 
 @dataclass
@@ -252,11 +260,11 @@ class Verified:
         self._by_signature[signature] = item
         insort(self._scores, item.score)
 
-    def kth_score(self, k: Optional[int]) -> Optional[float]:
-        """The k-th best score held; ``None`` while fewer than ``k``."""
-        if k is None or len(self._scores) < k:
-            return None
-        return self._scores[k - 1]
+    def dominates(self, k: Optional[int], score: float) -> bool:
+        """Whether ``k`` answers are held and the k-th best scores at most
+        ``score`` (Sec. 4.3.4's termination test)."""
+        scores = self._scores
+        return k is not None and len(scores) >= k and scores[k - 1] <= score
 
     def values(self) -> List:
         return list(self._by_signature.values())
@@ -459,9 +467,7 @@ class HierarchicalEvaluator:
         if k is None:
             k = self.algorithm.k
 
-        with breakdown.phase("layer-selection"), OBS.tracer.span(
-            "layer-selection"
-        ) as selection_span:
+        with _timed(breakdown, "layer-selection") as selection_span:
             forced = layer is not None
             if layer is None:
                 layer = self.cost_model.optimal_layer(query)
@@ -478,19 +484,16 @@ class HierarchicalEvaluator:
         result = EvalResult(answers=[], layer=layer, breakdown=breakdown)
         verified = Verified()
         searcher: Optional[GraphSearcher] = None
-        # The summary answer being specialized/generated when a budget
-        # trips; its score bounds everything not yet derived from it (and,
-        # because streams are consumed in ascending score order, everything
-        # still unread from the stream).
-        current_summary: Union[Answer, RootHit, None] = None
+        # The score of the summary answer being specialized / generated
+        # when a budget trips; it bounds everything not yet derived from
+        # it (and, in a sorted stream, everything still unread).
+        in_flight: Optional[float] = None
         try:
             if layer == 0:
                 # Degenerate case: evaluate directly on the data graph, so
                 # every answer the searcher finds is at once generalized
                 # answer, candidate and verified.
-                with breakdown.phase("explore"), OBS.tracer.span(
-                    "explore", layer=0
-                ):
+                with _timed(breakdown, "explore", layer=0):
                     searcher = self.searcher_for_layer(0)
                     if self.rooted:
                         found = searcher.search_hits(query, budget=budget)
@@ -498,9 +501,7 @@ class HierarchicalEvaluator:
                         found = searcher.search(query, budget=budget)
                 result.num_generalized = result.num_candidates = len(found)
             else:
-                with breakdown.phase("translate"), OBS.tracer.span(
-                    "translate", layer=layer
-                ) as translate_span:
+                with _timed(breakdown, "translate", layer=layer) as translate_span:
                     generalized_keywords = self.index.generalize_query(
                         query, layer
                     )
@@ -520,78 +521,73 @@ class HierarchicalEvaluator:
                 # (Sec. 4.3.4 and boost-dkws's interleaved decomposition,
                 # Sec. 5.2).  Streams are not necessarily score-sorted;
                 # searchers that emit out of order expose a running
-                # ``stream_lower_bound`` instead.  Rooted streams are root
-                # hits: only a summary answer's ``.root`` and ``.score``
-                # are read, so no summary-layer tree is ever built.
+                # ``stream_lower_bound`` instead.  Rooted streams are settled
+                # batches of (score, root) pairs: phases are entered once per
+                # batch, and no summary-layer hit is ever built.
                 searcher = self.searcher_for_layer(layer)
-                with breakdown.phase("explore"), OBS.tracer.span(
-                    "explore", layer=layer
-                ):
-                    if self.rooted:
-                        stream = searcher.iter_hits
-                    else:
-                        stream = searcher.iter_search
-                    summary_stream = stream(generalized_query, budget=budget)
+                if self.rooted:
+                    batches = searcher.root_batches(generalized_query, budget)
+                else:  # one summary answer per batch
+                    batches = (([(answer.score, answer)], None) for answer
+                               in searcher.iter_search(generalized_query, budget))
                 seen_roots: Set[int] = set()
                 reach: Optional[List[Sequence[int]]] = None
-                while True:
-                    current_summary = None
-                    with breakdown.phase("explore"), OBS.tracer.span(
-                        "explore", layer=layer
-                    ):
-                        summary_answer = next(summary_stream, None)
-                    if summary_answer is None:
+                done = False
+                while not done:
+                    in_flight = None
+                    with _timed(breakdown, "explore", layer=layer):
+                        pairs = next(batches, (None,))[0]
+                    if pairs is None:
                         break
-                    current_summary = summary_answer
-                    charge_expansions(budget, 1)
-                    result.num_generalized += 1
-                    kth = verified.kth_score(k)
-                    if kth is not None:
-                        stream_bound = searcher.stream_lower_bound
-                        if stream_bound is None:  # sorted stream
-                            stream_bound = summary_answer.score
-                        if kth <= stream_bound:
-                            break  # Sec. 4.3.4: the rest cannot beat the top-k.
-                        if kth <= summary_answer.score:
-                            continue  # cannot improve; keep streaming
-                    with breakdown.phase("specialize"), OBS.tracer.span(
-                        "specialize", layer=layer
-                    ):
-                        if self.rooted:
+                    specs: Iterable = repeat(None)
+                    if self.rooted:
+                        with _timed(breakdown, "specialize", layer=layer):
                             # Only the root specializes, unpruned: the
                             # keyword matches are re-derived on G^0.
+                            specs = self.index.spec_many(
+                                [root for _, root in pairs], layer
+                            )
+                    with _timed(breakdown, "generate", strategy="root-verify") \
+                            if self.rooted else nullcontext():
+                        for (score, summary), spec in zip(pairs, specs):
+                            in_flight = score
                             charge_expansions(budget, 1)
-                            spec = sorted(self.index.spec_to_base(
-                                summary_answer.root, layer
-                            ))
-                            if OBS.enabled:
-                                OBS.metrics.inc("spec.lookups")
-                                OBS.metrics.observe(
-                                    "spec.candidates_per_lookup", len(spec)
+                            result.num_generalized += 1
+                            bound = searcher.stream_lower_bound
+                            done = verified.dominates(
+                                k, score if bound is None else bound
+                            )
+                            if done:
+                                break  # Sec. 4.3.4: the rest cannot win.
+                            if verified.dominates(k, score):
+                                continue  # cannot improve; keep streaming
+                            if self.rooted:
+                                charge_expansions(budget, 1)  # its spec
+                                if OBS.enabled:
+                                    OBS.metrics.inc("spec.lookups")
+                                    OBS.metrics.observe(
+                                        "spec.candidates_per_lookup", len(spec)
+                                    )
+                                if reach is None and layer >= 2:
+                                    reach = self._layer1_reach(query, budget)
+                                self._generate_by_root(
+                                    score, spec, query, verified, seen_roots,
+                                    result, k, budget, reach,
                                 )
-                        else:
-                            spec = self._specialize_answer(
-                                summary_answer, layer, query,
-                                keyword_by_generalized, budget=budget,
-                            )
-                    if spec is None:
-                        continue
-                    with breakdown.phase("generate"), OBS.tracer.span(
-                        "generate",
-                        strategy="root-verify" if self.rooted else "assignment",
-                    ):
-                        if self.rooted:
-                            if reach is None and layer >= 2:
-                                reach = self._layer1_reach(query, budget)
-                            self._generate_by_root(
-                                summary_answer, spec, query, verified,
-                                seen_roots, result, k, budget, reach,
-                            )
-                        else:
-                            self._generate_by_assignment(
-                                summary_answer, spec, query, verified,
-                                result, budget,
-                            )
+                                continue
+                            with _timed(breakdown, "specialize", layer=layer):
+                                spec = self._specialize_answer(
+                                    summary, layer, query,
+                                    keyword_by_generalized, budget=budget,
+                                )
+                            if spec is None:
+                                continue
+                            with _timed(breakdown, "generate",
+                                        strategy="assignment"):
+                                self._generate_by_assignment(
+                                    summary, spec, query, verified, result,
+                                    budget,
+                                )
                 found = verified.values()
                 if OBS.enabled:
                     OBS.metrics.inc("eval.candidates", result.num_candidates)
@@ -605,7 +601,7 @@ class HierarchicalEvaluator:
                 result.num_generalized = result.num_candidates = len(proven)
             else:
                 found = verified.values()
-                bound = self._proven_bound(exc, searcher, current_summary)
+                bound = self._proven_bound(exc, searcher, in_flight)
                 proven = top_k([a for a in found if a.score < bound], k)
                 unranked = top_k([a for a in found if a.score >= bound], None)
             return DegradedResult(
@@ -655,7 +651,7 @@ class HierarchicalEvaluator:
     def _proven_bound(
         exc: BudgetExceeded,
         searcher: GraphSearcher,
-        current_summary: Union[Answer, RootHit, None],
+        in_flight: Optional[float],
     ) -> float:
         """The score below which an interrupted layer-``m`` walk's verified
         answers are provably the complete ranking.
@@ -667,11 +663,11 @@ class HierarchicalEvaluator:
           scores lower-bound the scores of the data answers specializing
           from them, so they bound everything never emitted by the stream.
         * the searcher's running ``stream_lower_bound`` (out-of-order
-          streams) or ``current_summary.score`` (in-order streams) —
-          bounds the unread rest of a stream interrupted by the
-          *evaluator's* own charges.
-        * ``current_summary.score`` — bounds candidates of the in-flight
-          summary answer not yet verified (Prop. 5.2 again).
+          streams) or the ``in_flight`` score (in-order streams) — bounds
+          the unread rest of a stream interrupted by the *evaluator's*
+          own charges.
+        * ``in_flight``, the score of the summary answer being worked on —
+          bounds its candidates not yet verified (Prop. 5.2 again).
 
         Prop. 5.1 (completeness: every true root's image is a summary
         answer root) guarantees these are the *only* sources, so every
@@ -687,8 +683,8 @@ class HierarchicalEvaluator:
                 bound_candidates.append(float(stream_bound))
         if exc.partial:
             bound_candidates.append(min(a.score for a in exc.partial))
-        if current_summary is not None:
-            bound_candidates.append(current_summary.score)
+        if in_flight is not None:
+            bound_candidates.append(in_flight)
         return min(bound_candidates) if bound_candidates else 0.0
 
     # ------------------------------------------------------------------
@@ -848,7 +844,7 @@ class HierarchicalEvaluator:
     # ------------------------------------------------------------------
     def _specialize_answer(
         self,
-        summary_answer: Union[Answer, RootHit],
+        summary_answer: Answer,
         layer: int,
         query: KeywordQuery,
         keyword_by_generalized: Mapping[str, str],
@@ -904,8 +900,8 @@ class HierarchicalEvaluator:
     # ------------------------------------------------------------------
     def _generate_by_root(
         self,
-        summary_answer: RootHit,
-        candidate_roots: List[int],
+        summary_score: float,
+        candidate_roots: Sequence[int],
         query: KeywordQuery,
         verified: Verified,
         seen_roots: Set[int],
@@ -915,14 +911,14 @@ class HierarchicalEvaluator:
         reach: Optional[List[Sequence[int]]] = None,
     ) -> None:
         """Verify every candidate root (the summary root's sorted
-        specializations) with one bounded BFS.
+        specializations) with ``best_hit_for_root``, one charge each.
 
         The summary hit's score lower-bounds the exact score of every
         root specialized from it (Prop. 5.2), so once the top-k verified
         scores all fall at or below it, the rest of this hit's
         candidates cannot improve the result (Sec. 4.3.4).  A candidate
         the ``reach`` sweeps (:meth:`_layer1_reach`) rule out still
-        counts, but skips the BFS.  Verified roots stay hits;
+        counts, but is not verified.  Verified roots stay hits;
         :meth:`_attempt` builds trees for its top-k.
         """
         best_hit_for_root = self.algorithm.best_hit_for_root
@@ -930,8 +926,7 @@ class HierarchicalEvaluator:
         for root in candidate_roots:
             if root in seen_roots:
                 continue
-            kth = verified.kth_score(k)
-            if kth is not None and kth <= summary_answer.score:
+            if verified.dominates(k, summary_score):
                 return
             charge_expansions(budget, 1)
             seen_roots.add(root)

@@ -323,33 +323,38 @@ class BiGIndex:
         return list(self.layers[m - 1].extent[supernode])
 
     def spec_to_base(self, supernode: int, m: int) -> List[int]:
-        """Fully specialize a layer-``m`` supernode to base (layer-0) vertices.
+        """Fully specialize a layer-``m`` supernode to base vertices, sorted."""
+        return list(self.spec_many([supernode], m)[0])
+
+    def spec_many(self, supernodes: Sequence[int], m: int) -> List[Tuple[int, ...]]:
+        """:meth:`spec_to_base` of each supernode, as sorted tuples.
 
         Memoized per (layer, supernode) under the current :attr:`epoch`:
         answer recovery specializes the same supernodes over and over
         across a query workload, and the fan-out is a pure function of
-        the extent tables.
+        the extent tables.  A batch of summary roots costs one lock.
         """
-        key = (m, supernode)
         with self._memo_lock:
             self._sync_memos()
             epoch = self._memo_epoch
-            cached = self._spec_memo.get(key)
-        if cached is not None:
-            return list(cached)
-        frontier = [supernode]
-        for level in range(m, 0, -1):
-            extent = self.layers[level - 1].extent
-            frontier = [child for s in frontier for child in extent[s]]
-        with self._memo_lock:
-            # Guarded fill: if the epoch moved while we walked the extent
-            # tables, this value belongs to a dead generation — skip the
-            # put instead of poisoning the fresh memo.  Epoch components
-            # are monotone, so equality proves nothing moved.
-            self._sync_memos()
-            if self._memo_epoch == epoch:
-                self._spec_memo.put(key, tuple(frontier))
-        return frontier
+            specs = [self._spec_memo.get((m, s)) for s in supernodes]
+        for i, spec in enumerate(specs):
+            if spec is not None:
+                continue
+            frontier = [supernodes[i]]
+            for level in range(m, 0, -1):
+                extent = self.layers[level - 1].extent
+                frontier = [child for s in frontier for child in extent[s]]
+            specs[i] = spec = tuple(sorted(frontier))
+            with self._memo_lock:
+                # Guarded fill: if the epoch moved while we walked the
+                # extent tables, this value belongs to a dead generation —
+                # skip the put instead of poisoning the fresh memo.  Epoch
+                # components are monotone, so equality proves nothing moved.
+                self._sync_memos()
+                if self._memo_epoch == epoch:
+                    self._spec_memo.put((m, supernodes[i]), spec)
+        return specs
 
     # ------------------------------------------------------------------
     # Query generalization

@@ -115,6 +115,7 @@ class FrozenAdjacency:
         "_rows",
         "_ids",
         "frontiers",
+        "profiles",
     )
 
     def __init__(
@@ -141,6 +142,7 @@ class FrozenAdjacency:
         self._rows: List[Optional[List[Tuple[int, ...]]]] = [None, None]
         self._ids: Optional[List[int]] = None
         self.frontiers = LRUCache(64, kind="frontier")  # frontier_memo()
+        self.profiles = LRUCache(4096, kind="profile")  # profile_memo()
 
     def __getitem__(self, direction: int) -> List[Tuple[int, ...]]:
         rows = self._rows[direction]  # IndexError ends iteration
@@ -506,6 +508,11 @@ class Graph:
         unwritten clones; ``None`` on the heap (see ``BackwardFrontier``)."""
         frozen = self._frozen
         return None if frozen is None else frozen.frontiers
+
+    def profile_memo(self) -> Optional[LRUCache]:
+        """:meth:`frontier_memo`'s twin for root profiles (``nearest_labeled``)."""
+        frozen = self._frozen
+        return None if frozen is None else frozen.profiles
 
     def out_degree(self, v: int) -> int:
         """Number of out-edges of ``v``."""

@@ -10,6 +10,8 @@ keyword node?") searches.
 
 from __future__ import annotations
 
+from array import array
+from bisect import bisect_left
 from collections import deque
 from typing import Dict, Iterable, List, Optional, Set, Tuple
 
@@ -216,3 +218,38 @@ def nearest_labeled_forward(
     if remaining:
         return None
     return {wanted[label_id]: match for label_id, match in found.items()}
+
+
+def nearest_labeled(
+    graph: Graph, root: int, keywords: Iterable[str], d_max: int
+) -> Optional[Dict[str, Tuple[int, int]]]:
+    """:func:`nearest_labeled_forward`, read on a frozen graph from the root's
+    memoized profile (Blinks' node-keyword map: the forward ball's label ids,
+    ascending, each with its smallest ``depth * |V| + vertex`` code)."""
+    memo = graph.profile_memo()
+    if memo is None:
+        return nearest_labeled_forward(graph, root, set(keywords), d_max)
+    n = graph.num_vertices
+    profile = memo.get((root, d_max))
+    if profile is None:
+        successors, seen, frontier, ball = graph.rows()[0], {root}, {root}, [root]
+        for depth in range(1, d_max + 1):
+            frontier = {w for v in frontier for w in successors[v]} - seen
+            seen |= frontier
+            ball += [depth * n + w for w in frontier]
+        ball.sort(reverse=True)  # a label's smallest code is written last
+        nearest = dict(zip([graph.labels[code % n] for code in ball], ball))
+        ids = sorted(nearest)
+        profile = (array("i", ids), array("q", map(nearest.__getitem__, ids)))
+        memo.put((root, d_max), profile)
+    ids, codes = profile
+    found = {}
+    for keyword in keywords:
+        label_id = graph.label_table.get_id(keyword)
+        if label_id is None:
+            return None  # no vertex carries it: unreachable
+        i = bisect_left(ids, label_id)
+        if i == len(ids) or ids[i] != label_id:
+            return None
+        found[keyword] = divmod(codes[i], n)
+    return found

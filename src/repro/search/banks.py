@@ -27,16 +27,17 @@ when the same code runs on a much smaller summary graph.
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, Optional
+from functools import partial
+from itertools import groupby
+from typing import Dict, Iterator, Optional
 
 from repro.graph.digraph import Graph
 from repro.search.base import (
-    USE_BOUND_K,
     BackwardFrontier,
     KeywordQuery,
+    RootBatch,
     RootedSearcher,
     RootedTreeAlgorithm,
-    RootHit,
     unseen_lower_bound,
 )
 from repro.utils.budget import Budget
@@ -46,25 +47,15 @@ from repro.utils.errors import BudgetExceeded
 class BanksSearcher(RootedSearcher):
     """Backward search bound to one graph (bkws keeps no persistent index)."""
 
-    def search_hits(
+    def root_batches(
         self,
         query: KeywordQuery,
         budget: Optional[Budget] = None,
-        k: object = USE_BOUND_K,
-    ) -> List[RootHit]:
-        """Distinct-root hits ranked by total root-to-keyword distance."""
-        return list(self._ranked_hits(query, budget, self._resolve_k(k)))
-
-    def iter_hits(
-        self, query: KeywordQuery, budget: Optional[Budget] = None
-    ) -> Iterator[RootHit]:
-        """Every hit in rank order, each built only when it is read."""
-        return self._ranked_hits(query, budget, None)
-
-    def _ranked_hits(
-        self, query: KeywordQuery, budget: Optional[Budget], k: Optional[int]
-    ) -> Iterator[RootHit]:
-        """The one expansion body: the top-``k`` hits, built as read."""
+        k: Optional[int] = None,
+    ) -> Iterator[RootBatch]:
+        """The one expansion body: the top-``k`` roots of the exhausted
+        frontiers, ranked by total root-to-keyword distance, one batch per
+        score."""
         graph, d_max = self.graph, self.algorithm.d_max
         if not all(map(graph.sorted_vertices_with_label, query)):
             return
@@ -80,6 +71,7 @@ class BanksSearcher(RootedSearcher):
         # (early termination for k answers is exercised by the BiG-index
         # evaluator instead, Sec. 4.3.4).
         scored_roots = self.algorithm.scored_roots
+        hits = partial(self.algorithm.hits, keywords, frontiers)
         active = list(keywords)
         try:
             for frontier in frontiers.values():
@@ -92,14 +84,15 @@ class BanksSearcher(RootedSearcher):
         except BudgetExceeded as exc:
             lower_bound = unseen_lower_bound(frontiers.values())
             ranked = scored_roots(keywords, frontiers, below=lower_bound)[:k]
-            exc.partial = list(self.algorithm.hits(keywords, frontiers, ranked))
+            exc.partial = list(hits(ranked))
             exc.lower_bound = lower_bound
             raise
 
         for frontier in frontiers.values():
             frontier.remember()
         ranked = scored_roots(keywords, frontiers)[:k]
-        yield from self.algorithm.hits(keywords, frontiers, ranked)
+        for _, level in groupby(ranked, key=lambda pair: pair[0]):
+            yield list(level), hits  # one settled score level per batch
 
 
 class BackwardKeywordSearch(RootedTreeAlgorithm):

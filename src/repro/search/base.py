@@ -50,7 +50,7 @@ from typing import (
 from repro.graph.digraph import Graph
 from repro.graph.traversal import (
     bfs_distances,
-    nearest_labeled_forward,
+    nearest_labeled,
     shortest_path,
 )
 from repro.obs.runtime import OBS, charge_expansions
@@ -475,15 +475,15 @@ class RootedTreeAlgorithm(KeywordSearchAlgorithm):
     ) -> Optional[RootHit]:
         """The minimal-score hit rooted at ``root``, or ``None``.
 
-        One forward BFS from the root finds the nearest vertex of each
-        keyword label, stopping as soon as every keyword is found (so
-        verifying a good candidate root touches a small ball); used by
-        the BiG-index evaluator to verify candidate roots coming out of
-        specialization, and by the sharded gather.
+        The nearest vertex of each keyword label is read from the root's
+        profile, memoized once per frozen graph, or on the heap found by
+        one forward BFS that stops as soon as every keyword is found (so
+        verifying a good candidate root touches a small ball); see
+        :func:`nearest_labeled`.  Used by the BiG-index evaluator to
+        verify candidate roots coming out of specialization, by bdws'
+        forward probes and by the sharded gather.
         """
-        found = nearest_labeled_forward(
-            graph, root, set(query.keywords), self.d_max
-        )
+        found = nearest_labeled(graph, root, query.keywords, self.d_max)
         if found is None:
             return None
         score = self.scr({kw: d for kw, (d, _) in found.items()})
@@ -574,11 +574,16 @@ class RootedTreeAlgorithm(KeywordSearchAlgorithm):
         )
 
 
+#: A settled batch: ``(score, root)`` pairs in stream order, and their hit builder.
+RootBatch = Tuple[List[Tuple[float, int]], Callable[..., Iterable[RootHit]]]
+
+
 class RootedSearcher(GraphSearcher):
     """A searcher of a :class:`RootedTreeAlgorithm`: one enumeration body,
-    :meth:`search_hits` (plus :meth:`iter_hits` for a true generator);
-    :meth:`search` / :meth:`iter_search` build trees for the hits they
-    return.  The evaluator and the sharded gather read hits directly."""
+    :meth:`root_batches`, read as hits by :meth:`search_hits` /
+    :meth:`iter_hits` (the sharded gather) and as bare (score, root)
+    pairs by the evaluator; :meth:`search` / :meth:`iter_search` build
+    trees for the hits they return."""
 
     def __init__(self, graph: Graph, algorithm: RootedTreeAlgorithm) -> None:
         super().__init__(graph)
@@ -586,6 +591,17 @@ class RootedSearcher(GraphSearcher):
         self.k = algorithm.k
 
     @abstractmethod
+    def root_batches(
+        self,
+        query: KeywordQuery,
+        budget: Optional[Budget] = None,
+        k: Optional[int] = None,
+    ) -> Iterator[RootBatch]:
+        """The top-``k`` roots in batches the search settles without
+        expanding further (a bkws score level, bdws' ranking, a Blinks level);
+        a budget trip carries the ``partial`` hits and ``lower_bound``
+        the body can prove (Blinks' own: its :meth:`search_hits`)."""
+
     def search_hits(
         self,
         query: KeywordQuery,
@@ -593,12 +609,15 @@ class RootedSearcher(GraphSearcher):
         k: object = USE_BOUND_K,
     ) -> List[RootHit]:
         """:meth:`search` as hits (a budget trip's ``partial`` too)."""
+        batches = self.root_batches(query, budget, self._resolve_k(k))
+        return [hit for pairs, hits in batches for hit in hits(pairs)]
 
     def iter_hits(
         self, query: KeywordQuery, budget: Optional[Budget] = None
     ) -> Iterator[RootHit]:
-        """:meth:`iter_search` as hits."""
-        yield from self.search_hits(query, budget=budget, k=None)
+        """:meth:`iter_search` as hits, each built when it is read."""
+        for pairs, hits in self.root_batches(query, budget):
+            yield from hits(pairs)
 
     def search(
         self,

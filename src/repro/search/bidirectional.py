@@ -25,13 +25,13 @@ accelerates it the same way it accelerates bkws, without modification.
 from __future__ import annotations
 
 import heapq
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, Iterator, List, Optional, Set, Tuple
 
 from repro.graph.digraph import Graph
 from repro.search.base import (
-    USE_BOUND_K,
     BackwardFrontier,
     KeywordQuery,
+    RootBatch,
     RootedSearcher,
     RootedTreeAlgorithm,
     RootHit,
@@ -46,21 +46,21 @@ from repro.utils.errors import BudgetExceeded
 class BidirectionalSearcher(RootedSearcher):
     """Bidirectional expansion bound to one graph."""
 
-    def search_hits(
+    def root_batches(
         self,
         query: KeywordQuery,
         budget: Optional[Budget] = None,
-        k: object = USE_BOUND_K,
-    ) -> List[RootHit]:
-        """Distinct-root hits via prioritized bidirectional expansion."""
-        k = self._resolve_k(k)
+        k: Optional[int] = None,
+    ) -> Iterator[RootBatch]:
+        """Distinct-root hits via prioritized bidirectional expansion, as
+        one eager batch."""
         keywords = query.keywords
         d_max = self.algorithm.d_max
         frontiers: Dict[str, BackwardFrontier] = {}
         for keyword in keywords:
             sources = self.graph.sorted_vertices_with_label(keyword)
             if not sources:
-                return []
+                return
             frontiers[keyword] = BackwardFrontier(self.graph, sources, d_max)
 
         # Priority queue of candidate roots by spreading activation:
@@ -140,7 +140,9 @@ class BidirectionalSearcher(RootedSearcher):
         # Exhaustive completion: any vertex settled by every backward
         # frontier is a root (ensures the same answer set as bkws).
         settled = self.algorithm.settled_hits(keywords, frontiers, skip=confirmed)
-        return top_k(settled + list(confirmed.values()), k)
+        found = top_k(settled + list(confirmed.values()), k)
+        hit_of = {(hit.score, hit.root): hit for hit in found}
+        yield list(hit_of), lambda ranked: map(hit_of.__getitem__, ranked)
 
 
 class BidirectionalSearch(RootedTreeAlgorithm):

@@ -27,18 +27,19 @@ paper's experiments.
 from __future__ import annotations
 
 from bisect import insort
-from typing import Dict, List, Mapping, Optional, Set
+from functools import partial
+from typing import Dict, Iterator, List, Mapping, Optional, Set, Tuple
 
 from repro.graph.digraph import Graph
 from repro.search.base import (
     USE_BOUND_K,
     BackwardFrontier,
     KeywordQuery,
+    RootBatch,
     RootedSearcher,
     RootedTreeAlgorithm,
     RootHit,
     ScoreFunction,
-    top_k,
 )
 from repro.obs.runtime import OBS, charge_expansions
 from repro.utils.budget import Budget
@@ -97,8 +98,9 @@ class _LevelCursor:
 class BlinksSearcher(RootedSearcher):
     """Blinks bound to one graph (nothing is precomputed)."""
 
-    #: The bound of the current / most recent stream (see :meth:`iter_hits`);
-    #: a searcher runs one stream at a time (the evaluator binds per attempt).
+    #: The bound of the current / most recent stream (see
+    #: :meth:`root_batches`); a searcher runs one stream at a time (the
+    #: evaluator binds per attempt).
     stream_lower_bound: float = 0.0
 
     def search_hits(
@@ -109,39 +111,55 @@ class BlinksSearcher(RootedSearcher):
     ) -> List[RootHit]:
         """Distinct-root top-k via round-robin backward expansion.
 
-        Collects discovered hits and stops once the k-th best score is
+        Collects discovered roots and stops once the k-th best score is
         at most the stream's lower bound — every undiscovered root must
-        then score worse.
+        then score worse.  Hits are built for the returned roots only.
         """
         k = self._resolve_k(k)
-        hits: List[RootHit] = []
+        ranked: List[Tuple[float, int]] = []
         scores: List[float] = []
+
+        def top(below: float) -> List[RootHit]:
+            found = sorted(pair for pair in ranked if pair[0] < below)[:k]
+            return list(hits(found)) if found else []
+
         try:
-            for hit in self.iter_hits(query, budget=budget):
-                hits.append(hit)
-                if k is None:
-                    continue
-                insort(scores, hit.score)
-                if len(scores) >= k and scores[k - 1] <= self.stream_lower_bound:
+            for pairs, hits in self.root_batches(query, budget):
+                done = False
+                for pair in pairs:
+                    ranked.append(pair)
+                    if k is not None:
+                        insort(scores, pair[0])
+                        bound = self.stream_lower_bound
+                        done = len(scores) >= k and scores[k - 1] <= bound
+                        if done:
+                            break
+                if done:
                     break
         except BudgetExceeded as exc:
             # Unseen roots score at least the stream bound, so the
             # emitted hits strictly below it are a ranking prefix.
-            lower_bound = self.stream_lower_bound
-            exc.partial = top_k([h for h in hits if h.score < lower_bound], k)
-            exc.lower_bound = lower_bound
+            exc.partial = top(self.stream_lower_bound)
+            exc.lower_bound = self.stream_lower_bound
             raise
-        return top_k(hits, k)
+        return top(float("inf"))
 
-    def iter_hits(self, query: KeywordQuery, budget: Optional[Budget] = None):
-        """Lazily yield distinct-root hits as they are discovered.
+    def root_batches(
+        self,
+        query: KeywordQuery,
+        budget: Optional[Budget] = None,
+        k: Optional[int] = None,
+    ) -> Iterator[RootBatch]:
+        """One batch per cursor level: the roots it settles everywhere, in
+        vertex order, until every cursor is exhausted (``k`` is
+        :meth:`search_hits`' to apply).
 
-        Yields are *not* globally score-sorted (sorting would force full
-        expansion before the first emission); instead
-        :attr:`stream_lower_bound` always holds a sound lower bound on
-        every unseen hit's score: a root not yet yielded is missing
-        from at least one cursor's settled set, so its score is at least
-        that cursor's next depth — at least the minimum active depth.
+        Batches are *not* score-sorted (sorting would force full
+        expansion before the first emission); instead, while a batch is
+        read, :attr:`stream_lower_bound` holds a sound lower bound on
+        every root not yet yielded: such a root is missing from at least
+        one cursor's settled set, so its score is at least that cursor's
+        next depth — at least the minimum active depth.
         """
         self.stream_lower_bound = 0.0
         algorithm = self.algorithm
@@ -156,7 +174,7 @@ class BlinksSearcher(RootedSearcher):
         keywords = query.keywords
         ordered = sorted(keywords)
         dists = [cursors[kw].dist for kw in ordered]
-        origins = [cursors[kw].origin for kw in ordered]
+        hits = partial(algorithm.hits, keywords, cursors)
         emitted: Set[int] = set()
 
         while True:
@@ -166,6 +184,7 @@ class BlinksSearcher(RootedSearcher):
             # Round-robin: advance the cursor with the smallest depth
             # (ties by keyword order), the paper's expansion strategy.
             keyword = min(active, key=lambda kw: cursors[kw].depth)
+            batch: List[Tuple[float, int]] = []
             for vertex in cursors[keyword].take_level(budget):
                 if vertex in emitted:
                     continue
@@ -174,11 +193,11 @@ class BlinksSearcher(RootedSearcher):
                     continue
                 # settled by every cursor: an answer root
                 emitted.add(vertex)
-                yield RootHit(
-                    algorithm.scr(dict(zip(ordered, distances))),
-                    vertex,
-                    tuple(zip(ordered, [o[vertex] for o in origins])),
+                batch.append(
+                    (algorithm.scr(dict(zip(ordered, distances))), vertex)
                 )
+            if batch:
+                yield batch, hits
             active_now = [c for c in cursors.values() if not c.exhausted]
             self.stream_lower_bound = (
                 min(c.depth for c in active_now) if active_now else float("inf")

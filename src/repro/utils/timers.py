@@ -24,17 +24,21 @@ monotonic_now = time.perf_counter
 
 class _Phase:
     """:meth:`TimeBreakdown.phase`: two clock reads and no generator frame
-    (phases wrap per-hit work); a body that raises is timed too."""
+    (phases wrap per-batch work); a body that raises is timed too, and so
+    is an ``inner`` context (a trace span) entered inside the phase."""
 
-    __slots__ = ("_totals", "_name", "_start")
+    __slots__ = ("_totals", "_name", "_start", "_inner")
 
-    def __init__(self, totals: Dict[str, float], name: str) -> None:
-        self._totals, self._name = totals, name
+    def __init__(self, totals: Dict[str, float], name: str, inner=None) -> None:
+        self._totals, self._name, self._inner = totals, name, inner
 
-    def __enter__(self) -> None:
+    def __enter__(self) -> object:
         self._start = monotonic_now()
+        return None if self._inner is None else self._inner.__enter__()
 
     def __exit__(self, *exc_info: object) -> None:
+        if self._inner is not None:
+            self._inner.__exit__(*exc_info)
         totals, name = self._totals, self._name
         totals[name] = totals.get(name, 0.0) + (monotonic_now() - self._start)
 
@@ -54,9 +58,10 @@ class TimeBreakdown:
     def __init__(self) -> None:
         self.totals: Dict[str, float] = {}
 
-    def phase(self, name: str) -> _Phase:
-        """Context manager timing one phase; time accumulates across uses."""
-        return _Phase(self.totals, name)
+    def phase(self, name: str, inner: object = None) -> _Phase:
+        """Context manager timing one phase (and ``inner``, entered inside
+        it); time accumulates across uses."""
+        return _Phase(self.totals, name, inner)
 
     def add(self, name: str, seconds: float) -> None:
         """Add ``seconds`` to phase ``name`` directly."""

@@ -113,6 +113,10 @@ class CacheProbe(IndexProbe):
                     report.notes["hits"] += hits
 
 
+#: A frozen graph's memos (``Graph.<kind>_memo()``, cache kind ``<kind>``).
+MEMOS = ("frontier", "profile")
+
+
 def _fresh_edge(index: BiGIndex) -> Optional[Tuple[int, int]]:
     """A deterministic absent edge of ``index``'s base graph (the
     persistence probe's detach mutation)."""
@@ -139,8 +143,8 @@ class PersistProbe(IndexProbe):
 
     1. **Round-trip identity** — the reload reproduces the live index's
        :meth:`~repro.core.index.BiGIndex.state_digest` and answers every
-       probe query with the exact same outcome, frontier memo cold and
-       warm (a memo that missed cold must hit warm).
+       probe query with the exact same outcome, frontier and profile
+       memos cold and warm (a memo that missed cold must hit warm).
     2. **Warm-start contract** — the reload reports itself mmap-backed
        on every graph and does not rebuild postings on first use (the
        ``postings.build`` counter stays at zero).
@@ -172,11 +176,12 @@ class PersistProbe(IndexProbe):
                     self.report.check(actual == expected, f"{at}, memo {run}"
                                       f"): {actual!r} != expected {expected!r}")
                 counters = inst.metrics.counters()
-                self.report.check(
-                    "cache.miss.frontier" not in counters
-                    or "cache.hit.frontier" in counters,
-                    f"{at}): frontier memo never hit on the warm run",
-                )
+                for memo in MEMOS:
+                    self.report.check(
+                        f"cache.miss.{memo}" not in counters
+                        or f"cache.hit.{memo}" in counters,
+                        f"{at}): {memo} memo never hit on the warm run",
+                    )
 
     def check(self, context: str) -> None:
         report, where = self.report, f"persist ({context}"
@@ -226,10 +231,12 @@ class PersistProbe(IndexProbe):
                 f"from the same insertion on a heap clone "
                 f"({loaded.state_digest()} != {twin.state_digest()})",
             )
-            kept = [g for g in loaded.iter_layer_graphs()
-                    if not g.is_mmap_backed and g.frontier_memo() is not None]
-            report.check(not kept, f"{where}): detached graph(s) kept their "
-                         f"frontier memo after inserting edge {edge}")
+            for memo in MEMOS:
+                kept = [g for g in loaded.iter_layer_graphs()
+                        if not g.is_mmap_backed
+                        and getattr(g, f"{memo}_memo")() is not None]
+                report.check(not kept, f"{where}): detached graph(s) kept "
+                             f"their {memo} memo after inserting edge {edge}")
             self._agree(f"{where}, after inserting {edge}", loaded, twin)
 
 

@@ -364,6 +364,33 @@ class TestPostingsThreading:
         assert len(frozen.frontier_memo()) == 1
         assert searcher.search(query) == expected  # served by the entry
 
+    def test_concurrent_first_profile_lookups_agree(
+        self, random_graph_factory, frozen_twin
+    ):
+        """8 threads verify one root on an mmap-backed graph at once: every
+        racing miss builds the root's profile, one entry is kept, and
+        all of them equal the heap graph's early-stopping BFS."""
+        graph = random_graph_factory(seed=9)
+        frozen = frozen_twin(graph)
+        query = KeywordQuery(["A", "B"])
+        algorithm = BackwardKeywordSearch(d_max=3)
+        root = next(
+            r for r in range(graph.num_vertices)
+            if algorithm.best_hit_for_root(graph, r, query) is not None
+        )
+        results = [None] * 8
+        start = threading.Barrier(8)
+
+        def worker(worker_id):
+            start.wait()
+            results[worker_id] = algorithm.best_hit_for_root(frozen, root, query)
+
+        run_threads(8, worker)
+        expected = algorithm.best_hit_for_root(graph, root, query)
+        assert all(r == expected for r in results)
+        assert len(frozen.profile_memo()) == 1
+        assert algorithm.best_hit_for_root(frozen, root, query) == expected
+
     def test_snapshot_hammer_with_csr_rebuilds(self, random_graph_factory):
         graph = random_graph_factory(seed=8)
 

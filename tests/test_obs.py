@@ -611,7 +611,11 @@ _QUERY_SPAN_FILES = ("core/evaluator.py",)
 _METRIC_CALL = re.compile(
     r"(?:metrics\.(?:inc|observe|gauge)|_metric_inc)\(\s*f?\"([^\"]+)\""
 )
-_SPAN_CALL = re.compile(r"tracer\.span\(\s*\"([^\"]+)\"")
+#: Tracer calls, plus ``evaluator._timed`` (the evaluator's wrapper that
+#: times a phase and traces it under the same name).
+_SPAN_CALL = re.compile(
+    r"(?:tracer\.span|_timed)\(\s*(?:breakdown,\s*)?\"([^\"]+)\""
+)
 _CACHE_KIND = re.compile(r"LRUCache\([^)]*kind=\"([^\"]+)\"")
 
 
@@ -693,7 +697,7 @@ class TestTelemetryAudit:
             if prefix == "`cache.`"
         ]
         documented = set(_names(re.search(r"∈ ([^)]*)\)", row).group(1)))
-        assert emitted == documented == {"result", "spec", "frontier"}
+        assert emitted == documented == {"result", "spec", "frontier", "profile"}
 
     def test_core_metrics_match_the_docs(self):
         emitted, documented = _metric_audit(_CORE_PREFIXES)

@@ -70,29 +70,35 @@ def case():
     return graph, ontology, build, probe_queries(graph)
 
 
+def never_store(monkeypatch, kind):
+    """Plant: every ``LRUCache`` of ``kind`` drops its puts, so it never
+    hits; only its hit counter can tell."""
+    real_put = LRUCache.put
+
+    def put_unless(self, key, value):
+        if self.kind != kind:
+            real_put(self, key, value)
+
+    monkeypatch.setattr(LRUCache, "put", put_unless)
+
+
 @pytest.fixture
 def dead_result_cache(monkeypatch):
     """Plant: a result cache that never fills answers correctly — and
     never hits; only the hit counter can tell."""
-    real_put = LRUCache.put
-
-    def put_unless_result(self, key, value):
-        if self.kind != "result":
-            real_put(self, key, value)
-
-    monkeypatch.setattr(LRUCache, "put", put_unless_result)
+    never_store(monkeypatch, "result")
 
 
 @pytest.fixture
 def dead_frontier_memo(monkeypatch):
     """Plant: a frontier memo that never stores, so it never hits."""
-    real_put = LRUCache.put
+    never_store(monkeypatch, "frontier")
 
-    def put_unless_frontier(self, key, value):
-        if self.kind != "frontier":
-            real_put(self, key, value)
 
-    monkeypatch.setattr(LRUCache, "put", put_unless_frontier)
+@pytest.fixture
+def dead_profile_memo(monkeypatch):
+    """Plant: a root-profile memo that never stores, so it never hits."""
+    never_store(monkeypatch, "profile")
 
 
 @pytest.fixture
@@ -190,6 +196,16 @@ class TestPersistProbe:
         assert not report.ok
         assert "frontier memo never hit" in report.format()
 
+    def test_dead_profile_memo_is_caught(self, case, dead_profile_memo):
+        _graph, _ontology, build, queries = case
+        report = run_persistence_drill(
+            build, [BackwardKeywordSearch(d_max=D_MAX)], queries[:2]
+        )
+        assert not report.ok
+        text = report.format()
+        assert "profile memo never hit" in text
+        assert "frontier memo" not in text
+
     def test_memo_kept_across_detach_is_caught(self, case, monkeypatch):
         """Plant: a detach that keeps the frozen payload, and with it the
         memo of frontiers expanded on the pre-write adjacency."""
@@ -207,6 +223,7 @@ class TestPersistProbe:
         )
         assert not report.ok
         assert "kept their frontier memo" in report.format()
+        assert "kept their profile memo" in report.format()
 
     def test_edge_dropped_by_reload_is_caught(self, case, monkeypatch):
         _graph, _ontology, build, queries = case
@@ -439,11 +456,11 @@ class TestHarnessFloor:
             assert case.oracle.checks >= oracle_floor
             fuzz = case.drills["fuzz"]
             assert fuzz.notes["sequences"] >= 2 and fuzz.notes["ops"] >= 10
-            assert fuzz.checks >= 222
+            assert fuzz.checks >= 262
             cache = case.drills["cache"]
             assert cache.checks >= cache_floor
             assert cache.notes["hits"] >= cache_floor // 2
-            assert case.drills["persist"].checks >= 34
+            assert case.drills["persist"].checks >= 44
             assert case.drills["maintain"].checks >= 9
             shard = case.drills["shard"]
             assert shard.checks >= 36
