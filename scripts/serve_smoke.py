@@ -20,6 +20,10 @@ Observability checks ride along:
   served index is loaded from disk, so its frozen graphs memoize keyword
   frontiers, and queries sharing a keyword hit the memo (budgeted ones
   too, unless a starved cap cannot afford the hits).
+* ``/healthz``'s aggregate ``cache.hits`` / ``misses`` must equal the
+  per-kind ``cache.hit.<kind>`` / ``cache.miss.<kind>`` sums scraped
+  from ``GET /metrics``: the aggregate is derived from the kinds, and
+  no cache lookup runs between the two reads once the workload is over.
 * ``--prom-out FILE`` scrapes ``GET /metrics`` with ``Accept:
   text/plain`` after the workload, validates the body with the strict
   Prometheus parser (:func:`repro.obs.promtext.parse_prometheus`),
@@ -160,6 +164,34 @@ def check_frontier_memo(client: ServeClient) -> int:
         )
         return 1
     print(f"metrics: cache.hit.frontier = {hits}")
+    return 0
+
+
+def check_cache_health(client: ServeClient) -> int:
+    """``/healthz``'s ``cache.hits`` / ``misses`` == the per-kind sums."""
+    health = client.healthz().payload
+    metrics = client.metrics().payload
+    if not isinstance(health, dict) or not isinstance(metrics, dict):
+        print("FAIL: /healthz or /metrics answered no JSON object",
+              file=sys.stderr)
+        return 1
+    cache, counters = health.get("cache", {}), metrics.get("counters", {})
+    for field, prefix in (("hits", "cache.hit."), ("misses", "cache.miss.")):
+        summed = sum(
+            value for name, value in counters.items()
+            if name.startswith(prefix)
+        )
+        if cache.get(field) != summed:
+            print(
+                f"FAIL: /healthz cache.{field} is {cache.get(field)}, but "
+                f"the {prefix}<kind> counters on /metrics sum to {summed}",
+                file=sys.stderr,
+            )
+            return 1
+    print(
+        f"healthz: cache.hits = {cache['hits']}, cache.misses = "
+        f"{cache['misses']}, the per-kind sums on /metrics"
+    )
     return 0
 
 
@@ -326,6 +358,7 @@ def main() -> int:
         sent = health.attempts + sum(t.exchanges for t in tallies)
         count_rc = check_request_count(client, before, 1 + sent)
         memo_rc = check_frontier_memo(client)
+        health_rc = check_cache_health(client)
         prom_rc = (
             check_prometheus(client, args.prom_out)
             if args.prom_out else 0
@@ -367,7 +400,7 @@ def main() -> int:
     if statuses.get(200, 0) == 0:
         print("FAIL: no successful responses", file=sys.stderr)
         return 1
-    return count_rc or memo_rc or prom_rc or access_rc
+    return count_rc or memo_rc or health_rc or prom_rc or access_rc
 
 
 if __name__ == "__main__":

@@ -496,8 +496,8 @@ def section_query(fixture: Fixture, repeats: int) -> Metrics:
     """``query.cold`` / ``query.warm`` / ``query.batch`` — the boosted
     query path (``eval_Ont`` via ``boost-bkws``) on the 2-layer index.
 
-    Cold drops every cache (postings, ``Gen``/``Spec`` memos) and runs on
-    a new evaluator (an empty result cache); warm repeats the workload on
+    Cold drops every cache (postings, the ``Spec`` memo) and runs on a
+    new evaluator (an empty result cache); warm repeats the workload on
     one evaluator so the second pass is served from the result cache; batch
     runs the workload (queries x 4) through ``evaluate_many``.  Only the
     batch is timed (cold and warm latency are ``eval.total_ms`` and

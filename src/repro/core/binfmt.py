@@ -46,7 +46,7 @@ import os
 import struct
 import sys
 from array import array
-from typing import Any, Dict, Iterable, Iterator, List, Sequence, Union
+from typing import Any, Dict, Iterable, List, Sequence, Union
 
 from repro.utils.errors import IndexCorruptedError
 
@@ -73,61 +73,15 @@ def _le_bytes(values: array) -> Union[array, bytes]:
 
 
 # ----------------------------------------------------------------------
-# Zero-copy sequence views
+# Zero-copy extent table
 # ----------------------------------------------------------------------
-class IntVector:
-    """An immutable int sequence over a loaded i32 section.
-
-    Behaves like a read-only ``list[int]`` — indexing, slicing,
-    iteration, ``len`` and *element-wise equality against any sequence*
-    — while the storage stays a ``memoryview`` into the mmap (or an
-    ``array('i')`` on the byteswap fallback path).  ``Layer.parent_of``
-    loaded from a v4 index is one of these; heap-built indexes keep
-    using plain lists, and the two compare equal when their elements do.
-    """
-
-    __slots__ = ("_data",)
-
-    def __init__(self, data: Sequence[int]) -> None:
-        self._data = data
-
-    def __len__(self) -> int:
-        return len(self._data)
-
-    def __getitem__(self, item):
-        if isinstance(item, slice):
-            return IntVector(self._data[item])
-        return self._data[item]
-
-    def __iter__(self) -> Iterator[int]:
-        return iter(self._data)
-
-    def __contains__(self, value: object) -> bool:
-        return any(v == value for v in self._data)
-
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, IntVector):
-            other = other._data
-        if not isinstance(other, (list, tuple, array, memoryview, range)):
-            return NotImplemented
-        if len(self._data) != len(other):
-            return False
-        return list(self._data) == list(other)
-
-    __hash__ = None  # type: ignore[assignment] - mutable-view semantics
-
-    def tolist(self) -> List[int]:
-        return list(self._data)
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"IntVector({list(self._data)!r})"
-
-
 class ExtentTable:
     """Bisim⁻¹ table as two i32 sections: row offsets + children.
 
-    ``table[s]`` is supernode ``s``'s sorted child list (an
-    :class:`IntVector` slice — zero copy).  Compares equal to a
+    ``table[s]`` is supernode ``s``'s sorted child list, a plain slice
+    of the children section (zero copy: a ``memoryview``, or an
+    ``array('i')`` on the byteswap fallback).  Hides the CSR layout
+    behind ``len`` / indexing / iteration, and compares equal to a
     list-of-lists with the same rows, so heap-built and v4-loaded
     layers are interchangeable in tests and the differential harness.
     """
@@ -147,27 +101,16 @@ class ExtentTable:
         index = item + len(self) if item < 0 else item
         if not 0 <= index < len(self):
             raise IndexError(f"supernode {item} out of range")
-        return IntVector(
-            self._children[self._offsets[index] : self._offsets[index + 1]]
-        )
+        return self._children[self._offsets[index] : self._offsets[index + 1]]
 
     def __iter__(self):
         for i in range(len(self)):
             yield self[i]
 
     def __eq__(self, other: object) -> bool:
-        if isinstance(other, ExtentTable):
-            if len(self) != len(other):
-                return False
-            return all(
-                list(mine) == list(theirs)
-                for mine, theirs in zip(self, other)
-            )
-        if not isinstance(other, (list, tuple)):
+        if not isinstance(other, (ExtentTable, list, tuple)):
             return NotImplemented
-        if len(self) != len(other):
-            return False
-        return all(
+        return len(self) == len(other) and all(
             list(mine) == list(theirs) for mine, theirs in zip(self, other)
         )
 

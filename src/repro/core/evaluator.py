@@ -63,7 +63,6 @@ guarantees.
 
 from __future__ import annotations
 
-import threading
 from bisect import bisect_left, insort
 from contextlib import nullcontext
 from dataclasses import dataclass, field, replace
@@ -290,10 +289,12 @@ class HierarchicalEvaluator:
     cache_size:
         Capacity of the per-evaluator query-result LRU (``0`` disables
         caching).  Cached and uncached evaluation are byte-identical —
-        entries are keyed by the canonicalized query plus every argument
-        that affects the ranking and dropped whenever the index's
-        ``epoch`` moves; budgeted executions bypass the cache entirely
-        (see :meth:`evaluate`).
+        entries are keyed by the index's ``epoch``, read before the
+        attempt, plus the canonicalized query and every argument that
+        affects the ranking.  Epoch components only grow, so a result
+        computed under a superseded epoch sits under a key no later
+        lookup forms and ages out of the LRU; budgeted executions bypass
+        the cache entirely (see :meth:`evaluate`).
     """
 
     def __init__(
@@ -315,29 +316,6 @@ class HierarchicalEvaluator:
         self._result_cache: Optional[LRUCache] = (
             LRUCache(cache_size, kind="result") if cache_size else None
         )
-        #: index epoch the result cache holds; ``None`` = never synced.
-        self._epoch: Optional[Tuple[int, int]] = None
-        # Orders epoch sync against result-cache fills under concurrent
-        # readers (the serve handlers share one evaluator per snapshot):
-        # without it a reader could install a result computed under an
-        # epoch another thread just invalidated.
-        self._cache_lock = threading.Lock()
-
-    # ------------------------------------------------------------------
-    # Maintenance-aware caching
-    # ------------------------------------------------------------------
-    def _sync_caches(self) -> None:
-        """Drop cached results if the index has moved; the caller holds
-        ``_cache_lock``.  Checking the epoch on every cache access keeps
-        long-lived evaluators correct across
-        :meth:`BiGIndex.insert_edge` & co."""
-        epoch = self.index.epoch
-        if self._epoch != epoch:
-            if self._epoch is not None and OBS.enabled:
-                OBS.metrics.inc("cache.invalidations")
-            self._epoch = epoch
-            if self._result_cache is not None:
-                self._result_cache.clear()
 
     @staticmethod
     def _copy_result(result: EvalResult) -> EvalResult:
@@ -395,10 +373,10 @@ class HierarchicalEvaluator:
             complete below its ``lower_bound``
             (:meth:`evaluate_resilient` degrades instead).
 
-        Unbudgeted evaluations are memoized per canonical (query, layer,
-        k) key; a hit replays the stored ranking byte-for-byte (the
-        ``verify`` cache drill enforces the identity).  Budgeted runs
-        always execute and are never stored: a
+        Unbudgeted evaluations are memoized per (index epoch, canonical
+        query, layer, k) key; a hit replays the stored ranking
+        byte-for-byte (the ``verify`` cache drill enforces the identity).
+        Budgeted runs always execute and are never stored: a
         :class:`~repro.utils.budget.Budget` is a stateful ledger, so
         whether a run completes depends on what was already charged, on
         the wall clock and on an external cancellation token — and a
@@ -408,25 +386,19 @@ class HierarchicalEvaluator:
         if k is None:
             k = self.algorithm.k
         key: Optional[Tuple] = None
-        with self._cache_lock:
-            self._sync_caches()
-            epoch = self._epoch
-            if self._result_cache is not None and budget is None:
-                # Keywords are canonicalized sorted: answer sets are
-                # keyword-order independent (a set semantics the
-                # exactness tests pin down).
-                key = (tuple(sorted(query.keywords)), layer, k)
-                hit = self._result_cache.get(key)
-                if hit is not None:
-                    if OBS.enabled:
-                        with OBS.tracer.span("result-cache") as span:
-                            span.annotate(
-                                **{
-                                    "query.warm": True,
-                                    "answers": len(hit.answers),
-                                }
-                            )
-                    return self._copy_result(hit)
+        if self._result_cache is not None and budget is None:
+            # Keywords are canonicalized sorted: answer sets are
+            # keyword-order independent (a set semantics the exactness
+            # tests pin down).
+            key = (self.index.epoch, tuple(sorted(query.keywords)), layer, k)
+            hit = self._result_cache.get(key)
+            if hit is not None:
+                if OBS.enabled:
+                    with OBS.tracer.span("result-cache") as span:
+                        span.annotate(
+                            **{"query.warm": True, "answers": len(hit.answers)}
+                        )
+                return self._copy_result(hit)
         result = self._attempt(query, layer, k, budget)
         if result.degraded:
             raise BudgetExceeded(
@@ -436,13 +408,7 @@ class HierarchicalEvaluator:
                 lower_bound=result.lower_bound,
             )
         if key is not None:
-            with self._cache_lock:
-                # Guarded fill: a result computed under a superseded
-                # epoch must not land in the cache (epoch components are
-                # monotone, so equality proves no movement since the
-                # lookup synced the cache).
-                if self.index.epoch == epoch:
-                    self._result_cache.put(key, self._copy_result(result))
+            self._result_cache.put(key, self._copy_result(result))
         return result
 
     def _attempt(

@@ -33,7 +33,6 @@ Maintenance (Sec. 3.2):
 from __future__ import annotations
 
 import hashlib
-import threading
 from dataclasses import dataclass, field, replace
 from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
@@ -73,8 +72,10 @@ class Layer:
     parent_of:
         ``parent_of[v]`` is the supernode of layer-(i-1) vertex ``v`` —
         the per-layer ``chi`` map.  A plain list on heap-built indexes;
-        a zero-copy :class:`repro.core.binfmt.IntVector` when loaded
-        from a v4 container (the two compare equal element-wise).
+        on a v4 load the section itself, zero copy: a
+        ``memoryview.cast("i")`` over the mmap (an ``array('i')`` on the
+        big-endian fallback).  A loaded map does not compare ``==`` to a
+        list; compare ``list(parent_of)``.
     extent:
         ``extent[s]`` lists the layer-(i-1) vertices of supernode ``s`` —
         the per-layer ``chi^{-1}`` hash table.  List-of-lists on heap
@@ -119,17 +120,8 @@ class BiGIndex:
         self.drift = 0
         #: bumped whenever maintenance replaces layers (see ``epoch``).
         self._maintenance_epoch = 0
-        # Gen^m / Spec memos, valid only for the epoch they were filled at.
-        self._memo_epoch: Optional[Tuple[int, int]] = None
-        self._gen_memo: Dict[Tuple[Tuple[str, ...], int], Tuple[str, ...]] = {}
+        #: Spec fan-outs keyed by (epoch, layer, supernode).
         self._spec_memo = LRUCache(4096, kind="spec")
-        # Orders memo sync/fill against concurrent readers: without it, a
-        # reader could publish a value computed under epoch e into a memo
-        # another thread just cleared for epoch e' (stale-fill poisoning).
-        # Reentrant because generalize_query may be reached from a locked
-        # section.  Mutation itself still needs external exclusion (the
-        # serve runtime's write lock); this lock protects the memos.
-        self._memo_lock = threading.RLock()
 
     # ------------------------------------------------------------------
     # Construction
@@ -224,33 +216,18 @@ class BiGIndex:
         :meth:`insert_edge`/:meth:`delete_edge`/:meth:`rebuild`/
         :meth:`remove_ontology_edge`) with the base graph's
         ``mutation_epoch``, so direct mutation of ``base_graph`` also
-        invalidates.  Anything derived from layers, configurations, or
-        the data graph — ``Gen^m`` translations, ``Spec`` fan-outs,
-        whole query results — must be keyed by (or guarded on) this.
+        moves it.  Anything derived from layers, configurations, or
+        the data graph and cached — ``Spec`` fan-outs, whole query
+        results — is keyed by this: both components only grow, so a
+        value computed under a superseded epoch sits under a key no
+        later lookup forms.
         """
         return (self._maintenance_epoch, self.base_graph.mutation_epoch)
 
-    def _sync_memos(self) -> None:
-        """Clear the Gen/Spec memos if the index moved since they filled.
-
-        Callers that go on to read or fill a memo must do so while still
-        holding ``_memo_lock`` (the memoized entry points below) so a
-        concurrent clear cannot interleave between the epoch check and
-        the memo access.
-        """
-        with self._memo_lock:
-            epoch = self.epoch
-            if self._memo_epoch != epoch:
-                self._memo_epoch = epoch
-                self._gen_memo.clear()
-                self._spec_memo.clear()
-
     def drop_caches(self) -> None:
-        """Release the Gen/Spec memos (e.g. for cold-start benchmarks)."""
-        with self._memo_lock:
-            self._memo_epoch = None
-            self._gen_memo.clear()
-            self._spec_memo.clear()
+        """Release the Spec memo (e.g. for cold-start benchmarks); the
+        memo needs no other invalidation, its keys carry the epoch."""
+        self._spec_memo.clear()
 
     # ------------------------------------------------------------------
     # Inspection
@@ -329,15 +306,16 @@ class BiGIndex:
     def spec_many(self, supernodes: Sequence[int], m: int) -> List[Tuple[int, ...]]:
         """:meth:`spec_to_base` of each supernode, as sorted tuples.
 
-        Memoized per (layer, supernode) under the current :attr:`epoch`:
-        answer recovery specializes the same supernodes over and over
-        across a query workload, and the fan-out is a pure function of
-        the extent tables.  A batch of summary roots costs one lock.
+        Memoized per (:attr:`epoch`, layer, supernode): answer recovery
+        specializes the same supernodes over and over across a query
+        workload, and the fan-out is a pure function of the extent
+        tables.  The epoch is read once per batch, before any table is
+        walked, so a batch racing a write files its values under the
+        superseded epoch.
         """
-        with self._memo_lock:
-            self._sync_memos()
-            epoch = self._memo_epoch
-            specs = [self._spec_memo.get((m, s)) for s in supernodes]
+        epoch = self.epoch
+        memo = self._spec_memo
+        specs = [memo.get((epoch, m, s)) for s in supernodes]
         for i, spec in enumerate(specs):
             if spec is not None:
                 continue
@@ -346,45 +324,19 @@ class BiGIndex:
                 extent = self.layers[level - 1].extent
                 frontier = [child for s in frontier for child in extent[s]]
             specs[i] = spec = tuple(sorted(frontier))
-            with self._memo_lock:
-                # Guarded fill: if the epoch moved while we walked the
-                # extent tables, this value belongs to a dead generation —
-                # skip the put instead of poisoning the fresh memo.  Epoch
-                # components are monotone, so equality proves nothing moved.
-                self._sync_memos()
-                if self._memo_epoch == epoch:
-                    self._spec_memo.put((m, supernodes[i]), spec)
+            memo.put((epoch, m, supernodes[i]), spec)
         return specs
 
     # ------------------------------------------------------------------
     # Query generalization
     # ------------------------------------------------------------------
     def generalize_keyword(self, keyword: str, m: int) -> str:
-        """``Gen^m`` of one keyword through ``C^1 ... C^m`` (memoized)."""
-        key = ((keyword,), m)
-        with self._memo_lock:
-            self._sync_memos()
-            cached = self._gen_memo.get(key)
-            if cached is None:
-                cached = (generalize_label(keyword, self.configs_up_to(m)),)
-                self._gen_memo[key] = cached
-        return cached[0]
+        """``Gen^m`` of one keyword through ``C^1 ... C^m``."""
+        return generalize_label(keyword, self.configs_up_to(m))
 
     def generalize_query(self, query: KeywordQuery, m: int) -> List[str]:
-        """``Gen^m(Q)`` as a list (may contain collisions; see Def. 4.1).
-
-        Memoized under the current :attr:`epoch` — layer selection probes
-        ``Gen^m(Q)`` for every candidate layer of every query, and the
-        translation only changes when a configuration does.
-        """
-        key = (query.keywords, m)
-        with self._memo_lock:
-            self._sync_memos()
-            cached = self._gen_memo.get(key)
-            if cached is None:
-                cached = tuple(generalize_query(query, self.configs_up_to(m)))
-                self._gen_memo[key] = cached
-        return list(cached)
+        """``Gen^m(Q)`` as a list (may contain collisions; see Def. 4.1)."""
+        return generalize_query(query, self.configs_up_to(m))
 
     def query_distinct_at(self, query: KeywordQuery, m: int) -> bool:
         """Def. 4.1 condition 1: ``|Gen^m(Q)| = |Q)|``."""
@@ -476,8 +428,12 @@ class BiGIndex:
         :meth:`Graph.cow_clone`).  Mutating the clone leaves this index —
         and any reader still pinning it — byte-identical to before.
 
-        Memos start empty on the clone (they are epoch-guarded caches, not
-        state), and the construction report is shared read-only.
+        The clone gets a fresh, empty Spec memo rather than sharing this
+        one: its keys carry the :attr:`epoch`, but two clones of one
+        parent can take different writes and reach equal epochs with
+        different states, so an epoch identifies a state only within
+        one index's own history.  The construction report is shared
+        read-only.
         """
         clone = BiGIndex.__new__(BiGIndex)
         clone.base_graph = self.base_graph.cow_clone()
@@ -486,10 +442,7 @@ class BiGIndex:
         clone.report = self.report
         clone.drift = self.drift
         clone._maintenance_epoch = self._maintenance_epoch
-        clone._memo_epoch = None
-        clone._gen_memo = {}
         clone._spec_memo = LRUCache(4096, kind="spec")
-        clone._memo_lock = threading.RLock()
         if OBS.enabled:
             OBS.metrics.inc("cow.index.clones")
         return clone

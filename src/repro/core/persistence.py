@@ -79,7 +79,6 @@ from typing import Any, Dict, Iterator, NoReturn
 
 from repro.core.binfmt import (
     ExtentTable,
-    IntVector,
     SectionFile,
     SectionWriter,
 )
@@ -627,7 +626,7 @@ def _load_v4(
             Layer(
                 config=config,
                 graph=graph,
-                parent_of=IntVector(parent_of),
+                parent_of=parent_of,
                 extent=ExtentTable(ext_offsets, ext_children),
             )
         )

@@ -120,7 +120,7 @@ class QueryCostModel:
             cost=cost,
             size_ratio=ratio,
             support_ratio=support_ratio,
-            distinct=self.index.query_distinct_at(query, m),
+            distinct=len(set(generalized)) == len(generalized),
         )
 
     def all_layer_costs(self, query: KeywordQuery) -> List[LayerCost]:

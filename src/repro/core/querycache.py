@@ -1,21 +1,22 @@
-"""Maintenance-aware caching primitives for the query-serving path.
+"""Bounded caching for the query-serving path.
 
-PRs 3–4 made index *construction* fast; the remaining cold-start cost at
-query time is derived data recomputed per query — ``Gen^m`` keyword
-translations, ``Spec``/answer-recovery fan-outs, and whole query results
-for repeated workloads.  This module provides the piece every such
-cache shares: :class:`LRUCache`, a small thread-safe LRU with
-``cache.hit`` / ``cache.miss`` telemetry, used for the evaluator's
-query-result cache and the index's specialization memo.  (Budgeted
-executions never reach the result cache; see
+Derived data recomputed per query — ``Spec``/answer-recovery fan-outs,
+keyword frontiers and root profiles on frozen graphs, whole query
+results for repeated workloads — is memoized in :class:`LRUCache`, a
+small thread-safe LRU with ``cache.hit.<kind>`` / ``cache.miss.<kind>``
+telemetry.  (Budgeted executions never reach the result cache; see
 :meth:`repro.core.evaluator.HierarchicalEvaluator.evaluate` for why.)
 
-Invalidation is **epoch-based**: every :class:`~repro.graph.digraph.Graph`
+Caches key on the state they derive from instead of being invalidated.
+The frozen-graph memos hang off the frozen adjacency itself and go with
+it on the first write.  Every :class:`~repro.graph.digraph.Graph`
 carries a ``mutation_epoch`` bumped by its mutators, and
 :class:`~repro.core.index.BiGIndex` exposes an ``epoch`` combining its
-maintenance counter with the base graph's.  Cache owners remember the
-epoch their entries were computed under and clear everything when it
-moves — cached and uncached evaluation must stay byte-identical, which
+maintenance counter with the base graph's; the evaluator's result cache
+and the index's Spec memo put that epoch, read before computing, into
+every key.  Both components only grow, so a value computed under a
+superseded epoch lands under a key no later lookup forms and ages out
+of the bound; a fill needs no lock beyond the LRU's own.  Cached and uncached evaluation stay byte-identical, which
 the ``verify`` cache drill and the maintenance fuzzer enforce.
 """
 
@@ -41,8 +42,9 @@ class LRUCache:
     maxsize:
         Entry cap; the least recently used entry is evicted beyond it.
     kind:
-        Short tag for per-cache telemetry (``cache.hit.<kind>`` rides
-        along next to the aggregate ``cache.hit``).
+        Short tag for per-cache telemetry: a lookup counts one
+        ``cache.hit.<kind>`` or ``cache.miss.<kind>`` (``/healthz``
+        sums the kinds for its aggregate).
     """
 
     def __init__(self, maxsize: int, kind: str = "cache") -> None:
@@ -60,12 +62,10 @@ class LRUCache:
                 value = self._data[key]
             except KeyError:
                 if OBS.enabled:
-                    OBS.metrics.inc("cache.miss")
                     OBS.metrics.inc(f"cache.miss.{self.kind}")
                 return None
             self._data.move_to_end(key)
         if OBS.enabled:
-            OBS.metrics.inc("cache.hit")
             OBS.metrics.inc(f"cache.hit.{self.kind}")
         return value
 

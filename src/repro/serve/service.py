@@ -685,23 +685,25 @@ class QueryService:
     _HEALTH_COUNTER_PREFIXES = ("wal.",)
 
     def _cache_health(self, counters: Mapping[str, int]) -> Dict[str, object]:
-        """Aggregate and per-kind cache hit rates from the counters."""
-        hits = counters.get("cache.hit", 0)
-        misses = counters.get("cache.miss", 0)
+        """Aggregate and per-kind cache hit rates from the counters; the
+        aggregate sums the per-kind ``cache.hit.<kind>`` /
+        ``cache.miss.<kind>`` counters."""
+        hits = misses = 0
+        kinds: Dict[str, object] = {}
+        for name, value in counters.items():
+            if name.startswith("cache.miss."):
+                misses += value
+            elif name.startswith("cache.hit."):
+                hits += value
+                kind = name[len("cache.hit."):]
+                total = value + counters.get(f"cache.miss.{kind}", 0)
+                kinds[kind] = (value / total) if total else None
         lookups = hits + misses
         health: Dict[str, object] = {
             "hits": hits,
             "misses": misses,
             "hit_rate": (hits / lookups) if lookups else None,
         }
-        kinds: Dict[str, object] = {}
-        for name, value in counters.items():
-            if name.startswith("cache.hit."):
-                kind = name[len("cache.hit."):]
-                kind_hits = value
-                kind_misses = counters.get(f"cache.miss.{kind}", 0)
-                total = kind_hits + kind_misses
-                kinds[kind] = (kind_hits / total) if total else None
         if kinds:
             health["hit_rate_by_kind"] = kinds
         return health

@@ -9,12 +9,13 @@ the two latent bug classes the serve work fixed:
   used to mutate the backing ``OrderedDict`` mid-iteration (KeyError /
   RuntimeError); the cache now serializes every operation, including the
   dunder reads.
-* **Stale-fill poisoning** — a memo computed against epoch E landing in
+* **Stale-fill poisoning** — a value computed against epoch E landing in
   the cache after the index moved to E' would serve wrong answers for as
-  long as the epoch stayed put.  Fills are now guarded: the epoch is
-  captured at lookup and the put is skipped unless it is unchanged
-  (sound because both epoch components are monotone — equality proves no
-  movement, so there is no ABA window).
+  long as the epoch stayed put.  The result cache and the Spec memo key
+  on the epoch read before computing, so such a fill lands under E's key,
+  which no lookup forms again (both epoch components only grow; there is
+  no ABA window).  Sibling COW clones can reach equal epochs with
+  different states, so each clone starts its own Spec memo.
 
 Every stochastic hammer asserts against a single-threaded oracle; the
 barrier tests schedule the historical interleavings deterministically,
@@ -35,6 +36,7 @@ from repro.core.index import BiGIndex
 from repro.core.plugins import boost
 from repro.core.querycache import LRUCache
 from repro.obs.metrics import MetricsRegistry
+from repro.obs.runtime import instrumented
 from repro.search.banks import BackwardKeywordSearch
 from repro.search.base import KeywordQuery
 from repro.search.bidirectional import BidirectionalSearch
@@ -46,6 +48,30 @@ from repro.serve.lifecycle import EngineRuntime
 def build_index(random_graph_factory, small_ontology, seed: int = 0) -> BiGIndex:
     graph = random_graph_factory(seed=seed)
     return BiGIndex.build(graph, small_ontology, num_layers=2)
+
+
+def splitting_index(random_graph_factory, small_ontology) -> BiGIndex:
+    """A sparse graph whose layers compress, so its first edges' deletes
+    split layer-1 blocks (the dense ``build_index`` graphs barely
+    compress: a stale Spec value there often equals the fresh one)."""
+    graph = random_graph_factory(num_edges=60, seed=25)
+    return BiGIndex.build(graph, small_ontology, num_layers=2)
+
+
+class BlockingLayers(list):
+    """``index.layers`` whose first item read parks the reading thread
+    until ``release`` is set; ``parked`` is set once it got there."""
+
+    def __init__(self, layers):
+        super().__init__(layers)
+        self.parked = threading.Event()
+        self.release = threading.Event()
+
+    def __getitem__(self, item):
+        if not self.parked.is_set():
+            self.parked.set()
+            self.release.wait(timeout=30)
+        return list.__getitem__(self, item)
 
 
 def make_evaluator(index: BiGIndex):
@@ -404,7 +430,7 @@ class TestPostingsThreading:
 
 
 # ----------------------------------------------------------------------
-# BiGIndex Gen / Spec memos: guarded fills under mutation
+# BiGIndex Spec memo and Gen^m translations under mutation
 # ----------------------------------------------------------------------
 class TestMemoThreading:
     def test_spec_memo_survives_mutation_storm(
@@ -455,7 +481,7 @@ class TestMemoThreading:
         cold = {s: index.spec_to_base(s, 1) for s in supernodes}
         assert warm == cold
 
-    def test_gen_memo_concurrent_queries_agree(
+    def test_concurrent_generalizations_agree(
         self, random_graph_factory, small_ontology
     ):
         index = build_index(random_graph_factory, small_ontology, seed=12)
@@ -475,66 +501,57 @@ class TestMemoThreading:
                 i = rng.randrange(len(queries))
                 assert index.generalize_query(queries[i], 1) == oracle[(i, 1)]
                 keyword = queries[i].keywords[0]
-                assert index.generalize_keyword(
-                    keyword, 1
-                ) == oracle[(i, 1)][0] or True  # order differs per query
-                index.generalize_keyword(keyword, 1)
+                generalized = index.generalize_keyword(keyword, 1)
+                assert generalized == oracle[(i, 1)][0]
 
         run_threads(8, worker)
 
     def test_guarded_fill_rejects_stale_epoch(
         self, random_graph_factory, small_ontology
     ):
-        """Deterministic stale-fill interleaving: the put must be skipped.
+        """Deterministic stale-fill interleaving: the fill must not serve.
 
-        Freeze a reader between its epoch capture and its fill (the memo
-        compute walks ``index.layers`` outside the lock — a blocking
-        ``__getitem__`` parks it there); mutate the index while it is
-        parked; release it.  The guarded fill sees the moved epoch and
-        drops the stale frontier instead of caching it.
+        Freeze a reader between its epoch read and its fill (the memo
+        compute walks ``index.layers`` — a blocking ``__getitem__`` parks
+        it there); mutate the index while it is parked; release it.  Its
+        fill lands under the superseded epoch's key, which no later
+        lookup forms.  The write splits the block read, so a stale fill
+        that served would show.
         """
-        index = build_index(random_graph_factory, small_ontology, seed=13)
-        supernode = sorted(index.layer_graph(1).vertices())[0]
+        index = splitting_index(random_graph_factory, small_ontology)
+        edge = sorted(index.base_graph.edges())[0]
+        supernode = index.layers[0].parent_of[edge[0]]
+        before = index.spec_to_base(supernode, 1)
         index.drop_caches()
 
-        in_compute = threading.Event()
-        release = threading.Event()
-
-        class BlockingLayers(list):
-            def __getitem__(self, item):
-                if not in_compute.is_set():
-                    in_compute.set()
-                    release.wait(timeout=30)
-                return list.__getitem__(self, item)
-
         plain_layers = index.layers
-        index.layers = BlockingLayers(plain_layers)
+        index.layers = blocking = BlockingLayers(plain_layers)
         try:
             def parked_reader():
                 try:
                     index.spec_to_base(supernode, 1)
                 except Exception:  # noqa: BLE001
-                    pass  # a torn frontier may not even compute; the
-                    # guard only has to keep it out of the memo
+                    pass  # a torn frontier may not even compute; it
+                    # only has to stay unreachable
 
             reader = threading.Thread(target=parked_reader)
             reader.start()
-            assert in_compute.wait(timeout=30)
+            assert blocking.parked.wait(timeout=30)
             # Reader is parked mid-compute with a captured epoch; move it.
-            edges = sorted(index.base_graph.edges())
-            index.delete_edge(*edges[0])
+            index.delete_edge(*edge)
             moved_epoch = index.epoch
-            release.set()
+            blocking.release.set()
             reader.join(timeout=30)
         finally:
-            index.layers = plain_layers
+            if index.layers is blocking:  # the write installs new layers
+                index.layers = plain_layers
 
         # The stale computation must not have been cached: a fresh call
         # (same epoch as the mutation) recomputes and matches cold truth.
         assert index.epoch == moved_epoch
         warm = index.spec_to_base(supernode, 1)
         index.drop_caches()
-        assert index.spec_to_base(supernode, 1) == warm
+        assert index.spec_to_base(supernode, 1) == warm != before
 
     def test_barrier_scheduled_memo_race_100_of_100(
         self, random_graph_factory, small_ontology
@@ -554,6 +571,36 @@ class TestMemoThreading:
 
             run_threads(2, worker)
             assert outcomes[0] == outcomes[1] == truth
+
+    def test_sibling_clones_at_equal_epochs_keep_their_own_memos(
+        self, random_graph_factory, small_ontology
+    ):
+        """Two COW clones of one parent take different writes and reach
+        equal epochs: an epoch names a state only within one index's own
+        history, so a clone's Spec memo (and each evaluator) must be its
+        own.  The right clone reads after the left filled its memo, then
+        both must answer like cold ones."""
+        index = splitting_index(random_graph_factory, small_ontology)
+        edges = sorted(index.base_graph.edges())
+        left, right = index.cow_clone(), index.cow_clone()
+        left.delete_edge(*edges[0])
+        right.delete_edge(*edges[1])
+        assert left.epoch == right.epoch
+        assert left.layers[0].parent_of != right.layers[0].parent_of
+        query = KeywordQuery(["A", "B"])
+
+        def read(clone):
+            specs = {
+                (m, s): clone.spec_to_base(s, m)
+                for m in (1, 2)
+                for s in clone.layer_graph(m).vertices()
+            }
+            return specs, make_evaluator(clone).evaluate(query).answers
+
+        warm = [read(clone) for clone in (left, right)]
+        for clone, seen in zip((left, right), warm):
+            clone.drop_caches()
+            assert read(clone) == seen
 
 
 # ----------------------------------------------------------------------
@@ -731,7 +778,7 @@ class TestEvaluatorThreading:
     def test_evaluator_guarded_fill_skips_stale_result(
         self, random_graph_factory, small_ontology
     ):
-        """Direct single-threaded check of the evaluate() fill guard.
+        """Single-threaded check of the epoch in the result key.
 
         Populate the cache, mutate the index out from under the evaluator,
         and re-evaluate: the response must reflect the new epoch, and the
@@ -749,3 +796,45 @@ class TestEvaluatorThreading:
         index.drop_caches()
         cold = make_evaluator(index).evaluate(query)
         assert after.answers == cold.answers
+
+    def test_parked_result_fill_is_never_served(
+        self, random_graph_factory, small_ontology
+    ):
+        """Deterministic stale fill of the result cache.
+
+        Park an ``evaluate`` between its lookup and its fill (a blocking
+        ``index.layers`` stops it inside the attempt), delete an edge,
+        release it: its fill lands under the superseded epoch's key, so
+        the next ``evaluate`` misses and answers like a fresh evaluator.
+        """
+        index = build_index(random_graph_factory, small_ontology, seed=24)
+        evaluator = make_evaluator(index)
+        query = KeywordQuery(["A", "B"])
+
+        def parked_reader():
+            try:
+                evaluator.evaluate(query)
+            except Exception:  # noqa: BLE001
+                pass  # a torn attempt may not even finish; its fill
+                # only has to stay unreachable
+
+        plain_layers = index.layers
+        index.layers = blocking = BlockingLayers(plain_layers)
+        reader = threading.Thread(target=parked_reader)
+        try:
+            reader.start()
+            assert blocking.parked.wait(timeout=30)
+            index.delete_edge(*sorted(index.base_graph.edges())[0])
+        finally:
+            blocking.release.set()
+            reader.join(timeout=30)
+            if index.layers is blocking:
+                index.layers = plain_layers
+        assert not reader.is_alive()
+        assert index.layers is not blocking
+
+        with instrumented(trace=False) as inst:
+            after = evaluator.evaluate(query)
+        assert inst.metrics.counters()["cache.miss.result"] == 1
+        fresh = make_evaluator(index).evaluate(query)
+        assert after.answers == fresh.answers

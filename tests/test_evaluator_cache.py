@@ -178,14 +178,18 @@ class TestInvalidation:
         assert index.epoch != before
         self._assert_invalidated_and_correct(index, evaluator)
 
-    def test_invalidation_counter(self, index):
+    def test_first_evaluate_after_a_write_misses(self, index):
+        """The result key carries the epoch: a write moves it, so the
+        next lookup forms a key no earlier fill used."""
         evaluator = _evaluator(index)
         evaluator.evaluate(QUERY)
         u, v = self._edge(index)
         index.delete_edge(u, v)
         with instrumented(trace=False) as inst:
             evaluator.evaluate(QUERY)
-        assert inst.metrics.counters()["cache.invalidations"] == 1
+        counters = inst.metrics.counters()
+        assert counters["cache.miss.result"] == 1
+        assert counters.get("cache.hit.result", 0) == 0
 
 
 class TestSearcherReuse:

@@ -72,7 +72,7 @@ class TestRoundtrip:
         assert loaded.layer_sizes() == built.layer_sizes()
         for original, restored in zip(built.layers, loaded.layers):
             assert restored.config == original.config
-            assert restored.parent_of == original.parent_of
+            assert list(restored.parent_of) == list(original.parent_of)
             assert restored.extent == original.extent
 
     def test_labels_survive(self, built, fig2_ontology, tmp_path):

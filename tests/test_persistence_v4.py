@@ -79,13 +79,13 @@ class TestRoundtrip:
     def test_parent_and_extent_tables_equal(
         self, built, saved, fig2_ontology
     ):
-        # IntVector/ExtentTable views must compare equal to the original
-        # heap lists, element for element.
+        # The loaded parent map is its section's memoryview and each
+        # ExtentTable row a slice of the children section: element for
+        # element they equal the original heap lists.
         loaded = load_index(saved, fig2_ontology)
         for original, restored in zip(built.layers, loaded.layers):
-            assert restored.parent_of == original.parent_of
-            assert restored.extent == original.extent
             assert list(restored.parent_of) == list(original.parent_of)
+            assert restored.extent == original.extent
 
     def test_postings_served_warm(self, saved, fig2_ontology):
         loaded = load_index(saved, fig2_ontology)

@@ -120,18 +120,22 @@ class TestCacheProbe:
         assert report.ok, report.format()
 
     def test_stale_epoch_is_caught(self, case, monkeypatch):
-        """A caching evaluator that never invalidates serves pre-mutation
-        answers after ``delete_edge``."""
+        """A result-cache key that omits the index epoch serves
+        pre-mutation answers after ``delete_edge``."""
         _graph, _ontology, build, queries = case
-        real_sync = HierarchicalEvaluator._sync_caches
+        real_get, real_put = LRUCache.get, LRUCache.put
 
-        def never_invalidates(self):
-            if self._result_cache is None or self._epoch is None:
-                real_sync(self)
+        def epochless(cache, key):
+            return key[1:] if cache.kind == "result" else key
 
-        monkeypatch.setattr(
-            HierarchicalEvaluator, "_sync_caches", never_invalidates
-        )
+        def get(self, key):
+            return real_get(self, epochless(self, key))
+
+        def put(self, key, value):
+            real_put(self, epochless(self, key), value)
+
+        monkeypatch.setattr(LRUCache, "get", get)
+        monkeypatch.setattr(LRUCache, "put", put)
         report = run_cache_drill(
             build, [lambda: BackwardKeywordSearch(d_max=D_MAX)], queries
         )
