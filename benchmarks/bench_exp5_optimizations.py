@@ -25,7 +25,7 @@ import pytest
 
 from repro.bench.reporting import percent_reduction, print_table
 from repro.core.answer_gen import ans_graph_gen
-from repro.core.evaluator import HierarchicalEvaluator
+from repro.core.evaluator import EvalResult, HierarchicalEvaluator
 from repro.core.path_answer_gen import p_ans_graph_gen
 from repro.search.base import KeywordQuery
 from repro.search.blinks import Blinks
@@ -50,7 +50,8 @@ def _collect_generation_inputs(dataset, index, queries, limit_per_query=25):
         count = 0
         for answer in searcher.iter_search(generalized):
             spec_graph = evaluator._specialize_answer(
-                answer, 1, query, keyword_by_generalized
+                answer, 1, query, keyword_by_generalized,
+                EvalResult(answers=[], layer=1),
             )
             if spec_graph is not None and len(spec_graph.vertices) >= 2:
                 inputs.append(spec_graph)

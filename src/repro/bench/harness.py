@@ -42,7 +42,6 @@ from repro.core.index import BiGIndex
 from repro.core.path_answer_gen import p_ans_graph_gen
 from repro.datasets.knowledge import Dataset, dbpedia_like, imdb_like, yago_like
 from repro.datasets.workloads import QuerySpec, benchmark_queries
-from repro.obs.runtime import charge_expansions
 from repro.search.base import Answer, GraphSearcher, KeywordSearchAlgorithm
 
 #: Dataset scale factor for all benchmarks (env-overridable).  The
@@ -128,7 +127,7 @@ class PaperPipeline(HierarchicalEvaluator):
         graph = self.index.base_graph
         qualify = enlarge_qualifier(self.algorithm, graph, spec, query)
         for assignment in p_ans_graph_gen(graph, spec, qualify=qualify):
-            charge_expansions(budget, 1)
+            result.charge(budget)
             result.num_candidates += 1
             answer = Answer.make(
                 {kw: assignment[s] for s, kw in spec.keyword_of.items()},

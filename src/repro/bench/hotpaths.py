@@ -254,6 +254,10 @@ def _serve_evaluator(index: BiGIndex) -> HierarchicalEvaluator:
     return _boosted(index).evaluator
 
 
+def _uncached_evaluator(index: BiGIndex) -> HierarchicalEvaluator:
+    return _boosted(index, cache_size=0).evaluator
+
+
 def _answers(boosted, queries: List[KeywordQuery]) -> int:
     return sum(
         len(boosted.evaluate_resilient(query).answers) for query in queries
@@ -626,9 +630,9 @@ def section_serve(fixture: Fixture, repeats: int) -> Metrics:
 
     reader_pass()  # warm the snapshot evaluator, unrecorded
     idle = reader_pass()  # result-cache hits; the uncached pass runs eval_Ont
-    idle_uncached = reader_pass(QueryService(EngineRuntime(
-        fixture.index, lambda index: _boosted(index, cache_size=0).evaluator
-    )))
+    idle_uncached = reader_pass(
+        QueryService(EngineRuntime(fixture.index, _uncached_evaluator))
+    )
     writer_thread = threading.Thread(target=writer, name="bench-mutator")
     writer_thread.start()
     under = reader_pass()
@@ -645,12 +649,15 @@ def section_serve(fixture: Fixture, repeats: int) -> Metrics:
 
 def section_obs(fixture: Fixture, repeats: int) -> Metrics:
     """``obs.serve.overhead`` — the serve workload with all request
-    observability off (no access log, no flight recorder, no SLO window)
-    and fully lit (structured access log, slow-query mirror, flight
-    recorder, rolling SLO window).
+    observability off (no access log, no flight recorder, no SLO window,
+    no metrics) and fully lit (structured access log, slow-query mirror,
+    flight recorder, rolling SLO window, and the evaluator's metrics
+    recorded as ``repro-bigindex serve`` records them:
+    ``instrumented(metrics=..., trace=False)``).  Both arms bind without
+    a result cache, so every timed request runs ``eval_Ont``.
 
     compare() gates the on/off ratio of the run's *own* pair.  The arms
-    alternate, so each off pass has an on pass ~0.1 s later at the same
+    alternate, so each off pass has an on pass right after it at the same
     host speed, and the pair reported is the one with the *median* on-off
     difference: per-arm minima are reached in different speed states and
     swung it between -17 and +11 ms on an unchanged tree (true: ~2 ms;
@@ -668,21 +675,26 @@ def section_obs(fixture: Fixture, repeats: int) -> Metrics:
         return elapsed
 
     dark = QueryService(
-        EngineRuntime(fixture.index, _serve_evaluator),
+        EngineRuntime(fixture.index, _uncached_evaluator),
         config=ServerConfig(flight_records=0, slo_window_seconds=0.0),
     )
     with tempfile.TemporaryDirectory(prefix="bench-obs-") as tmp:
         access_log = RequestLog(os.path.join(tmp, "access.jsonl"))
         slow_log = RequestLog(os.path.join(tmp, "access.jsonl.slow"))
         lit = QueryService(
-            EngineRuntime(fixture.index, _serve_evaluator),
+            EngineRuntime(fixture.index, _uncached_evaluator),
             config=ServerConfig(slow_query_ms=250.0),
             access_log=access_log,
             slow_log=slow_log,
         )
+
+        def lit_pass() -> float:
+            with instrumented(metrics=lit.metrics, trace=False):
+                return timed_pass(lit)
+
         timed_pass(dark)  # warm both snapshot evaluators, untimed
-        timed_pass(lit)
-        timings = [(timed_pass(dark), timed_pass(lit)) for _ in range(pairs)]
+        lit_pass()
+        timings = [(timed_pass(dark), lit_pass()) for _ in range(pairs)]
         access_log.close()
         slow_log.close()
     off, on = sorted(timings, key=lambda pair: pair[1] - pair[0])[pairs // 2]

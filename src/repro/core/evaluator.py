@@ -88,7 +88,8 @@ from repro.core.answer_gen import (
 from repro.core.index import BiGIndex
 from repro.core.query_cost import QueryCostModel
 from repro.core.querycache import LRUCache
-from repro.obs.runtime import OBS, charge_expansions
+from repro.obs.runtime import OBS
+from repro.obs.tracer import NULL_TRACER
 from repro.search.base import (
     Answer,
     BackwardFrontier,
@@ -123,6 +124,10 @@ class EvalResult:
     num_verified: int = 0
     #: candidate roots the layer-1 reach bound rejected without a BFS.
     num_bounded: int = 0
+    #: node expansions the evaluator charged itself (:meth:`charge`).
+    num_charged: int = 0
+    #: supernodes specialized to layer 0 (``spec.lookups``).
+    num_spec_lookups: int = 0
 
     #: Complete results are never degraded; lets callers branch on
     #: ``result.degraded`` without isinstance checks.
@@ -132,6 +137,14 @@ class EvalResult:
     def total_seconds(self) -> float:
         """Total measured query time across phases."""
         return self.breakdown.total
+
+    def charge(self, budget: Optional[Budget], amount: int = 1) -> None:
+        """Tally ``amount`` expansions, then charge ``budget``: the tally
+        is published as ``search.expansions`` once per attempt, and it
+        comes first, so the charge that trips the budget is counted."""
+        self.num_charged += amount
+        if budget is not None:
+            budget.charge(amount)
 
 
 @dataclass
@@ -326,7 +339,8 @@ class HierarchicalEvaluator:
 
     # ------------------------------------------------------------------
     def _layer_cost_attrs(self, query: KeywordQuery) -> Dict[str, object]:
-        """Per-layer Formula-4 costs as span attributes (--explain only).
+        """Per-layer Formula-4 costs as span attributes, computed only
+        when a tracer records (``--explain`` / ``--trace-out``).
 
         Shows *why* the cost model picked its layer; colliding layers
         (``|Gen^m(Q)| < |Q|``) are marked ineligible instead of costed.
@@ -442,7 +456,7 @@ class HierarchicalEvaluator:
                     f"keywords collide at layer {layer}; Def. 4.1 requires "
                     "|Gen^m(Q)| = |Q|"
                 )
-            if OBS.enabled:
+            if OBS.tracer is not NULL_TRACER:
                 selection_span.annotate(
                     layer=layer, forced=forced, **self._layer_cost_attrs(query)
                 )
@@ -517,7 +531,7 @@ class HierarchicalEvaluator:
                             if self.rooted else nullcontext():
                         for (score, summary), spec in zip(pairs, specs):
                             in_flight = score
-                            charge_expansions(budget, 1)
+                            result.charge(budget)
                             result.num_generalized += 1
                             bound = searcher.stream_lower_bound
                             done = verified.dominates(
@@ -528,12 +542,8 @@ class HierarchicalEvaluator:
                             if verified.dominates(k, score):
                                 continue  # cannot improve; keep streaming
                             if self.rooted:
-                                charge_expansions(budget, 1)  # its spec
-                                if OBS.enabled:
-                                    OBS.metrics.inc("spec.lookups")
-                                    OBS.metrics.observe(
-                                        "spec.candidates_per_lookup", len(spec)
-                                    )
+                                result.charge(budget)  # its spec
+                                result.num_spec_lookups += 1
                                 if reach is None and layer >= 2:
                                     reach = self._layer1_reach(query, budget)
                                 self._generate_by_root(
@@ -544,7 +554,7 @@ class HierarchicalEvaluator:
                             with _timed(breakdown, "specialize", layer=layer):
                                 spec = self._specialize_answer(
                                     summary, layer, query,
-                                    keyword_by_generalized, budget=budget,
+                                    keyword_by_generalized, result, budget,
                                 )
                             if spec is None:
                                 continue
@@ -590,9 +600,13 @@ class HierarchicalEvaluator:
                 breakdown=breakdown,
             )
         finally:
-            # Per-candidate telemetry, flushed once per attempt on every
-            # exit path (OBSERVABILITY.md rule 3).
+            # Per-item tallies, flushed once per attempt on every exit
+            # path (OBSERVABILITY.md rule 3).
             if OBS.enabled and layer:
+                if result.num_charged:
+                    OBS.metrics.inc("search.expansions", result.num_charged)
+                if result.num_spec_lookups:
+                    OBS.metrics.inc("spec.lookups", result.num_spec_lookups)
                 if result.num_generalized:
                     OBS.metrics.inc("eval.summary_answers",
                                     result.num_generalized)
@@ -814,6 +828,7 @@ class HierarchicalEvaluator:
         layer: int,
         query: KeywordQuery,
         keyword_by_generalized: Mapping[str, str],
+        result: EvalResult,
         budget: Optional[Budget] = None,
     ) -> Optional[GeneralizedAnswerGraph]:
         """Walk one generalized answer's vertex sets down to layer 0.
@@ -835,7 +850,7 @@ class HierarchicalEvaluator:
             keyword = keyword_of.get(supernode)
             members = [supernode]
             for level in range(layer, 0, -1):
-                charge_expansions(budget, len(members))
+                result.charge(budget, len(members))
                 extent = self.index.layers[level - 1].extent
                 members = [child for s in members for child in extent[s]]
                 if keyword is not None:
@@ -849,11 +864,7 @@ class HierarchicalEvaluator:
                     if not members:
                         return None  # early keyword specialization prune
             spec_sets[supernode] = sorted(members)
-            if OBS.enabled:
-                OBS.metrics.inc("spec.lookups")
-                OBS.metrics.observe(
-                    "spec.candidates_per_lookup", len(members)
-                )
+            result.num_spec_lookups += 1
         return GeneralizedAnswerGraph(
             vertices=summary_answer.vertices,
             edges=summary_answer.edges,
@@ -894,7 +905,7 @@ class HierarchicalEvaluator:
                 continue
             if verified.dominates(k, summary_score):
                 return
-            charge_expansions(budget, 1)
+            result.charge(budget)
             seen_roots.add(root)
             result.num_candidates += 1
             if reach:
@@ -937,7 +948,7 @@ class HierarchicalEvaluator:
         graph = self.index.base_graph
         qualify = enlarge_qualifier(self.algorithm, graph, spec, query)
         for assignment in ans_graph_gen(graph, spec, qualify=qualify):
-            charge_expansions(budget, 1)
+            result.charge(budget)
             result.num_candidates += 1
             keyword_nodes = {
                 keyword: assignment[supernode]

@@ -306,7 +306,8 @@ class BiGIndex:
     def spec_many(self, supernodes: Sequence[int], m: int) -> List[Tuple[int, ...]]:
         """:meth:`spec_to_base` of each supernode, as sorted tuples.
 
-        Memoized per (:attr:`epoch`, layer, supernode): answer recovery
+        Memoized per (:attr:`epoch`, layer, supernode), looked up as one
+        batch (:meth:`LRUCache.get_many`): answer recovery
         specializes the same supernodes over and over across a query
         workload, and the fan-out is a pure function of the extent
         tables.  The epoch is read once per batch, before any table is
@@ -315,7 +316,7 @@ class BiGIndex:
         """
         epoch = self.epoch
         memo = self._spec_memo
-        specs = [memo.get((epoch, m, s)) for s in supernodes]
+        specs = memo.get_many([(epoch, m, s) for s in supernodes])
         for i, spec in enumerate(specs):
             if spec is not None:
                 continue

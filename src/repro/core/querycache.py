@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import threading
 from collections import OrderedDict
-from typing import Hashable, Optional
+from typing import Hashable, Iterable, List, Optional
 
 from repro.obs.runtime import OBS
 
@@ -43,8 +43,9 @@ class LRUCache:
         Entry cap; the least recently used entry is evicted beyond it.
     kind:
         Short tag for per-cache telemetry: a lookup counts one
-        ``cache.hit.<kind>`` or ``cache.miss.<kind>`` (``/healthz``
-        sums the kinds for its aggregate).
+        ``cache.hit.<kind>`` or ``cache.miss.<kind>``, published once per
+        :meth:`get_many` batch (``/healthz`` sums the kinds for its
+        aggregate).
     """
 
     def __init__(self, maxsize: int, kind: str = "cache") -> None:
@@ -68,6 +69,25 @@ class LRUCache:
         if OBS.enabled:
             OBS.metrics.inc(f"cache.hit.{self.kind}")
         return value
+
+    def get_many(self, keys: Iterable[Hashable]) -> List[Optional[object]]:
+        """:meth:`get` of each key under one lock hold; a batch's hits and
+        misses are counted with one call each."""
+        data = self._data
+        values = []
+        with self._lock:
+            for key in keys:
+                value = data.get(key)
+                if value is not None:
+                    data.move_to_end(key)
+                values.append(value)
+        if OBS.enabled:
+            misses = values.count(None)
+            if misses:
+                OBS.metrics.inc(f"cache.miss.{self.kind}", misses)
+            if len(values) > misses:
+                OBS.metrics.inc(f"cache.hit.{self.kind}", len(values) - misses)
+        return values
 
     def put(self, key: Hashable, value: object) -> None:
         """Insert/refresh ``key``, evicting the LRU entry when full."""

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import bisect
 import threading
-import time
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 #: Fixed ``le`` bucket bounds (seconds) shared by every histogram, so
@@ -140,84 +139,28 @@ class _Histogram:
             self.bucket_counts[-1] += other.bucket_counts[-1]
 
 
-class _Shard:
-    """One thread's counters and histograms, written by that thread only;
-    ``seq`` is odd while an ``observe`` is mid-write."""
-
-    __slots__ = ("thread", "counters", "histograms", "seq")
-
-    def __init__(self) -> None:
-        self.thread = threading.current_thread()
-        self.counters: Dict[str, int] = {}
-        self.histograms: Dict[str, _Histogram] = {}
-        self.seq = 0
-
-    def copy_histograms(self) -> Dict[str, _Histogram]:
-        """Deep copies taken between, never during, ``observe`` calls."""
-        while True:
-            seq = self.seq
-            if not seq & 1:
-                items = list(self.histograms.items())
-                copies = {name: hist.copy() for name, hist in items}
-                if self.seq == seq:
-                    return copies
-            time.sleep(0)  # let the writer finish
-
-
-def _add(counters: Dict[str, int], histograms: Dict[str, _Histogram],
-         more_counters: Mapping[str, int],
-         more_histograms: Mapping[str, _Histogram]) -> None:
-    for name, value in more_counters.items():
-        counters[name] = counters.get(name, 0) + value
-    for name, hist in more_histograms.items():
-        histograms.setdefault(name, _Histogram()).merge(hist)
-
-
 class MetricsRegistry:
     """Counters, gauges, and histograms keyed by dotted metric names.
 
-    Thread-safe, and recording takes no lock: serve handler threads
-    record concurrently, so ``inc`` and ``observe`` write to a per-thread
-    shard (``threading.local``) that only its thread writes.  Readers sum
-    the shards under the registry lock.  Every read and every new
-    thread's first record fold the shards of exited threads into the
-    base, so a thread-per-connection server keeps one shard per live
-    thread.  Gauges are rare and locked.
-
-    Exactness assumes the GIL: a counter update is one dict store by the
-    shard's only writer, and a reader copies the dict in one C call, so
-    it sees each update whole or not at all; a histogram update spans
-    several fields, so readers copy histograms under ``_Shard.seq``.  A
-    free-threaded interpreter would need a lock per shard.
+    Thread-safe: serve handler threads record concurrently, so every
+    record and every read takes the registry's one lock.  Instrumented
+    loops tally in plain locals and record once (OBSERVABILITY.md rule
+    3), so a request makes a few dozen calls and the lock is cheap.
     """
 
-    __slots__ = ("_counters", "_gauges", "_histograms", "_lock", "_local",
-                 "_shards")
+    __slots__ = ("_counters", "_gauges", "_histograms", "_lock")
 
     def __init__(self) -> None:
-        #: Totals of exited threads' shards and of merged registries.
         self._counters: Dict[str, int] = {}
         self._gauges: Dict[str, float] = {}
         self._histograms: Dict[str, _Histogram] = {}
         self._lock = threading.Lock()
-        self._local = threading.local()
-        self._shards: List[_Shard] = []
 
     # -- recording ------------------------------------------------------
-    def _shard(self) -> _Shard:
-        try:
-            return self._local.shard
-        except AttributeError:
-            shard = self._local.shard = _Shard()
-            with self._lock:
-                self._fold()
-                self._shards.append(shard)
-            return shard
-
     def inc(self, name: str, amount: int = 1) -> None:
         """Add ``amount`` to counter ``name`` (created at 0)."""
-        counters = self._shard().counters
-        counters[name] = counters.get(name, 0) + amount
+        with self._lock:
+            self._counters[name] = self._counters.get(name, 0) + amount
 
     def gauge(self, name: str, value: float) -> None:
         """Record the last-seen value of gauge ``name``."""
@@ -226,49 +169,22 @@ class MetricsRegistry:
 
     def observe(self, name: str, value: float) -> None:
         """Feed one observation into histogram ``name``."""
-        shard = self._shard()
-        hist = shard.histograms.get(name)
-        if hist is None:
-            hist = shard.histograms[name] = _Histogram()
-        shard.seq += 1
-        try:
+        with self._lock:
+            hist = self._histograms.get(name)
+            if hist is None:
+                hist = self._histograms[name] = _Histogram()
             hist.observe(value)
-        finally:
-            shard.seq += 1
 
     # -- reading --------------------------------------------------------
-    def _fold(self) -> None:
-        """Fold exited threads' shards (no writer left) into the base, so
-        the shard list tracks live threads.  Call with the lock held."""
-        live = []
-        for shard in self._shards:
-            if shard.thread.is_alive():
-                live.append(shard)
-            else:
-                _add(self._counters, self._histograms,
-                     shard.counters, shard.histograms)
-        self._shards = live
-
-    def _totals(self) -> Tuple[Dict[str, int], Dict[str, _Histogram]]:
-        """Counters and histogram copies summed over the base and every
-        live shard.  Call with the lock held."""
-        self._fold()
-        counters = dict(self._counters)
-        histograms = {n: h.copy() for n, h in self._histograms.items()}
-        for shard in self._shards:
-            _add(counters, histograms,
-                 dict(shard.counters), shard.copy_histograms())
-        return counters, histograms
-
     def counter(self, name: str) -> int:
         """Current value of counter ``name`` (0 if never incremented)."""
         with self._lock:
-            return self._totals()[0].get(name, 0)
+            return self._counters.get(name, 0)
 
     def counters(self) -> Dict[str, int]:
         """All counters, sorted by name (a copy; safe to serialize)."""
         with self._lock:
-            return dict(sorted(self._totals()[0].items()))
+            return dict(sorted(self._counters.items()))
 
     def gauges(self) -> Dict[str, float]:
         """All gauges, sorted by name (a copy)."""
@@ -279,41 +195,44 @@ class MetricsRegistry:
         """All histograms as {name: {count, sum, min, max, mean, buckets,
         p50, p95, p99}}."""
         with self._lock:
-            histograms = sorted(self._totals()[1].items())
-        return {name: hist.as_dict() for name, hist in histograms}
+            return {
+                name: hist.as_dict()
+                for name, hist in sorted(self._histograms.items())
+            }
 
     def histogram_quantile(self, name: str, q: float) -> float:
         """Bucket-interpolated quantile of histogram ``name`` (0 when
         the histogram has no observations)."""
         with self._lock:
-            hist = self._totals()[1].get(name)
-        return hist.quantile(q) if hist is not None else 0.0
+            hist = self._histograms.get(name)
+            return hist.quantile(q) if hist is not None else 0.0
 
     def snapshot(self) -> Dict[str, object]:
         """One JSON-serializable dict of everything recorded, read under
-        a single lock hold (no other reader or merge interleaves)."""
+        a single lock hold (no record or merge interleaves)."""
         with self._lock:
-            counters, histograms = self._totals()
-            gauges = dict(sorted(self._gauges.items()))
-        return {
-            "counters": dict(sorted(counters.items())),
-            "gauges": gauges,
-            "histograms": {
-                name: histograms[name].as_dict() for name in sorted(histograms)
-            },
-        }
+            return {
+                "counters": dict(sorted(self._counters.items())),
+                "gauges": dict(sorted(self._gauges.items())),
+                "histograms": {
+                    name: hist.as_dict()
+                    for name, hist in sorted(self._histograms.items())
+                },
+            }
 
     def merge(self, other: "MetricsRegistry") -> None:
         """Fold another registry into this one (counters add, gauges take
         the other's last value, histograms combine)."""
-        # Lock ordering: other first, then self; merge is only ever
-        # called parent <- worker, so no cycle is possible.
         with other._lock:
-            counters, histograms = other._totals()
+            counters = dict(other._counters)
             gauges = dict(other._gauges)
+            histograms = {n: h.copy() for n, h in other._histograms.items()}
         with self._lock:
-            _add(self._counters, self._histograms, counters, histograms)
+            for name, value in counters.items():
+                self._counters[name] = self._counters.get(name, 0) + value
             self._gauges.update(gauges)
+            for name, hist in histograms.items():
+                self._histograms.setdefault(name, _Histogram()).merge(hist)
 
     def format(self, prefixes: Optional[Mapping[str, None]] = None) -> str:
         """Human-readable multi-line dump, optionally filtered by prefix.

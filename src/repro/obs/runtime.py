@@ -27,18 +27,21 @@ re-entrant uses (bench inside verify inside a traced CLI call) compose.
 
 Authoritative expansion counting
 --------------------------------
-:func:`charge_expansions` is the single place a node expansion is
-counted.  It increments the ``search.expansions`` metric *and* charges
-the :class:`~repro.utils.budget.Budget` with the same amount — metric
+:func:`charge_expansions` is the searchers' tap for node expansions.  It
+increments the ``search.expansions`` metric *and* charges the
+:class:`~repro.utils.budget.Budget` with the same amount — metric
 first, so the increment that trips the budget cap is observed on both
-sides.  ``Budget.charge`` itself increments ``budget.expansions`` before
-raising, so after any search (completed or budget-exceeded)::
+sides.  The evaluator's own per-item charges go through
+:meth:`~repro.core.evaluator.EvalResult.charge` instead, which tallies
+first and publishes the tally once per attempt.  ``Budget.charge``
+itself increments ``budget.expansions`` before raising, so after any
+search or evaluation (completed or budget-exceeded)::
 
     metrics.counter("search.expansions") == budget.expansions
 
 holds exactly; the fault-injection parity drill in ``verify/faults.py``
-enforces it across the budget ladder.  Searchers call this helper
-instead of ``budget.charge`` directly.
+enforces it across the budget ladder.  Nothing calls ``budget.charge``
+directly.
 """
 
 from __future__ import annotations
@@ -104,7 +107,7 @@ def instrumented(
 
 
 def charge_expansions(budget: Optional[Budget], amount: int = 1) -> None:
-    """Count ``amount`` node expansions — the one authoritative tap.
+    """Count ``amount`` node expansions — the searchers' tap.
 
     Increments the ``search.expansions`` counter (when instrumentation is
     on) and then charges ``budget`` (when one is given).  The metric is

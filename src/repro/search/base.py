@@ -327,7 +327,7 @@ class BackwardFrontier:
         cost: then no cap trips where fresh expansion would not."""
         memo = graph.frontier_memo()
         keys = [(graph.label_table.get_id(label), d_max) for label in labels]
-        hits = [None if memo is None else memo.get(key) for key in keys]
+        hits = [None] * len(keys) if memo is None else memo.get_many(keys)
         if budget is not None and not budget.affords(
             sum(hit._cost for hit in hits) if all(hits) else float("inf")
         ):

@@ -440,10 +440,10 @@ def _budget_drills(
 
     *Prefix soundness*: a degraded result is a ranking prefix of the
     direct oracle's answers (same scores below ``lower_bound``), a
-    complete one matches it exactly.  *Expansion accounting*:
-    ``charge_expansions`` is the single tap through which searchers and
-    the evaluator both debit the budget and bump the telemetry counter,
-    so after any run — complete, degraded mid-layer, or degraded after
+    complete one matches it exactly.  *Expansion accounting*: searchers
+    (``charge_expansions``) and the evaluator (``EvalResult.charge``,
+    published once per attempt) count every expansion they debit from
+    the budget, so after any run — complete, degraded mid-layer, or degraded after
     retrying the whole ladder — the counter and the budget ledger must
     agree exactly.  Drift means some path charges one side and not the
     other.

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import gc
 import random
 
 import pytest
@@ -122,13 +123,19 @@ def small_ontology() -> OntologyGraph:
 def frozen_twin(tmp_path_factory):
     """Factory: a heap graph's v4 container round trip — an mmap-backed
     twin sharing its label table (session-scoped, so property tests may
-    use it)."""
+    use it).  The containers it opens are closed at session teardown,
+    once the twins viewing them are collected."""
+    opened = []
 
     def make(graph: Graph) -> Graph:
         path = str(tmp_path_factory.mktemp("v4") / "graph.bin")
         writer = SectionWriter(path)
         _write_graph_sections(writer, "g", graph)
         writer.close()
-        return _graph_from_sections(SectionFile(path), "g", graph.label_table)
+        opened.append(SectionFile(path))
+        return _graph_from_sections(opened[-1], "g", graph.label_table)
 
-    return make
+    yield make
+    gc.collect()
+    for container in opened:
+        container.close()

@@ -284,18 +284,6 @@ class TestMetricsThreading:
         assert parent.counter("n") == 16000
         assert parent.histograms()["h"]["count"] == 1600
 
-    def test_shards_of_exited_threads_are_folded(self):
-        """A thread per connection must not grow the shard list: after
-        1 000 short-lived recorders only live threads keep a shard."""
-        metrics = MetricsRegistry()
-        for _ in range(20):
-            run_threads(50, lambda _: metrics.inc("n"))
-            assert len(metrics._shards) <= 50  # no read yet: folded on entry
-        metrics.inc("n")  # this thread stays alive
-        alive = [shard.thread for shard in metrics._shards]
-        assert alive == [threading.current_thread()]
-        assert metrics.counter("n") == 1001
-
     def test_counter_reads_are_monotone_under_recording(self):
         """Reads racing lock-free recorders never go backwards and never
         see a torn histogram (count without its bucket)."""

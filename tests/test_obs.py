@@ -2,6 +2,7 @@
 trace schema, and the CLI --explain / --trace-out surfaces."""
 
 import io
+import itertools
 import json
 import pathlib
 import re
@@ -16,9 +17,11 @@ from repro.bench.hotpaths import (
 )
 from repro.bisim.refinement import maximal_bisimulation
 from repro.core.cost import CostParams
-from repro.core.evaluator import DegradationStats
+from repro.core.evaluator import DegradationStats, HierarchicalEvaluator
 from repro.core.index import BiGIndex
 from repro.core.plugins import boost
+from repro.core.query_cost import QueryCostModel
+from repro.datasets.knowledge import dataset_registry
 from repro.datasets.synthetic import deep_dataset, verification_corpus
 from repro.obs import (
     NULL_METRICS,
@@ -366,6 +369,110 @@ class TestExpansionParity:
         assert (
             inst.metrics.counter("search.expansions") == budget.expansions
         )
+
+
+    @pytest.mark.parametrize(
+        "algorithm",
+        [BackwardKeywordSearch(d_max=3, k=5), RClique(radius=4, k=5)],
+        ids=["bkws", "r-clique"],
+    )
+    def test_every_cap_of_a_forced_layer_two_run(
+        self, layered_case, algorithm
+    ):
+        """Capped at every count from 1 to its unbudgeted total, a forced
+        layer-2 run trips on each of the evaluator's own charges in turn
+        (bkws: summary answers, root specs, the layer-1 reach sweeps and
+        candidate roots; r-clique: per-level spec members and
+        assignments), and its per-attempt tally still equals the
+        budget's ledger on every exit."""
+        index, query = layered_case
+        evaluator = boost(algorithm, index).evaluator
+        unbudgeted = Budget()
+        evaluator.evaluate(query, layer=2, budget=unbudgeted)
+        tripped = 0
+        for cap in range(1, unbudgeted.expansions + 1):
+            budget = Budget(max_expansions=cap)
+            with instrumented(trace=False) as inst:
+                try:
+                    evaluator.evaluate(query, layer=2, budget=budget)
+                except BudgetExceeded:
+                    tripped += 1
+            assert (
+                inst.metrics.counter("search.expansions") == budget.expansions
+            ), cap
+        assert tripped == unbudgeted.expansions
+
+
+@pytest.fixture(scope="module")
+def layered_case():
+    """A 3-layer yago-like index and a keyword pair whose forced layer-2
+    runs reach every evaluator charge: bkws bounds some candidate roots
+    and answers, r-clique enumerates assignments."""
+    dataset = dataset_registry(scale=0.02)["yago-like"]()
+    index = BiGIndex.build(
+        dataset.graph.copy(share_label_table=True),
+        dataset.ontology,
+        num_layers=3,
+        cost_params=CostParams(num_samples=10),
+    )
+    histogram = dataset.graph.label_histogram()
+    labels = sorted(histogram, key=lambda label: (-histogram[label], label))
+    for pair in itertools.combinations(labels[:12], 2):
+        query = KeywordQuery(pair)
+        if not index.query_distinct_at(query, 2):
+            continue
+        rooted = boost(BackwardKeywordSearch(d_max=3, k=5), index).evaluator
+        free = boost(RClique(radius=4, k=5), index).evaluator
+        bkws = rooted.evaluate(query, layer=2)
+        rclique = free.evaluate(query, layer=2)
+        if bkws.num_bounded and bkws.answers and rclique.num_candidates:
+            return index, query
+    pytest.fail("no keyword pair reaches every layer-2 charge")
+
+
+class TestLayerCostSpan:
+    """``layer-selection``'s ``cost.G<m>`` attributes re-run Formula 4
+    over every layer, so they are computed only when a tracer records."""
+
+    @pytest.fixture
+    def cost_calls(self, monkeypatch):
+        calls = []
+        costs = QueryCostModel.all_layer_costs
+
+        def counting(model, query):
+            calls.append(query)
+            return costs(model, query)
+
+        monkeypatch.setattr(QueryCostModel, "all_layer_costs", counting)
+        return calls
+
+    def _evaluator(self, toy_index):
+        return HierarchicalEvaluator(
+            toy_index, BackwardKeywordSearch(d_max=3), allow_layer_zero=True,
+            cache_size=0,
+        )
+
+    @pytest.mark.parametrize("layer, expected", [(None, 1), (1, 0)])
+    def test_metrics_only_costs_only_the_routing(
+        self, toy_case, toy_index, cost_calls, layer, expected
+    ):
+        query = probe_queries(toy_case[1])[0]
+        with instrumented(trace=False):
+            self._evaluator(toy_index).evaluate(query, layer=layer)
+        assert len(cost_calls) == expected
+
+    def test_a_recording_tracer_still_gets_the_costs(
+        self, toy_case, toy_index, cost_calls
+    ):
+        query = probe_queries(toy_case[1])[0]
+        with instrumented() as inst:
+            self._evaluator(toy_index).evaluate(query)
+        (span,) = [
+            span for span in inst.tracer.spans
+            if span.name == "layer-selection"
+        ]
+        assert {"cost.G1", "cost.G2"} <= set(span.attrs)
+        assert len(cost_calls) == 2
 
 
 class TestDegradationStats:

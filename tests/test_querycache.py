@@ -5,6 +5,7 @@ import threading
 import pytest
 
 from repro.core.querycache import LRUCache
+from repro.obs.metrics import MetricsRegistry
 from repro.obs.runtime import instrumented
 from repro.utils.budget import Budget
 
@@ -65,6 +66,27 @@ class TestLRUCache:
         assert counters["cache.miss.probe"] == 1
         assert "cache.hit" not in counters
         assert "cache.miss" not in counters
+
+    def test_batch_lookup_is_counted_once(self):
+        """A batch counts every lookup, with one registry call per
+        outcome, and refreshes the recency of its hits."""
+        cache = LRUCache(3, kind="probe")
+        for key in "abc":
+            cache.put(key, key.upper())
+        calls = []
+
+        class Recording(MetricsRegistry):
+            def inc(self, name, amount=1):
+                calls.append((name, amount))
+                super().inc(name, amount)
+
+        with instrumented(metrics=Recording(), trace=False):
+            assert cache.get_many(["a", "x", "b", "y", "a"]) == [
+                "A", None, "B", None, "A",
+            ]
+        assert sorted(calls) == [("cache.hit.probe", 3), ("cache.miss.probe", 2)]
+        cache.put("d", "D")  # c, untouched by the batch, is the LRU entry
+        assert "c" not in cache and "a" in cache and "b" in cache
 
     def test_eviction_counter(self):
         cache = LRUCache(1)
