@@ -15,8 +15,8 @@ regression.  The gate keeps the three kinds of number one run can decide:
   serial/parallel sharded build — which divide two arms of the same run
   and need no baseline at all.
 
-Multi-threaded socket wall clocks (``serve.read.*``, the two
-``obs.serve.overhead`` arms, ``shard.query``) and both arms of the
+Socket wall clocks (``serve.read.*``, the two ``obs.serve.overhead``
+arms, ``shard.query``) and both arms of the
 sharded build (one is multi-process, the other runs for ten-odd seconds,
 which kernel readings at its two ends do not describe) are *recorded*
 under plain ``.seconds`` keys and never compared with a committed
@@ -43,7 +43,8 @@ import platform
 import tempfile
 import threading
 from concurrent.futures import ThreadPoolExecutor
-from contextlib import contextmanager
+from contextlib import ExitStack, contextmanager, nullcontext
+from statistics import median
 from typing import Callable, Dict, FrozenSet, Iterable, Iterator, List
 from typing import NamedTuple, Optional, Tuple
 
@@ -546,6 +547,15 @@ def section_query(fixture: Fixture, repeats: int) -> Metrics:
     }
 
 
+def _answer_count(response) -> int:
+    """A served response's answer count; any status but 200 fails."""
+    if response.status != 200:
+        raise AssertionError(
+            f"serve bench got HTTP {response.status}: {response.payload}"
+        )
+    return len(response.payload["answers"])
+
+
 def _client_pass(
     service: QueryService, queries: List[KeywordQuery], threads: int, rounds: int
 ) -> Tuple[float, int, List[float]]:
@@ -565,12 +575,7 @@ def _client_pass(
                     start = monotonic_now()
                     response = client.query(list(query.keywords))
                     latencies.append(monotonic_now() - start)
-                    if response.status != 200:
-                        raise AssertionError(
-                            f"serve bench got HTTP {response.status}: "
-                            f"{response.payload}"
-                        )
-                    answers += len(response.payload["answers"])
+                    answers += _answer_count(response)
         return answers, latencies
 
     with serve_in_thread(service) as server:
@@ -656,56 +661,72 @@ def section_obs(fixture: Fixture, repeats: int) -> Metrics:
     ``instrumented(metrics=..., trace=False)``).  Both arms bind without
     a result cache, so every timed request runs ``eval_Ont``.
 
-    compare() gates the on/off ratio of the run's *own* pair.  The arms
-    alternate, so each off pass has an on pass right after it at the same
-    host speed, and the pair reported is the one with the *median* on-off
-    difference: per-arm minima are reached in different speed states and
-    swung it between -17 and +11 ms on an unchanged tree (true: ~2 ms;
-    one pair is good to +-5 ms, hence 45 of them).
+    compare() gates the on/off ratio of the run's *own* figures.  Both
+    arms serve at once, one client each, and every probe query goes to
+    both back to back (order alternated), so a pair's two requests run
+    at the same host speed.  The figures price a serve pass
+    (``SERVE_THREADS * rounds`` replays of each query): ``off`` at each
+    query's median dark latency, ``on`` that plus the median of its
+    paired on-off differences.  On a shared 2-vCPU host, whole passes
+    timed in pairs swung the median pair's on-off delta between -2.6
+    and +13.7 ms over nine runs of one tree; paired requests held it
+    between 1.9 and 4.2 ms over ten.
     """
-    rounds = 1 if fixture.quick else 3
-    pairs = 3 if fixture.quick else 45  # odd, so a median pair exists
-    expected = SERVE_THREADS * rounds * fixture.answers_per_pass
-
-    def timed_pass(service: QueryService) -> float:
-        elapsed, answers, _ = _client_pass(
-            service, fixture.queries, SERVE_THREADS, rounds
-        )
-        _expect_answers("observability", answers, expected)
-        return elapsed
-
-    dark = QueryService(
-        EngineRuntime(fixture.index, _uncached_evaluator),
-        config=ServerConfig(flight_records=0, slo_window_seconds=0.0),
-    )
+    sweeps, rounds = (5, 1) if fixture.quick else (300, 3)
+    replays = SERVE_THREADS * rounds
+    off: List[List[float]] = [[] for _ in fixture.queries]
+    delta: List[List[float]] = [[] for _ in fixture.queries]
     with tempfile.TemporaryDirectory(prefix="bench-obs-") as tmp:
         access_log = RequestLog(os.path.join(tmp, "access.jsonl"))
         slow_log = RequestLog(os.path.join(tmp, "access.jsonl.slow"))
-        lit = QueryService(
-            EngineRuntime(fixture.index, _uncached_evaluator),
-            config=ServerConfig(slow_query_ms=250.0),
-            access_log=access_log,
-            slow_log=slow_log,
+        dark, lit = (
+            QueryService(EngineRuntime(fixture.index, _uncached_evaluator), **kw)
+            for kw in (
+                {"config": ServerConfig(flight_records=0, slo_window_seconds=0.0)},
+                {"config": ServerConfig(slow_query_ms=250.0),
+                 "access_log": access_log, "slow_log": slow_log},
+            )
         )
+        with ExitStack() as stack:
+            clients = [
+                stack.enter_context(ServeClient(
+                    "127.0.0.1",
+                    stack.enter_context(serve_in_thread(service)).port,
+                    max_retries=0,
+                ))
+                for service in (dark, lit)
+            ]
 
-        def lit_pass() -> float:
-            with instrumented(metrics=lit.metrics, trace=False):
-                return timed_pass(lit)
+            def timed(arm: int, keywords: List[str]) -> Tuple[float, int]:
+                obs = instrumented(metrics=lit.metrics, trace=False)
+                with obs if arm else nullcontext():
+                    start = monotonic_now()
+                    response = clients[arm].query(keywords)
+                    elapsed = monotonic_now() - start
+                return elapsed, _answer_count(response)
 
-        timed_pass(dark)  # warm both snapshot evaluators, untimed
-        lit_pass()
-        timings = [(timed_pass(dark), lit_pass()) for _ in range(pairs)]
+            for sweep in range(sweeps + 1):  # sweep 0 warms both, untimed
+                answers = [0, 0]
+                for i, query in enumerate(fixture.queries):
+                    order = (0, 1) if (sweep + i) % 2 else (1, 0)
+                    runs = {arm: timed(arm, list(query.keywords)) for arm in order}
+                    for arm in (0, 1):
+                        answers[arm] += runs[arm][1]
+                    if sweep:
+                        off[i].append(runs[0][0])
+                        delta[i].append(runs[1][0] - runs[0][0])
+                for count in answers:
+                    _expect_answers("observability", count, fixture.answers_per_pass)
         access_log.close()
         slow_log.close()
-    off, on = sorted(timings, key=lambda pair: pair[1] - pair[0])[pairs // 2]
+    off_seconds = replays * sum(map(median, off))
+    on_seconds = off_seconds + replays * sum(map(median, delta))
     return {
-        "obs.serve.overhead.off.seconds": off,
-        "obs.serve.overhead.on.seconds": on,
-        "obs.serve.overhead.answers": expected,
-        "obs.serve.overhead.requests": (
-            SERVE_THREADS * rounds * len(fixture.queries)
-        ),
-        "obs.serve.overhead.ratio": round(on / off, 4),
+        "obs.serve.overhead.off.seconds": off_seconds,
+        "obs.serve.overhead.on.seconds": on_seconds,
+        "obs.serve.overhead.answers": replays * fixture.answers_per_pass,
+        "obs.serve.overhead.requests": replays * len(fixture.queries),
+        "obs.serve.overhead.ratio": round(on_seconds / off_seconds, 4),
     }
 
 

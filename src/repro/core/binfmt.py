@@ -249,19 +249,19 @@ class SectionFile:
     def __init__(self, path: str) -> None:
         self.path = path
         try:
-            self._file = open(path, "rb")
+            file = open(path, "rb")
         except FileNotFoundError as exc:
             raise IndexCorruptedError(f"index file missing: {path}") from exc
-        try:
+        # The mapping holds its own descriptor: the file closes here.
+        with file:
             try:
-                self._mmap = mmap.mmap(
-                    self._file.fileno(), 0, access=mmap.ACCESS_READ
-                )
+                self._mmap = mmap.mmap(file.fileno(), 0, access=mmap.ACCESS_READ)
             except (ValueError, OSError) as exc:
                 raise IndexCorruptedError(
                     f"{path}: cannot map v4 container: {exc}"
                 ) from exc
-            self._view = memoryview(self._mmap)
+        self._view = memoryview(self._mmap)
+        try:
             size = len(self._view)
             if size < HEADER_SIZE:
                 raise IndexCorruptedError(
@@ -326,7 +326,7 @@ class SectionFile:
                     )
             self.sections: Dict[str, Dict[str, Any]] = sections
         except BaseException:
-            self._file.close()
+            self.close()
             raise
 
     # -- access --------------------------------------------------------
@@ -407,4 +407,3 @@ class SectionFile:
             self._mmap.close()
         except BufferError:  # pragma: no cover - views still exported
             pass
-        self._file.close()

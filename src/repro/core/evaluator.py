@@ -625,6 +625,8 @@ class HierarchicalEvaluator:
             return ranked
         tree = self.algorithm.answer_tree
         graph = self.index.base_graph
+        if ranked and OBS.enabled:
+            OBS.metrics.inc("search.trees_materialized", len(ranked))
         return [tree(graph, hit) for hit in ranked]
 
     @staticmethod

@@ -25,8 +25,8 @@ def generalize_graph(graph: Graph, config: Configuration) -> Graph:
     result = graph.copy(share_label_table=True)
     remap = generalized_label_ids(result.label_table, config, intern=True)
     # Collect every move before applying one, so a vertex is rewritten
-    # from its original label only; the inverted label index keeps the
-    # pass proportional to the affected vertices, not |V| * |C|.
+    # from its original label only; the moves come from one postings map
+    # (one pass over the labels), not one scan of |V| per mapping of C.
     moves = [(result.vertices_with_label_id(s), t) for s, t in remap.items()]
     for vertices, target_id in moves:
         for v in vertices:

@@ -925,7 +925,10 @@ class ShardedEvaluator:
         hits = [
             self.algorithm.best_hit_for_root(graph, root, query) for root in roots
         ]
-        merged = [self.algorithm.answer_tree(graph, h) for h in top_k(hits, k)]
+        ranked = top_k(hits, k)
+        if ranked and OBS.enabled:
+            OBS.metrics.inc("search.trees_materialized", len(ranked))
+        merged = [self.algorithm.answer_tree(graph, h) for h in ranked]
         coarsest = max((o.layer for o in outcomes), default=0)
         if not degraded:
             return EvalResult(

@@ -11,26 +11,22 @@ Design notes
   per-layer vertex maps in the BiG-index hierarchy are plain arrays.
 * Labels are interned through :class:`LabelTable`; a vertex stores a label
   *id*.  Graph generalization (Sec. 3.1) then reduces to an ``O(|V|)``
-  label-id rewrite, and keyword matching is an inverted-index lookup.
-* Reverse adjacency is maintained eagerly because every keyword search
-  algorithm in the paper expands *backward* (Sec. 5).
+  label-id rewrite, and keyword matching reads one postings map (label id
+  -> sorted vertex ids) derived from the labels.
+* A graph is its labels and its rows: successor and predecessor rows in
+  insertion order, both kept because every keyword search algorithm in
+  the paper expands *backward* (Sec. 5).  Edge, degree and postings reads
+  go through :meth:`Graph.rows` and the postings map in both storage
+  modes (heap lists, or the zero-copy buffers of a loaded container).
 * ``|G| = |V| + |E|`` as in the paper (used by the compression ratio).
 """
 
 from __future__ import annotations
 
 from array import array
+from collections import defaultdict
 from itertools import accumulate, chain
-from typing import (
-    Dict,
-    Iterable,
-    Iterator,
-    List,
-    Optional,
-    Sequence,
-    Set,
-    Tuple,
-)
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
 from repro.core.querycache import LRUCache
 from repro.obs.runtime import OBS
@@ -90,8 +86,7 @@ class FrozenAdjacency:
     into the container mmap, or arrays on the big-endian fallback) plus
     a reference to the owning reader so the mapping outlives every view.
     A frozen :class:`Graph` keeps one of these instead of ``_out`` /
-    ``_in`` / ``_edge_set`` / ``_label_index``; the first mutation
-    materializes heap structures and drops it (see
+    ``_in``; the first mutation materializes heap rows and drops it (see
     :meth:`Graph._materialize`).
 
     Indexed by direction (``0`` out, ``1`` in) it is :meth:`Graph.rows`:
@@ -111,7 +106,6 @@ class FrozenAdjacency:
         "post_offsets",
         "post_ids",
         "owner",
-        "_post_row",
         "_rows",
         "_ids",
         "frontiers",
@@ -138,7 +132,6 @@ class FrozenAdjacency:
         self.post_offsets = post_offsets
         self.post_ids = post_ids
         self.owner = owner
-        self._post_row: Optional[Dict[int, int]] = None
         self._rows: List[Optional[List[Tuple[int, ...]]]] = [None, None]
         self._ids: Optional[List[int]] = None
         self.frontiers = LRUCache(64, kind="frontier")  # frontier_memo()
@@ -157,25 +150,14 @@ class FrozenAdjacency:
             self._rows[direction] = rows
         return rows
 
-    def _row_of(self, label_id: int) -> Optional[int]:
-        if self._post_row is None:
-            self._post_row = {
-                lid: row for row, lid in enumerate(self.post_labels)
-            }
-        return self._post_row.get(label_id)
-
-    def posting(self, label_id: int) -> Sequence[int]:
-        """Sorted vertex ids carrying ``label_id`` (zero-copy slice)."""
-        row = self._row_of(label_id)
-        if row is None:
-            return ()
-        return self.post_ids[
-            self.post_offsets[row] : self.post_offsets[row + 1]
-        ]
-
-    def label_ids(self) -> Sequence[int]:
-        """Label ids with at least one vertex."""
-        return self.post_labels
+    def postings(self) -> Dict[int, Sequence[int]]:
+        """Label id -> sorted vertex ids, as zero-copy slices of the
+        loaded posting arrays (labels with at least one vertex only)."""
+        ids, bounds = self.post_ids, self.post_offsets.tolist()
+        return {
+            label_id: ids[a:b]
+            for label_id, a, b in zip(self.post_labels, bounds, bounds[1:])
+        }
 
 
 def _pack_csr(adjacency: Sequence[Sequence[int]]) -> Tuple[array, array]:
@@ -194,6 +176,10 @@ def _pack_csr(adjacency: Sequence[Sequence[int]]) -> Tuple[array, array]:
 
 class Graph:
     """A directed graph with one string label per vertex.
+
+    Its state is ``labels`` (one label id per vertex) and :meth:`rows`
+    (successor and predecessor rows, heap lists or a loaded container's
+    buffers); edges, degrees and postings are read from those two.
 
     Parameters
     ----------
@@ -217,8 +203,6 @@ class Graph:
         self.labels: List[int] = []
         self._out: List[List[int]] = []
         self._in: List[List[int]] = []
-        self._edge_set: Set[Tuple[int, int]] = set()
-        self._label_index: Dict[int, Set[int]] = {}
         self._num_edges = 0
         self.label_table = label_table if label_table is not None else LabelTable()
         #: Optional human-readable vertex names (entity names in examples).
@@ -228,18 +212,18 @@ class Graph:
         #: outside the graph (evaluator result caches, BiG-index memos)
         #: key their validity on it; see ``repro.core.querycache``.
         self.mutation_epoch: int = 0
-        # Lazily built label postings, dropped on mutation.
-        self._posting_cache: Dict[int, Tuple[int, ...]] = {}
+        # Label id -> sorted vertex ids, derived on first read and dropped
+        # by a relabel (see _postings_map).
+        self._postings: Optional[Dict[int, Sequence[int]]] = None
         # Copy-on-write bookkeeping (see cow_clone()).  ``None`` means the
-        # graph owns every row/set outright and mutators work in place;
-        # on a clone these hold the ids whose row/set the clone has
-        # privately copied, so shared structure is never written through.
+        # graph owns every row outright and mutators work in place; on a
+        # clone these hold the ids whose row the clone has privately
+        # copied, so shared structure is never written through.
         self._cow_out: Optional[Set[int]] = None
         self._cow_in: Optional[Set[int]] = None
-        self._cow_labels: Optional[Set[int]] = None
         # Zero-copy payload of an mmap-loaded graph; ``None`` for heap
-        # graphs.  While set (and _out is None) adjacency and postings
-        # are served from its buffers (see from_frozen / _materialize).
+        # graphs.  While set (and _out is None) rows and postings are
+        # served from its buffers (see from_frozen / _materialize).
         self._frozen: Optional[FrozenAdjacency] = None
 
     @classmethod
@@ -260,20 +244,12 @@ class Graph:
         exactly once (:meth:`_materialize`), so the WAL-replay and
         copy-on-write mutation paths work unchanged.
         """
-        graph = cls.__new__(cls)
+        graph = cls(label_table)
         graph.labels = labels  # type: ignore[assignment] - read-only view
         graph._out = None  # type: ignore[assignment]
         graph._in = None  # type: ignore[assignment]
-        graph._edge_set = None  # type: ignore[assignment]
-        graph._label_index = None  # type: ignore[assignment]
         graph._num_edges = len(frozen.out_targets)
-        graph.label_table = label_table
         graph.names = dict(names) if names else {}
-        graph.mutation_epoch = 0
-        graph._posting_cache = {}
-        graph._cow_out = None
-        graph._cow_in = None
-        graph._cow_labels = None
         graph._frozen = frozen
         return graph
 
@@ -289,28 +265,18 @@ class Graph:
     def _materialize(self) -> None:
         """Detach an mmap-backed graph to owned heap structures, once.
 
-        Called by every mutator before it writes.  Rebuilds ``_out`` /
-        ``_in`` in CSR order (which is insertion order — the v4 writer
-        preserves it), the edge set, and the label index, then drops the
-        frozen payload; subsequent mutations take the normal in-place
-        path.  A no-op for heap graphs, so the hot mutation path pays
-        one ``is not None`` check.
+        Called by every mutator before it writes.  Copies the rows in CSR
+        order (which is insertion order — the v4 writer preserves it) and
+        the labels, drops the postings map (the next read derives it from
+        the labels) and the frozen payload; subsequent mutations take the
+        normal in-place path.  A no-op for heap graphs, so the hot
+        mutation path pays one ``is not None`` check.
         """
         if self._out is not None:
             return
-        n = self.num_vertices
         self._out, self._in = (list(map(list, rows)) for rows in self._frozen)
-        self._edge_set = {
-            (u, v) for u in range(n) for v in self._out[u]
-        }
         self.labels = list(self.labels)
-        label_index: Dict[int, Set[int]] = {}
-        for v, label_id in enumerate(self.labels):
-            label_index.setdefault(label_id, set()).add(v)
-        self._label_index = label_index
-        self._cow_out = None
-        self._cow_in = None
-        self._cow_labels = None
+        self._postings = None
         self._frozen = None
         if OBS.enabled:
             OBS.metrics.inc("persist.mmap.detaches")
@@ -320,15 +286,7 @@ class Graph:
     # ------------------------------------------------------------------
     def add_vertex(self, label: str, name: Optional[str] = None) -> int:
         """Add a vertex with ``label`` and return its id."""
-        self._materialize()
-        vid = len(self.labels)
-        label_id = self.label_table.intern(label)
-        self.labels.append(label_id)
-        self._out.append([])
-        self._in.append([])
-        self._own_label_set(label_id).add(vid)
-        self.mutation_epoch += 1
-        self._posting_cache.pop(label_id, None)
+        vid = self._append_vertex(self.label_table.intern(label))
         if name is not None:
             self.names[vid] = name
         return vid
@@ -337,14 +295,19 @@ class Graph:
         """Add a vertex by pre-interned label id (fast path for builders)."""
         if not 0 <= label_id < len(self.label_table):
             raise GraphError(f"label id {label_id} not in label table")
+        return self._append_vertex(label_id)
+
+    def _append_vertex(self, label_id: int) -> int:
         self._materialize()
         vid = len(self.labels)
         self.labels.append(label_id)
         self._out.append([])
         self._in.append([])
-        self._own_label_set(label_id).add(vid)
+        postings = self._postings
+        if postings is not None:
+            # The new id is the largest, so the tuple stays sorted.
+            postings[label_id] = postings.get(label_id, ()) + (vid,)
         self.mutation_epoch += 1
-        self._posting_cache.pop(label_id, None)
         return vid
 
     def add_edge(self, u: int, v: int) -> bool:
@@ -356,9 +319,8 @@ class Graph:
         self._check_vertex(u)
         self._check_vertex(v)
         self._materialize()
-        if (u, v) in self._edge_set:
+        if v in self._out[u]:
             return False
-        self._edge_set.add((u, v))
         self._own_out_row(u).append(v)
         self._own_in_row(v).append(u)
         self._num_edges += 1
@@ -370,7 +332,6 @@ class Graph:
         if not self.has_edge(u, v):
             raise GraphError(f"edge ({u}, {v}) not in graph")
         self._materialize()
-        self._edge_set.remove((u, v))
         self._own_out_row(u).remove(v)
         self._own_in_row(v).remove(u)
         self._num_edges -= 1
@@ -396,41 +357,24 @@ class Graph:
             self._cow_in.add(v)
         return self._in[v]
 
-    def _own_label_set(self, label_id: int) -> Set[int]:
-        """Posting set of ``label_id``, privately owned before mutation."""
-        vertex_set = self._label_index.get(label_id)
-        if vertex_set is None:
-            vertex_set = set()
-            self._label_index[label_id] = vertex_set
-            if self._cow_labels is not None:
-                self._cow_labels.add(label_id)
-        elif self._cow_labels is not None and label_id not in self._cow_labels:
-            vertex_set = set(vertex_set)
-            self._label_index[label_id] = vertex_set
-            self._cow_labels.add(label_id)
-        return vertex_set
-
     def relabel_vertex(self, v: int, new_label: str) -> None:
-        """Change the label of ``v``, keeping the inverted index consistent."""
+        """Change the label of ``v`` (the postings map is rederived)."""
         self._check_vertex(v)
         new_id = self.label_table.intern(new_label)
         self.relabel_vertex_by_id(v, new_id)
 
     def relabel_vertex_by_id(self, v: int, new_label_id: int) -> None:
-        """Change the label of ``v`` to a pre-interned label id."""
-        old_id = self.labels[v]
-        if old_id == new_label_id:
+        """Change the label of ``v`` to a pre-interned label id.
+
+        Drops the postings map: relabels happen while graphs are built
+        (generalization, typing), before anything reads postings.
+        """
+        if self.labels[v] == new_label_id:
             return
         self._materialize()
-        old_set = self._own_label_set(old_id)
-        old_set.discard(v)
-        if not old_set:
-            del self._label_index[old_id]
         self.labels[v] = new_label_id
-        self._own_label_set(new_label_id).add(v)
+        self._postings = None
         self.mutation_epoch += 1
-        self._posting_cache.pop(old_id, None)
-        self._posting_cache.pop(new_label_id, None)
 
     # ------------------------------------------------------------------
     # Inspection
@@ -455,30 +399,14 @@ class Graph:
         return range(self.num_vertices)
 
     def edges(self) -> Iterator[Tuple[int, int]]:
-        """Iterate over all edges as ``(u, v)`` pairs."""
-        if self._out is None:
-            frozen = self._frozen
-            offsets, targets = frozen.out_offsets, frozen.out_targets
-            for u in range(self.num_vertices):
-                for k in range(offsets[u], offsets[u + 1]):
-                    yield (u, targets[k])
-            return
-        for u in range(self.num_vertices):
-            for v in self._out[u]:
+        """Iterate over all edges as ``(u, v)`` pairs, in row order."""
+        for u, row in enumerate(self.rows()[0]):
+            for v in row:
                 yield (u, v)
 
     def has_edge(self, u: int, v: int) -> bool:
-        """Return whether edge ``(u, v)`` exists (O(1) on heap graphs)."""
-        if self._edge_set is None:
-            if not (
-                0 <= u < self.num_vertices and 0 <= v < self.num_vertices
-            ):
-                return False
-            frozen = self._frozen
-            return v in frozen.out_targets[
-                frozen.out_offsets[u] : frozen.out_offsets[u + 1]
-            ]
-        return (u, v) in self._edge_set
+        """Return whether edge ``(u, v)`` exists (a scan of ``u``'s row)."""
+        return 0 <= u < self.num_vertices and v in self.rows()[0][u]
 
     def out_neighbors(self, v: int) -> Sequence[int]:
         """Successors of ``v`` (owned by the graph; do not mutate)."""
@@ -516,19 +444,11 @@ class Graph:
 
     def out_degree(self, v: int) -> int:
         """Number of out-edges of ``v``."""
-        self._check_vertex(v)
-        if self._out is None:
-            offsets = self._frozen.out_offsets
-            return offsets[v + 1] - offsets[v]
-        return len(self._out[v])
+        return len(self.out_neighbors(v))
 
     def in_degree(self, v: int) -> int:
         """Number of in-edges of ``v``."""
-        self._check_vertex(v)
-        if self._in is None:
-            offsets = self._frozen.in_offsets
-            return offsets[v + 1] - offsets[v]
-        return len(self._in[v])
+        return len(self.in_neighbors(v))
 
     def degree(self, v: int) -> int:
         """Total degree (in + out) of ``v``; used for joint-vertex detection."""
@@ -548,26 +468,41 @@ class Graph:
         """Human-readable name of ``v`` (falls back to its label)."""
         return self.names.get(v, self.label(v))
 
-    def sorted_vertices_with_label_id(self, label_id: int) -> Tuple[int, ...]:
-        """Sorted vertices carrying ``label_id``, cached (do not mutate).
+    def _postings_map(self) -> Dict[int, Sequence[int]]:
+        """Label id -> sorted vertex ids: every postings read goes here.
 
-        The searchers seed their per-keyword frontiers from this inverted
-        index; unlike :meth:`vertices_with_label_id` it neither copies nor
-        re-sorts on repeated lookups of the same label.
+        Built on first use and kept until a relabel.  An mmap-backed
+        graph maps each label to the container's zero-copy slice, so a
+        loaded index starts warm; a heap graph derives tuples from its
+        labels in one pass, counted as ``postings.build``.
         """
-        cached = self._posting_cache.get(label_id)
-        if cached is None:
-            if self._label_index is None:
-                # Loaded postings are already sorted; the tuple copy is
-                # per *queried* label, so cold start stays O(1) and does
-                # not count as a postings *build* (v4 loads start warm).
-                cached = tuple(self._frozen.posting(label_id))
+        postings = self._postings
+        if postings is None:
+            if self._out is None:
+                postings = self._frozen.postings()
             else:
-                cached = tuple(sorted(self._label_index.get(label_id, ())))
+                ids: Dict[int, List[int]] = defaultdict(list)
+                for v, label_id in enumerate(self.labels):
+                    ids[label_id].append(v)
+                postings = {label_id: tuple(vs) for label_id, vs in ids.items()}
                 if OBS.enabled:
                     OBS.metrics.inc("postings.build")
-            self._posting_cache[label_id] = cached
-        return cached
+            self._postings = postings
+        return postings
+
+    def sorted_vertices_with_label_id(self, label_id: int) -> Tuple[int, ...]:
+        """Sorted vertices carrying ``label_id`` (do not mutate).
+
+        The searchers seed their per-keyword frontiers from this; unlike
+        :meth:`vertices_with_label_id` it neither copies nor re-sorts on
+        repeated lookups of the same label.
+        """
+        postings = self._postings_map()
+        posting = postings.get(label_id, ())
+        if not isinstance(posting, tuple):
+            # A loaded slice becomes a tuple when its label is first queried.
+            posting = postings[label_id] = tuple(posting)
+        return posting
 
     def sorted_vertices_with_label(self, label: str) -> Tuple[int, ...]:
         """Sorted vertices labeled ``label`` (empty for unknown labels)."""
@@ -579,9 +514,8 @@ class Graph:
     def postings_snapshot(self) -> Dict[str, List[int]]:
         """Every label's sorted posting list, as plain JSON-able data.
 
-        Builds the complete inverted keyword index (label → sorted vertex
-        ids) regardless of what is cached.  Persistence ships the same
-        lists by label id (:meth:`postings_items_by_id`).
+        Persistence ships the same lists by label id
+        (:meth:`postings_items_by_id`).
         """
         return {
             self.label_table.label_of(label_id): list(posting)
@@ -591,66 +525,38 @@ class Graph:
     def postings_items_by_id(self) -> List[Tuple[int, Sequence[int]]]:
         """``(label_id, sorted vertex ids)`` pairs in ascending label id.
 
-        The building block for persistence writers: on a heap graph the
-        lists are sorted fresh from the label index; on an mmap-backed
-        graph they are zero-copy slices of the loaded posting arrays, so
-        re-saving a loaded index never materializes the inverted index.
-        Only labels with at least one vertex appear (same contract as
-        :meth:`postings_snapshot`).
+        The building block for persistence writers: on an mmap-backed
+        graph the lists are zero-copy slices of the loaded posting
+        arrays (or tuples of the labels queried so far), so re-saving a
+        loaded index never derives postings.  Only labels with at least
+        one vertex appear (same contract as :meth:`postings_snapshot`).
         """
-        if self._label_index is None:
-            frozen = self._frozen
-            return [
-                (label_id, frozen.posting(label_id))
-                for label_id in sorted(frozen.label_ids())
-            ]
-        return [
-            (label_id, sorted(vertex_set))
-            for label_id, vertex_set in sorted(self._label_index.items())
-        ]
+        return sorted(self._postings_map().items())
 
     def drop_caches(self) -> None:
-        """Discard the lazily built label postings.
-
-        Used by the cold-query benchmark and tests to return the graph to
-        its just-constructed state; postings rebuild on demand.
-        """
-        self._posting_cache.clear()
+        """Discard the postings map (the cold-query benchmark and tests
+        return a graph to its just-constructed state)."""
+        self._postings = None
 
     def vertices_with_label(self, label: str) -> Set[int]:
         """All vertices labeled ``label`` (empty set for unknown labels)."""
-        label_id = self.label_table.get_id(label)
-        if label_id is None:
-            return set()
-        return self.vertices_with_label_id(label_id)
+        return set(self.sorted_vertices_with_label(label))
 
     def vertices_with_label_id(self, label_id: int) -> Set[int]:
         """All vertices with the interned label id (empty set when absent)."""
-        if self._label_index is None:
-            return set(self._frozen.posting(label_id))
-        return set(self._label_index.get(label_id, ()))
+        return set(self.sorted_vertices_with_label_id(label_id))
 
     def label_support(self, label: str) -> int:
         """Number of vertices carrying ``label`` (the paper's ``|V_l|``)."""
-        label_id = self.label_table.get_id(label)
-        if label_id is None:
-            return 0
-        if self._label_index is None:
-            return len(self._frozen.posting(label_id))
-        return len(self._label_index.get(label_id, ()))
+        return len(self.sorted_vertices_with_label(label))
 
     def distinct_labels(self) -> Set[str]:
         """The set of labels actually used by some vertex."""
-        return {
-            self.label_table.label_of(label_id)
-            for label_id in self.distinct_label_ids()
-        }
+        return set(self.label_histogram())
 
     def distinct_label_ids(self) -> Set[int]:
         """The set of label ids actually used by some vertex."""
-        if self._label_index is None:
-            return set(self._frozen.label_ids())
-        return set(self._label_index)
+        return set(self._postings_map())
 
     def label_histogram(self) -> Dict[str, int]:
         """Map of label -> number of vertices carrying it."""
@@ -663,7 +569,8 @@ class Graph:
     # Derivation
     # ------------------------------------------------------------------
     def copy(self, share_label_table: bool = True) -> "Graph":
-        """Deep-copy the topology and labels.
+        """Deep-copy the topology and labels onto the heap (an mmap-backed
+        graph stays mmap-backed).
 
         ``share_label_table`` keeps a single interning table across copies,
         which the BiG-index hierarchy relies on for cross-layer label ids.
@@ -673,28 +580,7 @@ class Graph:
         )
         clone = Graph(table)
         clone.labels = list(self.labels)
-        if self._out is None:
-            # mmap-backed: build the heap copy from the rows without
-            # detaching this graph (it stays mmap-backed).
-            n = self.num_vertices
-            clone._out, clone._in = (
-                list(map(list, rows)) for rows in self._frozen
-            )
-            clone._edge_set = {
-                (u, v) for u in range(n) for v in clone._out[u]
-            }
-            clone._label_index = {
-                label_id: set(posting)
-                for label_id, posting in self.postings_items_by_id()
-            }
-        else:
-            clone._out = [list(adj) for adj in self._out]
-            clone._in = [list(adj) for adj in self._in]
-            clone._edge_set = set(self._edge_set)
-            clone._label_index = {
-                label_id: set(vertex_set)
-                for label_id, vertex_set in self._label_index.items()
-            }
+        clone._out, clone._in = (list(map(list, rows)) for rows in self.rows())
         clone._num_edges = self._num_edges
         clone.names = dict(self.names)
         return clone
@@ -702,20 +588,18 @@ class Graph:
     def cow_clone(self) -> "Graph":
         """Copy-on-write clone sharing all unmutated structure.
 
-        The clone gets private *outer* containers (adjacency lists, edge
-        set, label-index dict, labels, names) whose *contents* — the
-        per-vertex rows and per-label posting sets — stay shared with this
-        graph until the clone's first write to each (see
-        :meth:`_own_out_row` and friends).  The posting-tuple cache holds
-        immutable snapshots, so it is copied shallowly and the clone's own
-        mutators invalidate only the clone's entries.
+        The clone gets private *outer* containers (adjacency lists,
+        labels, names, postings map) whose *contents* — the per-vertex
+        rows — stay shared with this graph until the clone's first write
+        to each (see :meth:`_own_out_row`).  The postings map holds
+        immutable sequences, so it is copied shallowly.
 
         The parent must be treated as frozen for the clone's lifetime (the
         serve runtime guarantees this: a published snapshot is never
         mutated in place).  O(|V| + |labels|) instead of copy()'s
         O(|V| + |E|).
         """
-        clone = Graph.__new__(Graph)
+        clone = Graph(self.label_table)
         if self._out is None:
             # mmap-backed: share the frozen buffers outright.  The
             # clone's first mutation runs _materialize(), which builds
@@ -724,27 +608,18 @@ class Graph:
             clone.labels = self.labels
             clone._out = None
             clone._in = None
-            clone._edge_set = None
-            clone._label_index = None
-            clone._cow_out = None
-            clone._cow_in = None
-            clone._cow_labels = None
             clone._frozen = self._frozen
         else:
             clone.labels = list(self.labels)
             clone._out = list(self._out)
             clone._in = list(self._in)
-            clone._edge_set = set(self._edge_set)
-            clone._label_index = dict(self._label_index)
             clone._cow_out = set()
             clone._cow_in = set()
-            clone._cow_labels = set()
-            clone._frozen = None
         clone._num_edges = self._num_edges
-        clone.label_table = self.label_table
         clone.names = dict(self.names)
         clone.mutation_epoch = self.mutation_epoch
-        clone._posting_cache = dict(self._posting_cache)
+        if self._postings is not None:
+            clone._postings = dict(self._postings)
         if OBS.enabled:
             OBS.metrics.inc("cow.graph.clones")
         return clone

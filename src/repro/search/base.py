@@ -468,6 +468,8 @@ class RootedTreeAlgorithm(KeywordSearchAlgorithm):
                 return None
             distances[keyword] = d
         nodes = tuple(sorted((kw, keyword_nodes[kw]) for kw in query))
+        if OBS.enabled:
+            OBS.metrics.inc("search.trees_materialized")
         return self.answer_tree(graph, RootHit(self.scr(distances), root, nodes))
 
     def best_hit_for_root(
@@ -553,9 +555,8 @@ class RootedTreeAlgorithm(KeywordSearchAlgorithm):
     def answer_tree(self, graph: Graph, hit: RootHit) -> Answer:
         """Build the hit's answer tree: the union of shortest
         root-to-keyword paths.  Rooted searches call it only for the hits
-        that leave the system (``search.trees_materialized`` counts it)."""
-        if OBS.enabled:
-            OBS.metrics.inc("search.trees_materialized")
+        that leave the system; each caller adds the trees it built to
+        ``search.trees_materialized`` once per call."""
         root = hit.root
         vertices: Set[int] = {root}
         edges: Set[Tuple[int, int]] = set()
@@ -632,14 +633,22 @@ class RootedSearcher(GraphSearcher):
 
     def _trees(self, hits, *args, **kwargs) -> Iterator[Answer]:
         """Trees of ``hits(*args, **kwargs)``, built as they are consumed
-        (a budget trip's ``partial`` too)."""
+        (a budget trip's ``partial`` too), counted once when the
+        enumeration ends or is abandoned."""
         tree = self.algorithm.answer_tree
+        built = 0
         try:
             for hit in hits(*args, **kwargs):
-                yield tree(self.graph, hit)
+                answer = tree(self.graph, hit)
+                built += 1
+                yield answer
         except BudgetExceeded as exc:
             exc.partial = [tree(self.graph, hit) for hit in exc.partial]
+            built += len(exc.partial)
             raise
+        finally:
+            if built and OBS.enabled:
+                OBS.metrics.inc("search.trees_materialized", built)
 
 
 def top_k(answers: Sequence, k: Optional[int]) -> List:

@@ -1,6 +1,8 @@
 """Unit tests for the core graph type and label table."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.graph.digraph import Graph, LabelTable
 from repro.utils.errors import GraphError
@@ -196,3 +198,118 @@ class TestDerivation:
         assert g.in_degree(b) == 2
         assert g.degree(b) == 2
         assert g.degree(a) == 1
+
+
+# ----------------------------------------------------------------------
+# Storage modes: a heap graph, its mmap-backed twin and their clones
+# ----------------------------------------------------------------------
+MODE_LABELS = ("A", "B", "C", "D")
+
+#: One write, with vertex and edge picks taken modulo the graph's size.
+writes = st.one_of(
+    st.tuples(st.just("vertex"), st.sampled_from(MODE_LABELS)),
+    st.tuples(st.just("edge"), st.integers(0, 99), st.integers(0, 99)),
+    st.tuples(st.just("remove"), st.integers(0, 99)),
+    st.tuples(st.just("relabel"), st.integers(0, 99), st.sampled_from(MODE_LABELS)),
+)
+
+
+def every_read(graph: Graph):
+    """Everything a graph answers about its edges, rows and labels."""
+    n = graph.num_vertices
+    ids = range(len(MODE_LABELS) + 1)  # one past the interned labels
+    probes = MODE_LABELS + ("missing",)
+    return {
+        "size": (n, graph.num_edges, graph.size),
+        "edges": list(graph.edges()),
+        "has_edge": [
+            graph.has_edge(u, v) for u in range(-1, n + 1) for v in range(-1, n + 1)
+        ],
+        "degrees": [
+            (graph.out_degree(v), graph.in_degree(v), graph.degree(v))
+            for v in graph.vertices()
+        ],
+        "rows": tuple([tuple(row) for row in table] for table in graph.rows()),
+        "postings": [graph.sorted_vertices_with_label_id(i) for i in ids],
+        "by_id": [(i, list(p)) for i, p in graph.postings_items_by_id()],
+        "sets": [graph.vertices_with_label(label) for label in probes],
+        "support": [graph.label_support(label) for label in probes],
+        "distinct": (graph.distinct_labels(), graph.distinct_label_ids()),
+        "histogram": graph.label_histogram(),
+        "snapshot": graph.postings_snapshot(),
+    }
+
+
+def apply_write(graph: Graph, write):
+    kind, *args = write
+    n = graph.num_vertices
+    if kind == "vertex":
+        return graph.add_vertex(args[0])
+    if kind == "edge":
+        return graph.add_edge(args[0] % n, args[1] % n)
+    if kind == "remove":
+        edges = list(graph.edges())
+        if edges:
+            graph.remove_edge(*edges[args[0] % len(edges)])
+        return len(edges)
+    return graph.relabel_vertex(args[0] % n, args[1])
+
+
+@st.composite
+def mode_graphs(draw) -> Graph:
+    n = draw(st.integers(min_value=1, max_value=8))
+    g = Graph(LabelTable(MODE_LABELS))
+    for label in draw(st.lists(st.sampled_from(MODE_LABELS), min_size=n, max_size=n)):
+        g.add_vertex(label)
+    vertex = st.integers(0, n - 1)
+    for u, v in draw(st.lists(st.tuples(vertex, vertex), max_size=2 * n)):
+        g.add_edge(u, v)
+    return g
+
+
+class TestStorageModes:
+    @settings(max_examples=60, deadline=None)
+    @given(mode_graphs(), st.lists(writes, max_size=10), st.booleans())
+    def test_every_mode_answers_every_read_alike(
+        self, frozen_twin, g, ops, parents_read_first
+    ):
+        """A heap graph, its frozen twin and a copy-on-write clone of each
+        read identically after every write of a random sequence, and the
+        clones' writes never show through their parents."""
+        parents = (g, frozen_twin(g))
+        if parents_read_first:  # the clones then share built postings maps
+            before = [every_read(parent) for parent in parents]
+        written = [
+            g.copy(),
+            frozen_twin(g),
+            *(parent.cow_clone() for parent in parents),
+        ]
+        assert written[1].is_mmap_backed and written[3].is_mmap_backed
+        if not parents_read_first:
+            before = [every_read(parent) for parent in parents]
+        expected = every_read(g)
+        assert all(every_read(graph) == expected for graph in written)
+        for write in ops:
+            results = [apply_write(graph, write) for graph in written]
+            assert results == [results[0]] * 4
+            expected = every_read(written[0])
+            for graph in written[1:]:
+                assert every_read(graph) == expected
+        assert [every_read(parent) for parent in parents] == before
+        assert parents[1].is_mmap_backed
+
+    def test_a_detached_twin_appends_to_postings_it_never_queried(
+        self, frozen_twin
+    ):
+        """``label_histogram`` reads the loaded slices without turning
+        them into tuples; the write after it detaches, and its postings
+        follow."""
+        g = Graph()
+        for label in "ABA":
+            g.add_vertex(label)
+        frozen = frozen_twin(g)
+        assert frozen.label_histogram() == {"A": 2, "B": 1}
+        v = frozen.add_vertex("A")
+        assert not frozen.is_mmap_backed
+        assert frozen.sorted_vertices_with_label("A") == (0, 2, v)
+        assert frozen.label_histogram() == {"A": 3, "B": 1}

@@ -34,6 +34,7 @@ from repro.obs import (
     instrumented,
     write_trace,
 )
+from repro.obs.reqlog import SloWindow
 from repro.obs.schema import distinct_phases, validate_lines
 from repro.obs.schema import main as schema_main
 from repro.search.banks import BackwardKeywordSearch
@@ -711,6 +712,8 @@ _QUERY_PREFIXES = ("eval.", "spec.", "search.", "cache.", "budget.")
 _CORE_PREFIXES = (
     "refine.", "persist.", "wal.", "snapshot.", "postings.",
 )
+#: The serve tables ("Serve counters"), audited against their own rows.
+_SERVE_PREFIXES = ("serve.", "req.", "log.", "flight.", "slo.")
 _BUILD_SPAN_FILES = ("core/index.py", "core/heuristic.py", "core/sharding.py")
 _QUERY_SPAN_FILES = ("core/evaluator.py",)
 #: Registry calls, plus ``EngineRuntime._metric_inc`` (the serve
@@ -786,6 +789,23 @@ def _documented_spans():
     }
 
 
+def _serve_documented():
+    """Metric names of the two tables under "Serve counters": rows that
+    list names (``| `serve.admitted` | meaning |``) and rows that list a
+    prefix and its names (``| `req.` | `received`, ... |``)."""
+    names = set()
+    for first, second in _doc_table("### Serve counters"):
+        if first.endswith(".`"):
+            prefix = first.strip("`")
+            names.update(
+                prefix + name
+                for name in _names(re.sub(r"\([^)]*\)", "", second))
+            )
+        else:
+            names.update(_names(first))
+    return {_placeholder(name) for name in names}
+
+
 class TestTelemetryAudit:
     def test_build_shard_cow_metrics_match_the_docs(self):
         emitted, documented = _metric_audit(_BUILD_PREFIXES)
@@ -812,6 +832,20 @@ class TestTelemetryAudit:
         # EngineRuntime._metric_inc, so the scan must see that wrapper.
         assert {"snapshot.published", "persist.mmap.detaches"} <= emitted
         assert emitted == documented
+
+    def test_serve_metrics_match_the_docs(self):
+        emitted, _ = _metric_audit(_SERVE_PREFIXES)
+        # One f-string emits every SLO gauge; its fields are read from a
+        # published window instead.
+        emitted.remove("slo.*.*")
+        window, metrics = SloWindow(), MetricsRegistry()
+        window.observe("/query", 0.01, 200)
+        window.publish_gauges(metrics)
+        emitted |= {
+            name.replace("slo.query.", "slo.*.", 1) for name in metrics.gauges()
+        }
+        assert {"serve.requests.query", "req.minted", "flight.records"} <= emitted
+        assert emitted == _serve_documented()
 
     def test_build_spans_match_the_docs(self):
         documented = _documented_spans()

@@ -180,7 +180,8 @@ class TestIntegrity:
     """Corruption classification: every failure mode gets the right class."""
 
     def test_manifest_written_and_covers_every_file(self, saved):
-        manifest = json.load(open(os.path.join(saved, "manifest.json")))
+        with open(os.path.join(saved, "manifest.json")) as f:
+            manifest = json.load(f)
         # The container is blessed per section under "binary" instead.
         names = {
             name

@@ -228,7 +228,8 @@ class TestCorruption:
             load_index(target, fig2_ontology)
 
     def test_manifest_blesses_binary_sections(self, saved):
-        manifest = json.load(open(os.path.join(saved, "manifest.json")))
+        with open(os.path.join(saved, "manifest.json")) as f:
+            manifest = json.load(f)
         assert BINARY_NAME not in manifest["files"]
         binary = manifest["binary"][BINARY_NAME]
         assert "file_sha256" in binary and "toc_sha256" in binary
