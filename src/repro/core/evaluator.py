@@ -22,7 +22,7 @@ The evaluator runs the five steps of Fig. 5 / Algo. 2:
      :class:`~repro.search.base.RootedTreeAlgorithm`): root verification.
      The candidate roots are the specializations of each generalized
      answer's root; every candidate root is verified exactly on the data
-     graph (``best_hit_for_root``: a read of the root's profile, memoized
+     graph (``root_verifier``: a read of the root's profile, memoized
      per frozen graph, or one bounded BFS on the heap).  Complete because
      path-preservation guarantees every true root's image is a summary
      answer root (Lemma 4.1 / Prop. 5.1).  Summary answers are batches of
@@ -71,6 +71,7 @@ from typing import (
     Callable,
     Dict,
     Iterable,
+    Iterator,
     List,
     Mapping,
     Optional,
@@ -97,6 +98,7 @@ from repro.search.base import (
     KeywordQuery,
     KeywordSearchAlgorithm,
     RootedTreeAlgorithm,
+    settled_by_all,
     top_k,
 )
 from repro.utils.budget import Budget
@@ -511,7 +513,11 @@ class HierarchicalEvaluator:
                     batches = (([(answer.score, answer)], None) for answer
                                in searcher.iter_search(generalized_query, budget))
                 seen_roots: Set[int] = set()
-                reach: Optional[List[Sequence[int]]] = None
+                reach: Optional[Set[int]] = None
+                lifted: Set[int] = set()
+                verify = self.algorithm.root_verifier(
+                    self.index.base_graph, query
+                ) if self.rooted else None
                 done = False
                 while not done:
                     in_flight = None
@@ -546,8 +552,23 @@ class HierarchicalEvaluator:
                                 result.num_spec_lookups += 1
                                 if reach is None and layer >= 2:
                                     reach = self._layer1_reach(query, budget)
+                                    if reach is not None:
+                                        lifted = self._lift(reach, layer)
+                                if reach is not None and summary not in lifted \
+                                        and (budget is None
+                                             or budget.affords(len(spec))):
+                                    # No layer-1 block under the hit is
+                                    # reached: count and charge its roots
+                                    # as the per-root loop would, in one
+                                    # step (only when the cap affords them
+                                    # all, so the loop trips it as before).
+                                    result.charge(budget, len(spec))
+                                    seen_roots.update(spec)
+                                    result.num_candidates += len(spec)
+                                    result.num_bounded += len(spec)
+                                    continue
                                 self._generate_by_root(
-                                    score, spec, query, verified, seen_roots,
+                                    score, spec, verify, verified, seen_roots,
                                     result, k, budget, reach,
                                 )
                                 continue
@@ -881,51 +902,55 @@ class HierarchicalEvaluator:
         self,
         summary_score: float,
         candidate_roots: Sequence[int],
-        query: KeywordQuery,
+        verify: Callable[[Sequence[int]], Iterator],
         verified: Verified,
         seen_roots: Set[int],
         result: EvalResult,
         k: Optional[int],
         budget: Optional[Budget] = None,
-        reach: Optional[List[Sequence[int]]] = None,
+        reach: Optional[Set[int]] = None,
     ) -> None:
         """Verify every candidate root (the summary root's sorted
-        specializations) with ``best_hit_for_root``, one charge each.
+        specializations) with the attempt's ``verify``
+        (:meth:`~repro.search.base.RootedTreeAlgorithm.root_verifier`),
+        one charge each.
 
         The summary hit's score lower-bounds the exact score of every
         root specialized from it (Prop. 5.2), so once the top-k verified
         scores all fall at or below it, the rest of this hit's
         candidates cannot improve the result (Sec. 4.3.4).  A candidate
         the ``reach`` sweeps (:meth:`_layer1_reach`) rule out still
-        counts, but is not verified.  Verified roots stay hits;
-        :meth:`_attempt` builds trees for its top-k.
+        counts, but is not verified; the others are verified as one
+        root list, read as the loop reaches them.  Verified roots stay
+        hits; :meth:`_attempt` builds trees for its top-k.
         """
-        best_hit_for_root = self.algorithm.best_hit_for_root
-        block_of = self.index.layers[0].parent_of
-        for root in candidate_roots:
-            if root in seen_roots:
-                continue
+        roots = [root for root in candidate_roots if root not in seen_roots]
+        bounded = [False] * len(roots)
+        if reach is not None:
+            block_of = self.index.layers[0].parent_of
+            bounded = [block_of[root] not in reach for root in roots]
+        hits = verify([root for root, out in zip(roots, bounded) if not out])
+        for root, out in zip(roots, bounded):
             if verified.dominates(k, summary_score):
                 return
             result.charge(budget)
             seen_roots.add(root)
             result.num_candidates += 1
-            if reach:
-                block = block_of[root]
-                if -1 in [dist[block] for dist in reach]:
-                    result.num_bounded += 1
-                    continue
-            hit = best_hit_for_root(self.index.base_graph, root, query)
+            if out:
+                result.num_bounded += 1
+                continue
+            hit = next(hits)
             if hit is not None:
                 verified.offer(hit)
 
     def _layer1_reach(
         self, query: KeywordQuery, budget: Optional[Budget]
-    ) -> List[Sequence[int]]:
-        """The ``dist`` arrays of one charged backward sweep per keyword of
-        ``Gen^1(Q)`` on ``G^1`` to ``d_max``.  Path preservation makes
-        ``dist_G1(chi(r), Gen^1(q)) <= dist_G0(r, V_q)``, so a root whose
-        block some sweep leaves unsettled has no answer (DESIGN.md)."""
+    ) -> Set[int]:
+        """The layer-1 blocks that every one of the charged backward
+        sweeps, one per keyword of ``Gen^1(Q)`` on ``G^1`` to ``d_max``,
+        settles.  Path preservation makes ``dist_G1(chi(r), Gen^1(q)) <=
+        dist_G0(r, V_q)``, so a root whose block is missing has no answer
+        (DESIGN.md)."""
         labels = self.index.generalize_query(query, 1)
         sweeps = BackwardFrontier.recall(
             self.index.layer_graph(1), labels, self.algorithm.d_max, budget
@@ -935,7 +960,16 @@ class HierarchicalEvaluator:
             while not sweep.exhausted:
                 sweep.expand_level(budget)
             sweep.remember()
-        return [sweep.dist for sweep in sweeps]
+        return set(settled_by_all(sweeps))
+
+    def _lift(self, blocks: Set[int], layer: int) -> Set[int]:
+        """The layer-``layer`` supernodes over ``blocks``, one
+        ``parent_of`` level at a time: a supernode missing from it has no
+        reached block, so every root it specializes to is bounded."""
+        for level in range(1, layer):
+            parent_of = self.index.layers[level].parent_of
+            blocks = {parent_of[b] for b in blocks}
+        return blocks
 
     def _generate_by_assignment(
         self,

@@ -754,7 +754,7 @@ class ShardedEvaluator:
     under the GIL — docs/PERFORMANCE.md, "Multicore").
 
     Gather: a locale reports *roots*.  Each distinct root any locale
-    found (in global ids) is verified once with ``best_hit_for_root`` on
+    found (in global ids) is verified once with ``root_verifier`` on
     the union graph, the hits re-rank through
     :func:`~repro.search.base.top_k`, and only the merged top-k get
     trees.  Degraded locales merge into one
@@ -893,7 +893,7 @@ class ShardedEvaluator:
         equal-distance keyword nodes) can tie, with the locale's
         adjacency order breaking those ties differently than the full
         graph's.  The monolithic root-verify pipeline ranks
-        ``best_hit_for_root`` over the base graph and builds trees for its
+        ``root_verifier`` over the base graph and builds trees for its
         top-k, so doing the same with each gathered root on the union
         graph makes the sharded output byte-identical, signatures and
         trees included.
@@ -922,9 +922,7 @@ class ShardedEvaluator:
                 degraded.append((locale, outcome))
             roots.update(locale.global_ids[a.root] for a in answers)
         graph = self.sharded.base_graph
-        hits = [
-            self.algorithm.best_hit_for_root(graph, root, query) for root in roots
-        ]
+        hits = list(self.algorithm.root_verifier(graph, query)(sorted(roots)))
         ranked = top_k(hits, k)
         if ranked and OBS.enabled:
             OBS.metrics.inc("search.trees_materialized", len(ranked))

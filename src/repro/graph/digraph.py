@@ -438,7 +438,8 @@ class Graph:
         return None if frozen is None else frozen.frontiers
 
     def profile_memo(self) -> Optional[LRUCache]:
-        """:meth:`frontier_memo`'s twin for root profiles (``nearest_labeled``)."""
+        """:meth:`frontier_memo`'s twin for root profiles
+        (``nearest_labeled_reader``)."""
         frozen = self._frozen
         return None if frozen is None else frozen.profiles
 

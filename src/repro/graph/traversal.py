@@ -13,7 +13,18 @@ from __future__ import annotations
 from array import array
 from bisect import bisect_left
 from collections import deque
-from typing import Dict, Iterable, List, Optional, Set, Tuple
+from itertools import repeat
+from typing import (
+    Callable,
+    Dict,
+    Iterable,
+    Iterator,
+    List,
+    Optional,
+    Sequence,
+    Set,
+    Tuple,
+)
 
 from repro.graph.digraph import Graph
 from repro.utils.errors import GraphError
@@ -179,13 +190,22 @@ def nearest_labeled_forward(
     root-verification produce identical answer signatures (the
     differential oracle compares them vertex-for-vertex).
     """
-    # Compare interned label ids, not strings: one array read per vertex.
-    wanted: Dict[int, str] = {}
-    for keyword in keywords:
-        label_id = graph.label_table.get_id(keyword)
-        if label_id is None:
-            return None  # no vertex carries it: unreachable
-        wanted[label_id] = keyword
+    wanted = _label_ids(graph, sorted(keywords))
+    return None if wanted is None else _forward(graph, root, wanted, d_max)
+
+
+def _label_ids(graph: Graph, keywords: Sequence[str]) -> Optional[Dict[int, str]]:
+    """Each keyword's interned label id -> the keyword, in order; ``None``
+    if some keyword labels no vertex (it is unreachable from any root)."""
+    ids = [graph.label_table.get_id(keyword) for keyword in keywords]
+    return None if None in ids else dict(zip(ids, keywords))
+
+
+def _forward(
+    graph: Graph, root: int, wanted: Dict[int, str], d_max: int
+) -> Optional[Dict[str, Tuple[int, int]]]:
+    """:func:`nearest_labeled_forward` over interned label ids (one array
+    read per vertex), keyed in ``wanted``'s order."""
     labels = graph.labels
     successors = graph.rows()[0]
     found: Dict[int, Tuple[int, int]] = {}
@@ -217,39 +237,58 @@ def nearest_labeled_forward(
         frontier = next_frontier
     if remaining:
         return None
-    return {wanted[label_id]: match for label_id, match in found.items()}
+    return {keyword: found[label_id] for label_id, keyword in wanted.items()}
 
 
-def nearest_labeled(
-    graph: Graph, root: int, keywords: Iterable[str], d_max: int
-) -> Optional[Dict[str, Tuple[int, int]]]:
-    """:func:`nearest_labeled_forward`, read on a frozen graph from the root's
-    memoized profile (Blinks' node-keyword map: the forward ball's label ids,
-    ascending, each with its smallest ``depth * |V| + vertex`` code)."""
+def _profile(graph: Graph, root: int, d_max: int) -> Tuple[array, array]:
+    """The forward ball's label ids, ascending, each with its smallest
+    ``depth * |V| + vertex`` code."""
+    n = graph.num_vertices
+    successors, seen, frontier, ball = graph.rows()[0], {root}, {root}, [root]
+    for depth in range(1, d_max + 1):
+        frontier = {w for v in frontier for w in successors[v]} - seen
+        seen |= frontier
+        ball += [depth * n + w for w in frontier]
+    ball.sort(reverse=True)  # a label's smallest code is written last
+    nearest = dict(zip([graph.labels[code % n] for code in ball], ball))
+    ids = sorted(nearest)
+    return array("i", ids), array("q", map(nearest.__getitem__, ids))
+
+
+def nearest_labeled_reader(
+    graph: Graph, keywords: Sequence[str], d_max: int
+) -> Callable[[Sequence[int]], Iterator[Optional[Dict[str, Tuple[int, int]]]]]:
+    """:func:`nearest_labeled_forward` for one keyword set, its label ids
+    resolved once: the returned function maps a root list to each root's
+    result, lazily and in order, each keyed in ``keywords``' order.
+
+    On a frozen graph a call reads its roots' memoized
+    profiles (Blinks' node-keyword map, :func:`_profile`) in one memo
+    batch when its first result is read, and computes a miss when that
+    root is reached; a heap graph runs :func:`_forward` per root."""
+    wanted = _label_ids(graph, keywords)
+    if wanted is None:
+        return lambda roots: repeat(None, len(roots))
     memo = graph.profile_memo()
     if memo is None:
-        return nearest_labeled_forward(graph, root, set(keywords), d_max)
+        return lambda roots: (_forward(graph, r, wanted, d_max) for r in roots)
     n = graph.num_vertices
-    profile = memo.get((root, d_max))
-    if profile is None:
-        successors, seen, frontier, ball = graph.rows()[0], {root}, {root}, [root]
-        for depth in range(1, d_max + 1):
-            frontier = {w for v in frontier for w in successors[v]} - seen
-            seen |= frontier
-            ball += [depth * n + w for w in frontier]
-        ball.sort(reverse=True)  # a label's smallest code is written last
-        nearest = dict(zip([graph.labels[code % n] for code in ball], ball))
-        ids = sorted(nearest)
-        profile = (array("i", ids), array("q", map(nearest.__getitem__, ids)))
-        memo.put((root, d_max), profile)
-    ids, codes = profile
-    found = {}
-    for keyword in keywords:
-        label_id = graph.label_table.get_id(keyword)
-        if label_id is None:
-            return None  # no vertex carries it: unreachable
-        i = bisect_left(ids, label_id)
-        if i == len(ids) or ids[i] != label_id:
-            return None
-        found[keyword] = divmod(codes[i], n)
-    return found
+    lookups = list(wanted.items())
+
+    def read(roots: Sequence[int]) -> Iterator[Optional[Dict[str, Tuple[int, int]]]]:
+        profiles = memo.get_many([(root, d_max) for root in roots])
+        for root, profile in zip(roots, profiles):
+            if profile is None:
+                profile = _profile(graph, root, d_max)
+                memo.put((root, d_max), profile)
+            ids, codes = profile
+            found = {}
+            for label_id, keyword in lookups:
+                i = bisect_left(ids, label_id)
+                if i == len(ids) or ids[i] != label_id:
+                    found = None
+                    break
+                found[keyword] = divmod(codes[i], n)
+            yield found
+
+    return read

@@ -31,8 +31,9 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from array import array
+from bisect import bisect_left
 from dataclasses import dataclass
-from itertools import compress
+from math import ceil
 from typing import (
     Callable,
     Dict,
@@ -50,7 +51,7 @@ from typing import (
 from repro.graph.digraph import Graph
 from repro.graph.traversal import (
     bfs_distances,
-    nearest_labeled,
+    nearest_labeled_reader,
     shortest_path,
 )
 from repro.obs.runtime import OBS, charge_expansions
@@ -419,6 +420,22 @@ def unseen_lower_bound(frontiers: Iterable[BackwardFrontier]) -> float:
     return float(min(f.depth + 1 for f in active))
 
 
+def settled_by_all(
+    frontiers: Sequence[BackwardFrontier], skip: Iterable[int] = ()
+) -> Sequence[int]:
+    """The vertices every frontier has settled, less ``skip``: the
+    smallest frontier's ``settled`` list, narrowed frontier by frontier,
+    smallest first, so each test reads only what is still left."""
+    smallest, *others = sorted(frontiers, key=lambda f: len(f.settled))
+    vertices = smallest.settled
+    if skip:
+        skip = set(skip)
+        vertices = [v for v in vertices if v not in skip]
+    for dist in [frontier.dist for frontier in others]:
+        vertices = [v for v in vertices if dist[v] >= 0]
+    return vertices
+
+
 class RootedTreeAlgorithm(KeywordSearchAlgorithm):
     """Distinct-root tree semantics under ``d_max`` (Sec. 2).
 
@@ -475,23 +492,42 @@ class RootedTreeAlgorithm(KeywordSearchAlgorithm):
     def best_hit_for_root(
         self, graph: Graph, root: int, query: KeywordQuery
     ) -> Optional[RootHit]:
-        """The minimal-score hit rooted at ``root``, or ``None``.
+        """The minimal-score hit rooted at ``root``, or ``None``: a
+        one-root :meth:`root_verifier`."""
+        return next(self.root_verifier(graph, query)([root]))
+
+    def root_verifier(
+        self, graph: Graph, query: KeywordQuery
+    ) -> Callable[[Sequence[int]], Iterator[Optional[RootHit]]]:
+        """Verify candidate roots of ``query`` on ``graph``: the returned
+        function maps a root list to each root's minimal-score hit (or
+        ``None``), lazily and in order.
 
         The nearest vertex of each keyword label is read from the root's
-        profile, memoized once per frozen graph, or on the heap found by
-        one forward BFS that stops as soon as every keyword is found (so
-        verifying a good candidate root touches a small ball); see
-        :func:`nearest_labeled`.  Used by the BiG-index evaluator to
-        verify candidate roots coming out of specialization, by bdws'
-        forward probes and by the sharded gather.
+        profile, memoized once per frozen graph and read one root list
+        per memo batch, or on the heap found by one forward BFS that
+        stops as soon as every keyword is found (so verifying a good
+        candidate root touches a small ball); see
+        :func:`nearest_labeled_reader`.  The keywords' label ids are
+        resolved once per verifier.  Used by the BiG-index evaluator to
+        verify candidate roots coming out of specialization (one verifier
+        per attempt), by bdws' forward probes (one per query) and by the
+        sharded gather.
         """
-        found = nearest_labeled(graph, root, query.keywords, self.d_max)
-        if found is None:
-            return None
-        score = self.scr({kw: d for kw, (d, _) in found.items()})
-        return RootHit(
-            score, root, tuple(sorted((kw, v) for kw, (_, v) in found.items()))
-        )
+        read = nearest_labeled_reader(graph, sorted(query.keywords), self.d_max)
+        scr = self.scr
+
+        def verify(roots: Sequence[int]) -> Iterator[Optional[RootHit]]:
+            for root, found in zip(roots, read(roots)):
+                if found is None:
+                    yield None
+                    continue
+                score = scr({kw: d for kw, (d, _) in found.items()})
+                yield RootHit(
+                    score, root, tuple((kw, v) for kw, (_, v) in found.items())
+                )
+
+        return verify
 
     def scored_roots(
         self,
@@ -505,27 +541,32 @@ class RootedTreeAlgorithm(KeywordSearchAlgorithm):
 
         A root settled by every frontier carries exact distances (BFS
         settles in distance order), so each score is exact even when the
-        frontiers were interrupted mid-way.  The smallest frontier's
-        ``settled`` list is read against the others' arrays column by
-        column; roots in ``skip`` (already answered by the caller) are
-        left out.  A root has exactly one hit, so this order is
-        :func:`top_k`'s order of the hits :meth:`hits` builds from it.
+        frontiers were interrupted mid-way.  Filter, then score: only the
+        roots every frontier has settled (:func:`settled_by_all`, less
+        ``skip``, the roots the caller already answered) are scored and
+        sorted, once, and ``below`` cuts the sorted run.  The hop-count
+        ``scr`` sorts packed ``score * |V| + root`` ints.  A root has
+        exactly one hit, so this order is :func:`top_k`'s order of the
+        hits :meth:`hits` builds from it.
         """
         ordered = sorted(keywords)
-        columns = [frontiers[kw] for kw in ordered]
-        roots = min(columns, key=lambda f: len(f.settled)).settled
-        if skip:
-            skip = set(skip)
-            roots = [root for root in roots if root not in skip]
-        rows = list(zip(*[list(map(f.dist.__getitem__, roots)) for f in columns]))
-        settled = list(map((-1).__lt__, map(min, rows)))  # no -1 in the row
-        rows = list(compress(rows, settled))
+        dists = [frontiers[kw].dist for kw in ordered]
+        roots = settled_by_all([frontiers[kw] for kw in ordered], skip)
         if self.scr is distance_sum:
-            scores = map(sum, rows)
-        else:
-            scores = (self.scr(dict(zip(ordered, row))) for row in rows)
-        roots = compress(roots, settled)
-        return sorted(pair for pair in zip(scores, roots) if pair[0] < below)
+            n = len(dists[0])
+            first, *rest = dists
+            keys = [first[root] * n + root for root in roots]
+            for dist in rest:
+                keys = [key + dist[root] * n for key, root in zip(keys, roots)]
+            keys.sort()
+            if below != float("inf"):
+                del keys[bisect_left(keys, ceil(below) * n):]
+            return [divmod(key, n) for key in keys]
+        scr = self.scr
+        rows = zip(*[[dist[root] for root in roots] for dist in dists])
+        pairs = sorted(zip([scr(dict(zip(ordered, row))) for row in rows], roots))
+        del pairs[bisect_left(pairs, (below,)):]
+        return pairs
 
     @staticmethod
     def hits(

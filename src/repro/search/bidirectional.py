@@ -69,6 +69,7 @@ class BidirectionalSearcher(RootedSearcher):
         candidates: List[Tuple[int, int, int]] = []
         #: roots confirmed by a forward probe -> their exact best hit.
         confirmed: Dict[int, RootHit] = {}
+        verify = self.algorithm.root_verifier(self.graph, query)
 
         def touch(vertex: int, keyword: str) -> None:
             reached = activation.setdefault(vertex, set())
@@ -111,9 +112,7 @@ class BidirectionalSearcher(RootedSearcher):
                         if -neg_reached * 2 <= len(keywords):
                             continue
                     charge_expansions(budget, 1)
-                    hit = self.algorithm.best_hit_for_root(
-                        self.graph, vertex, query
-                    )
+                    hit = next(verify([vertex]))
                     if hit is not None:
                         confirmed[vertex] = hit
                         hits += 1

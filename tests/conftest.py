@@ -8,9 +8,12 @@ import random
 import pytest
 
 from repro.core.binfmt import SectionFile, SectionWriter
+from repro.core.config import Configuration
+from repro.core.index import BiGIndex
 from repro.core.persistence import _graph_from_sections, _write_graph_sections
 from repro.graph.digraph import Graph
 from repro.ontology.ontology import OntologyGraph
+from repro.search.base import KeywordQuery
 
 
 @pytest.fixture
@@ -117,6 +120,47 @@ def small_ontology() -> OntologyGraph:
     ont.add_subtype("CD", "Top")
     ont.add_subtype("EF", "Top")
     return ont
+
+
+@pytest.fixture
+def mixed_blocks():
+    """A 3-layer index whose layer-2 and layer-3 supernodes span reached
+    and unreached layer-1 blocks of ``{A1, B}`` (d_max 3), and the query.
+
+    Roots ``P -> {A1, B}`` (two of them, one layer-1 block) and
+    ``P -> {A2, B}`` are distinct blocks on layer 1; ``C^2`` generalizes
+    ``A1``, ``A2`` to ``A``, so layer 2 merges them into one supernode
+    whose layer-1 blocks are reached (``A1``) and unreached (``A2``).
+    ``Q -> {A2, B}`` and ``W -> {A2, B}`` (two roots each, so a bulk
+    reject covers more than one candidate) are wholly unreached on layer 2;
+    ``C^3`` maps ``P``, ``Q`` to ``PQ``, so layer 3 merges ``Q`` into the
+    mixed supernode and leaves ``W`` wholly unreached.  ``P2 -> P``
+    answers at distance 2 through a reached block."""
+    g = Graph()
+    a1, a2, b = g.add_vertex("A1"), g.add_vertex("A2"), g.add_vertex("B")
+
+    def root(label, *targets):
+        v = g.add_vertex(label)
+        for target in targets:
+            g.add_edge(v, target)
+        return v
+
+    r1 = root("P", a1, b)
+    root("P", a2, b)
+    root("P", a1, b)
+    for label in ("Q", "Q", "W", "W"):  # two roots per unreached block
+        root(label, a2, b)
+    root("P2", r1)
+    ontology = OntologyGraph()
+    for label, parent in (("A1", "A"), ("A2", "A"), ("P", "PQ"), ("Q", "PQ")):
+        ontology.add_subtype(label, parent)
+    index = BiGIndex(g, ontology)
+    index.layers = index._climb(g, [
+        Configuration({}),
+        Configuration({"A1": "A", "A2": "A"}, ontology=ontology),
+        Configuration({"P": "PQ", "Q": "PQ"}, ontology=ontology),
+    ])
+    return index, KeywordQuery(["A1", "B"])
 
 
 @pytest.fixture(scope="session")

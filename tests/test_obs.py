@@ -403,6 +403,35 @@ class TestExpansionParity:
             ), cap
         assert tripped == unbudgeted.expansions
 
+    @pytest.mark.parametrize(
+        "algorithm",
+        [BackwardKeywordSearch(d_max=3), BidirectionalSearch(d_max=3),
+         Blinks(d_max=3)],
+        ids=["bkws", "bdws", "blinks"],
+    )
+    def test_every_cap_of_a_forced_layer_three_run(self, mixed_blocks, algorithm):
+        """The same ladder on layer 3, where hits descend through two
+        levels to their layer-1 blocks and wholly rejected ones are
+        charged in one step (``mixed_blocks``): each cap still trips once
+        and the tally equals the ledger."""
+        index, query = mixed_blocks
+        evaluator = boost(algorithm, index).evaluator
+        unbudgeted = Budget()
+        result = evaluator.evaluate(query, layer=3, budget=unbudgeted)
+        assert result.num_bounded and result.answers
+        tripped = 0
+        for cap in range(1, unbudgeted.expansions + 1):
+            budget = Budget(max_expansions=cap)
+            with instrumented(trace=False) as inst:
+                try:
+                    evaluator.evaluate(query, layer=3, budget=budget)
+                except BudgetExceeded:
+                    tripped += 1
+            assert (
+                inst.metrics.counter("search.expansions") == budget.expansions
+            ), cap
+        assert tripped == unbudgeted.expansions
+
 
 @pytest.fixture(scope="module")
 def layered_case():

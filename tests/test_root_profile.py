@@ -24,7 +24,7 @@ from repro.core.evaluator import HierarchicalEvaluator
 from repro.core.index import BiGIndex
 from repro.core.persistence import load_index, save_index
 from repro.graph.digraph import Graph
-from repro.graph.traversal import nearest_labeled, nearest_labeled_forward
+from repro.graph.traversal import nearest_labeled_forward, nearest_labeled_reader
 from repro.obs.runtime import instrumented
 from repro.ontology.ontology import OntologyGraph
 from repro.search.banks import BackwardKeywordSearch
@@ -72,7 +72,8 @@ class TestProfileIsTheBfs:
                     expected = nearest_labeled_forward(
                         frozen, root, set(keywords), d_max
                     )
-                    assert nearest_labeled(frozen, root, keywords, d_max) == expected
+                    read = nearest_labeled_reader(frozen, keywords, d_max)
+                    assert next(read([root])) == expected
                     assert algorithm.best_hit_for_root(
                         frozen, root, query
                     ) == algorithm.best_hit_for_root(g, root, query)

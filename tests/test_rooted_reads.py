@@ -6,7 +6,10 @@
 * the evaluator's layer-1 reach bound is sound (every root it rejects
   has no answer on the data graph) and silent (answers and counters
   equal an evaluator that skips it), and a wrongly swept bound is
-  caught by the differential oracle.
+  caught by the differential oracle;
+* a layer-m hit whose layer-1 blocks the bound rejects all at once is
+  counted and charged in one step, exactly as the per-root loop would,
+  at every expansion cap.
 """
 
 from __future__ import annotations
@@ -33,6 +36,8 @@ from repro.search.base import (
 )
 from repro.search.bidirectional import BidirectionalSearch
 from repro.search.blinks import Blinks
+from repro.utils.budget import Budget
+from repro.utils.errors import BudgetExceeded
 from repro.verify.oracle import DifferentialOracle
 
 LABELS = ("A", "B", "C", "D")
@@ -208,7 +213,8 @@ class TestLayer1ReachBound:
     @settings(max_examples=40, deadline=None)
     def test_rejected_roots_have_no_answer(self, g, ontology, d_max):
         """Soundness: a root whose layer-1 block some sweep leaves
-        unsettled has a keyword beyond ``d_max`` on the data graph."""
+        unsettled (not in the reached set) has a keyword beyond ``d_max``
+        on the data graph."""
         index = _build(g, ontology)
         if index.num_layers < 1:
             return
@@ -221,7 +227,7 @@ class TestLayer1ReachBound:
                 continue
             reach = evaluator._layer1_reach(query, None)
             for root in range(g.num_vertices):
-                if -1 in [dist[block_of[root]] for dist in reach]:
+                if block_of[root] not in reach:
                     assert algorithm.best_hit_for_root(g, root, query) is None
 
     @given(graphs(), ontologies(), st.integers(1, 3), st.sampled_from((None, 2)))
@@ -307,3 +313,96 @@ class TestBoundCounters:
         )
         assert not report.ok
         assert {d.layer for d in report.divergences} == {2}
+
+
+class _Everything:
+    def __contains__(self, item) -> bool:
+        return True
+
+
+class PerRoot(HierarchicalEvaluator):
+    """The evaluator without the block descent: every hit takes the
+    per-root loop, which still tests each root against the reach bound."""
+
+    def _lift(self, blocks, layer):
+        return _Everything()
+
+
+def _outcome(evaluator, query, layer, k, cap):
+    """What one capped (or uncapped) strict evaluation returns and charges,
+    with every counter it publishes but the graph's lazy caches'."""
+    budget = Budget(max_expansions=cap)
+    with instrumented(trace=False) as inst:
+        try:
+            result = evaluator.evaluate(query, layer=layer, k=k, budget=budget)
+            got = (
+                "complete", result.answers, result.num_generalized,
+                result.num_candidates, result.num_bounded, result.num_verified,
+                result.num_charged,
+            )
+        except BudgetExceeded as exc:
+            got = (exc.reason, exc.partial, exc.lower_bound, exc.expansions)
+    counters = {
+        name: value for name, value in inst.metrics.counters().items()
+        if not name.startswith(("cache.", "postings."))
+    }
+    return got, budget.expansions, counters
+
+
+class TestBlockDescent:
+    """A layer-m hit all of whose layer-1 blocks the reach bound rejects
+    is counted and charged in one step; the outcome is the per-root
+    loop's, at every cap."""
+
+    def test_the_fixture_mixes_reached_and_unreached_blocks(self, mixed_blocks):
+        index, query = mixed_blocks
+        evaluator = HierarchicalEvaluator(index, BackwardKeywordSearch(d_max=3))
+        reach = evaluator._layer1_reach(query, None)
+        for layer in (2, 3):
+            lifted = evaluator._lift(reach, layer)
+            spans = []
+            for supernode in range(index.layer_graph(layer).num_vertices):
+                blocks = [supernode]
+                for level in range(layer, 1, -1):
+                    extent = index.layers[level - 1].extent
+                    blocks = [c for s in blocks for c in extent[s]]
+                inside = {block in reach for block in blocks}
+                spans.append(inside)
+                assert (supernode in lifted) == (True in inside)
+            assert {True, False} in spans and {False} in spans
+
+    @pytest.mark.parametrize("layer", [2, 3])
+    @pytest.mark.parametrize("k", [None, 1, 2])
+    def test_counts_equal_the_per_root_loop(
+        self, mixed_blocks, monkeypatch, layer, k
+    ):
+        index, query = mixed_blocks
+        algorithm = BackwardKeywordSearch(d_max=3)
+        calls = []
+        per_root = HierarchicalEvaluator._generate_by_root
+
+        def counting(self, *args, **kwargs):
+            calls.append(type(self))
+            return per_root(self, *args, **kwargs)
+
+        monkeypatch.setattr(HierarchicalEvaluator, "_generate_by_root", counting)
+        got = _outcome(HierarchicalEvaluator(index, algorithm), query, layer, k, None)
+        want = _outcome(PerRoot(index, algorithm), query, layer, k, None)
+        assert got == want
+        if k is None:  # the whole stream: both kinds of hit are read
+            assert got[0][4] > 0  # bounded roots
+            assert calls.count(HierarchicalEvaluator) < calls.count(PerRoot)
+
+    @pytest.mark.parametrize("layer", [2, 3])
+    def test_every_cap_equals_the_per_root_loop(self, mixed_blocks, layer):
+        """A bulk reject the cap cannot afford runs the per-root loop,
+        so it trips on the same root, with the same counts."""
+        index, query = mixed_blocks
+        algorithm = BackwardKeywordSearch(d_max=3)
+        descent = HierarchicalEvaluator(index, algorithm, cache_size=0)
+        per_root = PerRoot(index, algorithm, cache_size=0)
+        _, total, _ = _outcome(descent, query, layer, None, None)
+        for cap in range(1, total + 2):
+            assert _outcome(descent, query, layer, None, cap) == _outcome(
+                per_root, query, layer, None, cap
+            ), cap

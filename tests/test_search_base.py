@@ -1,6 +1,7 @@
 """Unit tests for the shared search interfaces."""
 
 import itertools
+from array import array
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -15,11 +16,12 @@ from repro.search.base import (
     KeywordQuery,
     RootedTreeAlgorithm,
     RootHit,
+    distance_sum,
     top_k,
     unseen_lower_bound,
 )
 from repro.search.bidirectional import BidirectionalSearch
-from repro.search.blinks import Blinks
+from repro.search.blinks import Blinks, distance_sum_score
 from repro.search.rclique import RClique
 from repro.utils.budget import Budget
 from repro.utils.errors import BudgetExceeded, QueryError
@@ -191,6 +193,61 @@ class TestFrontierArrays:
             assert (frontier.dist[v], frontier.origin[v]) == (d, origin)
         assert sorted(frontier.settled) == sorted(nearest)
         assert len(frontier.settled) == len(nearest)
+
+
+def max_distance(distances):
+    """A non-sum ``scr``: the farthest keyword."""
+    return max(distances.values())
+
+
+@st.composite
+def settled_frontiers(draw):
+    """Random frontiers over ``n`` vertices, interrupted anywhere: each
+    keyword's ``dist`` (``-1`` = unsettled) as a list or an ``array('b')``
+    (a memo entry) and its ``settled`` list in a drawn order."""
+    n = draw(st.integers(min_value=1, max_value=30))
+    keywords = draw(st.lists(
+        st.sampled_from("ABCD"), min_size=1, max_size=4, unique=True
+    ))
+    frontiers = {}
+    for keyword in keywords:
+        dist = draw(st.lists(st.integers(-1, 3), min_size=n, max_size=n))
+        frontier = BackwardFrontier.__new__(BackwardFrontier)
+        frontier.settled = draw(st.permutations(
+            [v for v in range(n) if dist[v] >= 0]
+        ))
+        frontier.dist = array("b", dist) if draw(st.booleans()) else dist
+        frontiers[keyword] = frontier
+    return n, keywords, frontiers
+
+
+class TestScoredRoots:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        settled_frontiers(),
+        st.sampled_from([distance_sum, distance_sum_score, max_distance]),
+        st.sampled_from([float("inf"), 0, 1, 3, 2.5, 4.0, 0.5]),
+        st.sets(st.integers(0, 29), max_size=8),
+    )
+    def test_equals_the_sorted_reference(self, instance, scr, below, skip):
+        """Filter-then-score equals scoring every root and sorting the
+        ``(scr(row), root)`` pairs below ``below``."""
+        n, keywords, frontiers = instance
+        algorithm = BackwardKeywordSearch(d_max=3)
+        algorithm.scr = scr
+        ordered = sorted(keywords)
+        expected = sorted(
+            (scr({kw: frontiers[kw].dist[root] for kw in ordered}), root)
+            for root in range(n)
+            if root not in skip
+            and all(frontiers[kw].dist[root] >= 0 for kw in ordered)
+        )
+        expected = [pair for pair in expected if pair[0] < below]
+        got = algorithm.scored_roots(keywords, frontiers, below, skip)
+        assert got == expected
+        assert [type(score) for score, _ in got] == [
+            type(score) for score, _ in expected
+        ]
 
 
 ROOTED = [
