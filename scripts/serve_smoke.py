@@ -29,6 +29,12 @@ Observability checks ride along:
   Prometheus parser (:func:`repro.obs.promtext.parse_prometheus`),
   requires the bucketed ``serve_latency_seconds`` histogram family, and
   writes the exposition for the artifact upload.
+* A raw-socket leg checks the wire itself: two ``/query`` requests
+  pipelined in one write must come back in order (by ``X-Request-Id``)
+  with the statuses the client saw for the same queries and the
+  connection open; an HTTP/1.0 ``GET /healthz`` must answer 200 and
+  close; a malformed request line must answer a JSON 400 with
+  ``Connection: close`` and close.
 * ``--access-log FILE`` (the same file the server was booted with)
   schema-validates every JSONL record and asserts that **every 429/5xx
   the workload observed is attributable to a logged request ID** — the
@@ -48,6 +54,7 @@ import collections
 import itertools
 import json
 import random
+import socket
 import sys
 import threading
 import time
@@ -236,6 +243,95 @@ def check_prometheus(client: ServeClient, prom_out: str) -> int:
     return 0
 
 
+def read_response(sock: socket.socket, buffered: bytes = b"") -> tuple:
+    """One HTTP response: ``(status, headers, body, rest)``, header names
+    lower-cased; ``status`` is None if the socket closed first."""
+    data = buffered
+    while b"\r\n\r\n" not in data:
+        chunk = sock.recv(65536)
+        if not chunk:
+            return None, {}, b"", data
+        data += chunk
+    head, _, rest = data.partition(b"\r\n\r\n")
+    lines = head.decode("latin-1").split("\r\n")
+    headers = {}
+    for line in lines[1:]:
+        name, _, value = line.partition(":")
+        headers[name.strip().lower()] = value.strip()
+    length = int(headers.get("content-length", 0))
+    while len(rest) < length:
+        chunk = sock.recv(65536)
+        if not chunk:
+            break
+        rest += chunk
+    return int(lines[0].split()[1]), headers, rest[:length], rest[length:]
+
+
+def closed_after(sock: socket.socket, rest: bytes) -> bool:
+    """Whether the server closed ``sock`` with nothing left to read."""
+    return rest == b"" and sock.recv(1) == b""
+
+
+def check_raw_wire(url: str, queries: list, statuses: list) -> int:
+    """Pipelining, HTTP/1.0 close and a malformed request line, over raw
+    sockets; ``statuses`` are what the client saw for ``queries``."""
+    host, _, port = url.split("//", 1)[-1].rstrip("/").partition(":")
+    address = (host, int(port or 80))
+    problems = []
+    with socket.create_connection(address, timeout=30) as sock:
+        ids = [f"smoke-pipe-{i}" for i in range(len(queries))]
+        data = b""
+        for request_id, keywords in zip(ids, queries):
+            body = json.dumps({"keywords": list(keywords)}).encode()
+            data += (
+                f"POST /query HTTP/1.1\r\nHost: {host}\r\n"
+                f"X-Request-Id: {request_id}\r\n"
+                f"Content-Length: {len(body)}\r\n\r\n"
+            ).encode() + body
+        sock.sendall(data)  # every request in one write
+        rest = b""
+        for request_id, expected in zip(ids, statuses):
+            status, headers, _, rest = read_response(sock, rest)
+            if (status, headers.get("x-request-id")) != (expected, request_id):
+                problems.append(
+                    f"pipelined answer {status} for "
+                    f"{headers.get('x-request-id')!r}, expected {expected} "
+                    f"for {request_id!r}"
+                )
+        if headers.get("connection") == "close":
+            problems.append("pipelined HTTP/1.1 answer closed the connection")
+    with socket.create_connection(address, timeout=30) as sock:
+        sock.sendall(f"GET /healthz HTTP/1.0\r\nHost: {host}\r\n\r\n".encode())
+        status, headers, body, rest = read_response(sock)
+        if status != 200 or json.loads(body).get("status") != "ok":
+            problems.append(f"HTTP/1.0 /healthz answered {status}")
+        if not closed_after(sock, rest):
+            problems.append("HTTP/1.0 /healthz left the connection open")
+    with socket.create_connection(address, timeout=30) as sock:
+        sock.sendall(b"HELLO\r\n")
+        status, headers, body, rest = read_response(sock)
+        try:
+            shape = json.loads(body).get("status") if body else None
+        except json.JSONDecodeError:
+            shape = None
+        answer = (status, shape, headers.get("connection"))
+        if answer != (400, "error", "close"):
+            problems.append(
+                f"malformed request line answered {status}, body status "
+                f"{shape!r}, Connection {headers.get('connection')!r}"
+            )
+        if not closed_after(sock, rest):
+            problems.append("malformed request line left the connection open")
+    for problem in problems:
+        print(f"FAIL: wire: {problem}", file=sys.stderr)
+    if not problems:
+        print(
+            f"wire: {len(queries)} pipelined answers in order, HTTP/1.0 "
+            "closed, malformed request line a JSON 400"
+        )
+    return 1 if problems else 0
+
+
 def check_access_log(path: str, unattributed: dict) -> int:
     """Schema-validate the access log; attribute every 429/5xx to it.
 
@@ -363,6 +459,12 @@ def main() -> int:
             check_prometheus(client, args.prom_out)
             if args.prom_out else 0
         )
+        wire_queries = (queries * 2)[:2]
+        wire_rc = check_raw_wire(
+            args.url,
+            wire_queries,
+            [client.query(list(q)).status for q in wire_queries],
+        )
 
     total = sum(statuses.values())
     faults = sum(count for code, count in statuses.items() if code >= 500)
@@ -400,7 +502,7 @@ def main() -> int:
     if statuses.get(200, 0) == 0:
         print("FAIL: no successful responses", file=sys.stderr)
         return 1
-    return count_rc or memo_rc or health_rc or prom_rc or access_rc
+    return count_rc or memo_rc or health_rc or prom_rc or wire_rc or access_rc
 
 
 if __name__ == "__main__":

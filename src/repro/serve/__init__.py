@@ -18,8 +18,10 @@ service grows (the app/runtime/engine shape):
   :class:`~repro.utils.budget.Budget` from headers, the
   ``DegradedResult``/exit-3 contract mapped onto HTTP 429/503, and the
   drain discipline behind graceful shutdown.
-* :mod:`repro.serve.server` — the stdlib HTTP transport
-  (``ThreadingHTTPServer``), helpers to run it on a background thread,
+* :mod:`repro.serve.server` — the HTTP/1.1 transport: a
+  ``ThreadingTCPServer`` whose keep-alive loop parses each request head
+  by hand and writes each response in one ``sendall``, helpers to run
+  it on a background thread,
   and :func:`~repro.serve.server.shutdown_gracefully` (drain, stop,
   fsync the WAL) backing the CLI's SIGTERM/SIGINT path.
 * :mod:`repro.serve.client` — a tiny stdlib client with capped

@@ -1,105 +1,187 @@
-"""The stdlib HTTP transport for :class:`~repro.serve.service.QueryService`.
+"""The HTTP/1.1 transport for :class:`~repro.serve.service.QueryService`.
 
-One thread per connection (``ThreadingHTTPServer``), HTTP/1.1 with
-keep-alive so the bench harness and the serve fuzzer can reuse
-connections, and a handler thin enough that every decision — routing,
-status codes, budgets, shedding — lives in the transport-independent
-service layer where the contract tests can reach it without sockets.
+One thread per connection (``socketserver.ThreadingTCPServer``) runs a
+keep-alive loop: read the request head by hand, read the body, hand
+``(method, path, body, headers)`` to the service, and write the whole
+response — status line, headers and body — with one ``sendall``.  Every
+decision about a request (routing, status codes, budgets, shedding)
+lives in the transport-independent service layer, where the contract
+tests reach it without sockets; this module only frames bytes.
+
+Wire rules (``docs/SERVING.md``, "Wire"):
+
+* the request line and each header line are at most 64 KiB (414 / 431),
+  and a request carries at most 100 header lines (431);
+* ``Content-Length`` is ASCII digits (400 otherwise) and at most
+  :data:`MAX_BODY_BYTES` (413, the body is never read);
+* any ``Transfer-Encoding`` is answered 501: chunked bodies are not
+  supported;
+* HTTP/1.1 keeps the connection open unless the client sends
+  ``Connection: close``; HTTP/1.0 closes it after the response;
+  ``Expect: 100-continue`` gets an interim ``100`` before the body;
+* a transport error answers the service's ``{"status": "error", "error":
+  ...}`` JSON shape with ``Connection: close``, and the connection closes.
 """
 
 from __future__ import annotations
 
 import json
+import socketserver
+import sys
 import threading
 from contextlib import contextmanager
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from typing import Iterator, Optional, Tuple
+from email.utils import formatdate
+from http import HTTPStatus
+from typing import Iterator, Mapping, Optional, Tuple
 
 from repro.serve.service import QueryService
 
 #: Refuse request bodies beyond this (a 413); keeps a stray client from
 #: buffering the server into the ground.
 MAX_BODY_BYTES = 8 * 1024 * 1024
+#: Longest request or header line, terminator included (414 / 431).
+MAX_LINE_BYTES = 64 * 1024
+#: Most header lines one request may carry (431).
+MAX_HEADERS = 100
+
+SERVER_HEADER = f"repro-bigindex Python/{sys.version.split()[0]}"
+_REASONS = {status.value: status.phrase for status in HTTPStatus}
+_BLANK = (b"\r\n", b"\n", b"")
 
 
-class ServeHandler(BaseHTTPRequestHandler):
-    """Decode HTTP, delegate to the service, encode JSON back."""
+def encode_response(
+    status: int, payload: object, extra: Mapping[str, str], close: bool
+) -> Tuple[bytes, bytes]:
+    """``(head, body)`` bytes of one response.
 
-    #: Keep-alive; requires every response to carry Content-Length.
-    protocol_version = "HTTP/1.1"
-    server_version = "repro-bigindex"
+    A str payload is pre-rendered text (the content-negotiated Prometheus
+    ``/metrics``); anything else is the JSON contract, strict: a
+    non-finite float reaching the wire is a bug.
+    """
+    if isinstance(payload, str):
+        body = payload.encode("utf-8")
+        content_type = "text/plain; charset=utf-8"
+    else:
+        body = json.dumps(payload, sort_keys=True, allow_nan=False).encode(
+            "utf-8"
+        )
+        content_type = "application/json"
+    lines = [
+        f"HTTP/1.1 {status} {_REASONS.get(status, '')}",
+        f"Server: {SERVER_HEADER}",
+        f"Date: {formatdate(usegmt=True)}",
+        f"Content-Type: {extra.get('Content-Type', content_type)}",
+        f"Content-Length: {len(body)}",
+    ]
+    lines.extend(
+        f"{name}: {value}"
+        for name, value in extra.items()
+        if name != "Content-Type"
+    )
+    if close:
+        lines.append("Connection: close")
+    head = "\r\n".join(lines) + "\r\n\r\n"
+    return head.encode("latin-1"), body
+
+
+class ServeHandler(socketserver.StreamRequestHandler):
+    """One connection: parse each request head, delegate, write back."""
+
     #: Small request/response pairs on a persistent connection are the
     #: worst case for Nagle + delayed ACK (tens of ms per exchange on
     #: loopback); serving latency is dominated by it unless disabled.
     disable_nagle_algorithm = True
 
-    # The service instance rides on the server object (set by
-    # :class:`QueryServer`); handlers are instantiated per connection.
-    def _service(self) -> QueryService:
-        return self.server.service  # type: ignore[attr-defined]
-
-    # ------------------------------------------------------------------
-    def do_GET(self) -> None:  # noqa: N802 - http.server naming
-        self._dispatch("GET")
-
-    def do_POST(self) -> None:  # noqa: N802 - http.server naming
-        self._dispatch("POST")
-
-    def _dispatch(self, method: str) -> None:
+    def handle(self) -> None:
+        # The service instance rides on the server object (set by
+        # :class:`QueryServer`); handlers are instantiated per connection.
+        service = self.server.service  # type: ignore[attr-defined]
         try:
-            length = int(self.headers.get("Content-Length") or 0)
-        except ValueError:
-            self._respond(400, {"status": "error", "error": "bad Content-Length"})
-            return
-        if length > MAX_BODY_BYTES:
-            self._respond(
-                413,
-                {
-                    "status": "error",
-                    "error": f"body of {length} bytes exceeds {MAX_BODY_BYTES}",
-                },
-            )
-            return
-        body = self.rfile.read(length) if length else b""
-        status, payload, extra = self._service().handle(
-            method, self.path, body, dict(self.headers.items())
-        )
-        self._respond(status, payload, extra)
+            while self._serve_one(service):
+                pass
+        except (BrokenPipeError, ConnectionResetError):
+            pass  # the client went away mid-exchange; nothing to salvage
 
-    def _respond(self, status: int, payload: object, extra=None) -> None:
-        # A str payload is pre-rendered text (the content-negotiated
-        # Prometheus /metrics); anything else is the JSON contract.
-        extra = dict(extra or {})
-        if isinstance(payload, str):
-            data = payload.encode("utf-8")
-            content_type = extra.pop(
-                "Content-Type", "text/plain; charset=utf-8"
+    def _serve_one(self, service: QueryService) -> bool:
+        """Answer one request; whether the connection stays open."""
+        readline = self.rfile.readline
+        line = readline(MAX_LINE_BYTES + 1)
+        while line in (b"\r\n", b"\n"):
+            # RFC 9112 2.2: ignore blank lines ahead of a request line.
+            line = readline(MAX_LINE_BYTES + 1)
+        if not line:
+            return False  # the client closed between requests
+        if len(line) > MAX_LINE_BYTES:
+            return self._refuse(
+                414, f"request line over {MAX_LINE_BYTES} bytes"
             )
+        words = line.decode("latin-1").split()
+        if len(words) != 3 or not words[2].startswith("HTTP/"):
+            return self._refuse(400, f"malformed request line {line[:100]!r}")
+        method, path, version = words
+        if version not in ("HTTP/1.0", "HTTP/1.1"):
+            return self._refuse(505, f"unsupported version {version!r}")
+
+        headers = {}
+        for _ in range(MAX_HEADERS + 1):
+            line = readline(MAX_LINE_BYTES + 1)
+            if line in _BLANK:
+                break
+            if len(line) > MAX_LINE_BYTES:
+                return self._refuse(
+                    431, f"header line over {MAX_LINE_BYTES} bytes"
+                )
+            name, colon, value = line.decode("latin-1").partition(":")
+            if not colon:
+                return self._refuse(
+                    400, f"malformed header line {line[:100]!r}"
+                )
+            headers[name] = value.strip()
         else:
-            # Strict JSON: a non-finite float reaching the wire is a bug.
-            data = json.dumps(
-                payload, sort_keys=True, allow_nan=False
-            ).encode("utf-8")
-            content_type = extra.pop("Content-Type", "application/json")
-        self.send_response(status)
-        self.send_header("Content-Type", content_type)
-        self.send_header("Content-Length", str(len(data)))
-        for key, value in extra.items():
-            self.send_header(key, value)
-        self.end_headers()
-        try:
-            self.wfile.write(data)
-        except (BrokenPipeError, ConnectionResetError):  # pragma: no cover
-            pass  # client went away mid-response; nothing to salvage
+            return self._refuse(431, f"more than {MAX_HEADERS} headers")
 
-    # Silence the default stderr access log; the service's metrics are
-    # the observable surface (`/metrics`, serve.* counters).
-    def log_message(self, format: str, *args) -> None:  # noqa: A002
-        pass
+        lowered = {name.lower(): value for name, value in headers.items()}
+        if "transfer-encoding" in lowered:
+            return self._refuse(
+                501, "Transfer-Encoding is not supported; send Content-Length"
+            )
+        length = lowered.get("content-length", "0")
+        if not (length.isascii() and length.isdigit()):
+            return self._refuse(400, f"bad Content-Length {length!r}")
+        length = int(length)
+        if length > MAX_BODY_BYTES:
+            return self._refuse(
+                413, f"body of {length} bytes exceeds {MAX_BODY_BYTES}"
+            )
+        keep_alive = (
+            version == "HTTP/1.1"
+            and lowered.get("connection", "").lower() != "close"
+        )
+        if (
+            version == "HTTP/1.1"
+            and lowered.get("expect", "").lower() == "100-continue"
+        ):
+            self.connection.sendall(b"HTTP/1.1 100 Continue\r\n\r\n")
+        body = self.rfile.read(length) if length else b""
+        if len(body) < length:
+            return False  # the client closed mid-body
+        status, payload, extra = service.handle(method, path, body, headers)
+        head, data = encode_response(status, payload, extra, not keep_alive)
+        # A HEAD answer announces its body's length but carries none.
+        self.connection.sendall(head if method == "HEAD" else head + data)
+        return keep_alive
+
+    def _refuse(self, status: int, error: str) -> bool:
+        """Answer a transport error in the service's JSON shape and close."""
+        head, data = encode_response(
+            status, {"status": "error", "error": error}, {}, close=True
+        )
+        self.connection.sendall(head + data)
+        return False
 
 
-class QueryServer(ThreadingHTTPServer):
-    """A ``ThreadingHTTPServer`` bound to one :class:`QueryService`."""
+class QueryServer(socketserver.ThreadingTCPServer):
+    """A ``ThreadingTCPServer`` bound to one :class:`QueryService`."""
 
     daemon_threads = True
     #: Fast rebinds between test runs.

@@ -1421,3 +1421,283 @@ class TestHealthzObservability:
         post(service, "/query", {"keywords": ["A", "B"]})
         _, payload, _ = service.handle("GET", "/healthz", b"", {})
         assert "slo" not in payload
+
+
+# ----------------------------------------------------------------------
+# Transport: the wire itself, over raw sockets
+# ----------------------------------------------------------------------
+def _read_response(sock, buffered=b"", head_only=False):
+    """One HTTP response off ``sock``: ``(status, headers, body, rest)``
+    with header names lower-cased; ``status`` is None if the socket
+    closed first.  ``head_only`` reads the answer to a HEAD request."""
+    data = buffered
+    while b"\r\n\r\n" not in data:
+        chunk = sock.recv(65536)
+        if not chunk:
+            return None, {}, b"", data
+        data += chunk
+    head, _, rest = data.partition(b"\r\n\r\n")
+    lines = head.decode("latin-1").split("\r\n")
+    status = int(lines[0].split()[1])
+    headers = {}
+    for line in lines[1:]:
+        name, _, value = line.partition(":")
+        headers[name.strip().lower()] = value.strip()
+    length = 0 if head_only else int(headers.get("content-length", 0))
+    while len(rest) < length:
+        chunk = sock.recv(65536)
+        if not chunk:
+            break
+        rest += chunk
+    return status, headers, rest[:length], rest[length:]
+
+
+def _request(method, path, body=b"", headers=(), version="HTTP/1.1"):
+    lines = [f"{method} {path} {version}", "Host: 127.0.0.1"]
+    lines += [f"{name}: {value}" for name, value in headers]
+    if body:
+        lines.append(f"Content-Length: {len(body)}")
+    return ("\r\n".join(lines) + "\r\n\r\n").encode("latin-1") + body
+
+
+def _query(keywords, request_id=None, headers=()):
+    extra = list(headers)
+    if request_id is not None:
+        extra.append(("X-Request-Id", request_id))
+    body = json.dumps({"keywords": keywords}).encode()
+    return _request("POST", "/query", body, extra)
+
+
+class TestTransport:
+    """Framing, keep-alive and limits of ``repro.serve.server``."""
+
+    @pytest.fixture
+    def live(self, service):
+        with serve_in_thread(service) as server:
+            yield server
+
+    @pytest.fixture
+    def connect(self, live):
+        import socket
+
+        opened = []
+
+        def connect():
+            sock = socket.create_connection(("127.0.0.1", live.port), 5)
+            opened.append(sock)
+            return sock
+
+        yield connect
+        for sock in opened:
+            sock.close()
+
+    @staticmethod
+    def assert_closed(sock, rest=b""):
+        assert rest == b"" and sock.recv(1) == b""
+
+    def assert_error(self, sock, data, status):
+        sock.sendall(data)
+        got, headers, body, rest = _read_response(sock)
+        assert got == status
+        assert headers["connection"] == "close"
+        assert headers["content-type"] == "application/json"
+        payload = json.loads(body)
+        assert payload["status"] == "error" and payload["error"]
+        self.assert_closed(sock, rest)
+        return payload
+
+    def test_pipelined_requests_answer_in_order(self, connect):
+        sock = connect()
+        sock.sendall(
+            _query(["A", "B"], "pipe-1") + _query(["A", "C"], "pipe-2")
+        )
+        first, headers1, body1, rest = _read_response(sock)
+        second, headers2, body2, rest = _read_response(sock, rest)
+        assert (first, second) == (200, 200)
+        assert headers1["x-request-id"] == "pipe-1"
+        assert headers2["x-request-id"] == "pipe-2"
+        assert json.loads(body1)["answers"][0]["keyword_nodes"].keys() == {
+            "A", "B",
+        }
+        assert rest == b"" and "connection" not in headers2
+        # Keep-alive: the connection still serves.
+        sock.sendall(_request("GET", "/healthz"))
+        assert _read_response(sock)[0] == 200
+
+    @pytest.mark.parametrize(
+        "version, headers",
+        [("HTTP/1.0", ()), ("HTTP/1.1", (("Connection", "close"),))],
+    )
+    def test_close_after_response(self, connect, version, headers):
+        sock = connect()
+        sock.sendall(_request("GET", "/healthz", headers=headers,
+                              version=version))
+        status, response_headers, body, rest = _read_response(sock)
+        assert status == 200 and json.loads(body)["status"] == "ok"
+        assert response_headers["connection"] == "close"
+        self.assert_closed(sock, rest)
+
+    @pytest.mark.parametrize("length", ["abc", "-5", "+5", "1.5", ""])
+    def test_bad_content_length_is_400(self, connect, length):
+        head = (
+            "POST /query HTTP/1.1\r\nHost: x\r\n"
+            f"Content-Length: {length}\r\n\r\n"
+        ).encode()
+        payload = self.assert_error(connect(), head, 400)
+        assert "Content-Length" in payload["error"]
+
+    def test_oversized_body_is_413_unread(self, connect):
+        from repro.serve.server import MAX_BODY_BYTES
+
+        # Only the head is sent: the answer must not wait on the body.
+        head = (
+            "POST /query HTTP/1.1\r\nHost: x\r\n"
+            f"Content-Length: {MAX_BODY_BYTES + 1}\r\n\r\n"
+        ).encode()
+        self.assert_error(connect(), head, 413)
+
+    def test_long_request_line_is_414(self, connect):
+        line = b"GET /" + b"a" * (64 * 1024) + b" HTTP/1.1\r\n\r\n"
+        self.assert_error(connect(), line, 414)
+
+    def test_header_limits_are_431(self, connect):
+        many = "".join(f"X-H{i}: v\r\n" for i in range(101))
+        self.assert_error(
+            connect(), f"GET /healthz HTTP/1.1\r\n{many}\r\n".encode(), 431
+        )
+        long_line = "X-Long: " + "v" * (64 * 1024)
+        self.assert_error(
+            connect(),
+            f"GET /healthz HTTP/1.1\r\n{long_line}\r\n\r\n".encode(),
+            431,
+        )
+        # 100 header lines are still fine.
+        sock = connect()
+        hundred = "".join(f"X-H{i}: v\r\n" for i in range(100))
+        sock.sendall(f"GET /healthz HTTP/1.1\r\n{hundred}\r\n".encode())
+        assert _read_response(sock)[0] == 200
+
+    @pytest.mark.parametrize(
+        "line, status",
+        [
+            (b"HELLO\r\n", 400),
+            (b"GET /healthz\r\n", 400),
+            (b"GET /healthz HTTP/1.1 extra\r\n\r\n", 400),
+            (b"GET /healthz HTTP/2.0\r\n\r\n", 505),
+        ],
+    )
+    def test_malformed_request_line_is_json(self, connect, line, status):
+        self.assert_error(connect(), line, status)
+
+    def test_malformed_header_line_is_400(self, connect):
+        self.assert_error(
+            connect(), b"GET /healthz HTTP/1.1\r\nno colon here\r\n\r\n", 400
+        )
+
+    def test_expect_100_continue(self, connect):
+        sock = connect()
+        body = json.dumps({"keywords": ["A", "B"]}).encode()
+        sock.sendall(
+            (
+                "POST /query HTTP/1.1\r\nHost: x\r\nExpect: 100-continue\r\n"
+                f"Content-Length: {len(body)}\r\n\r\n"
+            ).encode()
+        )
+        interim = b""
+        while not interim.endswith(b"\r\n\r\n"):
+            interim += sock.recv(1)
+        assert interim == b"HTTP/1.1 100 Continue\r\n\r\n"
+        sock.sendall(body)
+        status, _, payload, _ = _read_response(sock)
+        assert status == 200 and json.loads(payload)["status"] == "ok"
+
+    def test_chunked_body_is_501(self, connect):
+        body = json.dumps({"keywords": ["A", "B"]}).encode()
+        chunked = (
+            b"POST /query HTTP/1.1\r\nHost: x\r\n"
+            b"Transfer-Encoding: chunked\r\n\r\n"
+            + f"{len(body):x}\r\n".encode() + body + b"\r\n0\r\n\r\n"
+        )
+        payload = self.assert_error(connect(), chunked, 501)
+        assert "Transfer-Encoding" in payload["error"]
+
+    def test_lowercase_budget_header_degrades(self, connect):
+        sock = connect()
+        sock.sendall(_query(["A", "B"], headers=[("x-budget-expansions", "1")]))
+        status, _, body, _ = _read_response(sock)
+        assert status == 429 and json.loads(body)["status"] == "degraded"
+
+    def test_head_announces_length_without_body(self, connect):
+        sock = connect()
+        sock.sendall(_request("HEAD", "/healthz") + _request("GET", "/healthz"))
+        status, headers, _, rest = _read_response(sock, head_only=True)
+        assert status == 405 and int(headers["content-length"]) > 0
+        # No body went out: the next bytes are the GET's response.
+        status, _, body, _ = _read_response(sock, rest)
+        assert status == 200 and json.loads(body)["status"] == "ok"
+
+    def test_each_response_is_one_sendall(self, live, connect):
+        calls = []
+
+        class CountingSocket:
+            def __init__(self, sock):
+                self._sock = sock
+
+            def sendall(self, data, *args):
+                calls.append(len(data))
+                return self._sock.sendall(data, *args)
+
+            def __getattr__(self, name):
+                return getattr(self._sock, name)
+
+        accept = live.get_request
+        live.get_request = lambda: (
+            lambda pair: (CountingSocket(pair[0]), pair[1])
+        )(accept())
+        sock = connect()
+        requests = [
+            _query(["A", "B"]),
+            _request("GET", "/healthz"),
+            _request("GET", "/metrics"),
+            _request("GET", "/nowhere"),
+        ]
+        sock.sendall(b"".join(requests))
+        rest = b""
+        for _ in requests:
+            status, headers, body, rest = _read_response(sock, rest)
+            assert status is not None
+        assert len(calls) == len(requests)
+
+    def test_bodies_equal_the_service_encoding(self, live, connect, service):
+        answered = []
+        handle = service.handle
+
+        def recording(method, path, body, headers):
+            response = handle(method, path, body, headers)
+            answered.append(response)
+            return response
+
+        service.handle = recording
+        sock = connect()
+        requests = [
+            _query(["A", "B"]),
+            _query(["A", "B"], headers=[("X-Budget-Expansions", "1")]),
+            _request(
+                "POST", "/batch",
+                json.dumps({"queries": [["A", "B"], ["B", "C"]]}).encode(),
+            ),
+            _request("GET", "/healthz"),
+            _request("GET", "/metrics"),
+            _request("PUT", "/query"),
+            _request("GET", "/nowhere"),
+        ]
+        sock.sendall(b"".join(requests))
+        rest = b""
+        for index in range(len(requests)):
+            status, headers, body, rest = _read_response(sock, rest)
+            expected_status, payload, extra = answered[index]
+            assert status == expected_status
+            assert body == json.dumps(
+                payload, sort_keys=True, allow_nan=False
+            ).encode("utf-8")
+            assert headers["x-request-id"] == extra["X-Request-Id"]
