@@ -33,8 +33,12 @@ Observability checks ride along:
   pipelined in one write must come back in order (by ``X-Request-Id``)
   with the statuses the client saw for the same queries and the
   connection open; an HTTP/1.0 ``GET /healthz`` must answer 200 and
-  close; a malformed request line must answer a JSON 400 with
-  ``Connection: close`` and close.
+  close; one ``/query`` sent twice on one connection (the second a
+  result-cache hit unless the server sets default budgets) must answer
+  equal ``canonical_payload`` bodies and keep the connection open; a
+  malformed request line, a header name with a space before its colon
+  and two disagreeing ``Content-Length`` headers must each answer a
+  JSON 400 with ``Connection: close`` and close.
 * ``--access-log FILE`` (the same file the server was booted with)
   schema-validates every JSONL record and asserts that **every 429/5xx
   the workload observed is attributable to a logged request ID** — the
@@ -62,6 +66,7 @@ import time
 from repro.obs.promtext import parse_prometheus
 from repro.obs.schema import validate_access_record
 from repro.serve.client import ServeClient
+from repro.serve.service import canonical_payload
 
 
 #: Client threads, each on its own keep-alive connection (and so on its
@@ -273,8 +278,9 @@ def closed_after(sock: socket.socket, rest: bytes) -> bool:
 
 
 def check_raw_wire(url: str, queries: list, statuses: list) -> int:
-    """Pipelining, HTTP/1.0 close and a malformed request line, over raw
-    sockets; ``statuses`` are what the client saw for ``queries``."""
+    """Pipelining, HTTP/1.0 close, a repeated query and malformed heads,
+    over raw sockets; ``statuses`` are what the client saw for
+    ``queries``."""
     host, _, port = url.split("//", 1)[-1].rstrip("/").partition(":")
     address = (host, int(port or 80))
     problems = []
@@ -307,27 +313,62 @@ def check_raw_wire(url: str, queries: list, statuses: list) -> int:
             problems.append(f"HTTP/1.0 /healthz answered {status}")
         if not closed_after(sock, rest):
             problems.append("HTTP/1.0 /healthz left the connection open")
+    body = json.dumps({"keywords": list(queries[0])}).encode()
     with socket.create_connection(address, timeout=30) as sock:
-        sock.sendall(b"HELLO\r\n")
-        status, headers, body, rest = read_response(sock)
-        try:
-            shape = json.loads(body).get("status") if body else None
-        except json.JSONDecodeError:
-            shape = None
-        answer = (status, shape, headers.get("connection"))
-        if answer != (400, "error", "close"):
-            problems.append(
-                f"malformed request line answered {status}, body status "
-                f"{shape!r}, Connection {headers.get('connection')!r}"
+        # The second is a result-cache hit when the server sets no
+        # default budget (budgeted queries bypass the cache).
+        request = (
+            f"POST /query HTTP/1.1\r\nHost: {host}\r\n"
+            f"Content-Length: {len(body)}\r\n\r\n"
+        ).encode() + body
+        answers = []
+        for _ in range(2):
+            sock.sendall(request)
+            status, headers, data, _ = read_response(sock)
+            answers.append(
+                (status, canonical_payload(json.loads(data)) if data else None)
             )
-        if not closed_after(sock, rest):
-            problems.append("malformed request line left the connection open")
+        if answers[0] != answers[1]:
+            problems.append(
+                f"a repeated /query answered {answers[1][0]} with a body "
+                f"unlike the first's ({answers[0][0]})"
+            )
+        if headers.get("connection") == "close":
+            problems.append("a repeated /query closed the connection")
+    malformed = {
+        "request line": b"HELLO\r\n",
+        "space before a header colon": (
+            f"POST /query HTTP/1.1\r\nHost: {host}\r\n"
+            f"Content-Length : {len(body)}\r\n\r\n"
+        ).encode() + body,
+        "conflicting Content-Length": (
+            f"POST /query HTTP/1.1\r\nHost: {host}\r\n"
+            f"Content-Length: 3\r\ncontent-length: {len(body)}\r\n\r\n"
+        ).encode() + body,
+    }
+    for what, data in malformed.items():
+        with socket.create_connection(address, timeout=30) as sock:
+            sock.sendall(data)
+            status, headers, reply, rest = read_response(sock)
+            try:
+                shape = json.loads(reply).get("status") if reply else None
+            except json.JSONDecodeError:
+                shape = None
+            answer = (status, shape, headers.get("connection"))
+            if answer != (400, "error", "close"):
+                problems.append(
+                    f"malformed {what} answered {status}, body status "
+                    f"{shape!r}, Connection {headers.get('connection')!r}"
+                )
+            elif not closed_after(sock, rest):
+                problems.append(f"malformed {what} left the connection open")
     for problem in problems:
         print(f"FAIL: wire: {problem}", file=sys.stderr)
     if not problems:
         print(
             f"wire: {len(queries)} pipelined answers in order, HTTP/1.0 "
-            "closed, malformed request line a JSON 400"
+            "closed, a repeated /query answered alike on an open "
+            f"connection, {len(malformed)} malformed heads a JSON 400"
         )
     return 1 if problems else 0
 

@@ -130,6 +130,15 @@ class EvalResult:
     num_charged: int = 0
     #: supernodes specialized to layer 0 (``spec.lookups``).
     num_spec_lookups: int = 0
+    #: The serving layer's memo of these answers' encoding (at most one
+    #: item; ``serve.service.encode_result`` fills it), outside equality
+    #: and ``repr``.  ``replace`` shares it, so a result-cache entry and
+    #: every copy a hit returns encode their answers once; a miss caches
+    #: its result with a fresh slot, so only entries that are hit ever
+    #: hold an encoding.
+    memo: List[object] = field(
+        default_factory=list, compare=False, repr=False
+    )
 
     #: Complete results are never degraded; lets callers branch on
     #: ``result.degraded`` without isinstance checks.
@@ -334,7 +343,8 @@ class HierarchicalEvaluator:
 
     @staticmethod
     def _copy_result(result: EvalResult) -> EvalResult:
-        """A caller-mutable copy of a cached result (answers are frozen)."""
+        """A caller-mutable copy of a cached result (answers are frozen);
+        it shares the entry's :attr:`EvalResult.memo`."""
         return replace(
             result, answers=list(result.answers), breakdown=TimeBreakdown()
         )
@@ -391,7 +401,8 @@ class HierarchicalEvaluator:
 
         Unbudgeted evaluations are memoized per (index epoch, canonical
         query, layer, k) key; a hit replays the stored ranking
-        byte-for-byte (the ``verify`` cache drill enforces the identity).
+        byte-for-byte (the ``verify`` cache drill enforces the identity)
+        in a copy that shares the entry's :attr:`EvalResult.memo`.
         Budgeted runs always execute and are never stored: a
         :class:`~repro.utils.budget.Budget` is a stateful ledger, so
         whether a run completes depends on what was already charged, on
@@ -424,7 +435,14 @@ class HierarchicalEvaluator:
                 lower_bound=result.lower_bound,
             )
         if key is not None:
-            self._result_cache.put(key, self._copy_result(result))
+            # A fresh memo: the miss's own encoding dies with its response.
+            entry = replace(
+                result,
+                answers=list(result.answers),
+                breakdown=TimeBreakdown(),
+                memo=[],
+            )
+            self._result_cache.put(key, entry)
         return result
 
     def _attempt(

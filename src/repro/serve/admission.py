@@ -104,17 +104,13 @@ class AdmissionController:
                 self._shed("expansions")
             self._inflight += 1
             self._reserved += reserve
-            self.metrics.inc("serve.admitted")
-            self.metrics.gauge("serve.inflight", self._inflight)
-            self.metrics.gauge("serve.inflight_expansions", self._reserved)
+        self.metrics.inc("serve.admitted")
         return Ticket(reserved=reserve)
 
     def release(self, ticket: Ticket) -> None:
         with self._lock:
             self._inflight -= 1
             self._reserved -= ticket.reserved
-            self.metrics.gauge("serve.inflight", self._inflight)
-            self.metrics.gauge("serve.inflight_expansions", self._reserved)
 
     @contextmanager
     def admit(self, reserve: int = 0) -> Iterator[Ticket]:

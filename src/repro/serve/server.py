@@ -12,7 +12,9 @@ Wire rules (``docs/SERVING.md``, "Wire"):
 
 * the request line and each header line are at most 64 KiB (414 / 431),
   and a request carries at most 100 header lines (431);
-* ``Content-Length`` is ASCII digits (400 otherwise) and at most
+* a header name followed by whitespace before its colon is a 400;
+* ``Content-Length`` is ASCII digits (400 otherwise), repeated only with
+  the same value (400 otherwise, in any letter case) and at most
   :data:`MAX_BODY_BYTES` (413, the body is never read);
 * any ``Transfer-Encoding`` is answered 501: chunked bodies are not
   supported;
@@ -34,7 +36,7 @@ from email.utils import formatdate
 from http import HTTPStatus
 from typing import Iterator, Mapping, Optional, Tuple
 
-from repro.serve.service import QueryService
+from repro.serve.service import EncodedAnswers, QueryService
 
 #: Refuse request bodies beyond this (a 413); keeps a stray client from
 #: buffering the server into the ground.
@@ -56,15 +58,28 @@ def encode_response(
 
     A str payload is pre-rendered text (the content-negotiated Prometheus
     ``/metrics``); anything else is the JSON contract, strict: a
-    non-finite float reaching the wire is a bug.
+    non-finite float reaching the wire is a bug.  The body is always
+    ``json.dumps(payload, sort_keys=True, allow_nan=False)``; top-level
+    :class:`~repro.serve.service.EncodedAnswers` are spliced in as their
+    stored text, which gives those bytes because ``answers`` sorts before
+    every other key of the payload.
     """
     if isinstance(payload, str):
         body = payload.encode("utf-8")
         content_type = "text/plain; charset=utf-8"
     else:
-        body = json.dumps(payload, sort_keys=True, allow_nan=False).encode(
-            "utf-8"
-        )
+        answers = payload.get("answers")
+        if isinstance(answers, EncodedAnswers):
+            rest = {
+                key: value for key, value in payload.items()
+                if key != "answers"
+            }
+            text = '{"answers": ' + answers.json + ", " + json.dumps(
+                rest, sort_keys=True, allow_nan=False
+            )[1:]
+        else:
+            text = json.dumps(payload, sort_keys=True, allow_nan=False)
+        body = text.encode("utf-8")
         content_type = "application/json"
     lines = [
         f"HTTP/1.1 {status} {_REASONS.get(status, '')}",
@@ -123,6 +138,7 @@ class ServeHandler(socketserver.StreamRequestHandler):
             return self._refuse(505, f"unsupported version {version!r}")
 
         headers = {}
+        length = None
         for _ in range(MAX_HEADERS + 1):
             line = readline(MAX_LINE_BYTES + 1)
             if line in _BLANK:
@@ -132,11 +148,23 @@ class ServeHandler(socketserver.StreamRequestHandler):
                     431, f"header line over {MAX_LINE_BYTES} bytes"
                 )
             name, colon, value = line.decode("latin-1").partition(":")
-            if not colon:
+            # RFC 9112 5.1: whitespace between the name and the colon is
+            # a 400, never a header whose name ends in blanks.
+            if not colon or name[-1:] in (" ", "\t"):
                 return self._refuse(
                     400, f"malformed header line {line[:100]!r}"
                 )
-            headers[name] = value.strip()
+            value = value.strip()
+            if name.lower() == "content-length":
+                # RFC 9112 6.3: disagreeing lengths leave the message's
+                # end unknown, whatever case each header is sent in.
+                if length not in (None, value):
+                    return self._refuse(
+                        400,
+                        f"conflicting Content-Length {length!r} and {value!r}",
+                    )
+                length = value
+            headers[name] = value
         else:
             return self._refuse(431, f"more than {MAX_HEADERS} headers")
 
@@ -145,7 +173,8 @@ class ServeHandler(socketserver.StreamRequestHandler):
             return self._refuse(
                 501, "Transfer-Encoding is not supported; send Content-Length"
             )
-        length = lowered.get("content-length", "0")
+        if length is None:
+            length = "0"
         if not (length.isascii() and length.isdigit()):
             return self._refuse(400, f"bad Content-Length {length!r}")
         length = int(length)

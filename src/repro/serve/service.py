@@ -149,12 +149,27 @@ def encode_answer(answer: Answer) -> Dict[str, object]:
     }
 
 
+class EncodedAnswers(list):
+    """The answer dicts of one :class:`EvalResult`, carrying their own
+    ``json.dumps(..., sort_keys=True, allow_nan=False)`` text as
+    :attr:`json`, so the transport splices it into the response body
+    instead of encoding the answers again.  Every response a result-cache
+    entry serves shares one: read-only."""
+
+    __slots__ = ("json",)
+
+
 def encode_result(result: object) -> Dict[str, object]:
     """The response body for one evaluation outcome.
 
     Accepts an :class:`EvalResult`, a :class:`DegradedResult`, or an
     exception (``/batch`` uses ``return_exceptions``); the ``status``
-    field discriminates.
+    field discriminates.  The top-level dict is always fresh (``/query``
+    adds ``epoch`` and ``serial``, ``/batch`` adds ``keywords``), but a
+    complete result's ``answers`` are :class:`EncodedAnswers` memoized in
+    the result's :attr:`~repro.core.evaluator.EvalResult.memo`: encoded on
+    a result-cache entry's first hit, shared by every later one.  Two
+    threads racing to fill the memo store equal values.
     """
     if isinstance(result, Exception):
         return {
@@ -194,10 +209,15 @@ def encode_result(result: object) -> Dict[str, object]:
             }
         return payload
     assert isinstance(result, EvalResult)
+    memo = result.memo
+    if not memo:
+        answers = EncodedAnswers(encode_answer(a) for a in result.answers)
+        answers.json = json.dumps(answers, sort_keys=True, allow_nan=False)
+        memo[:] = (answers,)
     return {
         "status": "ok",
         "layer": result.layer,
-        "answers": [encode_answer(a) for a in result.answers],
+        "answers": memo[0],
         "num_generalized": result.num_generalized,
         "num_candidates": result.num_candidates,
         "num_verified": result.num_verified,
@@ -750,10 +770,10 @@ class QueryService:
         consumers; negotiation is purely additive."""
         if self.slo is not None:
             self.slo.publish_gauges(self.metrics)
-        # Log/flight volume is published at scrape time instead of being
-        # counted per request: the sources already track their own
-        # totals, and two extra locked increments per request would tax
-        # the <=2% observability budget for nothing.
+        # Log/flight volume and the admission ledger are published at
+        # scrape time instead of per request: the sources already track
+        # their own totals, and extra locked registry calls per request
+        # would tax the <=2% observability budget for nothing.
         if self.access_log is not None:
             self.metrics.gauge("log.access_lines", self.access_log.lines)
             self.metrics.gauge("log.rotations", self.access_log.rotations)
@@ -761,6 +781,10 @@ class QueryService:
             self.metrics.gauge("log.slow_lines", self.slow_log.lines)
         if self.flight.enabled:
             self.metrics.gauge("flight.records", len(self.flight))
+        self.metrics.gauge("serve.inflight", self.admission.inflight)
+        self.metrics.gauge(
+            "serve.inflight_expansions", self.admission.reserved_expansions
+        )
         accept = ""
         if headers:
             for key, value in headers.items():

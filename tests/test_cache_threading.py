@@ -24,6 +24,7 @@ barrier tests schedule the historical interleavings deterministically,
 
 from __future__ import annotations
 
+import json
 import random
 import sys
 import threading
@@ -43,6 +44,8 @@ from repro.search.bidirectional import BidirectionalSearch
 from repro.search.blinks import Blinks
 from repro.search.rclique import RClique
 from repro.serve.lifecycle import EngineRuntime
+from repro.serve.server import encode_response
+from repro.serve.service import QueryService, canonical_payload
 
 
 def build_index(random_graph_factory, small_ontology, seed: int = 0) -> BiGIndex:
@@ -826,3 +829,39 @@ class TestEvaluatorThreading:
         assert inst.metrics.counters()["cache.miss.result"] == 1
         fresh = make_evaluator(index).evaluate(query)
         assert after.answers == fresh.answers
+
+    def test_concurrent_hits_encode_identical_bodies(
+        self, random_graph_factory, small_ontology
+    ):
+        """Eight handler threads hit one cached query at once: they race
+        to fill the entry's encoding memo, and every response body is
+        ``json.dumps(payload)`` with the same canonical content."""
+        runtime = EngineRuntime(
+            build_index(random_graph_factory, small_ontology, seed=21),
+            make_evaluator,
+        )
+        service = QueryService(runtime)
+        body = json.dumps({"keywords": ["A", "B"]}).encode()
+        status, miss, _ = service.handle("POST", "/query", body, {})
+        assert status == 200 and miss["answers"]
+        barrier = threading.Barrier(8)
+
+        def hit(_):
+            barrier.wait(timeout=30)
+            status, payload, extra = service.handle("POST", "/query", body, {})
+            _head, data = encode_response(status, payload, extra, False)
+            assert data == json.dumps(
+                payload, sort_keys=True, allow_nan=False
+            ).encode("utf-8")
+            return json.dumps(
+                canonical_payload(json.loads(data)), sort_keys=True
+            )
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with ThreadPoolExecutor(max_workers=8) as executor:
+                bodies = set(executor.map(hit, range(8)))
+        finally:
+            sys.setswitchinterval(interval)
+        assert bodies == {json.dumps(canonical_payload(miss), sort_keys=True)}

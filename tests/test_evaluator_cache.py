@@ -1,5 +1,6 @@
 """Maintenance-aware result caching in the hierarchical evaluator."""
 
+import json
 from concurrent.futures import ThreadPoolExecutor
 
 import pytest
@@ -13,6 +14,7 @@ from repro.obs.runtime import instrumented
 from repro.ontology.ontology import OntologyGraph
 from repro.search.banks import BackwardKeywordSearch
 from repro.search.base import KeywordQuery
+from repro.serve.service import encode_result
 from repro.utils.budget import Budget
 
 EXACT = CostParams(exact=True)
@@ -129,6 +131,22 @@ class TestResultCache:
         first.answers.clear()  # caller mutates their copy
         second = evaluator.evaluate(QUERY)
         assert second.answers  # the cache entry was not aliased
+
+    def test_only_hits_fill_the_entry_memo(self, index):
+        evaluator = _evaluator(index)
+        miss = evaluator.evaluate(QUERY)
+        encoded = encode_result(miss)["answers"]
+        first_hit = evaluator.evaluate(QUERY)
+        # The miss encoded into its own slot; the entry's is still empty.
+        assert miss.memo == [encoded] and first_hit.memo == []
+        answers = encode_result(first_hit)["answers"]
+        assert answers == encoded and answers is not encoded
+        assert answers.json == json.dumps(
+            encoded, sort_keys=True, allow_nan=False
+        )
+        second_hit = evaluator.evaluate(QUERY)
+        assert second_hit.memo == [answers]
+        assert encode_result(second_hit)["answers"] is answers
 
 
 class TestInvalidation:

@@ -1594,6 +1594,45 @@ class TestTransport:
             connect(), b"GET /healthz HTTP/1.1\r\nno colon here\r\n\r\n", 400
         )
 
+    @pytest.mark.parametrize("name", ["Content-Length ", "Content-Length\t"])
+    def test_whitespace_before_the_colon_is_400(self, connect, name):
+        # Read as no length, the body would be parsed as the next request.
+        body = json.dumps({"keywords": ["A", "B"]}).encode()
+        head = (
+            "POST /query HTTP/1.1\r\nHost: x\r\n"
+            f"{name}: {len(body)}\r\n\r\n"
+        ).encode()
+        self.assert_error(connect(), head + body, 400)
+
+    @pytest.mark.parametrize(
+        "first, second",
+        [("Content-Length", "content-length"),
+         ("Content-Length", "Content-Length")],
+    )
+    def test_conflicting_content_lengths_are_400(self, connect, first, second):
+        body = json.dumps({"keywords": ["A", "B"]}).encode()
+        head = (
+            f"POST /query HTTP/1.1\r\nHost: x\r\n{first}: 3\r\n"
+            f"{second}: {len(body)}\r\n\r\n"
+        ).encode()
+        payload = self.assert_error(connect(), head + body, 400)
+        assert "Content-Length" in payload["error"]
+
+    def test_repeated_equal_content_lengths_are_one(self, connect):
+        body = json.dumps({"keywords": ["A", "B"]}).encode()
+        sock = connect()
+        sock.sendall(
+            (
+                "POST /query HTTP/1.1\r\nHost: x\r\n"
+                f"Content-Length: {len(body)}\r\n"
+                f"content-length: {len(body)}\r\n\r\n"
+            ).encode()
+            + body
+        )
+        status, headers, payload, _ = _read_response(sock)
+        assert status == 200 and json.loads(payload)["status"] == "ok"
+        assert "connection" not in headers
+
     def test_expect_100_continue(self, connect):
         sock = connect()
         body = json.dumps({"keywords": ["A", "B"]}).encode()
@@ -1681,10 +1720,19 @@ class TestTransport:
         sock = connect()
         requests = [
             _query(["A", "B"]),
+            _query(["A", "B"]),  # a result-cache hit: spliced answers
+            _request(
+                "POST", "/query",
+                json.dumps({"keywords": ["A", "B"], "k": 5}).encode(),
+            ),
             _query(["A", "B"], headers=[("X-Budget-Expansions", "1")]),
             _request(
                 "POST", "/batch",
                 json.dumps({"queries": [["A", "B"], ["B", "C"]]}).encode(),
+            ),
+            _request(
+                "POST", "/batch",
+                json.dumps({"queries": [["A", "B"], ["A", "B"]]}).encode(),
             ),
             _request("GET", "/healthz"),
             _request("GET", "/metrics"),
@@ -1701,3 +1749,10 @@ class TestTransport:
                 payload, sort_keys=True, allow_nan=False
             ).encode("utf-8")
             assert headers["x-request-id"] == extra["X-Request-Id"]
+        # The hits served one encoding: the /query hit's and the repeated
+        # /batch entries' answers are the same object.
+        hit = answered[1][1]["answers"]
+        assert hit and hit is not answered[0][1]["answers"]
+        assert all(
+            entry["answers"] is hit for entry in answered[5][1]["results"]
+        )
