@@ -233,7 +233,7 @@ class Fixture:
         #: The 2-layer index every query and serve section evaluates on.
         with instrumented(trace=False) as inst:
             self.index = BiGIndex.build(
-                self.graph.copy(share_label_table=True),
+                self.graph.copy(),
                 self.ontology,
                 num_layers=2,
                 cost_params=cost_params,
@@ -373,7 +373,7 @@ def section_maintain(fixture: Fixture, repeats: int) -> Metrics:
     """
     name, graph, ontology = verification_corpus(True, fixture.seed)[0]
     toy = fixture.index if fixture.quick else BiGIndex.build(
-        graph.copy(share_label_table=True),
+        graph.copy(),
         ontology,
         num_layers=2,
         cost_params=CostParams(exact=True),
@@ -431,7 +431,7 @@ def section_shard(fixture: Fixture, repeats: int) -> Metrics:
 
         def build_arm(arm: str, arm_workers: int):
             return build_sharded(
-                graph.copy(share_label_table=True), ontology, 4,
+                graph.copy(), ontology, 4,
                 halo_radius=6, plan=plan, workers=arm_workers,
                 directory=os.path.join(tmp, arm), **build_kwargs,
             )
@@ -455,7 +455,7 @@ def section_shard(fixture: Fixture, repeats: int) -> Metrics:
     # hierarchy before timing (the exactness claim the shard drill gates
     # in verify, re-asserted on the bench corpus).
     sharded = build_sharded(
-        fixture.graph.copy(share_label_table=True), fixture.ontology, 4,
+        fixture.graph.copy(), fixture.ontology, 4,
         halo_radius=6, workers=1, **build_kwargs,
     )
     algorithm = BackwardKeywordSearch(d_max=3, k=10)

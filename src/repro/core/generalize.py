@@ -22,7 +22,7 @@ def generalize_graph(graph: Graph, config: Configuration) -> Graph:
     The returned graph shares the input's label table so label ids remain
     comparable across BiG-index layers.
     """
-    result = graph.copy(share_label_table=True)
+    result = graph.copy()
     remap = generalized_label_ids(result.label_table, config, intern=True)
     # Collect every move before applying one, so a vertex is rewritten
     # from its original label only; the moves come from one postings map
@@ -87,6 +87,9 @@ def specialize_label(
     Walks the configuration sequence backwards, expanding through each
     configuration's preimages (a label is its own preimage when unmapped —
     generalization leaves unmapped labels alone).
+
+    Kept as the reference the Gen/Spec right-inverse tests check
+    :func:`generalize_label` against.
     """
     current: Set[str] = {label}
     for config in reversed(configs):

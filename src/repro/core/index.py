@@ -376,7 +376,7 @@ class BiGIndex:
         mapping's edge still exists); the index simply does not exploit the
         new edges until a rebuild (paper: "new ontologies do not make a
         BiG-index incorrect, and BiG-index can be reconstructed
-        periodically").
+        periodically").  Kept, with no caller, as that Sec. 3.2 operation.
         """
         self.drift += 1
 

@@ -7,7 +7,7 @@ types and keywords interchangeably.
 
 Design notes
 ------------
-* Vertices are dense integers ``0..n-1`` so adjacency is a list of lists and
+* Vertices are dense integers ``0..n-1`` so adjacency is a list of rows and
   per-layer vertex maps in the BiG-index hierarchy are plain arrays.
 * Labels are interned through :class:`LabelTable`; a vertex stores a label
   *id*.  Graph generalization (Sec. 3.1) then reduces to an ``O(|V|)``
@@ -15,9 +15,11 @@ Design notes
   -> sorted vertex ids) derived from the labels.
 * A graph is its labels and its rows: successor and predecessor rows in
   insertion order, both kept because every keyword search algorithm in
-  the paper expands *backward* (Sec. 5).  Edge, degree and postings reads
-  go through :meth:`Graph.rows` and the postings map in both storage
-  modes (heap lists, or the zero-copy buffers of a loaded container).
+  the paper expands *backward* (Sec. 5).  A row is an immutable tuple in
+  both storage modes (heap, or built from the zero-copy buffers of a
+  loaded container), so clones share rows and a write replaces only the
+  rows it touches.  Edge, degree and postings reads go through
+  :meth:`Graph.rows` and the postings map.
 * ``|G| = |V| + |E|`` as in the paper (used by the compression ratio).
 """
 
@@ -86,8 +88,8 @@ class FrozenAdjacency:
     into the container mmap, or arrays on the big-endian fallback) plus
     a reference to the owning reader so the mapping outlives every view.
     A frozen :class:`Graph` keeps one of these instead of ``_out`` /
-    ``_in``; the first mutation materializes heap rows and drops it (see
-    :meth:`Graph._materialize`).
+    ``_in``; the first mutation takes heap lists over its rows and drops
+    it (see :meth:`Graph._materialize`).
 
     Indexed by direction (``0`` out, ``1`` in) it is :meth:`Graph.rows`:
     one tuple per vertex in CSR order over one int per vertex id shared
@@ -160,6 +162,12 @@ class FrozenAdjacency:
         }
 
 
+def _without(row: Tuple[int, ...], v: int) -> Tuple[int, ...]:
+    """``row`` less its one occurrence of ``v`` (rows hold no repeats)."""
+    i = row.index(v)
+    return row[:i] + row[i + 1 :]
+
+
 def _pack_csr(adjacency: Sequence[Sequence[int]]) -> Tuple[array, array]:
     """Pack one direction's rows into the (offsets, targets) int arrays
     of the compressed-sparse-row storage format the v4 writer stores.
@@ -178,8 +186,11 @@ class Graph:
     """A directed graph with one string label per vertex.
 
     Its state is ``labels`` (one label id per vertex) and :meth:`rows`
-    (successor and predecessor rows, heap lists or a loaded container's
-    buffers); edges, degrees and postings are read from those two.
+    (one successor and one predecessor tuple per vertex, held in heap
+    lists or built from a loaded container's buffers); edges, degrees and
+    postings are read from those two.  Rows are never written in place:
+    :meth:`add_edge` / :meth:`remove_edge` replace the two rows they
+    touch, so any row read earlier, and every clone, keeps its value.
 
     Parameters
     ----------
@@ -193,16 +204,17 @@ class Graph:
     >>> a = g.add_vertex("Person")
     >>> b = g.add_vertex("Univ.")
     >>> g.add_edge(a, b)
+    True
     >>> g.out_neighbors(a)
-    [1]
+    (1,)
     >>> g.label(a)
     'Person'
     """
 
     def __init__(self, label_table: Optional[LabelTable] = None) -> None:
         self.labels: List[int] = []
-        self._out: List[List[int]] = []
-        self._in: List[List[int]] = []
+        self._out: List[Tuple[int, ...]] = []
+        self._in: List[Tuple[int, ...]] = []
         self._num_edges = 0
         self.label_table = label_table if label_table is not None else LabelTable()
         #: Optional human-readable vertex names (entity names in examples).
@@ -215,12 +227,6 @@ class Graph:
         # Label id -> sorted vertex ids, derived on first read and dropped
         # by a relabel (see _postings_map).
         self._postings: Optional[Dict[int, Sequence[int]]] = None
-        # Copy-on-write bookkeeping (see cow_clone()).  ``None`` means the
-        # graph owns every row outright and mutators work in place; on a
-        # clone these hold the ids whose row the clone has privately
-        # copied, so shared structure is never written through.
-        self._cow_out: Optional[Set[int]] = None
-        self._cow_in: Optional[Set[int]] = None
         # Zero-copy payload of an mmap-loaded graph; ``None`` for heap
         # graphs.  While set (and _out is None) rows and postings are
         # served from its buffers (see from_frozen / _materialize).
@@ -240,7 +246,7 @@ class Graph:
         ``memoryview`` slices over an index container mmap; nothing is
         parsed or copied here, so constructing the graph is O(1) in the
         graph size.  The result answers every read exactly like a
-        heap-built twin; the first mutation detaches to heap structures
+        heap-built twin; the first mutation detaches to heap lists
         exactly once (:meth:`_materialize`), so the WAL-replay and
         copy-on-write mutation paths work unchanged.
         """
@@ -265,16 +271,17 @@ class Graph:
     def _materialize(self) -> None:
         """Detach an mmap-backed graph to owned heap structures, once.
 
-        Called by every mutator before it writes.  Copies the rows in CSR
-        order (which is insertion order — the v4 writer preserves it) and
-        the labels, drops the postings map (the next read derives it from
-        the labels) and the frozen payload; subsequent mutations take the
-        normal in-place path.  A no-op for heap graphs, so the hot
-        mutation path pays one ``is not None`` check.
+        Called by every mutator before it writes.  Takes O(|V|) heap lists
+        over the frozen payload's tuple rows (CSR order, which is
+        insertion order — the v4 writer preserves it), sharing the rows
+        themselves, and copies the labels; drops the postings map (the
+        next read derives it from the labels) and the frozen payload.  A
+        no-op for heap graphs, so the hot mutation path pays one
+        ``is not None`` check.
         """
         if self._out is not None:
             return
-        self._out, self._in = (list(map(list, rows)) for rows in self._frozen)
+        self._out, self._in = map(list, self._frozen)
         self.labels = list(self.labels)
         self._postings = None
         self._frozen = None
@@ -301,8 +308,8 @@ class Graph:
         self._materialize()
         vid = len(self.labels)
         self.labels.append(label_id)
-        self._out.append([])
-        self._in.append([])
+        self._out.append(())
+        self._in.append(())
         postings = self._postings
         if postings is not None:
             # The new id is the largest, so the tuple stays sorted.
@@ -319,10 +326,11 @@ class Graph:
         self._check_vertex(u)
         self._check_vertex(v)
         self._materialize()
-        if v in self._out[u]:
+        row = self._out[u]
+        if v in row:
             return False
-        self._own_out_row(u).append(v)
-        self._own_in_row(v).append(u)
+        self._out[u] = row + (v,)
+        self._in[v] += (u,)
         self._num_edges += 1
         self.mutation_epoch += 1
         return True
@@ -332,30 +340,10 @@ class Graph:
         if not self.has_edge(u, v):
             raise GraphError(f"edge ({u}, {v}) not in graph")
         self._materialize()
-        self._own_out_row(u).remove(v)
-        self._own_in_row(v).remove(u)
+        self._out[u] = _without(self._out[u], v)
+        self._in[v] = _without(self._in[v], u)
         self._num_edges -= 1
         self.mutation_epoch += 1
-
-    def _own_out_row(self, v: int) -> List[int]:
-        """Out-adjacency row of ``v``, privately owned before mutation.
-
-        On a :meth:`cow_clone` the outer ``_out`` list is private but the
-        rows are shared with the parent; the first write to a row copies
-        it.  A graph that owns everything (``_cow_out is None``) returns
-        the row directly, so the non-COW mutation path is unchanged.
-        """
-        if self._cow_out is not None and v not in self._cow_out:
-            self._out[v] = list(self._out[v])
-            self._cow_out.add(v)
-        return self._out[v]
-
-    def _own_in_row(self, v: int) -> List[int]:
-        """In-adjacency row of ``v``, privately owned before mutation."""
-        if self._cow_in is not None and v not in self._cow_in:
-            self._in[v] = list(self._in[v])
-            self._cow_in.add(v)
-        return self._in[v]
 
     def relabel_vertex(self, v: int, new_label: str) -> None:
         """Change the label of ``v`` (the postings map is rederived)."""
@@ -420,12 +408,14 @@ class Graph:
 
     def rows(self) -> Sequence[Sequence[Sequence[int]]]:
         """``(successors, predecessors)``, each indexable by vertex id, in
-        CSR (= insertion) order: the one traversal format.
+        CSR (= insertion) order: the one traversal format.  Every row is a
+        tuple.
 
-        A heap graph returns its live adjacency lists (do not mutate;
-        valid until its next mutation).  An mmap-backed graph returns its
-        :class:`FrozenAdjacency`, shared by its copy-on-write clones,
-        which builds a direction on first index.  Neither packs a CSR.
+        A heap graph returns its live lists of rows (do not mutate them; a
+        write replaces the rows it touches, and a detach replaces the
+        lists).  An mmap-backed graph returns its :class:`FrozenAdjacency`,
+        shared by its copy-on-write clones, which builds a direction on
+        first index.  Neither packs a CSR.
         """
         if self._out is None:
             return self._frozen
@@ -539,10 +529,6 @@ class Graph:
         return a graph to its just-constructed state)."""
         self._postings = None
 
-    def vertices_with_label(self, label: str) -> Set[int]:
-        """All vertices labeled ``label`` (empty set for unknown labels)."""
-        return set(self.sorted_vertices_with_label(label))
-
     def vertices_with_label_id(self, label_id: int) -> Set[int]:
         """All vertices with the interned label id (empty set when absent)."""
         return set(self.sorted_vertices_with_label_id(label_id))
@@ -569,55 +555,37 @@ class Graph:
     # ------------------------------------------------------------------
     # Derivation
     # ------------------------------------------------------------------
-    def copy(self, share_label_table: bool = True) -> "Graph":
-        """Deep-copy the topology and labels onto the heap (an mmap-backed
-        graph stays mmap-backed).
+    def copy(self) -> "Graph":
+        """A heap graph with this graph's topology, labels and names, and
+        none of its derived state (no frozen payload and so no memos, no
+        postings map, a fresh ``mutation_epoch``).
 
-        ``share_label_table`` keeps a single interning table across copies,
-        which the BiG-index hierarchy relies on for cross-layer label ids.
+        O(|V|): the copy gets its own lists of rows and labels and shares
+        the immutable rows themselves, and the label table, which the
+        BiG-index hierarchy relies on for cross-layer label ids.
         """
-        table = self.label_table if share_label_table else LabelTable(
-            iter(self.label_table)
-        )
-        clone = Graph(table)
+        clone = Graph(self.label_table)
         clone.labels = list(self.labels)
-        clone._out, clone._in = (list(map(list, rows)) for rows in self.rows())
+        clone._out, clone._in = map(list, self.rows())
         clone._num_edges = self._num_edges
         clone.names = dict(self.names)
         return clone
 
     def cow_clone(self) -> "Graph":
-        """Copy-on-write clone sharing all unmutated structure.
+        """A clone that shares this graph's derived state too.
 
-        The clone gets private *outer* containers (adjacency lists,
-        labels, names, postings map) whose *contents* — the per-vertex
-        rows — stay shared with this graph until the clone's first write
-        to each (see :meth:`_own_out_row`).  The postings map holds
-        immutable sequences, so it is copied shallowly.
-
-        The parent must be treated as frozen for the clone's lifetime (the
-        serve runtime guarantees this: a published snapshot is never
-        mutated in place).  O(|V| + |labels|) instead of copy()'s
-        O(|V| + |E|).
+        An mmap-backed graph's clone shares its frozen buffers and their
+        memos in O(1) until its first write detaches it; a heap graph's
+        clone is :meth:`copy` plus the postings map.  Both keep
+        ``mutation_epoch``.  Rows are immutable, so the clone is a value:
+        a write to either side replaces that side's rows only.
         """
-        clone = Graph(self.label_table)
         if self._out is None:
-            # mmap-backed: share the frozen buffers outright.  The
-            # clone's first mutation runs _materialize(), which builds
-            # fully private heap structures — detaching *is* the
-            # copy-on-write step, so no per-row bookkeeping is needed.
-            clone.labels = self.labels
-            clone._out = None
-            clone._in = None
-            clone._frozen = self._frozen
+            clone = Graph.from_frozen(
+                self.label_table, self.labels, self._frozen, self.names
+            )
         else:
-            clone.labels = list(self.labels)
-            clone._out = list(self._out)
-            clone._in = list(self._in)
-            clone._cow_out = set()
-            clone._cow_in = set()
-        clone._num_edges = self._num_edges
-        clone.names = dict(self.names)
+            clone = self.copy()
         clone.mutation_epoch = self.mutation_epoch
         if self._postings is not None:
             clone._postings = dict(self._postings)

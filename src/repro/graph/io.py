@@ -20,30 +20,10 @@ correspondence).
 from __future__ import annotations
 
 import os
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Tuple
 
-from repro.graph.digraph import Graph, LabelTable
+from repro.graph.digraph import Graph
 from repro.utils.errors import GraphError
-
-
-def graph_from_edge_list(
-    labels: Sequence[str],
-    edges: Iterable[Tuple[int, int]],
-    label_table: Optional[LabelTable] = None,
-    names: Optional[Dict[int, str]] = None,
-) -> Graph:
-    """Build a graph from a dense label list and an edge iterable.
-
-    ``labels[i]`` is the label of vertex ``i``; every edge must reference
-    ids below ``len(labels)``.
-    """
-    graph = Graph(label_table)
-    for i, label in enumerate(labels):
-        name = names.get(i) if names else None
-        graph.add_vertex(label, name=name)
-    for u, v in edges:
-        graph.add_edge(u, v)
-    return graph
 
 
 def save_graph_tsv(graph: Graph, path_prefix: str) -> Tuple[str, str]:

@@ -116,7 +116,11 @@ def bounded_distance(
     direction: str = FORWARD,
 ) -> Optional[int]:
     """Shortest distance from ``source`` to ``target``; ``None`` if farther
-    than ``max_depth`` (or unreachable)."""
+    than ``max_depth`` (or unreachable).
+
+    Kept as the tests' reference for Blinks' level cursors and for the
+    distance bound a bisimulation summary preserves.
+    """
     if source == target:
         return 0
     neighbors = _neighbor_fn(graph, direction)

@@ -493,7 +493,11 @@ class RootedTreeAlgorithm(KeywordSearchAlgorithm):
         self, graph: Graph, root: int, query: KeywordQuery
     ) -> Optional[RootHit]:
         """The minimal-score hit rooted at ``root``, or ``None``: a
-        one-root :meth:`root_verifier`."""
+        one-root :meth:`root_verifier`.
+
+        Kept as the tests' per-root reference for searcher scores, the
+        sharded gather and the layer-1 reach bound.
+        """
         return next(self.root_verifier(graph, query)([root]))
 
     def root_verifier(

@@ -223,7 +223,7 @@ def run_chaos_drill(
     try:
         dataset = dataset_registry(scale=_SCALE)[_DATASET]()
         built = BiGIndex.build(
-            dataset.graph.copy(share_label_table=True),
+            dataset.graph.copy(),
             dataset.ontology,
             num_layers=_NUM_LAYERS,
             cost_params=CostParams(exact=True),

@@ -551,7 +551,7 @@ def run_fault_injection(
         verification_corpus(quick=quick, seed=seed)
     ):
         index = BiGIndex.build(
-            graph.copy(share_label_table=True),
+            graph.copy(),
             ontology,
             num_layers=num_layers,
             cost_params=CostParams(exact=True),

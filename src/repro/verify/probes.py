@@ -338,7 +338,7 @@ class MaintenanceProbe(IndexProbe):
     def __init__(self, index, algorithms=(), queries=()) -> None:
         super().__init__(index, algorithms, queries)
         self.twin = _ClimbingIndex(
-            index.base_graph.copy(share_label_table=True), index.ontology
+            index.base_graph.copy(), index.ontology
         )
         self.twin.layers = list(index.layers)
 

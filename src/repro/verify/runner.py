@@ -176,7 +176,7 @@ def run_verification(
         def build(graph=graph, ontology=ontology) -> BiGIndex:
             # Copy per build: fuzz sequences mutate the base graph.
             return BiGIndex.build(
-                graph.copy(share_label_table=True),
+                graph.copy(),
                 ontology,
                 num_layers=num_layers,
                 cost_params=CostParams(exact=True),
@@ -244,11 +244,11 @@ def run_verification(
         )
         drills.append(run_shard_drill(
             sharded_factory=lambda g=graph, o=ontology: build_sharded(
-                g.copy(share_label_table=True), o, 3, 2 * _D_MAX,
+                g.copy(), o, 3, 2 * _D_MAX,
                 **drill_kwargs,
             ),
             mono_factory=lambda g=graph, o=ontology: BiGIndex.build(
-                g.copy(share_label_table=True), o, **drill_kwargs
+                g.copy(), o, **drill_kwargs
             ),
             algorithms=algorithms[:3],
             queries=queries,

@@ -233,7 +233,7 @@ class TestPAnsGraphGen:
             if len(labels) < 3:
                 continue
             spec_sets = {
-                i: sorted(g.vertices_with_label(label))
+                i: list(g.sorted_vertices_with_label(label))
                 for i, label in enumerate(labels)
             }
             answer = GeneralizedAnswerGraph(

@@ -94,7 +94,7 @@ class TestVerify:
     def test_verify_rejects_wrong_label(self, random_graph_factory):
         g = random_graph_factory(seed=5)
         algo = BidirectionalSearch(d_max=3)
-        b_nodes = sorted(g.vertices_with_label("B"))
+        b_nodes = list(g.sorted_vertices_with_label("B"))
         assert (
             algo.verify(g, {"A": b_nodes[0]}, KeywordQuery(["A"]), root=0)
             is None

@@ -37,7 +37,7 @@ class TestSingleLevelIndex:
         g = random_graph_factory(num_vertices=30, num_edges=70, seed=22)
         for label in g.distinct_labels():
             expected = bfs_distances(
-                g, g.vertices_with_label(label), max_depth=3, direction="backward"
+                g, g.sorted_vertices_with_label(label), max_depth=3, direction="backward"
             )
             cursor = _LevelCursor(g, label, 3)
             drain(cursor)
@@ -83,7 +83,7 @@ class TestBiLevelIndex:
         g = random_graph_factory(num_vertices=40, num_edges=100, seed=29)
         for label in sorted(g.distinct_labels()):
             reach = bfs_distances(
-                g, g.vertices_with_label(label), max_depth=3, direction="backward"
+                g, g.sorted_vertices_with_label(label), max_depth=3, direction="backward"
             )
             cursor = _LevelCursor(g, label, 3)
             depth = 0

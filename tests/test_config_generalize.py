@@ -85,13 +85,13 @@ class TestGeneralizeGraph:
         result = generalize_graph(fig1_graph, config)
         assert result.num_vertices == fig1_graph.num_vertices
         assert set(result.edges()) == set(fig1_graph.edges())
-        assert result.vertices_with_label("Student") == set()
-        assert len(result.vertices_with_label("Person")) == 10
+        assert result.sorted_vertices_with_label("Student") == ()
+        assert len(result.sorted_vertices_with_label("Person")) == 10
 
     def test_original_graph_unchanged(self, fig1_graph):
         config = Configuration({"Student": "Person"})
         generalize_graph(fig1_graph, config)
-        assert len(fig1_graph.vertices_with_label("Student")) == 10
+        assert len(fig1_graph.sorted_vertices_with_label("Student")) == 10
 
     def test_empty_config_is_copy(self, fig1_graph):
         result = generalize_graph(fig1_graph, Configuration.empty())

@@ -126,7 +126,7 @@ class TestLabelPostings:
         g = random_graph_factory(num_vertices=60, num_edges=150, seed=5)
         for label in g.distinct_labels():
             posting = g.sorted_vertices_with_label(label)
-            assert list(posting) == sorted(g.vertices_with_label(label))
+            assert list(posting) == [v for v in g.vertices() if g.label(v) == label]
 
     def test_unknown_label_is_empty(self):
         g = Graph()

@@ -47,7 +47,7 @@ def assert_prefix(result, scores):
 def corpus_case():
     name, graph, ontology = next(iter(verification_corpus(quick=True, seed=0)))
     index = BiGIndex.build(
-        graph.copy(share_label_table=True),
+        graph.copy(),
         ontology,
         num_layers=2,
         cost_params=EXACT,

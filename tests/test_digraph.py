@@ -38,12 +38,19 @@ class TestGraphConstruction:
         g = Graph()
         assert [g.add_vertex("a"), g.add_vertex("b"), g.add_vertex("a")] == [0, 1, 2]
 
-    def test_add_edge_and_neighbors(self):
+    def test_add_edge_and_neighbors(self, frozen_twin):
         g = Graph()
         a, b = g.add_vertex("a"), g.add_vertex("b")
         assert g.add_edge(a, b) is True
-        assert g.out_neighbors(a) == [b]
-        assert g.in_neighbors(b) == [a]
+        detached = frozen_twin(g)
+        detached.add_vertex("c")
+        assert not detached.is_mmap_backed
+        kinds = (g, g.cow_clone(), frozen_twin(g), frozen_twin(g).cow_clone(), detached)
+        for graph in kinds:
+            # A row is a tuple in every storage mode.
+            assert graph.out_neighbors(a) == (b,)
+            assert graph.in_neighbors(b) == (a,)
+            assert all(type(row) is tuple for table in graph.rows() for row in table)
 
     def test_parallel_edges_collapse(self):
         g = Graph()
@@ -104,22 +111,22 @@ class TestLabels:
         a = g.add_vertex("x")
         g.add_vertex("y")
         c = g.add_vertex("x")
-        assert g.vertices_with_label("x") == {a, c}
-        assert g.vertices_with_label("missing") == set()
+        assert g.sorted_vertices_with_label("x") == (a, c)
+        assert g.sorted_vertices_with_label("missing") == ()
 
     def test_relabel_vertex_updates_index(self):
         g = Graph()
         v = g.add_vertex("x")
         g.relabel_vertex(v, "y")
         assert g.label(v) == "y"
-        assert g.vertices_with_label("x") == set()
-        assert g.vertices_with_label("y") == {v}
+        assert g.sorted_vertices_with_label("x") == ()
+        assert g.sorted_vertices_with_label("y") == (v,)
 
     def test_relabel_to_same_label_is_noop(self):
         g = Graph()
         v = g.add_vertex("x")
         g.relabel_vertex(v, "x")
-        assert g.vertices_with_label("x") == {v}
+        assert g.sorted_vertices_with_label("x") == (v,)
 
     def test_label_support_counts_vertices(self):
         g = Graph()
@@ -166,12 +173,23 @@ class TestDerivation:
         clone = g.copy()
         assert clone.label_table is g.label_table
 
-    def test_copy_private_label_table(self):
+    def test_heap_clone_is_a_value(self):
+        """Writes to a heap graph after :meth:`cow_clone` never show
+        through the clone: rows are replaced, not written in place."""
         g = Graph()
-        g.add_vertex("a")
-        clone = g.copy(share_label_table=False)
-        assert clone.label_table is not g.label_table
-        assert clone.label(0) == "a"
+        a, b, c = (g.add_vertex(x) for x in "abc")
+        g.add_edge(a, b)
+        clone = g.cow_clone()
+        g.add_edge(a, c)
+        g.remove_edge(a, b)
+        g.add_edge(g.add_vertex("d"), b)
+        assert clone.num_vertices == 3 and clone.num_edges == 1
+        assert clone.out_neighbors(a) == (b,)
+        assert clone.in_neighbors(b) == (a,)
+        assert clone.in_neighbors(c) == ()
+        assert list(clone.edges()) == [(a, b)]
+        assert clone.sorted_vertices_with_label("d") == ()
+        assert g.out_neighbors(a) == (c,) and g.in_neighbors(b) == (3,)
 
     def test_induced_subgraph_keeps_internal_edges_only(self):
         g = Graph()
@@ -232,7 +250,7 @@ def every_read(graph: Graph):
         "rows": tuple([tuple(row) for row in table] for table in graph.rows()),
         "postings": [graph.sorted_vertices_with_label_id(i) for i in ids],
         "by_id": [(i, list(p)) for i, p in graph.postings_items_by_id()],
-        "sets": [graph.vertices_with_label(label) for label in probes],
+        "sorted": [graph.sorted_vertices_with_label(label) for label in probes],
         "support": [graph.label_support(label) for label in probes],
         "distinct": (graph.distinct_labels(), graph.distinct_label_ids()),
         "histogram": graph.label_histogram(),

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.graph.digraph import Graph
-from repro.graph.io import graph_from_edge_list, load_graph_tsv, save_graph_tsv
+from repro.graph.io import load_graph_tsv, save_graph_tsv
 from repro.utils.errors import GraphError
 
 
@@ -97,14 +97,3 @@ class TestLoadErrors:
         loaded, _ = load_graph_tsv(str(tmp_path / "s"))
         assert loaded.num_vertices == 2
         assert loaded.num_edges == 1
-
-
-class TestEdgeListBuilder:
-    def test_graph_from_edge_list(self):
-        g = graph_from_edge_list(["A", "B"], [(0, 1)])
-        assert g.num_vertices == 2
-        assert g.has_edge(0, 1)
-
-    def test_graph_from_edge_list_with_names(self):
-        g = graph_from_edge_list(["A"], [], names={0: "alpha"})
-        assert g.name(0) == "alpha"

@@ -57,7 +57,7 @@ def toy_case():
 def toy_index(toy_case):
     _, graph, ontology = toy_case
     return BiGIndex.build(
-        graph.copy(share_label_table=True),
+        graph.copy(),
         ontology,
         num_layers=2,
         cost_params=CostParams(exact=True),
@@ -440,7 +440,7 @@ def layered_case():
     and answers, r-clique enumerates assignments."""
     dataset = dataset_registry(scale=0.02)["yago-like"]()
     index = BiGIndex.build(
-        dataset.graph.copy(share_label_table=True),
+        dataset.graph.copy(),
         dataset.ontology,
         num_layers=3,
         cost_params=CostParams(num_samples=10),

@@ -232,7 +232,7 @@ class TestEquivalenceProperty:
     @settings(max_examples=20, deadline=None)
     def test_eval_equals_eval_ont_for_bkws(self, g: Graph, d_max: int):
         """Thm. 4.2 for bkws over random graphs and the toy ontology."""
-        keywords = [l for l in ("A", "C") if g.vertices_with_label(l)]
+        keywords = [l for l in ("A", "C") if g.sorted_vertices_with_label(l)]
         if len(keywords) < 2:
             return
         ontology = small_ontology()

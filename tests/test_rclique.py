@@ -79,8 +79,8 @@ class TestSearchSemantics:
         got = {a.keyword_nodes for a in searcher.search(query)}
         # Brute force over the keyword product.
         expected = set()
-        for u in g.vertices_with_label("A"):
-            for v in g.vertices_with_label("B"):
+        for u in g.sorted_vertices_with_label("A"):
+            for v in g.sorted_vertices_with_label("B"):
                 d = searcher.index.distance(u, v)
                 if u != v and d is not None and d <= radius:
                     expected.add((("A", u), ("B", v)))
@@ -162,7 +162,7 @@ class TestInPlaceWrites:
     def test_reused_evaluator_matches_a_fresh_bind_after_writes(self):
         _name, graph, ontology = verification_corpus(quick=True, seed=0)[0]
         index = BiGIndex.build(
-            graph.copy(share_label_table=True),
+            graph.copy(),
             ontology,
             num_layers=2,
             cost_params=CostParams(exact=True),

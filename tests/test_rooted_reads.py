@@ -108,7 +108,7 @@ def oracle_settled_hits(algorithm, keywords, frontiers, below, skip):
 
 
 def present_keyword_sets(g: Graph, sizes=(1, 2, 3)):
-    labels = [l for l in LABELS if g.vertices_with_label(l)]
+    labels = [l for l in LABELS if g.sorted_vertices_with_label(l)]
     for size in sizes:
         yield from itertools.combinations(labels, size)
 

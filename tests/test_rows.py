@@ -1,9 +1,10 @@
 """``Graph.rows()``: the one traversal format, equal to the CSR everywhere.
 
-Heap graphs hand out their live adjacency lists, mmap-backed (v4) graphs
-lazily built tuple rows shared with their copy-on-write clones; either
-way row ``v`` is ``v``'s CSR slice, so every traversal kernel answers
-identically on a loaded graph and its heap twin.
+Every row is a tuple.  Heap graphs hand out their lists of rows,
+mmap-backed (v4) graphs lazily built rows shared with their
+copy-on-write clones; either way row ``v`` is ``v``'s CSR slice, so every
+traversal kernel answers identically on a loaded graph and its heap
+twin.  A write replaces the rows it touches, so clones share the rest.
 """
 
 from __future__ import annotations
@@ -58,6 +59,10 @@ def as_tuples(graph: Graph):
     return tuple([tuple(row) for row in table] for table in graph.rows())
 
 
+def rows_are_tuples(graph: Graph) -> bool:
+    return all(type(row) is tuple for table in graph.rows() for row in table)
+
+
 class TestRowsAreTheCSR:
     @settings(max_examples=80, deadline=None)
     @given(labelled_graphs())
@@ -65,9 +70,11 @@ class TestRowsAreTheCSR:
         frozen = frozen_twin(g)
         assert frozen.is_mmap_backed
         clone = frozen.cow_clone()
+        heap_clone = g.cow_clone()
         expected = csr_rows(g)
-        for graph in (g, frozen, clone):
+        for graph in (g, heap_clone, frozen, clone):
             assert as_tuples(graph) == expected == csr_rows(graph)
+            assert rows_are_tuples(graph)
         # Rows of a frozen graph are one object, shared by its clones.
         assert frozen.rows() is frozen.rows()
         assert clone.rows() is frozen.rows()
@@ -78,14 +85,19 @@ class TestRowsAreTheCSR:
         clone.add_edge(added, 0)
         assert not clone.is_mmap_backed
         assert as_tuples(clone) == csr_rows(clone)
-        assert clone.rows()[0][added] == [0]
+        assert rows_are_tuples(clone)
+        assert clone.rows()[0][added] == (0,)
         assert frozen.rows() is parent_rows
         assert as_tuples(frozen) == expected
-        # The same for a heap parent and its copy-on-write clone.
-        heap_clone = g.cow_clone()
+        # The same for a heap parent and its copy-on-write clone; rows
+        # the write did not touch stay shared.
         heap_clone.add_edge(heap_clone.add_vertex("B"), 0)
         assert as_tuples(heap_clone) == csr_rows(heap_clone)
+        assert rows_are_tuples(heap_clone)
         assert as_tuples(g) == expected
+        (out_g, in_g), (out_c, in_c) = g.rows(), heap_clone.rows()
+        assert all(out_c[v] is out_g[v] for v in g.vertices())
+        assert all(in_c[v] is in_g[v] for v in g.vertices() if v != 0)
 
     @settings(max_examples=80, deadline=None)
     @given(labelled_graphs(), st.data())

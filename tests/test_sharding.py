@@ -170,13 +170,13 @@ class TestExactness:
         # so no zone, and its one shard answers every query.
         g, ontology = small_case(seed=4)
         sharded = build_sharded(
-            g.copy(share_label_table=True), ontology, num_shards, 4,
+            g.copy(), ontology, num_shards, 4,
             **BUILD_KW,
         )
         assert sharded.num_shards == num_shards
         assert (sharded.zone is None) == (num_shards == 1)
         mono = BiGIndex.build(
-            g.copy(share_label_table=True), ontology, **BUILD_KW
+            g.copy(), ontology, **BUILD_KW
         )
         se = ShardedEvaluator(sharded, algorithm)
         he = HierarchicalEvaluator(mono, algorithm, allow_layer_zero=True)
@@ -192,10 +192,10 @@ class TestExactness:
         algorithm = Blinks(d_max=2, k=5)
         g, ontology = small_case(seed=4)
         sharded = build_sharded(
-            g.copy(share_label_table=True), ontology, 3, 4, **BUILD_KW
+            g.copy(), ontology, 3, 4, **BUILD_KW
         )
         mono = BiGIndex.build(
-            g.copy(share_label_table=True), ontology, **BUILD_KW
+            g.copy(), ontology, **BUILD_KW
         )
         se = ShardedEvaluator(sharded, algorithm)
         he = HierarchicalEvaluator(mono, algorithm, allow_layer_zero=True)
@@ -221,7 +221,7 @@ class TestExactness:
         dataset = yago_like(scale=0.05)
         g = dataset.graph
         sharded = build_sharded(
-            g.copy(share_label_table=True), dataset.ontology, 2, 6,
+            g.copy(), dataset.ontology, 2, 6,
             num_layers=3, cost_params=CostParams(num_samples=10),
         )
         se = ShardedEvaluator(sharded, BackwardKeywordSearch(d_max=3, k=None))
@@ -250,7 +250,7 @@ class TestExactness:
     def test_missing_keyword_matches_monolithic_error(self):
         g, ontology = small_case()
         sharded = build_sharded(
-            g.copy(share_label_table=True), ontology, 2, 4, **BUILD_KW
+            g.copy(), ontology, 2, 4, **BUILD_KW
         )
         algorithm = BackwardKeywordSearch(d_max=2, k=5)
         se = ShardedEvaluator(sharded, algorithm)
@@ -260,7 +260,7 @@ class TestExactness:
     def test_forced_layer_is_best_effort(self):
         g, ontology = small_case(seed=5)
         sharded = build_sharded(
-            g.copy(share_label_table=True), ontology, 3, 4, **BUILD_KW
+            g.copy(), ontology, 3, 4, **BUILD_KW
         )
         algorithm = BackwardKeywordSearch(d_max=2, k=5)
         se = ShardedEvaluator(sharded, algorithm)
@@ -273,7 +273,7 @@ class TestExactness:
     def test_evaluate_many_matches_sequential(self):
         g, ontology = small_case(seed=6)
         sharded = build_sharded(
-            g.copy(share_label_table=True), ontology, 2, 4, **BUILD_KW
+            g.copy(), ontology, 2, 4, **BUILD_KW
         )
         algorithm = BackwardKeywordSearch(d_max=2, k=5)
         se = ShardedEvaluator(sharded, algorithm)
@@ -293,7 +293,7 @@ class TestExactness:
         tracer's one stack (a scatter thread pool did)."""
         g, ontology = small_case(seed=6)
         sharded = build_sharded(
-            g.copy(share_label_table=True), ontology, 4, 4, **BUILD_KW
+            g.copy(), ontology, 4, 4, **BUILD_KW
         )
         assert sharded.num_shards == 4
         algorithm = BackwardKeywordSearch(d_max=2, k=5)
@@ -350,7 +350,7 @@ class TestExactness:
         from repro.core.plugins import boost
 
         g, ontology = small_case(seed=6)
-        graph = g.copy(share_label_table=True)
+        graph = g.copy()
         index = (
             BiGIndex.build(graph, ontology, **BUILD_KW)
             if kind == "monolithic"
@@ -379,7 +379,7 @@ class TestExactness:
     def test_rclique_is_rejected(self):
         g, ontology = small_case()
         sharded = build_sharded(
-            g.copy(share_label_table=True), ontology, 2, 4, **BUILD_KW
+            g.copy(), ontology, 2, 4, **BUILD_KW
         )
         with pytest.raises(ConfigurationError, match="rooted"):
             ShardedEvaluator(sharded, RClique(radius=2, k=5))
@@ -387,7 +387,7 @@ class TestExactness:
     def test_small_halo_is_rejected(self):
         g, ontology = small_case()
         sharded = build_sharded(
-            g.copy(share_label_table=True), ontology, 2, 3, **BUILD_KW
+            g.copy(), ontology, 2, 3, **BUILD_KW
         )
         with pytest.raises(ConfigurationError, match="halo"):
             ShardedEvaluator(sharded, BackwardKeywordSearch(d_max=2, k=5))
@@ -397,7 +397,7 @@ class TestBudgets:
     def test_tiny_budget_degrades_with_lower_bound(self):
         g, ontology = small_case(seed=7)
         sharded = build_sharded(
-            g.copy(share_label_table=True), ontology, 3, 4, **BUILD_KW
+            g.copy(), ontology, 3, 4, **BUILD_KW
         )
         algorithm = BackwardKeywordSearch(d_max=2, k=5)
         se = ShardedEvaluator(sharded, algorithm)
@@ -423,7 +423,7 @@ class TestBudgets:
     def test_degraded_never_silently_drops(self):
         g, ontology = small_case(seed=8)
         sharded = build_sharded(
-            g.copy(share_label_table=True), ontology, 3, 4, **BUILD_KW
+            g.copy(), ontology, 3, 4, **BUILD_KW
         )
         algorithm = BackwardKeywordSearch(d_max=2, k=5)
         se = ShardedEvaluator(sharded, algorithm)
@@ -460,7 +460,7 @@ class TestBudgets:
         # degrades to.
         g, ontology = small_case(seed=7)
         sharded = build_sharded(
-            g.copy(share_label_table=True), ontology, 3, 4, **BUILD_KW
+            g.copy(), ontology, 3, 4, **BUILD_KW
         )
         se = ShardedEvaluator(sharded, BackwardKeywordSearch(d_max=2, k=5))
         checked = 0
@@ -484,7 +484,7 @@ class TestBudgets:
 class TestMutation:
     def rebuild_reference(self, sharded, ontology):
         return BiGIndex.build(
-            sharded.base_graph.copy(share_label_table=True),
+            sharded.base_graph.copy(),
             ontology,
             **BUILD_KW,
         )
@@ -503,7 +503,7 @@ class TestMutation:
     def test_same_shard_insert_and_delete(self):
         g, ontology = small_case(seed=9)
         sharded = build_sharded(
-            g.copy(share_label_table=True), ontology, 3, 4, **BUILD_KW
+            g.copy(), ontology, 3, 4, **BUILD_KW
         )
         members = sharded.shards[0].global_ids
         pair = next(
@@ -520,7 +520,7 @@ class TestMutation:
     def test_cross_shard_insert_and_delete(self):
         g, ontology = small_case(seed=10)
         sharded = build_sharded(
-            g.copy(share_label_table=True), ontology, 3, 4, **BUILD_KW
+            g.copy(), ontology, 3, 4, **BUILD_KW
         )
         u = sharded.shards[0].global_ids[0]
         v = sharded.shards[1].global_ids[0]
@@ -539,7 +539,7 @@ class TestMutation:
     def test_delete_missing_edge_raises(self):
         g, ontology = small_case()
         sharded = build_sharded(
-            g.copy(share_label_table=True), ontology, 2, 4, **BUILD_KW
+            g.copy(), ontology, 2, 4, **BUILD_KW
         )
         u, v = 0, 1
         while sharded.base_graph.has_edge(u, v):
@@ -550,7 +550,7 @@ class TestMutation:
     def test_remove_ontology_edge_routes_to_all_locales(self):
         g, ontology = small_case(seed=11)
         sharded = build_sharded(
-            g.copy(share_label_table=True), ontology, 3, 4, **BUILD_KW
+            g.copy(), ontology, 3, 4, **BUILD_KW
         )
         sharded.remove_ontology_edge("A", "AB")
         for locale in sharded.locales:
@@ -562,7 +562,7 @@ class TestMutation:
         # to a cow clone which is swapped in afterwards.
         g, ontology = small_case(seed=12)
         sharded = build_sharded(
-            g.copy(share_label_table=True), ontology, 3, 4, **BUILD_KW
+            g.copy(), ontology, 3, 4, **BUILD_KW
         )
         digest = sharded.state_digest()
         clone = sharded.cow_clone()
@@ -580,7 +580,7 @@ class TestMutation:
     def test_epoch_moves_with_mutations(self):
         g, ontology = small_case(seed=13)
         sharded = build_sharded(
-            g.copy(share_label_table=True), ontology, 2, 4, **BUILD_KW
+            g.copy(), ontology, 2, 4, **BUILD_KW
         )
         epoch = sharded.epoch
         members = sharded.shards[0].global_ids
@@ -638,7 +638,7 @@ class TestPersistence:
         g, ontology = small_case(seed=14)
         directory = str(tmp_path / "sharded")
         sharded = build_sharded(
-            g.copy(share_label_table=True),
+            g.copy(),
             ontology,
             3,
             4,
@@ -658,7 +658,7 @@ class TestPersistence:
     def test_serial_and_parallel_builds_are_identical(self, tmp_path):
         g, ontology = small_case(seed=15)
         one = build_sharded(
-            g.copy(share_label_table=True),
+            g.copy(),
             ontology,
             3,
             4,
@@ -667,7 +667,7 @@ class TestPersistence:
             **BUILD_KW,
         )
         four = build_sharded(
-            g.copy(share_label_table=True),
+            g.copy(),
             ontology,
             3,
             4,
@@ -696,7 +696,7 @@ class TestPersistence:
         g, ontology = small_case(seed=16)
         directory = str(tmp_path / "sharded")
         sharded = build_sharded(
-            g.copy(share_label_table=True),
+            g.copy(),
             ontology,
             2,
             4,
@@ -778,7 +778,7 @@ class TestPersistence:
         g, ontology = small_case(seed=17)
         directory = str(tmp_path / "sharded")
         build_sharded(
-            g.copy(share_label_table=True),
+            g.copy(),
             ontology,
             2,
             4,
@@ -798,12 +798,12 @@ class TestPersistence:
         g, ontology = small_case(seed=18)
         mono_dir = str(tmp_path / "mono")
         mono = BiGIndex.build(
-            g.copy(share_label_table=True), ontology, **BUILD_KW
+            g.copy(), ontology, **BUILD_KW
         )
         save_index(mono, mono_dir)
         shard_dir = str(tmp_path / "sharded")
         build_sharded(
-            g.copy(share_label_table=True),
+            g.copy(),
             ontology,
             2,
             4,
@@ -825,11 +825,11 @@ class TestPersistence:
             ),
         )
         heap = build_sharded(
-            g.copy(share_label_table=True), ontology, 3, 2, **kwargs
+            g.copy(), ontology, 3, 2, **kwargs
         )
         directory = str(tmp_path / "sharded")
         build_sharded(
-            g.copy(share_label_table=True), ontology, 3, 2,
+            g.copy(), ontology, 3, 2,
             directory=directory, **kwargs,
         )
         reloaded = load_index(directory, ontology)
@@ -872,7 +872,7 @@ class TestPersistence:
         g, ontology = small_case(seed=19)
         directory = str(tmp_path / "sharded")
         sharded = build_sharded(
-            g.copy(share_label_table=True),
+            g.copy(),
             ontology,
             3,
             4,
@@ -1028,7 +1028,7 @@ class TestStateInvariants:
                     added += 1
         ontology = verification_ontology()
         sharded = build_sharded(
-            g.copy(share_label_table=True), ontology, 2, 4, **BUILD_KW
+            g.copy(), ontology, 2, 4, **BUILD_KW
         )
         assert sharded.num_shards == 2 and sharded.zone is None
         sharded.remove_ontology_edge("A", "AB")
@@ -1118,7 +1118,7 @@ class TestServeAndCli:
 
     def test_service_query_matches_monolithic(self):
         g, o = small_case(seed=5)
-        sharded = build_sharded(g.copy(share_label_table=True), o, 3,
+        sharded = build_sharded(g.copy(), o, 3,
                                 halo_radius=6, **BUILD_KW)
         mono = BiGIndex.build(g, o, **BUILD_KW)
         service = self._service(sharded)
@@ -1143,7 +1143,7 @@ class TestServeAndCli:
 
     def test_service_mutate_publishes_new_epoch_and_stays_exact(self):
         g, o = small_case(seed=6)
-        sharded = build_sharded(g.copy(share_label_table=True), o, 3,
+        sharded = build_sharded(g.copy(), o, 3,
                                 halo_radius=6, **BUILD_KW)
         service = self._service(sharded)
         before = service.runtime.epoch

@@ -61,7 +61,7 @@ def case():
 
     def build() -> BiGIndex:
         return BiGIndex.build(
-            graph.copy(share_label_table=True),
+            graph.copy(),
             ontology,
             num_layers=2,
             cost_params=CostParams(exact=True),
@@ -257,12 +257,12 @@ class TestShardProbe:
         return dict(
             sharded_factory=lambda: sharded_hook(
                 build_sharded(
-                    graph.copy(share_label_table=True), ontology,
+                    graph.copy(), ontology,
                     num_shards, 2 * D_MAX, **kwargs,
                 )
             ),
             mono_factory=lambda: BiGIndex.build(
-                graph.copy(share_label_table=True), ontology, **kwargs
+                graph.copy(), ontology, **kwargs
             ),
             algorithms=[
                 BackwardKeywordSearch(d_max=D_MAX),
@@ -285,7 +285,7 @@ class TestShardProbe:
         (K = 2), so the first cross-shard insert has to create the zone,
         and queries mixing both label sets answer only across the cut."""
         graph, ontology = case[0], case[1]
-        twins = graph.copy(share_label_table=True)
+        twins = graph.copy()
         offset = graph.num_vertices
         for v in range(offset):
             twins.add_vertex(graph.label(v) + "2")
