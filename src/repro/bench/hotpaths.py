@@ -624,8 +624,8 @@ def section_serve(fixture: Fixture, repeats: int) -> Metrics:
         # Delete-then-reinsert pairs: real maintenance work on every op,
         # and the final snapshot returns to the baseline state.
         for u, v in edges[: 8 if fixture.quick else 24]:
-            runtime.mutate(lambda index: index.delete_edge(u, v))
-            runtime.mutate(lambda index: index.insert_edge(u, v))
+            runtime.mutate({"op": "delete", "u": u, "v": v})
+            runtime.mutate({"op": "insert", "u": u, "v": v})
 
     def reader_pass(service: QueryService = mutate_service) -> List[float]:
         return _client_pass(

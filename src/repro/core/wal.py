@@ -28,15 +28,13 @@ damage (see :func:`read_wal`).  The log is deliberately *excluded* from
 ``manifest.json`` — it changes after every mutation, while the manifest
 blesses the immutable base files.
 
-Group commit
-------------
-:meth:`MutationWAL.commit` batches fsyncs with a leader/follower scheme:
-the first committer in a burst becomes the leader, waits up to
-``group_commit_window`` seconds for followers to append their records,
-then pays a single ``fsync`` for the whole batch.  With a zero window
-every commit fsyncs immediately (still coalescing under contention).
-Durability is unconditional either way — ``commit`` never returns before
-the record it wrote is on disk.
+Commit
+------
+:meth:`MutationWAL.commit` writes one record, flushes it and fsyncs the
+file before it returns, under one lock.  The serve runtime admits one
+writer at a time (``EngineRuntime.mutate``), so there is never a batch
+of concurrent records to share an fsync: each acked op costs exactly one
+``write`` and one ``fsync``.
 """
 
 from __future__ import annotations
@@ -291,22 +289,18 @@ def replay_wal(index: Any, records: List[WALRecord]) -> int:
 
 
 class MutationWAL:
-    """Append-only durable mutation log with group-commit fsync batching.
+    """Append-only durable mutation log: one fsync per committed op.
 
-    Thread-safe: any number of threads may :meth:`commit` concurrently.
+    Thread-safe: concurrent :meth:`commit` calls serialize on one lock.
     Opening recovers a torn tail automatically (truncating it), so a log
     left behind by ``kill -9`` is always appendable.
     """
 
-    def __init__(self, path: str, group_commit_window: float = 0.0) -> None:
+    def __init__(self, path: str) -> None:
         self.path = path
-        self.group_commit_window = max(0.0, float(group_commit_window))
-        self._cond = threading.Condition()
+        self._lock = threading.Lock()
         self._file: Optional[Any] = None
         self._record_count = 0
-        self._appended = 0  # serial of the last record written to the buffer
-        self._synced = 0  # serial of the last record known fsynced
-        self._sync_leader = False
         self._recovered_tail: Optional[str] = None
         #: False while appending to a format-1 log (JSON records only).
         self._compact = True
@@ -320,7 +314,7 @@ class MutationWAL:
         The returned records are what a loader should replay; the file is
         positioned for appending the next record.
         """
-        with self._cond:
+        with self._lock:
             if self._file is not None:
                 raise WALError(f"WAL already open: {self.path}")
             if os.path.exists(self.path):
@@ -335,15 +329,13 @@ class MutationWAL:
                     os.fsync(f.fileno())
             self._file = open(self.path, "ab")
             self._record_count = len(records)
-            self._appended = len(records)
-            self._synced = len(records)
             if OBS.enabled:
                 OBS.metrics.inc("wal.opens")
             return records
 
     @property
     def record_count(self) -> int:
-        with self._cond:
+        with self._lock:
             return self._record_count
 
     @property
@@ -352,80 +344,27 @@ class MutationWAL:
         return self._recovered_tail
 
     def close(self) -> None:
-        """Fsync any buffered records and close the file."""
-        with self._cond:
-            if self._file is None:
-                return
-            if self._appended > self._synced:
-                self._file.flush()
-                os.fsync(self._file.fileno())
-                self._synced = self._appended
-            self._file.close()
-            self._file = None
-
-    def truncate(self) -> None:
-        """Reset the log to empty (after a save persisted its history)."""
-        with self._cond:
-            self._require_open()
-            self._file.close()
-            with open(self.path, "wb") as f:
-                f.write(WAL_MAGIC)
-                f.flush()
-                os.fsync(f.fileno())
-            self._file = open(self.path, "ab")
-            self._compact = True
-            self._record_count = 0
-            self._appended = 0
-            self._synced = 0
-            if OBS.enabled:
-                OBS.metrics.inc("wal.truncations")
+        """Close the file (every committed record is already fsynced)."""
+        with self._lock:
+            if self._file is not None:
+                self._file.close()
+                self._file = None
 
     # ------------------------------------------------------------------
     # Commit
     # ------------------------------------------------------------------
     def commit(self, op: Dict[str, Any]) -> int:
-        """Append ``op`` and return its serial once it is fsynced.
-
-        Never returns before the record is durable.  Concurrent commits
-        share fsyncs: the first committer leads, waits up to the group
-        window for followers, and one ``fsync`` covers the batch.
-        """
-        with self._cond:
-            self._require_open()
-            record = encode_record(op, self._compact)
-            self._file.write(record)
+        """Append ``op`` and return its serial once it is fsynced."""
+        with self._lock:
+            if self._file is None:
+                raise WALError(f"WAL is not open: {self.path}")
+            self._file.write(encode_record(op, self._compact))
             self._file.flush()
-            self._appended += 1
+            os.fsync(self._file.fileno())
             self._record_count += 1
-            serial = self._appended
             if OBS.enabled:
                 OBS.metrics.inc("wal.appends")
-            while self._synced < serial:
-                if self._sync_leader:
-                    self._cond.wait()
-                    continue
-                self._sync_leader = True
-                if self.group_commit_window > 0:
-                    # Absorb followers before paying the fsync; the wait
-                    # simply times out (nothing notifies mid-window).
-                    self._cond.wait(timeout=self.group_commit_window)
-                target = self._appended
-                fd = self._file.fileno()
-                self._cond.release()
-                try:
-                    os.fsync(fd)
-                finally:
-                    self._cond.acquire()
-                self._synced = max(self._synced, target)
-                self._sync_leader = False
-                if OBS.enabled:
-                    OBS.metrics.inc("wal.fsyncs")
-                self._cond.notify_all()
-        return serial
-
-    def _require_open(self) -> None:
-        if self._file is None:
-            raise WALError(f"WAL is not open: {self.path}")
+            return self._record_count
 
     # ------------------------------------------------------------------
     # Context manager

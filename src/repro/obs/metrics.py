@@ -9,7 +9,7 @@ for code that stores a registry reference up front.
 
 Naming convention (documented in docs/OBSERVABILITY.md): dot-separated,
 ``<subsystem>.<event>`` — e.g. ``search.expansions``, ``refine.rounds``,
-``wal.fsyncs``.  Counters count events, gauges record last-seen
+``wal.appends``.  Counters count events, gauges record last-seen
 values, histograms accumulate (count, sum, min, max) of observations.
 """
 

@@ -11,14 +11,15 @@ its feet.  The runtime therefore never mutates a published index:
   bump under a short state lock, never a blocking read lock).  The
   pinned index is immutable for the pin's lifetime, so the reader needs
   no further coordination with writers.
-* **Mutate without drain** — a mutation takes a *writer-only* lock,
-  builds a copy-on-write clone of the current index
-  (:meth:`~repro.core.index.BiGIndex.cow_clone` — shared structure is
-  copied lazily on first write), applies the change to the clone
-  off-lock while readers keep serving the old snapshot, optionally
-  appends the op to a durable WAL (see :mod:`repro.core.wal`), and
-  publishes the clone with a pointer swap.  Readers never block on a
-  mutation and a mutation never waits for readers.
+* **Mutate without drain** — a mutation is one WAL op.  It takes a
+  *writer-only* lock, builds a copy-on-write clone of the current index
+  (:meth:`~repro.core.index.BiGIndex.cow_clone` — a clone shares every
+  row until a write replaces it), applies the op to the clone with
+  :func:`~repro.core.wal.apply_wal_op` while readers keep serving the
+  old snapshot, commits the op to the durable WAL when it applied (see
+  :mod:`repro.core.wal`: write, flush, fsync), and publishes the clone
+  with a pointer swap.  Readers never block on a mutation and a
+  mutation never waits for readers.
 * **Retire by refcount** — a superseded snapshot is retired (counted in
   ``RuntimeStats.retired`` and the ``snapshot.retired`` metric) when its
   last pin releases; with no pins it retires at publish time.  Python's
@@ -38,21 +39,15 @@ from __future__ import annotations
 import threading
 from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterator, Optional, Tuple, TypeVar
+from typing import Any, Callable, Dict, Iterator, Optional, Tuple
 
 from repro.core.evaluator import HierarchicalEvaluator
 from repro.core.index import BiGIndex
-from repro.core.wal import MutationWAL
+from repro.core.wal import MutationWAL, apply_wal_op
 from repro.obs.runtime import OBS
-
-T = TypeVar("T")
 
 #: Builds the per-snapshot evaluator for an index.
 EvaluatorFactory = Callable[[BiGIndex], HierarchicalEvaluator]
-
-#: Derives the durable WAL record for a mutation from its result;
-#: returning ``None`` skips logging (e.g. a no-op mutation).
-WalEntryFactory = Callable[[T], Optional[Dict[str, object]]]
 
 
 @dataclass(frozen=True)
@@ -113,9 +108,9 @@ class EngineRuntime:
         Builds a fresh evaluator per published snapshot.
     wal:
         Optional open :class:`~repro.core.wal.MutationWAL`.  When set,
-        :meth:`mutate` appends the record produced by its ``wal_entry``
-        callback — and fsyncs it — *before* publishing, so nothing is
-        acked that a crash could lose.
+        :meth:`mutate` commits each op that applied — fsync and all —
+        *before* publishing, so nothing is acked that a crash could
+        lose.
     """
 
     def __init__(
@@ -226,38 +221,33 @@ class EngineRuntime:
                 self._retire()
             return snapshot
 
-    def mutate(
-        self,
-        fn: Callable[[BiGIndex], T],
-        wal_entry: Optional[WalEntryFactory] = None,
-    ) -> Tuple[T, Snapshot]:
-        """Apply a mutation to a copy-on-write clone and publish it.
+    def mutate(self, op: Dict[str, Any]) -> Tuple[bool, Snapshot]:
+        """Apply one WAL op to a copy-on-write clone and publish it.
 
-        Readers are never drained: ``fn`` runs against a private clone
+        Returns whether the op applied (see
+        :func:`~repro.core.wal.apply_wal_op`) and the published snapshot.
+        Readers are never drained: the op runs against a private clone
         (:meth:`BiGIndex.cow_clone`) while in-flight queries keep
         serving the published snapshot; the swap at the end is a pointer
-        assignment.  ``fn`` may call any maintenance entry point.
+        assignment.
 
-        When the runtime has a WAL and ``wal_entry`` is given, the
-        record it derives from ``fn``'s result is committed — fsync and
-        all — *before* the publish, so a caller that sees the new
-        snapshot (or an HTTP ack built from it) is guaranteed the op
-        survives ``kill -9``.  ``wal_entry`` returning ``None`` (a
-        no-op mutation) skips the log.
+        When the runtime has a WAL and the op applied, the op is
+        committed — fsync and all — *before* the publish, so a caller
+        that sees the new snapshot (or an HTTP ack built from it) is
+        guaranteed the op survives ``kill -9``.  A no-op (a duplicate
+        insert, an absent delete) is not logged.
 
-        If ``fn`` raises, nothing is logged or published and the clone
+        If applying raises, nothing is logged or published and the clone
         is discarded — the published state never reflects a half-applied
         mutation.
         """
         with self._mutate_lock:
             clone = self._snapshot.index.cow_clone()
-            result = fn(clone)
-            if self.wal is not None and wal_entry is not None:
-                record = wal_entry(result)
-                if record is not None:
-                    self.wal.commit(dict(record))
+            applied = apply_wal_op(clone, op)
+            if applied and self.wal is not None:
+                self.wal.commit(op)
             self.stats.mutations += 1
-            return result, self._publish(clone)
+            return applied, self._publish(clone)
 
     def reload(self, index: BiGIndex) -> Snapshot:
         """Swap in a different index object with zero downtime.

@@ -39,11 +39,10 @@ import math
 import threading
 import time
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Mapping, Optional, Tuple, Union
+from typing import Callable, Dict, Mapping, Optional, Tuple, Union
 
 from repro.core.evaluator import DegradedResult, EvalResult
 from repro.core.index import BiGIndex
-from repro.core.wal import apply_wal_op
 from repro.obs.flight import FlightRecorder
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.promtext import render_prometheus
@@ -70,6 +69,13 @@ from repro.utils.timers import monotonic_now
 Response = Tuple[int, Union[Dict[str, object], str], Dict[str, str]]
 
 
+#: ``Retry-After`` seconds suggested on a 503.
+RETRY_AFTER_SECONDS = 1.0
+
+#: Cap on ``/batch`` workload size (a 400 beyond it).
+MAX_BATCH_QUERIES = 256
+
+
 class BadRequest(Exception):
     """A 400: malformed body or budget headers."""
 
@@ -92,12 +98,8 @@ class ServerConfig:
     max_inflight_requests: Optional[int] = None
     #: Admission: in-flight expansion reservation cap (``None`` = off).
     max_inflight_expansions: Optional[int] = None
-    #: ``Retry-After`` seconds suggested on a 503.
-    retry_after_seconds: float = 1.0
     #: Default top-k when a request does not send ``k``.
     default_k: Optional[int] = 10
-    #: Cap on ``/batch`` workload size (a 400 beyond it).
-    max_batch_queries: int = 256
     #: Enable ``/admin/mutate`` and ``/admin/reload``.
     enable_admin: bool = False
     #: Requests at/above this wall-clock latency (milliseconds) are
@@ -445,38 +447,18 @@ class QueryService:
                 # introspection so orchestrators see the drain progress.
                 self.metrics.inc("serve.drained_rejects")
                 raise ShedError("draining")
-            if route == ("POST", "/query"):
-                response = self.handle_query(body, headers)
-            elif route == ("POST", "/batch"):
-                response = self.handle_batch(body, headers)
-            elif route == ("GET", "/healthz"):
-                response = self.handle_healthz()
-            elif route == ("GET", "/metrics"):
-                response = self.handle_metrics(headers)
-            elif route == ("POST", "/admin/mutate"):
-                response = self.handle_mutate(body)
-            elif route == ("POST", "/admin/reload"):
-                response = self.handle_reload()
-            elif route == ("GET", "/admin/digest"):
-                response = self.handle_digest()
-            elif route == ("GET", "/admin/flight"):
-                response = self.handle_flight()
-            elif route[1] in (
-                "/query", "/batch", "/healthz", "/metrics",
-                "/admin/mutate", "/admin/reload", "/admin/digest",
-                "/admin/flight",
-            ):
-                response = (
-                    405,
-                    {"status": "error", "error": f"method {method} not allowed"},
-                    {},
+            entry = self._ROUTES.get(route)
+            if entry is None:
+                status, error = (
+                    (405, f"method {method} not allowed")
+                    if route[1] in self._PATHS
+                    else (404, f"unknown path {path!r}")
                 )
+            elif entry[1] and not self.config.enable_admin:
+                status, error = 403, "admin endpoints are disabled"
             else:
-                response = (
-                    404,
-                    {"status": "error", "error": f"unknown path {path!r}"},
-                    {},
-                )
+                return entry[0](self, body, headers)
+            response = (status, {"status": "error", "error": error}, {})
         except BadRequest as exc:
             response = (400, {"status": "error", "error": str(exc)}, {})
         except ShedError as exc:
@@ -485,9 +467,9 @@ class QueryService:
                 {
                     "status": "shed",
                     "reason": exc.reason,
-                    "retry_after": self.config.retry_after_seconds,
+                    "retry_after": RETRY_AFTER_SECONDS,
                 },
-                {"Retry-After": f"{self.config.retry_after_seconds:g}"},
+                {"Retry-After": f"{RETRY_AFTER_SECONDS:g}"},
             )
         except Exception as exc:  # noqa: BLE001 - serving boundary
             self.metrics.inc("serve.faults")
@@ -640,10 +622,10 @@ class QueryService:
         raw_queries = data.get("queries")
         if not isinstance(raw_queries, list) or not raw_queries:
             raise BadRequest("queries must be a non-empty list")
-        if len(raw_queries) > self.config.max_batch_queries:
+        if len(raw_queries) > MAX_BATCH_QUERIES:
             raise BadRequest(
                 f"batch of {len(raw_queries)} exceeds the server cap of "
-                f"{self.config.max_batch_queries}"
+                f"{MAX_BATCH_QUERIES}"
             )
         queries = [
             _parse_keywords(entry, what=f"queries[{i}]")
@@ -728,7 +710,9 @@ class QueryService:
             health["hit_rate_by_kind"] = kinds
         return health
 
-    def handle_healthz(self) -> Response:
+    def handle_healthz(
+        self, body: bytes, headers: Mapping[str, str]
+    ) -> Response:
         snapshot = self.runtime.current
         stats = self.runtime.stats
         counters = self.metrics.counters()
@@ -762,7 +746,7 @@ class QueryService:
         return 200, payload, {}
 
     def handle_metrics(
-        self, headers: Optional[Mapping[str, str]] = None
+        self, body: bytes, headers: Mapping[str, str]
     ) -> Response:
         """The registry snapshot — JSON by default, Prometheus text when
         the request asks for it (``Accept: text/plain`` or an
@@ -786,11 +770,10 @@ class QueryService:
             "serve.inflight_expansions", self.admission.reserved_expansions
         )
         accept = ""
-        if headers:
-            for key, value in headers.items():
-                if str(key).lower() == "accept":
-                    accept = str(value).lower()
-                    break
+        for key, value in headers.items():
+            if str(key).lower() == "accept":
+                accept = str(value).lower()
+                break
         if "text/plain" in accept or "openmetrics" in accept:
             text = render_prometheus(self.metrics.snapshot())
             return (
@@ -800,14 +783,10 @@ class QueryService:
             )
         return 200, self.metrics.snapshot(), {}
 
-    def handle_flight(self) -> Response:
+    def handle_flight(
+        self, body: bytes, headers: Mapping[str, str]
+    ) -> Response:
         """The flight-recorder ring, oldest record first (admin-gated)."""
-        if not self.config.enable_admin:
-            return (
-                403,
-                {"status": "error", "error": "admin endpoints are disabled"},
-                {},
-            )
         records = self.flight.dump()
         return (
             200,
@@ -821,13 +800,9 @@ class QueryService:
             {},
         )
 
-    def handle_mutate(self, body: bytes) -> Response:
-        if not self.config.enable_admin:
-            return (
-                403,
-                {"status": "error", "error": "admin endpoints are disabled"},
-                {},
-            )
+    def handle_mutate(
+        self, body: bytes, headers: Mapping[str, str]
+    ) -> Response:
         data = _parse_json(body)
         op = data.get("op")
         if op not in ("insert", "delete"):
@@ -838,19 +813,8 @@ class QueryService:
             raise BadRequest("mutation needs integer endpoints u and v")
 
         entry = {"op": op, "u": u, "v": v}
-
-        def wal_entry(applied: bool) -> Optional[Dict[str, object]]:
-            # No-op mutations (duplicate insert, absent delete) publish a
-            # snapshot but change nothing — logging them would only slow
-            # replay down.
-            return entry if applied else None
-
         try:
-            # apply_wal_op is the one definition of an applicable op: the
-            # admin endpoint, WAL replay and the verify drills share it.
-            applied, snapshot = self.runtime.mutate(
-                lambda index: apply_wal_op(index, entry), wal_entry=wal_entry
-            )
+            applied, snapshot = self.runtime.mutate(entry)
         except (BigIndexError, IndexError) as exc:
             raise BadRequest(f"mutation failed: {exc}")
         self.metrics.inc("serve.mutations")
@@ -870,20 +834,17 @@ class QueryService:
             {},
         )
 
-    def handle_digest(self) -> Response:
+    def handle_digest(
+        self, body: bytes, headers: Mapping[str, str]
+    ) -> Response:
         """State fingerprint for differential drills (admin-gated).
 
         ``digest`` is :meth:`BiGIndex.state_digest` of the *current*
         snapshot — an external oracle that applied the same acked ops
         must produce the same value.  ``wal_records`` reports how many
-        ops the server has made durable since the last save/truncate.
+        ops the durable log holds: those replayed at startup plus those
+        committed since.
         """
-        if not self.config.enable_admin:
-            return (
-                403,
-                {"status": "error", "error": "admin endpoints are disabled"},
-                {},
-            )
         snapshot = self.runtime.current
         payload: Dict[str, object] = {
             "status": "ok",
@@ -895,13 +856,9 @@ class QueryService:
             payload["wal_records"] = self.runtime.wal.record_count
         return 200, payload, {}
 
-    def handle_reload(self) -> Response:
-        if not self.config.enable_admin:
-            return (
-                403,
-                {"status": "error", "error": "admin endpoints are disabled"},
-                {},
-            )
+    def handle_reload(
+        self, body: bytes, headers: Mapping[str, str]
+    ) -> Response:
         if self.loader is None:
             raise BadRequest("server was started without a reloadable index")
         snapshot = self.reload(self.loader())
@@ -914,6 +871,21 @@ class QueryService:
             },
             {},
         )
+
+    #: ``(method, path) -> (handler, admin-gated)``; every handler takes
+    #: ``(self, body, headers)``.  A known path with another method is a
+    #: 405, any other path a 404.
+    _ROUTES = {
+        ("POST", "/query"): (handle_query, False),
+        ("POST", "/batch"): (handle_batch, False),
+        ("GET", "/healthz"): (handle_healthz, False),
+        ("GET", "/metrics"): (handle_metrics, False),
+        ("POST", "/admin/mutate"): (handle_mutate, True),
+        ("POST", "/admin/reload"): (handle_reload, True),
+        ("GET", "/admin/digest"): (handle_digest, True),
+        ("GET", "/admin/flight"): (handle_flight, True),
+    }
+    _PATHS = frozenset(path for _, path in _ROUTES)
 
     # ------------------------------------------------------------------
     # Programmatic lifecycle (used by tests and the CLI)

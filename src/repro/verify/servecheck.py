@@ -34,9 +34,9 @@ from repro.verify.drill import (
     Op,
     Probe,
     Report,
-    apply_op,
     draw_ops,
     edge_ops,
+    op_to_wal,
     run_ops,
 )
 
@@ -96,7 +96,7 @@ class _EpochOracle(Probe):
         self.expectations: Expectations = {}
 
     def apply(self, op: Op) -> None:
-        self.service.runtime.mutate(lambda index: apply_op(index, op))
+        self.service.runtime.mutate(op_to_wal(op))
 
     @property
     def epoch(self) -> Tuple[int, ...]:
@@ -187,7 +187,7 @@ class _HammerLeg:
         self.threads, self.rounds, self.seed = threads, rounds, seed
 
     def mutate(self, op: Op) -> None:
-        self.service.runtime.mutate(lambda index: apply_op(index, op))
+        self.service.runtime.mutate(op_to_wal(op))
 
     def hammer(self, port: int, write: Callable[[], object]) -> float:
         """``threads`` readers x ``rounds`` shuffled passes while the

@@ -761,7 +761,7 @@ class TestEvaluatorThreading:
         with ThreadPoolExecutor(max_workers=4) as pool:
             futures = [pool.submit(reader, i) for i in range(4)]
             for u, v in ops:
-                runtime.mutate(lambda idx, u=u, v=v: idx.delete_edge(u, v))
+                runtime.mutate({"op": "delete", "u": u, "v": v})
             for future in futures:
                 future.result()
         assert not failures, failures[:5]

@@ -38,6 +38,7 @@ from repro.serve.service import (
     parse_budget_headers,
 )
 from repro.serve.service import BadRequest
+from repro.utils.errors import GraphError
 
 
 # ----------------------------------------------------------------------
@@ -292,8 +293,8 @@ class TestBatchContract:
         assert status == 400
         assert "queries[1]" in payload["error"]
 
-    def test_batch_cap_enforced(self, service):
-        service.config.max_batch_queries = 2
+    def test_batch_cap_enforced(self, service, monkeypatch):
+        monkeypatch.setattr("repro.serve.service.MAX_BATCH_QUERIES", 2)
         status, payload, _ = post(
             service,
             "/batch",
@@ -609,13 +610,7 @@ class TestConcurrentServing:
 
         snap()
         for op, u, v in ops:
-            def apply(idx, op=op, u=u, v=v):
-                if op == "insert":
-                    idx.insert_edge(u, v)
-                else:
-                    idx.delete_edge(u, v)
-
-            service.runtime.mutate(apply)
+            service.runtime.mutate({"op": op, "u": u, "v": v})
             snap()
         return expectations
 
@@ -668,13 +663,7 @@ class TestConcurrentServing:
                     pool.submit(worker, i, server.port) for i in range(4)
                 ]
                 for op, u, v in ops:
-                    def apply(idx, op=op, u=u, v=v):
-                        if op == "insert":
-                            idx.insert_edge(u, v)
-                        else:
-                            idx.delete_edge(u, v)
-
-                    service.runtime.mutate(apply)
+                    service.runtime.mutate({"op": op, "u": u, "v": v})
                 for future in futures:
                     future.result()
         assert not failures, failures[:5]
@@ -758,19 +747,22 @@ class TestSnapshotLifecycle:
             pass
         assert runtime.stats.retired == 0
 
-    def test_pin_does_not_wait_for_a_slow_writer(self, service):
+    def test_pin_does_not_wait_for_a_slow_writer(self, service, monkeypatch):
         import time as _time
 
         runtime = service.runtime
         entered = threading.Event()
+        delete_edge = BiGIndex.delete_edge
 
-        def slow_mutation(index):
+        def slow_delete_edge(index, u, v):
             entered.set()
             _time.sleep(0.5)
-            return True
+            delete_edge(index, u, v)
 
+        monkeypatch.setattr(BiGIndex, "delete_edge", slow_delete_edge)
+        u, v = next(iter(sorted(runtime.current.index.base_graph.edges())))
         writer = threading.Thread(
-            target=lambda: runtime.mutate(slow_mutation)
+            target=lambda: runtime.mutate({"op": "delete", "u": u, "v": v})
         )
         writer.start()
         try:
@@ -789,13 +781,10 @@ class TestSnapshotLifecycle:
     def test_mutation_failure_publishes_nothing(self, service):
         runtime = service.runtime
         before = runtime.current
+        absent = before.index.base_graph.num_vertices
 
-        def exploding(index):
-            index.base_graph  # touch the clone, then fail
-            raise RuntimeError("boom")
-
-        with pytest.raises(RuntimeError):
-            runtime.mutate(exploding)
+        with pytest.raises(GraphError):
+            runtime.mutate({"op": "insert", "u": 0, "v": absent})
         assert runtime.current is before
         assert runtime.stats.publishes == 0
 
